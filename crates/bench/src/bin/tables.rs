@@ -11,7 +11,7 @@
 //! each experiment additionally runs under a trace recorder and its
 //! round-level event stream is written as `<experiment>.trace.jsonl`.
 //! With `--faults <seed>` each experiment runs under a seeded fault
-//! plan (see `parqp-faults`): recovery overhead is charged to every
+//! plan (see `parqp_mpc::faults`): recovery overhead is charged to every
 //! reported load, a `# faults:` summary line precedes each experiment,
 //! and with `--trace <dir>` the fault-annotated stream is written as
 //! `<experiment>.faults.trace.jsonl` instead.
@@ -115,14 +115,15 @@ fn main() {
             if let Some(dir) = &trace_dir {
                 std::fs::create_dir_all(dir).expect("create trace dir");
                 let path = format!("{dir}/{id}.faults.trace.jsonl");
-                std::fs::write(&path, parqp_trace::export::jsonl(&recorder)).expect("write trace");
+                std::fs::write(&path, parqp_mpc::trace::export::jsonl(&recorder))
+                    .expect("write trace");
             }
             tables
         } else if let Some(dir) = &trace_dir {
             let (tables, recorder) = parqp_bench::run_traced(id);
             std::fs::create_dir_all(dir).expect("create trace dir");
             let path = format!("{dir}/{id}.trace.jsonl");
-            std::fs::write(&path, parqp_trace::export::jsonl(&recorder)).expect("write trace");
+            std::fs::write(&path, parqp_mpc::trace::export::jsonl(&recorder)).expect("write trace");
             tables
         } else {
             experiments::run(id)

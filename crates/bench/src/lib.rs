@@ -16,14 +16,17 @@
 pub mod experiments;
 pub mod table;
 
+use parqp_mpc::faults::{self, FaultLog, FaultPlan, FaultSpec, RecoveryStrategy};
+use parqp_mpc::trace::Recorder;
+
 pub use table::Table;
 
 /// Run one experiment with a trace recorder installed, returning its
 /// tables plus the captured round-level event stream. The `tables`
 /// binary uses this for `--trace <dir>`, persisting a
 /// `<id>.trace.jsonl` next to each experiment's CSV output.
-pub fn run_traced(id: &str) -> (Vec<Table>, parqp_trace::Recorder) {
-    let (recorder, tables) = parqp_trace::Recorder::capture(|| experiments::run(id));
+pub fn run_traced(id: &str) -> (Vec<Table>, Recorder) {
+    let (recorder, tables) = Recorder::capture(|| experiments::run(id));
     (tables, recorder)
 }
 
@@ -40,8 +43,8 @@ const FAULT_SERVERS: usize = 64;
 /// Faults per kind for [`run_with_faults`]: two of each over the short
 /// horizon, so any experiment recording a handful of rounds at a
 /// reasonable `p` fires at least once.
-fn bench_fault_spec() -> parqp_faults::FaultSpec {
-    parqp_faults::FaultSpec {
+fn bench_fault_spec() -> FaultSpec {
+    FaultSpec {
         crashes: 2,
         drops: 2,
         duplicates: 2,
@@ -52,21 +55,16 @@ fn bench_fault_spec() -> parqp_faults::FaultSpec {
 
 /// Run one experiment under a seeded fault plan *and* a trace recorder:
 /// crashes, message drops/duplications, and stragglers fire at exact
-/// logical rounds (see `parqp-faults`), recovery overhead is charged to
+/// logical rounds (see `parqp_mpc::faults`), recovery overhead is charged to
 /// every `LoadReport` the experiment produces, and the returned trace
 /// carries the `fault_injected`/`recovery_*` event stream. Outputs are
 /// unchanged — injection is transparent to algorithms — so experiments'
 /// own correctness asserts still hold under faults.
-pub fn run_with_faults(
-    id: &str,
-    seed: u64,
-) -> (Vec<Table>, parqp_faults::FaultLog, parqp_trace::Recorder) {
-    let plan =
-        parqp_faults::FaultPlan::random(seed, FAULT_SERVERS, FAULT_HORIZON, &bench_fault_spec());
-    let (log, (recorder, tables)) =
-        parqp_faults::capture(plan, parqp_faults::RecoveryStrategy::default(), || {
-            parqp_trace::Recorder::capture(|| experiments::run(id))
-        });
+pub fn run_with_faults(id: &str, seed: u64) -> (Vec<Table>, FaultLog, Recorder) {
+    let plan = FaultPlan::random(seed, FAULT_SERVERS, FAULT_HORIZON, &bench_fault_spec());
+    let (log, (recorder, tables)) = faults::capture(plan, RecoveryStrategy::default(), || {
+        Recorder::capture(|| experiments::run(id))
+    });
     (tables, log, recorder)
 }
 
@@ -76,7 +74,7 @@ mod tests {
     fn run_traced_captures_rounds() {
         let (tables, rec) = super::run_traced("e06");
         assert!(!tables.is_empty());
-        let totals = parqp_trace::analyze::totals(&rec);
+        let totals = parqp_mpc::trace::analyze::totals(&rec);
         assert!(totals.rounds >= 1);
         assert!(totals.tuples > 0);
     }
@@ -90,7 +88,7 @@ mod tests {
         assert!(log.fired() >= 1, "seeded plan must fire on e06");
         assert!(
             rec.events()
-                .any(|e| matches!(e, parqp_trace::TraceEvent::FaultInjected { .. })),
+                .any(|e| matches!(e, parqp_mpc::trace::TraceEvent::FaultInjected { .. })),
             "trace must carry fault events"
         );
         // e06's tables report loads measured per run; injection charges

@@ -38,7 +38,7 @@ pub fn dispatch(args: &[String]) -> Result<String, String> {
     // any command constructs snapshots it, so `--exec parallel` applies
     // uniformly to trace, faults, metrics, run, … The guard restores the
     // caller's mode on return (dispatch is re-entrant in tests).
-    let _exec = parqp_mpc::exec::install(opts.exec_mode()?);
+    let _exec = parqp_mpc::exec::install(opts.exec_mode()?).map_err(|e| e.to_string())?;
     // `--page-size`/`--pool-pages` install a paged store the same way;
     // `store` and `serve` manage their own (store runs both modes to
     // compare them, serve captures per-replay IO ledgers).
@@ -193,14 +193,21 @@ fn usage() -> String {
      \n\
      global   --exec serial|parallel [--workers N]\n\
               run every server's per-round compute on a worker pool\n\
-              (N = 0 or omitted: all cores); output is byte-identical\n\
-              to serial mode\n\
+              (N = 0 or omitted: all cores, at most 1024); output is\n\
+              byte-identical to serial mode\n\
               --page-size W --pool-pages N\n\
               run the command against the paged store (W words per page,\n\
               N resident pages per server); output is byte-identical to\n\
               the unpaged run, only the page-IO ledger changes\n"
         .into()
 }
+
+/// Ceiling on `--workers`: far above any core count, far below any
+/// host's thread limit. A refused spawn comes back as a typed error,
+/// but a thread that starts and then cannot map its guard page aborts
+/// the whole process from inside the runtime, which nothing can catch
+/// — so an absurd request has to be a parse error.
+const MAX_WORKERS: usize = 1024;
 
 /// Parsed `--key value` options.
 struct Opts {
@@ -339,6 +346,12 @@ impl Opts {
                     o.workers = value("--workers")?
                         .parse()
                         .map_err(|e| format!("--workers: {e}"))?;
+                    if o.workers > MAX_WORKERS {
+                        return Err(format!(
+                            "--workers: at most {MAX_WORKERS} (got {})",
+                            o.workers
+                        ));
+                    }
                 }
                 "--page-size" => {
                     o.page_size = Some(
@@ -440,12 +453,12 @@ impl Opts {
 
     /// The recovery strategy requested by `--strategy`/`--every`/
     /// `--replicas` (shared by `faults` and `serve --faults`).
-    fn recovery_strategy(&self) -> Result<parqp_faults::RecoveryStrategy, String> {
+    fn recovery_strategy(&self) -> Result<crate::faults::RecoveryStrategy, String> {
         match self.strategy.as_deref().unwrap_or("checkpoint") {
-            "checkpoint" => Ok(parqp_faults::RecoveryStrategy::Checkpoint {
+            "checkpoint" => Ok(crate::faults::RecoveryStrategy::Checkpoint {
                 every: self.every.max(1),
             }),
-            "replication" => Ok(parqp_faults::RecoveryStrategy::Replication {
+            "replication" => Ok(crate::faults::RecoveryStrategy::Replication {
                 replicas: self.replicas.max(1),
             }),
             other => Err(format!(
@@ -456,8 +469,8 @@ impl Opts {
 
     /// The fault specification requested by `--crashes`/`--drops`/
     /// `--duplicates`/`--stragglers`.
-    fn fault_spec(&self) -> parqp_faults::FaultSpec {
-        parqp_faults::FaultSpec {
+    fn fault_spec(&self) -> crate::faults::FaultSpec {
+        crate::faults::FaultSpec {
             crashes: self.crashes,
             drops: self.drops,
             duplicates: self.duplicates,
@@ -604,7 +617,7 @@ fn generate(o: &Opts) -> Result<String, String> {
 }
 
 fn trace_cmd(o: &Opts) -> Result<String, String> {
-    use parqp_trace::{analyze, export};
+    use crate::trace::{analyze, export};
 
     let Some(name) = o.experiment.as_deref() else {
         let mut s = String::from("available experiments (--experiment <name>):\n");
@@ -646,8 +659,8 @@ fn trace_cmd(o: &Opts) -> Result<String, String> {
 }
 
 fn faults_cmd(o: &Opts) -> Result<String, String> {
-    use parqp_faults::{capture, FaultPlan, RecoveryStrategy};
-    use parqp_trace::{analyze, export};
+    use crate::faults::{capture, FaultPlan, RecoveryStrategy};
+    use crate::trace::{analyze, export};
 
     let Some(name) = o.experiment.as_deref() else {
         let mut s = String::from("available experiments (--experiment <name>):\n");
@@ -775,7 +788,7 @@ fn metrics_cmd(o: &Opts) -> Result<String, String> {
 /// ledger, byte-identical trace JSONL. Only the page-IO ledger may
 /// differ (it is the whole point), and it is what gets reported.
 fn store_cmd(o: &Opts) -> Result<String, String> {
-    use parqp_trace::export;
+    use crate::trace::export;
 
     let cfg = o.store_config().unwrap_or_default();
     let mut s = format!(
@@ -1156,6 +1169,23 @@ mod tests {
     fn exec_rejects_unknown_mode() {
         let err = dispatch(&argv(&["trace", "--exec", "wat"])).expect_err("must fail");
         assert!(err.contains("serial|parallel"), "got: {err}");
+    }
+
+    #[test]
+    fn exec_rejects_a_pool_beyond_the_ceiling() {
+        // Regression: this aborted the process from inside thread
+        // spawning instead of returning.
+        let args = [
+            "trace",
+            "--experiment",
+            "psrs",
+            "--exec",
+            "parallel",
+            "--workers",
+            "100000",
+        ];
+        let err = dispatch(&argv(&args)).expect_err("must fail");
+        assert!(err.contains("--workers"), "got: {err}");
     }
 
     #[test]

@@ -60,16 +60,16 @@
 //!   generate/trace/faults/metrics over CSV relations).
 
 pub use parqp_data as data;
-pub use parqp_faults as faults;
 pub use parqp_join as join;
 pub use parqp_lp as lp;
 pub use parqp_matmul as matmul;
 pub use parqp_mpc as mpc;
+pub use parqp_mpc::faults;
+pub use parqp_mpc::trace;
 pub use parqp_obs as obs;
 pub use parqp_query as query;
 pub use parqp_serve as serve;
 pub use parqp_sort as sort;
-pub use parqp_trace as trace;
 
 pub mod cli;
 pub mod metrics;

@@ -30,7 +30,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use parqp_metrics as metrics;
+use parqp_mpc::metrics;
 
 /// Cluster sizes every experiment is measured at: a non-cube, a cube
 /// (`3³`, exercising HyperCube's integer shares), and the CI default.
@@ -247,7 +247,8 @@ pub fn collect_dual(
     workers: usize,
 ) -> Result<MetricsReport, String> {
     let mut report = collect_with(seed, Some(clock))?;
-    let _guard = parqp_mpc::exec::install(parqp_mpc::ExecMode::Parallel { workers });
+    let _guard = parqp_mpc::exec::install(parqp_mpc::ExecMode::Parallel { workers })
+        .map_err(|e| e.to_string())?;
     for e in crate::observe::EXPERIMENTS {
         for &p in METRICS_POINTS {
             let t0 = clock();

@@ -2,7 +2,7 @@
 //! `parqp faults` subcommands and the CI smoke tests.
 //!
 //! Each experiment builds a synthetic input from the seed, runs one of
-//! the tutorial's algorithms under an installed [`parqp_trace::Recorder`]
+//! the tutorial's algorithms under an installed [`parqp_mpc::trace::Recorder`]
 //! and returns the captured event stream alongside the run's
 //! [`LoadReport`] and a digest of its *output* (joined tuples, sorted
 //! keys, product matrix). Everything downstream of the
@@ -16,9 +16,9 @@ use std::hash::Hasher;
 
 use parqp_data::fasthash::FxHasher;
 use parqp_data::{generate, Relation};
+use parqp_mpc::trace::Recorder;
 use parqp_mpc::LoadReport;
 use parqp_query::Query;
-use parqp_trace::Recorder;
 
 /// A named experiment: a deterministic algorithm run to trace.
 pub struct Experiment {
@@ -228,7 +228,7 @@ fn sort_input(n: usize, seed: u64) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parqp_trace::analyze;
+    use parqp_mpc::trace::analyze;
 
     #[test]
     fn every_listed_experiment_runs_and_traces() {

@@ -77,34 +77,17 @@ impl Effect {
 /// Qualified-path tokens with a fixed effect (matched with the same
 /// ident-boundary rules as the PQ1xx token rules).
 const PATH_EFFECT_TOKENS: &[(&str, Effect)] = &[
-    ("trace::emit", Effect::Observable),
-    ("parqp_trace::emit", Effect::Observable),
-    ("metrics::emit", Effect::Observable),
-    ("parqp_metrics::emit", Effect::Observable),
     ("metrics::announce", Effect::Observable),
-    ("parqp_metrics::announce", Effect::Observable),
-    ("next_round_faults", Effect::Observable),
-    ("note_injected", Effect::Observable),
-    ("note_recovery", Effect::Observable),
     ("trace::span", Effect::ThreadLocal),
-    ("parqp_trace::span", Effect::ThreadLocal),
     ("trace::install", Effect::ThreadLocal),
-    ("parqp_trace::install", Effect::ThreadLocal),
-    ("trace::capture", Effect::ThreadLocal),
-    ("parqp_trace::capture", Effect::ThreadLocal),
+    ("Recorder::capture", Effect::ThreadLocal),
     ("metrics::install", Effect::ThreadLocal),
-    ("parqp_metrics::install", Effect::ThreadLocal),
     ("metrics::capture", Effect::ThreadLocal),
-    ("parqp_metrics::capture", Effect::ThreadLocal),
     ("faults::install", Effect::ThreadLocal),
-    ("parqp_faults::install", Effect::ThreadLocal),
     ("faults::capture", Effect::ThreadLocal),
-    ("parqp_faults::capture", Effect::ThreadLocal),
     ("exec::install", Effect::ThreadLocal),
     ("exec::install_pool", Effect::ThreadLocal),
     ("exec::with_mode", Effect::ThreadLocal),
-    ("exec::current", Effect::ThreadLocal),
-    ("exec::snapshot", Effect::ThreadLocal),
 ];
 
 /// Type names whose mention marks the line (construction or capture of
@@ -264,7 +247,7 @@ fn first_direct_effect(code: &str) -> [Option<String>; 3] {
     found
 }
 
-/// Is this path call itself one of the effect tokens (`trace::emit`,
+/// Is this path call itself one of the effect tokens (`trace::span`,
 /// `metrics::announce`, …)? Those are fully accounted for by the
 /// direct-effect scan, so call resolution skips them — resolving would
 /// either double-report through the runtime crate's body or, when that
@@ -684,8 +667,8 @@ mod tests {
     }
 
     #[test]
-    fn direct_trace_emit_in_closure_is_pq401() {
-        let src = "fn go(cluster: &Cluster) {\n    cluster.map(items, |s, v| {\n        trace::emit(s);\n        v\n    });\n}\n";
+    fn direct_announce_in_closure_is_pq401() {
+        let src = "fn go(cluster: &Cluster) {\n    cluster.map(items, |s, v| {\n        metrics::announce(s);\n        v\n    });\n}\n";
         let rep = run(&[("join", "crates/join/src/x.rs", src)]);
         let d: Vec<_> = rep
             .diagnostics
@@ -694,12 +677,12 @@ mod tests {
             .collect();
         assert_eq!(d.len(), 1, "{:?}", rep.diagnostics);
         assert_eq!(d[0].line, 2);
-        assert!(d[0].message.contains("trace::emit"));
+        assert!(d[0].message.contains("metrics::announce"));
     }
 
     #[test]
     fn effect_via_helper_shows_chain() {
-        let src = "fn helper(x: u64) -> u64 {\n    metrics::emit(x);\n    x\n}\nfn go(cluster: &Cluster) {\n    cluster.map(items, |_, v| helper(v));\n}\n";
+        let src = "fn helper(x: u64) -> u64 {\n    metrics::announce(x);\n    x\n}\nfn go(cluster: &Cluster) {\n    cluster.map(items, |_, v| helper(v));\n}\n";
         let rep = run(&[("join", "crates/join/src/x.rs", src)]);
         let d: Vec<_> = rep
             .diagnostics
@@ -708,7 +691,11 @@ mod tests {
             .collect();
         assert_eq!(d.len(), 1, "{:?}", rep.diagnostics);
         assert!(d[0].message.contains("`helper`"), "{}", d[0].message);
-        assert!(d[0].message.contains("metrics::emit"), "{}", d[0].message);
+        assert!(
+            d[0].message.contains("metrics::announce"),
+            "{}",
+            d[0].message
+        );
     }
 
     #[test]
@@ -751,14 +738,14 @@ mod tests {
 
     #[test]
     fn test_code_roots_are_ignored() {
-        let src = "#[cfg(test)]\nmod tests {\n    fn t(cluster: &Cluster) {\n        cluster.map(items, |_, v| trace::emit(v));\n    }\n}\n";
+        let src = "#[cfg(test)]\nmod tests {\n    fn t(cluster: &Cluster) {\n        cluster.map(items, |_, v| metrics::announce(v));\n    }\n}\n";
         let rep = run(&[("join", "crates/join/src/x.rs", src)]);
         assert!(rep.diagnostics.is_empty(), "{:?}", rep.diagnostics);
     }
 
     #[test]
     fn cross_file_propagation() {
-        let a = "pub fn log_it(x: u64) {\n    parqp_trace::emit(x);\n}\n";
+        let a = "pub fn log_it(x: u64) {\n    parqp_mpc::metrics::announce(x);\n}\n";
         let b = "fn go(cluster: &Cluster) {\n    cluster.map(items, |_, v| {\n        crate::log_it(v);\n        v\n    });\n}\n";
         let rep = run(&[
             ("join", "crates/join/src/a.rs", a),

@@ -25,44 +25,35 @@ pub const ALLOWED_DEPS: &[(&str, &[&str])] = &[
     (
         "bench",
         &[
-            "core", "mpc", "data", "lp", "query", "join", "sort", "matmul", "trace", "metrics",
-            "faults", "testkit",
+            "core", "mpc", "data", "lp", "query", "join", "sort", "matmul", "testkit",
         ],
     ),
     (
         "core",
         &[
-            "mpc", "data", "lp", "query", "join", "sort", "matmul", "trace", "metrics", "faults",
-            "serve", "obs", "lint",
+            "mpc", "data", "lp", "query", "join", "sort", "matmul", "serve", "obs", "lint",
         ],
     ),
     ("data", &["store", "testkit"]),
-    ("faults", &["testkit"]),
     ("join", &["mpc", "data", "lp", "query", "sort"]),
     ("lint", &[]),
     ("lp", &[]),
     ("matmul", &["mpc", "data", "join", "query", "testkit"]),
-    ("metrics", &["trace"]),
-    ("mpc", &["trace", "metrics", "faults", "store", "testkit"]),
+    ("mpc", &["store", "testkit"]),
     ("obs", &[]),
     ("query", &["data", "lp"]),
-    (
-        "serve",
-        &["mpc", "data", "join", "metrics", "faults", "obs", "testkit"],
-    ),
+    ("serve", &["mpc", "data", "join", "obs", "testkit"]),
     ("sort", &["mpc", "data"]),
     ("store", &[]),
     ("testkit", &[]),
-    ("trace", &[]),
 ];
 
 /// Crates whose algorithms are *defined* in terms of seeded randomness
 /// and may therefore carry `parqp-testkit` (the deterministic RNG) as a
 /// runtime dependency, plus `mpc`, which holds the sanctioned worker
-/// pool (`testkit::pool`) behind `ExecMode::Parallel`. Everywhere else
-/// testkit is dev-only (PQ102).
-pub const TESTKIT_RUNTIME_WHITELIST: &[&str] =
-    &["data", "matmul", "bench", "faults", "mpc", "serve"];
+/// pool (`testkit::pool`) behind `ExecMode::Parallel` and draws seeded
+/// fault schedules. Everywhere else testkit is dev-only (PQ102).
+pub const TESTKIT_RUNTIME_WHITELIST: &[&str] = &["data", "matmul", "bench", "mpc", "serve"];
 
 /// Registry crates whose roles `parqp-testkit` absorbed in PR 1; they
 /// must never reappear in any manifest (PQ302).
@@ -283,13 +274,12 @@ mod tests {
 
     #[test]
     fn dag_matches_design_doc_shape() {
-        // Spot-check the table itself: trace, lp and store are leaves,
-        // faults holds only the shared RNG, metrics reads only the
-        // event model, mpc sees its instrumentation sinks (trace +
-        // metrics + faults + store's IO ledger) plus testkit for the
-        // sanctioned worker pool, core sees every algorithm crate, and
-        // only core may depend on the linter (the `parqp lint` front
-        // door).
+        // Spot-check the table itself: lp and store are leaves, mpc
+        // (the simulator with its trace, metrics and fault instruments
+        // folded in) sees only store's IO ledger plus testkit for the
+        // sanctioned worker pool and seeded fault schedules, core sees
+        // every algorithm crate, and only core may depend on the
+        // linter (the `parqp lint` front door).
         let find = |n: &str| {
             ALLOWED_DEPS
                 .iter()
@@ -297,28 +287,15 @@ mod tests {
                 .map(|(_, d)| *d)
                 .expect("crate in table")
         };
-        assert_eq!(
-            find("mpc"),
-            &["trace", "metrics", "faults", "store", "testkit"]
-        );
-        assert!(find("trace").is_empty());
+        assert_eq!(find("mpc"), &["store", "testkit"]);
         assert!(find("store").is_empty());
         assert_eq!(find("data"), &["store", "testkit"]);
-        assert_eq!(find("faults"), &["testkit"]);
-        assert_eq!(find("metrics"), &["trace"]);
         assert!(find("lp").is_empty());
         assert!(find("core").contains(&"join"));
-        assert!(find("core").contains(&"trace"));
-        assert!(find("core").contains(&"metrics"));
-        assert!(find("core").contains(&"faults"));
         // The serving layer composes the simulator, the algorithms it
-        // serves, and its observability sinks — including the window
-        // recorder it feeds; only core (the `parqp serve` front door)
-        // may depend on it.
-        assert_eq!(
-            find("serve"),
-            &["mpc", "data", "join", "metrics", "faults", "obs", "testkit"]
-        );
+        // serves, and the window recorder it feeds; only core (the
+        // `parqp serve` front door) may depend on it.
+        assert_eq!(find("serve"), &["mpc", "data", "join", "obs", "testkit"]);
         assert!(find("core").contains(&"serve"));
         for (name, deps) in ALLOWED_DEPS {
             assert!(
@@ -326,7 +303,7 @@ mod tests {
                 "only core (the `parqp serve` front door) may depend on serve"
             );
         }
-        // The observation layer is a leaf like trace: pure data types
+        // The observation layer is a leaf: pure data types
         // and renderers, fed only by serve, consumed by serve and the
         // `parqp dash`/`parqp serve --obs` front doors in core.
         assert!(find("obs").is_empty());

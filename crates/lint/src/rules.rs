@@ -18,36 +18,29 @@
 //! |       |             | and simulator crates                                    |
 //! | PQ104 | layering    | constructing accounting types (`RoundStats`, literal    |
 //! |       |             | `LoadReport`, an `Exchange` type) outside `parqp-mpc`   |
-//! | PQ105 | layering    | fabricating trace events (`TraceEvent`, `trace::emit`)  |
-//! |       |             | outside `parqp-mpc`/`parqp-trace`; algorithm crates     |
-//! |       |             | may only open `trace::span` labels                      |
-//! | PQ106 | layering    | driving the fault runtime (`next_round_faults`,         |
-//! |       |             | `note_injected`, `note_recovery`) outside               |
-//! |       |             | `parqp-mpc`/`parqp-faults`; everyone else only          |
-//! |       |             | installs plans (`faults::install` / `faults::capture`)  |
-//! | PQ107 | layering    | feeding the metrics registry (`metrics::emit`) outside  |
-//! |       |             | `parqp-mpc`/`parqp-metrics`; algorithm crates may only  |
-//! |       |             | `metrics::announce` bounds, consumers only read the     |
-//! |       |             | captured registry                                       |
 //! | PQ109 | layering    | raw page access or IO-counter fabrication               |
 //! |       |             | (`touch_page`, `alloc_pages`) outside                   |
 //! |       |             | `parqp-store`/`parqp-data`; draining/rewinding the IO   |
-//! |       |             | ledger (`drain_io`, `reset_io`) outside `parqp-mpc`;    |
-//! |       |             | feeding it to metrics (`emit_io`) outside               |
-//! |       |             | `parqp-mpc`/`parqp-metrics`. Algorithm crates touch     |
-//! |       |             | paging only through `parqp_data::paged` scans           |
+//! |       |             | ledger (`drain_io`, `reset_io`) outside `parqp-mpc`.    |
+//! |       |             | Algorithm crates touch paging only through              |
+//! |       |             | `parqp_data::paged` scans                               |
 //! | PQ110 | layering    | driving the shared-plan cache (`PlanCache`) or          |
 //! |       |             | fabricating per-tenant ledgers (`TenantLedger`) outside |
 //! |       |             | `parqp-serve`; tenant counters must come out of the     |
 //! |       |             | cluster's ledger deltas, and cache admission/eviction   |
 //! |       |             | must stay inside the serving layer's exact hit/miss     |
 //! |       |             | accounting. Consumers read `ServeReport` instead        |
-//! | PQ111 | layering    | feeding the observation runtime (`obs::emit`,           |
-//! |       |             | `obs::install`, `obs::capture`) or fabricating          |
-//! |       |             | observations (`QueryObs`, `SeriesRecorder`) outside     |
-//! |       |             | `parqp-serve`/`parqp-obs`; window series must come out  |
-//! |       |             | of the serving driver's per-query ledger deltas.        |
-//! |       |             | Consumers read the returned `SeriesReport` instead      |
+//! | PQ111 | layering    | fabricating observations (`QueryObs`, `SeriesRecorder`) |
+//! |       |             | outside `parqp-serve`/`parqp-obs`; window series must   |
+//! |       |             | come out of the serving driver's per-query ledger       |
+//! |       |             | deltas. Consumers read the returned `SeriesReport`      |
+//! | PQ112 | layering    | a `thread_local!` outside the two ambient slots         |
+//! |       |             | (`mpc::context`, `store::runtime`) and `parqp-testkit`: |
+//! |       |             | a new instrument joins the run context instead of       |
+//! |       |             | growing a runtime of its own                            |
+//!
+//! Who may *feed* the installed trace sink, metrics registry and fault
+//! clock is not a rule here: those hooks are private to `parqp-mpc`.
 //!
 //! Manifest-level rules (`PQ101`, `PQ102`, `PQ301`, `PQ302`) live in
 //! [`crate::manifest`]; the panic-surface ratchet (`PQ201`) lives in
@@ -57,12 +50,11 @@ use crate::tokenize::SourceFile;
 use crate::Diagnostic;
 
 /// Crate names whose `src/` the side-channel rule PQ103 applies to:
-/// the simulator, the trace sink and the pure algorithm crates. `data`
+/// the simulator (with its instruments) and the pure algorithm crates. `data`
 /// (file I/O), `core` (CLI), `bench` (CSV output), `testkit` (env-var
 /// knobs) and `lint` (this tool) legitimately touch the OS.
 pub const SIDE_CHANNEL_SCOPE: &[&str] = &[
-    "mpc", "lp", "query", "join", "sort", "matmul", "trace", "faults", "metrics", "store", "serve",
-    "obs",
+    "mpc", "lp", "query", "join", "sort", "matmul", "store", "serve", "obs",
 ];
 
 /// The one file in the workspace allowed to touch `std::thread`: the
@@ -71,6 +63,17 @@ pub const SIDE_CHANNEL_SCOPE: &[&str] = &[
 /// end of every batch, which is exactly the determinism argument PQ004
 /// otherwise enforces by banning threads outright.
 pub const THREAD_POOL_PATH: &str = "crates/testkit/src/pool.rs";
+
+/// The files allowed a `thread_local!` (PQ112): the run context every
+/// simulator-side instrument installs into, the store slot that
+/// `parqp_data::paged` reaches from below `mpc`, and the benchmark's
+/// per-thread allocation counter (a `#[global_allocator]` has nowhere
+/// else to keep state). `parqp-testkit` is exempt as a crate.
+pub const THREAD_LOCAL_PATHS: &[&str] = &[
+    "crates/mpc/src/context.rs",
+    "crates/store/src/runtime.rs",
+    "crates/bench/src/bin/perf/alloc.rs",
+];
 
 /// A banned token with its rule, message, and crate scope.
 struct TokenRule {
@@ -216,54 +219,6 @@ const TOKEN_RULES: &[TokenRule] = &[
         exempt_paths: &[],
     },
     TokenRule {
-        rule: "PQ105",
-        token: "TraceEvent",
-        message: "only parqp-mpc fabricates communication trace events (in Cluster::exchange); algorithm crates may only open trace::span labels",
-        scope: None,
-        exempt: &["mpc", "trace", "metrics"],
-        exempt_paths: &[],
-    },
-    TokenRule {
-        rule: "PQ105",
-        token: "trace::emit",
-        message: "only parqp-mpc emits trace events, so traces mirror the exchange ledger exactly; use trace::span for labels",
-        scope: None,
-        exempt: &["mpc", "trace"],
-        exempt_paths: &[],
-    },
-    TokenRule {
-        rule: "PQ106",
-        token: "next_round_faults",
-        message: "only parqp-mpc consumes the fault schedule (in its round recorder); ticking the clock elsewhere would shift every planned fault",
-        scope: None,
-        exempt: &["mpc", "faults"],
-        exempt_paths: &[],
-    },
-    TokenRule {
-        rule: "PQ106",
-        token: "note_injected",
-        message: "only parqp-mpc reports injected faults; fabricating them elsewhere would desync the fault log from the ledger",
-        scope: None,
-        exempt: &["mpc", "faults"],
-        exempt_paths: &[],
-    },
-    TokenRule {
-        rule: "PQ106",
-        token: "note_recovery",
-        message: "only parqp-mpc charges recovery overhead, so the fault log mirrors the LoadReport exactly; install plans via faults::capture instead",
-        scope: None,
-        exempt: &["mpc", "faults"],
-        exempt_paths: &[],
-    },
-    TokenRule {
-        rule: "PQ107",
-        token: "metrics::emit",
-        message: "only parqp-mpc feeds the metrics registry, so metrics mirror the exchange ledger exactly; announce bounds via metrics::announce instead",
-        scope: None,
-        exempt: &["mpc", "metrics"],
-        exempt_paths: &[],
-    },
-    TokenRule {
         rule: "PQ109",
         token: "touch_page",
         message: "only parqp-store's pools and parqp-data's paged scans charge page reads; fabricating them elsewhere desyncs the IO ledger from the data actually scanned",
@@ -313,30 +268,6 @@ const TOKEN_RULES: &[TokenRule] = &[
     },
     TokenRule {
         rule: "PQ111",
-        token: "obs::emit",
-        message: "only parqp-serve emits served-query observations, so window series mirror the per-query report_since deltas exactly; read the SeriesReport a replay_observed returns instead",
-        scope: None,
-        exempt: &["serve", "obs"],
-        exempt_paths: &[],
-    },
-    TokenRule {
-        rule: "PQ111",
-        token: "obs::install",
-        message: "only parqp-serve installs observation recorders (inside replay_observed); capture elsewhere would tear windows away from the replay's tick clock",
-        scope: None,
-        exempt: &["serve", "obs"],
-        exempt_paths: &[],
-    },
-    TokenRule {
-        rule: "PQ111",
-        token: "obs::capture",
-        message: "only parqp-serve captures observation series (replay_observed wraps the whole replay); consumers take the returned SeriesReport",
-        scope: None,
-        exempt: &["serve", "obs"],
-        exempt_paths: &[],
-    },
-    TokenRule {
-        rule: "PQ111",
         token: "QueryObs",
         message: "only parqp-serve fabricates served-query observations (from Cluster::report_since deltas and the page-IO ledger); inventing them elsewhere desyncs the series from the (L, r, C) ledger",
         scope: None,
@@ -346,18 +277,18 @@ const TOKEN_RULES: &[TokenRule] = &[
     TokenRule {
         rule: "PQ111",
         token: "SeriesRecorder",
-        message: "only parqp-obs owns the window recorder (installed by parqp-serve's replay_observed); read the finished SeriesReport instead",
+        message: "only parqp-obs owns the window recorder (built by parqp-serve's replay_observed); read the finished SeriesReport instead",
         scope: None,
         exempt: &["serve", "obs"],
         exempt_paths: &[],
     },
     TokenRule {
-        rule: "PQ109",
-        token: "emit_io",
-        message: "only parqp-mpc feeds drained IO deltas to the metrics registry; observe them via the captured registry instead",
+        rule: "PQ112",
+        token: "thread_local",
+        message: "ambient state lives in mpc::context (or store::runtime, below mpc); install a new instrument there instead of growing another thread-local runtime",
         scope: None,
-        exempt: &["mpc", "metrics"],
-        exempt_paths: &[],
+        exempt: &["testkit"],
+        exempt_paths: THREAD_LOCAL_PATHS,
     },
 ];
 
@@ -594,43 +525,8 @@ mod tests {
         // data owns io.rs; core owns the CLI.
         assert!(rules_of("data", "use std::fs;\n").is_empty());
         assert!(rules_of("core", "use std::env;\n").is_empty());
-        // the trace sink is as pure as the simulator it observes.
-        assert_eq!(rules_of("trace", "use std::fs;\n"), vec![("PQ103", 1)]);
-    }
-
-    #[test]
-    fn trace_event_fabrication_flagged_outside_mpc_and_trace() {
-        let emit = "trace::emit(TraceEvent::RoundEnd { round, tuples, words });\n";
-        assert_eq!(rules_of("join", emit), vec![("PQ105", 1), ("PQ105", 1)]);
-        assert_eq!(rules_of("core", emit), vec![("PQ105", 1), ("PQ105", 1)]);
-        assert!(rules_of("mpc", emit).is_empty());
-        assert!(rules_of("trace", emit).is_empty());
-    }
-
-    #[test]
-    fn fault_runtime_hooks_flagged_outside_mpc_and_faults() {
-        let drive = "let planned = faults::next_round_faults(p);\n\
-                     faults::note_injected(r, s, \"crash\");\n\
-                     faults::note_recovery(1, t, w);\n";
-        assert_eq!(
-            rules_of("join", drive),
-            vec![("PQ106", 1), ("PQ106", 2), ("PQ106", 3)]
-        );
-        assert_eq!(
-            rules_of("core", drive),
-            vec![("PQ106", 1), ("PQ106", 2), ("PQ106", 3)]
-        );
-        assert!(rules_of("mpc", drive).is_empty());
-        assert!(rules_of("faults", drive).is_empty());
-    }
-
-    #[test]
-    fn metrics_emission_flagged_outside_mpc_and_metrics() {
-        let emit = "metrics::emit(&event);\n";
-        assert_eq!(rules_of("join", emit), vec![("PQ107", 1)]);
-        assert_eq!(rules_of("core", emit), vec![("PQ107", 1)]);
-        assert!(rules_of("mpc", emit).is_empty());
-        assert!(rules_of("metrics", emit).is_empty());
+        // the instruments inside mpc are as pure as the simulator.
+        assert_eq!(rules_of("mpc", "use std::fs;\n"), vec![("PQ103", 1)]);
     }
 
     #[test]
@@ -649,18 +545,6 @@ mod tests {
         assert_eq!(rules_of("core", drain), vec![("PQ109", 1), ("PQ109", 2)]);
         assert!(rules_of("mpc", drain).is_empty());
         assert!(rules_of("store", drain).is_empty());
-    }
-
-    #[test]
-    fn io_metrics_emission_flagged_outside_mpc_and_metrics() {
-        let emit = "metrics::emit_io(d.reads, d.misses, d.evictions);\n";
-        assert_eq!(rules_of("join", emit), vec![("PQ109", 1)]);
-        assert_eq!(rules_of("store", emit), vec![("PQ109", 1)]);
-        assert!(rules_of("mpc", emit).is_empty());
-        assert!(rules_of("metrics", emit).is_empty());
-        // The PQ107 token `metrics::emit` must not also fire on the
-        // ident-distinct `metrics::emit_io`.
-        assert!(!rules_of("join", emit).contains(&("PQ107", 1)));
     }
 
     #[test]
@@ -687,22 +571,6 @@ mod tests {
     }
 
     #[test]
-    fn obs_emission_confined_to_serve_and_obs() {
-        let src =
-            "obs::emit(&q);\nlet _g = obs::install(rec);\nlet (s, r) = obs::capture(cfg, f);\n";
-        assert_eq!(
-            rules_of("join", src),
-            vec![("PQ111", 1), ("PQ111", 2), ("PQ111", 3)]
-        );
-        assert_eq!(
-            rules_of("core", src),
-            vec![("PQ111", 1), ("PQ111", 2), ("PQ111", 3)]
-        );
-        assert!(rules_of("serve", src).is_empty());
-        assert!(rules_of("obs", src).is_empty());
-    }
-
-    #[test]
     fn observation_fabrication_confined_to_serve_and_obs() {
         let src =
             "let q = QueryObs { serial, tick, ..dflt };\nlet rec = SeriesRecorder::new(cfg);\n";
@@ -725,6 +593,36 @@ mod tests {
     fn obs_is_side_channel_scoped() {
         assert_eq!(rules_of("obs", "use std::fs;\n"), vec![("PQ103", 1)]);
         assert_eq!(rules_of("obs", "use std::env;\n"), vec![("PQ103", 1)]);
+    }
+
+    #[test]
+    fn thread_locals_only_in_the_two_slots_and_testkit() {
+        let src =
+            sanitize("thread_local! {\n    static SLOT: Cell<u64> = const { Cell::new(0) };\n}\n");
+        for (krate, path) in [
+            ("mpc", "crates/mpc/src/context.rs"),
+            ("store", "crates/store/src/runtime.rs"),
+            ("bench", "crates/bench/src/bin/perf/alloc.rs"),
+            ("testkit", "crates/testkit/src/prop.rs"),
+        ] {
+            let diags = lint_source(krate, path, &src);
+            assert!(diags.is_empty(), "{path} may hold a slot: {diags:?}");
+        }
+        // A seventh runtime anywhere else — including elsewhere in the
+        // two owning crates — is flagged.
+        for (krate, path) in [
+            ("mpc", "crates/mpc/src/exec.rs"),
+            ("store", "crates/store/src/pool.rs"),
+            ("obs", "crates/obs/src/runtime.rs"),
+            ("serve", "crates/serve/src/driver.rs"),
+        ] {
+            let diags = lint_source(krate, path, &src);
+            assert_eq!(
+                diags.iter().map(|d| (d.rule, d.line)).collect::<Vec<_>>(),
+                vec![("PQ112", 1)],
+                "{path} must be flagged"
+            );
+        }
     }
 
     #[test]

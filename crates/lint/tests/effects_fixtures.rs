@@ -32,7 +32,7 @@ fn effect_report(crate_name: &str, path: &str, src: &str) -> (Vec<Diagnostic>, V
     (report.diagnostics, report.roots)
 }
 
-// --------------------------------------------------------------------- PQ401
+// ------------------------------------------------------------- PQ401/PQ403
 
 #[test]
 fn worker_closure_emitting_trace_is_flagged_at_the_root() {
@@ -40,12 +40,12 @@ fn worker_closure_emitting_trace_is_flagged_at_the_root() {
     let (diags, roots) = effect_report("join", "fixtures/worker_bad_trace.rs", src);
     assert_eq!(
         hits(&diags),
-        vec![("PQ401", 6)],
+        vec![("PQ403", 6)],
         "anchored at the root line"
     );
     let msg = &diags[0].message;
     assert!(msg.contains("directly"), "direct effect, no chain: {msg}");
-    assert!(msg.contains("`trace::emit`"), "names the effect: {msg}");
+    assert!(msg.contains("`trace::span`"), "names the effect: {msg}");
     assert!(
         msg.contains("fixtures/worker_bad_trace.rs:7"),
         "points at the concrete site: {msg}"
@@ -69,7 +69,7 @@ fn effect_reached_through_helpers_carries_the_propagation_chain() {
         "chain reaches the emitter: {msg}"
     );
     assert!(
-        msg.contains("`metrics::emit` at fixtures/worker_bad_chain.rs:16"),
+        msg.contains("`metrics::announce` at fixtures/worker_bad_chain.rs:16"),
         "chain ends at the concrete site: {msg}"
     );
     assert_eq!(roots[0].reachable_fns, 2, "tally and announce");
@@ -105,14 +105,14 @@ fn pure_worker_phase_passes_and_the_root_is_still_recorded() {
 
 #[test]
 fn mutation_fixtures_fail_through_the_full_pipeline() {
-    // `trace` is exempt from the PQ105 token rule, so the only finding
-    // the full pipeline reports is the effect-analysis PQ401.
+    // No token rule fires on a span, so the only finding the full
+    // pipeline reports is the effect-analysis PQ403.
     let out = lint_files(&[LoadedFile::from_source(
-        "trace",
+        "join",
         "fixtures/worker_bad_trace.rs",
         include_str!("fixtures/worker_bad_trace.rs"),
     )]);
-    assert_eq!(hits(&out.diagnostics), vec![("PQ401", 6)]);
+    assert_eq!(hits(&out.diagnostics), vec![("PQ403", 6)]);
     assert_eq!(out.worker_roots.len(), 1);
 }
 

@@ -6,7 +6,7 @@
 pub struct Gauge;
 impl Gauge {
     fn tick(&self) {
-        metrics::emit(1);
+        metrics::announce(1);
     }
 }
 

@@ -1,7 +1,6 @@
-//! Fixture: feeding the observation runtime and fabricating query
-//! observations from outside serve/obs (PQ111).
+//! Fixture: fabricating query observations and a window recorder
+//! from outside serve/obs (PQ111).
 
-use parqp_obs as obs;
 use parqp_obs::{ObsConfig, QueryObs, SeriesRecorder};
 
 pub fn forge_series() -> u64 {
@@ -29,8 +28,5 @@ pub fn forge_series() -> u64 {
         per_server_tuples: vec![9000, 0, 0, 0],
     };
     rec.record(&q);
-    obs::emit(&q);
-    let _guard = obs::install(rec);
-    let (series, ()) = obs::capture(cfg, || ());
-    series.served()
+    rec.finish().served()
 }

@@ -1,6 +1,6 @@
 //! Fixture: observation-clean code — replays an observed stream and
-//! reads the resulting series; emission and window recording stay
-//! inside parqp-serve / parqp-obs.
+//! reads the resulting series; window recording stays inside
+//! parqp-serve / parqp-obs.
 
 use parqp_obs::SloRules;
 use parqp_serve::{replay_observed, ServeConfig};

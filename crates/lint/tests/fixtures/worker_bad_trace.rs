@@ -1,10 +1,10 @@
-//! Mutation fixture: a worker closure that emits a trace event.
-//! The closure runs on a pool thread, where the thread-local trace
-//! runtime is not installed — PQ401 must anchor at the root line.
+//! Mutation fixture: a worker closure that opens a trace span. The
+//! closure runs on a pool thread, where no run context is installed
+//! and the span would vanish — PQ403 must anchor at the root line.
 
 pub fn probe_phase(cluster: &Cluster, parts: Vec<Vec<u64>>) -> Vec<Vec<u64>> {
     cluster.map(parts, |_sid, part| {
-        trace::emit(part.len());
+        let _span = trace::span("probe/local");
         part
     })
 }

@@ -44,7 +44,7 @@ impl LoadUnit {
 /// [`unit`](BoundProvider::unit); `predicted_rounds` is the round
 /// count the paper charges the algorithm. Implementations must be
 /// deterministic and side-effect free — announcing happens on the hot
-/// path, gated only by [`crate::is_enabled`].
+/// path, gated only by [`crate::metrics::is_enabled`].
 pub trait BoundProvider {
     /// Stable algorithm name (`"hash_join"`, `"hypercube"`, …), used
     /// as the gauge-key prefix and the summary-table row label.

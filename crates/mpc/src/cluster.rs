@@ -31,23 +31,24 @@
 //! server for the current round, producing the `(L, r, C)` cost summary
 //! that the paper's theorems are about.
 
+use crate::context::{self, observe};
 use crate::error::MpcError;
+use crate::faults::{FaultKind, FaultRuntime, RecoveryStrategy};
 use crate::grid::Grid;
+use crate::metrics;
 use crate::stats::{LoadReport, RoundStats};
+use crate::trace::TraceEvent;
 use crate::weight::Weight;
-use parqp_faults::{self as faults, FaultKind, RecoveryStrategy};
-use parqp_metrics as metrics;
 use parqp_store as store;
-use parqp_trace::{self as trace, TraceEvent};
 
 /// A simulated MPC cluster of `p` shared-nothing servers.
 #[derive(Debug)]
 pub struct Cluster {
     p: usize,
     rounds: Vec<RoundStats>,
-    /// Worker pool snapshotted from [`crate::exec`] at construction:
+    /// Worker pool snapshotted from the run context at construction:
     /// `None` runs [`Cluster::map`] inline (serial mode).
-    pool: Option<std::rc::Rc<parqp_testkit::pool::WorkerPool>>,
+    pub(crate) pool: Option<std::rc::Rc<parqp_testkit::pool::WorkerPool>>,
 }
 
 impl Cluster {
@@ -76,18 +77,13 @@ impl Cluster {
         Ok(Self {
             p,
             rounds: Vec::new(),
-            pool: crate::exec::snapshot(),
+            pool: context::pool(),
         })
     }
 
     /// The execution mode this cluster snapshotted at construction.
     pub fn exec_mode(&self) -> crate::exec::ExecMode {
-        match &self.pool {
-            None => crate::exec::ExecMode::Serial,
-            Some(pool) => crate::exec::ExecMode::Parallel {
-                workers: pool.workers(),
-            },
-        }
+        crate::exec::ExecMode::of(self.pool.as_ref())
     }
 
     /// Number of servers `p`.
@@ -103,8 +99,7 @@ impl Cluster {
             inboxes: (0..self.p).map(|_| Vec::new()).collect(),
             tuples: vec![0; self.p],
             words: vec![0; self.p],
-            trace: (trace::is_enabled() || metrics::is_enabled())
-                .then(|| Box::new(ExchangeTrace::new(self.p))),
+            trace: context::is_observed().then(|| Box::new(ExchangeTrace::new(self.p))),
             cluster: self,
         }
     }
@@ -129,9 +124,9 @@ impl Cluster {
     /// pool worker and `map` blocks until the whole phase finishes (the
     /// exchange boundaries on the calling thread are the barriers).
     /// Results always merge in server order, so both modes are
-    /// byte-identical. `f` must be pure with respect to the
-    /// thread-local trace/metrics/faults runtimes: workers never see
-    /// them installed.
+    /// byte-identical. `f` must be pure with respect to the run
+    /// context (trace sink, metrics registry, fault runtime): workers
+    /// never see anything installed.
     ///
     /// # Panics
     /// Re-raises the first panicking server's panic (in submit order);
@@ -212,34 +207,29 @@ impl Cluster {
                 });
             }
         }
-        let planned = if faults::is_enabled() {
-            // Analytic rounds have no inboxes; drop/duplicate batch
-            // words are charged proportionally to the batch's share of
-            // the victim's tuples.
-            let scheduled = faults::next_round_faults(self.p);
-            scheduled
-                .into_iter()
-                .map(|(server, kind)| {
-                    let batch = match kind {
-                        FaultKind::Drop { msgs } | FaultKind::Duplicate { msgs } => {
-                            let eff = msgs.min(tuples[server]);
-                            let w = (words[server] * eff)
-                                .checked_div(tuples[server])
-                                .unwrap_or(0);
-                            (eff, w)
-                        }
-                        _ => (0, 0),
-                    };
-                    PlannedFault {
-                        server,
-                        kind,
-                        batch,
+        // Analytic rounds have no inboxes; drop/duplicate batch words
+        // are charged proportionally to the batch's share of the
+        // victim's tuples.
+        let planned = next_round_faults(self.p)
+            .into_iter()
+            .map(|(server, kind)| {
+                let batch = match kind {
+                    FaultKind::Drop { msgs } | FaultKind::Duplicate { msgs } => {
+                        let eff = msgs.min(tuples[server]);
+                        let w = (words[server] * eff)
+                            .checked_div(tuples[server])
+                            .unwrap_or(0);
+                        (eff, w)
                     }
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
+                    _ => (0, 0),
+                };
+                PlannedFault {
+                    server,
+                    kind,
+                    batch,
+                }
+            })
+            .collect();
         self.record_round_internal(tuples, words, None, planned);
         Ok(())
     }
@@ -278,32 +268,27 @@ impl Cluster {
             };
             charges.push(charge);
         }
-        let observed = trace::is_enabled() || metrics::is_enabled();
         let fault_round = self.rounds.len();
-        if observed {
-            emit_round_events(
-                fault_round,
-                self.p,
-                &tuples,
-                &words,
-                xt.map(|t| (t.sent_msgs.as_slice(), t.sent_words.as_slice())),
-                xt.and_then(|t| t.dims.as_deref()),
-            );
-        }
+        emit_round_events(
+            fault_round,
+            self.p,
+            &tuples,
+            &words,
+            xt.map(|t| (t.sent_msgs.as_slice(), t.sent_words.as_slice())),
+            xt.and_then(|t| t.dims.as_deref()),
+        );
         self.rounds.push(RoundStats { tuples, words });
 
         // Recovery, charged honestly after the faulty round: drops
         // retransmit in one extra round, crashes recover per strategy,
         // duplicates/stragglers already paid their same-round charge.
         for (f, &(ct, cw)) in planned.iter().zip(&charges) {
-            faults::note_injected(fault_round, f.server, f.kind.name());
-            if observed {
-                observe(TraceEvent::FaultInjected {
-                    round: fault_round,
-                    server: f.server,
-                    kind: f.kind.name(),
-                });
-            }
+            context::with_faults(|rt| rt.note_injected(fault_round, f.server, f.kind.name()));
+            observe(TraceEvent::FaultInjected {
+                round: fault_round,
+                server: f.server,
+                kind: f.kind.name(),
+            });
             match f.kind {
                 FaultKind::Duplicate { .. } | FaultKind::Straggle => {
                     let mechanism = if matches!(f.kind, FaultKind::Straggle) {
@@ -311,85 +296,75 @@ impl Cluster {
                     } else {
                         "dedup"
                     };
-                    if observed {
-                        observe(TraceEvent::RecoveryBegin {
-                            round: fault_round,
-                            server: f.server,
-                            strategy: mechanism,
-                        });
-                        observe(TraceEvent::RecoveryEnd {
-                            round: fault_round,
-                            server: f.server,
-                            rounds: 0,
-                            tuples: ct,
-                            words: cw,
-                        });
-                    }
-                    faults::note_recovery(0, ct, cw);
+                    observe(TraceEvent::RecoveryBegin {
+                        round: fault_round,
+                        server: f.server,
+                        strategy: mechanism,
+                    });
+                    observe(TraceEvent::RecoveryEnd {
+                        round: fault_round,
+                        server: f.server,
+                        rounds: 0,
+                        tuples: ct,
+                        words: cw,
+                    });
+                    context::with_faults(|rt| rt.note_recovery(0, ct, cw));
                 }
                 FaultKind::Drop { .. } => {
-                    if observed {
-                        observe(TraceEvent::RecoveryBegin {
-                            round: fault_round,
-                            server: f.server,
-                            strategy: "retransmit",
-                        });
-                    }
+                    observe(TraceEvent::RecoveryBegin {
+                        round: fault_round,
+                        server: f.server,
+                        strategy: "retransmit",
+                    });
                     let mut t = vec![0; self.p];
                     let mut w = vec![0; self.p];
                     t[f.server] = ct;
                     w[f.server] = cw;
-                    let idx = self.push_recovery_round(t, w, observed);
-                    if observed {
-                        observe(TraceEvent::RecoveryEnd {
-                            round: idx,
-                            server: f.server,
-                            rounds: 1,
-                            tuples: ct,
-                            words: cw,
-                        });
-                    }
-                    faults::note_recovery(1, ct, cw);
+                    let idx = self.push_recovery_round(t, w);
+                    observe(TraceEvent::RecoveryEnd {
+                        round: idx,
+                        server: f.server,
+                        rounds: 1,
+                        tuples: ct,
+                        words: cw,
+                    });
+                    context::with_faults(|rt| rt.note_recovery(1, ct, cw));
                 }
-                FaultKind::Crash => self.recover_crash(fault_round, f.server, observed),
+                FaultKind::Crash => self.recover_crash(fault_round, f.server),
             }
         }
         flush_io();
     }
 
     /// Charge crash recovery to the ledger per the installed strategy.
-    fn recover_crash(&mut self, fault_round: usize, server: usize, observed: bool) {
-        match faults::active_strategy().unwrap_or_default() {
+    fn recover_crash(&mut self, fault_round: usize, server: usize) {
+        match context::with_faults(|rt| rt.strategy).unwrap_or_default() {
             RecoveryStrategy::Checkpoint { every } => {
                 // Roll back to the last checkpoint and replay every
                 // ledger round since, at its original loads.
                 let every = every.max(1);
                 let first = fault_round - (fault_round % every);
-                if observed {
-                    observe(TraceEvent::RecoveryBegin {
-                        round: fault_round,
-                        server,
-                        strategy: "checkpoint",
-                    });
-                }
+                observe(TraceEvent::RecoveryBegin {
+                    round: fault_round,
+                    server,
+                    strategy: "checkpoint",
+                });
                 let replay: Vec<RoundStats> = self.rounds[first..=fault_round].to_vec();
                 let n = replay.len();
                 let (mut t, mut w) = (0u64, 0u64);
                 for rs in replay {
                     t += rs.total_tuples();
                     w += rs.total_words();
-                    self.push_recovery_round(rs.tuples, rs.words, observed);
+                    self.push_recovery_round(rs.tuples, rs.words);
                 }
-                if observed {
-                    observe(TraceEvent::RecoveryEnd {
-                        round: self.rounds.len() - 1,
-                        server,
-                        rounds: n,
-                        tuples: t,
-                        words: w,
-                    });
-                }
-                faults::note_recovery(n, t, w);
+                observe(TraceEvent::RecoveryEnd {
+                    round: self.rounds.len() - 1,
+                    server,
+                    rounds: n,
+                    tuples: t,
+                    words: w,
+                });
+                context::with_faults(|rt| rt.note_recovery(n, t, w));
             }
             RecoveryStrategy::Replication { replicas } => {
                 // One redistribution round: the replacement server
@@ -397,13 +372,11 @@ impl Cluster {
                 // replica group (the victim plus the `replicas − 1`
                 // partitions it mirrored), ≈ replicas × IN/p.
                 let replicas = replicas.clamp(1, self.p);
-                if observed {
-                    observe(TraceEvent::RecoveryBegin {
-                        round: fault_round,
-                        server,
-                        strategy: "replication",
-                    });
-                }
+                observe(TraceEvent::RecoveryBegin {
+                    round: fault_round,
+                    server,
+                    strategy: "replication",
+                });
                 let mut t = vec![0u64; self.p];
                 let mut w = vec![0u64; self.p];
                 for i in 0..replicas {
@@ -414,17 +387,15 @@ impl Cluster {
                     }
                 }
                 let (ct, cw) = (t[server], w[server]);
-                let idx = self.push_recovery_round(t, w, observed);
-                if observed {
-                    observe(TraceEvent::RecoveryEnd {
-                        round: idx,
-                        server,
-                        rounds: 1,
-                        tuples: ct,
-                        words: cw,
-                    });
-                }
-                faults::note_recovery(1, ct, cw);
+                let idx = self.push_recovery_round(t, w);
+                observe(TraceEvent::RecoveryEnd {
+                    round: idx,
+                    server,
+                    rounds: 1,
+                    tuples: ct,
+                    words: cw,
+                });
+                context::with_faults(|rt| rt.note_recovery(1, ct, cw));
             }
         }
     }
@@ -432,11 +403,9 @@ impl Cluster {
     /// Append a recovery round to the ledger (with its trace block).
     /// Recovery rounds do not tick the fault runtime's logical clock,
     /// so injected overhead never shifts the fault schedule.
-    fn push_recovery_round(&mut self, tuples: Vec<u64>, words: Vec<u64>, observed: bool) -> usize {
+    fn push_recovery_round(&mut self, tuples: Vec<u64>, words: Vec<u64>) -> usize {
         let round = self.rounds.len();
-        if observed {
-            emit_round_events(round, self.p, &tuples, &words, None, None);
-        }
+        emit_round_events(round, self.p, &tuples, &words, None, None);
         self.rounds.push(RoundStats { tuples, words });
         round
     }
@@ -483,7 +452,7 @@ impl Cluster {
     /// trace sink is left alone (it belongs to the caller's capture).
     pub fn reset(&mut self) {
         self.rounds.clear();
-        faults::reset_round_clock();
+        context::with_faults(FaultRuntime::reset_round_clock);
         // The page-IO ledger rewinds with the communication ledger:
         // pools drop residency and zero their counters, so a replay
         // re-pays the exact cold-start IO of the original run.
@@ -502,8 +471,8 @@ struct PlannedFault {
     batch: (u64, u64),
 }
 
-/// Per-exchange trace state, allocated only while a sink is installed
-/// (see [`parqp_trace::install`]): send-side attribution and the grid
+/// Per-exchange trace state, allocated only while a sink or registry
+/// is installed: send-side attribution and the grid
 /// the round routed over. Boxed so the untraced hot path pays one
 /// `Option` discriminant, not three vectors.
 #[derive(Debug)]
@@ -527,25 +496,21 @@ impl ExchangeTrace {
     }
 }
 
-/// Forward one event to both observability sinks: the installed
-/// metrics registry (lint rule PQ107) and the installed trace sink
-/// (PQ105). Each is a no-op when its side is uninstalled.
-fn observe(event: TraceEvent) {
-    if metrics::is_enabled() {
-        metrics::emit(&event);
-    }
-    trace::emit(event);
+/// Tick the live fault runtime's round clock and return the faults
+/// scheduled for the round being recorded; empty on the fault-free
+/// path.
+fn next_round_faults(p: usize) -> Vec<(usize, FaultKind)> {
+    context::with_faults(|rt| rt.next_round_faults(p)).unwrap_or_default()
 }
 
-/// Drain the store runtime's page-IO delta into the installed metrics
-/// registry. `parqp-mpc` is the only bridge between the two runtimes
-/// (lint rule PQ109, the IO twin of PQ107's event monopoly), called at
-/// every round boundary and once more from [`Cluster::report`]. The
-/// drain itself advances the store's snapshots only when a registry is
-/// listening, so unobserved runs keep their cumulative per-server
-/// totals intact for `io_report`.
+/// Drain the store runtime's page-IO delta into the live metrics
+/// registry: `Cluster` is the only bridge between the two slots,
+/// called at every round boundary and once more from
+/// [`Cluster::report`]. The drain itself advances the store's
+/// snapshots only when a registry is listening, so unobserved runs
+/// keep their cumulative per-server totals intact for `io_report`.
 fn flush_io() {
-    if metrics::is_enabled() {
+    if context::is_metered() {
         let delta = store::drain_io();
         if !delta.is_zero() {
             metrics::emit_io(delta.reads, delta.misses, delta.evictions);
@@ -558,7 +523,7 @@ fn flush_io() {
 /// only — `RoundBegin.servers` reconstructs the zeros), `RoundEnd`
 /// with the round totals. This free function is the single place
 /// communication events are born; everything downstream of it only
-/// *reads* the stream (lint rule PQ105).
+/// *reads* the stream.
 fn emit_round_events(
     round: usize,
     servers: usize,
@@ -567,6 +532,9 @@ fn emit_round_events(
     sent: Option<(&[u64], &[u64])>,
     dims: Option<&[usize]>,
 ) {
+    if !context::is_observed() {
+        return;
+    }
     observe(TraceEvent::RoundBegin { round, servers });
     if let Some(dims) = dims {
         observe(TraceEvent::Topology {
@@ -716,7 +684,7 @@ impl<T: Weight> Exchange<'_, T> {
     /// [`finish_untracked`](Exchange::finish_untracked) exchanges emit
     /// nothing, so trace totals always agree with the [`LoadReport`].
     ///
-    /// When a fault plan is installed (see `parqp-faults`) this is
+    /// When a fault plan is installed (see [`crate::faults`]) this is
     /// where scheduled faults fire: the runtime's round clock ticks
     /// once per finished exchange, injections are charged to this
     /// round, and recovery rounds are appended to the ledger. The
@@ -731,37 +699,33 @@ impl<T: Weight> Exchange<'_, T> {
             words,
             trace: tr,
         } = self;
-        let planned = if faults::is_enabled() {
-            // Drop/duplicate batches resolve against real inboxes:
-            // drops lose the *last* messages delivered, duplicates
-            // re-deliver the *first*, each at exact message weights.
-            faults::next_round_faults(cluster.p)
-                .into_iter()
-                .map(|(server, kind)| {
-                    let inbox = &inboxes[server];
-                    let batch = match kind {
-                        FaultKind::Drop { msgs } => {
-                            let eff = (msgs as usize).min(inbox.len());
-                            let w = inbox[inbox.len() - eff..].iter().map(Weight::words).sum();
-                            (eff as u64, w)
-                        }
-                        FaultKind::Duplicate { msgs } => {
-                            let eff = (msgs as usize).min(inbox.len());
-                            let w = inbox[..eff].iter().map(Weight::words).sum();
-                            (eff as u64, w)
-                        }
-                        _ => (0, 0),
-                    };
-                    PlannedFault {
-                        server,
-                        kind,
-                        batch,
+        // Drop/duplicate batches resolve against real inboxes: drops
+        // lose the *last* messages delivered, duplicates re-deliver the
+        // *first*, each at exact message weights.
+        let planned = next_round_faults(cluster.p)
+            .into_iter()
+            .map(|(server, kind)| {
+                let inbox = &inboxes[server];
+                let batch = match kind {
+                    FaultKind::Drop { msgs } => {
+                        let eff = (msgs as usize).min(inbox.len());
+                        let w = inbox[inbox.len() - eff..].iter().map(Weight::words).sum();
+                        (eff as u64, w)
                     }
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
+                    FaultKind::Duplicate { msgs } => {
+                        let eff = (msgs as usize).min(inbox.len());
+                        let w = inbox[..eff].iter().map(Weight::words).sum();
+                        (eff as u64, w)
+                    }
+                    _ => (0, 0),
+                };
+                PlannedFault {
+                    server,
+                    kind,
+                    batch,
+                }
+            })
+            .collect();
         cluster.record_round_internal(tuples, words, tr.as_deref(), planned);
         inboxes
     }
@@ -949,7 +913,7 @@ mod tests {
 
     #[test]
     fn traced_exchange_emits_round_block() {
-        use parqp_trace::{Recorder, TraceEvent};
+        use crate::trace::{Recorder, TraceEvent};
         let (rec, report) = Recorder::capture(|| {
             let mut c = Cluster::new(3);
             let mut ex = c.exchange::<Vec<u64>>();
@@ -1009,7 +973,7 @@ mod tests {
 
     #[test]
     fn traced_send_matching_carries_topology() {
-        use parqp_trace::{Recorder, TraceEvent};
+        use crate::trace::{Recorder, TraceEvent};
         let (rec, ()) = Recorder::capture(|| {
             let mut c = Cluster::new(6);
             let g = Grid::new(vec![2, 3]);
@@ -1025,7 +989,7 @@ mod tests {
 
     #[test]
     fn untracked_and_dropped_exchanges_emit_nothing() {
-        use parqp_trace::Recorder;
+        use crate::trace::Recorder;
         let (rec, ()) = Recorder::capture(|| {
             let mut c = Cluster::new(2);
             let mut ex = c.exchange::<u64>();
@@ -1040,7 +1004,7 @@ mod tests {
 
     #[test]
     fn traced_record_round_emits_block() {
-        use parqp_trace::{Recorder, TraceEvent};
+        use crate::trace::{Recorder, TraceEvent};
         let (rec, ()) = Recorder::capture(|| {
             let mut c = Cluster::new(2);
             c.record_round(vec![3, 0], vec![6, 0]);
@@ -1071,7 +1035,7 @@ mod tests {
         // alone must still see the full event stream (including
         // send-side attribution, which needs the ExchangeTrace).
         let (reg, report) = metrics::capture(|| {
-            assert!(!trace::is_enabled());
+            assert!(!crate::trace::is_enabled());
             let mut c = Cluster::new(3);
             let mut ex = c.exchange::<Vec<u64>>();
             ex.set_sender(1);
@@ -1092,7 +1056,7 @@ mod tests {
 
     mod faulted {
         use super::*;
-        use parqp_faults::{capture, FaultLog, FaultPlan};
+        use crate::faults::{capture, FaultLog, FaultPlan};
 
         /// One 2-server round: s0 gets [1,2] (3 words), s1 gets [3] (1 word).
         fn one_round(c: &mut Cluster) -> Vec<Vec<Vec<u64>>> {
@@ -1290,7 +1254,7 @@ mod tests {
 
         #[test]
         fn faulted_trace_totals_match_report() {
-            use parqp_trace::Recorder;
+            use crate::trace::Recorder;
             let plan = FaultPlan::new()
                 .with_fault(0, 0, FaultKind::Duplicate { msgs: 1 })
                 .with_fault(1, 1, FaultKind::Drop { msgs: 1 })
@@ -1306,7 +1270,7 @@ mod tests {
                         c.report()
                     })
                 });
-            let totals = parqp_trace::analyze::totals(&rec);
+            let totals = crate::trace::analyze::totals(&rec);
             assert_eq!(totals.rounds, report.num_rounds());
             assert_eq!(totals.tuples, report.total_tuples());
             assert_eq!(totals.words, report.total_words());

@@ -30,6 +30,9 @@ pub enum MpcError {
     /// A per-server compute closure panicked during
     /// [`Cluster::try_map`](crate::Cluster::try_map).
     WorkerPanic { server: usize, message: String },
+    /// The host refused to spawn the worker pool of
+    /// [`ExecMode::Parallel`](crate::ExecMode::Parallel).
+    PoolSpawn { workers: usize, message: String },
 }
 
 impl std::fmt::Display for MpcError {
@@ -61,6 +64,9 @@ impl std::fmt::Display for MpcError {
             }
             MpcError::WorkerPanic { server, message } => {
                 write!(f, "server {server} compute closure panicked: {message}")
+            }
+            MpcError::PoolSpawn { workers, message } => {
+                write!(f, "cannot spawn a pool of {workers} workers: {message}")
             }
         }
     }

@@ -8,8 +8,8 @@
 //! `Exchange::set_sender`, and at most one `Topology` carrying the
 //! grid dimensions when the round used HyperCube addressing. Span
 //! events are the only kind algorithm crates trigger (through
-//! `parqp_trace::span`); everything else is emitted by `parqp-mpc`
-//! alone (lint rule PQ105).
+//! `trace::span`); everything else is emitted by `Cluster` alone — the
+//! feeding hook is private to this crate.
 
 /// One structured observation about a simulated MPC run.
 ///
@@ -71,8 +71,8 @@ pub enum TraceEvent {
         words: u64,
     },
     /// A scheduled fault fired on `server` while ledger round `round`
-    /// was being recorded (see `parqp-faults`). Emitted by `parqp-mpc`
-    /// alone, like every non-span event (lint rule PQ106).
+    /// was being recorded (see [`crate::faults`]). Emitted by `Cluster`
+    /// alone, like every non-span event.
     FaultInjected {
         /// Ledger round index the fault was charged to.
         round: usize,
@@ -121,11 +121,10 @@ pub enum TraceEvent {
 /// A consumer of [`TraceEvent`]s.
 ///
 /// The in-tree implementation is the ring-buffered
-/// [`Recorder`](crate::Recorder); tests may provide their own. A
-/// sink's [`record`](TraceSink::record) must not re-enter the trace
-/// registry (calling [`emit`](crate::emit) or opening a
-/// [`span`](crate::span) from inside `record` panics on the registry's
-/// `RefCell`).
+/// [`Recorder`](crate::trace::Recorder); tests may provide their own.
+/// A sink's [`record`](TraceSink::record) must not re-enter itself
+/// (opening a [`span`](crate::trace::span) or running a round from
+/// inside `record` panics on the installed sink's `RefCell`).
 pub trait TraceSink {
     /// Observe one event. Called in deterministic program order.
     fn record(&mut self, event: TraceEvent);

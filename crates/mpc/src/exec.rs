@@ -15,24 +15,26 @@
 //!    returns;
 //! 2. the pool stores job `i`'s output in slot `i`, so results merge
 //!    in server order regardless of completion order;
-//! 3. worker closures are pure (`Fn(usize, I) -> O`): the thread-local
-//!    trace/metrics/faults runtimes live on the calling thread and are
-//!    never touched from a worker.
+//! 3. worker closures are pure (`Fn(usize, I) -> O`): the run context
+//!    (trace sink, metrics registry, fault runtime) lives on the
+//!    calling thread and is never touched from a worker.
 //!
 //! Hence ledgers, trace streams, metrics registries, and output
 //! digests are byte-identical to serial mode *by construction*.
 //!
-//! Like the trace sink and the metrics registry, the mode is a
-//! thread-local slot: [`install`] returns a guard that restores the
-//! previous mode on drop (panic-safe), and every `Cluster` snapshots
-//! the installed pool at construction time, so nested clusters (the
-//! skew join's sub-joins, plan sub-queries) inherit the mode with no
-//! signature changes anywhere.
+//! Like the trace sink and the metrics registry, the mode is an
+//! instrument of the [run context](crate::context): [`install`] returns
+//! a guard that restores the previous mode on drop (panic-safe), and
+//! every `Cluster` snapshots the installed pool at construction time,
+//! so nested clusters (the skew join's sub-joins, plan sub-queries)
+//! inherit the mode with no signature changes anywhere.
 
-use std::cell::RefCell;
 use std::rc::Rc;
 
 use parqp_testkit::pool::{ncpu, WorkerPool};
+
+use crate::context::{self, ContextGuard, Instrument};
+use crate::error::MpcError;
 
 /// How [`Cluster::map`](crate::Cluster::map) runs per-server compute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,6 +50,16 @@ pub enum ExecMode {
 }
 
 impl ExecMode {
+    /// The mode a cluster holding `pool` runs in.
+    pub(crate) fn of(pool: Option<&Rc<WorkerPool>>) -> Self {
+        match pool {
+            None => ExecMode::Serial,
+            Some(pool) => ExecMode::Parallel {
+                workers: pool.workers(),
+            },
+        }
+    }
+
     /// Resolve `workers == 0` to the machine's CPU count.
     pub fn resolved_workers(self) -> usize {
         match self {
@@ -58,61 +70,47 @@ impl ExecMode {
     }
 }
 
-thread_local! {
-    static ACTIVE: RefCell<Option<Rc<WorkerPool>>> = const { RefCell::new(None) };
-}
-
-/// Restores the previously installed execution mode when dropped.
-#[must_use = "dropping the guard immediately restores the previous mode"]
-pub struct ExecGuard {
-    previous: Option<Rc<WorkerPool>>,
-}
-
-impl Drop for ExecGuard {
-    fn drop(&mut self) {
-        ACTIVE.with(|slot| *slot.borrow_mut() = self.previous.take());
-    }
-}
-
 /// Install `mode` for this thread until the returned guard drops.
 /// Parallel mode spawns its worker pool here, once; every `Cluster`
-/// created while the guard lives shares it.
-pub fn install(mode: ExecMode) -> ExecGuard {
+/// created while the guard lives shares it. Errors (instead of
+/// panicking) when the host refuses to spawn that many threads.
+pub fn install(mode: ExecMode) -> Result<ContextGuard, MpcError> {
     let pool = match mode {
         ExecMode::Serial => None,
         parallel @ ExecMode::Parallel { .. } => {
-            Some(Rc::new(WorkerPool::new(parallel.resolved_workers())))
+            let workers = parallel.resolved_workers();
+            let pool = WorkerPool::try_new(workers).map_err(|e| MpcError::PoolSpawn {
+                workers,
+                message: e.to_string(),
+            })?;
+            Some(Rc::new(pool))
         }
     };
-    let previous = ACTIVE.with(|slot| std::mem::replace(&mut *slot.borrow_mut(), pool));
-    ExecGuard { previous }
+    Ok(context::install(Instrument::Pool(pool)))
 }
 
 /// Install an existing pool (reuse across runs without respawning).
-pub fn install_pool(pool: Rc<WorkerPool>) -> ExecGuard {
-    let previous = ACTIVE.with(|slot| slot.borrow_mut().replace(pool));
-    ExecGuard { previous }
+pub fn install_pool(pool: Rc<WorkerPool>) -> ContextGuard {
+    context::install(Instrument::Pool(Some(pool)))
 }
 
 /// The currently installed mode.
 pub fn current() -> ExecMode {
-    ACTIVE.with(|slot| match &*slot.borrow() {
-        None => ExecMode::Serial,
-        Some(pool) => ExecMode::Parallel {
-            workers: pool.workers(),
-        },
-    })
+    ExecMode::of(context::pool().as_ref())
 }
 
 /// Run `f` under `mode` and restore the previous mode afterwards.
+///
+/// # Panics
+/// Panics if `mode`'s worker pool cannot be spawned; use [`install`]
+/// to handle that case.
 pub fn with_mode<R>(mode: ExecMode, f: impl FnOnce() -> R) -> R {
-    let _guard = install(mode);
+    let _guard = match install(mode) {
+        Ok(guard) => guard,
+        // The pool constructor's own panic, surfaced one level up.
+        Err(e) => panic!("{e}"), // parqp-lint: allow(PQ201)
+    };
     f()
-}
-
-/// The pool a `Cluster` built right now would snapshot.
-pub(crate) fn snapshot() -> Option<Rc<WorkerPool>> {
-    ACTIVE.with(|slot| slot.borrow().clone())
 }
 
 #[cfg(test)]
@@ -120,29 +118,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_mode_is_serial() {
-        assert_eq!(current(), ExecMode::Serial);
-    }
-
-    #[test]
     fn install_restores_previous_mode_on_drop() {
-        let outer = install(ExecMode::Parallel { workers: 2 });
+        let outer = install(ExecMode::Parallel { workers: 2 }).expect("pool spawns");
         assert_eq!(current(), ExecMode::Parallel { workers: 2 });
         {
-            let _inner = install(ExecMode::Serial);
+            // Serial is an install like any other: it shadows the pool.
+            let _inner = install(ExecMode::Serial).expect("serial spawns nothing");
             assert_eq!(current(), ExecMode::Serial);
         }
         assert_eq!(current(), ExecMode::Parallel { workers: 2 });
         drop(outer);
-        assert_eq!(current(), ExecMode::Serial);
-    }
-
-    #[test]
-    fn guard_restores_on_panic() {
-        let caught = std::panic::catch_unwind(|| {
-            with_mode(ExecMode::Parallel { workers: 1 }, || panic!("boom"));
-        });
-        assert!(caught.is_err());
         assert_eq!(current(), ExecMode::Serial);
     }
 
@@ -159,6 +144,6 @@ mod tests {
         let pool = Rc::new(WorkerPool::new(3));
         let _guard = install_pool(pool.clone());
         assert_eq!(current(), ExecMode::Parallel { workers: 3 });
-        assert!(snapshot().is_some_and(|p| Rc::ptr_eq(&p, &pool)));
+        assert!(context::pool().is_some_and(|p| Rc::ptr_eq(&p, &pool)));
     }
 }

@@ -25,47 +25,65 @@
 //! * [`cluster`] — the cluster, exchanges, and round accounting;
 //! * [`error`] — typed invariant violations ([`MpcError`]); every
 //!   panicking entry point has a `try_*` sibling returning these;
-//! * [`exec`] — serial vs parallel local compute ([`ExecMode`]):
-//!   install a mode and [`Cluster::map`](cluster::Cluster::map) runs
-//!   per-server compute closures on a sanctioned worker pool, with
-//!   every exchange boundary a barrier and results merged in server
-//!   order, so both modes are byte-identical;
 //! * [`stats`] — per-round statistics and the final [`LoadReport`];
 //! * [`grid`] — `p₁ × … × p_k` hypercube topologies with `*`-broadcast
 //!   (the HyperCube algorithm's addressing primitive, slide 35);
 //! * [`hash`] — a seeded family of independent hash functions;
-//! * [`weight`] — how many words a message counts for;
-//! * [`trace`] — re-export of `parqp-trace`: install a
-//!   [`trace::Recorder`] (e.g. via [`trace::Recorder::capture`]) and
-//!   every recorded round also emits structured [`trace::TraceEvent`]s
-//!   (per-server loads, send fan-out, grid topology). Only this crate
-//!   emits communication events (lint rule PQ105); algorithm crates
-//!   label their phases with [`trace::span`];
-//! * [`faults`] — re-export of `parqp-faults`: install a
-//!   [`faults::FaultPlan`] (e.g. via [`faults::capture`]) and scheduled
-//!   crashes, message drops/duplications, and stragglers fire at exact
-//!   logical rounds as each exchange finishes. Injection is transparent
-//!   to algorithms — delivered inboxes are always the post-recovery
-//!   view — while recovery overhead (replayed rounds, retransmissions,
-//!   replica redistribution) is charged honestly to the same
-//!   [`LoadReport`] ledger and emitted as `FaultInjected`/
-//!   `RecoveryBegin`/`RecoveryEnd` trace events. Only this crate calls
-//!   the fault-runtime round hooks (lint rule PQ106).
+//! * [`weight`] — how many words a message counts for.
+//!
+//! ## The run context and its instruments
+//!
+//! Everything that watches or perturbs a round boundary is installed
+//! in one thread-local [`context`] with one guard type
+//! ([`ContextGuard`]) and one nesting rule: the innermost install of a
+//! kind wins, other kinds stay live. The hooks that *feed* an
+//! installed instrument are private to this crate, so only [`Cluster`]
+//! can reach them; the public surface of each instrument is
+//! install/capture plus what algorithms legitimately call:
+//!
+//! * [`trace`] — [`trace::Recorder::capture`] the round-level event
+//!   stream; algorithm crates label phases with [`trace::span`];
+//! * [`metrics`] — [`metrics::capture`] a registry fed by the same
+//!   stream plus drained page IO; algorithm crates
+//!   [`metrics::announce`] their paper bounds;
+//! * [`faults`] — [`faults::capture`] a run under a seeded
+//!   [`faults::FaultPlan`]: delivered inboxes are always the
+//!   post-recovery view, recovery overhead lands on the same ledger;
+//! * [`exec`] — serial vs parallel local compute ([`ExecMode`]), byte-
+//!   identical by construction.
+//!
+//! The paged store ([`store`], a re-export of `parqp-store`) keeps the
+//! one other slot: `parqp_data::paged` reaches it from *below* this
+//! crate.
 
 pub mod cluster;
+pub mod context;
 pub mod error;
 pub mod exec;
+pub mod faults;
 pub mod grid;
 pub mod hash;
+pub mod metrics;
 pub mod stats;
+pub mod trace;
 pub mod weight;
 
-pub use parqp_faults as faults;
-pub use parqp_metrics as metrics;
+// The instruments' implementation files sit flat beside the
+// simulator's; their public paths are the `trace`, `metrics` and
+// `faults` modules above.
+mod analyze;
+mod bound;
+mod event;
+mod export;
+mod plan;
+mod recorder;
+mod recovery;
+mod registry;
+
 pub use parqp_store as store;
-pub use parqp_trace as trace;
 
 pub use cluster::{Cluster, Exchange};
+pub use context::ContextGuard;
 pub use error::MpcError;
 pub use exec::ExecMode;
 pub use grid::Grid;

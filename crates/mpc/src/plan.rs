@@ -24,7 +24,7 @@ use parqp_testkit::splitmix64;
 pub enum FaultKind {
     /// The server loses its in-memory partition state at the end of
     /// the round. Recovery is governed by the installed
-    /// [`RecoveryStrategy`](crate::RecoveryStrategy).
+    /// [`RecoveryStrategy`](crate::faults::RecoveryStrategy).
     Crash,
     /// The last `msgs` messages delivered to the server this round are
     /// lost in transit; the senders retransmit them in one extra

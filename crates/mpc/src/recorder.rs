@@ -1,18 +1,19 @@
-//! The ring-buffered [`Recorder`] and the thread-local sink registry.
+//! The ring-buffered [`Recorder`] and the trace side of the run
+//! context.
 //!
-//! The simulator is single-threaded by design (PQ004), so a
-//! thread-local slot is the whole "global" registry: [`install`] puts
-//! a sink in the slot and returns a [`SinkGuard`] that restores the
-//! previous sink on drop (panic-safe), [`emit`] forwards an event to
-//! the installed sink (a no-op when none is installed, so
-//! instrumentation costs one thread-local read when tracing is off),
-//! and [`Recorder::capture`] wraps the common install–run–collect
-//! pattern.
+//! [`install`] puts a sink in the [run context](crate::context) and
+//! returns the guard that removes it on drop (panic-safe), [`span`]
+//! labels an algorithm phase on the live sink (a no-op when none is
+//! installed, so instrumentation costs one thread-local read when
+//! tracing is off), and [`Recorder::capture`] wraps the common
+//! install–run–collect pattern. Communication events are fed by
+//! `Cluster` through the context's crate-private `observe`.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
+use crate::context::{self, ContextGuard, Instrument};
 use crate::event::{TraceEvent, TraceSink};
 
 /// Default ring capacity: plenty for every in-tree experiment while
@@ -88,15 +89,7 @@ impl Recorder {
     /// The previous sink (if any) is restored afterwards, even if `f`
     /// panics.
     pub fn capture<R>(f: impl FnOnce() -> R) -> (Recorder, R) {
-        let shared = Rc::new(RefCell::new(Recorder::new()));
-        let result = {
-            let _guard = install(shared.clone());
-            f()
-        };
-        let recorder = Rc::try_unwrap(shared)
-            .expect("capture's sink must not be retained past the closure")
-            .into_inner();
-        (recorder, result)
+        context::capture(Recorder::new(), |shared| Instrument::Sink(shared), f)
     }
 }
 
@@ -110,50 +103,16 @@ impl TraceSink for Recorder {
     }
 }
 
-thread_local! {
-    static SINK: RefCell<Option<Rc<RefCell<dyn TraceSink>>>> = const { RefCell::new(None) };
-}
-
-/// Restores the previously installed sink when dropped.
-///
-/// Returned by [`install`]; hold it for as long as tracing should stay
-/// enabled.
-#[must_use = "dropping the guard immediately uninstalls the sink"]
-pub struct SinkGuard {
-    previous: Option<Rc<RefCell<dyn TraceSink>>>,
-}
-
-impl Drop for SinkGuard {
-    fn drop(&mut self) {
-        SINK.with(|slot| {
-            *slot.borrow_mut() = self.previous.take();
-        });
-    }
-}
-
 /// Install `sink` as this thread's trace sink until the returned guard
 /// drops. Nesting is allowed; the innermost install wins and the outer
 /// sink resumes when the inner guard drops.
-pub fn install(sink: Rc<RefCell<dyn TraceSink>>) -> SinkGuard {
-    let previous = SINK.with(|slot| slot.borrow_mut().replace(sink));
-    SinkGuard { previous }
+pub fn install(sink: Rc<RefCell<dyn TraceSink>>) -> ContextGuard {
+    context::install(Instrument::Sink(sink))
 }
 
-/// Whether a sink is currently installed. Emitters use this to skip
-/// building per-event state when nobody is listening.
+/// Whether a sink is currently installed.
 pub fn is_enabled() -> bool {
-    SINK.with(|slot| slot.borrow().is_some())
-}
-
-/// Forward `event` to the installed sink, if any.
-///
-/// Communication events may only be emitted by `parqp-mpc` (lint rule
-/// PQ105); algorithm crates open [`span`]s instead.
-pub fn emit(event: TraceEvent) {
-    let sink = SINK.with(|slot| slot.borrow().clone());
-    if let Some(sink) = sink {
-        sink.borrow_mut().record(event);
-    }
+    context::is_traced()
 }
 
 /// An open algorithm phase; emits [`TraceEvent::SpanEnd`] on drop.
@@ -171,7 +130,7 @@ impl Span {
 
 impl Drop for Span {
     fn drop(&mut self) {
-        emit(TraceEvent::SpanEnd { label: self.label });
+        context::emit(TraceEvent::SpanEnd { label: self.label });
     }
 }
 
@@ -179,7 +138,7 @@ impl Drop for Span {
 /// phase closes when the returned [`Span`] drops. A no-op (beyond the
 /// guard) when no sink is installed.
 pub fn span(label: &'static str) -> Span {
-    emit(TraceEvent::SpanBegin { label });
+    context::emit(TraceEvent::SpanBegin { label });
     Span { label }
 }
 
@@ -224,41 +183,11 @@ mod tests {
     }
 
     #[test]
-    fn emit_without_sink_is_noop() {
-        assert!(!is_enabled());
-        emit(recv(0, 0, 1)); // must not panic
-    }
-
-    #[test]
-    fn capture_collects_and_uninstalls() {
-        let (rec, out) = Recorder::capture(|| {
-            assert!(is_enabled());
-            emit(recv(0, 3, 7));
-            42
-        });
-        assert!(!is_enabled());
-        assert_eq!(out, 42);
-        assert_eq!(rec.len(), 1);
-        assert_eq!(rec.events().next(), Some(&recv(0, 3, 7)));
-    }
-
-    #[test]
-    fn nested_install_restores_outer() {
-        let (outer, ()) = Recorder::capture(|| {
-            emit(recv(0, 0, 1));
-            let (inner, ()) = Recorder::capture(|| emit(recv(0, 1, 1)));
-            assert_eq!(inner.len(), 1);
-            emit(recv(0, 2, 1));
-        });
-        assert_eq!(outer.len(), 2, "inner capture must not leak events");
-    }
-
-    #[test]
     fn span_emits_begin_and_end() {
         let (rec, ()) = Recorder::capture(|| {
             let s = span("test/phase");
             assert_eq!(s.label(), "test/phase");
-            emit(recv(0, 0, 1));
+            context::emit(recv(0, 0, 1));
         });
         let kinds: Vec<&TraceEvent> = rec.events().collect();
         assert_eq!(kinds.len(), 3);
@@ -274,14 +203,5 @@ mod tests {
                 label: "test/phase"
             }
         );
-    }
-
-    #[test]
-    fn guard_restores_on_panic() {
-        let caught = std::panic::catch_unwind(|| {
-            let _ = Recorder::capture(|| panic!("boom"));
-        });
-        assert!(caught.is_err());
-        assert!(!is_enabled(), "panic must not leave a sink installed");
     }
 }

@@ -8,7 +8,7 @@
 //! checkpoints, keeping replicas warm) are *not* charged — only the
 //! recovery path is; see DESIGN.md's "Fault tolerance" section.
 
-/// How the cluster recovers from a [`Crash`](crate::FaultKind::Crash).
+/// How the cluster recovers from a [`Crash`](crate::faults::FaultKind::Crash).
 ///
 /// Drops and stragglers have fixed recovery mechanisms (retransmission
 /// and speculative re-execution); the strategy only governs crashes.

@@ -9,7 +9,7 @@
 
 use std::collections::BTreeMap;
 
-use parqp_trace::{TraceEvent, TraceSink};
+use crate::event::{TraceEvent, TraceSink};
 
 use crate::bound::{BoundProvider, LoadUnit};
 
@@ -34,7 +34,7 @@ pub struct MetricsRegistry {
     gauges: BTreeMap<String, f64>,
     /// Power-of-two histogram of per-server per-round receive loads in
     /// tuples: bucket 0 counts zero loads, bucket `k ≥ 1` counts loads
-    /// in `[2^(k−1), 2^k − 1]` — the same shape `parqp_trace::analyze`
+    /// in `[2^(k−1), 2^k − 1]` — the same shape `trace::analyze`
     /// uses, so the two stay comparable.
     recv_hist: Vec<u64>,
     bounds: Vec<BoundRecord>,

@@ -1,8 +1,8 @@
-//! # parqp-trace — deterministic round-level observability for the MPC simulator
+//! Deterministic round-level observability for the MPC simulator.
 //!
 //! Every theorem the tutorial states is about *per-round, per-server*
-//! communication load, but a [`LoadReport`](../parqp_mpc/stats/struct.LoadReport.html)
-//! collapses a whole run into scalar summaries. This crate records the
+//! communication load, but a [`LoadReport`](crate::LoadReport)
+//! collapses a whole run into scalar summaries. This module records the
 //! run as a stream of structured [`TraceEvent`]s instead — round
 //! boundaries, per-server receive loads, per-server send fan-out, grid
 //! topology, and algorithm-supplied span labels — so skew, stragglers,
@@ -15,19 +15,18 @@
 //!
 //! ## Layering
 //!
-//! Only `parqp-mpc` *emits* communication events — the same accounting
-//! monopoly that PQ104 enforces for `LoadReport` extends to the event
-//! stream (lint rule PQ105). Algorithm crates may only open [`span`]s
-//! (via the `parqp_mpc::trace` re-export), labelling phases like
+//! Only [`Cluster`](crate::Cluster) *emits* communication events — the
+//! same accounting monopoly that PQ104 enforces for `LoadReport`
+//! extends to the event stream by visibility: the feeding hook is
+//! private to this crate (see [`crate::context`]). Algorithm crates
+//! may only open [`span`]s, labelling phases like
 //! `"hypercube/shuffle"`. Exporters and analyses consume a borrowed
-//! [`Recorder`], never raw events, so downstream crates (`core`,
-//! `bench`) stay out of the emission business entirely.
+//! [`Recorder`], never raw events.
 //!
-//! ## Modules
+//! ## Contents
 //!
-//! * [`event`] — the [`TraceEvent`] model and the [`TraceSink`] trait;
-//! * [`recorder`] — the ring-buffered [`Recorder`], the thread-local
-//!   sink registry ([`install`]/[`emit`]/[`span`]), and
+//! * the [`TraceEvent`] model and the [`TraceSink`] trait;
+//! * the ring-buffered [`Recorder`], [`install`]/[`span`], and
 //!   [`Recorder::capture`];
 //! * [`export`] — [`export::jsonl`] and the Chrome `trace_event`
 //!   exporter [`export::chrome_trace`] (loadable in Perfetto /
@@ -36,10 +35,15 @@
 //!   summaries, load histograms, and the ASCII servers × rounds
 //!   heatmap.
 
-pub mod analyze;
-pub mod event;
-pub mod export;
-pub mod recorder;
+pub use crate::event::{TraceEvent, TraceSink};
+pub use crate::recorder::{install, is_enabled, span, Recorder, Span, DEFAULT_CAPACITY};
 
-pub use event::{TraceEvent, TraceSink};
-pub use recorder::{emit, install, is_enabled, span, Recorder, SinkGuard, Span};
+/// JSONL and Chrome `trace_event` exporters.
+pub mod export {
+    pub use crate::export::*;
+}
+
+/// Load reconstruction and summaries over a recorded trace.
+pub mod analyze {
+    pub use crate::analyze::*;
+}

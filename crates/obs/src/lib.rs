@@ -31,19 +31,16 @@
 //!   dashboard (per-window sparklines plus a servers×windows heatmap),
 //!   all pure functions of the series.
 //!
-//! Like its sibling runtimes, the recorder is a thread-local
-//! install/capture slot ([`runtime`]): when nothing is installed,
-//! emission is a no-op and the serving loop pays nothing. Only
-//! `parqp-serve` (and this crate) may emit or install recorders — lint
-//! rule PQ111, the serving twin of PQ107's metrics-emission monopoly.
+//! There is no ambient slot: `parqp-serve`'s `replay_observed` builds
+//! the [`series::SeriesRecorder`] and hands it down its own call chain,
+//! so an unobserved replay pays nothing. Fabricating observations or
+//! recorders outside `parqp-serve` (and this crate) is lint rule PQ111.
 
 pub mod export;
-pub mod runtime;
 pub mod series;
 pub mod sketch;
 pub mod slo;
 
-pub use runtime::{capture, emit, install, is_enabled, ObsGuard};
 pub use series::{ObsConfig, QueryObs, SeriesRecorder, SeriesReport, WindowStats};
 pub use sketch::LogHistogram;
 pub use slo::{AlertKind, RuleOutcome, SloAlert, SloReport, SloRules};

@@ -250,8 +250,8 @@ impl WindowStats {
     }
 }
 
-/// Folds per-query observations into windows. Install one through
-/// [`crate::runtime`] and the serving driver feeds it.
+/// Folds per-query observations into windows. The serving driver's
+/// `replay_observed` builds one and feeds it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SeriesRecorder {
     config: ObsConfig,

@@ -13,11 +13,11 @@
 
 use parqp_data::paged::{self, IoStats, RouteScan, StoreConfig};
 use parqp_data::{Relation, Value};
-use parqp_faults::{FaultPlan, FaultSpec, RecoveryStrategy};
 use parqp_join::common::{joined_arity, local_hash_join, scatter};
-use parqp_mpc::{faults, metrics, Cluster, HashFamily, LoadReport};
-use parqp_obs as obs;
-use parqp_obs::{LogHistogram, ObsConfig, QueryObs, SeriesReport};
+use parqp_mpc::faults::{self, FaultPlan, FaultSpec, RecoveryStrategy};
+use parqp_mpc::metrics::{self, MetricsRegistry};
+use parqp_mpc::{Cluster, HashFamily, LoadReport};
+use parqp_obs::{LogHistogram, ObsConfig, QueryObs, SeriesRecorder, SeriesReport};
 
 use crate::cache::{BuildCost, CacheKey, CacheStats, PlanCache};
 use crate::report::{digest_relation, QueryRecord, ServeReport, TenantStats};
@@ -197,16 +197,27 @@ impl TenantLedger {
 /// reports (records, ledgers, digests), under any execution mode and
 /// any fault plan.
 pub fn replay(cfg: &ServeConfig) -> Result<ServeReport, String> {
+    replay_into(cfg, None)
+}
+
+/// [`replay`], feeding one observation per served query to `obs` when
+/// there is one.
+fn replay_into(
+    cfg: &ServeConfig,
+    mut obs: Option<&mut SeriesRecorder>,
+) -> Result<ServeReport, String> {
     cfg.validate()?;
     let arrivals = workload::schedule(cfg);
     let (io_parts, (mut registry, (fault_log, out))) = paged::capture(cfg.store, || {
         metrics::capture(|| match &cfg.faults {
             Some(f) => {
                 let plan = FaultPlan::random(cfg.seed, cfg.servers, f.horizon, &f.spec);
-                let (log, out) = faults::capture(plan, f.strategy, || run_stream(cfg, &arrivals));
+                let (log, out) = faults::capture(plan, f.strategy, || {
+                    run_stream(cfg, &arrivals, obs.as_deref_mut())
+                });
                 (Some(log), out)
             }
-            None => (None, run_stream(cfg, &arrivals)),
+            None => (None, run_stream(cfg, &arrivals, obs)),
         })
     });
     let mut io = IoStats::default();
@@ -228,18 +239,19 @@ pub fn replay(cfg: &ServeConfig) -> Result<ServeReport, String> {
 }
 
 /// Run every arrival against one long-lived cluster.
-fn run_stream(cfg: &ServeConfig, arrivals: &[QueryArrival]) -> StreamOut {
+fn run_stream(
+    cfg: &ServeConfig,
+    arrivals: &[QueryArrival],
+    mut obs: Option<&mut SeriesRecorder>,
+) -> StreamOut {
     let p = cfg.servers;
     let mut cluster = Cluster::new(p);
     let mut cache = PlanCache::new(cfg.cache_budget);
     let mut records = Vec::with_capacity(arrivals.len());
     for a in arrivals {
-        let observed = obs::is_enabled();
-        let io_before = if observed {
-            io_totals()
-        } else {
-            IoStats::default()
-        };
+        // Observations need the query's IO delta; an unobserved replay
+        // skips building them entirely.
+        let io_before = obs.is_some().then(io_totals);
         let key = CacheKey {
             template: a.template,
             group: a.group,
@@ -292,7 +304,7 @@ fn run_stream(cfg: &ServeConfig, arrivals: &[QueryArrival]) -> StreamOut {
             gathered.extend_from(part);
         }
         let delta = cluster.report_since(mark);
-        if observed {
+        if let (Some(obs), Some(io_before)) = (obs.as_deref_mut(), io_before) {
             let io = io_totals().since(&io_before);
             let mut per_server = vec![0u64; p];
             let mut heaviest_round = 0u64;
@@ -302,7 +314,7 @@ fn run_stream(cfg: &ServeConfig, arrivals: &[QueryArrival]) -> StreamOut {
                     *acc += t;
                 }
             }
-            obs::emit(&QueryObs {
+            obs.record(&QueryObs {
                 serial: a.serial,
                 tick: a.tick,
                 tenant: a.tenant,
@@ -373,15 +385,16 @@ pub fn replay_observed(
         ticks: cfg.ticks,
         servers: cfg.servers,
     };
-    let (series, report) = obs::capture(obs_cfg, || replay(cfg));
-    let mut report = report?;
+    let mut recorder = SeriesRecorder::new(obs_cfg);
+    let mut report = replay_into(cfg, Some(&mut recorder))?;
+    let series = recorder.finish();
     annotate_window_gauges(&mut report.registry, &series);
     Ok((report, series))
 }
 
 /// Mirror the window series into registry gauges, beside the tenant
 /// and cache gauges [`annotate_registry`] sets.
-fn annotate_window_gauges(registry: &mut parqp_metrics::MetricsRegistry, series: &SeriesReport) {
+fn annotate_window_gauges(registry: &mut MetricsRegistry, series: &SeriesReport) {
     registry.set_gauge("serve.windows", series.windows.len() as f64);
     registry.set_gauge(
         "serve.window.width_ticks",
@@ -483,7 +496,7 @@ pub(crate) fn percentile(sorted: &[u64], pct: u64) -> u64 {
 /// `parqp metrics`-style consumers see serving health next to the
 /// event-derived counters.
 fn annotate_registry(
-    registry: &mut parqp_metrics::MetricsRegistry,
+    registry: &mut MetricsRegistry,
     tenants: &[TenantStats],
     cache: &CacheStats,
     ticks: u64,

@@ -31,7 +31,7 @@
 //!   reconcile *exactly* with the global [`MetricsRegistry`]
 //!   (`tests/serve_reconciliation.rs` asserts this).
 //! * **Faults under load** — an optional seeded
-//!   [`parqp_faults::FaultPlan`] fires while the stream replays;
+//!   [`parqp_mpc::faults::FaultPlan`] fires while the stream replays;
 //!   recovery overhead lands in whichever query's rounds it inflates,
 //!   measuring fault tolerance under load instead of per-experiment.
 //!
@@ -45,14 +45,15 @@
 //! way PQ104 confines `LoadReport` fabrication to `mpc`).
 //!
 //! * **Time-series observability** — [`driver::replay_observed`] runs
-//!   the same replay under an installed `parqp_obs` recorder: every
-//!   served query is emitted as a `QueryObs` (its exact ledger delta,
-//!   cache outcome, and page-IO delta) and folded into fixed-width tick
-//!   windows. Only this crate may emit observations (lint rule PQ111);
-//!   consumers read the returned `SeriesReport` — exporters, the `parqp
-//!   dash` dashboard, and SLO burn-rate gates live in `parqp-obs`.
+//!   the same replay with a `parqp_obs` recorder passed down to the
+//!   stream loop: every served query is recorded as a `QueryObs` (its
+//!   exact ledger delta, cache outcome, and page-IO delta) and folded
+//!   into fixed-width tick windows. Only this crate may fabricate
+//!   observations (lint rule PQ111); consumers read the returned
+//!   `SeriesReport` — exporters, the `parqp dash` dashboard, and SLO
+//!   burn-rate gates live in `parqp-obs`.
 //!
-//! [`MetricsRegistry`]: parqp_metrics::MetricsRegistry
+//! [`MetricsRegistry`]: parqp_mpc::metrics::MetricsRegistry
 
 pub mod cache;
 pub mod driver;

@@ -12,8 +12,8 @@ use std::hash::Hasher;
 use parqp_data::fasthash::FxHasher;
 use parqp_data::paged::IoStats;
 use parqp_data::Relation;
-use parqp_faults::FaultLog;
-use parqp_metrics::MetricsRegistry;
+use parqp_mpc::faults::{FaultLog, RecoveryStrategy};
+use parqp_mpc::metrics::MetricsRegistry;
 use parqp_mpc::LoadReport;
 
 use crate::cache::CacheStats;
@@ -158,10 +158,10 @@ impl ServeReport {
             None => "off".to_string(),
             Some(f) => {
                 let strategy = match f.strategy {
-                    parqp_faults::RecoveryStrategy::Checkpoint { every } => {
+                    RecoveryStrategy::Checkpoint { every } => {
                         format!("checkpoint({every})")
                     }
-                    parqp_faults::RecoveryStrategy::Replication { replicas } => {
+                    RecoveryStrategy::Replication { replicas } => {
                         format!("replication({replicas})")
                     }
                 };

@@ -3,8 +3,8 @@
 //! The out-of-core substrate underneath `parqp-data`: fixed-size pages
 //! of encoded tuple rows ([`page`]), a bounded per-server buffer pool
 //! with deterministic clock replacement ([`pool`]), and a thread-local
-//! runtime ([`runtime`]) that mirrors the exec/trace/faults/metrics
-//! pattern — install a [`StoreConfig`], run, and every paged scan is
+//! runtime ([`runtime`]) with the run context's install/guard
+//! lifecycle — install a [`StoreConfig`], run, and every paged scan is
 //! charged to an exact **page-IO ledger** (logical reads, pool misses,
 //! evictions) that `parqp-mpc` drains into the metrics registry as a
 //! second cost axis beside communication load.

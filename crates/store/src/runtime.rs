@@ -1,10 +1,11 @@
 //! The thread-local store runtime: per-server buffer pools behind an
 //! install/guard lifecycle.
 //!
-//! Mirrors `parqp_mpc::exec`, `parqp_trace::recorder`,
-//! `parqp_faults::runtime` and `parqp_metrics::runtime`: the simulator
-//! is single-threaded by design (PQ004), so one thread-local slot is
-//! the whole "global" state. [`install`] puts a runtime built from a
+//! The one ambient slot beside `parqp_mpc::context`, and separate from
+//! it because `parqp_data::paged` reaches the pools from *below*
+//! `parqp-mpc` (`data → store`). Same lifecycle as the run context: the
+//! simulator is single-threaded by design (PQ004), so one thread-local
+//! slot is the whole "global" state. [`install`] puts a runtime built from a
 //! [`StoreConfig`] in the slot and returns a [`StoreGuard`] that
 //! restores the previous runtime on drop (panic-safe). When nothing is
 //! installed every entry point is a no-op, so the unpaged path pays

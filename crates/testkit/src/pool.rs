@@ -107,11 +107,26 @@ impl std::fmt::Debug for WorkerPool {
 
 impl WorkerPool {
     /// Spawn a pool of `workers` persistent threads (at least 1).
-    // Sanctioned `thread::spawn` site: this file is the PQ004 path
-    // exemption (see module docs), and deterministic merge means the
-    // threads never affect observable results.
-    #[allow(clippy::disallowed_methods)]
+    ///
+    /// # Panics
+    /// Panics if the host refuses to spawn a thread; use
+    /// [`WorkerPool::try_new`] to handle that case.
     pub fn new(workers: usize) -> Self {
+        match Self::try_new(workers) {
+            Ok(pool) => pool,
+            // The panic `thread::spawn` raised here before the fallible
+            // constructor existed, not a new one.
+            Err(e) => panic!("failed to spawn worker pool: {e}"), // parqp-lint: allow(PQ201)
+        }
+    }
+
+    /// Fallible [`WorkerPool::new`]: a refused spawn (thread limit,
+    /// out of memory) shuts down the workers already started and
+    /// returns the OS error.
+    // Sanctioned spawn site: this file is the PQ004 path exemption (see
+    // module docs), and deterministic merge means the threads never
+    // affect observable results.
+    pub fn try_new(workers: usize) -> std::io::Result<Self> {
         let workers = workers.max(1);
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
@@ -125,17 +140,19 @@ impl WorkerPool {
             work: Condvar::new(),
             idle: Condvar::new(),
         });
-        let handles = (0..workers)
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                thread::spawn(move || worker_loop(&shared))
-            })
-            .collect();
-        Self {
+        // Built before the first spawn so an early return drops it,
+        // and `Drop` joins whatever was started.
+        let mut pool = Self {
             shared,
-            handles,
+            handles: Vec::new(),
             workers,
+        };
+        for _ in 0..workers {
+            let shared = Arc::clone(&pool.shared);
+            let handle = thread::Builder::new().spawn(move || worker_loop(&shared))?;
+            pool.handles.push(handle);
         }
+        Ok(pool)
     }
 
     /// Number of worker threads.

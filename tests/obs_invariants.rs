@@ -135,7 +135,7 @@ fn sketched_percentiles_land_in_the_exact_buckets() {
 fn series_exports_are_byte_identical_serial_vs_parallel() {
     let (_, serial) = observed(&stream());
     let (_, parallel) = {
-        let _guard = exec::install(ExecMode::Parallel { workers: 2 });
+        let _guard = exec::install(ExecMode::Parallel { workers: 2 }).expect("pool spawns");
         observed(&stream())
     };
     assert_eq!(serial.jsonl(), parallel.jsonl());

@@ -171,7 +171,7 @@ fn parallel_metrics_reconcile_with_ledger_and_trace_under_faults() {
     // Satellite: trace recorder + fault clock + metrics registry
     // installed *together* under parallel mode must reconcile exactly
     // as tests/trace_invariants.rs pins for serial runs.
-    let _exec = exec::install(ExecMode::Parallel { workers: 0 });
+    let _exec = exec::install(ExecMode::Parallel { workers: 0 }).expect("pool spawns");
     let spec = FaultSpec {
         crashes: 1,
         drops: 1,

@@ -102,7 +102,7 @@ fn cache_savings_reconcile_exactly_with_the_build_costs() {
 fn parallel_execution_is_byte_identical_to_serial() {
     let serial = replay(&stream()).expect("valid config").jsonl();
     let parallel = {
-        let _guard = exec::install(ExecMode::Parallel { workers: 2 });
+        let _guard = exec::install(ExecMode::Parallel { workers: 2 }).expect("pool spawns");
         replay(&stream()).expect("valid config").jsonl()
     };
     assert_eq!(serial, parallel, "--exec parallel must not change output");
@@ -113,7 +113,7 @@ fn parallel_execution_is_byte_identical_under_faults() {
     let cfg = faulted(&stream(), RecoveryStrategy::Checkpoint { every: 2 });
     let serial = replay(&cfg).expect("valid config").jsonl();
     let parallel = {
-        let _guard = exec::install(ExecMode::Parallel { workers: 2 });
+        let _guard = exec::install(ExecMode::Parallel { workers: 2 }).expect("pool spawns");
         replay(&cfg).expect("valid config").jsonl()
     };
     assert_eq!(serial, parallel);

@@ -1,5 +1,5 @@
 //! Trace/ledger consistency: the event stream captured by
-//! `parqp_trace::Recorder` must mirror `Cluster`'s accounting exactly.
+//! `parqp_mpc::trace::Recorder` must mirror `Cluster`'s accounting exactly.
 //!
 //! For every algorithm the trace's totals (Σ tuples, Σ words) equal the
 //! `LoadReport`'s, and for algorithms whose reports are built round by
