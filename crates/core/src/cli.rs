@@ -114,10 +114,9 @@ fn lint_run(args: &[String]) -> (String, i32) {
     if code == 0 {
         let _ = writeln!(
             s,
-            "parqp-lint: clean ({} files, {} crates, {} worker roots checked)",
+            "parqp-lint: clean ({} files, {} crates)",
             report.files_scanned,
-            report.panic_counts.len(),
-            report.worker_roots.len()
+            report.panic_counts.len()
         );
     } else {
         let _ = writeln!(s, "parqp-lint: {} finding(s)", report.diagnostics.len());
@@ -188,7 +187,7 @@ fn usage() -> String {
               metrics gate measures\n\
      lint     [--format text|json]\n\
               run the in-tree static analyzer (determinism, layering,\n\
-              worker-purity rules PQ401-PQ408) over the workspace;\n\
+              panic-surface and offline rules) over the workspace;\n\
               exits 0 clean, 1 findings, 2 setup error\n\
      \n\
      global   --exec serial|parallel [--workers N]\n\
@@ -1414,14 +1413,12 @@ mod tests {
     fn lint_front_door_reports_a_clean_workspace() {
         let out = dispatch(&argv(&["lint"])).expect("workspace is lint-clean");
         assert!(out.contains("parqp-lint: clean"), "got: {out}");
-        assert!(out.contains("worker roots checked"), "got: {out}");
     }
 
     #[test]
     fn lint_front_door_json_format() {
         let out = dispatch(&argv(&["lint", "--format", "json"])).expect("json works");
         assert!(out.contains("\"clean\": true"), "got: {out}");
-        assert!(out.contains("\"worker_roots\""), "got: {out}");
     }
 
     #[test]

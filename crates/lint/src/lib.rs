@@ -19,7 +19,9 @@
 //!   committed `lint/baseline.toml`;
 //! - **offline guard** (`PQ301`/`PQ302`, [`manifest`]) — every
 //!   dependency resolves inside the repo, and `rand`/`proptest`/
-//!   `criterion` never return.
+//!   `criterion` never return;
+//! - **dead suppressions** (`PQ408`, [`lint_files`]) — an `allow(...)`
+//!   that suppresses nothing is itself a finding.
 //!
 //! Run it with `cargo run -p parqp-lint`; suppress a finding with an
 //! inline `// parqp-lint: allow(PQxxx)` comment (same line, or a lone
@@ -29,9 +31,6 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
-pub mod callgraph;
-pub mod effects;
-pub mod items;
 pub mod manifest;
 pub mod ratchet;
 pub mod rules;
@@ -75,11 +74,6 @@ pub struct LintReport {
     pub panic_counts: BTreeMap<String, PanicCounts>,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
-    /// Worker-context roots the effect analysis found (PQ401–PQ404).
-    /// Non-empty on a healthy workspace — the self-check test asserts
-    /// the analysis actually saw the mpc/join/sort/matmul worker phases
-    /// rather than vacuously passing.
-    pub worker_roots: Vec<effects::RootInfo>,
 }
 
 /// Locate the workspace root from this crate's manifest dir (two levels
@@ -157,19 +151,17 @@ impl LoadedFile {
 }
 
 /// What [`lint_files`] produced for a file set: source-level
-/// diagnostics (token rules, effect analysis, PQ408) plus the raw
-/// panic counts and detected worker roots.
+/// diagnostics (token rules, PQ408) plus the raw panic counts.
 pub struct SourceOutcome {
     pub diagnostics: Vec<Diagnostic>,
     pub panic_counts: BTreeMap<String, PanicCounts>,
-    pub worker_roots: Vec<effects::RootInfo>,
 }
 
-/// Phases B–E of the lint over an already-loaded file set: per-file
-/// token rules and panic counting, workspace-global effect analysis,
-/// central `allow(...)` suppression with usage tracking, and the PQ408
-/// dead-suppression pass. [`lint_workspace`] wraps this with manifest
-/// rules and the ratchet comparison; fixture tests call it directly.
+/// Phases B–C of the lint over an already-loaded file set: per-file
+/// token rules and panic counting with `allow(...)` usage tracking,
+/// then the PQ408 dead-suppression pass. [`lint_workspace`] wraps this
+/// with manifest rules and the ratchet comparison; fixture tests call
+/// it directly.
 pub fn lint_files(loaded: &[LoadedFile]) -> SourceOutcome {
     let mut diagnostics = Vec::new();
     let mut panic_counts: BTreeMap<String, PanicCounts> = BTreeMap::new();
@@ -193,40 +185,7 @@ pub fn lint_files(loaded: &[LoadedFile]) -> SourceOutcome {
         }
     }
 
-    // Phase C: workspace-global effect analysis (PQ401–PQ404).
-    let inputs: Vec<effects::FileInput> = loaded
-        .iter()
-        .map(|lf| effects::FileInput {
-            crate_name: &lf.crate_name,
-            path: &lf.rel_path,
-            file: &lf.file,
-        })
-        .collect();
-    let effect_report = effects::analyze(&inputs);
-    drop(inputs);
-
-    // Phase D: central suppression for the effect family (its
-    // diagnostics can anchor in *other* files than the root's, so the
-    // per-file rule loop cannot do this).
-    let path_to_idx: BTreeMap<&str, usize> = loaded
-        .iter()
-        .enumerate()
-        .map(|(i, lf)| (lf.rel_path.as_str(), i))
-        .collect();
-    for d in effect_report.diagnostics {
-        let allowed = path_to_idx.get(d.path.as_str()).copied().and_then(|fi| {
-            let line = loaded[fi].file.lines.get(d.line.wrapping_sub(1))?;
-            line.allows(d.rule).then_some((fi, d.line))
-        });
-        match allowed {
-            Some((fi, line)) => {
-                used_allows.insert((fi, line, d.rule.to_string()));
-            }
-            None => diagnostics.push(d),
-        }
-    }
-
-    // Phase E: PQ408 — allow annotations that suppressed nothing.
+    // Phase C: PQ408 — allow annotations that suppressed nothing.
     // An `allow(PQ408)` on the same line vets its stale neighbours
     // (one level only: a dead PQ408 allow is always reported).
     let mut dead: Vec<(usize, usize, String)> = Vec::new();
@@ -271,7 +230,6 @@ pub fn lint_files(loaded: &[LoadedFile]) -> SourceOutcome {
     SourceOutcome {
         diagnostics,
         panic_counts,
-        worker_roots: effect_report.roots,
     }
 }
 
@@ -281,13 +239,11 @@ pub fn lint_files(loaded: &[LoadedFile]) -> SourceOutcome {
 /// `None` skips the comparison (used by `--fix-baseline`, which only
 /// wants the counts back).
 ///
-/// Structure: load *every* source file first (phase A), run the
-/// per-file token rules and panic counting (phase B), then the
-/// workspace-global effect analysis (phase C — PQ401–PQ404 need the
-/// whole call graph at once), apply `allow(...)` suppression centrally
-/// while recording which annotations earned their keep (phase D), and
-/// finally flag the annotations that suppressed nothing as PQ408
-/// (phase E) before the baseline comparison.
+/// Structure: load every source file (phase A), run the per-file
+/// token rules and panic counting while recording which `allow(...)`
+/// annotations earned their keep (phase B), and flag the annotations
+/// that suppressed nothing as PQ408 (phase C) before the baseline
+/// comparison.
 pub fn lint_workspace(root: &Path, baseline: Option<&Baseline>) -> Result<LintReport, String> {
     let mut diagnostics = Vec::new();
     let mut panic_counts: BTreeMap<String, PanicCounts> = BTreeMap::new();
@@ -329,7 +285,7 @@ pub fn lint_workspace(root: &Path, baseline: Option<&Baseline>) -> Result<LintRe
     }
     let files_scanned = loaded.len();
 
-    // Phases B–E over the loaded set.
+    // Phases B–C over the loaded set.
     let outcome = lint_files(&loaded);
     diagnostics.extend(outcome.diagnostics);
     for (name, counts) in outcome.panic_counts {
@@ -350,7 +306,6 @@ pub fn lint_workspace(root: &Path, baseline: Option<&Baseline>) -> Result<LintRe
         stale_baseline,
         panic_counts,
         files_scanned,
-        worker_roots: outcome.worker_roots,
     })
 }
 
@@ -391,26 +346,6 @@ pub fn render_json(report: &LintReport) -> String {
             out.push_str(", ");
         }
         out.push_str(&format!("\"{}\"", json_escape(s)));
-    }
-    out.push_str("],\n");
-
-    out.push_str("  \"worker_roots\": [");
-    for (i, r) in report.worker_roots.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"path\": \"{}\", \"line\": {}, \"crate\": \"{}\", \"closure\": {}, \
-             \"reachable_fns\": {}}}",
-            json_escape(&r.path),
-            r.line,
-            json_escape(&r.crate_name),
-            r.closure,
-            r.reachable_fns
-        ));
-    }
-    if !report.worker_roots.is_empty() {
-        out.push_str("\n  ");
     }
     out.push_str("],\n");
 

@@ -155,10 +155,9 @@ fn run() -> Result<i32, String> {
         }
         if report.diagnostics.is_empty() {
             println!(
-                "parqp-lint: clean ({} files, {} crates, {} worker roots checked)",
+                "parqp-lint: clean ({} files, {} crates)",
                 report.files_scanned,
-                report.panic_counts.len(),
-                report.worker_roots.len()
+                report.panic_counts.len()
             );
         } else {
             eprintln!("parqp-lint: {} finding(s)", report.diagnostics.len());

@@ -14,8 +14,9 @@
 //! | PQ002 | determinism | `RandomState` / `DefaultHasher` (per-process seeds)     |
 //! | PQ003 | determinism | `Instant::now` / `SystemTime` (wall clock)              |
 //! | PQ004 | determinism | `thread::spawn` / `std::thread` (scheduling order)      |
-//! | PQ103 | layering    | OS side channels (`std::fs`, `std::io`, …) in algorithm |
-//! |       |             | and simulator crates                                    |
+//! | PQ103 | layering    | OS side channels (`std::fs`, `std::io`, `println!`, …)  |
+//! |       |             | in algorithm and simulator crates; `std::sync` there    |
+//! |       |             | and in `data`                                           |
 //! | PQ104 | layering    | constructing accounting types (`RoundStats`, literal    |
 //! |       |             | `LoadReport`, an `Exchange` type) outside `parqp-mpc`   |
 //! | PQ109 | layering    | raw page access or IO-counter fabrication               |
@@ -56,6 +57,11 @@ use crate::Diagnostic;
 pub const SIDE_CHANNEL_SCOPE: &[&str] = &[
     "mpc", "lp", "query", "join", "sort", "matmul", "store", "serve", "obs",
 ];
+
+/// Why stdout/stderr writes are a side channel: the one effect of a
+/// `Cluster::map` closure that running it detached cannot hide.
+const PRINT_MESSAGE: &str = "stdout/stderr writes from worker threads interleave in scheduling \
+                             order; return the value and let the CLI print it";
 
 /// The one file in the workspace allowed to touch `std::thread`: the
 /// sanctioned worker pool behind `mpc::exec`'s parallel mode. Its
@@ -198,6 +204,54 @@ const TOKEN_RULES: &[TokenRule] = &[
         rule: "PQ103",
         token: "std::sync",
         message: "shared-memory synchronization has no MPC counterpart; servers share nothing",
+        scope: Some(SIDE_CHANNEL_SCOPE),
+        exempt: &[],
+        exempt_paths: &[],
+    },
+    TokenRule {
+        rule: "PQ103",
+        token: "std::sync",
+        message: "data may touch the OS but not share memory: its helpers run inside Cluster::map closures",
+        scope: Some(&["data"]),
+        exempt: &[],
+        exempt_paths: &[],
+    },
+    TokenRule {
+        rule: "PQ103",
+        token: "println!",
+        message: PRINT_MESSAGE,
+        scope: Some(SIDE_CHANNEL_SCOPE),
+        exempt: &[],
+        exempt_paths: &[],
+    },
+    TokenRule {
+        rule: "PQ103",
+        token: "eprintln!",
+        message: PRINT_MESSAGE,
+        scope: Some(SIDE_CHANNEL_SCOPE),
+        exempt: &[],
+        exempt_paths: &[],
+    },
+    TokenRule {
+        rule: "PQ103",
+        token: "print!",
+        message: PRINT_MESSAGE,
+        scope: Some(SIDE_CHANNEL_SCOPE),
+        exempt: &[],
+        exempt_paths: &[],
+    },
+    TokenRule {
+        rule: "PQ103",
+        token: "eprint!",
+        message: PRINT_MESSAGE,
+        scope: Some(SIDE_CHANNEL_SCOPE),
+        exempt: &[],
+        exempt_paths: &[],
+    },
+    TokenRule {
+        rule: "PQ103",
+        token: "dbg!",
+        message: PRINT_MESSAGE,
         scope: Some(SIDE_CHANNEL_SCOPE),
         exempt: &[],
         exempt_paths: &[],
@@ -411,7 +465,7 @@ pub fn contains_token(code: &str, token: &str) -> bool {
 
 /// Find `Token {` (a struct literal) that is not a function return type
 /// (`-> Token {`). Returns the byte offset of the token.
-pub(crate) fn find_struct_literal(code: &str, token: &str) -> Option<usize> {
+fn find_struct_literal(code: &str, token: &str) -> Option<usize> {
     let bytes = code.as_bytes();
     let mut start = 0;
     while let Some(pos) = code[start..].find(token) {
@@ -527,6 +581,24 @@ mod tests {
         assert!(rules_of("core", "use std::env;\n").is_empty());
         // the instruments inside mpc are as pure as the simulator.
         assert_eq!(rules_of("mpc", "use std::fs;\n"), vec![("PQ103", 1)]);
+    }
+
+    #[test]
+    fn prints_and_shared_memory_are_side_channels() {
+        let prints =
+            "println!(\"x\");\neprintln!(\"x\");\nprint!(\"x\");\neprint!(\"x\");\ndbg!(x);\n";
+        let every_line: Vec<_> = (1..=5).map(|line| ("PQ103", line)).collect();
+        assert_eq!(rules_of("join", prints), every_line);
+        assert_eq!(rules_of("mpc", prints), every_line);
+        // The CLI, the bench tables and file I/O legitimately print.
+        assert!(rules_of("core", prints).is_empty());
+        assert!(rules_of("data", prints).is_empty());
+        // data may touch the OS, but not share memory between servers.
+        assert_eq!(
+            rules_of("data", "use std::sync::Mutex;\n"),
+            vec![("PQ103", 1)]
+        );
+        assert!(rules_of("core", "use std::sync::Mutex;\n").is_empty());
     }
 
     #[test]

@@ -13,7 +13,7 @@ use parqp_lint::manifest::lint_manifest;
 use parqp_lint::ratchet::{count_file, Baseline, PanicCounts};
 use parqp_lint::rules::lint_source;
 use parqp_lint::tokenize::sanitize;
-use parqp_lint::Diagnostic;
+use parqp_lint::{lint_files, Diagnostic, LoadedFile};
 
 /// Reduce diagnostics to comparable `(rule, line)` pairs.
 fn hits(diags: &[Diagnostic]) -> Vec<(&'static str, usize)> {
@@ -266,4 +266,62 @@ fn offline_violations_reported() {
             ("PQ302", 10), // rand, banned even as a path dependency
         ]
     );
+}
+
+// --------------------------------------------------------------------- PQ408
+
+#[test]
+fn dead_allow_annotations_are_flagged_and_vetted_ones_are_not() {
+    let out = lint_files(&[LoadedFile::from_source(
+        "join",
+        "fixtures/dead_allow.rs",
+        include_str!("fixtures/dead_allow.rs"),
+    )]);
+    assert_eq!(
+        hits(&out.diagnostics),
+        vec![
+            ("PQ000", 24), // allow(PQ99): malformed ID, PQ000's business not PQ408's
+            ("PQ408", 4),  // allow(PQ001) on a BTreeMap import suppresses nothing
+            ("PQ408", 7),  // allow(PQ201) on a panic-free line
+            ("PQ408", 20), // a lone allow(PQ408) vets nothing → itself stale
+        ]
+    );
+    // Line 11's allow(PQ201) earned its keep (v[0] is an index site) and
+    // line 15's dead allow(PQ201) is vetted by its same-line allow(PQ408).
+    assert!(!hits(&out.diagnostics)
+        .iter()
+        .any(|h| h.1 == 11 || h.1 == 15));
+}
+
+// --------------------------------------------------------- tokenizer edges
+
+#[test]
+fn tokenizer_hides_raw_strings_comments_and_continuations_not_code() {
+    let src = include_str!("fixtures/tokenizer_edge.rs");
+    let f = sanitize(src);
+    assert_eq!(f.lines.len(), 14);
+    assert!(
+        !f.lines[6].code.contains("HashMap"),
+        "raw string contents dropped: {}",
+        f.lines[6].code
+    );
+    assert!(
+        !f.lines[7].code.contains('#') || f.lines[7].code.starts_with("#["),
+        "byte raw string with hashes dropped: {}",
+        f.lines[7].code
+    );
+    assert!(
+        !f.lines[8].code.contains("HashMap"),
+        "nested block comment dropped: {}",
+        f.lines[8].code
+    );
+    assert!(
+        !f.lines[10].code.contains("HashMap"),
+        "escaped-newline continuation stays string: {}",
+        f.lines[10].code
+    );
+    // The one *real* HashMap::new() is flagged at exactly line 12 — the
+    // string continuation above must not shift later line numbers.
+    let diags = lint_source("join", "fixtures/tokenizer_edge.rs", &f);
+    assert_eq!(hits(&diags), vec![("PQ001", 12)]);
 }

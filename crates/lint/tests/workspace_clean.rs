@@ -32,51 +32,6 @@ fn workspace_is_lint_clean_under_committed_baseline() {
     );
 }
 
-/// The effect analysis must have *found* the shipped worker phases —
-/// a clean report with zero roots would mean root detection broke and
-/// PQ401–PQ404 pass vacuously.
-#[test]
-fn effect_analysis_sees_the_shipped_worker_phases() {
-    let root = workspace_root();
-    let baseline = load_baseline(&root).expect("baseline parses");
-    let report = lint_workspace(&root, Some(&baseline)).expect("workspace lint runs");
-
-    let roots = &report.worker_roots;
-    assert!(
-        roots.len() >= 9,
-        "only {} worker roots found — map/try_map detection regressed:\n{:#?}",
-        roots.len(),
-        roots
-    );
-    // Every shipped parallel algorithm contributes at least one root.
-    for file in [
-        "crates/join/src/twoway.rs",
-        "crates/join/src/multiway.rs",
-        "crates/join/src/plans.rs",
-        "crates/sort/src/psrs.rs",
-        "crates/matmul/src/square.rs",
-    ] {
-        assert!(
-            roots.iter().any(|r| r.path == file),
-            "no worker root detected in {file}"
-        );
-    }
-    // All algorithm-crate roots are closure literals (checkable), and
-    // the call graph actually followed helpers out of at least some of
-    // them — zero reachable fns everywhere would mean resolution broke.
-    assert!(
-        roots
-            .iter()
-            .filter(|r| r.crate_name != "mpc" && r.crate_name != "testkit")
-            .all(|r| r.closure),
-        "an algorithm-crate worker job is not a closure literal:\n{roots:#?}"
-    );
-    assert!(
-        roots.iter().any(|r| r.reachable_fns > 0),
-        "no root reaches any workspace function — edge resolution broke:\n{roots:#?}"
-    );
-}
-
 #[test]
 fn baseline_covers_every_member_crate() {
     let root = workspace_root();

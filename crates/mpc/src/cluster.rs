@@ -123,14 +123,16 @@ impl Cluster {
     /// inline loop; under `Parallel` each server's closure runs on a
     /// pool worker and `map` blocks until the whole phase finishes (the
     /// exchange boundaries on the calling thread are the barriers).
-    /// Results always merge in server order, so both modes are
-    /// byte-identical. `f` must be pure with respect to the run
-    /// context (trace sink, metrics registry, fault runtime): workers
-    /// never see anything installed.
+    /// Results always merge in server order, and in both modes `f`
+    /// sees an empty run context and no paged store (the serial loop
+    /// runs [detached](crate::context)), so spans, announced bounds and
+    /// paged reads inside `f` are inert and both modes are
+    /// byte-identical.
     ///
     /// # Panics
-    /// Re-raises the first panicking server's panic (in submit order);
-    /// use [`Cluster::try_map`] for a typed error instead.
+    /// Re-raises the first panicking server's panic (in submit order),
+    /// with the run context and the store restored; use
+    /// [`Cluster::try_map`] for a typed error instead.
     pub fn map<I, O, F>(&self, items: Vec<I>, f: F) -> Vec<O>
     where
         I: Send,
@@ -138,11 +140,13 @@ impl Cluster {
         F: Fn(usize, I) -> O + Sync,
     {
         match &self.pool {
-            None => items
-                .into_iter()
-                .enumerate()
-                .map(|(s, it)| f(s, it))
-                .collect(),
+            None => detached(|| {
+                items
+                    .into_iter()
+                    .enumerate()
+                    .map(|(s, it)| f(s, it))
+                    .collect()
+            }),
             Some(pool) => match pool.map(items, f) {
                 Ok(out) => out,
                 Err(e) => std::panic::resume_unwind(Box::new(e.message)),
@@ -150,9 +154,12 @@ impl Cluster {
         }
     }
 
-    /// Fallible [`Cluster::map`]: a panic on any server (worker or
-    /// inline) is caught and returned as [`MpcError::WorkerPanic`],
-    /// never a hang — the rest of the phase still runs to completion.
+    /// Fallible [`Cluster::map`]: a panic on any server is caught and
+    /// returned as [`MpcError::WorkerPanic`] naming the first panicking
+    /// server in submit order — never a hang, and the run context and
+    /// the store are restored. Whether later servers still run is not
+    /// part of the contract: the serial loop stops at the panic, the
+    /// pool finishes the batch.
     pub fn try_map<I, O, F>(&self, items: Vec<I>, f: F) -> Result<Vec<O>, MpcError>
     where
         I: Send,
@@ -160,7 +167,7 @@ impl Cluster {
         F: Fn(usize, I) -> O + Sync,
     {
         match &self.pool {
-            None => {
+            None => detached(|| {
                 let mut out = Vec::with_capacity(items.len());
                 for (s, it) in items.into_iter().enumerate() {
                     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(s, it))) {
@@ -174,7 +181,7 @@ impl Cluster {
                     }
                 }
                 Ok(out)
-            }
+            }),
             Some(pool) => pool.map(items, f).map_err(|e| MpcError::WorkerPanic {
                 server: e.job,
                 message: e.message,
@@ -494,6 +501,12 @@ impl ExchangeTrace {
             dims: None,
         }
     }
+}
+
+/// Run a serial local-compute phase the way a pool thread would see
+/// it: with both ambient slots (run context, store) empty.
+fn detached<R>(phase: impl FnOnce() -> R) -> R {
+    context::detached(|| store::detached(phase))
 }
 
 /// Tick the live fault runtime's round clock and return the faults
@@ -872,6 +885,42 @@ mod tests {
         });
         assert_eq!(totals.len(), 3, "ensure_servers sized one pool per server");
         assert!(totals.iter().all(|s| s.is_zero()));
+    }
+
+    #[test]
+    fn serial_map_hides_both_slots_and_restores_them_after_a_panic() {
+        let cfg = store::StoreConfig {
+            page_size: 4,
+            pool_pages: 2,
+        };
+        let (reg, (totals, ())) = metrics::capture(|| {
+            store::capture(cfg, || {
+                let c = Cluster::new(2);
+                assert_eq!(c.exec_mode(), crate::exec::ExecMode::Serial);
+                let dies = |s: usize, page: u64| {
+                    assert!(!context::is_metered() && !store::is_enabled());
+                    store::touch_page(s, page, 9); // charged to nobody
+                    assert!(s != 1, "server one dies");
+                };
+                let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    c.map(vec![0, 1], dies)
+                }));
+                assert!(unwound.is_err());
+                assert!(context::is_metered() && store::is_enabled(), "after map");
+                let err = c.try_map(vec![0, 1], dies).unwrap_err();
+                assert!(matches!(err, MpcError::WorkerPanic { server: 1, .. }));
+                assert!(
+                    context::is_metered() && store::is_enabled(),
+                    "after try_map"
+                );
+                // The restored store and registry are the ones installed
+                // above, still live and still wired to each other.
+                store::touch_page(0, store::alloc_pages(1).unwrap(), 3);
+                let _ = c.report();
+            })
+        });
+        assert_eq!(reg.io_reads(), 3);
+        assert_eq!(totals.iter().map(|s| s.reads).sum::<u64>(), 3);
     }
 
     #[test]

@@ -18,6 +18,16 @@
 //! trace sink, fault plan and pool live, and the outer registry
 //! resumes (state intact) when the inner guard drops.
 //!
+//! ## Detached phases
+//!
+//! A `Cluster::map` closure is one shared-nothing server's local
+//! compute: on a pool thread it finds this slot (and the store's) empty,
+//! and in serial mode `Cluster` runs it under `detached`, which
+//! empties both for the duration of the phase and restores them
+//! afterwards (panic-safe). A span, an announced bound, a paged read or
+//! a nested install inside a worker closure is therefore equally inert
+//! in both modes — worker purity holds by construction, not by lint.
+//!
 //! ## Why the hooks are `pub(crate)`
 //!
 //! The slot and its one legitimate feeder, `Cluster`, live in the same
@@ -135,6 +145,19 @@ pub(crate) fn capture<T, R>(
         .expect("capture's instrument must not be retained past the closure")
         .into_inner();
     (state, result)
+}
+
+/// Run `f` with nothing installed — what a worker-pool thread sees —
+/// and put the live installs back afterwards, even if `f` panics.
+pub(crate) fn detached<R>(f: impl FnOnce() -> R) -> R {
+    struct Restore(Vec<(u64, Instrument)>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            CONTEXT.with(|c| c.borrow_mut().live = std::mem::take(&mut self.0));
+        }
+    }
+    let _restore = Restore(CONTEXT.with(|c| std::mem::take(&mut c.borrow_mut().live)));
+    f()
 }
 
 /// Whether any live instrument satisfies `is_kind`.

@@ -15,9 +15,13 @@
 //!    returns;
 //! 2. the pool stores job `i`'s output in slot `i`, so results merge
 //!    in server order regardless of completion order;
-//! 3. worker closures are pure (`Fn(usize, I) -> O`): the run context
-//!    (trace sink, metrics registry, fault runtime) lives on the
-//!    calling thread and is never touched from a worker.
+//! 3. worker closures (`Fn(usize, I) -> O + Sync`) see the same empty
+//!    world in both modes: a pool thread's run context and store slot
+//!    are empty, and the serial loop runs
+//!    [detached](crate::context) from both for the duration of the
+//!    phase. A span, an announced bound or a paged read inside a worker
+//!    is inert either way; sends and `record_round` need `&mut Cluster`,
+//!    which `map(&self)` cannot lend.
 //!
 //! Hence ledgers, trace streams, metrics registries, and output
 //! digests are byte-identical to serial mode *by construction*.

@@ -71,7 +71,7 @@ where
 
     // Phase 1: local sort + regular sample.
     let local: Vec<Vec<T>> = cluster.map(local, |_, mut part| {
-        part.sort_by_key(|t| key(t)); // parqp-lint: allow(PQ404) caller-supplied key extractor, pure by contract
+        part.sort_by_key(|t| key(t));
         part
     });
     // Round 1: broadcast regular samples (p−1 keys per server).
@@ -114,7 +114,7 @@ where
     }
     let partitions = ex.finish();
     cluster.map(partitions, |_, mut part| {
-        part.sort_by_key(|t| key(t)); // parqp-lint: allow(PQ404) caller-supplied key extractor, pure by contract
+        part.sort_by_key(|t| key(t));
         part
     })
 }

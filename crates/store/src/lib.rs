@@ -32,6 +32,7 @@ pub use page::{MemStore, Page, PageId, PageStore};
 pub use pool::{BufferPool, IoStats};
 pub use region::{IoCursor, IoRegion};
 pub use runtime::{
-    alloc_pages, capture, config, drain_io, ensure_servers, install, io_report, is_enabled,
-    reset_io, touch_page, StoreConfig, StoreGuard, DEFAULT_PAGE_SIZE, DEFAULT_POOL_PAGES,
+    alloc_pages, capture, config, detached, drain_io, ensure_servers, install, io_report,
+    is_enabled, reset_io, touch_page, StoreConfig, StoreGuard, DEFAULT_PAGE_SIZE,
+    DEFAULT_POOL_PAGES,
 };

@@ -7,9 +7,11 @@
 //! simulator is single-threaded by design (PQ004), so one thread-local
 //! slot is the whole "global" state. [`install`] puts a runtime built from a
 //! [`StoreConfig`] in the slot and returns a [`StoreGuard`] that
-//! restores the previous runtime on drop (panic-safe). When nothing is
-//! installed every entry point is a no-op, so the unpaged path pays
-//! nothing and — by construction — behaves identically.
+//! removes exactly that install on drop (panic-safe, in any drop order).
+//! When nothing is installed every entry point is a no-op, so the
+//! unpaged path pays nothing and — by construction — behaves
+//! identically. [`detached`] empties the slot for the duration of a
+//! serial `Cluster::map` phase, which is what a pool thread sees anyway.
 //!
 //! Layering (lint rule PQ109): [`alloc_pages`]/[`touch_page`] are the
 //! paged layer's private wire — only `parqp-store` itself and
@@ -85,19 +87,22 @@ impl Runtime {
 }
 
 thread_local! {
-    static ACTIVE: RefCell<Option<Rc<RefCell<Runtime>>>> = const { RefCell::new(None) };
+    /// Live installs, outermost first; the last one is the live runtime.
+    static ACTIVE: RefCell<Vec<Rc<RefCell<Runtime>>>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Restores the previously installed runtime when dropped.
+/// Removes the install it was returned for when dropped — on scope
+/// exit, on panic, or out of LIFO order — and nothing else.
 #[must_use = "dropping the guard immediately uninstalls the paged store"]
 pub struct StoreGuard {
-    previous: Option<Rc<RefCell<Runtime>>>,
+    runtime: Rc<RefCell<Runtime>>,
 }
 
 impl Drop for StoreGuard {
     fn drop(&mut self) {
-        ACTIVE.with(|slot| {
-            *slot.borrow_mut() = self.previous.take();
+        ACTIVE.with(|live| {
+            live.borrow_mut()
+                .retain(|rt| !Rc::ptr_eq(rt, &self.runtime));
         });
     }
 }
@@ -106,20 +111,31 @@ impl Drop for StoreGuard {
 /// drops. Nesting is allowed; the innermost install wins and the outer
 /// runtime resumes when the inner guard drops.
 pub fn install(config: StoreConfig) -> StoreGuard {
-    install_shared(config).0
+    let runtime = Rc::new(RefCell::new(Runtime::new(config)));
+    ACTIVE.with(|live| live.borrow_mut().push(runtime.clone()));
+    StoreGuard { runtime }
 }
 
-fn install_shared(config: StoreConfig) -> (StoreGuard, Rc<RefCell<Runtime>>) {
-    let shared = Rc::new(RefCell::new(Runtime::new(config)));
-    let previous = ACTIVE.with(|slot| slot.borrow_mut().replace(shared.clone()));
-    (StoreGuard { previous }, shared)
+/// Run `f` with no store installed — what a worker-pool thread sees —
+/// and put the live installs back afterwards, even if `f` panics.
+/// `parqp-mpc` runs serial local-compute phases under this, so a
+/// `Cluster::map` closure sees the same (empty) slot in both exec modes.
+pub fn detached<R>(f: impl FnOnce() -> R) -> R {
+    struct Restore(Vec<Rc<RefCell<Runtime>>>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            ACTIVE.with(|live| *live.borrow_mut() = std::mem::take(&mut self.0));
+        }
+    }
+    let _restore = Restore(ACTIVE.with(|live| std::mem::take(&mut *live.borrow_mut())));
+    f()
 }
 
 /// Whether a paged store is currently installed. Paged scans check
 /// this once up front and fall back to plain in-memory iteration when
 /// it is off.
 pub fn is_enabled() -> bool {
-    ACTIVE.with(|slot| slot.borrow().is_some())
+    ACTIVE.with(|live| !live.borrow().is_empty())
 }
 
 /// The installed configuration, if any.
@@ -197,11 +213,10 @@ pub fn io_report() -> Vec<IoStats> {
 /// per-server totals alongside `f`'s result. The previous runtime (if
 /// any) is restored afterwards, even if `f` panics.
 pub fn capture<R>(config: StoreConfig, f: impl FnOnce() -> R) -> (Vec<IoStats>, R) {
-    let (guard, shared) = install_shared(config);
-    let result = {
-        let _guard = guard;
-        f()
-    };
+    let guard = install(config);
+    let shared = guard.runtime.clone();
+    let result = f();
+    drop(guard);
     let runtime = Rc::try_unwrap(shared)
         .expect("capture's store runtime must not be retained past the closure")
         .into_inner();
@@ -212,10 +227,7 @@ pub fn capture<R>(config: StoreConfig, f: impl FnOnce() -> R) -> (Vec<IoStats>, 
 }
 
 fn with<R>(f: impl FnOnce(&mut Runtime) -> R) -> Option<R> {
-    ACTIVE.with(|slot| {
-        let slot = slot.borrow();
-        slot.as_ref().map(|rt| f(&mut rt.borrow_mut()))
-    })
+    ACTIVE.with(|live| live.borrow().last().map(|rt| f(&mut rt.borrow_mut())))
 }
 
 #[cfg(test)]
@@ -311,6 +323,40 @@ mod tests {
         }
         assert_eq!(config().map(|c| c.page_size), Some(DEFAULT_PAGE_SIZE));
         assert_eq!(alloc_pages(1), Some(10), "outer allocator resumed");
+    }
+
+    #[test]
+    fn guards_dropped_out_of_order_remove_only_their_own_install() {
+        let outer = install(StoreConfig::default());
+        let inner = install(StoreConfig {
+            page_size: 4,
+            pool_pages: 2,
+        });
+        drop(outer);
+        assert_eq!(
+            config().map(|c| c.page_size),
+            Some(4),
+            "dropping the outer guard must leave the inner runtime live"
+        );
+        drop(inner);
+        assert!(!is_enabled(), "the dead outer runtime must not come back");
+    }
+
+    #[test]
+    fn detached_hides_the_live_runtime_and_restores_it() {
+        let _g = install(StoreConfig::default());
+        touch_page(0, 0, 3);
+        let caught = std::panic::catch_unwind(|| {
+            detached(|| {
+                assert!(!is_enabled());
+                touch_page(0, 0, 5); // charged to nobody
+                let _inner = install(StoreConfig::default());
+                assert_eq!(alloc_pages(1), Some(0), "a worker may install its own");
+                panic!("boom");
+            })
+        });
+        assert!(caught.is_err());
+        assert_eq!(io_report()[0].reads, 3, "restored, untouched, on panic");
     }
 
     #[test]

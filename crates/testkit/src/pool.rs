@@ -28,8 +28,9 @@ pub fn ncpu() -> usize {
 
 /// A job panicked inside [`WorkerPool::map`].
 ///
-/// `job` is the submit-order index of the first panicking job observed;
-/// `message` is its panic payload rendered as text.
+/// `job` is the lowest submit-order index among the panicking jobs
+/// (the one a serial loop would have stopped at); `message` is its
+/// panic payload rendered as text.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PoolError {
     /// Submit-order index of the panicking job.
@@ -165,7 +166,7 @@ impl WorkerPool {
     ///
     /// Blocks until the whole batch has finished. If any job panics the
     /// remaining jobs still run (so borrowed state stays sound), and
-    /// the first panic is returned as a [`PoolError`].
+    /// the first panic in submit order is returned as a [`PoolError`].
     pub fn map<I, O, F>(&self, items: Vec<I>, f: F) -> Result<Vec<O>, PoolError>
     where
         I: Send,
@@ -270,7 +271,9 @@ fn worker_loop(shared: &Shared) {
         let outcome = catch_unwind(AssertUnwindSafe(|| unsafe { (task.call)(task.data, job) }));
         let mut st = shared.state.lock().expect("pool lock");
         if let Err(payload) = outcome {
-            if st.failure.is_none() {
+            // Keep the lowest job index, not the first to finish: every
+            // job runs, so this is the first panic in submit order.
+            if st.failure.as_ref().is_none_or(|first| job < first.job) {
                 st.failure = Some(PoolError {
                     job,
                     message: panic_message(payload.as_ref()),
@@ -344,6 +347,29 @@ mod tests {
             .expect_err("job 13 panics");
         assert_eq!(err.job, 13);
         assert!(err.message.contains("unlucky job"), "got: {}", err.message);
+    }
+
+    #[test]
+    fn the_reported_panic_is_the_first_in_submit_order_not_in_time() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        // Two workers, three jobs: job 0 blocks until job 2 starts, and
+        // job 2 can only start on the worker that has already recorded
+        // job 1's panic — so job 0 is always the *second* panic in time.
+        let pool = WorkerPool::new(2);
+        let job_two_started = AtomicBool::new(false);
+        let err = pool
+            .map(vec![(); 3], |job, ()| match job {
+                0 => {
+                    while !job_two_started.load(Ordering::SeqCst) {
+                        thread::yield_now();
+                    }
+                    panic!("job 0 dies");
+                }
+                1 => panic!("job 1 dies"),
+                _ => job_two_started.store(true, Ordering::SeqCst),
+            })
+            .expect_err("two jobs panic");
+        assert_eq!((err.job, err.message.as_str()), (0, "job 0 dies"));
     }
 
     #[test]

@@ -267,6 +267,80 @@ fn compute_bound_experiment_speeds_up_on_multicore_hosts() {
     );
 }
 
+// ------------------------------------------------------- worker purity
+
+/// What a run with every instrument installed left behind.
+#[derive(Debug, PartialEq)]
+struct Residue {
+    out: Vec<(u64, ExecMode)>,
+    jsonl: String,
+    registry: String,
+    io: Vec<parqp::data::paged::IoStats>,
+}
+
+/// One round, one local-compute phase, one more round — under a
+/// recorder, a metrics registry and a 2-page store — with `f` as the
+/// phase's per-server closure.
+fn residue(mode: ExecMode, f: fn(usize, u64) -> (u64, ExecMode)) -> Residue {
+    use parqp::data::paged::{self, StoreConfig};
+    let cfg = StoreConfig {
+        page_size: 4,
+        pool_pages: 2,
+    };
+    exec::with_mode(mode, || {
+        let (registry, (recorder, (out, io))) = parqp::mpc::metrics::capture(|| {
+            parqp::trace::Recorder::capture(|| {
+                let _store = paged::install(cfg);
+                let mut cluster = Cluster::new(4);
+                let shuffle = |cluster: &mut Cluster, items: Vec<u64>| {
+                    let mut ex = cluster.exchange::<u64>();
+                    let mut io = paged::IoCursor::new(0);
+                    for v in items {
+                        io.read(1); // the calling thread's scan is charged
+                        ex.send((v % 4) as usize, v);
+                    }
+                    ex.finish()
+                };
+                let inboxes = shuffle(&mut cluster, (0..40).collect());
+                let sums = inboxes.into_iter().map(|b| b.iter().sum()).collect();
+                let out = cluster.map(sums, f);
+                shuffle(&mut cluster, out.iter().map(|(v, _)| *v).collect());
+                let _ = cluster.report();
+                (out, paged::io_report())
+            })
+        });
+        Residue {
+            out,
+            jsonl: export::jsonl(&recorder),
+            registry: registry_snapshot(&registry),
+            io,
+        }
+    })
+}
+
+#[test]
+fn worker_closures_see_no_instrument_in_either_mode() {
+    use parqp::mpc::metrics::{announce, PaperBound};
+    // Everything a worker could try to leave a mark with.
+    fn noisy(s: usize, v: u64) -> (u64, ExecMode) {
+        let _span = parqp::trace::span("worker/phase");
+        announce(&PaperBound::tuples("worker", 1.0, 1));
+        let mut io = parqp::data::paged::IoCursor::new(s);
+        io.read(9);
+        (v + 1, exec::current())
+    }
+    fn quiet(_: usize, v: u64) -> (u64, ExecMode) {
+        (v + 1, ExecMode::Serial)
+    }
+    let baseline = residue(ExecMode::Serial, quiet);
+    assert!(baseline.jsonl.lines().count() > 4, "the rounds are traced");
+    assert_eq!(baseline.io[0].reads, 44, "the caller's scans are charged");
+    assert_eq!(baseline, residue(ExecMode::Serial, noisy), "serial");
+    let parallel = ExecMode::Parallel { workers: 2 };
+    assert_eq!(baseline, residue(parallel, noisy), "parallel");
+    assert_eq!(baseline, residue(parallel, quiet), "parallel, quiet");
+}
+
 // ------------------------------------------------------------------ pool
 
 #[test]
