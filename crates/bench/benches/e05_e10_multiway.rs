@@ -1,7 +1,9 @@
 //! Wall-clock benches (parqp-testkit harness) for the multiway one-round experiments (E05–E10):
-//! HyperCube, share planning, and SkewHC.
+//! HyperCube, share planning, and SkewHC — plus the local-join kernel on
+//! its own, so a slower HyperCube row can be told apart from a slower
+//! `KeyIndex` without the full `perf` run.
 
-use parqp::data::generate;
+use parqp::data::{generate, KeyIndex};
 use parqp::join::{multiway, skewhc};
 use parqp::prelude::*;
 use parqp_testkit::bench::{BenchmarkId, Criterion};
@@ -18,6 +20,33 @@ fn bench_e05_triangle(c: &mut Criterion) {
         grp.bench_with_input(BenchmarkId::new("hypercube", p), &p, |b, &p| {
             b.iter(|| black_box(multiway::hypercube(&q, &rels, p, 5)))
         });
+    }
+    grp.finish();
+}
+
+/// What every server does after the shuffle above, minus the query:
+/// index `n` rows, then probe with `n` rows at about one match each.
+fn bench_join_kernel(c: &mut Criterion) {
+    let mut grp = c.benchmark_group("join_kernel");
+    grp.sample_size(10);
+    for n in [1_000usize, 100_000] {
+        for cols in [&[0usize][..], &[0, 1]] {
+            // As many distinct keys as rows, whatever the key width.
+            let domain = (n as f64).powf(1.0 / cols.len() as f64).ceil() as u64;
+            let build = generate::uniform(2, n, domain, 51);
+            let probe = generate::uniform(2, n, domain, 52);
+            let shape = format!("{n}rows_{}col", cols.len());
+            grp.bench_function(BenchmarkId::new("build", &shape), |b| {
+                b.iter(|| black_box(KeyIndex::build(&build, cols)))
+            });
+            let index = KeyIndex::build(&build, cols);
+            grp.bench_function(BenchmarkId::new("probe", &shape), |b| {
+                b.iter(|| {
+                    let hits: usize = probe.iter().map(|row| index.probe(row, cols).count()).sum();
+                    black_box(hits)
+                })
+            });
+        }
     }
     grp.finish();
 }
@@ -75,6 +104,7 @@ fn bench_e09_e10_residuals(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_e05_triangle,
+    bench_join_kernel,
     bench_e06_e07_share_planning,
     bench_e08_skewhc,
     bench_e09_e10_residuals

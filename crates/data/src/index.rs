@@ -1,0 +1,365 @@
+//! The local-join kernel: a chained hash index over borrowed rows.
+//!
+//! Every local join in the workspace — the serial oracles, the per-server
+//! phases of the two-way joins, HyperCube, GYM, the binary plans and the
+//! expansion join — is "build a table on some key columns of one row
+//! set, probe it with rows of another". [`KeyIndex`] is that table. It
+//! never copies a row or a key: it borrows the row source and stores two
+//! `u32` vectors, `heads` (one slot per bucket) and `next` (one slot per
+//! row), so a build is two allocations whatever the row count and a
+//! probe is none.
+//!
+//! **Order contract.** Rows are linked in *reverse* at build time, so
+//! walking a bucket's chain visits rows in ascending index — insertion
+//! order. A probe therefore yields its matches exactly as a
+//! `FastMap<key, Vec<row id>>` filled by a forward scan would, and every
+//! join written as "probe rows outer, matches inner" produces the same
+//! output rows in the same order.
+//!
+//! **Verified on probe.** A bucket chain holds every row whose key
+//! hashes there, not only equal keys. Each candidate's key columns are
+//! compared against the probe's before it is yielded, so a hash
+//! collision can cost a comparison but never a false match.
+
+use crate::fasthash::mix;
+use crate::{Relation, Value};
+use std::fmt;
+
+/// End-of-chain marker; also why a row id must stay below `u32::MAX`.
+const NIL: u32 = u32::MAX;
+
+/// A row source an index can be built over and probed from: anything
+/// with `len()` rows addressable by position.
+pub trait Rows {
+    /// Number of rows.
+    fn len(&self) -> usize;
+
+    /// The `i`-th row.
+    fn row(&self, i: usize) -> &[Value];
+
+    /// Whether there are no rows.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+impl Rows for Relation {
+    fn len(&self) -> usize {
+        Relation::len(self)
+    }
+
+    #[inline]
+    fn row(&self, i: usize) -> &[Value] {
+        Relation::row(self, i)
+    }
+}
+
+/// Row-per-allocation sources: `[Vec<Value>]` (exchange inboxes),
+/// `[&Vec<Value>]` (filtered views of one) and the like.
+impl<T: AsRef<[Value]>> Rows for [T] {
+    fn len(&self) -> usize {
+        <[T]>::len(self)
+    }
+
+    #[inline]
+    fn row(&self, i: usize) -> &[Value] {
+        self[i].as_ref()
+    }
+}
+
+/// Why an index could not be built.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum IndexError {
+    /// Row ids are `u32` with `u32::MAX` reserved for end-of-chain.
+    TooManyRows {
+        /// The offending row count.
+        rows: usize,
+    },
+}
+
+impl fmt::Display for IndexError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            IndexError::TooManyRows { rows } => write!(
+                f,
+                "cannot index {rows} rows: row ids are u32 and {NIL} marks end-of-chain"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for IndexError {}
+
+/// A position on one of a [`KeyIndex`]'s bucket chains (see
+/// [`KeyIndex::start`]). The default is the end of every chain.
+#[derive(Debug, Clone, Copy)]
+pub struct Chain(u32);
+
+impl Default for Chain {
+    fn default() -> Self {
+        Chain(NIL)
+    }
+}
+
+/// A hash index on the `cols` of `rows`, borrowing both.
+#[derive(Debug)]
+pub struct KeyIndex<'a, R: Rows + ?Sized> {
+    rows: &'a R,
+    cols: &'a [usize],
+    /// First row of each bucket's chain, or [`NIL`]. Power-of-two length.
+    heads: Vec<u32>,
+    /// The row after row `i` in its chain, or [`NIL`].
+    next: Vec<u32>,
+    /// `64 - log2(heads.len())`: a hash's top bits pick its bucket.
+    shift: u32,
+}
+
+/// Fx-mix the key columns of `row`. One column is one multiply.
+#[inline]
+fn hash_key(row: &[Value], cols: &[usize]) -> u64 {
+    if let [c] = cols {
+        return mix(0, row[*c]);
+    }
+    cols.iter().fold(0, |h, &c| mix(h, row[c]))
+}
+
+#[inline]
+fn key_eq(a: &[Value], a_cols: &[usize], b: &[Value], b_cols: &[usize]) -> bool {
+    if let ([ac], [bc]) = (a_cols, b_cols) {
+        return a[*ac] == b[*bc];
+    }
+    a_cols.iter().zip(b_cols).all(|(&ac, &bc)| a[ac] == b[bc])
+}
+
+impl<'a, R: Rows + ?Sized> KeyIndex<'a, R> {
+    /// Index `rows` on `cols` (in that order; empty means every row
+    /// shares the one empty key, which turns a probe into a full scan —
+    /// the Cartesian product).
+    ///
+    /// # Panics
+    /// Panics if `rows` has `u32::MAX` rows or more (see
+    /// [`KeyIndex::try_build`]) or a row is narrower than a key column.
+    pub fn build(rows: &'a R, cols: &'a [usize]) -> Self {
+        let n = rows.len();
+        assert!(n < NIL as usize, "{}", IndexError::TooManyRows { rows: n });
+        // At most one row per bucket on average, at least two buckets so
+        // the shift stays below 64.
+        let buckets = n.next_power_of_two().max(2);
+        let shift = 64 - buckets.trailing_zeros();
+        let mut heads = vec![NIL; buckets];
+        let mut next = vec![NIL; n];
+        // Linked back to front, so each chain reads front to back.
+        for i in (0..n).rev() {
+            let b = (hash_key(rows.row(i), cols) >> shift) as usize;
+            next[i] = heads[b];
+            heads[b] = i as u32;
+        }
+        Self {
+            rows,
+            cols,
+            heads,
+            next,
+            shift,
+        }
+    }
+
+    /// Fallible [`KeyIndex::build`]: refuses a row count whose ids would
+    /// not fit below the end-of-chain marker instead of wrapping them.
+    pub fn try_build(rows: &'a R, cols: &'a [usize]) -> Result<Self, IndexError> {
+        if rows.len() >= NIL as usize {
+            return Err(IndexError::TooManyRows { rows: rows.len() });
+        }
+        Ok(Self::build(rows, cols))
+    }
+
+    /// Ids of the indexed rows whose key equals `row`'s `cols`, in
+    /// insertion order. No allocation.
+    ///
+    /// # Panics
+    /// Panics if `cols` is not as long as the indexed key.
+    #[inline]
+    pub fn probe<'i>(
+        &'i self,
+        row: &'i [Value],
+        cols: &'i [usize],
+    ) -> impl Iterator<Item = usize> + 'i {
+        let mut chain = self.start(row, cols);
+        std::iter::from_fn(move || self.advance(&mut chain, row, cols))
+    }
+
+    /// [`KeyIndex::probe`] as a resumable position instead of an
+    /// iterator, for a caller that has to write to the probing row's
+    /// buffer between matches (a pipelined multiway join): the bucket
+    /// chain `row`'s `cols` hash to, to be walked by
+    /// [`KeyIndex::advance`] with the same `row` and `cols`.
+    ///
+    /// # Panics
+    /// Panics if `cols` is not as long as the indexed key.
+    #[inline]
+    pub fn start(&self, row: &[Value], cols: &[usize]) -> Chain {
+        assert_eq!(cols.len(), self.cols.len(), "probe key width");
+        Chain(self.heads[(hash_key(row, cols) >> self.shift) as usize])
+    }
+
+    /// The next indexed row on `chain` whose key equals `row`'s `cols`,
+    /// or `None` once the chain is exhausted.
+    #[inline]
+    pub fn advance(&self, chain: &mut Chain, row: &[Value], cols: &[usize]) -> Option<usize> {
+        while chain.0 != NIL {
+            let i = chain.0 as usize;
+            chain.0 = self.next[i];
+            if key_eq(self.rows.row(i), self.cols, row, cols) {
+                return Some(i);
+            }
+        }
+        None
+    }
+
+    /// Whether some indexed row has `row`'s `cols` as its key: the
+    /// semijoin form of [`KeyIndex::probe`].
+    #[inline]
+    pub fn contains(&self, row: &[Value], cols: &[usize]) -> bool {
+        self.probe(row, cols).next().is_some()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn ids<R: Rows + ?Sized>(index: &KeyIndex<'_, R>, key: &[Value]) -> Vec<usize> {
+        let cols: Vec<usize> = (0..key.len()).collect();
+        index.probe(key, &cols).collect()
+    }
+
+    #[test]
+    fn empty_source_matches_nothing() {
+        let rel = Relation::new(2);
+        let index = KeyIndex::build(&rel, &[0]);
+        assert!(ids(&index, &[7]).is_empty());
+        assert!(!index.contains(&[7], &[0]));
+        // Even the empty key has no row to match.
+        let index = KeyIndex::build(&rel, &[]);
+        assert!(ids(&index, &[]).is_empty());
+    }
+
+    #[test]
+    fn single_row() {
+        let rel = Relation::from_rows(2, [[5, 9]]);
+        let index = KeyIndex::build(&rel, &[1]);
+        assert_eq!(ids(&index, &[9]), vec![0]);
+        assert!(ids(&index, &[5]).is_empty());
+    }
+
+    #[test]
+    fn empty_key_list_scans_every_row_in_order() {
+        let rows: Vec<Vec<Value>> = (0..37).map(|i| vec![i, i * i]).collect();
+        let index = KeyIndex::build(rows.as_slice(), &[]);
+        assert_eq!(ids(&index, &[]), (0..37).collect::<Vec<_>>());
+        assert!(index.contains(&[1, 2, 3], &[]));
+    }
+
+    #[test]
+    fn matches_come_in_insertion_order() {
+        // Key 3 at rows 1, 4, 5, 9 between other keys; duplicates kept.
+        let keys = [8, 3, 8, 1, 3, 3, 0, 8, 1, 3];
+        let rel = Relation::from_rows(2, keys.iter().map(|&k| [k, 100 + k]));
+        let index = KeyIndex::build(&rel, &[0]);
+        assert_eq!(ids(&index, &[3]), vec![1, 4, 5, 9]);
+        assert_eq!(ids(&index, &[8]), vec![0, 2, 7]);
+        assert_eq!(ids(&index, &[0]), vec![6]);
+        assert!(ids(&index, &[2]).is_empty());
+    }
+
+    #[test]
+    fn composite_keys_compare_every_column() {
+        let rel = Relation::from_rows(3, [[1, 2, 3], [1, 2, 4], [2, 1, 3], [1, 2, 3]]);
+        let index = KeyIndex::build(&rel, &[0, 1, 2]);
+        assert_eq!(ids(&index, &[1, 2, 3]), vec![0, 3]);
+        assert!(ids(&index, &[3, 2, 1]).is_empty());
+        // Probe columns are the prober's own positions.
+        let index = KeyIndex::build(&rel, &[2, 0]);
+        assert_eq!(
+            index.probe(&[9, 1, 9, 3], &[3, 1]).collect::<Vec<_>>(),
+            vec![0, 3]
+        );
+    }
+
+    #[test]
+    fn colliding_keys_are_told_apart() {
+        // Four buckets for four rows: find keys that land in row 0's
+        // bucket, some equal to its key after the shift, none equal
+        // before it.
+        let shift = 64 - 2;
+        let bucket = |k: Value| mix(0, k) >> shift;
+        let colliders: Vec<Value> = (1..).filter(|&k| bucket(k) == bucket(0)).take(3).collect();
+        let mut keys = vec![0];
+        keys.extend(&colliders);
+        let rel = Relation::from_rows(1, keys.iter().map(|&k| [k]));
+        let index = KeyIndex::build(&rel, &[0]);
+        assert_eq!(index.heads.iter().filter(|&&h| h != NIL).count(), 1);
+        for (i, &k) in keys.iter().enumerate() {
+            assert_eq!(ids(&index, &[k]), vec![i], "key {k}");
+        }
+        // A miss that walks the whole chain.
+        let miss = (1..)
+            .find(|k| bucket(*k) == bucket(0) && !keys.contains(k))
+            .expect("some key collides");
+        assert!(!index.contains(&[miss], &[0]));
+        // High-bit-only differences are different keys.
+        let rel = Relation::from_rows(1, [[1u64], [1 | 1 << 63], [1 | 1 << 40]]);
+        let index = KeyIndex::build(&rel, &[0]);
+        assert_eq!(ids(&index, &[1 | 1 << 63]), vec![1]);
+    }
+
+    #[test]
+    fn row_sources_agree() {
+        let rel = Relation::from_rows(2, [[1, 7], [2, 7], [1, 8]]);
+        let owned = rel.to_rows();
+        let views: Vec<&Vec<Value>> = owned.iter().collect();
+        let a = KeyIndex::build(&rel, &[0]);
+        let b = KeyIndex::build(owned.as_slice(), &[0]);
+        let c = KeyIndex::build(views.as_slice(), &[0]);
+        for key in 0..4 {
+            assert_eq!(ids(&a, &[key]), ids(&b, &[key]));
+            assert_eq!(ids(&a, &[key]), ids(&c, &[key]));
+        }
+    }
+
+    /// Claims a row count without holding a row.
+    #[derive(Debug)]
+    struct Claimed(usize);
+
+    impl Rows for Claimed {
+        fn len(&self) -> usize {
+            self.0
+        }
+
+        fn row(&self, _: usize) -> &[Value] {
+            &[]
+        }
+    }
+
+    #[test]
+    fn too_many_rows_is_a_typed_error() {
+        for rows in [u32::MAX as usize, u32::MAX as usize + 1] {
+            let err = KeyIndex::try_build(&Claimed(rows), &[]).expect_err("ids would wrap");
+            assert_eq!(err, IndexError::TooManyRows { rows });
+            assert!(err.to_string().contains("u32"));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot index 4294967295 rows")]
+    fn build_refuses_what_try_build_refuses() {
+        let _ = KeyIndex::build(&Claimed(u32::MAX as usize), &[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "probe key width")]
+    fn probe_width_checked() {
+        let rel = Relation::from_rows(2, [[1, 2]]);
+        let index = KeyIndex::build(&rel, &[0, 1]);
+        let _ = index.probe(&[1, 2], &[0]).count();
+    }
+}

@@ -7,6 +7,9 @@
 //!   values (the unit in which the MPC model measures load);
 //! * [`fasthash`] — a fast non-cryptographic hasher and map/set aliases
 //!   used on hot paths (join build sides, degree counting);
+//! * [`index`] — the local-join kernel: a chained `u32` hash index built
+//!   over borrowed rows, shared by every build/probe loop in the
+//!   workspace;
 //! * [`generate`] — seeded workload generators: uniform relations, Zipf
 //!   skew, planted heavy hitters, random graphs — the input classes the
 //!   tutorial's analyses distinguish (no skew / bounded degree / heavy
@@ -24,6 +27,7 @@
 
 pub mod fasthash;
 pub mod generate;
+pub mod index;
 pub mod io;
 pub mod paged;
 pub mod relation;
@@ -32,4 +36,5 @@ pub mod stats;
 pub mod zipf;
 
 pub use fasthash::{FastMap, FastSet};
+pub use index::{KeyIndex, Rows};
 pub use relation::{Relation, Value};

@@ -9,7 +9,7 @@
 //! These exist to regenerate E01 and as sanity baselines: every real
 //! algorithm in this crate must beat at least one of them on every input.
 
-use crate::common::{joined_arity, local_hash_join, scatter, JoinRun, Tagged};
+use crate::common::{hash_join_rows, joined_arity, local_hash_join, scatter, JoinRun, Tagged};
 use parqp_data::{Relation, Value};
 use parqp_mpc::Cluster;
 
@@ -66,10 +66,6 @@ pub fn naive_ring(r: &Relation, r_col: usize, s: &Relation, s_col: usize, p: usi
         .into_iter()
         .map(Relation::into_messages)
         .collect();
-    let r_rows: Vec<Vec<Vec<Value>>> = r_parts
-        .iter()
-        .map(|part| part.iter().map(<[Value]>::to_vec).collect())
-        .collect();
 
     let mut outputs: Vec<Relation> = (0..p)
         .map(|_| Relation::new(joined_arity(r.arity(), s.arity())))
@@ -77,7 +73,7 @@ pub fn naive_ring(r: &Relation, r_col: usize, s: &Relation, s_col: usize, p: usi
 
     // Round 0 joins the co-resident fragments for free; then p−1 hops.
     for (sid, out) in outputs.iter_mut().enumerate() {
-        local_hash_join(&r_rows[sid], r_col, &s_parts[sid], s_col, out);
+        hash_join_rows(&r_parts[sid], r_col, s_parts[sid].as_slice(), s_col, out);
     }
     for _hop in 1..p {
         let mut ex = cluster.exchange::<Vec<Value>>();
@@ -89,7 +85,7 @@ pub fn naive_ring(r: &Relation, r_col: usize, s: &Relation, s_col: usize, p: usi
         }
         s_parts = ex.finish();
         for (sid, out) in outputs.iter_mut().enumerate() {
-            local_hash_join(&r_rows[sid], r_col, &s_parts[sid], s_col, out);
+            hash_join_rows(&r_parts[sid], r_col, s_parts[sid].as_slice(), s_col, out);
         }
     }
     JoinRun {

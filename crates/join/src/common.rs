@@ -1,6 +1,6 @@
 //! Shared plumbing for the join algorithms.
 
-use parqp_data::{Relation, Value};
+use parqp_data::{KeyIndex, Relation, Rows, Value};
 use parqp_mpc::{LoadReport, Weight};
 
 /// The result of running a distributed algorithm: per-server outputs and
@@ -18,7 +18,7 @@ impl JoinRun {
     /// convenience; the model itself leaves outputs distributed).
     pub fn gathered(&self) -> Relation {
         let arity = self.outputs.first().map_or(1, Relation::arity);
-        let mut out = Relation::new(arity);
+        let mut out = Relation::with_capacity(arity, self.output_size());
         for part in &self.outputs {
             out.extend_from(part);
         }
@@ -83,8 +83,28 @@ pub fn joined_arity(r_arity: usize, s_arity: usize) -> usize {
     r_arity + s_arity - 1
 }
 
-/// Local hash join of two tuple sets on `r_col` / `s_col`, appending
-/// merged rows to `out`.
+/// Local hash join of two row sets on `r_col` / `s_col`, appending
+/// merged rows to `out`: `r` is indexed in place, `s` probes in order,
+/// and each probe's matches come in `r`'s order. Either side can be a
+/// `Relation` fragment or a slice of received rows.
+pub fn hash_join_rows<R, S>(r: &R, r_col: usize, s: &S, s_col: usize, out: &mut Relation)
+where
+    R: Rows + ?Sized,
+    S: Rows + ?Sized,
+{
+    let (r_key, s_key) = ([r_col], [s_col]);
+    let index = KeyIndex::build(r, &r_key);
+    let mut buf = Vec::new();
+    for j in 0..s.len() {
+        let s_row = s.row(j);
+        for i in index.probe(s_row, &s_key) {
+            merge_rows(r.row(i), s_row, s_col, &mut buf);
+            out.push(&buf);
+        }
+    }
+}
+
+/// [`hash_join_rows`] over two inboxes of owned rows.
 pub fn local_hash_join(
     r_rows: &[Vec<Value>],
     r_col: usize,
@@ -92,28 +112,38 @@ pub fn local_hash_join(
     s_col: usize,
     out: &mut Relation,
 ) {
-    use parqp_data::FastMap;
-    let mut table: FastMap<Value, Vec<usize>> = FastMap::default();
-    for (i, row) in r_rows.iter().enumerate() {
-        table.entry(row[r_col]).or_default().push(i);
-    }
-    let mut buf = Vec::new();
-    for s_row in s_rows {
-        if let Some(matches) = table.get(&s_row[s_col]) {
-            for &i in matches {
-                merge_rows(&r_rows[i], s_row, s_col, &mut buf);
-                out.push(&buf);
-            }
+    hash_join_rows(r_rows, r_col, s_rows, s_col, out);
+}
+
+/// Local join of schema-carrying rows (GYM, the binary plans, the
+/// expansion join): every `left` row, in order, extended by the `fresh`
+/// columns of each `right` row agreeing with it on the key columns, in
+/// `right`'s order.
+pub(crate) fn extend_rows<R: Rows + ?Sized>(
+    left: &[Vec<Value>],
+    left_pos: &[usize],
+    right: &R,
+    right_pos: &[usize],
+    fresh: &[usize],
+) -> Vec<Vec<Value>> {
+    let index = KeyIndex::build(right, right_pos);
+    let mut out = Vec::new();
+    for lrow in left {
+        for i in index.probe(lrow, left_pos) {
+            let rrow = right.row(i);
+            let mut nrow = Vec::with_capacity(lrow.len() + fresh.len());
+            nrow.extend_from_slice(lrow);
+            nrow.extend(fresh.iter().map(|&posn| rrow[posn]));
+            out.push(nrow);
         }
     }
+    out
 }
 
 /// The serial two-way equi-join oracle in the same output convention.
 pub fn twoway_oracle(r: &Relation, r_col: usize, s: &Relation, s_col: usize) -> Relation {
     let mut out = Relation::new(joined_arity(r.arity(), s.arity()));
-    let r_rows: Vec<Vec<Value>> = r.iter().map(<[Value]>::to_vec).collect();
-    let s_rows: Vec<Vec<Value>> = s.iter().map(<[Value]>::to_vec).collect();
-    local_hash_join(&r_rows, r_col, &s_rows, s_col, &mut out);
+    hash_join_rows(r, r_col, s, s_col, &mut out);
     out
 }
 

@@ -22,7 +22,7 @@
 //! GYM beats the one-round algorithms whenever
 //! `OUT < p^{1−1/τ*} · IN` (slide 78) — experiment E11.
 
-use crate::common::{scatter, JoinRun};
+use crate::common::{extend_rows, scatter, JoinRun};
 use crate::plans::combined_hash;
 use parqp_data::{FastMap, FastSet, Relation, Value};
 use parqp_mpc::{Cluster, Grid, HashFamily, LoadReport, Weight};
@@ -266,25 +266,7 @@ fn join_round(cluster: &mut Cluster, h: &HashFamily, left: Dist, right: Dist) ->
                     rrows.push(m.row);
                 }
             }
-            let mut table: FastMap<Vec<Value>, Vec<usize>> = FastMap::default();
-            for (i, row) in rrows.iter().enumerate() {
-                table
-                    .entry(right_pos.iter().map(|&posn| row[posn]).collect())
-                    .or_default()
-                    .push(i);
-            }
-            let mut out = Vec::new();
-            for lrow in &lrows {
-                let key: Vec<Value> = left_pos.iter().map(|&i| lrow[i]).collect();
-                if let Some(matches) = table.get(&key) {
-                    for &i in matches {
-                        let mut nrow = lrow.clone();
-                        nrow.extend(fresh.iter().map(|&posn| rrows[i][posn]));
-                        out.push(nrow);
-                    }
-                }
-            }
-            out
+            extend_rows(&lrows, &left_pos, rrows.as_slice(), &right_pos, &fresh)
         })
         .collect();
     Dist { schema, parts }
@@ -948,25 +930,7 @@ fn join_level(
                 let fresh: Vec<usize> = (0..child_schema.len())
                     .filter(|&rp| !acc_schema.contains(&child_schema[rp]))
                     .collect();
-                let mut table: FastMap<Vec<Value>, Vec<usize>> = FastMap::default();
-                for (i, row) in rows.iter().enumerate() {
-                    table
-                        .entry(rpos.iter().map(|&posn| row[posn]).collect())
-                        .or_default()
-                        .push(i);
-                }
-                let mut next = Vec::new();
-                for arow in &acc {
-                    let key: Vec<Value> = lpos.iter().map(|&i| arow[i]).collect();
-                    if let Some(matches) = table.get(&key) {
-                        for &i in matches {
-                            let mut nrow = arow.clone();
-                            nrow.extend(fresh.iter().map(|&posn| rows[i][posn]));
-                            next.push(nrow);
-                        }
-                    }
-                }
-                acc = next;
+                acc = extend_rows(&acc, &lpos, rows.as_slice(), &rpos, &fresh);
                 acc_schema.extend(fresh.iter().map(|&posn| child_schema[posn]));
             }
             new_parts[sid] = acc;

@@ -99,11 +99,13 @@ pub fn hypercube_with_shares(
     let mut ex = cluster.exchange::<Tagged>();
     for (j, rel) in rels.iter().enumerate() {
         let atom = &query.atoms()[j];
+        // Every row of the atom fixes the same coordinates (its own
+        // variables) and leaves the same ones free: one buffer per atom.
+        let mut partial: Vec<Option<usize>> = vec![None; query.num_vars()];
         for (sid, part) in scatter(rel, grid.len()).into_iter().enumerate() {
             ex.set_sender(sid);
             let scan = RouteScan::new(sid, &part);
             for row in scan.iter() {
-                let mut partial: Vec<Option<usize>> = vec![None; query.num_vars()];
                 for (pos, &v) in atom.vars.iter().enumerate() {
                     partial[v] = Some(h.hash(v, row[pos], shares[v]));
                 }

@@ -11,9 +11,9 @@
 //! one-round HyperCube and the Yannakakis-style [`crate::gym`] avoid in
 //! their respective regimes.
 
-use crate::common::{scatter, JoinRun, Tagged};
+use crate::common::{extend_rows, scatter, JoinRun, Tagged};
 use parqp_data::paged::{IoCursor, RouteScan};
-use parqp_data::{FastMap, Relation, Value};
+use parqp_data::{Relation, Value};
 use parqp_mpc::{metrics, trace, Cluster, Grid, HashFamily};
 use parqp_query::{Query, Var};
 
@@ -170,23 +170,13 @@ pub fn binary_join_plan(
                     right_rows.push(t.row);
                 }
             }
-            let mut table: FastMap<Vec<Value>, Vec<usize>> = FastMap::default();
-            for (i, row) in right_rows.iter().enumerate() {
-                let key: Vec<Value> = shared_right.iter().map(|&pos| row[pos]).collect();
-                table.entry(key).or_default().push(i);
-            }
-            let mut out = Vec::new();
-            for lrow in &left_rows {
-                let key: Vec<Value> = shared_left.iter().map(|&i| lrow[i]).collect();
-                if let Some(matches) = table.get(&key) {
-                    for &i in matches {
-                        let mut nrow = lrow.clone();
-                        nrow.extend(fresh_right.iter().map(|&pos| right_rows[i][pos]));
-                        out.push(nrow);
-                    }
-                }
-            }
-            out
+            extend_rows(
+                &left_rows,
+                &shared_left,
+                right_rows.as_slice(),
+                &shared_right,
+                &fresh_right,
+            )
         });
         schema.extend(fresh_right.iter().map(|&pos| atom.vars[pos]));
     }
@@ -245,26 +235,13 @@ pub fn max_intermediate_size(query: &Query, rels: &[Relation], order: Option<Vec
         let fresh_right: Vec<usize> = (0..atom.vars.len())
             .filter(|&pos| !schema.contains(&atom.vars[pos]))
             .collect();
-        let mut table: FastMap<Vec<Value>, Vec<usize>> = FastMap::default();
-        let right_rows: Vec<&[Value]> = rels[next].iter().collect();
-        for (i, row) in right_rows.iter().enumerate() {
-            table
-                .entry(shared_right.iter().map(|&posn| row[posn]).collect())
-                .or_default()
-                .push(i);
-        }
-        let mut out = Vec::new();
-        for lrow in &rows {
-            let key: Vec<Value> = shared_left.iter().map(|&i| lrow[i]).collect();
-            if let Some(matches) = table.get(&key) {
-                for &i in matches {
-                    let mut nrow = lrow.clone();
-                    nrow.extend(fresh_right.iter().map(|&posn| right_rows[i][posn]));
-                    out.push(nrow);
-                }
-            }
-        }
-        rows = out;
+        rows = extend_rows(
+            &rows,
+            &shared_left,
+            &rels[next],
+            &shared_right,
+            &fresh_right,
+        );
         max = max.max(rows.len());
         schema.extend(fresh_right.iter().map(|&pos| atom.vars[pos]));
     }

@@ -24,9 +24,9 @@
 //! result follows **set semantics** (duplicate input tuples do not
 //! multiply outputs; compare canonical forms).
 
-use crate::common::{scatter, JoinRun, Tagged};
+use crate::common::{extend_rows, scatter, JoinRun, Tagged};
 use crate::plans::combined_hash;
-use parqp_data::{FastMap, FastSet, Relation, Value};
+use parqp_data::{FastSet, Relation, Value};
 use parqp_mpc::{Cluster, HashFamily};
 use parqp_query::{Query, Var};
 
@@ -138,6 +138,7 @@ pub fn expansion_join_with_order(
             .iter()
             .map(|sv| bound.iter().position(|x| x == sv).expect("bound"))
             .collect();
+        let ext_key: Vec<usize> = (0..shared_vars.len()).collect();
         let mut ex = cluster.exchange::<Tagged>();
         for part in &parts {
             for b in part {
@@ -159,28 +160,24 @@ pub fn expansion_join_with_order(
         parts = inboxes
             .into_iter()
             .map(|inbox| {
-                let mut table: FastMap<Vec<Value>, Vec<Value>> = FastMap::default();
+                // Extender rows are (shared…, v): key on all but the last
+                // column, extend each binding with the last.
+                let mut ext_rows = Vec::new();
                 let mut bindings = Vec::new();
                 for t in inbox {
                     if t.tag == 1 {
-                        let (key, val) = t.row.split_at(t.row.len() - 1);
-                        table.entry(key.to_vec()).or_default().push(val[0]);
+                        ext_rows.push(t.row);
                     } else {
                         bindings.push(t.row);
                     }
                 }
-                let mut out = Vec::new();
-                for b in bindings {
-                    let key: Vec<Value> = bound_pos.iter().map(|&i| b[i]).collect();
-                    if let Some(vals) = table.get(&key) {
-                        for &val in vals {
-                            let mut nb = b.clone();
-                            nb.push(val);
-                            out.push(nb);
-                        }
-                    }
-                }
-                out
+                extend_rows(
+                    &bindings,
+                    &bound_pos,
+                    ext_rows.as_slice(),
+                    &ext_key,
+                    &[ext_key.len()],
+                )
             })
             .collect();
         bound.push(v);

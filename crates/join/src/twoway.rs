@@ -11,7 +11,9 @@
 //! Output convention: a joined row is the full `R` row followed by the
 //! `S` row minus its join column ([`crate::common::merge_rows`]).
 
-use crate::common::{joined_arity, local_hash_join, merge_rows, scatter, JoinRun, Tagged};
+use crate::common::{
+    hash_join_rows, joined_arity, local_hash_join, merge_rows, scatter, JoinRun, Tagged,
+};
 use parqp_data::paged::RouteScan;
 use parqp_data::stats::{degree_counts, join_heavy_hitters, join_output_size};
 use parqp_data::{Relation, Value};
@@ -121,9 +123,8 @@ pub fn broadcast_join(r: &Relation, r_col: usize, s: &Relation, s_col: usize, p:
     let arity = joined_arity(r.arity(), s.arity());
     let work: Vec<_> = inboxes.into_iter().zip(s_parts).collect();
     let outputs = cluster.map(work, |_, (r_rows, s_part)| {
-        let s_rows: Vec<Vec<Value>> = s_part.iter().map(<[Value]>::to_vec).collect();
         let mut out = Relation::new(arity);
-        local_hash_join(&r_rows, r_col, &s_rows, s_col, &mut out);
+        hash_join_rows(r_rows.as_slice(), r_col, &s_part, s_col, &mut out);
         out
     });
     JoinRun {

@@ -685,9 +685,16 @@ impl<T: Weight> Exchange<'_, T> {
                 tr.dims = Some(grid.dims().to_vec());
             }
         }
-        for dest in grid.matching(partial) {
+        let mut ranks = grid.matching_ranks(partial);
+        // Clone for every destination but the last, which takes `msg`.
+        let Some(mut dest) = ranks.next() else {
+            return;
+        };
+        for following in ranks {
             self.send(dest, msg.clone());
+            dest = following;
         }
+        self.send(dest, msg);
     }
 
     /// Deliver all messages, record the round, and return per-server
@@ -826,6 +833,38 @@ mod tests {
         let received: Vec<usize> = (0..6).filter(|&s| !inboxes[s].is_empty()).collect();
         assert_eq!(received, g.matching(&[Some(1), None]));
         assert_eq!(c.report().total_tuples(), 3);
+    }
+
+    #[test]
+    fn send_matching_clones_for_all_but_the_last_destination() {
+        use std::cell::Cell;
+        use std::rc::Rc;
+
+        /// Counts its clones; equal payloads whatever their history.
+        #[derive(Debug)]
+        struct Counted(Rc<Cell<u32>>);
+        impl Clone for Counted {
+            fn clone(&self) -> Self {
+                self.0.set(self.0.get() + 1);
+                Counted(Rc::clone(&self.0))
+            }
+        }
+        impl Weight for Counted {
+            fn words(&self) -> u64 {
+                1
+            }
+        }
+
+        let clones = Rc::new(Cell::new(0));
+        let mut c = Cluster::new(6);
+        let g = Grid::new(vec![2, 3]);
+        let mut ex = c.exchange::<Counted>();
+        ex.send_matching(&g, &[None, Some(2)], Counted(Rc::clone(&clones)));
+        ex.send_matching(&g, &[Some(0), Some(0)], Counted(Rc::clone(&clones)));
+        let inboxes = ex.finish();
+        let lens: Vec<usize> = inboxes.iter().map(Vec::len).collect();
+        assert_eq!(lens, vec![1, 0, 1, 0, 0, 1]);
+        assert_eq!(clones.get(), 1, "two destinations, then one: one clone");
     }
 
     #[test]

@@ -137,53 +137,66 @@ impl Grid {
     /// two coordinates match, across the whole third dimension.
     ///
     /// # Panics
-    /// Panics if `partial` has the wrong arity; use [`Grid::try_matching`]
-    /// to handle that case.
+    /// Panics if `partial` has the wrong arity or a fixed coordinate is
+    /// out of range; use [`Grid::try_matching`] to handle those cases.
     pub fn matching(&self, partial: &[Option<usize>]) -> Vec<usize> {
-        match self.try_matching(partial) {
-            Ok(m) => m,
-            Err(e) => panic!("{e}"),
-        }
+        self.matching_ranks(partial).collect()
     }
 
     /// Fallible [`Grid::matching`].
     #[must_use = "the broadcast set is a pure enumeration; ignoring the result does nothing"]
     pub fn try_matching(&self, partial: &[Option<usize>]) -> Result<Vec<usize>, MpcError> {
+        Ok(self.try_matching_ranks(partial)?.collect())
+    }
+
+    /// [`Grid::matching`] without the `Vec`, for [`crate::Exchange`]'s
+    /// per-row placement. Panics as `matching` does.
+    pub(crate) fn matching_ranks<'g>(
+        &'g self,
+        partial: &'g [Option<usize>],
+    ) -> impl Iterator<Item = usize> + 'g {
+        match self.try_matching_ranks(partial) {
+            Ok(ranks) => ranks,
+            Err(e) => panic!("{e}"),
+        }
+    }
+
+    /// The matching ranks in order (the last free dimension varies
+    /// fastest), never materialised: the `t`-th match is the fixed
+    /// coordinates' rank plus `t` written in the mixed radix of the free
+    /// dimensions.
+    fn try_matching_ranks<'g>(
+        &'g self,
+        partial: &'g [Option<usize>],
+    ) -> Result<impl Iterator<Item = usize> + 'g, MpcError> {
         if partial.len() != self.dims.len() {
             return Err(MpcError::BadArity {
                 got: partial.len(),
                 expected: self.dims.len(),
             });
         }
-        let mut out = Vec::new();
-        let mut coords = vec![0usize; self.dims.len()];
-        self.matching_rec(partial, 0, &mut coords, &mut out);
-        Ok(out)
-    }
-
-    fn matching_rec(
-        &self,
-        partial: &[Option<usize>],
-        dim: usize,
-        coords: &mut Vec<usize>,
-        out: &mut Vec<usize>,
-    ) {
-        if dim == self.dims.len() {
-            out.push(self.rank(coords));
-            return;
-        }
-        match partial[dim] {
-            Some(c) => {
-                coords[dim] = c;
-                self.matching_rec(partial, dim + 1, coords, out);
+        let mut base = 0;
+        for (&c, &d) in partial.iter().zip(&self.dims) {
+            let c = c.unwrap_or(0);
+            if c >= d {
+                return Err(MpcError::BadCoordinate {
+                    coord: c,
+                    dim_size: d,
+                });
             }
-            None => {
-                for c in 0..self.dims[dim] {
-                    coords[dim] = c;
-                    self.matching_rec(partial, dim + 1, coords, out);
+            base = base * d + c;
+        }
+        Ok((0..self.matching_count(partial)).map(move |t| {
+            let (mut rank, mut rest, mut stride) = (base, t, 1);
+            for (c, &d) in partial.iter().zip(&self.dims).rev() {
+                if c.is_none() {
+                    rank += rest % d * stride;
+                    rest /= d;
                 }
+                stride *= d;
             }
-        }
+            rank
+        }))
     }
 
     /// Number of servers a partial coordinate matches (`∏` of the free dims).
@@ -287,6 +300,46 @@ mod tests {
         assert_eq!(g.try_coords(6), Err(MpcError::BadRank { rank: 6, size: 6 }));
         assert!(g.try_matching(&[None]).is_err());
         assert_eq!(g.try_matching(&[Some(1), None]).map(|m| m.len()), Ok(3));
+    }
+
+    #[test]
+    fn matching_enumerates_in_row_major_order_of_the_free_dims() {
+        // The definition: every coordinate vector agreeing with the
+        // partial, dimension 0 outermost.
+        fn by_definition(g: &Grid, partial: &[Option<usize>]) -> Vec<usize> {
+            (0..g.len())
+                .filter(|&r| {
+                    let coords = g.coords(r);
+                    partial
+                        .iter()
+                        .zip(&coords)
+                        .all(|(p, c)| p.is_none_or(|p| p == *c))
+                })
+                .collect()
+        }
+        let g = Grid::new(vec![3, 1, 2, 4]);
+        let choices = |d: usize| (0..d).map(Some).chain([None]);
+        for a in choices(3) {
+            for b in choices(1) {
+                for c in choices(2) {
+                    for d in choices(4) {
+                        let partial = [a, b, c, d];
+                        assert_eq!(
+                            g.matching(&partial),
+                            by_definition(&g, &partial),
+                            "{partial:?}"
+                        );
+                    }
+                }
+            }
+        }
+        assert_eq!(
+            g.try_matching(&[None, Some(1), None, None]),
+            Err(MpcError::BadCoordinate {
+                coord: 1,
+                dim_size: 1
+            })
+        );
     }
 
     #[test]

@@ -1,11 +1,16 @@
-//! Serial reference evaluation.
+//! Serial evaluation: the local phase of the one-round algorithms and
+//! the ground truth every distributed algorithm is tested against.
 //!
-//! Two oracles, both exact and both single-machine:
+//! Both evaluators are exact and single-machine:
 //!
-//! * [`evaluate`] — a binding-table hash join that processes atoms left to
-//!   right. Worst-case exponential like any join, but it is the ground
-//!   truth every distributed algorithm in this workspace is tested
-//!   against, so clarity beats cleverness.
+//! * [`evaluate`] — a binding-table hash join that processes atoms left
+//!   to right. Worst-case exponential like any join. It is not only an
+//!   oracle: HyperCube and SkewHC call it on every server for their
+//!   local phase, so it runs on the flat [`KeyIndex`] kernel and a flat
+//!   stride-`k` binding table. The plain `FastMap<Vec<Value>, …>`
+//!   version it replaced lives on as this file's `#[cfg(test)]`
+//!   `reference` module, and a differential property test holds the two
+//!   to the same output rows in the same order.
 //! * [`yannakakis_serial`] — the Yannakakis algorithm over a width-1 GHD
 //!   (slides 64–77): upward semijoin phase, downward semijoin phase, then
 //!   a bottom-up join phase, running in `O(IN + OUT)`.
@@ -16,7 +21,8 @@
 
 use crate::ghd::Ghd;
 use crate::query::{Query, Var};
-use parqp_data::{FastMap, Relation, Value};
+use parqp_data::index::Chain;
+use parqp_data::{KeyIndex, Relation, Value};
 
 /// Evaluate `q` over `rels` (one relation per atom, positionally).
 ///
@@ -25,60 +31,95 @@ use parqp_data::{FastMap, Relation, Value};
 /// with its relation.
 pub fn evaluate(q: &Query, rels: &[Relation]) -> Relation {
     check_inputs(q, rels);
-    // Bindings over the variables bound so far, in `bound` order.
-    let mut bound: Vec<Var> = Vec::new();
-    let mut bindings: Vec<Vec<Value>> = vec![Vec::new()];
-
-    for (atom, rel) in q.atoms().iter().zip(rels) {
-        let shared: Vec<usize> = atom
-            .vars
-            .iter()
-            .enumerate()
-            .filter_map(|(pos, v)| bound.contains(v).then_some(pos))
-            .collect();
-        let fresh: Vec<usize> = atom
-            .vars
-            .iter()
-            .enumerate()
-            .filter_map(|(pos, v)| (!bound.contains(v)).then_some(pos))
-            .collect();
-        let bound_idx_of_shared: Vec<usize> = shared
-            .iter()
-            .map(|&pos| {
-                bound
-                    .iter()
-                    .position(|&b| b == atom.vars[pos])
-                    .expect("shared is bound")
-            })
-            .collect();
-
-        // Build: key = shared positions (in `shared` order) → fresh values.
-        let mut table: FastMap<Vec<Value>, Vec<Vec<Value>>> = FastMap::default();
-        for row in rel.iter() {
-            let key: Vec<Value> = shared.iter().map(|&p| row[p]).collect();
-            let val: Vec<Value> = fresh.iter().map(|&p| row[p]).collect();
-            table.entry(key).or_default().push(val);
-        }
-
-        let mut next = Vec::new();
-        for b in &bindings {
-            let key: Vec<Value> = bound_idx_of_shared.iter().map(|&i| b[i]).collect();
-            if let Some(matches) = table.get(&key) {
-                for m in matches {
-                    let mut nb = b.clone();
-                    nb.extend_from_slice(m);
-                    next.push(nb);
-                }
-            }
-        }
-        bindings = next;
-        bound.extend(fresh.iter().map(|&p| atom.vars[p]));
-        if bindings.is_empty() {
-            return Relation::new(q.num_vars());
-        }
+    let mut out = Relation::new(q.num_vars());
+    let mut atoms = q.atoms().iter().zip(rels);
+    let Some((first, first_rel)) = atoms.next() else {
+        return out;
+    };
+    if rels.iter().any(Relation::is_empty) {
+        return out;
     }
 
-    bindings_to_relation(q.num_vars(), &bound, bindings)
+    // Per atom after the first: the columns whose variable an earlier
+    // atom binds (the probe key), those variables, and the (column,
+    // variable) pairs the atom binds itself.
+    type Plan = (Vec<usize>, Vec<Var>, Vec<(usize, Var)>);
+    let mut bound = first.vars.clone();
+    let plans: Vec<Plan> = atoms
+        .clone()
+        .map(|(atom, _)| {
+            let (shared, fresh): (Vec<_>, Vec<_>) = atom
+                .vars
+                .iter()
+                .copied()
+                .enumerate()
+                .partition(|(_, v)| bound.contains(v));
+            bound.extend(fresh.iter().map(|&(_, v)| v));
+            let (key_cols, key_vars) = shared.into_iter().unzip();
+            (key_cols, key_vars, fresh)
+        })
+        .collect();
+
+    /// One level of the nested loop: an atom's relation indexed on its
+    /// key, and how far the current probe has walked.
+    struct Step<'a> {
+        rel: &'a Relation,
+        index: KeyIndex<'a, Relation>,
+        chain: Chain,
+        key_vars: &'a [Var],
+        fresh: &'a [(usize, Var)],
+    }
+    let mut steps: Vec<Step<'_>> = plans
+        .iter()
+        .zip(atoms)
+        .map(|((key_cols, key_vars, fresh), (_, rel))| Step {
+            rel,
+            index: KeyIndex::build(rel, key_cols),
+            chain: Chain::default(),
+            key_vars,
+            fresh,
+        })
+        .collect();
+
+    // Nested-loop order — first atom's rows outermost, each later atom's
+    // matches in its own row order — without materialising a level: one
+    // binding row `cur`, indexed by variable, and one chain position per
+    // step. A value written at a deeper step is stale after backtracking
+    // but is rewritten before anything reads it.
+    let mut cur: Vec<Value> = vec![0; q.num_vars()];
+    for row in first_rel.iter() {
+        for (&v, &x) in first.vars.iter().zip(row) {
+            cur[v] = x;
+        }
+        let Some(top) = steps.first_mut() else {
+            out.push(&cur);
+            continue;
+        };
+        top.chain = top.index.start(&cur, top.key_vars);
+        let mut depth = 0;
+        loop {
+            let step = &mut steps[depth];
+            let Some(i) = step.index.advance(&mut step.chain, &cur, step.key_vars) else {
+                if depth == 0 {
+                    break;
+                }
+                depth -= 1;
+                continue;
+            };
+            let matched = step.rel.row(i);
+            for &(pos, v) in step.fresh {
+                cur[v] = matched[pos];
+            }
+            match steps.get_mut(depth + 1) {
+                Some(deeper) => {
+                    deeper.chain = deeper.index.start(&cur, deeper.key_vars);
+                    depth += 1;
+                }
+                None => out.push(&cur),
+            }
+        }
+    }
+    out
 }
 
 /// The Yannakakis algorithm over a width-1 GHD whose bags each carry
@@ -158,8 +199,7 @@ pub fn yannakakis_serial(q: &Query, rels: &[Relation], tree: &Ghd) -> Relation {
         }
     }
     let (rel, sch) = acc.expect("at least one root");
-    let rows: Vec<Vec<Value>> = rel.iter().map(<[Value]>::to_vec).collect();
-    bindings_to_relation(q.num_vars(), &sch, rows)
+    bindings_to_relation(q.num_vars(), &sch, rel.raw())
 }
 
 /// `left ⋉ right`: keep the tuples of `left` whose shared variables with
@@ -170,23 +210,16 @@ pub fn semijoin(
     right: &Relation,
     right_vars: &[Var],
 ) -> Relation {
-    let shared: Vec<(usize, usize)> = left_vars
-        .iter()
-        .enumerate()
-        .filter_map(|(lp, v)| right_vars.iter().position(|rv| rv == v).map(|rp| (lp, rp)))
-        .collect();
-    if shared.is_empty() {
+    let (left_cols, right_cols) = shared_columns(left_vars, right_vars);
+    if left_cols.is_empty() {
         return if right.is_empty() {
             Relation::new(left.arity())
         } else {
             left.clone()
         };
     }
-    let mut keys: parqp_data::FastSet<Vec<Value>> = parqp_data::FastSet::default();
-    for row in right.iter() {
-        keys.insert(shared.iter().map(|&(_, rp)| row[rp]).collect());
-    }
-    left.filter(|row| keys.contains(&shared.iter().map(|&(lp, _)| row[lp]).collect::<Vec<_>>()))
+    let keys = KeyIndex::build(right, &right_cols);
+    left.filter(|row| keys.contains(row, &left_cols))
 }
 
 /// Natural join of two relations with explicit variable schemas; returns
@@ -197,38 +230,37 @@ fn join_on_schemas(
     right: &Relation,
     right_vars: &[Var],
 ) -> (Relation, Vec<Var>) {
-    let shared: Vec<(usize, usize)> = left_vars
-        .iter()
-        .enumerate()
-        .filter_map(|(lp, v)| right_vars.iter().position(|rv| rv == v).map(|rp| (lp, rp)))
-        .collect();
+    let (left_cols, right_cols) = shared_columns(left_vars, right_vars);
     let fresh: Vec<usize> = (0..right_vars.len())
         .filter(|&rp| !left_vars.contains(&right_vars[rp]))
         .collect();
 
-    let mut table: FastMap<Vec<Value>, Vec<Vec<Value>>> = FastMap::default();
-    for row in right.iter() {
-        let key: Vec<Value> = shared.iter().map(|&(_, rp)| row[rp]).collect();
-        let val: Vec<Value> = fresh.iter().map(|&p| row[p]).collect();
-        table.entry(key).or_default().push(val);
-    }
-
+    let index = KeyIndex::build(right, &right_cols);
     let mut schema = left_vars.to_vec();
     schema.extend(fresh.iter().map(|&p| right_vars[p]));
     let mut out = Relation::new(schema.len());
     let mut buf = Vec::with_capacity(schema.len());
     for row in left.iter() {
-        let key: Vec<Value> = shared.iter().map(|&(lp, _)| row[lp]).collect();
-        if let Some(matches) = table.get(&key) {
-            for m in matches {
-                buf.clear();
-                buf.extend_from_slice(row);
-                buf.extend_from_slice(m);
-                out.push(&buf);
-            }
+        for i in index.probe(row, &left_cols) {
+            let m = right.row(i);
+            buf.clear();
+            buf.extend_from_slice(row);
+            buf.extend(fresh.iter().map(|&p| m[p]));
+            out.push(&buf);
         }
     }
     (out, schema)
+}
+
+/// The columns of the variables two schemas share, as parallel lists:
+/// positions in `left_vars` (ascending) and the matching positions in
+/// `right_vars`.
+fn shared_columns(left_vars: &[Var], right_vars: &[Var]) -> (Vec<usize>, Vec<usize>) {
+    left_vars
+        .iter()
+        .enumerate()
+        .filter_map(|(lp, v)| right_vars.iter().position(|rv| rv == v).map(|rp| (lp, rp)))
+        .unzip()
 }
 
 fn check_inputs(q: &Query, rels: &[Relation]) {
@@ -238,21 +270,174 @@ fn check_inputs(q: &Query, rels: &[Relation]) {
     }
 }
 
-fn bindings_to_relation(num_vars: usize, schema: &[Var], rows: Vec<Vec<Value>>) -> Relation {
+/// Permute a flat table whose columns follow `schema` into a relation
+/// in variable order `x₀ … x_{k-1}`.
+fn bindings_to_relation(num_vars: usize, schema: &[Var], table: &[Value]) -> Relation {
     assert_eq!(schema.len(), num_vars, "result must bind every variable");
     let mut order = vec![0usize; num_vars];
     for (i, &v) in schema.iter().enumerate() {
         order[v] = i;
     }
-    let mut out = Relation::with_capacity(num_vars, rows.len());
+    let mut out = Relation::with_capacity(num_vars, table.len() / num_vars);
     let mut buf = vec![0; num_vars];
-    for r in rows {
-        for (v, slot) in buf.iter_mut().enumerate() {
-            *slot = r[order[v]];
+    for r in table.chunks_exact(num_vars) {
+        for (slot, &col) in buf.iter_mut().zip(&order) {
+            *slot = r[col];
         }
         out.push(&buf);
     }
     out
+}
+
+/// The evaluators as they were before the [`KeyIndex`] kernel, bodies
+/// unchanged: one heap key and one heap value per build row, one heap
+/// row per binding. Kept as the executable statement of what the kernel
+/// versions must output, row for row.
+#[cfg(test)]
+mod reference {
+    use super::check_inputs;
+    use crate::query::{Query, Var};
+    use parqp_data::{FastMap, Relation, Value};
+
+    pub fn evaluate(q: &Query, rels: &[Relation]) -> Relation {
+        check_inputs(q, rels);
+        // Bindings over the variables bound so far, in `bound` order.
+        let mut bound: Vec<Var> = Vec::new();
+        let mut bindings: Vec<Vec<Value>> = vec![Vec::new()];
+
+        for (atom, rel) in q.atoms().iter().zip(rels) {
+            let shared: Vec<usize> = atom
+                .vars
+                .iter()
+                .enumerate()
+                .filter_map(|(pos, v)| bound.contains(v).then_some(pos))
+                .collect();
+            let fresh: Vec<usize> = atom
+                .vars
+                .iter()
+                .enumerate()
+                .filter_map(|(pos, v)| (!bound.contains(v)).then_some(pos))
+                .collect();
+            let bound_idx_of_shared: Vec<usize> = shared
+                .iter()
+                .map(|&pos| {
+                    bound
+                        .iter()
+                        .position(|&b| b == atom.vars[pos])
+                        .expect("shared is bound")
+                })
+                .collect();
+
+            // Build: key = shared positions (in `shared` order) → fresh values.
+            let mut table: FastMap<Vec<Value>, Vec<Vec<Value>>> = FastMap::default();
+            for row in rel.iter() {
+                let key: Vec<Value> = shared.iter().map(|&p| row[p]).collect();
+                let val: Vec<Value> = fresh.iter().map(|&p| row[p]).collect();
+                table.entry(key).or_default().push(val);
+            }
+
+            let mut next = Vec::new();
+            for b in &bindings {
+                let key: Vec<Value> = bound_idx_of_shared.iter().map(|&i| b[i]).collect();
+                if let Some(matches) = table.get(&key) {
+                    for m in matches {
+                        let mut nb = b.clone();
+                        nb.extend_from_slice(m);
+                        next.push(nb);
+                    }
+                }
+            }
+            bindings = next;
+            bound.extend(fresh.iter().map(|&p| atom.vars[p]));
+            if bindings.is_empty() {
+                return Relation::new(q.num_vars());
+            }
+        }
+
+        bindings_to_relation(q.num_vars(), &bound, bindings)
+    }
+
+    pub fn semijoin(
+        left: &Relation,
+        left_vars: &[Var],
+        right: &Relation,
+        right_vars: &[Var],
+    ) -> Relation {
+        let shared: Vec<(usize, usize)> = left_vars
+            .iter()
+            .enumerate()
+            .filter_map(|(lp, v)| right_vars.iter().position(|rv| rv == v).map(|rp| (lp, rp)))
+            .collect();
+        if shared.is_empty() {
+            return if right.is_empty() {
+                Relation::new(left.arity())
+            } else {
+                left.clone()
+            };
+        }
+        let mut keys: parqp_data::FastSet<Vec<Value>> = parqp_data::FastSet::default();
+        for row in right.iter() {
+            keys.insert(shared.iter().map(|&(_, rp)| row[rp]).collect());
+        }
+        left.filter(|row| keys.contains(&shared.iter().map(|&(lp, _)| row[lp]).collect::<Vec<_>>()))
+    }
+
+    pub fn join_on_schemas(
+        left: &Relation,
+        left_vars: &[Var],
+        right: &Relation,
+        right_vars: &[Var],
+    ) -> (Relation, Vec<Var>) {
+        let shared: Vec<(usize, usize)> = left_vars
+            .iter()
+            .enumerate()
+            .filter_map(|(lp, v)| right_vars.iter().position(|rv| rv == v).map(|rp| (lp, rp)))
+            .collect();
+        let fresh: Vec<usize> = (0..right_vars.len())
+            .filter(|&rp| !left_vars.contains(&right_vars[rp]))
+            .collect();
+
+        let mut table: FastMap<Vec<Value>, Vec<Vec<Value>>> = FastMap::default();
+        for row in right.iter() {
+            let key: Vec<Value> = shared.iter().map(|&(_, rp)| row[rp]).collect();
+            let val: Vec<Value> = fresh.iter().map(|&p| row[p]).collect();
+            table.entry(key).or_default().push(val);
+        }
+
+        let mut schema = left_vars.to_vec();
+        schema.extend(fresh.iter().map(|&p| right_vars[p]));
+        let mut out = Relation::new(schema.len());
+        let mut buf = Vec::with_capacity(schema.len());
+        for row in left.iter() {
+            let key: Vec<Value> = shared.iter().map(|&(lp, _)| row[lp]).collect();
+            if let Some(matches) = table.get(&key) {
+                for m in matches {
+                    buf.clear();
+                    buf.extend_from_slice(row);
+                    buf.extend_from_slice(m);
+                    out.push(&buf);
+                }
+            }
+        }
+        (out, schema)
+    }
+
+    fn bindings_to_relation(num_vars: usize, schema: &[Var], rows: Vec<Vec<Value>>) -> Relation {
+        assert_eq!(schema.len(), num_vars, "result must bind every variable");
+        let mut order = vec![0usize; num_vars];
+        for (i, &v) in schema.iter().enumerate() {
+            order[v] = i;
+        }
+        let mut out = Relation::with_capacity(num_vars, rows.len());
+        let mut buf = vec![0; num_vars];
+        for r in rows {
+            for (v, slot) in buf.iter_mut().enumerate() {
+                *slot = r[order[v]];
+            }
+            out.push(&buf);
+        }
+        out
+    }
 }
 
 #[cfg(test)]
@@ -369,5 +554,167 @@ mod tests {
         let expect = evaluate(&q, &[r1, r2, r3]);
         assert_eq!(out.canonical(), expect.canonical());
         assert_eq!(out.len(), 1);
+    }
+}
+
+/// Kernel versus [`reference`]: the same rows in the same order
+/// (`raw()`-equality, stronger than the canonical comparisons above).
+#[cfg(test)]
+mod differential {
+    use super::{evaluate, join_on_schemas, reference, semijoin};
+    use crate::query::{Atom, Query, Var};
+    use parqp_data::{Relation, Value};
+    use parqp_testkit::prelude::*;
+
+    /// A random conjunctive query: 1–4 atoms of arity 1–3 over at most
+    /// five variables, renumbered so every variable occurs. Atoms
+    /// sharing nothing (products), one variable, or two or three
+    /// (composite keys) all come up.
+    fn random_query(rng: &mut Rng) -> Query {
+        let pool = rng.gen_range(1usize..=5);
+        let mut atoms: Vec<Vec<Var>> = (0..rng.gen_range(1usize..=4))
+            .map(|_| {
+                let mut vars: Vec<Var> = (0..pool).collect();
+                rng.shuffle(&mut vars);
+                vars.truncate(rng.gen_range(1usize..=3.min(pool)));
+                vars
+            })
+            .collect();
+        let mut used: Vec<Var> = atoms.iter().flatten().copied().collect();
+        used.sort_unstable();
+        used.dedup();
+        for vars in &mut atoms {
+            for v in vars {
+                *v = used.binary_search(v).expect("v is used");
+            }
+        }
+        let atoms = atoms
+            .into_iter()
+            .enumerate()
+            .map(|(i, vars)| Atom::new(format!("A{i}"), vars))
+            .collect();
+        Query::new(used.len(), atoms)
+    }
+
+    /// One relation in one of the shapes the kernel has to survive.
+    fn random_relation(rng: &mut Rng, arity: usize) -> Relation {
+        let rows = match rng.gen_below(8) {
+            0 => 0,
+            1 => 1,
+            _ => rng.gen_range(2usize..=40),
+        };
+        let shape = rng.gen_below(5);
+        let mut rel = Relation::with_capacity(arity, rows);
+        let mut row: Vec<Value> = vec![0; arity];
+        for i in 0..rows {
+            for slot in &mut row {
+                *slot = match shape {
+                    // Every row on one key.
+                    0 => 3,
+                    // Small domain: many matches, duplicate rows.
+                    1 => rng.gen_below(3),
+                    // Values that differ only above bit 40: the hash's
+                    // low input bits are all equal.
+                    2 => rng.gen_below(4) << 40 | 1,
+                    // Multiples of a large power of two: equal after any
+                    // shift that keeps the low bits.
+                    3 => rng.gen_below(4) << 60,
+                    _ => rng.gen_below(6),
+                };
+            }
+            rel.push(&row);
+            // Duplicate rows on top of whatever the shape produced.
+            if i % 5 == 4 {
+                rel.push(&row);
+            }
+        }
+        rel
+    }
+
+    fn random_instance(seed: u64) -> (Query, Vec<Relation>) {
+        let mut rng = Rng::seed_from_u64(seed);
+        let q = random_query(&mut rng);
+        let rels = q
+            .atoms()
+            .iter()
+            .map(|a| random_relation(&mut rng, a.arity()))
+            .collect();
+        (q, rels)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        #[test]
+        fn evaluate_is_the_reference_row_for_row(seed in any::<u64>()) {
+            let (q, rels) = random_instance(seed);
+            let ours = evaluate(&q, &rels);
+            let theirs = reference::evaluate(&q, &rels);
+            prop_assert_eq!(ours.arity(), theirs.arity());
+            prop_assert_eq!(ours.raw(), theirs.raw(), "query {:?}", q);
+        }
+
+        #[test]
+        fn semijoin_and_join_are_the_reference_row_for_row(seed in any::<u64>()) {
+            // Any two atoms of a random query are a pair of schemas.
+            let (q, rels) = random_instance(seed);
+            let last = q.num_atoms() - 1;
+            let (l, r) = (&q.atoms()[0], &q.atoms()[last]);
+            let ours = semijoin(&rels[0], &l.vars, &rels[last], &r.vars);
+            let theirs = reference::semijoin(&rels[0], &l.vars, &rels[last], &r.vars);
+            prop_assert_eq!(ours.raw(), theirs.raw(), "semijoin of {:?}", q);
+
+            let (ours, our_schema) = join_on_schemas(&rels[0], &l.vars, &rels[last], &r.vars);
+            let (theirs, their_schema) =
+                reference::join_on_schemas(&rels[0], &l.vars, &rels[last], &r.vars);
+            prop_assert_eq!(our_schema, their_schema);
+            prop_assert_eq!(ours.arity(), theirs.arity());
+            prop_assert_eq!(ours.raw(), theirs.raw(), "join of {:?}", q);
+        }
+    }
+
+    /// The shapes the generator only hits by chance, pinned.
+    #[test]
+    fn named_shapes_match_the_reference() {
+        let unary = |vals: &[Value]| Relation::from_rows(1, vals.iter().map(|&v| [v]));
+        let cases: Vec<(Query, Vec<Relation>)> = vec![
+            // Product of arity-1 atoms, one of them a single row.
+            (Query::product(), vec![unary(&[4, 4, 9]), unary(&[7])]),
+            // An empty atom in the middle.
+            (
+                Query::triangle(),
+                vec![
+                    Relation::from_rows(2, [[1, 2]]),
+                    Relation::new(2),
+                    Relation::from_rows(2, [[3, 1]]),
+                ],
+            ),
+            // Composite 2-column key with duplicates (T is fully bound).
+            (
+                Query::triangle(),
+                vec![
+                    Relation::from_rows(2, [[1, 2], [1, 2], [5, 2]]),
+                    Relation::from_rows(2, [[2, 3], [2, 3]]),
+                    Relation::from_rows(2, [[3, 1], [3, 5], [3, 1]]),
+                ],
+            ),
+            // Composite 3-column key: the second atom is the first, permuted.
+            (
+                Query::new(
+                    3,
+                    vec![Atom::new("R", vec![0, 1, 2]), Atom::new("S", vec![2, 0, 1])],
+                ),
+                vec![
+                    Relation::from_rows(3, [[1, 2, 3], [4, 5, 6], [1, 2, 3]]),
+                    Relation::from_rows(3, [[3, 1, 2], [6, 4, 5], [3, 1, 2], [3, 2, 1]]),
+                ],
+            ),
+        ];
+        for (q, rels) in cases {
+            let ours = evaluate(&q, &rels);
+            let theirs = reference::evaluate(&q, &rels);
+            assert_eq!(ours.raw(), theirs.raw(), "{q:?}");
+            assert_eq!(ours.arity(), theirs.arity());
+        }
     }
 }

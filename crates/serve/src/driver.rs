@@ -13,7 +13,7 @@
 
 use parqp_data::paged::{self, IoStats, RouteScan, StoreConfig};
 use parqp_data::{Relation, Value};
-use parqp_join::common::{joined_arity, local_hash_join, scatter};
+use parqp_join::common::{hash_join_rows, joined_arity, scatter};
 use parqp_mpc::faults::{self, FaultPlan, FaultSpec, RecoveryStrategy};
 use parqp_mpc::metrics::{self, MetricsRegistry};
 use parqp_mpc::{Cluster, HashFamily, LoadReport};
@@ -293,13 +293,13 @@ fn run_stream(
         let inboxes = ex.finish();
         let arity = joined_arity(2, 2);
         let outputs = cluster.map(inboxes, |s, probes| {
-            let build_rows: Vec<Vec<Value>> = parts[s].iter().map(<[Value]>::to_vec).collect();
             let mut out = Relation::new(arity);
-            local_hash_join(&build_rows, 0, &probes, 0, &mut out);
+            hash_join_rows(&parts[s], 0, probes.as_slice(), 0, &mut out);
             out
         });
 
-        let mut gathered = Relation::new(arity);
+        let out_rows = outputs.iter().map(Relation::len).sum();
+        let mut gathered = Relation::with_capacity(arity, out_rows);
         for part in &outputs {
             gathered.extend_from(part);
         }
