@@ -215,6 +215,15 @@ impl<'a, R: Rows + ?Sized> KeyIndex<'a, R> {
         None
     }
 
+    /// Whether indexed row `i` is the first row carrying its key: true
+    /// for exactly one row per distinct key, in insertion order — a
+    /// forward scan that keeps these rows visits the distinct keys as a
+    /// "seen" set filled on the way would.
+    #[inline]
+    pub fn is_first_of_key(&self, i: usize) -> bool {
+        self.probe(self.rows.row(i), self.cols).next() == Some(i)
+    }
+
     /// Whether some indexed row has `row`'s `cols` as its key: the
     /// semijoin form of [`KeyIndex::probe`].
     #[inline]
@@ -269,6 +278,17 @@ mod tests {
         assert_eq!(ids(&index, &[8]), vec![0, 2, 7]);
         assert_eq!(ids(&index, &[0]), vec![6]);
         assert!(ids(&index, &[2]).is_empty());
+    }
+
+    #[test]
+    fn first_of_key_marks_one_row_per_distinct_key() {
+        let keys = [8, 3, 8, 1, 3, 3, 0, 8, 1, 3];
+        let rel = Relation::from_rows(2, keys.iter().map(|&k| [100 + k, k]));
+        let index = KeyIndex::build(&rel, &[1]);
+        let firsts: Vec<usize> = (0..keys.len())
+            .filter(|&i| index.is_first_of_key(i))
+            .collect();
+        assert_eq!(firsts, vec![0, 1, 3, 6]);
     }
 
     #[test]

@@ -39,6 +39,24 @@ impl Relation {
         }
     }
 
+    /// Adopt `data` as the row-major storage of a relation, without
+    /// touching a row: how a flat buffer delivered by a row exchange
+    /// becomes the fragment a local join reads.
+    ///
+    /// # Panics
+    /// Panics if `arity == 0` or `data` is not a whole number of rows.
+    pub fn from_raw(arity: usize, data: Vec<Value>) -> Self {
+        assert!(arity > 0, "relations must have positive arity");
+        assert_eq!(data.len() % arity, 0, "raw data is not whole rows");
+        Self { arity, data }
+    }
+
+    /// Give up the row-major storage (the inverse of
+    /// [`Relation::from_raw`]).
+    pub fn into_raw(self) -> Vec<Value> {
+        self.data
+    }
+
     /// Build a relation from an iterator of rows.
     ///
     /// # Panics
@@ -180,8 +198,10 @@ impl Relation {
         self.iter().map(<[Value]>::to_vec).collect()
     }
 
-    /// Take the rows out as owned boxed slices (the message type used on
-    /// the simulated wire).
+    /// Take the rows out as one owned `Vec` each: the per-message
+    /// adaptor for callers that still exchange a message per row. The
+    /// library's own rounds move rows through flat buffers and read
+    /// them back with [`Relation::from_raw`].
     pub fn into_messages(self) -> Vec<Vec<Value>> {
         self.data
             .chunks_exact(self.arity)
@@ -267,6 +287,24 @@ mod tests {
         a.extend_from(&b);
         assert_eq!(a.len(), 4);
         assert_eq!(a.row(3), &[9, 9]);
+    }
+
+    #[test]
+    fn raw_roundtrip_is_zero_copy() {
+        let r = r3();
+        let raw = r.clone().into_raw();
+        assert_eq!(raw, vec![3, 1, 1, 2, 2, 2]);
+        let ptr = raw.as_ptr();
+        let back = Relation::from_raw(2, raw);
+        assert_eq!(back, r);
+        assert_eq!(back.raw().as_ptr(), ptr);
+        assert!(Relation::from_raw(3, Vec::new()).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "not whole rows")]
+    fn from_raw_rejects_ragged_data() {
+        Relation::from_raw(2, vec![1, 2, 3]);
     }
 
     #[test]

@@ -9,12 +9,9 @@
 //! These exist to regenerate E01 and as sanity baselines: every real
 //! algorithm in this crate must beat at least one of them on every input.
 
-use crate::common::{hash_join_rows, joined_arity, local_hash_join, scatter, JoinRun, Tagged};
-use parqp_data::{Relation, Value};
+use crate::common::{hash_join_rows, inbox_pairs, joined_arity, scatter, single_stream, JoinRun};
+use parqp_data::Relation;
 use parqp_mpc::Cluster;
-
-const TAG_R: u32 = 0;
-const TAG_S: u32 = 1;
 
 /// Naïve 1 (slide 13): send both relations, in full, to server 0 and join
 /// there. One round; load `IN`.
@@ -28,27 +25,26 @@ pub fn naive_one_server(
     let mut cluster = Cluster::new(p);
     let r_parts = scatter(r, p);
     let s_parts = scatter(s, p);
-    let mut ex = cluster.exchange::<Tagged>();
+    let arities = [r.arity(), s.arity()];
+    let mut ex = cluster.exchange_rows(&arities);
     for part in &r_parts {
         for row in part.iter() {
-            ex.send(0, Tagged::new(TAG_R, row.to_vec()));
+            ex.send_row(0, 0, row);
         }
     }
     for part in &s_parts {
         for row in part.iter() {
-            ex.send(0, Tagged::new(TAG_S, row.to_vec()));
+            ex.send_row(1, 0, row);
         }
     }
-    let mut inboxes = ex.finish();
+    let inboxes = inbox_pairs(arities, ex.finish());
 
     let mut outputs: Vec<Relation> = (0..p)
         .map(|_| Relation::new(joined_arity(r.arity(), s.arity())))
         .collect();
-    let inbox = std::mem::take(&mut inboxes[0]);
-    let (r_rows, s_rows): (Vec<_>, Vec<_>) = inbox.into_iter().partition(|t| t.tag == TAG_R);
-    let r_rows: Vec<Vec<Value>> = r_rows.into_iter().map(|t| t.row).collect();
-    let s_rows: Vec<Vec<Value>> = s_rows.into_iter().map(|t| t.row).collect();
-    local_hash_join(&r_rows, r_col, &s_rows, s_col, &mut outputs[0]);
+    if let (Some((r_in, s_in)), Some(out)) = (inboxes.first(), outputs.first_mut()) {
+        hash_join_rows(r_in, r_col, s_in, s_col, out);
+    }
     JoinRun {
         outputs,
         report: cluster.report(),
@@ -62,10 +58,7 @@ pub fn naive_one_server(
 pub fn naive_ring(r: &Relation, r_col: usize, s: &Relation, s_col: usize, p: usize) -> JoinRun {
     let mut cluster = Cluster::new(p);
     let r_parts = scatter(r, p);
-    let mut s_parts: Vec<Vec<Vec<Value>>> = scatter(s, p)
-        .into_iter()
-        .map(Relation::into_messages)
-        .collect();
+    let mut s_parts = scatter(s, p);
 
     let mut outputs: Vec<Relation> = (0..p)
         .map(|_| Relation::new(joined_arity(r.arity(), s.arity())))
@@ -73,19 +66,19 @@ pub fn naive_ring(r: &Relation, r_col: usize, s: &Relation, s_col: usize, p: usi
 
     // Round 0 joins the co-resident fragments for free; then p−1 hops.
     for (sid, out) in outputs.iter_mut().enumerate() {
-        hash_join_rows(&r_parts[sid], r_col, s_parts[sid].as_slice(), s_col, out);
+        hash_join_rows(&r_parts[sid], r_col, &s_parts[sid], s_col, out);
     }
     for _hop in 1..p {
-        let mut ex = cluster.exchange::<Vec<Value>>();
+        let mut ex = cluster.exchange_rows(&[s.arity()]);
         for (sid, rows) in s_parts.iter().enumerate() {
             let dest = (sid + 1) % p;
             for row in rows {
-                ex.send(dest, row.clone());
+                ex.send_row(0, dest, row);
             }
         }
-        s_parts = ex.finish();
+        s_parts = single_stream(s.arity(), ex.finish());
         for (sid, out) in outputs.iter_mut().enumerate() {
-            hash_join_rows(&r_parts[sid], r_col, s_parts[sid].as_slice(), s_col, out);
+            hash_join_rows(&r_parts[sid], r_col, &s_parts[sid], s_col, out);
         }
     }
     JoinRun {

@@ -35,6 +35,11 @@ impl JoinRun {
 /// belongs to. The tag is routing metadata and is not charged as payload:
 /// the load of a tuple is its width in words, matching the paper's
 /// "tuples received" accounting.
+///
+/// This is the per-message adaptor: one owned row per routed copy
+/// through [`parqp_mpc::Exchange`]. The algorithms in this crate route
+/// through [`parqp_mpc::RowExchange`] instead, where the tag is the
+/// stream index and a row is charged the same width.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Tagged {
     /// Index of the source relation (atom).
@@ -59,7 +64,10 @@ impl Weight for Tagged {
 /// Split `rel` into `p` round-robin fragments (the model's free initial
 /// data placement).
 pub fn scatter(rel: &Relation, p: usize) -> Vec<Relation> {
-    let mut parts: Vec<Relation> = (0..p).map(|_| Relation::new(rel.arity())).collect();
+    let per_server = rel.len().div_ceil(p.max(1));
+    let mut parts: Vec<Relation> = (0..p)
+        .map(|_| Relation::with_capacity(rel.arity(), per_server))
+        .collect();
     for (i, row) in rel.iter().enumerate() {
         parts[i % p].push(row);
     }
@@ -104,7 +112,9 @@ where
     }
 }
 
-/// [`hash_join_rows`] over two inboxes of owned rows.
+/// [`hash_join_rows`] over two inboxes of owned rows: the per-message
+/// adaptor for callers that exchanged a [`Tagged`] per row and
+/// un-tagged the inbox into row vectors.
 pub fn local_hash_join(
     r_rows: &[Vec<Value>],
     r_col: usize,
@@ -119,25 +129,75 @@ pub fn local_hash_join(
 /// expansion join): every `left` row, in order, extended by the `fresh`
 /// columns of each `right` row agreeing with it on the key columns, in
 /// `right`'s order.
-pub(crate) fn extend_rows<R: Rows + ?Sized>(
-    left: &[Vec<Value>],
+pub(crate) fn extend_rows(
+    left: &Relation,
     left_pos: &[usize],
-    right: &R,
+    right: &Relation,
     right_pos: &[usize],
     fresh: &[usize],
-) -> Vec<Vec<Value>> {
+) -> Relation {
     let index = KeyIndex::build(right, right_pos);
     let mut out = Vec::new();
-    for lrow in left {
+    for lrow in left.iter() {
         for i in index.probe(lrow, left_pos) {
             let rrow = right.row(i);
-            let mut nrow = Vec::with_capacity(lrow.len() + fresh.len());
-            nrow.extend_from_slice(lrow);
-            nrow.extend(fresh.iter().map(|&posn| rrow[posn]));
-            out.push(nrow);
+            out.extend_from_slice(lrow);
+            out.extend(fresh.iter().map(|&posn| rrow[posn]));
         }
     }
-    out
+    Relation::from_raw(left.arity() + fresh.len(), out)
+}
+
+/// One delivered stream of a row exchange as per-server fragments: the
+/// flat buffers *are* the fragments' storage.
+pub(crate) fn fragments(arity: usize, bufs: Vec<Vec<Value>>) -> Vec<Relation> {
+    bufs.into_iter()
+        .map(|buf| Relation::from_raw(arity, buf))
+        .collect()
+}
+
+/// The per-server fragments of a row exchange that moved a single
+/// stream of `arity`-wide rows.
+pub fn single_stream(arity: usize, delivered: Vec<Vec<Vec<Value>>>) -> Vec<Relation> {
+    fragments(arity, delivered.into_iter().flatten().collect())
+}
+
+/// A row exchange's delivery, `[stream][dest]`, transposed into one
+/// inbox per server holding a fragment per stream (`arities[i]` is
+/// stream `i`'s stride).
+pub(crate) fn inboxes(arities: &[usize], delivered: Vec<Vec<Vec<Value>>>) -> Vec<Vec<Relation>> {
+    let p = delivered.first().map_or(0, Vec::len);
+    let mut inboxes: Vec<Vec<Relation>> =
+        (0..p).map(|_| Vec::with_capacity(arities.len())).collect();
+    for (&arity, bufs) in arities.iter().zip(delivered) {
+        for (inbox, buf) in inboxes.iter_mut().zip(bufs) {
+            inbox.push(Relation::from_raw(arity, buf));
+        }
+    }
+    inboxes
+}
+
+/// The next two delivered streams of a row exchange as one
+/// `(first, second)` pair of fragments per server: a whole two-stream
+/// round, or one edge's two streams of a round that carries several.
+pub(crate) fn inbox_pairs(
+    arities: [usize; 2],
+    delivered: impl IntoIterator<Item = Vec<Vec<Value>>>,
+) -> Vec<(Relation, Relation)> {
+    let mut streams = delivered.into_iter();
+    let mut next = |arity| fragments(arity, streams.next().unwrap_or_default());
+    let [first, second] = arities.map(&mut next);
+    first.into_iter().zip(second).collect()
+}
+
+/// A relation's columns permuted into variable order `x₀ … x_{k-1}`,
+/// given the variable each column holds.
+pub(crate) fn in_variable_order(rel: &Relation, schema: &[usize]) -> Relation {
+    let mut col_of_var = vec![0usize; schema.len()];
+    for (col, &v) in schema.iter().enumerate() {
+        col_of_var[v] = col;
+    }
+    rel.project(&col_of_var)
 }
 
 /// The serial two-way equi-join oracle in the same output convention.

@@ -22,51 +22,31 @@
 //! GYM beats the one-round algorithms whenever
 //! `OUT < p^{1−1/τ*} · IN` (slide 78) — experiment E11.
 
-use crate::common::{extend_rows, scatter, JoinRun};
+use crate::common::{extend_rows, fragments, in_variable_order, inbox_pairs, scatter, JoinRun};
 use crate::plans::combined_hash;
-use parqp_data::{FastMap, FastSet, Relation, Value};
-use parqp_mpc::{Cluster, Grid, HashFamily, LoadReport, Weight};
+use parqp_data::{FastMap, KeyIndex, Relation, Value};
+use parqp_mpc::hash::splitmix64;
+use parqp_mpc::{Cluster, Grid, HashFamily, LoadReport, RowExchange};
 use parqp_query::{Ghd, Query, Var};
 
-/// A distributed intermediate relation: per-server rows plus the variable
-/// schema they share.
+/// A distributed intermediate relation: per-server fragments plus the
+/// variable schema they share.
 #[derive(Debug, Clone)]
 struct Dist {
     schema: Vec<Var>,
-    parts: Vec<Vec<Vec<Value>>>,
+    parts: Vec<Relation>,
 }
 
 impl Dist {
     fn from_relation(rel: &Relation, vars: &[Var], p: usize) -> Self {
         Self {
             schema: vars.to_vec(),
-            parts: scatter(rel, p)
-                .into_iter()
-                .map(Relation::into_messages)
-                .collect(),
+            parts: scatter(rel, p),
         }
     }
 
     fn total(&self) -> usize {
-        self.parts.iter().map(Vec::len).sum()
-    }
-}
-
-/// A message of the semijoin/join machinery.
-#[derive(Debug, Clone)]
-struct GymMsg {
-    /// Which (parent, child) pair this belongs to.
-    pair: u32,
-    /// 0 = data row, 1 = semijoin key, 2 = intersection survivor.
-    kind: u8,
-    /// Row instance id (origin server ≪ 32 | index) for intersections.
-    inst: u64,
-    row: Vec<Value>,
-}
-
-impl Weight for GymMsg {
-    fn words(&self) -> u64 {
-        self.row.len() as u64
+        self.parts.iter().map(Relation::len).sum()
     }
 }
 
@@ -77,81 +57,91 @@ fn shared_positions(left: &[Var], right: &[Var]) -> Vec<(usize, usize)> {
         .collect()
 }
 
+/// [`shared_positions`] as the two key-column lists.
+fn key_columns(left: &[Var], right: &[Var]) -> (Vec<usize>, Vec<usize>) {
+    shared_positions(left, right).into_iter().unzip()
+}
+
+/// The server a row's `pos` columns hash to. Rounds that route several
+/// (parent, child) pairs at once salt each pair's hash apart.
+fn dest_of(h: &HashFamily, row: &[Value], pos: &[usize], salt: u64, p: usize) -> usize {
+    ((combined_hash(h, row, pos) ^ salt) % p as u64) as usize
+}
+
+/// Send every row of `parts` on `stream` to the server its `pos`
+/// columns hash to.
+fn route_rows(
+    ex: &mut RowExchange<'_>,
+    stream: usize,
+    parts: &[Relation],
+    h: &HashFamily,
+    pos: &[usize],
+    salt: u64,
+) {
+    let p = ex.p();
+    for part in parts {
+        for row in part {
+            ex.send_row(stream, dest_of(h, row, pos, salt, p), row);
+        }
+    }
+}
+
+/// Send the `pos` projection of `parts` on `stream`, deduplicated per
+/// origin server (a row speaks for its key iff it is the first of its
+/// chain), each key to the server it hashes to.
+fn route_distinct_keys(
+    ex: &mut RowExchange<'_>,
+    stream: usize,
+    parts: &[Relation],
+    h: &HashFamily,
+    pos: &[usize],
+    salt: u64,
+) {
+    let p = ex.p();
+    let mut key = Vec::with_capacity(pos.len());
+    for part in parts {
+        let index = KeyIndex::build(part, pos);
+        for (i, row) in part.iter().enumerate() {
+            if index.is_first_of_key(i) {
+                key.clear();
+                key.extend(pos.iter().map(|&c| row[c]));
+                ex.send_row(stream, dest_of(h, row, pos, salt, p), &key);
+            }
+        }
+    }
+}
+
+/// The rows of `rows` whose `pos` columns are one of `keys`' rows.
+fn semijoin_local(rows: &Relation, pos: &[usize], keys: &Relation) -> Relation {
+    let whole: Vec<usize> = (0..keys.arity()).collect();
+    let index = KeyIndex::build(keys, &whole);
+    rows.filter(|row| index.contains(row, pos))
+}
+
 /// One distributed semijoin round: `left ⋉ right`, both repartitioned by
 /// the hash of their shared variables. Returns the filtered left.
 fn semijoin_round(cluster: &mut Cluster, h: &HashFamily, left: Dist, right: &Dist) -> Dist {
     let p = cluster.p();
-    let sv = shared_positions(&left.schema, &right.schema);
-    if sv.is_empty() {
+    let (left_pos, right_pos) = key_columns(&left.schema, &right.schema);
+    if left_pos.is_empty() {
         // Disconnected: pure emptiness filter, no data movement needed
         // beyond a 1-bit flag we do not charge.
         if right.total() == 0 {
             return Dist {
+                parts: vec![Relation::new(left.schema.len()); p],
                 schema: left.schema,
-                parts: vec![Vec::new(); p],
             };
         }
         return left;
     }
-    let left_pos: Vec<usize> = sv.iter().map(|&(lp, _)| lp).collect();
-    let right_pos: Vec<usize> = sv.iter().map(|&(_, rp)| rp).collect();
 
-    let mut ex = cluster.exchange::<GymMsg>();
-    for part in &left.parts {
-        for row in part {
-            let key: Vec<Value> = left_pos.iter().map(|&i| row[i]).collect();
-            let dest =
-                (combined_hash(h, &key, &(0..key.len()).collect::<Vec<_>>()) % p as u64) as usize;
-            ex.send(
-                dest,
-                GymMsg {
-                    pair: 0,
-                    kind: 0,
-                    inst: 0,
-                    row: row.clone(),
-                },
-            );
-        }
-    }
-    for part in &right.parts {
-        let mut seen: FastSet<Vec<Value>> = FastSet::default();
-        for row in part {
-            let key: Vec<Value> = right_pos.iter().map(|&i| row[i]).collect();
-            if seen.insert(key.clone()) {
-                let dest = (combined_hash(h, &key, &(0..key.len()).collect::<Vec<_>>()) % p as u64)
-                    as usize;
-                ex.send(
-                    dest,
-                    GymMsg {
-                        pair: 0,
-                        kind: 1,
-                        inst: 0,
-                        row: key,
-                    },
-                );
-            }
-        }
-    }
-    let inboxes = ex.finish();
-
-    let parts = inboxes
-        .into_iter()
-        .map(|inbox| {
-            let mut keys: FastSet<Vec<Value>> = FastSet::default();
-            let mut rows = Vec::new();
-            for m in inbox {
-                if m.kind == 1 {
-                    keys.insert(m.row);
-                } else {
-                    rows.push(m.row);
-                }
-            }
-            rows.retain(|row| {
-                let key: Vec<Value> = left_pos.iter().map(|&i| row[i]).collect();
-                keys.contains(&key)
-            });
-            rows
-        })
+    let arities = [left.schema.len(), right_pos.len()];
+    let mut ex = cluster.exchange_rows(&arities);
+    route_rows(&mut ex, 0, &left.parts, h, &left_pos, 0);
+    route_distinct_keys(&mut ex, 1, &right.parts, h, &right_pos, 0);
+    let parts = inbox_pairs(arities, ex.finish())
+        .iter()
+        .map(|(rows, keys)| semijoin_local(rows, &left_pos, keys))
         .collect();
     Dist {
         schema: left.schema,
@@ -163,111 +153,41 @@ fn semijoin_round(cluster: &mut Cluster, h: &HashFamily, left: Dist, right: &Dis
 /// of the shared variables (Cartesian grid if none) and join locally.
 fn join_round(cluster: &mut Cluster, h: &HashFamily, left: Dist, right: Dist) -> Dist {
     let p = cluster.p();
-    let sv = shared_positions(&left.schema, &right.schema);
+    let (left_pos, right_pos) = key_columns(&left.schema, &right.schema);
     let fresh: Vec<usize> = (0..right.schema.len())
         .filter(|&rp| !left.schema.contains(&right.schema[rp]))
         .collect();
     let mut schema = left.schema.clone();
     schema.extend(fresh.iter().map(|&rp| right.schema[rp]));
 
-    let inboxes = if sv.is_empty() {
+    let arities = [left.schema.len(), right.schema.len()];
+    let mut ex = cluster.exchange_rows(&arities);
+    if left_pos.is_empty() {
         let (p1, p2) = crate::twoway::product_grid(left.total(), right.total(), p);
         let grid = Grid::new(vec![p1, p2]);
-        let mut ex = cluster.exchange::<GymMsg>();
         let mut idx = 0u64;
-        for part in &left.parts {
-            for row in part {
-                let band = (h.digest(0, idx) % p1 as u64) as usize;
-                idx += 1;
-                for dest in grid.matching(&[Some(band), None]) {
-                    ex.send(
-                        dest,
-                        GymMsg {
-                            pair: 0,
-                            kind: 0,
-                            inst: 0,
-                            row: row.clone(),
-                        },
-                    );
-                }
+        for row in left.parts.iter().flatten() {
+            let band = (h.digest(0, idx) % p1 as u64) as usize;
+            idx += 1;
+            for dest in grid.matching_ranks(&[Some(band), None]) {
+                ex.send_row(0, dest, row);
             }
         }
         idx = 0;
-        for part in &right.parts {
-            for row in part {
-                let band = (h.digest(0, !idx) % p2 as u64) as usize;
-                idx += 1;
-                for dest in grid.matching(&[None, Some(band)]) {
-                    ex.send(
-                        dest,
-                        GymMsg {
-                            pair: 0,
-                            kind: 1,
-                            inst: 0,
-                            row: row.clone(),
-                        },
-                    );
-                }
+        for row in right.parts.iter().flatten() {
+            let band = (h.digest(0, !idx) % p2 as u64) as usize;
+            idx += 1;
+            for dest in grid.matching_ranks(&[None, Some(band)]) {
+                ex.send_row(1, dest, row);
             }
         }
-        let mut boxes = ex.finish();
-        boxes.resize_with(p, Vec::new);
-        boxes
     } else {
-        let left_pos: Vec<usize> = sv.iter().map(|&(lp, _)| lp).collect();
-        let right_pos: Vec<usize> = sv.iter().map(|&(_, rp)| rp).collect();
-        let mut ex = cluster.exchange::<GymMsg>();
-        for part in &left.parts {
-            for row in part {
-                let key: Vec<Value> = left_pos.iter().map(|&i| row[i]).collect();
-                let dest = (combined_hash(h, &key, &(0..key.len()).collect::<Vec<_>>()) % p as u64)
-                    as usize;
-                ex.send(
-                    dest,
-                    GymMsg {
-                        pair: 0,
-                        kind: 0,
-                        inst: 0,
-                        row: row.clone(),
-                    },
-                );
-            }
-        }
-        for part in &right.parts {
-            for row in part {
-                let key: Vec<Value> = right_pos.iter().map(|&i| row[i]).collect();
-                let dest = (combined_hash(h, &key, &(0..key.len()).collect::<Vec<_>>()) % p as u64)
-                    as usize;
-                ex.send(
-                    dest,
-                    GymMsg {
-                        pair: 0,
-                        kind: 1,
-                        inst: 0,
-                        row: row.clone(),
-                    },
-                );
-            }
-        }
-        ex.finish()
-    };
-
-    let right_pos: Vec<usize> = sv.iter().map(|&(_, rp)| rp).collect();
-    let left_pos: Vec<usize> = sv.iter().map(|&(lp, _)| lp).collect();
-    let parts = inboxes
-        .into_iter()
-        .map(|inbox| {
-            let mut lrows = Vec::new();
-            let mut rrows = Vec::new();
-            for m in inbox {
-                if m.kind == 0 {
-                    lrows.push(m.row);
-                } else {
-                    rrows.push(m.row);
-                }
-            }
-            extend_rows(&lrows, &left_pos, rrows.as_slice(), &right_pos, &fresh)
-        })
+        route_rows(&mut ex, 0, &left.parts, h, &left_pos, 0);
+        route_rows(&mut ex, 1, &right.parts, h, &right_pos, 0);
+    }
+    let parts = inbox_pairs(arities, ex.finish())
+        .iter()
+        .map(|(lrows, rrows)| extend_rows(lrows, &left_pos, rrows, &right_pos, &fresh))
         .collect();
     Dist { schema, parts }
 }
@@ -550,6 +470,32 @@ fn run_yannakakis(
     acc
 }
 
+/// One (parent, child) edge of a level round, with the key columns the
+/// two bags share.
+struct Edge {
+    parent: usize,
+    child: usize,
+    parent_pos: Vec<usize>,
+    child_pos: Vec<usize>,
+}
+
+fn level_edges(states: &[Dist], edges: &[(usize, usize)]) -> Vec<Edge> {
+    edges
+        .iter()
+        .map(|&(parent, child)| {
+            let (parent_pos, child_pos) =
+                key_columns(&states[parent].schema, &states[child].schema);
+            assert!(!parent_pos.is_empty(), "join-tree edges share variables");
+            Edge {
+                parent,
+                child,
+                parent_pos,
+                child_pos,
+            }
+        })
+        .collect()
+}
+
 /// Optimized upward level: all parents filtered by all their
 /// level-children. One filter round; plus one intersection round if any
 /// parent has ≥ 2 children here (slides 90–91).
@@ -560,137 +506,113 @@ fn upward_level(
     edges: &[(usize, usize)],
 ) {
     let p = cluster.p();
-    let mut children_of: FastMap<usize, Vec<usize>> = FastMap::default();
-    for &(par, b) in edges {
-        children_of.entry(par).or_default().push(b);
+    let edges = level_edges(states, edges);
+    let mut filter_count: FastMap<usize, u32> = FastMap::default();
+    for e in &edges {
+        *filter_count.entry(e.parent).or_insert(0) += 1;
     }
-    let needs_intersection = children_of.values().any(|c| c.len() > 1);
+    let needs_intersection = filter_count.values().any(|&c| c > 1);
+    let parent_arity = |e: &Edge| states[e.parent].schema.len();
 
-    // Filter round.
-    let mut ex = cluster.exchange::<GymMsg>();
-    let mut pair_meta = Vec::new(); // (parent, child, left_pos, right_pos)
-    for (pair_id, &(par, b)) in edges.iter().enumerate() {
-        let sv = shared_positions(&states[par].schema, &states[b].schema);
-        assert!(!sv.is_empty(), "join-tree edges share variables");
-        let left_pos: Vec<usize> = sv.iter().map(|&(lp, _)| lp).collect();
-        let right_pos: Vec<usize> = sv.iter().map(|&(_, rp)| rp).collect();
-        // Parent rows, tagged with instance ids.
-        for (sid, part) in states[par].parts.iter().enumerate() {
+    // Filter round. Streams 2i and 2i+1 carry edge i's parent rows and
+    // its child keys. A parent row's instance id (origin server ≪ 32 |
+    // index) is routing metadata and rides beside the round uncharged:
+    // `insts[i][dest][k]` names the k-th row stream 2i delivers to `dest`.
+    let arities: Vec<usize> = edges
+        .iter()
+        .flat_map(|e| [parent_arity(e), e.child_pos.len()])
+        .collect();
+    let mut ex = cluster.exchange_rows(&arities);
+    let mut insts: Vec<Vec<Vec<u64>>> = vec![vec![Vec::new(); p]; edges.len()];
+    for (i, e) in edges.iter().enumerate() {
+        let salt = splitmix64(i as u64);
+        for (sid, part) in states[e.parent].parts.iter().enumerate() {
             for (idx, row) in part.iter().enumerate() {
-                let key: Vec<Value> = left_pos.iter().map(|&i| row[i]).collect();
-                let dest = (combined_hash(h, &key, &(0..key.len()).collect::<Vec<_>>())
-                    ^ parqp_mpc::hash::splitmix64(pair_id as u64))
-                    % p as u64;
-                ex.send(
-                    dest as usize,
-                    GymMsg {
-                        pair: pair_id as u32,
-                        kind: 0,
-                        inst: ((sid as u64) << 32) | idx as u64,
-                        row: row.clone(),
-                    },
-                );
-            }
-        }
-        // Child keys, deduplicated per origin server.
-        for part in &states[b].parts {
-            let mut seen: FastSet<Vec<Value>> = FastSet::default();
-            for row in part {
-                let key: Vec<Value> = right_pos.iter().map(|&i| row[i]).collect();
-                if seen.insert(key.clone()) {
-                    let dest = (combined_hash(h, &key, &(0..key.len()).collect::<Vec<_>>())
-                        ^ parqp_mpc::hash::splitmix64(pair_id as u64))
-                        % p as u64;
-                    ex.send(
-                        dest as usize,
-                        GymMsg {
-                            pair: pair_id as u32,
-                            kind: 1,
-                            inst: 0,
-                            row: key,
-                        },
-                    );
+                let dest = dest_of(h, row, &e.parent_pos, salt, p);
+                ex.send_row(2 * i, dest, row);
+                if needs_intersection {
+                    insts[i][dest].push(((sid as u64) << 32) | idx as u64);
                 }
             }
         }
-        pair_meta.push((par, b, left_pos, right_pos));
+        route_distinct_keys(
+            &mut ex,
+            2 * i + 1,
+            &states[e.child].parts,
+            h,
+            &e.child_pos,
+            salt,
+        );
     }
-    let inboxes = ex.finish();
+    let mut delivered = ex.finish().into_iter();
 
-    // Local filtering: survivors per pair per server.
-    type Survivors = Vec<Vec<(u64, Vec<Value>)>>; // per server: (instance, row)
-    let mut survivors: Vec<Survivors> = vec![vec![Vec::new(); p]; edges.len()];
-    for (sid, inbox) in inboxes.into_iter().enumerate() {
-        let mut keys: Vec<FastSet<Vec<Value>>> = vec![FastSet::default(); edges.len()];
-        let mut rows: Vec<Vec<(u64, Vec<Value>)>> = vec![Vec::new(); edges.len()];
-        for m in inbox {
-            if m.kind == 1 {
-                keys[m.pair as usize].insert(m.row);
-            } else {
-                rows[m.pair as usize].push((m.inst, m.row));
-            }
-        }
-        for (pair_id, pair_rows) in rows.into_iter().enumerate() {
-            let left_pos = &pair_meta[pair_id].2;
-            for (inst, row) in pair_rows {
-                let key: Vec<Value> = left_pos.iter().map(|&i| row[i]).collect();
-                if keys[pair_id].contains(&key) {
-                    survivors[pair_id][sid].push((inst, row));
-                }
-            }
-        }
+    // Local filtering: per edge, per server, the parent rows some child
+    // key vouches for (and, for the intersection, their instance ids).
+    let mut survivors: Vec<Vec<(Relation, Vec<u64>)>> = Vec::with_capacity(edges.len());
+    for (i, e) in edges.iter().enumerate() {
+        let inboxes = inbox_pairs([parent_arity(e), e.child_pos.len()], delivered.by_ref());
+        survivors.push(
+            inboxes
+                .iter()
+                .zip(&insts[i])
+                .map(|((rows, keys), row_insts)| {
+                    if !needs_intersection {
+                        return (semijoin_local(rows, &e.parent_pos, keys), Vec::new());
+                    }
+                    let whole: Vec<usize> = (0..keys.arity()).collect();
+                    let index = KeyIndex::build(keys, &whole);
+                    let mut kept = (Relation::new(rows.arity()), Vec::new());
+                    for (row, &inst) in rows.iter().zip(row_insts) {
+                        if index.contains(row, &e.parent_pos) {
+                            kept.0.push(row);
+                            kept.1.push(inst);
+                        }
+                    }
+                    kept
+                })
+                .collect(),
+        );
     }
 
     if !needs_intersection {
         // Each parent had exactly one child: survivors are the new state.
-        for (pair_id, &(par, _, _, _)) in pair_meta.iter().enumerate() {
-            states[par].parts = survivors[pair_id]
-                .iter()
-                .map(|rows| rows.iter().map(|(_, r)| r.clone()).collect())
-                .collect();
+        for (e, kept) in edges.iter().zip(survivors) {
+            states[e.parent].parts = kept.into_iter().map(|(rows, _)| rows).collect();
         }
         return;
     }
 
-    // Intersection round: survivors routed by instance id; an instance
-    // survives iff all of its parent's filters passed it (slide 91).
-    let mut ex = cluster.exchange::<GymMsg>();
-    for (pair_id, per_server) in survivors.iter().enumerate() {
-        for rows in per_server {
-            for (inst, row) in rows {
-                let dest = (parqp_mpc::hash::splitmix64(*inst) % p as u64) as usize;
-                ex.send(
-                    dest,
-                    GymMsg {
-                        pair: pair_id as u32,
-                        kind: 2,
-                        inst: *inst,
-                        row: row.clone(),
-                    },
-                );
+    // Intersection round: survivors routed by instance id (stream i is
+    // edge i's, ids beside it as above); an instance survives iff all
+    // of its parent's filters passed it (slide 91).
+    let arities: Vec<usize> = edges.iter().map(parent_arity).collect();
+    let mut ex = cluster.exchange_rows(&arities);
+    let mut insts: Vec<Vec<Vec<u64>>> = vec![vec![Vec::new(); p]; edges.len()];
+    for (i, per_server) in survivors.iter().enumerate() {
+        for (rows, row_insts) in per_server {
+            for (row, &inst) in rows.iter().zip(row_insts) {
+                let dest = (splitmix64(inst) % p as u64) as usize;
+                ex.send_row(i, dest, row);
+                insts[i][dest].push(inst);
             }
         }
     }
-    let inboxes = ex.finish();
+    let delivered = ex.finish();
 
-    let mut filter_count: FastMap<usize, u32> = FastMap::default();
-    for (pair_id, &(par, _, _, _)) in pair_meta.iter().enumerate() {
-        let _ = pair_id;
-        *filter_count.entry(par).or_insert(0) += 1;
+    let mut new_parts: FastMap<usize, Vec<Relation>> = FastMap::default();
+    for e in &edges {
+        new_parts
+            .entry(e.parent)
+            .or_insert_with(|| vec![Relation::new(parent_arity(e)); p]);
     }
-    let parent_of_pair: Vec<usize> = pair_meta.iter().map(|m| m.0).collect();
-
-    let mut new_parts: FastMap<usize, Vec<Vec<Vec<Value>>>> = FastMap::default();
-    for &par in children_of.keys() {
-        new_parts.insert(par, vec![Vec::new(); p]);
-    }
-    for (sid, inbox) in inboxes.into_iter().enumerate() {
-        // Count appearances of each (parent, inst); keep one row copy.
-        let mut counts: FastMap<(usize, u64), (u32, Vec<Value>)> = FastMap::default();
-        for m in inbox {
-            let par = parent_of_pair[m.pair as usize];
-            let e = counts.entry((par, m.inst)).or_insert((0, m.row));
-            e.0 += 1;
+    for sid in 0..p {
+        // Count appearances of each (parent, inst); keep its first copy.
+        let mut counts: FastMap<(usize, u64), (u32, &[Value])> = FastMap::default();
+        for (i, e) in edges.iter().enumerate() {
+            let rows = delivered[i][sid].chunks_exact(parent_arity(e));
+            for (row, &inst) in rows.zip(&insts[i][sid]) {
+                counts.entry((e.parent, inst)).or_insert((0, row)).0 += 1;
+            }
         }
         for ((par, _inst), (cnt, row)) in counts {
             if cnt == filter_count[&par] {
@@ -711,78 +633,40 @@ fn downward_level(
     states: &mut [Dist],
     edges: &[(usize, usize)],
 ) {
-    let p = cluster.p();
-    let mut ex = cluster.exchange::<GymMsg>();
-    let mut pair_meta = Vec::new();
-    for (pair_id, &(par, b)) in edges.iter().enumerate() {
-        let sv = shared_positions(&states[b].schema, &states[par].schema);
-        assert!(!sv.is_empty(), "join-tree edges share variables");
-        let left_pos: Vec<usize> = sv.iter().map(|&(lp, _)| lp).collect();
-        let right_pos: Vec<usize> = sv.iter().map(|&(_, rp)| rp).collect();
-        for part in &states[b].parts {
-            for row in part {
-                let key: Vec<Value> = left_pos.iter().map(|&i| row[i]).collect();
-                let dest = (combined_hash(h, &key, &(0..key.len()).collect::<Vec<_>>())
-                    ^ parqp_mpc::hash::splitmix64(pair_id as u64))
-                    % p as u64;
-                ex.send(
-                    dest as usize,
-                    GymMsg {
-                        pair: pair_id as u32,
-                        kind: 0,
-                        inst: 0,
-                        row: row.clone(),
-                    },
-                );
-            }
-        }
-        for part in &states[par].parts {
-            let mut seen: FastSet<Vec<Value>> = FastSet::default();
-            for row in part {
-                let key: Vec<Value> = right_pos.iter().map(|&i| row[i]).collect();
-                if seen.insert(key.clone()) {
-                    let dest = (combined_hash(h, &key, &(0..key.len()).collect::<Vec<_>>())
-                        ^ parqp_mpc::hash::splitmix64(pair_id as u64))
-                        % p as u64;
-                    ex.send(
-                        dest as usize,
-                        GymMsg {
-                            pair: pair_id as u32,
-                            kind: 1,
-                            inst: 0,
-                            row: key,
-                        },
-                    );
-                }
-            }
-        }
-        pair_meta.push((par, b, left_pos));
+    let edges = level_edges(states, edges);
+    // Streams 2i and 2i+1: edge i's child rows and its parent keys.
+    let arities: Vec<usize> = edges
+        .iter()
+        .flat_map(|e| [states[e.child].schema.len(), e.parent_pos.len()])
+        .collect();
+    let mut ex = cluster.exchange_rows(&arities);
+    for (i, e) in edges.iter().enumerate() {
+        let salt = splitmix64(i as u64);
+        route_rows(
+            &mut ex,
+            2 * i,
+            &states[e.child].parts,
+            h,
+            &e.child_pos,
+            salt,
+        );
+        route_distinct_keys(
+            &mut ex,
+            2 * i + 1,
+            &states[e.parent].parts,
+            h,
+            &e.parent_pos,
+            salt,
+        );
     }
-    let inboxes = ex.finish();
+    let mut delivered = ex.finish().into_iter();
 
-    let mut new_parts: Vec<Vec<Vec<Vec<Value>>>> = vec![vec![Vec::new(); p]; edges.len()];
-    for (sid, inbox) in inboxes.into_iter().enumerate() {
-        let mut keys: Vec<FastSet<Vec<Value>>> = vec![FastSet::default(); edges.len()];
-        let mut rows: Vec<Vec<Vec<Value>>> = vec![Vec::new(); edges.len()];
-        for m in inbox {
-            if m.kind == 1 {
-                keys[m.pair as usize].insert(m.row);
-            } else {
-                rows[m.pair as usize].push(m.row);
-            }
-        }
-        for (pair_id, pair_rows) in rows.into_iter().enumerate() {
-            let left_pos = &pair_meta[pair_id].2;
-            for row in pair_rows {
-                let key: Vec<Value> = left_pos.iter().map(|&i| row[i]).collect();
-                if keys[pair_id].contains(&key) {
-                    new_parts[pair_id][sid].push(row);
-                }
-            }
-        }
-    }
-    for (pair_id, &(_, b, _)) in pair_meta.iter().enumerate() {
-        states[b].parts = std::mem::take(&mut new_parts[pair_id]);
+    for e in &edges {
+        let arities = [states[e.child].schema.len(), e.parent_pos.len()];
+        states[e.child].parts = inbox_pairs(arities, delivered.by_ref())
+            .iter()
+            .map(|(rows, keys)| semijoin_local(rows, &e.child_pos, keys))
+            .collect();
     }
 }
 
@@ -805,9 +689,12 @@ fn join_level(
         children: Vec<usize>,
         grid: Grid,
         offset: usize,
+        /// The parent's stream; child `ci` is stream `stream + 1 + ci`.
+        stream: usize,
         sv: Vec<(Vec<usize>, Vec<usize>)>, // per child: (parent pos, child pos)
     }
     let mut plans = Vec::new();
+    let mut arities = Vec::new();
     for (i, &par) in parents.iter().enumerate() {
         let children = by_parent[&par].clone();
         let c = children.len();
@@ -828,118 +715,76 @@ fn join_level(
         let sv = children
             .iter()
             .map(|&b| {
-                let pairs = shared_positions(&states[par].schema, &states[b].schema);
-                assert!(!pairs.is_empty(), "join-tree edges share variables");
-                (
-                    pairs.iter().map(|&(lp, _)| lp).collect(),
-                    pairs.iter().map(|&(_, rp)| rp).collect(),
-                )
+                let pos = key_columns(&states[par].schema, &states[b].schema);
+                assert!(!pos.0.is_empty(), "join-tree edges share variables");
+                pos
             })
             .collect();
+        let stream = arities.len();
+        arities.push(states[par].schema.len());
+        arities.extend(children.iter().map(|&b| states[b].schema.len()));
         plans.push(NodePlan {
             parent: par,
             children,
             grid,
             offset: i * block,
+            stream,
             sv,
         });
     }
 
-    let mut ex = cluster.exchange::<GymMsg>();
+    let mut ex = cluster.exchange_rows(&arities);
     for plan in &plans {
-        let par = plan.parent;
+        let dims = plan.grid.dims();
         // Parent rows: fully determined coordinates.
-        for part in &states[par].parts {
-            for row in part {
-                let coords: Vec<usize> = plan
-                    .sv
+        let mut coords = Vec::with_capacity(dims.len());
+        for row in states[plan.parent].parts.iter().flatten() {
+            coords.clear();
+            coords.extend(
+                plan.sv
                     .iter()
-                    .enumerate()
-                    .map(|(ci, (ppos, _))| {
-                        let key: Vec<Value> = ppos.iter().map(|&i| row[i]).collect();
-                        (combined_hash(h, &key, &(0..key.len()).collect::<Vec<_>>())
-                            % plan.grid.dims()[ci] as u64) as usize
-                    })
-                    .collect();
-                ex.send(
-                    plan.offset + plan.grid.rank(&coords),
-                    GymMsg {
-                        pair: u32::MAX,
-                        kind: 0,
-                        inst: 0,
-                        row: row.clone(),
-                    },
-                );
-            }
+                    .zip(dims)
+                    .map(|((ppos, _), &dim)| dest_of(h, row, ppos, 0, dim)),
+            );
+            ex.send_row(plan.stream, plan.offset + plan.grid.rank(&coords), row);
         }
         // Child rows: own dimension fixed, others broadcast.
         for (ci, &b) in plan.children.iter().enumerate() {
             let (_, cpos) = &plan.sv[ci];
-            for part in &states[b].parts {
-                for row in part {
-                    let key: Vec<Value> = cpos.iter().map(|&i| row[i]).collect();
-                    let coord = (combined_hash(h, &key, &(0..key.len()).collect::<Vec<_>>())
-                        % plan.grid.dims()[ci] as u64) as usize;
-                    let mut partial = vec![None; plan.children.len()];
-                    partial[ci] = Some(coord);
-                    for dest in plan.grid.matching(&partial) {
-                        ex.send(
-                            plan.offset + dest,
-                            GymMsg {
-                                pair: ci as u32,
-                                kind: 1,
-                                inst: 0,
-                                row: row.clone(),
-                            },
-                        );
-                    }
+            let mut partial = vec![None; plan.children.len()];
+            for row in states[b].parts.iter().flatten() {
+                partial[ci] = Some(dest_of(h, row, cpos, 0, dims[ci]));
+                for dest in plan.grid.matching_ranks(&partial) {
+                    ex.send_row(plan.stream + 1 + ci, plan.offset + dest, row);
                 }
             }
         }
     }
-    let inboxes = ex.finish();
+    // Streams come back in the order they were numbered: each plan's
+    // parent, then its children.
+    let mut delivered = ex.finish().into_iter();
+    let mut next_stream = |arity| fragments(arity, delivered.next().unwrap_or_default());
 
-    // Local: fold children into the parent fragment.
+    // Local: fold children into the parent fragment. Servers outside the
+    // node's block received nothing on its streams and fold to empty.
     for plan in &plans {
-        let par = plan.parent;
-        let mut schema = states[par].schema.clone();
-        let child_schemas: Vec<Vec<Var>> = plan
-            .children
-            .iter()
-            .map(|&b| states[b].schema.clone())
-            .collect();
-        let mut new_parts: Vec<Vec<Vec<Value>>> = vec![Vec::new(); p];
-        for local in 0..plan.grid.len() {
-            let sid = plan.offset + local;
-            let inbox = &inboxes[sid];
-            let mut acc: Vec<Vec<Value>> = inbox
-                .iter()
-                .filter(|m| m.kind == 0)
-                .map(|m| m.row.clone())
+        let mut schema = states[plan.parent].schema.clone();
+        let mut acc = next_stream(schema.len());
+        for &b in &plan.children {
+            let child_schema = &states[b].schema;
+            let rows = next_stream(child_schema.len());
+            let (lpos, rpos) = key_columns(&schema, child_schema);
+            let fresh: Vec<usize> = (0..child_schema.len())
+                .filter(|&rp| !schema.contains(&child_schema[rp]))
                 .collect();
-            let mut acc_schema = states[par].schema.clone();
-            for (ci, child_schema) in child_schemas.iter().enumerate() {
-                let rows: Vec<&Vec<Value>> = inbox
-                    .iter()
-                    .filter(|m| m.kind == 1 && m.pair == ci as u32)
-                    .map(|m| &m.row)
-                    .collect();
-                let pairs = shared_positions(&acc_schema, child_schema);
-                let lpos: Vec<usize> = pairs.iter().map(|&(lp, _)| lp).collect();
-                let rpos: Vec<usize> = pairs.iter().map(|&(_, rp)| rp).collect();
-                let fresh: Vec<usize> = (0..child_schema.len())
-                    .filter(|&rp| !acc_schema.contains(&child_schema[rp]))
-                    .collect();
-                acc = extend_rows(&acc, &lpos, rows.as_slice(), &rpos, &fresh);
-                acc_schema.extend(fresh.iter().map(|&posn| child_schema[posn]));
-            }
-            new_parts[sid] = acc;
-            schema = acc_schema;
+            acc = acc
+                .iter()
+                .zip(&rows)
+                .map(|(acc, rows)| extend_rows(acc, &lpos, rows, &rpos, &fresh))
+                .collect();
+            schema.extend(fresh.iter().map(|&posn| child_schema[posn]));
         }
-        states[par] = Dist {
-            schema,
-            parts: new_parts,
-        };
+        states[plan.parent] = Dist { schema, parts: acc };
     }
 }
 
@@ -951,24 +796,10 @@ fn finish(query: &Query, dist: Dist, report: LoadReport) -> JoinRun {
         query.num_vars(),
         "result must bind every variable"
     );
-    let mut col_of_var = vec![0usize; query.num_vars()];
-    for (i, &v) in dist.schema.iter().enumerate() {
-        col_of_var[v] = i;
-    }
     let outputs = dist
         .parts
-        .into_iter()
-        .map(|rows| {
-            let mut rel = Relation::with_capacity(query.num_vars(), rows.len());
-            let mut buf = vec![0; query.num_vars()];
-            for row in rows {
-                for (v, slot) in buf.iter_mut().enumerate() {
-                    *slot = row[col_of_var[v]];
-                }
-                rel.push(&buf);
-            }
-            rel
-        })
+        .iter()
+        .map(|part| in_variable_order(part, &dist.schema))
         .collect();
     JoinRun { outputs, report }
 }

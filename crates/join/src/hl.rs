@@ -17,8 +17,8 @@
 //!   `R(x,y) ⋉ S(y,c) ⋉ T(c,x)` on its own `~p^{2/3}`-server group,
 //!   2 rounds at `L = O(IN/p^{2/3})` — worst-case optimal overall.
 
-use crate::common::{scatter, JoinRun, Tagged};
-use parqp_data::{FastMap, FastSet, Relation, Value};
+use crate::common::{fragments, inbox_pairs, scatter, single_stream, JoinRun};
+use parqp_data::{FastMap, FastSet, KeyIndex, Relation, Value};
 use parqp_mpc::{Cluster, HashFamily, LoadReport};
 
 /// Filter the in-place left fragments by membership of column `key_col`
@@ -36,51 +36,44 @@ fn semijoin_requests(
     dim: usize,
 ) {
     let p = cluster.p();
-    // Round A: distinct left keys (tagged with the asking server) and
-    // right keys meet at h(key).
+    // Round A: distinct left keys and right keys meet at h(key). Stream
+    // `sid` carries server `sid`'s asks — the asking server is routing
+    // metadata, as uncharged as a tag — and stream `p` the right keys.
     let right_parts = scatter(right, p);
-    let mut ex = cluster.exchange::<Tagged>();
+    let mut ex = cluster.exchange_rows(&vec![1; p + 1]);
     for (sid, part) in left_parts.iter().enumerate() {
         let mut seen: FastSet<Value> = FastSet::default();
         for row in part.iter() {
             if seen.insert(row[key_col]) {
-                ex.send(
-                    h.hash(dim, row[key_col], p),
-                    Tagged::new(sid as u32, vec![row[key_col]]),
-                );
+                ex.send_row(sid, h.hash(dim, row[key_col], p), &[row[key_col]]);
             }
         }
     }
     for part in &right_parts {
         for row in part.iter() {
-            ex.send(h.hash(dim, row[0], p), Tagged::new(u32::MAX, vec![row[0]]));
+            ex.send_row(p, h.hash(dim, row[0], p), &[row[0]]);
         }
     }
-    let inboxes = ex.finish();
+    let mut asks = ex.finish();
+    let members = fragments(1, asks.pop().unwrap_or_default());
 
     // Round B: positive replies go back to the asking servers.
-    let mut ex = cluster.exchange::<Vec<Value>>();
-    for inbox in inboxes {
-        let mut members: FastSet<Value> = FastSet::default();
-        let mut asks: Vec<(usize, Value)> = Vec::new();
-        for t in inbox {
-            if t.tag == u32::MAX {
-                members.insert(t.row[0]);
-            } else {
-                asks.push((t.tag as usize, t.row[0]));
-            }
-        }
-        for (origin, key) in asks {
-            if members.contains(&key) {
-                ex.send(origin, vec![key]);
+    let mut ex = cluster.exchange_rows(&[1]);
+    for (at, members) in members.iter().enumerate() {
+        let members = KeyIndex::build(members, &[0]);
+        for (origin, from) in asks.iter().enumerate() {
+            for key in from[at].chunks_exact(1) {
+                if members.contains(key, &[0]) {
+                    ex.send_row(0, origin, key);
+                }
             }
         }
     }
-    let replies = ex.finish();
+    let replies = single_stream(1, ex.finish());
 
     for (part, reply) in left_parts.iter_mut().zip(replies) {
-        let keep: FastSet<Value> = reply.into_iter().map(|r| r[0]).collect();
-        *part = part.filter(|row| keep.contains(&row[key_col]));
+        let keep = KeyIndex::build(&reply, &[0]);
+        *part = part.filter(|row| keep.contains(row, &[key_col]));
     }
 }
 
@@ -178,56 +171,37 @@ pub fn hl_triangle(r: &Relation, s: &Relation, t: &Relation, p: usize, seed: u64
         let mut cluster = Cluster::new(group);
         let h = HashFamily::new(seed ^ (0x7e47 + i as u64), 2);
         // Round 1: R by h(y), S_c keys by h(y); filter.
-        let mut ex = cluster.exchange::<Tagged>();
+        let mut ex = cluster.exchange_rows(&[2, 1]);
         for part in scatter(r, group) {
             for row in part.iter() {
-                ex.send(h.hash(0, row[1], group), Tagged::new(0, row.to_vec()));
+                ex.send_row(0, h.hash(0, row[1], group), row);
             }
         }
         for &y in &sc {
-            ex.send(h.hash(0, y, group), Tagged::new(1, vec![y]));
+            ex.send_row(1, h.hash(0, y, group), &[y]);
         }
-        let inboxes = ex.finish();
-        let filtered: Vec<Vec<Vec<Value>>> = inboxes
+        let filtered: Vec<Relation> = inbox_pairs([2, 1], ex.finish())
             .into_iter()
-            .map(|inbox| {
-                let mut keys: FastSet<Value> = FastSet::default();
-                let mut rows = Vec::new();
-                for m in inbox {
-                    if m.tag == 1 {
-                        keys.insert(m.row[0]);
-                    } else {
-                        rows.push(m.row);
-                    }
-                }
-                rows.retain(|row| keys.contains(&row[1]));
-                rows
+            .map(|(rows, keys)| {
+                let keys = KeyIndex::build(&keys, &[0]);
+                rows.filter(|row| keys.contains(row, &[1]))
             })
             .collect();
         // Round 2: survivors by h(x), T_c keys by h(x); filter; emit (x,y,c).
-        let mut ex = cluster.exchange::<Tagged>();
+        let mut ex = cluster.exchange_rows(&[2, 1]);
         for rows in &filtered {
             for row in rows {
-                ex.send(h.hash(1, row[0], group), Tagged::new(0, row.clone()));
+                ex.send_row(0, h.hash(1, row[0], group), row);
             }
         }
         for &x in &tc {
-            ex.send(h.hash(1, x, group), Tagged::new(1, vec![x]));
+            ex.send_row(1, h.hash(1, x, group), &[x]);
         }
-        let inboxes = ex.finish();
-        for inbox in inboxes {
-            let mut keys: FastSet<Value> = FastSet::default();
-            let mut rows = Vec::new();
-            for m in inbox {
-                if m.tag == 1 {
-                    keys.insert(m.row[0]);
-                } else {
-                    rows.push(m.row);
-                }
-            }
+        for (rows, keys) in inbox_pairs([2, 1], ex.finish()) {
+            let keys = KeyIndex::build(&keys, &[0]);
             let mut out = Relation::new(3);
-            for row in rows {
-                if keys.contains(&row[0]) {
+            for row in &rows {
+                if keys.contains(row, &[0]) {
                     out.push(&[row[0], row[1], c]);
                 }
             }

@@ -13,7 +13,7 @@
 //! load is `N / p^{1/τ*}` w.h.p. (slide 40), e.g. `N/p^{2/3}` for the
 //! triangle query (slide 36).
 
-use crate::common::{scatter, JoinRun, Tagged};
+use crate::common::{inboxes, scatter, JoinRun};
 use parqp_data::paged::RouteScan;
 use parqp_data::Relation;
 use parqp_mpc::{metrics, trace, Cluster, Grid, HashFamily};
@@ -96,7 +96,10 @@ pub fn hypercube_with_shares(
     let h = HashFamily::new(seed, query.num_vars());
 
     let shuffle = trace::span("hypercube/shuffle");
-    let mut ex = cluster.exchange::<Tagged>();
+    // One stream per atom: an inbox is the atom fragments `evaluate`
+    // takes, already in place.
+    let arities: Vec<usize> = rels.iter().map(Relation::arity).collect();
+    let mut ex = cluster.exchange_rows(&arities);
     for (j, rel) in rels.iter().enumerate() {
         let atom = &query.atoms()[j];
         // Every row of the atom fixes the same coordinates (its own
@@ -109,25 +112,15 @@ pub fn hypercube_with_shares(
                 for (pos, &v) in atom.vars.iter().enumerate() {
                     partial[v] = Some(h.hash(v, row[pos], shares[v]));
                 }
-                ex.send_matching(&grid, &partial, Tagged::new(j as u32, row.to_vec()));
+                ex.send_row_matching(j, &grid, &partial, row);
             }
         }
     }
-    let inboxes = ex.finish();
+    let received = inboxes(&arities, ex.finish());
     drop(shuffle);
 
     let evaluate_span = trace::span("hypercube/evaluate");
-    let outputs = cluster.map(inboxes, |_, inbox| {
-        let mut fragments: Vec<Relation> = query
-            .atoms()
-            .iter()
-            .map(|a| Relation::new(a.arity()))
-            .collect();
-        for t in inbox {
-            fragments[t.tag as usize].push(&t.row);
-        }
-        evaluate(query, &fragments)
-    });
+    let outputs = cluster.map(received, |_, fragments| evaluate(query, &fragments));
     drop(evaluate_span);
     JoinRun {
         outputs,

@@ -11,14 +11,15 @@
 //! one-round HyperCube and the Yannakakis-style [`crate::gym`] avoid in
 //! their respective regimes.
 
-use crate::common::{extend_rows, scatter, JoinRun, Tagged};
+use crate::common::{extend_rows, in_variable_order, inbox_pairs, scatter, JoinRun};
 use parqp_data::paged::{IoCursor, RouteScan};
 use parqp_data::{Relation, Value};
 use parqp_mpc::{metrics, trace, Cluster, Grid, HashFamily};
 use parqp_query::{Query, Var};
 
-const TAG_LEFT: u32 = 0;
-const TAG_RIGHT: u32 = 1;
+/// The two streams of a plan round: the intermediate and the next atom.
+const LEFT: usize = 0;
+const RIGHT: usize = 1;
 
 /// Combine the values at `positions` of `row` into one routing digest.
 pub(crate) fn combined_hash(h: &HashFamily, row: &[Value], positions: &[usize]) -> u64 {
@@ -75,10 +76,7 @@ pub fn binary_join_plan(
     // Intermediate state: distributed rows + their variable schema.
     let first = order[0];
     let mut schema: Vec<Var> = query.atoms()[first].vars.clone();
-    let mut parts: Vec<Vec<Vec<Value>>> = scatter(&rels[first], p)
-        .into_iter()
-        .map(Relation::into_messages)
-        .collect();
+    let mut parts: Vec<Relation> = scatter(&rels[first], p);
 
     for &next in &order[1..] {
         let atom = &query.atoms()[next];
@@ -99,13 +97,19 @@ pub fn binary_join_plan(
             .collect();
         let right_parts = scatter(&rels[next], p);
 
-        let inboxes = if shared_left.is_empty() {
-            // Cartesian round on a product grid.
-            let _span = trace::span("binary_plan/cartesian");
-            let left_n: usize = parts.iter().map(Vec::len).sum();
+        let arities = [schema.len(), atom.arity()];
+        let span = trace::span(if shared_left.is_empty() {
+            "binary_plan/cartesian"
+        } else {
+            "binary_plan/join"
+        });
+        let mut ex = cluster.exchange_rows(&arities);
+        if shared_left.is_empty() {
+            // Cartesian round on a product grid (which may use fewer
+            // than p servers).
+            let left_n: usize = parts.iter().map(Relation::len).sum();
             let (p1, p2) = crate::twoway::product_grid(left_n, rels[next].len(), p);
             let grid = Grid::new(vec![p1, p2]);
-            let mut ex = cluster.exchange::<Tagged>();
             let mut idx = 0u64;
             for (sid, part) in parts.iter().enumerate() {
                 ex.set_sender(sid);
@@ -116,8 +120,8 @@ pub fn binary_join_plan(
                     io.read(row.len());
                     let band = (h.digest(0, idx) % p1 as u64) as usize;
                     idx += 1;
-                    for dest in grid.matching(&[Some(band), None]) {
-                        ex.send(dest, Tagged::new(TAG_LEFT, row.clone()));
+                    for dest in grid.matching_ranks(&[Some(band), None]) {
+                        ex.send_row(LEFT, dest, row);
                     }
                 }
             }
@@ -128,24 +132,19 @@ pub fn binary_join_plan(
                 for row in scan.iter() {
                     let band = (h.digest(0, !idx) % p2 as u64) as usize;
                     idx += 1;
-                    for dest in grid.matching(&[None, Some(band)]) {
-                        ex.send(dest, Tagged::new(TAG_RIGHT, row.to_vec()));
+                    for dest in grid.matching_ranks(&[None, Some(band)]) {
+                        ex.send_row(RIGHT, dest, row);
                     }
                 }
             }
-            let mut boxes = ex.finish();
-            boxes.resize_with(p, Vec::new); // grid may use fewer than p servers
-            boxes
         } else {
-            let _span = trace::span("binary_plan/join");
-            let mut ex = cluster.exchange::<Tagged>();
             for (sid, part) in parts.iter().enumerate() {
                 ex.set_sender(sid);
                 let mut io = IoCursor::new(sid);
                 for row in part {
                     io.read(row.len());
                     let dest = (combined_hash(&h, row, &shared_left) % p as u64) as usize;
-                    ex.send(dest, Tagged::new(TAG_LEFT, row.clone()));
+                    ex.send_row(LEFT, dest, row);
                 }
             }
             for (sid, part) in right_parts.iter().enumerate() {
@@ -153,30 +152,16 @@ pub fn binary_join_plan(
                 let scan = RouteScan::new(sid, part);
                 for row in scan.iter() {
                     let dest = (combined_hash(&h, row, &shared_right) % p as u64) as usize;
-                    ex.send(dest, Tagged::new(TAG_RIGHT, row.to_vec()));
+                    ex.send_row(RIGHT, dest, row);
                 }
             }
-            ex.finish()
-        };
+        }
+        let inboxes = inbox_pairs(arities, ex.finish());
+        drop(span);
 
         // Local join on the shared variables.
-        parts = cluster.map(inboxes, |_, inbox| {
-            let mut left_rows = Vec::new();
-            let mut right_rows = Vec::new();
-            for t in inbox {
-                if t.tag == TAG_LEFT {
-                    left_rows.push(t.row);
-                } else {
-                    right_rows.push(t.row);
-                }
-            }
-            extend_rows(
-                &left_rows,
-                &shared_left,
-                right_rows.as_slice(),
-                &shared_right,
-                &fresh_right,
-            )
+        parts = cluster.map(inboxes, |_, (left, right)| {
+            extend_rows(&left, &shared_left, &right, &shared_right, &fresh_right)
         });
         schema.extend(fresh_right.iter().map(|&pos| atom.vars[pos]));
     }
@@ -187,23 +172,9 @@ pub fn binary_join_plan(
         query.num_vars(),
         "plan must bind every variable"
     );
-    let mut col_of_var = vec![0usize; query.num_vars()];
-    for (i, &v) in schema.iter().enumerate() {
-        col_of_var[v] = i;
-    }
     let outputs = parts
-        .into_iter()
-        .map(|rows| {
-            let mut rel = Relation::with_capacity(query.num_vars(), rows.len());
-            let mut buf = vec![0; query.num_vars()];
-            for row in rows {
-                for (v, slot) in buf.iter_mut().enumerate() {
-                    *slot = row[col_of_var[v]];
-                }
-                rel.push(&buf);
-            }
-            rel
-        })
+        .iter()
+        .map(|part| in_variable_order(part, &schema))
         .collect();
     JoinRun {
         outputs,
@@ -216,7 +187,7 @@ pub fn binary_join_plan(
 pub fn max_intermediate_size(query: &Query, rels: &[Relation], order: Option<Vec<usize>>) -> usize {
     let order = order.unwrap_or_else(|| (0..query.num_atoms()).collect());
     let mut schema = query.atoms()[order[0]].vars.clone();
-    let mut rows: Vec<Vec<Value>> = rels[order[0]].iter().map(<[Value]>::to_vec).collect();
+    let mut rows = rels[order[0]].clone();
     let mut max = rows.len();
     for &next in &order[1..] {
         let atom = &query.atoms()[next];

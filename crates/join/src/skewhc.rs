@@ -22,7 +22,7 @@
 //! bound of slide 47; e.g. `N/p^{1/2}` for the skewed triangle instead of
 //! hash-join's `N` (slides 48–51).
 
-use crate::common::{scatter, JoinRun, Tagged};
+use crate::common::{inboxes, scatter, JoinRun};
 use parqp_data::paged::RouteScan;
 use parqp_data::stats::degree_counts;
 use parqp_data::{FastSet, Relation, Value};
@@ -150,9 +150,13 @@ pub fn skewhc_with_plans(
 
     // One round: every tuple goes to each compatible combination's grid.
     let shuffle = trace::span("skewhc/shuffle");
-    let mut ex = cluster.exchange::<Tagged>();
+    let arities: Vec<usize> = rels.iter().map(Relation::arity).collect();
+    let mut ex = cluster.exchange_rows(&arities);
+    let mut partial: Vec<Option<usize>> = vec![None; k];
     for (j, rel) in rels.iter().enumerate() {
         let atom = &query.atoms()[j];
+        // Every row of the atom fixes the same coordinates.
+        partial.fill(None);
         for (sid, part) in scatter(rel, total_servers).into_iter().enumerate() {
             ex.set_sender(sid);
             let scan = RouteScan::new(sid, &part);
@@ -170,7 +174,6 @@ pub fn skewhc_with_plans(
                     if plan.mask & own_bits != own_mask {
                         continue; // incompatible combination
                     }
-                    let mut partial: Vec<Option<usize>> = vec![None; k];
                     for (pos, &v) in atom.vars.iter().enumerate() {
                         partial[v] = Some(if plan.mask & (1 << v) != 0 {
                             0 // heavy: share 1
@@ -178,30 +181,20 @@ pub fn skewhc_with_plans(
                             h.hash(v, row[pos], plan.shares[v])
                         });
                     }
-                    for dest in grid.matching(&partial) {
-                        ex.send(plan.offset + dest, Tagged::new(j as u32, row.to_vec()));
+                    for dest in grid.matching_ranks(&partial) {
+                        ex.send_row(j, plan.offset + dest, row);
                     }
                 }
             }
         }
     }
-    let inboxes = ex.finish();
+    let received = inboxes(&arities, ex.finish());
     drop(shuffle);
 
     let _span = trace::span("skewhc/evaluate");
-    let outputs = inboxes
-        .into_iter()
-        .map(|inbox| {
-            let mut fragments: Vec<Relation> = query
-                .atoms()
-                .iter()
-                .map(|a| Relation::new(a.arity()))
-                .collect();
-            for t in inbox {
-                fragments[t.tag as usize].push(&t.row);
-            }
-            evaluate(query, &fragments)
-        })
+    let outputs = received
+        .iter()
+        .map(|fragments| evaluate(query, fragments))
         .collect();
     (
         JoinRun {

@@ -24,9 +24,9 @@
 //! result follows **set semantics** (duplicate input tuples do not
 //! multiply outputs; compare canonical forms).
 
-use crate::common::{extend_rows, scatter, JoinRun, Tagged};
+use crate::common::{extend_rows, in_variable_order, inbox_pairs, scatter, JoinRun};
 use crate::plans::combined_hash;
-use parqp_data::{FastSet, Relation, Value};
+use parqp_data::{FastSet, KeyIndex, Relation};
 use parqp_mpc::{Cluster, HashFamily};
 use parqp_query::{Query, Var};
 
@@ -82,10 +82,7 @@ pub fn expansion_join_with_order(
 
     // State: distributed bindings with schema `bound`.
     let mut bound: Vec<Var> = query.atoms()[seed_atom].vars.clone();
-    let mut parts: Vec<Vec<Vec<Value>>> = scatter(&dedup(&rels[seed_atom]), p)
-        .into_iter()
-        .map(Relation::into_messages)
-        .collect();
+    let mut parts: Vec<Relation> = scatter(&dedup(&rels[seed_atom]), p);
     let mut verified = vec![false; query.num_atoms()];
     verified[seed_atom] = true;
 
@@ -139,45 +136,26 @@ pub fn expansion_join_with_order(
             .map(|sv| bound.iter().position(|x| x == sv).expect("bound"))
             .collect();
         let ext_key: Vec<usize> = (0..shared_vars.len()).collect();
-        let mut ex = cluster.exchange::<Tagged>();
+        let arities = [bound.len(), ext.arity()];
+        let mut ex = cluster.exchange_rows(&arities);
         for part in &parts {
             for b in part {
-                let key: Vec<Value> = bound_pos.iter().map(|&i| b[i]).collect();
-                let dest = (combined_hash(&h, &key, &(0..key.len()).collect::<Vec<_>>()) % p as u64)
-                    as usize;
-                ex.send(dest, Tagged::new(0, b.clone()));
+                let dest = (combined_hash(&h, b, &bound_pos) % p as u64) as usize;
+                ex.send_row(0, dest, b);
             }
         }
         for part in scatter(&ext, p) {
             for row in part.iter() {
-                let key = &row[..row.len() - 1];
-                let dest = (combined_hash(&h, key, &(0..key.len()).collect::<Vec<_>>()) % p as u64)
-                    as usize;
-                ex.send(dest, Tagged::new(1, row.to_vec()));
+                let dest = (combined_hash(&h, row, &ext_key) % p as u64) as usize;
+                ex.send_row(1, dest, row);
             }
         }
-        let inboxes = ex.finish();
-        parts = inboxes
-            .into_iter()
-            .map(|inbox| {
-                // Extender rows are (shared…, v): key on all but the last
-                // column, extend each binding with the last.
-                let mut ext_rows = Vec::new();
-                let mut bindings = Vec::new();
-                for t in inbox {
-                    if t.tag == 1 {
-                        ext_rows.push(t.row);
-                    } else {
-                        bindings.push(t.row);
-                    }
-                }
-                extend_rows(
-                    &bindings,
-                    &bound_pos,
-                    ext_rows.as_slice(),
-                    &ext_key,
-                    &[ext_key.len()],
-                )
+        // Extender rows are (shared…, v): key on all but the last
+        // column, extend each binding with the last.
+        parts = inbox_pairs(arities, ex.finish())
+            .iter()
+            .map(|(bindings, ext_rows)| {
+                extend_rows(bindings, &bound_pos, ext_rows, &ext_key, &[ext_key.len()])
             })
             .collect();
         bound.push(v);
@@ -195,64 +173,35 @@ pub fn expansion_join_with_order(
                 .map(|fv| bound.iter().position(|x| x == fv).expect("fully bound"))
                 .collect();
             let filt = dedup(&rels[j]);
-            let mut ex = cluster.exchange::<Tagged>();
+            let filt_key: Vec<usize> = (0..filt.arity()).collect();
+            let arities = [bound.len(), filt.arity()];
+            let mut ex = cluster.exchange_rows(&arities);
             for part in &parts {
                 for b in part {
-                    let key: Vec<Value> = bpos.iter().map(|&i| b[i]).collect();
-                    let dest = (combined_hash(&h, &key, &(0..key.len()).collect::<Vec<_>>())
-                        % p as u64) as usize;
-                    ex.send(dest, Tagged::new(0, b.clone()));
+                    let dest = (combined_hash(&h, b, &bpos) % p as u64) as usize;
+                    ex.send_row(0, dest, b);
                 }
             }
             for part in scatter(&filt, p) {
                 for row in part.iter() {
-                    let dest = (combined_hash(&h, row, &(0..row.len()).collect::<Vec<_>>())
-                        % p as u64) as usize;
-                    ex.send(dest, Tagged::new(1, row.to_vec()));
+                    let dest = (combined_hash(&h, row, &filt_key) % p as u64) as usize;
+                    ex.send_row(1, dest, row);
                 }
             }
-            let inboxes = ex.finish();
-            parts = inboxes
-                .into_iter()
-                .map(|inbox| {
-                    let mut members: FastSet<Vec<Value>> = FastSet::default();
-                    let mut bindings = Vec::new();
-                    for t in inbox {
-                        if t.tag == 1 {
-                            members.insert(t.row);
-                        } else {
-                            bindings.push(t.row);
-                        }
-                    }
-                    bindings.retain(|b| {
-                        let key: Vec<Value> = bpos.iter().map(|&i| b[i]).collect();
-                        members.contains(&key)
-                    });
-                    bindings
+            parts = inbox_pairs(arities, ex.finish())
+                .iter()
+                .map(|(bindings, members)| {
+                    let members = KeyIndex::build(members, &filt_key);
+                    bindings.filter(|b| members.contains(b, &bpos))
                 })
                 .collect();
         }
     }
     assert!(verified.iter().all(|&x| x), "every atom must be verified");
 
-    // Reorder to x₀ … x_{k-1}.
-    let mut col_of_var = vec![0usize; query.num_vars()];
-    for (i, &x) in bound.iter().enumerate() {
-        col_of_var[x] = i;
-    }
     let outputs = parts
-        .into_iter()
-        .map(|rows| {
-            let mut rel = Relation::with_capacity(query.num_vars(), rows.len());
-            let mut buf = vec![0; query.num_vars()];
-            for row in rows {
-                for (x, slot) in buf.iter_mut().enumerate() {
-                    *slot = row[col_of_var[x]];
-                }
-                rel.push(&buf);
-            }
-            rel
-        })
+        .iter()
+        .map(|part| in_variable_order(part, &bound))
         .collect();
     JoinRun {
         outputs,

@@ -12,15 +12,16 @@
 //! `S` row minus its join column ([`crate::common::merge_rows`]).
 
 use crate::common::{
-    hash_join_rows, joined_arity, local_hash_join, merge_rows, scatter, JoinRun, Tagged,
+    hash_join_rows, inbox_pairs, joined_arity, merge_rows, scatter, single_stream, JoinRun,
 };
 use parqp_data::paged::RouteScan;
 use parqp_data::stats::{degree_counts, join_heavy_hitters, join_output_size};
 use parqp_data::{Relation, Value};
 use parqp_mpc::{metrics, trace, Cluster, HashFamily, LoadReport, Weight};
 
-const TAG_R: u32 = 0;
-const TAG_S: u32 = 1;
+/// The two streams of a two-way round: `R` rows and `S` rows.
+const TAG_R: usize = 0;
+const TAG_S: usize = 1;
 
 /// Parallel hash join (slide 23): both relations are repartitioned by a
 /// shared hash of the join attribute; each server joins its bucket
@@ -61,28 +62,28 @@ pub fn hash_join(
     }
 
     let _span = trace::span("hash_join/partition");
-    let mut ex = cluster.exchange::<Tagged>();
+    let arities = [r.arity(), s.arity()];
+    let mut ex = cluster.exchange_rows(&arities);
     for (sid, part) in r_parts.iter().enumerate() {
         ex.set_sender(sid);
         let scan = RouteScan::new(sid, part);
         for row in scan.iter() {
-            ex.send(h.hash(0, row[r_col], p), Tagged::new(TAG_R, row.to_vec()));
+            ex.send_row(TAG_R, h.hash(0, row[r_col], p), row);
         }
     }
     for (sid, part) in s_parts.iter().enumerate() {
         ex.set_sender(sid);
         let scan = RouteScan::new(sid, part);
         for row in scan.iter() {
-            ex.send(h.hash(0, row[s_col], p), Tagged::new(TAG_S, row.to_vec()));
+            ex.send_row(TAG_S, h.hash(0, row[s_col], p), row);
         }
     }
-    let inboxes = ex.finish();
+    let inboxes = inbox_pairs(arities, ex.finish());
 
     let arity = joined_arity(r.arity(), s.arity());
-    let outputs = cluster.map(inboxes, |_, inbox| {
-        let (r_rows, s_rows) = split_tags(inbox);
+    let outputs = cluster.map(inboxes, |_, (r_in, s_in)| {
         let mut out = Relation::new(arity);
-        local_hash_join(&r_rows, r_col, &s_rows, s_col, &mut out);
+        hash_join_rows(&r_in, r_col, &s_in, s_col, &mut out);
         out
     });
     JoinRun {
@@ -110,21 +111,21 @@ pub fn broadcast_join(r: &Relation, r_col: usize, s: &Relation, s_col: usize, p:
     }
 
     let _span = trace::span("broadcast_join/replicate");
-    let mut ex = cluster.exchange::<Vec<Value>>();
+    let mut ex = cluster.exchange_rows(&[r.arity()]);
     for (sid, part) in r_parts.iter().enumerate() {
         ex.set_sender(sid);
         let scan = RouteScan::new(sid, part);
         for row in scan.iter() {
-            ex.broadcast(row.to_vec());
+            ex.broadcast_row(0, row);
         }
     }
-    let inboxes = ex.finish();
+    let replicas = single_stream(r.arity(), ex.finish());
 
     let arity = joined_arity(r.arity(), s.arity());
-    let work: Vec<_> = inboxes.into_iter().zip(s_parts).collect();
-    let outputs = cluster.map(work, |_, (r_rows, s_part)| {
+    let work: Vec<_> = replicas.into_iter().zip(s_parts).collect();
+    let outputs = cluster.map(work, |_, (r_in, s_part)| {
         let mut out = Relation::new(arity);
-        hash_join_rows(r_rows.as_slice(), r_col, &s_part, s_col, &mut out);
+        hash_join_rows(&r_in, r_col, &s_part, s_col, &mut out);
         out
     });
     JoinRun {
@@ -182,7 +183,8 @@ pub fn cartesian(r: &Relation, s: &Relation, p: usize, seed: u64) -> JoinRun {
     }
 
     let _span = trace::span("cartesian/scatter");
-    let mut ex = cluster.exchange::<Tagged>();
+    let arities = [r.arity(), s.arity()];
+    let mut ex = cluster.exchange_rows(&arities);
     let mut index = 0u64;
     for (sid, part) in r_parts.iter().enumerate() {
         ex.set_sender(sid);
@@ -190,7 +192,7 @@ pub fn cartesian(r: &Relation, s: &Relation, p: usize, seed: u64) -> JoinRun {
         for row in scan.iter() {
             let band = h.hash(0, index, p1);
             index += 1;
-            ex.send_matching(&grid, &[Some(band), None], Tagged::new(TAG_R, row.to_vec()));
+            ex.send_row_matching(TAG_R, &grid, &[Some(band), None], row);
         }
     }
     index = 0;
@@ -200,18 +202,17 @@ pub fn cartesian(r: &Relation, s: &Relation, p: usize, seed: u64) -> JoinRun {
         for row in scan.iter() {
             let band = h.hash(1, index, p2);
             index += 1;
-            ex.send_matching(&grid, &[None, Some(band)], Tagged::new(TAG_S, row.to_vec()));
+            ex.send_row_matching(TAG_S, &grid, &[None, Some(band)], row);
         }
     }
-    let inboxes = ex.finish();
+    let inboxes = inbox_pairs(arities, ex.finish());
 
     let arity = r.arity() + s.arity();
-    let outputs = cluster.map(inboxes, |_, inbox| {
-        let (r_rows, s_rows) = split_tags(inbox);
+    let outputs = cluster.map(inboxes, |_, (r_in, s_in)| {
         let mut out = Relation::new(arity);
         let mut buf = Vec::new();
-        for a in &r_rows {
-            for b in &s_rows {
+        for a in &r_in {
+            for b in &s_in {
                 buf.clear();
                 buf.extend_from_slice(a);
                 buf.extend_from_slice(b);
@@ -363,7 +364,7 @@ pub fn skew_join(
 struct SortItem {
     key: Value,
     tie: u64,
-    tag: u32,
+    tag: usize,
     row: Vec<Value>,
 }
 
@@ -431,7 +432,7 @@ pub fn sort_merge_join(
     for (sid, part) in parts.iter().enumerate() {
         ex.set_sender(sid);
         if let (Some(first), Some(last)) = (part.first(), part.last()) {
-            let count = |key: Value, tag: u32| -> u64 {
+            let count = |key: Value, tag: usize| -> u64 {
                 part.iter()
                     .filter(|it| it.key == key && it.tag == tag)
                     .count() as u64
@@ -492,7 +493,8 @@ pub fn sort_merge_join(
     // Redistribution round: rows of crossing keys go to a grid inside the
     // key's holder range; everything else joins locally, no communication.
     let _span = trace::span("sort_merge/crossing");
-    let mut ex = cluster.exchange::<SortItem>();
+    let arities = [r.arity(), s.arity()];
+    let mut ex = cluster.exchange_rows(&arities);
     for (sid, part) in parts.iter().enumerate() {
         ex.set_sender(sid);
         let mut io = parqp_data::paged::IoCursor::new(sid);
@@ -512,42 +514,35 @@ pub fn sort_merge_join(
             if item.tag == TAG_R {
                 let band = (item.tie % p1 as u64) as usize;
                 for col in 0..p2 {
-                    ex.send(holders[band * p2 + col], item.clone());
+                    ex.send_row(TAG_R, holders[band * p2 + col], &item.row);
                 }
             } else {
                 let band = (item.tie % p2 as u64) as usize;
                 for rowb in 0..p1 {
-                    ex.send(holders[rowb * p2 + band], item.clone());
+                    ex.send_row(TAG_S, holders[rowb * p2 + band], &item.row);
                 }
             }
         }
     }
-    let redist = ex.finish();
+    let redist = inbox_pairs(arities, ex.finish());
 
     let out_arity = joined_arity(r.arity(), s.arity());
     let work: Vec<_> = parts.into_iter().zip(redist).collect();
-    let outputs = cluster.map(work, |_, (part, extra)| {
+    let outputs = cluster.map(work, |_, (part, (cross_r, cross_s))| {
         let mut out = Relation::new(out_arity);
         // Local phase: non-crossing keys, matched within the sorted run.
-        let local_r: Vec<Vec<Value>> = part
-            .iter()
-            .filter(|it| it.tag == TAG_R && !crossing_keys.contains(&it.key))
-            .map(|it| it.row.clone())
-            .collect();
-        let local_s: Vec<Vec<Value>> = part
-            .iter()
-            .filter(|it| it.tag == TAG_S && !crossing_keys.contains(&it.key))
-            .map(|it| it.row.clone())
-            .collect();
-        local_hash_join(&local_r, r_col, &local_s, s_col, &mut out);
+        let mut local = [Relation::new(r.arity()), Relation::new(s.arity())];
+        for it in part.iter().filter(|it| !crossing_keys.contains(&it.key)) {
+            local[it.tag].push(&it.row);
+        }
+        let [local_r, local_s] = local;
+        hash_join_rows(&local_r, r_col, &local_s, s_col, &mut out);
         // Crossing phase: Cartesian within each key.
-        let cr: Vec<&SortItem> = extra.iter().filter(|it| it.tag == TAG_R).collect();
-        let cs: Vec<&SortItem> = extra.iter().filter(|it| it.tag == TAG_S).collect();
         let mut buf = Vec::new();
-        for a in &cr {
-            for b in &cs {
-                if a.key == b.key {
-                    merge_rows(&a.row, &b.row, s_col, &mut buf);
+        for a in &cross_r {
+            for b in &cross_s {
+                if a[r_col] == b[s_col] {
+                    merge_rows(a, b, s_col, &mut buf);
                     out.push(&buf);
                 }
             }
@@ -564,19 +559,6 @@ pub fn sort_merge_join(
 /// loads against `√(OUT/p)`.
 pub fn output_size(r: &Relation, r_col: usize, s: &Relation, s_col: usize) -> u64 {
     join_output_size(r, r_col, s, s_col)
-}
-
-fn split_tags(inbox: Vec<Tagged>) -> (Vec<Vec<Value>>, Vec<Vec<Value>>) {
-    let mut r_rows = Vec::new();
-    let mut s_rows = Vec::new();
-    for t in inbox {
-        if t.tag == TAG_R {
-            r_rows.push(t.row);
-        } else {
-            s_rows.push(t.row);
-        }
-    }
-    (r_rows, s_rows)
 }
 
 #[cfg(test)]

@@ -16,8 +16,12 @@ use parqp_data::fasthash::FxHasher;
 use parqp_data::{generate, Relation};
 use parqp_join::common::{joined_arity, local_hash_join, JoinRun};
 use parqp_join::gym::{gym, gym_ghd};
+use parqp_join::hl::{hl_triangle, semijoin_pair_hl};
+use parqp_join::multiway::hypercube;
 use parqp_join::plans::{binary_join_plan, max_intermediate_size};
+use parqp_join::skewhc::skewhc;
 use parqp_join::subgraph::{expansion_join, expansion_join_with_order};
+use parqp_join::twoway::{broadcast_join, cartesian, hash_join, skew_join, sort_merge_join};
 use parqp_query::{Ghd, Query};
 use std::hash::Hasher;
 
@@ -272,6 +276,221 @@ fn expansion_join_fragments_and_ledger() {
     for (what, run, want) in cases {
         assert!(run.output_size() > 0, "{what}: a vacuous case pins nothing");
         pins.check(what, run_digest(&run), want);
+    }
+    pins.finish();
+}
+
+/// Every row-routing entry point, per server, at `p` = 1, 5 (not a
+/// cube, not a power of two), 8 and 64 (more servers than some inputs
+/// have distinct keys). Printed by this file run against the commit
+/// before the flat wire format (`Exchange<Tagged>` inboxes un-tagged
+/// into `Vec<Vec<Value>>`), committed unchanged after the port: a row
+/// routed through a per-stream flat buffer must land on the same
+/// server at the same position as the `Tagged` message it replaced.
+///
+/// The planner's picks are pinned as the calls `run_plan` dispatches
+/// them to (`parqp-join` cannot name `parqp::planner`): HyperCube for
+/// the triangle, optimized GYM over the join tree for the 3-chain.
+#[test]
+fn routed_fragments_and_ledger_per_server() {
+    const PS: [usize; 4] = [1, 5, 8, 64];
+    let r = generate::uniform(2, 600, 40, 1);
+    let s = generate::uniform(2, 500, 40, 2);
+    let small = generate::uniform(2, 30, 40, 3);
+    let zr = generate::zipf_pairs(600, 30, 1.2, 1, 4);
+    let zs = generate::zipf_pairs(500, 30, 1.2, 0, 5);
+    let (ur, us) = (
+        generate::uniform(1, 40, 1000, 6),
+        generate::uniform(1, 30, 1000, 7),
+    );
+    let empty = Relation::new(2);
+
+    let two_way = Query::two_way();
+    let zipf_rels = vec![zr.clone(), zs.clone()];
+    let triangle = Query::triangle();
+    let g = generate::random_symmetric_graph(40, 300, 8);
+    let tri_rels = vec![g.clone(), g.clone(), g.clone()];
+    let tri_empty = vec![g.clone(), empty.clone(), g.clone()];
+    let mut hub = generate::random_symmetric_graph(50, 200, 9);
+    for i in 0..60 {
+        hub.push(&[0, 100 + i]);
+        hub.push(&[100 + i, 0]);
+    }
+    let hub_rels = vec![hub.clone(), hub.clone(), hub];
+    // z = 9 is heavy in S and T from p = 8 up (threshold IN/p^{1/3}).
+    let hl_r = generate::uniform(2, 400, 60, 21);
+    let hl_s = generate::constant_key_pairs(400, 9, 1);
+    let mut hl_t = generate::uniform(2, 400, 60, 22);
+    for i in 0..400u64 {
+        hl_t.push(&[9, i % 60]);
+    }
+    let (sj_r, sj_s, sj_t) = (
+        generate::unary_range(60),
+        generate::uniform(2, 400, 100, 23),
+        generate::unary_range(80),
+    );
+    let chain = Query::chain(3);
+    let chain_rels = uniform_rels(3, 300, 60, 30);
+    let chain_tree = Ghd::join_tree(&chain).expect("chains are acyclic");
+
+    type Run<'a> = Box<dyn Fn(usize) -> JoinRun + 'a>;
+    let cases: Vec<(&str, Run<'_>, [u64; 4])> = vec![
+        (
+            "hash_join",
+            Box::new(|p| hash_join(&r, 1, &s, 0, p, 42)),
+            [
+                0xd005_69e3_614f_de01,
+                0xfa07_da1e_15ff_2995,
+                0xa384_afac_1743_f0b7,
+                0x62c8_6fa7_fb98_8982,
+            ],
+        ),
+        (
+            "hash_join, empty S",
+            Box::new(|p| hash_join(&r, 1, &empty, 0, p, 42)),
+            [
+                0x27d0_3dca_de1b_42d7,
+                0x9e9f_3845_fefb_142e,
+                0x3d3e_ee6a_5451_d9e9,
+                0x6575_3e91_57bc_1e7e,
+            ],
+        ),
+        (
+            "broadcast_join",
+            Box::new(|p| broadcast_join(&small, 1, &s, 0, p)),
+            [
+                0x2cb8_d8ff_c7dd_9c63,
+                0x4043_1e74_9366_90a6,
+                0xea52_ea18_d0cf_7514,
+                0x388d_a9af_54c1_4b3c,
+            ],
+        ),
+        (
+            "cartesian",
+            Box::new(|p| cartesian(&ur, &us, p, 9)),
+            [
+                0x83ae_9e63_ee78_ecca,
+                0xeb2d_e3b7_b451_4a1c,
+                0x4a85_d6e7_e1d4_cb24,
+                0x91ac_77ab_27bc_ec8e,
+            ],
+        ),
+        (
+            "skew_join",
+            Box::new(|p| skew_join(&zr, 1, &zs, 0, p, 8)),
+            [
+                0x7723_16fe_d092_db40,
+                0xf1c2_33be_03bd_1181,
+                0x0d11_9da4_e002_e069,
+                0xb5ca_3367_a406_c1d0,
+            ],
+        ),
+        (
+            "sort_merge_join",
+            Box::new(|p| sort_merge_join(&zr, 1, &zs, 0, p, 12)),
+            [
+                0x2919_4fad_a1a9_c66e,
+                0xbb82_4e38_3989_9559,
+                0xa04b_cd93_70db_8627,
+                0xfe58_7429_a36a_b386,
+            ],
+        ),
+        (
+            "hypercube (the planner's triangle)",
+            Box::new(|p| hypercube(&triangle, &tri_rels, p, 5)),
+            [
+                0x0ba3_ff14_1111_d2e2,
+                0xa6e5_ec67_692e_399d,
+                0x4118_272c_82f8_47e6,
+                0xde2c_f11b_dd9d_e13e,
+            ],
+        ),
+        (
+            "hypercube, empty atom",
+            Box::new(|p| hypercube(&triangle, &tri_empty, p, 5)),
+            [
+                0x27d0_3dca_d77b_42d6,
+                0x9e9f_3845_f79b_142f,
+                0x3d3e_ee6a_5d31_d9e8,
+                0x6575_3e91_5edc_1e7f,
+            ],
+        ),
+        (
+            "skewhc, triangle with a hub",
+            Box::new(|p| skewhc(&triangle, &hub_rels, p, 7)),
+            [
+                0xe99e_ec29_1f3f_e187,
+                0xe99e_ec29_1f3f_e187,
+                0xe99e_ec29_1f3f_e187,
+                0xc0ef_95bd_8851_0a9c,
+            ],
+        ),
+        (
+            "skewhc, two-way zipf",
+            Box::new(|p| skewhc(&two_way, &zipf_rels, p, 7)),
+            [
+                0x3e61_8b22_d763_9bfd,
+                0x3c5a_4738_da2d_4ca7,
+                0xfd0a_45bc_8b0b_7ee5,
+                0x54a5_1f4b_27a2_72fb,
+            ],
+        ),
+        (
+            "hl_triangle",
+            Box::new(|p| hl_triangle(&hl_r, &hl_s, &hl_t, p, 5)),
+            [
+                0x9c47_62d1_ef42_a675,
+                0x3a94_36d2_d812_f05e,
+                0x4b02_cb1e_61a6_1cb0,
+                0xb957_9a22_c6ad_e09b,
+            ],
+        ),
+        (
+            "semijoin_pair_hl",
+            Box::new(|p| semijoin_pair_hl(&sj_r, &sj_s, &sj_t, p, 7)),
+            [
+                0x0c1f_a0c8_f8b1_fd47,
+                0xcb07_55cd_2ad2_f5d9,
+                0x4f7c_0f6f_4649_6b62,
+                0x10f3_26cc_d1d9_ed2c,
+            ],
+        ),
+        (
+            "expansion_join",
+            Box::new(|p| expansion_join(&triangle, &tri_rels, p, 5)),
+            [
+                0xc4d3_96f7_c184_c1cf,
+                0x1833_8e0a_72ef_3ca6,
+                0xfa60_8030_7997_79a6,
+                0xc15e_d408_5393_e68c,
+            ],
+        ),
+        (
+            "optimized gym (the planner's 3-chain)",
+            Box::new(|p| gym(&chain, &chain_rels, &chain_tree, p, 5, true)),
+            [
+                0x0196_7a88_e5d0_15c6,
+                0xa8e9_1637_9d98_d0db,
+                0x931c_cdac_75ce_76dc,
+                0x10d2_61d6_089f_709c,
+            ],
+        ),
+    ];
+    let mut pins = Pins::default();
+    for (what, run, want) in &cases {
+        let mut got = [0u64; 4];
+        for (slot, &p) in got.iter_mut().zip(&PS) {
+            let run = run(p);
+            assert!(
+                run.output_size() > 0 || what.contains("empty"),
+                "{what}, p = {p}: a vacuous case pins nothing"
+            );
+            *slot = run_digest(&run);
+        }
+        if got != *want {
+            pins.0
+                .push(format!("{what}: {got:#018x?} != pinned {want:#018x?}"));
+        }
     }
     pins.finish();
 }

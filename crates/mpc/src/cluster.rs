@@ -97,9 +97,31 @@ impl Cluster {
     pub fn exchange<T: Weight>(&mut self) -> Exchange<'_, T> {
         Exchange {
             inboxes: (0..self.p).map(|_| Vec::new()).collect(),
-            tuples: vec![0; self.p],
-            words: vec![0; self.p],
-            trace: context::is_observed().then(|| Box::new(ExchangeTrace::new(self.p))),
+            charges: Charges::new(self.p),
+            cluster: self,
+        }
+    }
+
+    /// Start a communication round that moves fixed-width rows of
+    /// `u64` words instead of one heap message per send: stream `i`
+    /// carries rows of `strides[i]` words (one stream per relation,
+    /// the routing metadata a tagged message would carry), and every
+    /// (stream, destination) pair is one flat buffer. Accounting,
+    /// trace and fault behaviour are exactly [`Cluster::exchange`]'s
+    /// for a message of `strides[i]` words per row — see
+    /// [`RowExchange`].
+    pub fn exchange_rows(&mut self, strides: &[usize]) -> RowExchange<'_> {
+        let uniform = strides.windows(2).all(|w| w.first() == w.last());
+        RowExchange {
+            streams: strides
+                .iter()
+                .map(|&stride| RowStream {
+                    stride,
+                    bufs: (0..self.p).map(|_| Vec::new()).collect(),
+                })
+                .collect(),
+            runs: (!uniform).then(|| (0..self.p).map(|_| Vec::new()).collect()),
+            charges: Charges::new(self.p),
             cluster: self,
         }
     }
@@ -108,6 +130,12 @@ impl Cluster {
     /// a communication round: the MPC model assumes the input starts evenly
     /// distributed (`O(IN/p)` per server, slide 6).
     pub fn scatter<T>(&self, items: Vec<T>) -> Vec<Vec<T>> {
+        // Parts grow as they fill, on purpose. Sized exactly, a process
+        // that scatters a fresh clone per run (`perf`'s `sort_psrs`)
+        // measured two peak-RSS levels 8 MiB apart, chosen by seed and
+        // by run count: whether glibc finds the next clone's one large
+        // block a hole among the last run's freed parts. Grown parts
+        // keep it at one level (CHANGES.md, PR 16).
         let mut out: Vec<Vec<T>> = (0..self.p).map(|_| Vec::new()).collect();
         for (i, item) in items.into_iter().enumerate() {
             out[i % self.p].push(item);
@@ -217,27 +245,21 @@ impl Cluster {
         // Analytic rounds have no inboxes; drop/duplicate batch words
         // are charged proportionally to the batch's share of the
         // victim's tuples.
-        let planned = next_round_faults(self.p)
-            .into_iter()
-            .map(|(server, kind)| {
-                let batch = match kind {
-                    FaultKind::Drop { msgs } | FaultKind::Duplicate { msgs } => {
-                        let eff = msgs.min(tuples[server]);
-                        let w = (words[server] * eff)
-                            .checked_div(tuples[server])
-                            .unwrap_or(0);
-                        (eff, w)
-                    }
-                    _ => (0, 0),
-                };
-                PlannedFault {
-                    server,
-                    kind,
-                    batch,
-                }
-            })
-            .collect();
-        self.record_round_internal(tuples, words, None, planned);
+        let planned = plan_faults(self.p, |server, msgs, _| {
+            let eff = msgs.min(tuples[server]);
+            let w = (words[server] * eff)
+                .checked_div(tuples[server])
+                .unwrap_or(0);
+            (eff, w)
+        });
+        self.record_round_internal(
+            Charges {
+                tuples,
+                words,
+                trace: None,
+            },
+            planned,
+        );
         Ok(())
     }
 
@@ -245,13 +267,13 @@ impl Cluster {
     /// through: applies planned fault injections, emits the round's
     /// trace block, pushes the `RoundStats`, then charges recovery to
     /// the ledger per the installed strategy.
-    fn record_round_internal(
-        &mut self,
-        mut tuples: Vec<u64>,
-        mut words: Vec<u64>,
-        xt: Option<&ExchangeTrace>,
-        planned: Vec<PlannedFault>,
-    ) {
+    fn record_round_internal(&mut self, charges: Charges, planned: Vec<PlannedFault>) {
+        let Charges {
+            mut tuples,
+            mut words,
+            trace: xt,
+        } = charges;
+        let xt = xt.as_deref();
         // In-round injections first: duplicate deliveries inflate the
         // victim's load, and a straggler's backup speculatively
         // re-executes its round at the same inbound load. Per-fault
@@ -469,7 +491,8 @@ impl Cluster {
 
 /// One fault scheduled for the round being recorded, with the batch
 /// (tuples, words) its drop/duplicate injection affects — resolved
-/// from real inboxes by [`Exchange::finish`], proportionally by
+/// from real inboxes by [`Exchange::finish`] and
+/// [`RowExchange::finish`], proportionally by
 /// [`Cluster::try_record_round`].
 #[derive(Debug, Clone, Copy)]
 struct PlannedFault {
@@ -588,19 +611,97 @@ fn emit_round_events(
     });
 }
 
-/// An in-progress communication round on a [`Cluster`].
+/// What a round in progress has charged so far. Both containers —
+/// [`Exchange`]'s per-message inboxes and [`RowExchange`]'s flat
+/// buffers — charge through this one struct and hand it to
+/// [`Cluster::record_round_internal`], so there is one ledger and one
+/// trace path whatever carried the payload.
+#[derive(Debug)]
+struct Charges {
+    tuples: Vec<u64>,
+    words: Vec<u64>,
+    /// `Some` iff a trace sink was installed when the round began.
+    trace: Option<Box<ExchangeTrace>>,
+}
+
+impl Charges {
+    fn new(p: usize) -> Self {
+        Self {
+            tuples: vec![0; p],
+            words: vec![0; p],
+            trace: context::is_observed().then(|| Box::new(ExchangeTrace::new(p))),
+        }
+    }
+
+    /// Charge `msgs` messages totalling `words` words to `dest`, which
+    /// the caller has already bounds-checked against its own
+    /// `p`-length container. The trace branch costs one
+    /// predictable-`None` test when no sink is installed.
+    #[inline]
+    fn charge(&mut self, dest: usize, msgs: u64, words: u64) {
+        self.tuples[dest] += msgs;
+        self.words[dest] += words;
+        if let Some(tr) = &mut self.trace {
+            if let Some(s) = tr.sender {
+                tr.sent_msgs[s] += msgs;
+                tr.sent_words[s] += words;
+            }
+        }
+    }
+
+    #[inline]
+    fn set_sender(&mut self, sender: usize) {
+        if let Some(tr) = &mut self.trace {
+            tr.sender = (sender < tr.sent_msgs.len()).then_some(sender);
+        }
+    }
+
+    /// Remember the first grid the round routed over, for the trace's
+    /// `Topology` event.
+    fn note_grid(&mut self, grid: &Grid) {
+        if let Some(tr) = &mut self.trace {
+            if tr.dims.is_none() {
+                tr.dims = Some(grid.dims().to_vec());
+            }
+        }
+    }
+}
+
+/// Resolve the round's scheduled faults into [`PlannedFault`]s:
+/// `batch(server, msgs, from_tail)` prices the drop (`from_tail`, the
+/// *last* messages delivered) or duplicate (the *first*) batch at
+/// exact message weights.
+fn plan_faults(p: usize, batch: impl Fn(usize, u64, bool) -> (u64, u64)) -> Vec<PlannedFault> {
+    next_round_faults(p)
+        .into_iter()
+        .map(|(server, kind)| PlannedFault {
+            server,
+            kind,
+            batch: match kind {
+                FaultKind::Drop { msgs } => batch(server, msgs, true),
+                FaultKind::Duplicate { msgs } => batch(server, msgs, false),
+                _ => (0, 0),
+            },
+        })
+        .collect()
+}
+
+/// An in-progress communication round on a [`Cluster`], one message
+/// value per send.
 ///
 /// Created by [`Cluster::exchange`]; every `send` charges the destination
 /// server. Dropping an `Exchange` without calling [`Exchange::finish`]
 /// discards the round (no statistics are recorded).
+///
+/// Rounds that move relation tuples use [`RowExchange`] instead; for
+/// them `send`, `send_matching` and `finish_untracked` here are the
+/// per-message adaptors (one owned message per routed copy) that
+/// benchmarks compose to price what the flat format saves.
 #[derive(Debug)]
 pub struct Exchange<'c, T: Weight> {
     cluster: &'c mut Cluster,
     inboxes: Vec<Vec<T>>,
-    tuples: Vec<u64>,
-    words: Vec<u64>,
-    /// `Some` iff a trace sink was installed when the exchange began.
-    trace: Option<Box<ExchangeTrace>>,
+    charges: Charges,
 }
 
 impl<T: Weight> Exchange<'_, T> {
@@ -625,8 +726,7 @@ impl<T: Weight> Exchange<'_, T> {
     /// instead of panicking. This is the simulator's hottest path — the
     /// single bounds probe below is the only check, and the two charged
     /// counters are in-bounds by construction (all three vectors share
-    /// length `p`). The trace branch costs one predictable-`None` test
-    /// when no sink is installed.
+    /// length `p`).
     #[inline]
     #[must_use = "an Err means the message was NOT sent or charged"]
     pub fn try_send(&mut self, dest: usize, msg: T) -> Result<(), MpcError> {
@@ -637,16 +737,37 @@ impl<T: Weight> Exchange<'_, T> {
             });
         };
         let w = msg.words();
-        self.tuples[dest] += 1;
-        self.words[dest] += w;
         inbox.push(msg);
-        if let Some(tr) = &mut self.trace {
-            if let Some(s) = tr.sender {
-                tr.sent_msgs[s] += 1;
-                tr.sent_words[s] += w;
-            }
-        }
+        self.charges.charge(dest, 1, w);
         Ok(())
+    }
+
+    /// Send every item of `items` to server `dest`, in order: charged
+    /// exactly as that many sends, delivered by one `extend`. For
+    /// senders whose items for a destination are already contiguous (a
+    /// sorted run cut at the splitters).
+    ///
+    /// # Panics
+    /// Panics if `dest` is not a valid server rank.
+    pub fn send_all(&mut self, dest: usize, items: impl IntoIterator<Item = T>) {
+        let Some(inbox) = self.inboxes.get_mut(dest) else {
+            let p = self.cluster.p;
+            panic!("{}", MpcError::BadServer { dest, p });
+        };
+        let before = inbox.len();
+        inbox.extend(items);
+        let sent = inbox.get(before..).unwrap_or_default();
+        let words = sent.iter().map(Weight::words).sum();
+        self.charges.charge(dest, sent.len() as u64, words);
+    }
+
+    /// Reserve room for `additional` more messages to `dest`. A
+    /// capacity hint only: it touches no counter and an out-of-range
+    /// `dest` is ignored.
+    pub fn reserve(&mut self, dest: usize, additional: usize) {
+        if let Some(inbox) = self.inboxes.get_mut(dest) {
+            inbox.reserve(additional);
+        }
     }
 
     /// Declare that subsequent sends originate from server `sender`, for
@@ -656,9 +777,7 @@ impl<T: Weight> Exchange<'_, T> {
     /// recorded as unattributed.
     #[inline]
     pub fn set_sender(&mut self, sender: usize) {
-        if let Some(tr) = &mut self.trace {
-            tr.sender = (sender < tr.sent_msgs.len()).then_some(sender);
-        }
+        self.charges.set_sender(sender);
     }
 
     /// Send `msg` to every server (a broadcast costs `p` messages).
@@ -680,11 +799,7 @@ impl<T: Weight> Exchange<'_, T> {
         T: Clone,
     {
         debug_assert_eq!(grid.len(), self.cluster.p, "grid does not span the cluster");
-        if let Some(tr) = &mut self.trace {
-            if tr.dims.is_none() {
-                tr.dims = Some(grid.dims().to_vec());
-            }
-        }
+        self.charges.note_grid(grid);
         let mut ranks = grid.matching_ranks(partial);
         // Clone for every destination but the last, which takes `msg`.
         let Some(mut dest) = ranks.next() else {
@@ -715,38 +830,22 @@ impl<T: Weight> Exchange<'_, T> {
         let Exchange {
             cluster,
             inboxes,
-            tuples,
-            words,
-            trace: tr,
+            charges,
         } = self;
         // Drop/duplicate batches resolve against real inboxes: drops
         // lose the *last* messages delivered, duplicates re-deliver the
         // *first*, each at exact message weights.
-        let planned = next_round_faults(cluster.p)
-            .into_iter()
-            .map(|(server, kind)| {
-                let inbox = &inboxes[server];
-                let batch = match kind {
-                    FaultKind::Drop { msgs } => {
-                        let eff = (msgs as usize).min(inbox.len());
-                        let w = inbox[inbox.len() - eff..].iter().map(Weight::words).sum();
-                        (eff as u64, w)
-                    }
-                    FaultKind::Duplicate { msgs } => {
-                        let eff = (msgs as usize).min(inbox.len());
-                        let w = inbox[..eff].iter().map(Weight::words).sum();
-                        (eff as u64, w)
-                    }
-                    _ => (0, 0),
-                };
-                PlannedFault {
-                    server,
-                    kind,
-                    batch,
-                }
-            })
-            .collect();
-        cluster.record_round_internal(tuples, words, tr.as_deref(), planned);
+        let planned = plan_faults(cluster.p, |server, msgs, from_tail| {
+            let inbox = &inboxes[server];
+            let eff = (msgs as usize).min(inbox.len());
+            let batch = if from_tail {
+                &inbox[inbox.len() - eff..]
+            } else {
+                &inbox[..eff]
+            };
+            (eff as u64, batch.iter().map(Weight::words).sum())
+        });
+        cluster.record_round_internal(charges, planned);
         inboxes
     }
 
@@ -757,6 +856,191 @@ impl<T: Weight> Exchange<'_, T> {
     pub fn finish_untracked(self) -> Vec<Vec<T>> {
         self.inboxes
     }
+}
+
+/// One stream of a [`RowExchange`]: rows of `stride` words, one flat
+/// buffer per destination.
+#[derive(Debug)]
+struct RowStream {
+    stride: usize,
+    bufs: Vec<Vec<u64>>,
+}
+
+/// An in-progress communication round that moves fixed-width rows
+/// into per-(stream, destination) flat buffers.
+///
+/// Created by [`Cluster::exchange_rows`]. A send is one
+/// `extend_from_slice` plus the counter bumps [`Exchange::try_send`]
+/// makes; [`RowExchange::finish`] records the round through the same
+/// ledger, trace and fault path as [`Exchange::finish`], charging a row
+/// of stream `i` as one tuple of `strides[i]` words. What differs is
+/// the container: the delivered buffer of stream `i` at server `d`
+/// holds that server's rows of the stream back to back, in send order,
+/// ready to be read as a row-major relation fragment without touching
+/// a row. (This crate names rows as `&[u64]`, not as a relation type:
+/// the dependency DAG has no `mpc → data` edge.)
+///
+/// Rows of one stream keep their send order; the order *between*
+/// streams at a destination is not part of the delivered data. The
+/// fault rules are defined on it ("the last / first messages
+/// delivered"), so when streams differ in width the round keeps a
+/// run-length log of it per destination — appended only when the
+/// stream changes — and prices drop/duplicate batches against that.
+#[derive(Debug)]
+pub struct RowExchange<'c> {
+    cluster: &'c mut Cluster,
+    streams: Vec<RowStream>,
+    /// Per destination, the delivery order as `(stream, rows)` runs;
+    /// `None` when all strides agree (a batch of `n` rows then weighs
+    /// `n × stride` whatever its streams).
+    runs: Option<Vec<Vec<(usize, u64)>>>,
+    charges: Charges,
+}
+
+impl RowExchange<'_> {
+    /// Number of servers in the underlying cluster.
+    pub fn p(&self) -> usize {
+        self.cluster.p
+    }
+
+    /// Send `row` on `stream` to server `dest`.
+    ///
+    /// # Panics
+    /// Panics where [`RowExchange::try_send_row`] errors.
+    #[inline]
+    pub fn send_row(&mut self, stream: usize, dest: usize, row: &[u64]) {
+        if let Err(e) = self.try_send_row(stream, dest, row) {
+            panic!("{e}");
+        }
+    }
+
+    /// Fallible [`RowExchange::send_row`]: errors on an unknown stream,
+    /// a row whose width is not the stream's stride, or an out-of-range
+    /// destination, and then neither delivers nor charges anything.
+    #[inline]
+    #[must_use = "an Err means the row was NOT sent or charged"]
+    pub fn try_send_row(
+        &mut self,
+        stream: usize,
+        dest: usize,
+        row: &[u64],
+    ) -> Result<(), MpcError> {
+        let Some(s) = self.streams.get_mut(stream) else {
+            return Err(MpcError::BadStream {
+                stream,
+                streams: self.streams.len(),
+            });
+        };
+        if row.len() != s.stride {
+            return Err(MpcError::BadRowWidth {
+                stream,
+                got: row.len(),
+                stride: s.stride,
+            });
+        }
+        let Some(buf) = s.bufs.get_mut(dest) else {
+            return Err(MpcError::BadServer {
+                dest,
+                p: self.cluster.p,
+            });
+        };
+        buf.extend_from_slice(row);
+        self.charges.charge(dest, 1, row.len() as u64);
+        if let Some(runs) = &mut self.runs {
+            let log = &mut runs[dest];
+            match log.last_mut() {
+                Some((last, rows)) if *last == stream => *rows += 1,
+                _ => log.push((stream, 1)),
+            }
+        }
+        Ok(())
+    }
+
+    /// As [`Exchange::set_sender`].
+    #[inline]
+    pub fn set_sender(&mut self, sender: usize) {
+        self.charges.set_sender(sender);
+    }
+
+    /// Send `row` on `stream` to every server (`p` rows charged).
+    pub fn broadcast_row(&mut self, stream: usize, row: &[u64]) {
+        for dest in 0..self.cluster.p {
+            self.send_row(stream, dest, row);
+        }
+    }
+
+    /// Send `row` on `stream` to every server of `grid` whose
+    /// coordinates match `partial` (`None` = `*`), as
+    /// [`Exchange::send_matching`] does.
+    ///
+    /// `grid.len()` must equal the cluster size.
+    pub fn send_row_matching(
+        &mut self,
+        stream: usize,
+        grid: &Grid,
+        partial: &[Option<usize>],
+        row: &[u64],
+    ) {
+        debug_assert_eq!(grid.len(), self.cluster.p, "grid does not span the cluster");
+        self.charges.note_grid(grid);
+        for dest in grid.matching_ranks(partial) {
+            self.send_row(stream, dest, row);
+        }
+    }
+
+    /// Deliver all rows, record the round exactly as
+    /// [`Exchange::finish`] does (ledger, trace block, scheduled
+    /// faults, recovery rounds), and return the flat buffers indexed
+    /// `[stream][dest]`.
+    pub fn finish(self) -> Vec<Vec<Vec<u64>>> {
+        let RowExchange {
+            cluster,
+            streams,
+            runs,
+            charges,
+        } = self;
+        let planned = plan_faults(cluster.p, |server, msgs, from_tail| {
+            // Every send delivered one row: the inbox holds `tuples` rows.
+            let eff = msgs.min(charges.tuples[server]);
+            let words = match &runs {
+                None => eff * streams.first().map_or(0, |s| s.stride as u64),
+                Some(runs) => {
+                    let log = runs[server]
+                        .iter()
+                        .map(|&(stream, rows)| (streams[stream].stride, rows));
+                    if from_tail {
+                        batch_words(log.rev(), eff)
+                    } else {
+                        batch_words(log, eff)
+                    }
+                }
+            };
+            (eff, words)
+        });
+        cluster.record_round_internal(charges, planned);
+        streams.into_iter().map(|s| s.bufs).collect()
+    }
+
+    /// Deliver all rows **without** recording a round, as
+    /// [`Exchange::finish_untracked`] does.
+    pub fn finish_untracked(self) -> Vec<Vec<Vec<u64>>> {
+        self.streams.into_iter().map(|s| s.bufs).collect()
+    }
+}
+
+/// Words of the first `eff` rows of a delivery order given as
+/// `(stride, rows)` runs.
+fn batch_words(runs: impl Iterator<Item = (usize, u64)>, mut eff: u64) -> u64 {
+    let mut words = 0;
+    for (stride, rows) in runs {
+        let take = rows.min(eff);
+        words += take * stride as u64;
+        eff -= take;
+        if eff == 0 {
+            break;
+        }
+    }
+    words
 }
 
 #[cfg(test)]
@@ -791,6 +1075,35 @@ mod tests {
         let inboxes = ex.finish();
         assert!(inboxes.iter().all(|b| b == &vec![9]));
         assert_eq!(c.report().total_tuples(), 4);
+    }
+
+    #[test]
+    fn send_all_is_that_many_sends_and_reserve_is_only_a_hint() {
+        use crate::trace::Recorder;
+        let runs: [&[Vec<u64>]; 2] = [&[vec![1, 2], vec![3]], &[]];
+        let route = |whole: bool| {
+            Recorder::capture(|| {
+                let mut c = Cluster::new(3);
+                let mut ex = c.exchange::<Vec<u64>>();
+                ex.reserve(2, 8);
+                ex.reserve(9, 8); // out of range: ignored
+                ex.set_sender(1);
+                for run in runs {
+                    if whole {
+                        ex.send_all(2, run.iter().cloned());
+                    } else {
+                        run.iter().for_each(|m| ex.send(2, m.clone()));
+                    }
+                }
+                (ex.finish(), c.report())
+            })
+        };
+        let (whole_trace, whole) = route(true);
+        let (each_trace, each) = route(false);
+        assert_eq!(whole, each);
+        assert_eq!(whole.1.rounds[0].tuples, vec![0, 0, 2]);
+        assert_eq!(whole.1.rounds[0].words, vec![0, 0, 3]);
+        assert!(whole_trace.events().eq(each_trace.events()));
     }
 
     #[test]
@@ -1114,7 +1427,7 @@ mod tests {
     fn untraced_run_allocates_no_trace_state() {
         let mut c = Cluster::new(2);
         let ex = c.exchange::<u64>();
-        assert!(ex.trace.is_none());
+        assert!(ex.charges.trace.is_none());
     }
 
     #[test]

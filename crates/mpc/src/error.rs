@@ -21,6 +21,14 @@ pub enum MpcError {
     },
     /// A message was addressed to a server rank outside `0..p`.
     BadServer { dest: usize, p: usize },
+    /// A row was sent on a stream the row exchange was not opened with.
+    BadStream { stream: usize, streams: usize },
+    /// A row's width differs from the stride of the stream it was sent on.
+    BadRowWidth {
+        stream: usize,
+        got: usize,
+        stride: usize,
+    },
     /// A coordinate vector had the wrong number of dimensions.
     BadArity { got: usize, expected: usize },
     /// A coordinate exceeded its dimension's size.
@@ -45,6 +53,22 @@ impl std::fmt::Display for MpcError {
                 write!(
                     f,
                     "destination server {dest} out of range for cluster of {p}"
+                )
+            }
+            MpcError::BadStream { stream, streams } => {
+                write!(
+                    f,
+                    "stream {stream} out of range for a row exchange of {streams} streams"
+                )
+            }
+            MpcError::BadRowWidth {
+                stream,
+                got,
+                stride,
+            } => {
+                write!(
+                    f,
+                    "row of {got} words sent on stream {stream}, whose stride is {stride}"
                 )
             }
             MpcError::BadArity { got, expected } => {

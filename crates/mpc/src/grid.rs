@@ -149,9 +149,9 @@ impl Grid {
         Ok(self.try_matching_ranks(partial)?.collect())
     }
 
-    /// [`Grid::matching`] without the `Vec`, for [`crate::Exchange`]'s
-    /// per-row placement. Panics as `matching` does.
-    pub(crate) fn matching_ranks<'g>(
+    /// [`Grid::matching`] without the `Vec`, for per-row placement in a
+    /// routing loop. Panics as `matching` does.
+    pub fn matching_ranks<'g>(
         &'g self,
         partial: &'g [Option<usize>],
     ) -> impl Iterator<Item = usize> + 'g {

@@ -12,7 +12,9 @@
 //!
 //! This crate implements the model as an in-process simulator. Algorithms
 //! keep per-server state in ordinary `Vec`s (index = server id) and use
-//! [`Cluster::exchange`] to perform one communication round. The cluster
+//! [`Cluster::exchange`] (one message per send) or
+//! [`Cluster::exchange_rows`] (fixed-width rows into flat
+//! per-destination buffers) to perform one communication round. The cluster
 //! records, for every round, exactly how many tuples and words each server
 //! received, from which [`LoadReport`] derives `L`, `r` and `C` — the very
 //! quantities every theorem in the paper is stated in.
@@ -82,7 +84,7 @@ mod registry;
 
 pub use parqp_store as store;
 
-pub use cluster::{Cluster, Exchange};
+pub use cluster::{Cluster, Exchange, RowExchange};
 pub use context::ContextGuard;
 pub use error::MpcError;
 pub use exec::ExecMode;

@@ -3,8 +3,9 @@
 //! determinism, seed sensitivity, and agreement with `parqp-testkit`'s
 //! SplitMix64.
 
-use parqp_mpc::faults::{FaultKind, FaultPlan, FaultSpec};
-use parqp_mpc::{Cluster, Grid, HashFamily, LoadReport};
+use parqp_mpc::faults::{self, FaultKind, FaultLog, FaultPlan, FaultSpec, RecoveryStrategy};
+use parqp_mpc::trace::{Recorder, TraceEvent};
+use parqp_mpc::{Cluster, Grid, HashFamily, LoadReport, Weight};
 use parqp_testkit::prelude::*;
 use parqp_testkit::splitmix64;
 
@@ -174,4 +175,173 @@ fn generator_matches_testkit_splitmix64() {
     let plan = FaultPlan::random(seed, p, rounds, &spec);
     let sched: Vec<_> = plan.schedule().collect();
     assert_eq!(sched, vec![(round, server, FaultKind::Crash)]);
+}
+
+/// A row tagged with its stream — the per-message twin of one
+/// `RowExchange` row. The tag is routing metadata and weighs nothing.
+#[derive(Debug, Clone, PartialEq)]
+struct TaggedRow {
+    stream: usize,
+    row: Vec<u64>,
+}
+
+impl Weight for TaggedRow {
+    fn words(&self) -> u64 {
+        self.row.len() as u64
+    }
+}
+
+/// One routed row: `(stream, dest, sender, how)`, each reduced modulo
+/// its range by the round; `how` picks a direct send, a broadcast, or a
+/// grid-matched send (which adds a `Topology` event).
+type Send = (usize, usize, usize, u8);
+
+/// What one container did with a round schedule, everything observable.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    report: LoadReport,
+    events: Vec<TraceEvent>,
+    log: FaultLog,
+    /// Delivered words indexed `[round][stream][dest]`.
+    delivered: Vec<Vec<Vec<Vec<u64>>>>,
+}
+
+fn observe_rounds(
+    plan: &FaultPlan,
+    strategy: RecoveryStrategy,
+    run: impl FnOnce() -> (LoadReport, Vec<Vec<Vec<Vec<u64>>>>),
+) -> Observed {
+    let (log, (rec, (report, delivered))) =
+        faults::capture(plan.clone(), strategy, || Recorder::capture(run));
+    Observed {
+        report,
+        events: rec.events().cloned().collect(),
+        log,
+        delivered,
+    }
+}
+
+proptest! {
+    /// `RowExchange` and `Exchange` fed the same sends under the same
+    /// fault plan are indistinguishable: equal ledgers, equal trace
+    /// streams (sends, receives, topology, fault and recovery events),
+    /// equal fault logs, and the same rows delivered per stream.
+    #[test]
+    fn row_exchange_is_exchange_with_a_flat_container(
+        p in 1usize..7,
+        strides in collection::vec(1usize..5, 1..5),
+        rounds in collection::vec(
+            collection::vec((0usize..4, 0usize..7, 0usize..8, 0u8..8), 0..40),
+            1..4,
+        ),
+        spec in arb_spec(),
+        seed in any::<u64>(),
+        checkpoint in any::<bool>(),
+        knob in 1usize..4,
+    ) {
+        let plan = FaultPlan::random(seed, p, rounds.len(), &spec);
+        let strategy = if checkpoint {
+            RecoveryStrategy::Checkpoint { every: knob }
+        } else {
+            RecoveryStrategy::Replication { replicas: knob }
+        };
+        let line = Grid::line(p);
+        let row_of = |n: usize, &(stream, ..): &Send| -> (usize, Vec<u64>) {
+            let stream = stream % strides.len();
+            (stream, (0..strides[stream]).map(|c| (n * 8 + c) as u64).collect())
+        };
+
+        let flat = observe_rounds(&plan, strategy, || {
+            let mut c = Cluster::new(p);
+            let mut delivered = Vec::new();
+            for sends in &rounds {
+                let mut ex = c.exchange_rows(&strides);
+                for (n, send) in sends.iter().enumerate() {
+                    let (stream, row) = row_of(n, send);
+                    let &(_, dest, sender, how) = send;
+                    ex.set_sender(sender); // 7 is out of range below p = 7: unattributed
+                    match how {
+                        0 => ex.broadcast_row(stream, &row),
+                        1 => ex.send_row_matching(stream, &line, &[Some(dest % p)], &row),
+                        2 => ex.send_row_matching(stream, &line, &[None], &row),
+                        _ => ex.send_row(stream, dest % p, &row),
+                    }
+                }
+                delivered.push(ex.finish());
+            }
+            (c.report(), delivered)
+        });
+
+        let boxed = observe_rounds(&plan, strategy, || {
+            let mut c = Cluster::new(p);
+            let mut delivered = Vec::new();
+            for sends in &rounds {
+                let mut ex = c.exchange::<TaggedRow>();
+                for (n, send) in sends.iter().enumerate() {
+                    let (stream, row) = row_of(n, send);
+                    let msg = TaggedRow { stream, row };
+                    let &(_, dest, sender, how) = send;
+                    ex.set_sender(sender);
+                    match how {
+                        0 => ex.broadcast(msg),
+                        1 => ex.send_matching(&line, &[Some(dest % p)], msg),
+                        2 => ex.send_matching(&line, &[None], msg),
+                        _ => ex.send(dest % p, msg),
+                    }
+                }
+                let inboxes = ex.finish();
+                delivered.push(
+                    (0..strides.len())
+                        .map(|stream| {
+                            inboxes
+                                .iter()
+                                .map(|inbox| {
+                                    inbox
+                                        .iter()
+                                        .filter(|m| m.stream == stream)
+                                        .flat_map(|m| m.row.iter().copied())
+                                        .collect()
+                                })
+                                .collect()
+                        })
+                        .collect(),
+                );
+            }
+            (c.report(), delivered)
+        });
+        prop_assert_eq!(flat, boxed);
+    }
+}
+
+#[test]
+fn row_exchange_refuses_bad_sends_with_typed_errors() {
+    use parqp_mpc::MpcError;
+    let mut c = Cluster::new(2);
+    let mut ex = c.exchange_rows(&[2, 3]);
+    assert_eq!(
+        ex.try_send_row(2, 0, &[1, 2]),
+        Err(MpcError::BadStream {
+            stream: 2,
+            streams: 2
+        })
+    );
+    assert_eq!(
+        ex.try_send_row(1, 0, &[1, 2]),
+        Err(MpcError::BadRowWidth {
+            stream: 1,
+            got: 2,
+            stride: 3
+        })
+    );
+    assert_eq!(
+        ex.try_send_row(0, 2, &[1, 2]),
+        Err(MpcError::BadServer { dest: 2, p: 2 })
+    );
+    assert_eq!(ex.try_send_row(1, 1, &[7, 8, 9]), Ok(()));
+    let delivered = ex.finish();
+    assert_eq!(delivered[1][1], vec![7, 8, 9]);
+    assert!(delivered[0].iter().all(Vec::is_empty));
+    // Refused sends were neither delivered nor charged.
+    let report = c.report();
+    assert_eq!((report.total_tuples(), report.total_words()), (1, 3));
 }

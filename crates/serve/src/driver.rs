@@ -12,8 +12,8 @@
 //! reconcile with the global registry to the tuple.
 
 use parqp_data::paged::{self, IoStats, RouteScan, StoreConfig};
-use parqp_data::{Relation, Value};
-use parqp_join::common::{hash_join_rows, joined_arity, scatter};
+use parqp_data::Relation;
+use parqp_join::common::{hash_join_rows, joined_arity, scatter, single_stream};
 use parqp_mpc::faults::{self, FaultPlan, FaultSpec, RecoveryStrategy};
 use parqp_mpc::metrics::{self, MetricsRegistry};
 use parqp_mpc::{Cluster, HashFamily, LoadReport};
@@ -282,19 +282,11 @@ fn run_stream(
         // hash that partitioned the base, then join locally.
         let probe = templates::probe_relation(a.template, a.group, a.serial, cfg.seed);
         let frags = scatter(&probe, p);
-        let mut ex = cluster.exchange::<Vec<Value>>();
-        for (sid, frag) in frags.iter().enumerate() {
-            ex.set_sender(sid);
-            let scan = RouteScan::new(sid, frag);
-            for row in scan.iter() {
-                ex.send(h.hash(0, row[0], p), row.to_vec());
-            }
-        }
-        let inboxes = ex.finish();
+        let inboxes = route_by_key(&mut cluster, &h, &frags);
         let arity = joined_arity(2, 2);
         let outputs = cluster.map(inboxes, |s, probes| {
             let mut out = Relation::new(arity);
-            hash_join_rows(&parts[s], 0, probes.as_slice(), 0, &mut out);
+            hash_join_rows(&parts[s], 0, &probes, 0, &mut out);
             out
         });
 
@@ -424,23 +416,8 @@ fn build_partitions(
 ) -> (Vec<Relation>, BuildCost) {
     let p = cluster.p();
     let base = templates::base_relation(a.template, a.group, seed);
-    let frags = scatter(&base, p);
-    let mut ex = cluster.exchange::<Vec<Value>>();
-    for (sid, frag) in frags.iter().enumerate() {
-        ex.set_sender(sid);
-        let scan = RouteScan::new(sid, frag);
-        for row in scan.iter() {
-            ex.send(h.hash(0, row[0], p), row.to_vec());
-        }
-    }
-    let inboxes = ex.finish();
-    let parts = cluster.map(inboxes, |_, rows| {
-        let mut rel = Relation::new(2);
-        for row in &rows {
-            rel.push(row);
-        }
-        rel
-    });
+    // The delivered buffers are the partitions the cache keeps.
+    let parts = route_by_key(cluster, h, &scatter(&base, p));
     let n = base.len() as u64;
     (
         parts,
@@ -450,6 +427,22 @@ fn build_partitions(
             tuples: n,
         },
     )
+}
+
+/// One exchange round: every row of the binary `frags` to the server
+/// its first column hashes to. Each server's inbox comes back as the
+/// fragment its flat receive buffer already is.
+fn route_by_key(cluster: &mut Cluster, h: &HashFamily, frags: &[Relation]) -> Vec<Relation> {
+    let p = cluster.p();
+    let mut ex = cluster.exchange_rows(&[2]);
+    for (sid, frag) in frags.iter().enumerate() {
+        ex.set_sender(sid);
+        let scan = RouteScan::new(sid, frag);
+        for row in scan.iter() {
+            ex.send_row(0, h.hash(0, row[0], p), row);
+        }
+    }
+    single_stream(2, ex.finish())
 }
 
 /// Fold the per-query records into per-tenant stats.

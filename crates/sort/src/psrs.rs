@@ -96,20 +96,39 @@ where
         t == all
     }));
     let splitters = choose_splitters(&all, p);
+    // The p sample inboxes (p(p−1) keys each) are dead from here on:
+    // free them before the routing round sizes its own.
+    drop((samples, all));
 
     // Round 2: route every item to its interval's server; local sort.
-    // The routing scan streams each server's run through its buffer
-    // pool (one logical read per item) when a paged store is installed.
+    // Each part is sorted, so a destination's items are one contiguous
+    // run of it: the runs are cut at the splitters (one binary search
+    // per splitter, not per item), inboxes are sized from the cut
+    // counts before anything moves, and each run is sent whole.
     let _span = trace::span("psrs/route");
+    let cuts: Vec<Vec<usize>> = local
+        .iter()
+        .map(|part| run_ends(part, &splitters, &key))
+        .collect();
     let mut ex = cluster.exchange::<T>();
-    for (sid, part) in local.into_iter().enumerate() {
+    for dest in 0..=splitters.len() {
+        let run_len = |ends: &Vec<usize>| ends[dest] - dest.checked_sub(1).map_or(0, |d| ends[d]);
+        ex.reserve(dest, cuts.iter().map(run_len).sum());
+    }
+    for (sid, (part, ends)) in local.into_iter().zip(cuts).enumerate() {
         ex.set_sender(sid);
+        // The routing scan streams the run through the server's buffer
+        // pool (one logical read per item) when a paged store is
+        // installed.
         let mut io = parqp_data::paged::IoCursor::new(sid);
-        for item in part {
+        for item in &part {
             io.read(item.words() as usize);
-            let k = key(&item);
-            let dest = splitters.partition_point(|&s| s < k);
-            ex.send(dest.min(p - 1), item);
+        }
+        let mut items = part.into_iter();
+        let mut start = 0;
+        for (dest, end) in ends.into_iter().enumerate() {
+            ex.send_all(dest, items.by_ref().take(end - start));
+            start = end;
         }
     }
     let partitions = ex.finish();
@@ -117,6 +136,22 @@ where
         part.sort_by_key(|t| key(t));
         part
     })
+}
+
+/// Where each destination's run ends in a part sorted by key: entry `d`
+/// is one past the last item with `key ≤ splitters[d]`, and the last
+/// entry is the part's length. An item therefore lands on the server
+/// `splitters.partition_point(|s| s < key)` names — equal keys go to
+/// the first interval that admits them.
+fn run_ends<T, K: Ord + Copy>(sorted: &[T], splitters: &[K], key: &impl Fn(&T) -> K) -> Vec<usize> {
+    let mut ends = Vec::with_capacity(splitters.len() + 1);
+    let mut start = 0;
+    for &s in splitters {
+        start += sorted[start..].partition_point(|t| key(t) <= s);
+        ends.push(start);
+    }
+    ends.push(sorted.len());
+    ends
 }
 
 /// `p−1` evenly spaced keys from a locally sorted partition (fewer if the
@@ -206,6 +241,27 @@ mod tests {
         assert_eq!(parts.concat(), vec![42]);
         let (parts, _) = run_psrs(1, vec![3, 1, 2]);
         assert_eq!(parts.concat(), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn runs_are_cut_where_the_per_key_rule_sends_each_item() {
+        // Duplicate splitters, keys equal to a splitter, keys beyond
+        // both ends: every item's run is the server
+        // `splitters.partition_point(|s| s < key)` names.
+        let splitters = [3u64, 3, 7, 10];
+        let sorted: Vec<u64> = vec![0, 1, 3, 3, 3, 4, 7, 7, 8, 10, 11, 12];
+        let ends = run_ends(&sorted, &splitters, &|&k| k);
+        assert_eq!(ends.len(), splitters.len() + 1);
+        let mut start = 0;
+        for (dest, &end) in ends.iter().enumerate() {
+            for &k in &sorted[start..end] {
+                assert_eq!(splitters.partition_point(|&s| s < k), dest, "key {k}");
+            }
+            start = end;
+        }
+        assert_eq!(start, sorted.len());
+        assert_eq!(run_ends(&sorted, &[], &|&k: &u64| k), vec![sorted.len()]);
+        assert_eq!(run_ends(&[], &splitters, &|&k: &u64| k), vec![0; 5]);
     }
 
     #[test]
