@@ -546,7 +546,18 @@ fn load_data(o: &Opts, q: &parqp_query::Query) -> Result<Vec<Relation>, String> 
     }
     o.data
         .iter()
-        .map(|f| read_relation(f).map_err(|e| format!("{f}: {e}")))
+        .zip(q.atoms())
+        .map(|(f, atom)| {
+            let rel = read_relation(f).map_err(|e| format!("{f}: {e}"))?;
+            if rel.arity() != atom.arity() {
+                return Err(format!(
+                    "{f}: atom {atom} has arity {}, file has {} columns",
+                    atom.arity(),
+                    rel.arity()
+                ));
+            }
+            Ok(rel)
+        })
         .collect()
 }
 
@@ -586,14 +597,14 @@ fn stats(o: &Opts) -> Result<String, String> {
     let _ = writeln!(s, "tuples  : {}, arity: {}", rel.len(), rel.arity());
     let threshold = ((rel.len() / o.servers) as u64).max(1);
     for col in 0..rel.arity() {
-        let distinct = parqp_data::stats::distinct_count(&rel, col);
-        let maxd = parqp_data::stats::max_degree(&rel, col);
-        let heavy = parqp_data::stats::heavy_hitters(&rel, col, threshold);
+        let degrees = parqp_data::stats::degree_counts(&rel, col);
+        let distinct = degrees.len();
+        let maxd = degrees.values().copied().max().unwrap_or(0);
+        let heavy = degrees.values().filter(|&&d| d >= threshold).count();
         let _ = writeln!(
             s,
             "col {col}  : {distinct} distinct, max degree {maxd}, \
-             {} heavy hitter(s) at threshold {threshold} (IN/p, p = {})",
-            heavy.len(),
+             {heavy} heavy hitter(s) at threshold {threshold} (IN/p, p = {})",
             o.servers
         );
     }
@@ -1087,6 +1098,41 @@ mod tests {
             Ok(rel) => assert_eq!(rel.len(), reported),
             Err(_) => assert_eq!(reported, 0),
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_data_file_of_the_wrong_width_is_a_typed_error() {
+        let dir = tmpdir("arity");
+        let (two, three) = (dir.join("two.csv"), dir.join("three.csv"));
+        std::fs::write(&two, "1,2\n2,3\n2,4\n2,5\n").expect("write");
+        std::fs::write(&three, "1,2,3\n2,3,4\n").expect("write");
+        let (two, three) = (two.to_str().expect("utf8"), three.to_str().expect("utf8"));
+        // Both commands, the wide file first, last and in the middle: an
+        // error that names the file and the atom, where `run` used to
+        // abort inside the oracle and `plan` used to print a strategy.
+        let chain = "R(a,b), S(b,c), T(c,d)";
+        for (cmd, query, data, atom) in [
+            ("plan", "R(a,b), S(b,c)", vec![three, two], "R(x0,x1)"),
+            ("plan", "R(a,b), S(b,c)", vec![two, three], "S(x1,x2)"),
+            ("run", chain, vec![two, three, two], "S(x1,x2)"),
+            ("plan", chain, vec![two, three, two], "S(x1,x2)"),
+        ] {
+            let mut args = vec![cmd, "--query", query, "--data"];
+            args.extend(data);
+            let err = dispatch(&argv(&args)).expect_err("width mismatch is refused");
+            assert_eq!(
+                err,
+                format!("{three}: atom {atom} has arity 2, file has 3 columns")
+            );
+        }
+        // `stats` on the same files: one line per column, read off one
+        // degree table each.
+        let stats = dispatch(&argv(&["stats", "--data", two, "--servers", "2"])).expect("stats");
+        assert!(stats.contains(
+            "col 0  : 2 distinct, max degree 3, 1 heavy hitter(s) at threshold 2 (IN/p, p = 2)"
+        ));
+        assert!(stats.contains("col 1  : 4 distinct, max degree 1, 0 heavy hitter(s)"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

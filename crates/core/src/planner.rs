@@ -7,16 +7,22 @@
 //!   tiny; skew-resilient join when heavy hitters exist;
 //! * no shared variables → Cartesian grid;
 //! * multiway, skewed → SkewHC; multiway skew-free → HyperCube;
-//! * acyclic with modest estimated output → GYM (the slide 78
-//!   crossover).
+//! * acyclic with modest output → GYM (the slide 78 crossover).
 //!
-//! [`plan`] encodes those rules and [`run_plan`] executes the choice.
+//! Planning is *collect, then decide*. [`PlanStats::collect`] makes one
+//! pass over the data and keeps the handful of numbers the rules read:
+//! cardinalities, per-column maximum degrees, and — for an acyclic
+//! multiway query — the exact output size, counted in `O(IN)` by
+//! [`acyclic_output_size`] without computing a single output row.
+//! [`decide`] holds the rules and sees only those numbers, so it can be
+//! asked about an input nobody has materialised. [`plan`] is the two
+//! composed, and [`run_plan`] executes the choice.
 
 use crate::model;
 use parqp_data::stats::max_degree;
 use parqp_data::Relation;
 use parqp_join::{baselines, gym, multiway, plans, skewhc, twoway, JoinRun};
-use parqp_query::{Ghd, Query};
+use parqp_query::{acyclic_output_size, Ghd, Query};
 
 /// The algorithm chosen for an input.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -55,32 +61,118 @@ pub struct Decision {
     pub reason: String,
 }
 
-/// Decide how to run `query` over `rels` on `p` servers.
+/// What the planning rules read about an input, and nothing else — the
+/// statistics every server is assumed to know in the paper's setting.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PlanStats {
+    /// `|S_j|` of every atom, in atom order.
+    pub sizes: Vec<u64>,
+    /// The largest degree of any value in each column of each atom's
+    /// relation (`max_degree[j][c]`; 0 for an empty relation).
+    pub max_degree: Vec<Vec<u64>>,
+    /// The exact output size (saturating at `u64::MAX`) of an acyclic
+    /// query that is not a two-way join: the only shape whose rule, the
+    /// slide 78 crossover, reads it.
+    pub acyclic_out: Option<u64>,
+}
+
+impl PlanStats {
+    /// One pass over `rels`: each (atom, column) degree table is built
+    /// once, and OUT comes from the `O(IN)` count over the join tree.
+    ///
+    /// # Panics
+    /// Panics if `rels.len() != query.num_atoms()` or a relation's arity
+    /// is not its atom's.
+    pub fn collect(query: &Query, rels: &[Relation]) -> Self {
+        assert_eq!(rels.len(), query.num_atoms(), "one relation per atom");
+        for (atom, rel) in query.atoms().iter().zip(rels) {
+            assert_eq!(
+                atom.arity(),
+                rel.arity(),
+                "arity mismatch for atom {}",
+                atom.name
+            );
+        }
+        // Two-way joins are decided on sizes and degrees alone.
+        let multiway_tree = (query.num_atoms() != 2)
+            .then(|| Ghd::join_tree(query))
+            .flatten();
+        Self {
+            sizes: rels.iter().map(|rel| rel.len() as u64).collect(),
+            max_degree: rels
+                .iter()
+                .map(|rel| {
+                    (0..rel.arity())
+                        .map(|col| column_max_degree(rel, col))
+                        .collect()
+                })
+                .collect(),
+            acyclic_out: multiway_tree.map(|tree| acyclic_output_size(query, rels, &tree)),
+        }
+    }
+}
+
+/// [`max_degree`], counted under test: the one place planning builds a
+/// degree table.
+fn column_max_degree(rel: &Relation, col: usize) -> u64 {
+    #[cfg(test)]
+    tests::DEGREE_TABLES.with(|n| n.set(n.get() + 1));
+    max_degree(rel, col)
+}
+
+/// Decide how to run `query` over `rels` on `p` servers: [`decide`] on
+/// the statistics of [`PlanStats::collect`].
 ///
 /// # Panics
-/// Panics if `rels.len() != query.num_atoms()`.
+/// Panics if `rels.len() != query.num_atoms()` or a relation's arity is
+/// not its atom's.
 pub fn plan(query: &Query, rels: &[Relation], p: usize) -> Decision {
-    assert_eq!(rels.len(), query.num_atoms(), "one relation per atom");
+    decide(query, &PlanStats::collect(query, rels), p)
+}
+
+/// The tutorial's decision procedure over an input described by numbers
+/// alone.
+///
+/// # Panics
+/// Panics if `stats` is not shaped like `query`: one size and one
+/// degree list per atom, one degree per column, and OUT exactly when
+/// the query is acyclic and not a two-way join.
+pub fn decide(query: &Query, stats: &PlanStats, p: usize) -> Decision {
+    assert_eq!(stats.sizes.len(), query.num_atoms(), "one size per atom");
+    assert_eq!(
+        stats.max_degree.len(),
+        query.num_atoms(),
+        "one degree list per atom"
+    );
+    for (atom, degrees) in query.atoms().iter().zip(&stats.max_degree) {
+        assert_eq!(
+            atom.arity(),
+            degrees.len(),
+            "one degree per column of atom {}",
+            atom.name
+        );
+    }
     if p == 1 {
         return Decision {
             strategy: Strategy::SingleServer,
             reason: "single server: everything is local".into(),
         };
     }
-    let input: usize = rels.iter().map(Relation::len).sum();
+    let input: u64 = stats.sizes.iter().sum();
 
-    // Any heavy hitters (per the paper's IN/p threshold)?
-    let heavy = skewhc::heavy_values(query, rels, p);
-    let skewed = {
-        // A variable is skewed only if a value repeats beyond threshold;
-        // degree-1 "heavy" values from the max(1,…) floor don't count.
-        query.atoms().iter().zip(rels).any(|(atom, rel)| {
-            let threshold = ((rel.len() / p) as u64).max(2);
-            (0..atom.arity()).any(|pos| max_degree(rel, pos) >= threshold)
-        }) && heavy.iter().any(|h| !h.is_empty())
-    };
+    // Any heavy hitters (per the paper's |S_j|/p threshold)? A variable
+    // is skewed only if a value repeats beyond threshold; degree-1
+    // "heavy" values from the max(1,…) floor don't count.
+    let skewed = stats
+        .sizes
+        .iter()
+        .zip(&stats.max_degree)
+        .any(|(&size, degrees)| {
+            let threshold = (size / p as u64).max(2);
+            degrees.iter().any(|&degree| degree >= threshold)
+        });
 
-    if query.num_atoms() == 2 {
+    if let [a, b] = *stats.sizes {
         let shared = query.shared_vars(0, 1);
         if shared.is_empty() {
             return Decision {
@@ -98,9 +190,8 @@ pub fn plan(query: &Query, rels: &[Relation], p: usize) -> Decision {
                     .into(),
             };
         }
-        let (a, b) = (rels[0].len(), rels[1].len());
         let (small, large) = (a.min(b), a.max(b));
-        if small * p <= large {
+        if small.saturating_mul(p as u64) <= large {
             return Decision {
                 strategy: Strategy::BroadcastJoin,
                 reason: format!(
@@ -121,13 +212,19 @@ pub fn plan(query: &Query, rels: &[Relation], p: usize) -> Decision {
     }
 
     // Multiway.
-    if let Some(tree) = Ghd::join_tree(query) {
+    let acyclic = Ghd::join_tree(query).is_some();
+    assert_eq!(
+        stats.acyclic_out.is_some(),
+        acyclic,
+        "OUT is a statistic of acyclic multiway queries, and of those only"
+    );
+    let tau = model::tau_star(query);
+    if let Some(out) = stats.acyclic_out {
         // Acyclic: GYM wins when OUT is below the slide 78 crossover.
-        // The simulator computes OUT exactly with serial Yannakakis
-        // (O(IN+OUT)); a real system would use estimates, changing only
-        // where the switch happens, not the shape of the decision.
-        let tau = model::tau_star(query);
-        let out = parqp_query::yannakakis_serial(query, rels, &tree).len();
+        // OUT is exact — the count pass is cheap enough that there is
+        // nothing to estimate while the data is at hand; an estimate
+        // would change only where the switch happens, not the shape of
+        // the decision.
         let crossover = model::gym_crossover_output(input as f64, p as f64, tau);
         if (out as f64) < crossover {
             return Decision {
@@ -145,8 +242,7 @@ pub fn plan(query: &Query, rels: &[Relation], p: usize) -> Decision {
             reason: "multiway with heavy hitters: SkewHC residual queries (slide 47)".into(),
         };
     }
-    let tau = model::tau_star(query);
-    if Ghd::join_tree(query).is_none() && tau > 3.0 {
+    if !acyclic && tau > 3.0 {
         // Slide 62: p^{1/τ*} speedup collapses for high-τ* queries —
         // replicating IN·p^{1−1/τ*} is worse than iterating. For subgraph
         // shapes (all-binary atoms) grow bindings one vertex at a time
@@ -318,6 +414,13 @@ mod tests {
     use super::*;
     use parqp_data::generate;
     use parqp_query::evaluate;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Degree tables planning has built on this thread
+        /// (`column_max_degree` bumps it).
+        pub(super) static DEGREE_TABLES: Cell<usize> = const { Cell::new(0) };
+    }
 
     fn check(q: &Query, rels: &[Relation], p: usize) -> (Decision, JoinRun) {
         let (d, run) = plan_and_run(q, rels, p, 7);
@@ -440,5 +543,120 @@ mod tests {
         let s = Relation::from_rows(2, [[1, 200]]);
         let (_, run) = plan_and_run(&q, &[r, s], 4, 3);
         assert_eq!(run.gathered().to_rows(), vec![vec![100, 1, 200]]);
+    }
+    #[test]
+    fn plan_builds_each_degree_table_once() {
+        // A shape per rule family: two-way (sizes and degrees), cyclic
+        // multiway (degrees), acyclic multiway (degrees and the count).
+        for q in [Query::two_way(), Query::triangle(), Query::chain(3)] {
+            let rels: Vec<Relation> = (0..q.num_atoms())
+                .map(|i| generate::uniform(2, 200, 50, 20 + i as u64))
+                .collect();
+            let before = DEGREE_TABLES.get();
+            plan(&q, &rels, 8);
+            let columns: usize = q.atoms().iter().map(|a| a.arity()).sum();
+            assert_eq!(DEGREE_TABLES.get() - before, columns, "{q}");
+        }
+    }
+
+    /// Statistics of `q` written by hand: every atom `size` tuples wide,
+    /// every column's heaviest value `degree` tuples deep.
+    fn flat_stats(q: &Query, size: u64, degree: u64, out: Option<u64>) -> PlanStats {
+        PlanStats {
+            sizes: vec![size; q.num_atoms()],
+            max_degree: q.atoms().iter().map(|a| vec![degree; a.arity()]).collect(),
+            acyclic_out: out,
+        }
+    }
+
+    #[test]
+    fn decide_needs_numbers_not_data() {
+        const N: u64 = 1_000_000_000;
+        let p = 64;
+        let per_server = N / p as u64;
+        let strategy = |q: &Query, stats: &PlanStats, p| decide(q, stats, p).strategy;
+
+        // The slide 78 crossover, from IN = 3·10⁹: GYM strictly below it.
+        let chain = Query::chain(3);
+        let crossover =
+            model::gym_crossover_output(3.0 * N as f64, p as f64, model::tau_star(&chain));
+        let at = crossover.ceil() as u64;
+        assert!(at > N, "the switch sits beyond any OUT a test could join");
+        for (out, expect) in [
+            (0, Strategy::Gym),
+            (at - 1, Strategy::Gym),
+            (at, Strategy::HyperCube),
+            (at + 1, Strategy::HyperCube),
+            (u64::MAX, Strategy::HyperCube),
+        ] {
+            let d = decide(&chain, &flat_stats(&chain, N, 1, Some(out)), p);
+            assert_eq!(d.strategy, expect, "OUT = {out}: {}", d.reason);
+            if expect == Strategy::Gym {
+                assert_eq!(
+                    d.reason,
+                    format!(
+                        "acyclic, OUT = {out} below the (IN+OUT)/p crossover {crossover:.0} \
+                         (slide 78): GYM"
+                    )
+                );
+            }
+        }
+        // Above the crossover the skew rule is next in line.
+        let skewed = flat_stats(&chain, N, per_server, Some(at));
+        assert_eq!(strategy(&chain, &skewed, p), Strategy::SkewHC);
+
+        // Broadcast while small·p ≤ large.
+        let two_way = Query::two_way();
+        let sides = |small: u64, large: u64| PlanStats {
+            sizes: vec![large, small],
+            ..flat_stats(&two_way, 0, 1, None)
+        };
+        let d = decide(&two_way, &sides(per_server, N), p);
+        assert_eq!(d.strategy, Strategy::BroadcastJoin);
+        assert_eq!(
+            d.reason,
+            format!("one side ({per_server}) ≤ other/p ({N}/{p}): broadcast it (slide 32)")
+        );
+        assert_eq!(
+            strategy(&two_way, &sides(per_server, N - 1), p),
+            Strategy::HashJoin
+        );
+        assert_eq!(
+            strategy(&two_way, &sides(per_server + 1, N), p),
+            Strategy::HashJoin
+        );
+
+        // Skewed from max degree = max(|S_j|/p, 2) on: the |S_j|/p arm
+        // at 10⁹ tuples, the floor of 2 at 100.
+        let triangle = Query::triangle();
+        for (size, threshold) in [(N, per_server), (100, 2)] {
+            for (q, calm, skewed) in [
+                (&two_way, Strategy::HashJoin, Strategy::SkewJoin),
+                (&triangle, Strategy::HyperCube, Strategy::SkewHC),
+            ] {
+                let below = flat_stats(q, size, threshold - 1, None);
+                let at = flat_stats(q, size, threshold, None);
+                assert_eq!(strategy(q, &below, p), calm, "{q}, |S| = {size}");
+                assert_eq!(strategy(q, &at, p), skewed, "{q}, |S| = {size}");
+            }
+        }
+        // One skewed column in one atom is enough.
+        let mut one_column = flat_stats(&triangle, N, 1, None);
+        one_column.max_degree[2][1] = per_server;
+        assert_eq!(strategy(&triangle, &one_column, p), Strategy::SkewHC);
+
+        // p = 1 needs no statistic at all.
+        for q in [&two_way, &triangle, &chain] {
+            let stats = flat_stats(q, N, N, None);
+            assert_eq!(strategy(q, &stats, 1), Strategy::SingleServer);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "arity mismatch for atom S")]
+    fn a_relation_of_the_wrong_width_fails_at_the_door() {
+        let r = generate::uniform(2, 10, 5, 1);
+        let wide = generate::uniform(3, 10, 5, 2);
+        plan(&Query::two_way(), &[r, wide], 4);
     }
 }

@@ -13,6 +13,12 @@ use crate::relation::{Relation, Value};
 pub fn degree_counts(rel: &Relation, col: usize) -> FastMap<Value, u64> {
     assert!(col < rel.arity(), "column out of range");
     let mut deg: FastMap<Value, u64> = FastMap::default();
+    // Growing from empty rehashes the table a dozen times on the way to
+    // a join column's tens of thousands of values, which is half the
+    // cost of the scan. Room for one value per row up front, up to a
+    // table of a megabyte or two: a column of few values wastes at most
+    // that, and a longer one has amortised its growth by then.
+    deg.reserve(rel.len().min(1 << 16));
     for row in rel.iter() {
         *deg.entry(row[col]).or_insert(0) += 1;
     }
@@ -24,27 +30,30 @@ pub fn degree_counts(rel: &Relation, col: usize) -> FastMap<Value, u64> {
 /// The paper's definition (slide 29): a heavy hitter is a value occurring
 /// at least `IN/p` times. The result is sorted for determinism.
 pub fn heavy_hitters(rel: &Relation, col: usize, threshold: u64) -> Vec<Value> {
-    let mut out: Vec<Value> = degree_counts(rel, col)
-        .into_iter()
-        .filter_map(|(v, d)| (d >= threshold).then_some(v))
+    heavy_in(&degree_counts(rel, col), threshold)
+}
+
+/// [`heavy_hitters`] read off a column's degree table.
+pub fn heavy_in(degrees: &FastMap<Value, u64>, threshold: u64) -> Vec<Value> {
+    let mut out: Vec<Value> = degrees
+        .iter()
+        .filter_map(|(&v, &d)| (d >= threshold).then_some(v))
         .collect();
     out.sort_unstable();
     out
 }
 
-/// Heavy hitters of a value across two relations joined on
-/// `r.col(r_col) = s.col(s_col)`: values heavy in *either* side, with the
-/// threshold applied to the combined input size as on slide 29
-/// ("occurs at least IN/p times in R or S").
+/// Heavy hitters of a join, given the degree tables of its two join
+/// columns: values heavy in *either* side, with the threshold applied
+/// to the combined input size as on slide 29 ("occurs at least IN/p
+/// times in R or S"). Sorted, each value once.
 pub fn join_heavy_hitters(
-    r: &Relation,
-    r_col: usize,
-    s: &Relation,
-    s_col: usize,
+    r_degrees: &FastMap<Value, u64>,
+    s_degrees: &FastMap<Value, u64>,
     threshold: u64,
 ) -> Vec<Value> {
-    let mut heavy = heavy_hitters(r, r_col, threshold);
-    heavy.extend(heavy_hitters(s, s_col, threshold));
+    let mut heavy = heavy_in(r_degrees, threshold);
+    heavy.extend(heavy_in(s_degrees, threshold));
     heavy.sort_unstable();
     heavy.dedup();
     heavy
@@ -53,13 +62,16 @@ pub fn join_heavy_hitters(
 /// Exact output cardinality of the equi-join `R ⋈_{R.r_col = S.s_col} S`:
 /// `Σ_v deg_R(v) · deg_S(v)`, computed without materializing the join.
 pub fn join_output_size(r: &Relation, r_col: usize, s: &Relation, s_col: usize) -> u64 {
-    let dr = degree_counts(r, r_col);
-    let ds = degree_counts(s, s_col);
+    degree_join_size(&degree_counts(r, r_col), &degree_counts(s, s_col))
+}
+
+/// [`join_output_size`] read off the two join columns' degree tables.
+pub fn degree_join_size(dr: &FastMap<Value, u64>, ds: &FastMap<Value, u64>) -> u64 {
     // Iterate over the smaller map.
     let (small, big) = if dr.len() <= ds.len() {
-        (&dr, &ds)
+        (dr, ds)
     } else {
-        (&ds, &dr)
+        (ds, dr)
     };
     small
         .iter()
@@ -106,7 +118,7 @@ mod tests {
     fn join_heavy_union() {
         let r = sample();
         let s = Relation::from_rows(2, [[10, 2], [11, 2], [12, 2]]); // 2 heavy in s.col(1)
-        let h = join_heavy_hitters(&r, 0, &s, 1, 2);
+        let h = join_heavy_hitters(&degree_counts(&r, 0), &degree_counts(&s, 1), 2);
         assert_eq!(h, vec![1, 2, 3]);
     }
 

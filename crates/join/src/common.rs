@@ -191,8 +191,12 @@ pub(crate) fn inbox_pairs(
 }
 
 /// A relation's columns permuted into variable order `x₀ … x_{k-1}`,
-/// given the variable each column holds.
-pub(crate) fn in_variable_order(rel: &Relation, schema: &[usize]) -> Relation {
+/// given the variable each column holds. A relation already in that
+/// order is handed back as it is.
+pub(crate) fn in_variable_order(rel: Relation, schema: &[usize]) -> Relation {
+    if rel.arity() == schema.len() && schema.iter().copied().eq(0..schema.len()) {
+        return rel;
+    }
     let mut col_of_var = vec![0usize; schema.len()];
     for (col, &v) in schema.iter().enumerate() {
         col_of_var[v] = col;

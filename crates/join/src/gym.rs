@@ -31,7 +31,7 @@ use parqp_query::{Ghd, Query, Var};
 
 /// A distributed intermediate relation: per-server fragments plus the
 /// variable schema they share.
-#[derive(Debug, Clone)]
+#[derive(Debug, Default)]
 struct Dist {
     schema: Vec<Var>,
     parts: Vec<Relation>,
@@ -436,38 +436,36 @@ fn run_yannakakis(
             join_level(cluster, h, &mut states, &by_parent);
         }
     } else {
-        // Vanilla: one round per edge in every phase (slides 80–89).
+        // Vanilla: one round per edge in every phase (slides 80–89). A
+        // round consumes the state it replaces, and the join phase the
+        // child it folds in: nothing reads either again.
         for &b in order.iter().rev() {
             if let Some(par) = tree.parent[b] {
-                let parent_state = states[par].clone();
+                let parent_state = std::mem::take(&mut states[par]);
                 states[par] = semijoin_round(cluster, h, parent_state, &states[b]);
             }
         }
         for &b in &order {
             if let Some(par) = tree.parent[b] {
-                let child_state = states[b].clone();
+                let child_state = std::mem::take(&mut states[b]);
                 states[b] = semijoin_round(cluster, h, child_state, &states[par]);
             }
         }
         for &b in order.iter().rev() {
             if let Some(par) = tree.parent[b] {
-                let left = states[par].clone();
-                let right = states[b].clone();
+                let left = std::mem::take(&mut states[par]);
+                let right = std::mem::take(&mut states[b]);
                 states[par] = join_round(cluster, h, left, right);
             }
         }
     }
 
     // Combine roots (forest ⇒ Cartesian product rounds).
-    let roots: Vec<usize> = (0..tree.bags.len())
+    (0..tree.bags.len())
         .filter(|&b| tree.parent[b].is_none())
-        .collect();
-    let mut acc = states[roots[0]].clone();
-    for &r in &roots[1..] {
-        let right = states[r].clone();
-        acc = join_round(cluster, h, acc, right);
-    }
-    acc
+        .map(|b| std::mem::take(&mut states[b]))
+        .reduce(|acc, right| join_round(cluster, h, acc, right))
+        .unwrap_or_default()
 }
 
 /// One (parent, child) edge of a level round, with the key columns the
@@ -798,7 +796,7 @@ fn finish(query: &Query, dist: Dist, report: LoadReport) -> JoinRun {
     );
     let outputs = dist
         .parts
-        .iter()
+        .into_iter()
         .map(|part| in_variable_order(part, &dist.schema))
         .collect();
     JoinRun { outputs, report }

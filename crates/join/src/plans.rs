@@ -173,7 +173,7 @@ pub fn binary_join_plan(
         "plan must bind every variable"
     );
     let outputs = parts
-        .iter()
+        .into_iter()
         .map(|part| in_variable_order(part, &schema))
         .collect();
     JoinRun {

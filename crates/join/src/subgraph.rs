@@ -200,7 +200,7 @@ pub fn expansion_join_with_order(
     assert!(verified.iter().all(|&x| x), "every atom must be verified");
 
     let outputs = parts
-        .iter()
+        .into_iter()
         .map(|part| in_variable_order(part, &bound))
         .collect();
     JoinRun {

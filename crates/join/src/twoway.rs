@@ -15,7 +15,7 @@ use crate::common::{
     hash_join_rows, inbox_pairs, joined_arity, merge_rows, scatter, single_stream, JoinRun,
 };
 use parqp_data::paged::RouteScan;
-use parqp_data::stats::{degree_counts, join_heavy_hitters, join_output_size};
+use parqp_data::stats::{degree_counts, degree_join_size, join_heavy_hitters, join_output_size};
 use parqp_data::{Relation, Value};
 use parqp_mpc::{metrics, trace, Cluster, HashFamily, LoadReport, Weight};
 
@@ -246,18 +246,22 @@ pub fn skew_join(
 ) -> JoinRun {
     let input = (r.len() + s.len()) as u64;
     let threshold = (input / p as u64).max(1);
+    // The one statistics pass: the announced OUT, the heavy list, the
+    // truncation order and the water-filling costs are all read off
+    // these two tables.
+    let r_deg = degree_counts(r, r_col);
+    let s_deg = degree_counts(s, s_col);
+    // Slide 30: L = O(√(OUT/p) + IN/p) for arbitrary skew.
+    // Announced before any sub-algorithm runs, so this is the
+    // capture's primary bound even on the hash-join fallback path.
     if metrics::is_enabled() {
-        // Slide 30: L = O(√(OUT/p) + IN/p) for arbitrary skew.
-        // Announced before any sub-algorithm runs, so this is the
-        // capture's primary bound even on the hash-join fallback path.
-        let out = join_output_size(r, r_col, s, s_col) as f64;
-        metrics::announce(&metrics::PaperBound::tuples(
-            "skew_join",
-            (out / p as f64).sqrt() + input as f64 / p as f64,
-            1,
-        ));
+        announce_out_bound("skew_join", degree_join_size(&r_deg, &s_deg), input, p, 1);
     }
-    let mut heavy = join_heavy_hitters(r, r_col, s, s_col, threshold);
+    let degrees_of = |b: &Value| {
+        let (nr, ns) = (r_deg.get(b), s_deg.get(b));
+        (nr.copied().unwrap_or(0), ns.copied().unwrap_or(0))
+    };
+    let mut heavy = join_heavy_hitters(&r_deg, &s_deg, threshold);
     if heavy.is_empty() || p == 1 {
         // No split possible (or needed): plain hash join.
         return hash_join(r, r_col, s, s_col, p, seed);
@@ -266,10 +270,9 @@ pub fn skew_join(
     // servers than hitters, keep the heaviest p−1 and let the rest ride
     // the light hash join (they are at most barely heavy anyway).
     if heavy.len() + 1 > p {
-        let dr = degree_counts(r, r_col);
-        let ds = degree_counts(s, s_col);
         heavy.sort_by_key(|b| {
-            std::cmp::Reverse(dr.get(b).copied().unwrap_or(0) + ds.get(b).copied().unwrap_or(0))
+            let (nr, ns) = degrees_of(b);
+            std::cmp::Reverse(nr + ns)
         });
         heavy.truncate(p.saturating_sub(1).max(1));
         heavy.sort_unstable();
@@ -278,8 +281,6 @@ pub fn skew_join(
     let heavy_set: parqp_data::FastSet<Value> = heavy.iter().copied().collect();
     let r_light = r.filter(|row| !heavy_set.contains(&row[r_col]));
     let s_light = s.filter(|row| !heavy_set.contains(&row[s_col]));
-    let r_deg = degree_counts(r, r_col);
-    let s_deg = degree_counts(s, s_col);
 
     // Group 0 = light hash join; group i ≥ 1 = heavy hitter i−1.
     // Predicted cost of a group given its server count, for water-filling.
@@ -287,8 +288,8 @@ pub fn skew_join(
     let heavy_cost: Vec<Box<dyn Fn(usize) -> f64>> = heavy
         .iter()
         .map(|b| {
-            let nr = r_deg.get(b).copied().unwrap_or(0) as usize;
-            let ns = s_deg.get(b).copied().unwrap_or(0) as usize;
+            let (nr, ns) = degrees_of(b);
+            let (nr, ns) = (nr as usize, ns as usize);
             // The true load of the b-group at q servers: the optimal
             // grid's |R_b|/p₁ + |S_b|/p₂ (degenerates to a broadcast
             // line when one side is a single tuple — 2√(nr·ns/q) alone
@@ -355,6 +356,15 @@ pub fn skew_join(
     }
 }
 
+/// Announce `L = √(OUT/p) + IN/p` over `rounds` rounds (slides 30–31).
+fn announce_out_bound(algorithm: &'static str, out: u64, input: u64, p: usize, rounds: usize) {
+    metrics::announce(&metrics::PaperBound::tuples(
+        algorithm,
+        (out as f64 / p as f64).sqrt() + input as f64 / p as f64,
+        rounds,
+    ));
+}
+
 /// A tagged tuple sorted by join key: the unit of the sort-based join.
 /// The tiebreak hash makes sort keys effectively distinct, so PSRS keeps
 /// its `Θ(N/p)` balance even when one join value dominates; the tuples of
@@ -391,12 +401,9 @@ pub fn sort_merge_join(
     let h = HashFamily::new(seed ^ 0x50f7, 2);
     if metrics::is_enabled() {
         // Slide 31: same load bound as the skew join, in 4 rounds.
-        let out = join_output_size(r, r_col, s, s_col) as f64;
-        metrics::announce(&metrics::PaperBound::tuples(
-            "sort_merge_join",
-            (out / p as f64).sqrt() + (r.len() + s.len()) as f64 / p as f64,
-            4,
-        ));
+        let out = join_output_size(r, r_col, s, s_col);
+        let input = (r.len() + s.len()) as u64;
+        announce_out_bound("sort_merge_join", out, input, p, 4);
     }
 
     // Union, tagged, keyed by the join attribute with a tiebreak.

@@ -12,8 +12,9 @@
 //! * [`mod@residual`] — residual queries `Q_x` for heavy/light decompositions
 //!   and the skew exponent ψ\* (slide 47);
 //! * [`oracle`] — serial reference evaluation: a binding-table hash join
-//!   (the ground truth every MPC algorithm is tested against) and the
-//!   serial Yannakakis algorithm (slides 64–77);
+//!   (the ground truth every MPC algorithm is tested against), the
+//!   serial Yannakakis algorithm (slides 64–77) and its count-only form,
+//!   the `O(IN)` output size the planner reads;
 //! * [`parser`] — a Datalog-style surface syntax
 //!   (`Q(x,y,z) :- R(x,y), S(y,z), T(z,x)`);
 //! * [`wcoj`] — a worst-case-optimal serial Generic Join (the `O(AGM)`
@@ -27,7 +28,7 @@ pub mod residual;
 pub mod wcoj;
 
 pub use ghd::{Bag, Ghd};
-pub use oracle::{evaluate, yannakakis_serial};
+pub use oracle::{acyclic_output_size, evaluate, yannakakis_serial};
 pub use parser::{parse_query, ParseError};
 pub use query::{Atom, Query, Var};
 pub use residual::{all_residuals, psi_star, residual, ResidualQuery};

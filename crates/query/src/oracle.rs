@@ -1,7 +1,7 @@
 //! Serial evaluation: the local phase of the one-round algorithms and
 //! the ground truth every distributed algorithm is tested against.
 //!
-//! Both evaluators are exact and single-machine:
+//! The evaluators and the counter are exact and single-machine:
 //!
 //! * [`evaluate`] — a binding-table hash join that processes atoms left
 //!   to right. Worst-case exponential like any join. It is not only an
@@ -14,10 +14,19 @@
 //! * [`yannakakis_serial`] — the Yannakakis algorithm over a width-1 GHD
 //!   (slides 64–77): upward semijoin phase, downward semijoin phase, then
 //!   a bottom-up join phase, running in `O(IN + OUT)`.
+//! * [`acyclic_output_size`] — the size of that join and nothing else, in
+//!   `O(IN)`: Yannakakis carrying counts instead of tuples. Every tuple
+//!   holds the number of ways it extends into its bag's subtree; a child
+//!   hands its parent "join key → Σ count" and the parent multiplies. It
+//!   needs no semijoin phase because a dangling tuple is simply a tuple
+//!   whose count reaches 0, and a 0 contributes nothing to any sum above
+//!   it — the filtering the two semijoin passes exist for happens in the
+//!   arithmetic. This is what the planner reads OUT from.
 //!
-//! Both produce the full natural join with output schema `x₀ … x_{k-1}`
-//! under **bag semantics** (tests compare canonical set forms when an
-//! algorithm is only set-equivalent).
+//! Both evaluators produce the full natural join with output schema
+//! `x₀ … x_{k-1}` under **bag semantics** (tests compare canonical set
+//! forms when an algorithm is only set-equivalent); the counter counts
+//! that bag.
 
 use crate::ghd::Ghd;
 use crate::query::{Query, Var};
@@ -129,51 +138,28 @@ pub fn evaluate(q: &Query, rels: &[Relation]) -> Relation {
 /// Panics if the GHD is not a width-1 join tree of `q`, or input shapes
 /// disagree with the query.
 pub fn yannakakis_serial(q: &Query, rels: &[Relation], tree: &Ghd) -> Relation {
-    check_inputs(q, rels);
-    tree.validate(q).expect("invalid GHD");
-    assert!(
-        tree.width() == 1,
-        "serial Yannakakis requires a width-1 join tree"
-    );
-    let n = tree.bags.len();
-    assert_eq!(n, q.num_atoms(), "join tree must have one bag per atom");
-
-    // Working copies, one per bag (bag b covers exactly atom λ[0]).
-    let atom_of_bag: Vec<usize> = tree.bags.iter().map(|b| b.atoms[0]).collect();
-    let mut work: Vec<Relation> = atom_of_bag.iter().map(|&a| rels[a].clone()).collect();
+    let bags = join_tree_bags(q, rels, tree);
+    // Working copies, one per bag.
+    let mut work: Vec<Relation> = bags.iter().map(|&(_, rel)| rel.clone()).collect();
 
     let order = tree.topological_order(); // parents before children
-                                          // Upward semijoin phase: leaves to root.
+
+    // Upward semijoin phase: leaves to root.
     for &b in order.iter().rev() {
         if let Some(parent) = tree.parent[b] {
-            let filtered = semijoin(
-                &work[parent],
-                &q.atoms()[atom_of_bag[parent]].vars,
-                &work[b],
-                &q.atoms()[atom_of_bag[b]].vars,
-            );
-            work[parent] = filtered;
+            work[parent] = semijoin(&work[parent], bags[parent].0, &work[b], bags[b].0);
         }
     }
     // Downward semijoin phase: root to leaves.
     for &b in &order {
         if let Some(parent) = tree.parent[b] {
-            let filtered = semijoin(
-                &work[b],
-                &q.atoms()[atom_of_bag[b]].vars,
-                &work[parent],
-                &q.atoms()[atom_of_bag[parent]].vars,
-            );
-            work[b] = filtered;
+            work[b] = semijoin(&work[b], bags[b].0, &work[parent], bags[parent].0);
         }
     }
 
     // Join phase: fold children into parents, bottom-up. Track the
     // variable schema of each partial result.
-    let mut schema: Vec<Vec<Var>> = atom_of_bag
-        .iter()
-        .map(|&a| q.atoms()[a].vars.clone())
-        .collect();
+    let mut schema: Vec<Vec<Var>> = bags.iter().map(|&(vars, _)| vars.to_vec()).collect();
     let mut partial: Vec<Option<Relation>> = work.into_iter().map(Some).collect();
     for &b in order.iter().rev() {
         if let Some(parent) = tree.parent[b] {
@@ -200,6 +186,59 @@ pub fn yannakakis_serial(q: &Query, rels: &[Relation], tree: &Ghd) -> Relation {
     }
     let (rel, sch) = acc.expect("at least one root");
     bindings_to_relation(q.num_vars(), &sch, rel.raw())
+}
+
+/// `yannakakis_serial(q, rels, tree).len()` without the join: the exact
+/// output size of an acyclic query in `O(IN)` time and `O(IN)` words,
+/// saturating at `u64::MAX`.
+///
+/// Every tuple of every bag carries one weight, the number of ways it
+/// extends to a joining combination of its bag's subtree (1 at a leaf).
+/// Bags are visited children before parents. A finished child becomes a
+/// message "join key → Σ weight" — one [`KeyIndex`] over its shared
+/// columns, the sum folded into the key's first row — and each parent
+/// tuple multiplies its weight by the message for its key, or by 0 when
+/// the child has no such key. A root's count is the sum of its weights;
+/// a forest's is the product of its roots' (the Cartesian product across
+/// components). Bag semantics throughout: duplicate tuples are separate
+/// tuples with separate weights, and an empty atom makes every count
+/// above it, and the product, 0.
+///
+/// # Panics
+/// As [`yannakakis_serial`].
+pub fn acyclic_output_size(q: &Query, rels: &[Relation], tree: &Ghd) -> u64 {
+    let bags = join_tree_bags(q, rels, tree);
+    let mut weights: Vec<Vec<u64>> = bags.iter().map(|&(_, rel)| vec![1; rel.len()]).collect();
+    let mut total: u64 = 1;
+    for &b in tree.topological_order().iter().rev() {
+        // Children come later in the order, so `b`'s weights are final.
+        let mut message = std::mem::take(&mut weights[b]);
+        let Some(parent) = tree.parent[b] else {
+            let count = message.iter().fold(0u64, |sum, &w| sum.saturating_add(w));
+            total = total.saturating_mul(count);
+            continue;
+        };
+        let ((parent_vars, parent_rel), (child_vars, child_rel)) = (bags[parent], bags[b]);
+        let (parent_cols, child_cols) = shared_columns(parent_vars, child_vars);
+        let index = KeyIndex::build(child_rel, &child_cols);
+        // Fold every later row of a key into the key's first row, in
+        // place: that row's weight becomes the message for the key.
+        for (i, row) in child_rel.iter().enumerate() {
+            let w = message[i];
+            let first = index.probe(row, &child_cols).next();
+            let earlier = first.filter(|&first| first != i);
+            if let Some(sum) = earlier.and_then(|first| message.get_mut(first)) {
+                *sum = sum.saturating_add(w);
+            }
+        }
+        for (row, w) in parent_rel.iter().zip(&mut weights[parent]) {
+            // No child row on this key: the message is 0.
+            let first = index.probe(row, &parent_cols).next();
+            let sum = first.and_then(|first| message.get(first));
+            *w = w.saturating_mul(sum.copied().unwrap_or(0));
+        }
+    }
+    total
 }
 
 /// `left ⋉ right`: keep the tuples of `left` whose shared variables with
@@ -261,6 +300,38 @@ fn shared_columns(left_vars: &[Var], right_vars: &[Var]) -> (Vec<usize>, Vec<usi
         .enumerate()
         .filter_map(|(lp, v)| right_vars.iter().position(|rv| rv == v).map(|rp| (lp, rp)))
         .unzip()
+}
+
+/// Check that `tree` is a width-1 join tree of `q` with one bag per
+/// atom, and resolve each bag to its atom's variables and relation.
+fn join_tree_bags<'a>(
+    q: &'a Query,
+    rels: &'a [Relation],
+    tree: &Ghd,
+) -> Vec<(&'a [Var], &'a Relation)> {
+    check_inputs(q, rels);
+    tree.validate(q).expect("invalid GHD");
+    assert!(
+        tree.width() == 1,
+        "serial Yannakakis requires a width-1 join tree"
+    );
+    assert_eq!(
+        tree.bags.len(),
+        q.num_atoms(),
+        "join tree must have one bag per atom"
+    );
+    let atoms: Vec<(&[Var], &Relation)> = q
+        .atoms()
+        .iter()
+        .zip(rels)
+        .map(|(atom, rel)| (atom.vars.as_slice(), rel))
+        .collect();
+    // Width 1 and no empty cover: exactly one atom per bag.
+    tree.bags
+        .iter()
+        .flat_map(|bag| &bag.atoms)
+        .map(|&a| atoms[a])
+        .collect()
 }
 
 fn check_inputs(q: &Query, rels: &[Relation]) {
@@ -561,7 +632,10 @@ mod tests {
 /// (`raw()`-equality, stronger than the canonical comparisons above).
 #[cfg(test)]
 mod differential {
-    use super::{evaluate, join_on_schemas, reference, semijoin};
+    use super::{
+        acyclic_output_size, evaluate, join_on_schemas, reference, semijoin, yannakakis_serial,
+    };
+    use crate::ghd::Ghd;
     use crate::query::{Atom, Query, Var};
     use parqp_data::{Relation, Value};
     use parqp_testkit::prelude::*;
@@ -631,15 +705,32 @@ mod differential {
         rel
     }
 
+    fn random_relations(rng: &mut Rng, q: &Query) -> Vec<Relation> {
+        q.atoms()
+            .iter()
+            .map(|a| random_relation(rng, a.arity()))
+            .collect()
+    }
+
     fn random_instance(seed: u64) -> (Query, Vec<Relation>) {
         let mut rng = Rng::seed_from_u64(seed);
         let q = random_query(&mut rng);
-        let rels = q
-            .atoms()
-            .iter()
-            .map(|a| random_relation(&mut rng, a.arity()))
-            .collect();
+        let rels = random_relations(&mut rng, &q);
         (q, rels)
+    }
+
+    /// [`random_instance`] over acyclic bodies only: queries are redrawn
+    /// until GYO finds a join tree (most draws have one; forests and
+    /// products count).
+    fn random_acyclic_instance(seed: u64) -> (Query, Vec<Relation>, Ghd) {
+        let mut rng = Rng::seed_from_u64(seed);
+        loop {
+            let q = random_query(&mut rng);
+            if let Some(tree) = Ghd::join_tree(&q) {
+                let rels = random_relations(&mut rng, &q);
+                return (q, rels, tree);
+            }
+        }
     }
 
     proptest! {
@@ -671,6 +762,105 @@ mod differential {
             prop_assert_eq!(ours.arity(), theirs.arity());
             prop_assert_eq!(ours.raw(), theirs.raw(), "join of {:?}", q);
         }
+
+        #[test]
+        fn the_count_is_the_size_of_the_join(seed in any::<u64>()) {
+            let (q, rels, tree) = random_acyclic_instance(seed);
+            let counted = acyclic_output_size(&q, &rels, &tree);
+            let joined = yannakakis_serial(&q, &rels, &tree).len() as u64;
+            prop_assert_eq!(counted, joined, "query {:?} over {:?}", q, tree.parent);
+            prop_assert_eq!(counted, evaluate(&q, &rels).len() as u64, "query {:?}", q);
+        }
+    }
+
+    /// The count on shapes where each of its steps decides the answer.
+    #[test]
+    fn named_shapes_count_what_the_join_has() {
+        let pairs = |rows: &[[Value; 2]]| Relation::from_rows(2, rows);
+        let cases: Vec<(Query, Vec<Relation>, u64)> = vec![
+            // Every tuple dangles somewhere: R–S join, S–T join, but no
+            // S tuple does both. Only a zero message gets this to 0.
+            (
+                Query::chain(3),
+                vec![
+                    pairs(&[[1, 2], [1, 3]]),
+                    pairs(&[[2, 8], [4, 9]]),
+                    pairs(&[[9, 5], [9, 6]]),
+                ],
+                0,
+            ),
+            // Star on a shared hub: degrees 2·3·1 on hub 7, 1·0·2 on hub 8.
+            (
+                Query::star(3),
+                vec![
+                    pairs(&[[7, 1], [7, 2], [8, 1]]),
+                    pairs(&[[7, 1], [7, 1], [7, 3]]),
+                    pairs(&[[7, 4], [8, 4], [8, 5]]),
+                ],
+                6,
+            ),
+            // Two components, 3 × 2 joining pairs: the roots multiply.
+            (
+                Query::new(
+                    4,
+                    vec![
+                        Atom::new("R", vec![0, 1]),
+                        Atom::new("S", vec![1]),
+                        Atom::new("T", vec![2, 3]),
+                        Atom::new("U", vec![3]),
+                    ],
+                ),
+                vec![
+                    pairs(&[[1, 5], [2, 5], [3, 5], [4, 6]]),
+                    Relation::from_rows(1, [[5]]),
+                    pairs(&[[1, 9], [2, 9]]),
+                    Relation::from_rows(1, [[9], [8]]),
+                ],
+                6,
+            ),
+        ];
+        for (q, rels, expect) in cases {
+            let tree = Ghd::join_tree(&q).expect("acyclic");
+            assert_eq!(acyclic_output_size(&q, &rels, &tree), expect, "{q:?}");
+            assert_eq!(yannakakis_serial(&q, &rels, &tree).len() as u64, expect);
+        }
+    }
+
+    /// A count beyond `u64` saturates: it neither wraps nor panics, and
+    /// a zero above it still wins.
+    #[test]
+    fn a_count_past_u64_saturates() {
+        // Chains of 4096 copies of (7, 7) per atom, OUT = 4096ⁿ. A path
+        // multiplies each weight once, so it is the sums that overflow:
+        // the root's total at n = 6, a child's message at n = 7.
+        for n in [6, 7] {
+            let q = Query::chain(n);
+            let tree = Ghd::join_tree(&q).expect("acyclic");
+            let mut rels = vec![Relation::from_rows(2, vec![[7u64, 7]; 4096]); n];
+            assert_eq!(acyclic_output_size(&q, &rels, &tree), u64::MAX, "n = {n}");
+            // One empty atom and the saturated part is multiplied away.
+            rels[3] = Relation::new(2);
+            assert_eq!(acyclic_output_size(&q, &rels, &tree), 0, "n = {n}");
+        }
+        // Flat star, 2¹⁶ rows on one hub in each of 5 atoms: a root row
+        // multiplies four messages of 2¹⁶, and that product overflows.
+        let q = Query::star(5);
+        let rels = vec![Relation::from_rows(2, vec![[7u64, 7]; 1 << 16]); 5];
+        assert_eq!(
+            acyclic_output_size(&q, &rels, &Ghd::star_flat(&q)),
+            u64::MAX
+        );
+        // Six one-atom components of 4096 rows: the product of the roots
+        // is 2⁷² as well.
+        let forest = Query::new(
+            6,
+            (0..6)
+                .map(|i| Atom::new(format!("A{i}"), vec![i]))
+                .collect(),
+        );
+        let forest_tree = Ghd::join_tree(&forest).expect("acyclic");
+        let unary = vec![Relation::from_rows(1, vec![[7u64]; 4096]); 6];
+        assert_eq!(acyclic_output_size(&forest, &unary, &forest_tree), u64::MAX);
     }
 
     /// The shapes the generator only hits by chance, pinned.

@@ -200,20 +200,26 @@ impl Query {
     }
 }
 
+impl std::fmt::Display for Atom {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}(", self.name)?;
+        for (k, v) in self.vars.iter().enumerate() {
+            if k > 0 {
+                write!(f, ",")?;
+            }
+            write!(f, "x{v}")?;
+        }
+        write!(f, ")")
+    }
+}
+
 impl std::fmt::Display for Query {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         for (i, a) in self.atoms.iter().enumerate() {
             if i > 0 {
                 write!(f, " ⋈ ")?;
             }
-            write!(f, "{}(", a.name)?;
-            for (k, v) in a.vars.iter().enumerate() {
-                if k > 0 {
-                    write!(f, ",")?;
-                }
-                write!(f, "x{v}")?;
-            }
-            write!(f, ")")?;
+            write!(f, "{a}")?;
         }
         Ok(())
     }

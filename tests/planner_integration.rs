@@ -160,3 +160,271 @@ fn hypercube_speedup_curve_shape() {
         );
     }
 }
+
+/// `planner::plan` as it was while it planned by joining, body
+/// unchanged: OUT is `yannakakis_serial(..).len()`, `skewed` also asks
+/// `heavy_values`, and the join tree and τ* are computed twice. Kept as
+/// the executable statement of what `decide(collect(..))` must return —
+/// strategy and reason.
+mod reference {
+    use parqp::join::skewhc;
+    use parqp::model;
+    use parqp::planner::{Decision, Strategy};
+    use parqp::query::{Ghd, Query};
+    use parqp_data::stats::max_degree;
+    use parqp_data::Relation;
+
+    pub fn plan(query: &Query, rels: &[Relation], p: usize) -> Decision {
+        assert_eq!(rels.len(), query.num_atoms(), "one relation per atom");
+        if p == 1 {
+            return Decision {
+                strategy: Strategy::SingleServer,
+                reason: "single server: everything is local".into(),
+            };
+        }
+        let input: usize = rels.iter().map(Relation::len).sum();
+
+        // Any heavy hitters (per the paper's IN/p threshold)?
+        let heavy = skewhc::heavy_values(query, rels, p);
+        let skewed = {
+            // A variable is skewed only if a value repeats beyond threshold;
+            // degree-1 "heavy" values from the max(1,…) floor don't count.
+            query.atoms().iter().zip(rels).any(|(atom, rel)| {
+                let threshold = ((rel.len() / p) as u64).max(2);
+                (0..atom.arity()).any(|pos| max_degree(rel, pos) >= threshold)
+            }) && heavy.iter().any(|h| !h.is_empty())
+        };
+
+        if query.num_atoms() == 2 {
+            let shared = query.shared_vars(0, 1);
+            if shared.is_empty() {
+                return Decision {
+                    strategy: Strategy::Cartesian,
+                    reason: "two atoms without shared variables: product grid (slide 28)".into(),
+                };
+            }
+            if shared.len() > 1 {
+                // Two atoms sharing several variables (e.g. R(x,y) ⋈ S(y,x)):
+                // the specialized two-way kernels join on one column; let the
+                // HyperCube handle the composite key.
+                return Decision {
+                    strategy: Strategy::HyperCube,
+                    reason: "two atoms sharing multiple variables: HyperCube on the composite key"
+                        .into(),
+                };
+            }
+            let (a, b) = (rels[0].len(), rels[1].len());
+            let (small, large) = (a.min(b), a.max(b));
+            if small * p <= large {
+                return Decision {
+                    strategy: Strategy::BroadcastJoin,
+                    reason: format!(
+                        "one side ({small}) ≤ other/p ({large}/{p}): broadcast it (slide 32)"
+                    ),
+                };
+            }
+            if skewed {
+                return Decision {
+                    strategy: Strategy::SkewJoin,
+                    reason: "heavy hitters on the join attribute: heavy/light split (slide 30)"
+                        .into(),
+                };
+            }
+            return Decision {
+                strategy: Strategy::HashJoin,
+                reason: "two-way skew-free join: hash partitioning is optimal (slide 23)".into(),
+            };
+        }
+
+        // Multiway.
+        if let Some(tree) = Ghd::join_tree(query) {
+            // Acyclic: GYM wins when OUT is below the slide 78 crossover.
+            // The simulator computes OUT exactly with serial Yannakakis
+            // (O(IN+OUT)); a real system would use estimates, changing only
+            // where the switch happens, not the shape of the decision.
+            let tau = model::tau_star(query);
+            let out = parqp::query::yannakakis_serial(query, rels, &tree).len();
+            let crossover = model::gym_crossover_output(input as f64, p as f64, tau);
+            if (out as f64) < crossover {
+                return Decision {
+                    strategy: Strategy::Gym,
+                    reason: format!(
+                        "acyclic, OUT = {out} below the (IN+OUT)/p crossover {crossover:.0} \
+                         (slide 78): GYM"
+                    ),
+                };
+            }
+        }
+        if skewed {
+            return Decision {
+                strategy: Strategy::SkewHC,
+                reason: "multiway with heavy hitters: SkewHC residual queries (slide 47)".into(),
+            };
+        }
+        let tau = model::tau_star(query);
+        if Ghd::join_tree(query).is_none() && tau > 3.0 {
+            // Slide 62: p^{1/τ*} speedup collapses for high-τ* queries —
+            // replicating IN·p^{1−1/τ*} is worse than iterating. For subgraph
+            // shapes (all-binary atoms) grow bindings one vertex at a time
+            // (the BiGJoin family, slide 97); otherwise fall back to plain
+            // binary join plans.
+            if query.atoms().iter().all(|a| a.arity() == 2) {
+                return Decision {
+                    strategy: Strategy::ExpansionJoin,
+                    reason: format!(
+                        "cyclic subgraph query with τ* = {tau:.1}: one-round replication is \
+                         hopeless (slide 62), expand vertex-at-a-time (slide 97)"
+                    ),
+                };
+            }
+            return Decision {
+                strategy: Strategy::BinaryPlan,
+                reason: format!(
+                    "cyclic with τ* = {tau:.1}: one-round replication is hopeless (slide 62), \
+                     iterate binary joins"
+                ),
+            };
+        }
+        Decision {
+            strategy: Strategy::HyperCube,
+            reason: "multiway skew-free: one-round HyperCube at the τ* optimum (slide 40)".into(),
+        }
+    }
+}
+
+/// Planning from statistics against [`reference::plan`]: the same
+/// decision, reason text included, on inputs that reach every rule.
+mod differential {
+    use super::reference;
+    use parqp::planner::{decide, plan, PlanStats, Strategy};
+    use parqp::prelude::*;
+    use parqp_testkit::prelude::*;
+
+    /// Every query shape a rule distinguishes: two-way on one variable,
+    /// on none, on two; one atom; acyclic chains, stars and trees (the
+    /// crossover, either side); cyclic at low and high τ*, with binary
+    /// atoms and without.
+    fn shapes() -> Vec<Query> {
+        let ternary_ring = |n: usize| {
+            Query::new(
+                2 * n,
+                (0..n)
+                    .map(|i| {
+                        let vars = vec![2 * i, 2 * i + 1, (2 * i + 2) % (2 * n)];
+                        Atom::new(format!("T{i}"), vars)
+                    })
+                    .collect(),
+            )
+        };
+        vec![
+            Query::two_way(),
+            Query::product(),
+            Query::new(
+                2,
+                vec![Atom::new("R", vec![0, 1]), Atom::new("S", vec![1, 0])],
+            ),
+            Query::new(2, vec![Atom::new("R", vec![0, 1])]),
+            Query::chain(3),
+            Query::chain(4),
+            Query::star(3),
+            Query::slide64_tree(),
+            Query::triangle(),
+            Query::cycle(4),
+            Query::cycle(8),
+            ternary_ring(8),
+        ]
+    }
+
+    /// `rows` tuples over `domain`; unless `calm`, a small domain as
+    /// often as not and — three times in four — one value planted up to
+    /// 20 times in one column, so the thresholds at every `p` are met,
+    /// missed and straddled.
+    fn random_relation(rng: &mut Rng, arity: usize, calm: bool) -> Relation {
+        let rows = rng.gen_range(0usize..=40);
+        let domain = if calm {
+            1 << 40
+        } else {
+            [2, 8, 40, 1 << 40][rng.gen_range(0usize..4)]
+        };
+        let mut rel = Relation::with_capacity(arity, rows);
+        let mut row = vec![0; arity];
+        for _ in 0..rows {
+            row.fill_with(|| rng.gen_below(domain));
+            rel.push(&row);
+        }
+        if !calm && rng.gen_below(4) > 0 {
+            let col = rng.gen_range(0..arity);
+            for i in 0..rng.gen_range(1u64..=20) {
+                row.fill(1 + i);
+                row[col] = 1;
+                rel.push(&row);
+            }
+        }
+        rel
+    }
+
+    /// One of [`shapes`] over random relations; one instance in three is
+    /// skew-free throughout (the rules behind the skew test need that of
+    /// every atom at once).
+    fn random_instance(seed: u64) -> (Query, Vec<Relation>) {
+        let mut rng = Rng::seed_from_u64(seed);
+        let mut shapes = shapes();
+        let q = shapes.swap_remove(rng.gen_range(0..shapes.len()));
+        let calm = rng.gen_below(3) == 0;
+        let rels = q
+            .atoms()
+            .iter()
+            .map(|a| random_relation(&mut rng, a.arity(), calm))
+            .collect();
+        (q, rels)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        #[test]
+        fn decisions_are_the_reference_decisions(seed in any::<u64>()) {
+            let (q, rels) = random_instance(seed);
+            let stats = PlanStats::collect(&q, &rels);
+            for p in [1, 2, 8, 64] {
+                let ours = decide(&q, &stats, p);
+                let theirs = reference::plan(&q, &rels, p);
+                prop_assert_eq!(&ours.strategy, &theirs.strategy, "{} at p = {}", q, p);
+                prop_assert_eq!(&ours.reason, &theirs.reason, "{} at p = {}", q, p);
+                let planned = plan(&q, &rels, p);
+                prop_assert_eq!(planned.strategy, ours.strategy);
+                prop_assert_eq!(planned.reason, ours.reason);
+            }
+        }
+    }
+
+    /// The generator above reaches every rule (so the property is not
+    /// vacuous on any of them).
+    #[test]
+    fn the_instances_reach_every_strategy() {
+        let mut seen: Vec<Strategy> = Vec::new();
+        for seed in 0..400 {
+            let (q, rels) = random_instance(seed);
+            for p in [1, 2, 8, 64] {
+                let strategy = plan(&q, &rels, p).strategy;
+                if !seen.contains(&strategy) {
+                    seen.push(strategy);
+                }
+            }
+        }
+        for strategy in [
+            Strategy::HashJoin,
+            Strategy::BroadcastJoin,
+            Strategy::SkewJoin,
+            Strategy::Cartesian,
+            Strategy::HyperCube,
+            Strategy::SkewHC,
+            Strategy::Gym,
+            Strategy::BinaryPlan,
+            Strategy::ExpansionJoin,
+            Strategy::SingleServer,
+        ] {
+            assert!(seen.contains(&strategy), "{strategy:?} never chosen");
+        }
+    }
+}
