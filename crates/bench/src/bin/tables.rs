@@ -16,15 +16,9 @@
 //! and with `--trace <dir>` the fault-annotated stream is written as
 //! `<experiment>.faults.trace.jsonl` instead.
 //!
-//! With `--metrics <path>` the bound-adherence metrics of every observe
-//! experiment (wall-clock included — this binary owns the workspace's
-//! sanctioned timer) are written as a `parqp-bench-metrics/v1` JSON
-//! document, e.g. `BENCH_parqp.json`. Every point is run twice — once
-//! serial, once under the parallel execution backend with all cores —
-//! so the document carries `wall_ns` and `wall_par_ns` side by side
-//! (the parallel pass must reproduce `L`/`rounds`/`bound_ratio`
-//! exactly or collection aborts). Alone, `--metrics` skips the tables;
-//! combine it with experiment ids to get both.
+//! The gated counts of the observe experiments (`BENCH_parqp.json`) come
+//! from `parqp metrics`, and wall-clock from the `perf` program; this
+//! binary prints neither.
 
 use parqp_bench::experiments;
 use std::io::Write;
@@ -34,7 +28,6 @@ fn main() {
     let mut csv_dir: Option<String> = None;
     let mut trace_dir: Option<String> = None;
     let mut fault_seed: Option<u64> = None;
-    let mut metrics_path: Option<String> = None;
     let mut ids: Vec<String> = Vec::new();
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
@@ -57,32 +50,8 @@ fn main() {
                 eprintln!("--faults: {e}");
                 std::process::exit(2);
             }));
-        } else if a == "--metrics" {
-            metrics_path = Some(it.next().unwrap_or_else(|| {
-                eprintln!("--metrics requires a path argument");
-                std::process::exit(2);
-            }));
         } else {
             ids.push(a);
-        }
-    }
-    if let Some(path) = &metrics_path {
-        let report = parqp::metrics::collect_dual(42, &parqp_testkit::bench::time_ns, 0)
-            .unwrap_or_else(|e| {
-                eprintln!("metrics: {e}");
-                std::process::exit(2);
-            });
-        std::fs::write(path, parqp::metrics::to_json(&report)).unwrap_or_else(|e| {
-            eprintln!("{path}: {e}");
-            std::process::exit(2);
-        });
-        println!(
-            "# metrics: wrote {} points (seed {}) to {path}",
-            report.experiments.len(),
-            report.seed
-        );
-        if ids.is_empty() {
-            return;
         }
     }
     if ids.is_empty() {

@@ -9,9 +9,11 @@
 //! cargo run --release -p parqp-bench --bin tables -- e05 e08 # a subset
 //! ```
 //!
-//! Criterion wall-clock benches live in `benches/` (one group per
-//! experiment family); the *numbers the paper is about* — loads, rounds,
-//! communication — come from this module, deterministically.
+//! The *numbers the paper is about* — loads, rounds, communication —
+//! come from this module, deterministically. Wall-clock is the `perf`
+//! program's (`src/bin/perf/`, run through `BENCHMARK.json`), and
+//! `benches/join_kernel.rs` times the local-join kernel alone so a
+//! regression there can be attributed without a full `perf` run.
 
 pub mod experiments;
 pub mod table;

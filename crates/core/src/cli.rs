@@ -156,9 +156,10 @@ fn usage() -> String {
               run a named experiment under a seeded fault plan and\n\
               report recovery overhead (no --experiment: list them)\n\
      metrics  [--seed S] [--format table|json] [--out F]\n\
-              [--check BASELINE.json]\n\
-              measure L, rounds and bound adherence of every experiment\n\
-              at p = 8, 27, 64; --check gates against a committed baseline\n\
+              [--check BENCH_parqp.json]\n\
+              measure L, rounds, bound adherence and page IO of every\n\
+              experiment at p = 8, 27, 64; --check gates every count\n\
+              against the committed document\n\
      store    [--servers P] [--seed S] [--page-size W] [--pool-pages N]\n\
               [--out F]\n\
               run every experiment unpaged and under the paged store\n\
@@ -759,10 +760,12 @@ fn faults_cmd(o: &Opts) -> Result<String, String> {
 }
 
 fn metrics_cmd(o: &Opts) -> Result<String, String> {
-    let current = crate::metrics::collect(o.seed)?;
     if let Some(path) = &o.check {
+        // Read the document before paying for a collection: a file the
+        // gate cannot read is an error whatever the run would measure.
         let src = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        let baseline = crate::metrics::from_json(&src)?;
+        let baseline = crate::metrics::from_json(&src).map_err(|e| format!("{path}: {e}"))?;
+        let current = crate::metrics::collect(o.seed)?;
         let regressions = crate::metrics::compare(&baseline, &current);
         return if regressions.is_empty() {
             Ok(format!(
@@ -778,11 +781,12 @@ fn metrics_cmd(o: &Opts) -> Result<String, String> {
             ))
         };
     }
-    let body = match o.format.as_deref().unwrap_or("table") {
-        "table" => crate::metrics::table(&current),
-        "json" => crate::metrics::to_json(&current),
+    let render = match o.format.as_deref().unwrap_or("table") {
+        "table" => crate::metrics::table,
+        "json" => crate::metrics::to_json,
         other => return Err(format!("unknown --format {other:?} (table|json)")),
     };
+    let body = render(&crate::metrics::collect(o.seed)?);
     if let Some(out) = &o.out {
         std::fs::write(out, &body).map_err(|e| format!("{out}: {e}"))?;
         Ok(format!("wrote {} bytes to {out}\n", body.len()))
@@ -1366,6 +1370,42 @@ mod tests {
         let err = dispatch(&argv(&["metrics", "--check", f.to_str().expect("utf8")]))
             .expect_err("drift must fail the gate");
         assert!(err.contains("rounds changed"), "got: {err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn metrics_check_reports_a_document_it_cannot_read_in_one_line() {
+        // Each is refused by the parser, before any experiment runs.
+        let dir = tmpdir("metrics_strict");
+        let f = dir.join("doc.json");
+        let path = f.to_str().expect("utf8");
+        let mut report = crate::metrics::MetricsReport::default();
+        report
+            .experiments
+            .insert("psrs/p8".to_string(), Default::default());
+        let v2 = crate::metrics::to_json(&report);
+        for (doc, want) in [
+            (v2.replace("/v2", "/v1"), "unsupported schema"),
+            (
+                v2.replace("  \"serve\": {\n  },\n", ""),
+                "missing section \"serve\"",
+            ),
+            (
+                v2.replace("\"rounds\": 0, ", ""),
+                "missing field \"rounds\"",
+            ),
+            (
+                v2.replace("\"L\": 0", "\"L\": 0, \"skew\": 1.05"),
+                "unknown field \"skew\"",
+            ),
+            ("not json at all".to_string(), "malformed line"),
+        ] {
+            std::fs::write(&f, doc).expect("write");
+            let err = dispatch(&argv(&["metrics", "--check", path])).expect_err("refused");
+            assert!(err.starts_with(path), "got: {err}");
+            assert!(err.contains(want), "want {want:?}, got: {err}");
+            assert_eq!(err.lines().count(), 1, "got: {err}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -47,8 +47,8 @@
 //! * [`observe`] — named trace experiments for `parqp trace` and
 //!   `parqp faults`;
 //! * [`metrics`] — bound-adherence metrics over the experiments
-//!   (`parqp metrics`) and the JSON baseline the CI perf gate compares
-//!   against;
+//!   (`parqp metrics`) and the counts document (`BENCH_parqp.json`)
+//!   the CI gate compares against;
 //! * [`serve`] — the multi-tenant workload driver (`parqp serve`):
 //!   seeded bursty query streams against one long-lived cluster, with
 //!   shared-plan caching and per-tenant ledgers;

@@ -131,7 +131,7 @@ const TOKEN_RULES: &[TokenRule] = &[
     TokenRule {
         rule: "PQ003",
         token: "Instant::now",
-        message: "wall-clock reads make runs irreproducible; time only inside parqp-testkit's bench harness",
+        message: "wall-clock reads make runs irreproducible; parqp_testkit::bench::time_ns is the one sanctioned clock",
         scope: None,
         exempt: &[],
         exempt_paths: &[],

@@ -1,322 +1,22 @@
-//! A tiny wall-clock micro-benchmark harness.
+//! The workspace's one wall-clock read.
 //!
-//! Replaces `criterion` for this workspace's `harness = false` bench
-//! targets. It mirrors the slice of criterion's API the benches use —
-//! [`Criterion`], [`BenchmarkId`], groups with `sample_size`,
-//! `bench_function` / `bench_with_input`, and the
-//! [`criterion_group!`](crate::criterion_group) /
-//! [`criterion_main!`](crate::criterion_main) macros — so a bench file
-//! only swaps its import line.
-//!
-//! Measurement model: per benchmark we run one untimed warm-up call,
-//! calibrate the per-iteration cost, then take `sample_size` samples
-//! (each a timed batch sized to ~5 ms, or a single iteration for slow
-//! benchmarks) and report min / mean / max per-iteration time.
-//!
-//! CLI behavior (args come from `cargo bench -- <args>`):
-//! * a bare substring argument filters benchmarks by name;
-//! * `--test` or `--quick` runs every benchmark exactly once (used by
-//!   `cargo test --benches`-style smoke runs and CI);
-//! * other `--flags` cargo passes (e.g. `--bench`) are ignored.
+//! The paper prices an algorithm in load and rounds and leaves time
+//! out, so nothing in the library reads a clock (lint rule PQ003).
+//! Time is measured by the `perf` program (`BENCHMARK.json`,
+//! `crates/bench/src/bin/perf/`), which repeats every operation and
+//! reports spread; it and the `join_kernel` micro-bench take every
+//! timestamp from [`time_ns`].
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-/// A benchmark's display name, optionally `function/parameter`.
-#[derive(Debug, Clone)]
-pub struct BenchmarkId {
-    name: String,
-}
-
-impl BenchmarkId {
-    /// `name/parameter`, mirroring criterion's parameterized IDs.
-    pub fn new(name: impl std::fmt::Display, parameter: impl std::fmt::Display) -> Self {
-        BenchmarkId {
-            name: format!("{name}/{parameter}"),
-        }
-    }
-}
-
-impl From<&str> for BenchmarkId {
-    fn from(s: &str) -> Self {
-        BenchmarkId { name: s.into() }
-    }
-}
-
-impl From<String> for BenchmarkId {
-    fn from(s: String) -> Self {
-        BenchmarkId { name: s }
-    }
-}
-
-/// Top-level harness state: CLI filter and mode.
-#[derive(Debug, Clone, Default)]
-pub struct Criterion {
-    filter: Option<String>,
-    quick: bool,
-    benchmarks_run: usize,
-}
-
-impl Criterion {
-    /// Build from the process arguments (see module docs for the CLI).
-    pub fn from_args() -> Self {
-        let mut c = Criterion::default();
-        for arg in std::env::args().skip(1) {
-            if arg == "--test" || arg == "--quick" {
-                c.quick = true;
-            } else if !arg.starts_with('-') {
-                c.filter = Some(arg);
-            }
-        }
-        if std::env::var("PARQP_BENCH_QUICK").is_ok() {
-            c.quick = true;
-        }
-        c
-    }
-
-    /// Start a named group of related benchmarks.
-    pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
-        BenchmarkGroup {
-            criterion: self,
-            name: name.into(),
-            sample_size: 20,
-        }
-    }
-
-    /// Benchmark without a group.
-    pub fn bench_function(&mut self, id: impl Into<BenchmarkId>, f: impl FnMut(&mut Bencher)) {
-        let mut g = self.benchmark_group("");
-        g.bench_function(id, f);
-        g.finish();
-    }
-
-    /// Print a closing line (called by `criterion_main!`).
-    pub fn final_summary(&self) {
-        println!(
-            "\n{} benchmark(s) run{}",
-            self.benchmarks_run,
-            if self.quick { " (quick mode)" } else { "" }
-        );
-    }
-
-    fn run_one(
-        &mut self,
-        group: &str,
-        id: &BenchmarkId,
-        sample_size: usize,
-        f: &mut dyn FnMut(&mut Bencher),
-    ) {
-        let full = if group.is_empty() {
-            id.name.clone()
-        } else {
-            format!("{group}/{}", id.name)
-        };
-        if let Some(filter) = &self.filter {
-            if !full.contains(filter.as_str()) {
-                return;
-            }
-        }
-        let mut bencher = Bencher {
-            quick: self.quick,
-            sample_size,
-            samples: Vec::new(),
-        };
-        f(&mut bencher);
-        self.benchmarks_run += 1;
-        report(&full, &bencher.samples);
-    }
-}
-
-/// A named collection of benchmarks sharing a `sample_size`.
-pub struct BenchmarkGroup<'a> {
-    criterion: &'a mut Criterion,
-    name: String,
-    sample_size: usize,
-}
-
-impl BenchmarkGroup<'_> {
-    /// Number of timed samples per benchmark (default 20).
-    pub fn sample_size(&mut self, n: usize) -> &mut Self {
-        self.sample_size = n.max(1);
-        self
-    }
-
-    /// Run a benchmark; the closure drives a [`Bencher`].
-    pub fn bench_function(
-        &mut self,
-        id: impl Into<BenchmarkId>,
-        mut f: impl FnMut(&mut Bencher),
-    ) -> &mut Self {
-        let id = id.into();
-        self.criterion
-            .run_one(&self.name, &id, self.sample_size, &mut f);
-        self
-    }
-
-    /// Run a benchmark parameterized by `input`.
-    pub fn bench_with_input<I: ?Sized>(
-        &mut self,
-        id: impl Into<BenchmarkId>,
-        input: &I,
-        mut f: impl FnMut(&mut Bencher, &I),
-    ) -> &mut Self {
-        let id = id.into();
-        self.criterion
-            .run_one(&self.name, &id, self.sample_size, &mut |b| f(b, input));
-        self
-    }
-
-    /// End the group (kept for criterion API parity; printing happens
-    /// per benchmark).
-    pub fn finish(self) {}
-}
-
-/// Collects timing samples for one benchmark.
-pub struct Bencher {
-    quick: bool,
-    sample_size: usize,
-    samples: Vec<Duration>,
-}
-
-impl Bencher {
-    /// Time the routine. Call exactly once per benchmark closure.
-    ///
-    /// Wall-clock reads are sanctioned here and only here: the bench
-    /// harness measures real time by definition, and timing never feeds
-    /// back into algorithm results, so determinism is unaffected.
-    #[allow(clippy::disallowed_methods)]
-    pub fn iter<O, F: FnMut() -> O>(&mut self, mut f: F) {
-        // Untimed warm-up (page-in, branch predictors, allocator).
-        std::hint::black_box(f());
-        if self.quick {
-            let t = Instant::now(); // parqp-lint: allow(PQ003)
-            std::hint::black_box(f());
-            self.samples.push(t.elapsed());
-            return;
-        }
-        // Calibrate one iteration to size the timed batches.
-        let t = Instant::now(); // parqp-lint: allow(PQ003)
-        std::hint::black_box(f());
-        let per_iter = t.elapsed().max(Duration::from_nanos(1));
-        let target_sample = Duration::from_millis(5);
-        let iters_per_sample = (target_sample.as_nanos() / per_iter.as_nanos()).clamp(1, 100_000);
-        for _ in 0..self.sample_size {
-            let t = Instant::now(); // parqp-lint: allow(PQ003)
-            for _ in 0..iters_per_sample {
-                std::hint::black_box(f());
-            }
-            self.samples
-                .push(t.elapsed() / u32::try_from(iters_per_sample).expect("clamped to 100k"));
-        }
-    }
-}
-
-/// Monotonic nanoseconds since the first call, for wall-clock
-/// profiling (`parqp-bench tables --metrics`).
+/// Monotonic nanoseconds since the first call.
 ///
-/// Wall-clock reads are sanctioned in this module and only here (see
-/// [`Bencher::iter`]): timings are reported, never fed back into
-/// algorithm results, so determinism is unaffected. Committed metrics
-/// baselines zero this field out so the CI gate stays byte-exact.
+/// The one sanctioned wall-clock read in the workspace: timings are
+/// reported, never fed back into algorithm results, so determinism is
+/// unaffected.
 #[allow(clippy::disallowed_methods)]
 pub fn time_ns() -> u64 {
     static EPOCH: std::sync::OnceLock<Instant> = std::sync::OnceLock::new();
     let epoch = *EPOCH.get_or_init(Instant::now); // parqp-lint: allow(PQ003)
     u64::try_from(epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
-}
-
-fn report(name: &str, samples: &[Duration]) {
-    if samples.is_empty() {
-        println!("{name:<56} (no samples — did the closure call iter()?)");
-        return;
-    }
-    let min = samples.iter().min().expect("non-empty");
-    let max = samples.iter().max().expect("non-empty");
-    let mean = samples.iter().sum::<Duration>() / u32::try_from(samples.len()).expect("small");
-    println!(
-        "{name:<56} time: [{} {} {}]",
-        fmt_duration(*min),
-        fmt_duration(mean),
-        fmt_duration(*max),
-    );
-}
-
-fn fmt_duration(d: Duration) -> String {
-    let nanos = d.as_nanos();
-    if nanos < 1_000 {
-        format!("{nanos} ns")
-    } else if nanos < 1_000_000 {
-        format!("{:.2} µs", nanos as f64 / 1e3)
-    } else if nanos < 1_000_000_000 {
-        format!("{:.2} ms", nanos as f64 / 1e6)
-    } else {
-        format!("{:.2} s", nanos as f64 / 1e9)
-    }
-}
-
-/// Bundle benchmark functions into a group runner, criterion-style.
-#[macro_export]
-macro_rules! criterion_group {
-    ($name:ident, $($target:path),+ $(,)?) => {
-        pub fn $name(criterion: &mut $crate::bench::Criterion) {
-            $( $target(criterion); )+
-        }
-    };
-}
-
-/// Generate `fn main` driving the given groups.
-#[macro_export]
-macro_rules! criterion_main {
-    ($($group:path),+ $(,)?) => {
-        fn main() {
-            let mut criterion = $crate::bench::Criterion::from_args();
-            $( $group(&mut criterion); )+
-            criterion.final_summary();
-        }
-    };
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn quick_mode_runs_once_per_sample() {
-        let mut b = Bencher {
-            quick: true,
-            sample_size: 20,
-            samples: Vec::new(),
-        };
-        let mut calls = 0u32;
-        b.iter(|| calls += 1);
-        assert_eq!(b.samples.len(), 1);
-        assert_eq!(calls, 2, "one warm-up + one timed call");
-    }
-
-    #[test]
-    fn group_filter_skips_non_matching() {
-        let mut c = Criterion {
-            filter: Some("match_me".into()),
-            quick: true,
-            benchmarks_run: 0,
-        };
-        let mut g = c.benchmark_group("grp");
-        g.bench_function("match_me_exactly", |b| b.iter(|| 1 + 1));
-        g.bench_function("something_else", |b| b.iter(|| 1 + 1));
-        g.finish();
-        assert_eq!(c.benchmarks_run, 1);
-    }
-
-    #[test]
-    fn benchmark_id_formats_parameter() {
-        let id = BenchmarkId::new("hypercube", 64);
-        assert_eq!(id.name, "hypercube/64");
-    }
-
-    #[test]
-    fn duration_formatting_scales() {
-        assert_eq!(fmt_duration(Duration::from_nanos(12)), "12 ns");
-        assert_eq!(fmt_duration(Duration::from_micros(12)), "12.00 µs");
-        assert_eq!(fmt_duration(Duration::from_millis(12)), "12.00 ms");
-        assert_eq!(fmt_duration(Duration::from_secs(12)), "12.00 s");
-    }
 }

@@ -1,9 +1,9 @@
-//! `parqp-testkit` — self-contained randomness, property testing, and
-//! micro-benchmarking for the parqp workspace.
+//! `parqp-testkit` — self-contained randomness, property testing, a
+//! worker pool and the workspace's one clock.
 //!
 //! The workspace must build and test with **zero network access**, so
-//! nothing here comes from crates.io. Three modules replace the three
-//! external dev-dependencies the seed tree had:
+//! nothing here comes from crates.io. Two modules replace external
+//! dev-dependencies the seed tree had:
 //!
 //! * [`rng`] replaces `rand`: a SplitMix64-seeded xoshiro256++
 //!   generator behind a small `gen_range`/`gen_f64`/`shuffle` API.
@@ -13,9 +13,10 @@
 //!   macro, `prop_assert*!`/`prop_assume!`, and counterexample
 //!   shrinking. Failures print a `PARQP_PROPTEST_SEED=… cargo test …`
 //!   line that replays the exact case.
-//! * [`mod@bench`] replaces `criterion`: wall-clock sampling behind the
-//!   same `Criterion`/`BenchmarkGroup`/`criterion_group!` surface the
-//!   bench targets already used.
+//!
+//! [`mod@bench`] is [`bench::time_ns`] and nothing else: the one
+//! wall-clock read, which the `perf` program times everything with.
+//! [`pool`] is the one place that spawns threads.
 //!
 //! The seeding convention across the workspace: public APIs take a
 //! `u64` seed and derive all internal randomness from it via

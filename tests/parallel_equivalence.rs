@@ -227,46 +227,6 @@ fn parallel_metrics_reconcile_with_ledger_and_trace_under_faults() {
     }
 }
 
-#[test]
-fn compute_bound_experiment_speeds_up_on_multicore_hosts() {
-    // The perf half of the acceptance bar: matmul-square/p64 is
-    // compute-bound (Θ(n³) block multiplies against Θ(n²·H) words on
-    // the wire), so with ≥ 4 workers its wall clock must beat serial.
-    // Speedup is only physically observable when the host has the
-    // hardware threads to back it — a single-core container runs every
-    // "parallel" worker on the same core — so hosts with fewer than 4
-    // CPUs skip the timing assertion (the differential tests above
-    // still prove correctness there). The official 1.5× bar is
-    // measured in release mode by `bench tables --metrics`
-    // (BENCH_parqp.json); here a best-of-3 debug run asserts a
-    // conservative 1.25×.
-    let workers = ncpu();
-    if workers < 4 {
-        eprintln!("skipping speedup assertion: {workers} hardware thread(s) < 4");
-        return;
-    }
-    let wall = |mode: ExecMode| {
-        exec::with_mode(mode, || {
-            let mut best = u64::MAX;
-            for _ in 0..3 {
-                let t0 = parqp_testkit::bench::time_ns();
-                let run = parqp::observe::run_experiment_full("matmul-square", 64, 42)
-                    .expect("known experiment");
-                let dt = parqp_testkit::bench::time_ns().saturating_sub(t0);
-                std::hint::black_box(run.digest);
-                best = best.min(dt);
-            }
-            best
-        })
-    };
-    let serial = wall(ExecMode::Serial);
-    let parallel = wall(ExecMode::Parallel { workers });
-    assert!(
-        serial as f64 >= 1.25 * parallel as f64,
-        "no parallel speedup on a {workers}-thread host: serial {serial} ns vs parallel {parallel} ns"
-    );
-}
-
 // ------------------------------------------------------- worker purity
 
 /// What a run with every instrument installed left behind.

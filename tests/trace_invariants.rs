@@ -240,6 +240,21 @@ fn mean_load_bounds_are_adhered_to_within_half_of_themselves() {
             );
         }
     }
+    // The skew join is a one-round algorithm and its ledger says so at
+    // every p, however many heavy-hitter sub-clusters the trace shows
+    // as rounds of their own (see the module docs).
+    for &p in parqp::metrics::METRICS_POINTS {
+        let key = format!("twoway-skew/p{p}");
+        assert_eq!(report.experiments[&key].rounds, 1, "{key}");
+    }
+    // The same collection is what `parqp metrics --check` gates, so
+    // the committed document is current or this fails: regenerate it
+    // with `parqp metrics --format json --out BENCH_parqp.json`.
+    assert_eq!(
+        parqp::metrics::to_json(&report),
+        include_str!("../BENCH_parqp.json"),
+        "BENCH_parqp.json is stale"
+    );
 }
 
 #[test]
