@@ -184,7 +184,7 @@ pub fn run_experiment(name: &str, servers: usize, seed: u64) -> Result<Recorder,
 /// per-server output ordering cannot leak into the digest).
 fn digest_relation(rel: &Relation) -> u64 {
     let mut h = FxHasher::default();
-    for row in rel.canonical().iter() {
+    for row in rel.canonical_rows() {
         h.write_u64(row.len() as u64);
         for &v in row {
             h.write_u64(v);

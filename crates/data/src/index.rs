@@ -9,6 +9,13 @@
 //! row), so a build is two allocations whatever the row count and a
 //! probe is none.
 //!
+//! **Build once, probe many.** The two vectors are a [`KeyTable`]: owned,
+//! lifetime-free, everything `build` computes. A [`KeyIndex`] is a table
+//! plus the borrowed rows and key columns it reads through — either its
+//! own table ([`KeyIndex::build`]) or one kept beside the rows by a
+//! caller that probes them again later ([`KeyTable::over`]). There is
+//! one probe walk whichever it is.
+//!
 //! **Order contract.** Rows are linked in *reverse* at build time, so
 //! walking a bucket's chain visits rows in ascending index — insertion
 //! order. A probe therefore yields its matches exactly as a
@@ -23,6 +30,7 @@
 
 use crate::fasthash::mix;
 use crate::{Relation, Value};
+use std::borrow::Borrow;
 use std::fmt;
 
 /// End-of-chain marker; also why a row id must stay below `u32::MAX`.
@@ -75,6 +83,15 @@ pub enum IndexError {
         /// The offending row count.
         rows: usize,
     },
+    /// A [`KeyTable`] was asked to view a row source that is not the
+    /// length of the one it was built over: its row ids would point
+    /// past the end, or leave rows unreachable.
+    RowCountMismatch {
+        /// Rows the table was built over.
+        built: usize,
+        /// Rows of the source it was asked to view.
+        given: usize,
+    },
 }
 
 impl fmt::Display for IndexError {
@@ -83,6 +100,10 @@ impl fmt::Display for IndexError {
             IndexError::TooManyRows { rows } => write!(
                 f,
                 "cannot index {rows} rows: row ids are u32 and {NIL} marks end-of-chain"
+            ),
+            IndexError::RowCountMismatch { built, given } => write!(
+                f,
+                "a key table built over {built} rows cannot view {given} rows"
             ),
         }
     }
@@ -101,17 +122,28 @@ impl Default for Chain {
     }
 }
 
-/// A hash index on the `cols` of `rows`, borrowing both.
-#[derive(Debug)]
-pub struct KeyIndex<'a, R: Rows + ?Sized> {
-    rows: &'a R,
-    cols: &'a [usize],
+/// The owned half of a [`KeyIndex`]: the bucket heads and per-row chain
+/// links a build computes, without the rows. Keep it beside the rows it
+/// was built over and [`KeyTable::over`] views them as an index again,
+/// at no cost — what a cache of build sides stores.
+#[derive(Debug, Clone)]
+pub struct KeyTable {
     /// First row of each bucket's chain, or [`NIL`]. Power-of-two length.
     heads: Vec<u32>,
     /// The row after row `i` in its chain, or [`NIL`].
     next: Vec<u32>,
     /// `64 - log2(heads.len())`: a hash's top bits pick its bucket.
     shift: u32,
+}
+
+/// A hash index on the `cols` of `rows`, borrowing both. `T` is where
+/// the table lives: owned (the default, from [`KeyIndex::build`]) or
+/// `&KeyTable` (from [`KeyTable::over`]).
+#[derive(Debug)]
+pub struct KeyIndex<'a, R: Rows + ?Sized, T: Borrow<KeyTable> = KeyTable> {
+    rows: &'a R,
+    cols: &'a [usize],
+    table: T,
 }
 
 /// Fx-mix the key columns of `row`. One column is one multiply.
@@ -131,15 +163,15 @@ fn key_eq(a: &[Value], a_cols: &[usize], b: &[Value], b_cols: &[usize]) -> bool 
     a_cols.iter().zip(b_cols).all(|(&ac, &bc)| a[ac] == b[bc])
 }
 
-impl<'a, R: Rows + ?Sized> KeyIndex<'a, R> {
-    /// Index `rows` on `cols` (in that order; empty means every row
-    /// shares the one empty key, which turns a probe into a full scan —
-    /// the Cartesian product).
+impl KeyTable {
+    /// The table of `rows` keyed on `cols` (in that order; empty means
+    /// every row shares the one empty key, which turns a probe into a
+    /// full scan — the Cartesian product).
     ///
     /// # Panics
     /// Panics if `rows` has `u32::MAX` rows or more (see
-    /// [`KeyIndex::try_build`]) or a row is narrower than a key column.
-    pub fn build(rows: &'a R, cols: &'a [usize]) -> Self {
+    /// [`KeyTable::try_build`]) or a row is narrower than a key column.
+    pub fn build<R: Rows + ?Sized>(rows: &R, cols: &[usize]) -> Self {
         let n = rows.len();
         assert!(n < NIL as usize, "{}", IndexError::TooManyRows { rows: n });
         // At most one row per bucket on average, at least two buckets so
@@ -154,22 +186,77 @@ impl<'a, R: Rows + ?Sized> KeyIndex<'a, R> {
             next[i] = heads[b];
             heads[b] = i as u32;
         }
-        Self {
-            rows,
-            cols,
-            heads,
-            next,
-            shift,
-        }
+        Self { heads, next, shift }
     }
 
-    /// Fallible [`KeyIndex::build`]: refuses a row count whose ids would
+    /// Fallible [`KeyTable::build`]: refuses a row count whose ids would
     /// not fit below the end-of-chain marker instead of wrapping them.
-    pub fn try_build(rows: &'a R, cols: &'a [usize]) -> Result<Self, IndexError> {
+    pub fn try_build<R: Rows + ?Sized>(rows: &R, cols: &[usize]) -> Result<Self, IndexError> {
         if rows.len() >= NIL as usize {
             return Err(IndexError::TooManyRows { rows: rows.len() });
         }
         Ok(Self::build(rows, cols))
+    }
+
+    /// Rows this table was built over.
+    pub fn len(&self) -> usize {
+        self.next.len()
+    }
+
+    /// Whether it was built over no rows.
+    pub fn is_empty(&self) -> bool {
+        self.next.is_empty()
+    }
+
+    /// View `rows` through this table: the index [`KeyIndex::build`]
+    /// would return for the `rows` and `cols` the table was built from,
+    /// without building it. Handing it *other* rows of the same length,
+    /// or other columns, cannot produce a false match — candidates are
+    /// verified against `rows` on probe — but can miss true ones; a row
+    /// source of another length is refused.
+    pub fn over<'a, R: Rows + ?Sized>(
+        &'a self,
+        rows: &'a R,
+        cols: &'a [usize],
+    ) -> Result<KeyIndex<'a, R, &'a KeyTable>, IndexError> {
+        if rows.len() != self.len() {
+            return Err(IndexError::RowCountMismatch {
+                built: self.len(),
+                given: rows.len(),
+            });
+        }
+        Ok(KeyIndex {
+            rows,
+            cols,
+            table: self,
+        })
+    }
+}
+
+impl<'a, R: Rows + ?Sized> KeyIndex<'a, R> {
+    /// Index `rows` on `cols`: [`KeyTable::build`], owned by the index.
+    ///
+    /// # Panics
+    /// As [`KeyTable::build`].
+    pub fn build(rows: &'a R, cols: &'a [usize]) -> Self {
+        Self {
+            rows,
+            cols,
+            table: KeyTable::build(rows, cols),
+        }
+    }
+
+    /// Fallible [`KeyIndex::build`], as [`KeyTable::try_build`].
+    pub fn try_build(rows: &'a R, cols: &'a [usize]) -> Result<Self, IndexError> {
+        let table = KeyTable::try_build(rows, cols)?;
+        Ok(Self { rows, cols, table })
+    }
+}
+
+impl<'a, R: Rows + ?Sized, T: Borrow<KeyTable>> KeyIndex<'a, R, T> {
+    /// The indexed row source.
+    pub fn rows(&self) -> &'a R {
+        self.rows
     }
 
     /// Ids of the indexed rows whose key equals `row`'s `cols`, in
@@ -198,16 +285,18 @@ impl<'a, R: Rows + ?Sized> KeyIndex<'a, R> {
     #[inline]
     pub fn start(&self, row: &[Value], cols: &[usize]) -> Chain {
         assert_eq!(cols.len(), self.cols.len(), "probe key width");
-        Chain(self.heads[(hash_key(row, cols) >> self.shift) as usize])
+        let table = self.table.borrow();
+        Chain(table.heads[(hash_key(row, cols) >> table.shift) as usize])
     }
 
     /// The next indexed row on `chain` whose key equals `row`'s `cols`,
     /// or `None` once the chain is exhausted.
     #[inline]
     pub fn advance(&self, chain: &mut Chain, row: &[Value], cols: &[usize]) -> Option<usize> {
+        let next = &self.table.borrow().next;
         while chain.0 != NIL {
             let i = chain.0 as usize;
-            chain.0 = self.next[i];
+            chain.0 = next[i];
             if key_eq(self.rows.row(i), self.cols, row, cols) {
                 return Some(i);
             }
@@ -317,7 +406,7 @@ mod tests {
         keys.extend(&colliders);
         let rel = Relation::from_rows(1, keys.iter().map(|&k| [k]));
         let index = KeyIndex::build(&rel, &[0]);
-        assert_eq!(index.heads.iter().filter(|&&h| h != NIL).count(), 1);
+        assert_eq!(index.table.heads.iter().filter(|&&h| h != NIL).count(), 1);
         for (i, &k) in keys.iter().enumerate() {
             assert_eq!(ids(&index, &[k]), vec![i], "key {k}");
         }

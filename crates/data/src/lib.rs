@@ -36,5 +36,5 @@ pub mod stats;
 pub mod zipf;
 
 pub use fasthash::{FastMap, FastSet};
-pub use index::{KeyIndex, Rows};
+pub use index::{KeyIndex, KeyTable, Rows};
 pub use relation::{Relation, Value};

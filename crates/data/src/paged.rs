@@ -1,13 +1,15 @@
 //! Paged relation scans: the `parqp-data` face of `parqp-store`.
 //!
-//! A [`PagedRelation`] copies a [`Relation`]'s rows into fixed-size
-//! pages (rows never straddle a page boundary) and iterates them back
+//! A [`PagedRelation`] views a [`Relation`]'s rows as fixed-size pages
+//! (rows never straddle a page boundary) and iterates them
 //! **byte-identically, in the original order**, charging the owning
 //! server's buffer pool one logical read per row as each page is
-//! entered. With no store runtime installed the whole layer is inert:
-//! page IDs come from a local counter and pool touches are no-ops, so
-//! paged and unpaged scans are observationally identical except for the
-//! IO ledger — the property the `store_differential` suite pins.
+//! entered. It is a view: the rows it yields are windows of the
+//! relation's own storage, and a page is an id and a row range, never a
+//! copy. With no store runtime installed the whole layer is inert: page
+//! IDs come from a local counter and pool touches are no-ops, so paged
+//! and unpaged scans are observationally identical except for the IO
+//! ledger — the property the `store_differential` suite pins.
 //!
 //! This module also re-exports the store runtime surface (install,
 //! capture, cursors, regions) so the algorithm crates — join, sort,
@@ -16,99 +18,118 @@
 //! `store` reachable only from `data` and `mpc`).
 
 use crate::relation::{Relation, Value};
-use parqp_store::{self as store, MemStore, Page, PageId, PageStore};
+use parqp_store::{self as store, PageId};
 
 pub use parqp_store::{
     capture, install, io_report, is_enabled, IoCursor, IoRegion, IoStats, StoreConfig, StoreGuard,
     DEFAULT_PAGE_SIZE, DEFAULT_POOL_PAGES,
 };
 
-/// A relation materialized as fixed-size pages owned by one server.
+/// A relation viewed as fixed-size pages owned by one server: page `i`
+/// is id `base + i` and rows `i·rows_per_page ..` of the borrowed
+/// relation.
 #[derive(Debug, Clone)]
-pub struct PagedRelation {
+pub struct PagedRelation<'a> {
     server: usize,
-    arity: usize,
-    len: usize,
-    ids: Vec<PageId>,
-    store: MemStore,
+    rel: &'a Relation,
+    rows_per_page: usize,
+    base: PageId,
 }
 
-impl PagedRelation {
+impl<'a> PagedRelation<'a> {
     /// Page `rel`'s rows for `server`, honoring the installed page size
     /// (or [`DEFAULT_PAGE_SIZE`] when nothing is installed). Each page
-    /// holds `max(1, page_size / arity)` whole rows.
-    pub fn build(server: usize, rel: &Relation) -> Self {
-        let arity = rel.arity().max(1);
+    /// holds `max(1, page_size / arity)` whole rows; the page ids are
+    /// allocated here, once, so every scan of the view touches the same
+    /// pages.
+    pub fn build(server: usize, rel: &'a Relation) -> Self {
         let page_size = store::config().map_or(DEFAULT_PAGE_SIZE, |c| c.page_size);
-        let rows_per_page = (page_size / arity).max(1);
+        let rows_per_page = (page_size / rel.arity()).max(1);
         let num_pages = rel.len().div_ceil(rows_per_page) as u64;
         let base = if num_pages > 0 {
             store::alloc_pages(num_pages).unwrap_or(0)
         } else {
             0
         };
-        let mut pages = MemStore::new();
-        let mut ids = Vec::with_capacity(num_pages as usize);
-        for (i, rows) in rel.raw().chunks(rows_per_page * arity).enumerate() {
-            let mut page = Page::new(rows_per_page * arity);
-            for row in rows.chunks_exact(arity) {
-                let fit = page.push_row(row);
-                debug_assert!(fit, "whole rows always fit a row-aligned page");
-            }
-            let id = base + i as u64;
-            pages.insert(id, page);
-            ids.push(id);
-        }
         Self {
             server,
-            arity: rel.arity(),
-            len: rel.len(),
-            ids,
-            store: pages,
+            rel,
+            rows_per_page,
+            base,
         }
     }
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        self.len
+        self.rel.len()
     }
 
     /// Whether the relation has no rows.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.rel.is_empty()
     }
 
     /// Row arity.
     pub fn arity(&self) -> usize {
-        self.arity
+        self.rel.arity()
     }
 
     /// Number of pages backing the relation.
     pub fn num_pages(&self) -> usize {
-        self.store.num_pages()
+        self.rel.len().div_ceil(self.rows_per_page)
     }
 
     /// Scan the rows in original order, charging `server`'s pool one
     /// logical read per row (billed page-at-a-time on page entry).
-    pub fn iter(&self) -> impl Iterator<Item = &[Value]> + '_ {
-        let arity = self.arity.max(1);
-        self.ids.iter().flat_map(move |&id| {
-            let page = self
-                .store
-                .page(id)
-                .expect("paged relation owns every page it indexes");
-            store::touch_page(self.server, id, (page.len() / arity) as u64);
-            page.words().chunks_exact(arity)
-        })
+    pub fn iter(&self) -> PagedIter<'a> {
+        let arity = self.rel.arity();
+        PagedIter {
+            server: self.server,
+            arity,
+            next_page: self.base,
+            pages: self.rel.raw().chunks(self.rows_per_page * arity),
+            rows: <&[Value]>::default().chunks_exact(arity),
+        }
     }
 
     /// Rebuild the flat relation (test helper for round-trip checks).
     pub fn to_relation(&self) -> Relation {
-        let mut rel = Relation::with_capacity(self.arity, self.len);
+        let mut rel = Relation::with_capacity(self.arity(), self.len());
         for row in self.iter() {
             rel.push(row);
         }
         rel
+    }
+}
+
+/// Iterator over a [`PagedRelation`]'s rows: touches each page as its
+/// first row is asked for.
+#[derive(Debug)]
+pub struct PagedIter<'a> {
+    server: usize,
+    arity: usize,
+    next_page: PageId,
+    pages: std::slice::Chunks<'a, Value>,
+    rows: std::slice::ChunksExact<'a, Value>,
+}
+
+impl<'a> Iterator for PagedIter<'a> {
+    type Item = &'a [Value];
+
+    #[inline]
+    fn next(&mut self) -> Option<&'a [Value]> {
+        if let Some(row) = self.rows.next() {
+            return Some(row);
+        }
+        let page = self.pages.next()?;
+        store::touch_page(
+            self.server,
+            self.next_page,
+            (page.len() / self.arity) as u64,
+        );
+        self.next_page += 1;
+        self.rows = page.chunks_exact(self.arity);
+        self.rows.next()
     }
 }
 
@@ -121,8 +142,8 @@ impl PagedRelation {
 pub enum RouteScan<'a> {
     /// No store installed: scan the relation's flat row vector.
     Flat(&'a Relation),
-    /// Store installed: scan a freshly paged copy owned by `server`.
-    Paged(PagedRelation),
+    /// Store installed: scan it as pages owned by `server`.
+    Paged(PagedRelation<'a>),
 }
 
 impl<'a> RouteScan<'a> {
@@ -137,31 +158,32 @@ impl<'a> RouteScan<'a> {
     }
 
     /// The rows, in the relation's original order.
-    pub fn iter(&self) -> ScanIter<'_> {
-        match self {
-            RouteScan::Flat(rel) => ScanIter {
-                inner: ScanInner::Flat(rel.raw().chunks_exact(rel.arity().max(1))),
-            },
-            RouteScan::Paged(paged) => ScanIter {
-                inner: ScanInner::Paged(Box::new(paged.iter())),
+    pub fn iter(&self) -> ScanIter<'a> {
+        ScanIter {
+            inner: match self {
+                RouteScan::Flat(rel) => ScanInner::Flat(rel.raw().chunks_exact(rel.arity())),
+                RouteScan::Paged(paged) => ScanInner::Paged(paged.iter()),
             },
         }
     }
 }
 
 /// Iterator over a [`RouteScan`]'s rows.
+#[derive(Debug)]
 pub struct ScanIter<'a> {
     inner: ScanInner<'a>,
 }
 
+#[derive(Debug)]
 enum ScanInner<'a> {
     Flat(std::slice::ChunksExact<'a, Value>),
-    Paged(Box<dyn Iterator<Item = &'a [Value]> + 'a>),
+    Paged(PagedIter<'a>),
 }
 
 impl<'a> Iterator for ScanIter<'a> {
     type Item = &'a [Value];
 
+    #[inline]
     fn next(&mut self) -> Option<&'a [Value]> {
         match &mut self.inner {
             ScanInner::Flat(it) => it.next(),
@@ -282,5 +304,41 @@ mod tests {
             },
         );
         assert_eq!((totals[0].reads, totals[0].misses), (1, 1));
+    }
+
+    #[test]
+    fn paged_rows_are_windows_of_the_relation() {
+        // Page sizes that do and do not divide the row count, one
+        // narrower than a row; an empty and a one-row relation.
+        for arity in 1..=3 {
+            for rows in [0, 1, 24, 25] {
+                let rel = generate::uniform(arity, rows, 64, 13);
+                let storage = rel.raw().as_ptr_range();
+                for page_size in [1, 6, 8, 1024] {
+                    let config = StoreConfig {
+                        page_size,
+                        pool_pages: 2,
+                    };
+                    let (totals, seen) = capture(config, || {
+                        let scan = RouteScan::new(1, &rel);
+                        assert!(matches!(scan, RouteScan::Paged(_)));
+                        let mut seen = 0;
+                        for (i, row) in scan.iter().enumerate() {
+                            let window = row.as_ptr_range();
+                            assert!(
+                                storage.start <= window.start && window.end <= storage.end,
+                                "arity {arity}, {rows} rows, page {page_size}: row {i} was copied"
+                            );
+                            assert_eq!(row, rel.row(i));
+                            seen += 1;
+                        }
+                        seen
+                    });
+                    assert_eq!(seen, rows);
+                    let reads = totals.get(1).map_or(0, |t| t.reads);
+                    assert_eq!(reads, rows as u64, "one logical read per row");
+                }
+            }
+        }
     }
 }

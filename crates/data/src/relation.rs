@@ -180,12 +180,20 @@ impl Relation {
         self.data = sorted;
     }
 
-    /// Sorted-and-deduplicated copy: the canonical *set* form, used to
-    /// compare algorithm outputs under set semantics in tests.
-    pub fn canonical(&self) -> Relation {
+    /// The rows of the canonical *set* form — sorted, deduplicated — as
+    /// borrowed slices: for a reader that walks them once (a digest)
+    /// and has no use for the copy [`Relation::canonical`] makes.
+    pub fn canonical_rows(&self) -> Vec<&[Value]> {
         let mut rows: Vec<&[Value]> = self.data.chunks_exact(self.arity).collect();
         rows.sort_unstable();
         rows.dedup();
+        rows
+    }
+
+    /// Sorted-and-deduplicated copy: the canonical *set* form, used to
+    /// compare algorithm outputs under set semantics in tests.
+    pub fn canonical(&self) -> Relation {
+        let rows = self.canonical_rows();
         let mut out = Relation::with_capacity(self.arity, rows.len());
         for r in rows {
             out.push(r);

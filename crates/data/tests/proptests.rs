@@ -3,11 +3,14 @@
 //! and adversarially-regular (sequential) keys uniformly across `p`
 //! buckets. Both properties are exactly what the skew-resilience
 //! analyses assume about the workload generators, so they are checked
-//! here once and relied on everywhere else.
+//! here once and relied on everywhere else. The last property holds the
+//! join kernel's "build once, probe many" form to its "build per probe
+//! batch" form.
 
 use parqp_data::fasthash::FxHasher;
+use parqp_data::index::IndexError;
 use parqp_data::zipf::Zipf;
-use parqp_data::FastMap;
+use parqp_data::{FastMap, KeyIndex, KeyTable, Relation};
 use parqp_testkit::prelude::*;
 use std::hash::Hasher;
 
@@ -148,5 +151,64 @@ proptest! {
         let z1 = generate::zipf_pairs(n, domain as usize, 1.1, 0, seed);
         let z2 = generate::zipf_pairs(n, domain as usize, 1.1, 0, seed);
         prop_assert_eq!(z1.to_rows(), z2.to_rows());
+    }
+}
+
+/// Squeeze a raw cell into the value pool `shape` names, so random rows
+/// collide the ways that matter to a hash index: many duplicates, one
+/// key only, values that differ only in their top bits, anything.
+fn pooled(shape: u8, cell: u64) -> u64 {
+    match shape {
+        0 => cell % 4,
+        1 => 7,
+        2 => (cell % 4) << 62,
+        _ => cell,
+    }
+}
+
+fn pooled_relation(arity: usize, shape: u8, cells: &[u64]) -> Relation {
+    Relation::from_rows(
+        arity,
+        cells
+            .chunks_exact(arity)
+            .map(|row| row.iter().map(|&c| pooled(shape, c)).collect::<Vec<_>>()),
+    )
+}
+
+proptest! {
+    /// One `KeyTable`, viewed again for every probe batch, yields the
+    /// row ids a `KeyIndex` built afresh for that batch yields, in the
+    /// same order; and it refuses to view rows of another length.
+    #[test]
+    fn one_key_table_viewed_per_batch_is_a_fresh_index_per_batch(
+        arity in 1usize..4,
+        shape in 0u8..4,
+        cells in collection::vec(any::<u64>(), 0..150),
+        key_width in 1usize..3,
+        first_col in 0usize..3,
+        batches in collection::vec(collection::vec(any::<u64>(), 0..40), 1..5),
+    ) {
+        let rel = pooled_relation(arity, shape, &cells);
+        let cols: Vec<usize> = (0..key_width).map(|k| (first_col + k) % arity).collect();
+        let table = KeyTable::build(&rel, &cols);
+        prop_assert_eq!(table.len(), rel.len());
+        for batch in &batches {
+            let probes = pooled_relation(arity, shape, batch);
+            let reused = table.over(&rel, &cols).expect("same rows");
+            let rebuilt = KeyIndex::build(&rel, &cols);
+            for probe in probes.iter() {
+                prop_assert_eq!(
+                    reused.probe(probe, &cols).collect::<Vec<_>>(),
+                    rebuilt.probe(probe, &cols).collect::<Vec<_>>()
+                );
+                prop_assert_eq!(reused.contains(probe, &cols), rebuilt.contains(probe, &cols));
+            }
+        }
+        let mut longer = rel.clone();
+        longer.push(&vec![0; arity]);
+        prop_assert_eq!(
+            table.over(&longer, &cols).err(),
+            Some(IndexError::RowCountMismatch { built: rel.len(), given: rel.len() + 1 })
+        );
     }
 }

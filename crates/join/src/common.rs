@@ -1,7 +1,9 @@
 //! Shared plumbing for the join algorithms.
 
-use parqp_data::{KeyIndex, Relation, Rows, Value};
-use parqp_mpc::{LoadReport, Weight};
+use parqp_data::paged::RouteScan;
+use parqp_data::{KeyIndex, KeyTable, Relation, Rows, Value};
+use parqp_mpc::{HashFamily, LoadReport, RowExchange, Weight};
+use std::borrow::Borrow;
 
 /// The result of running a distributed algorithm: per-server outputs and
 /// the communication cost summary.
@@ -92,22 +94,89 @@ pub fn joined_arity(r_arity: usize, s_arity: usize) -> usize {
 }
 
 /// Local hash join of two row sets on `r_col` / `s_col`, appending
-/// merged rows to `out`: `r` is indexed in place, `s` probes in order,
-/// and each probe's matches come in `r`'s order. Either side can be a
-/// `Relation` fragment or a slice of received rows.
+/// merged rows to `out`: `r` is indexed in place, `s` probes in order
+/// ([`probe_rows`]). Either side can be a `Relation` fragment or a
+/// slice of received rows.
 pub fn hash_join_rows<R, S>(r: &R, r_col: usize, s: &S, s_col: usize, out: &mut Relation)
 where
     R: Rows + ?Sized,
     S: Rows + ?Sized,
 {
-    let (r_key, s_key) = ([r_col], [s_col]);
-    let index = KeyIndex::build(r, &r_key);
+    probe_rows(&KeyIndex::build(r, &[r_col]), s, s_col, out);
+}
+
+/// The probe half of a local hash join, for a build side that is
+/// already indexed on its join column — by [`hash_join_rows`] a moment
+/// ago, or once by a caller that keeps the [`KeyTable`] beside the rows
+/// and probes them query after query. `s` probes in order, each probe's
+/// matches come in the build side's order, and merged rows are appended
+/// to `out`.
+pub fn probe_rows<R, T, S>(index: &KeyIndex<'_, R, T>, s: &S, s_col: usize, out: &mut Relation)
+where
+    R: Rows + ?Sized,
+    T: Borrow<KeyTable>,
+    S: Rows + ?Sized,
+{
+    let s_key = [s_col];
+    let r = index.rows();
     let mut buf = Vec::new();
     for j in 0..s.len() {
         let s_row = s.row(j);
         for i in index.probe(s_row, &s_key) {
             merge_rows(r.row(i), s_row, s_col, &mut buf);
             out.push(&buf);
+        }
+    }
+}
+
+/// Hash-partition one stream of a row exchange: every row of
+/// `frags[sid]`, sent by server `sid`, goes to the server `h` hashes
+/// its `col` to. Count, reserve, then send — pass 1 hashes the key
+/// column of the in-memory fragments into a scratch vector and counts
+/// rows per destination, every delivered buffer is reserved at exactly
+/// its final size, and pass 2 is the [`RouteScan`] loop sending each
+/// row to its remembered destination. Only pass 2 is a scan: the IO
+/// ledger is charged once per routed row, and the exchange sees the
+/// sends a hash-as-you-go loop would make, in the same order.
+///
+/// # Panics
+/// Panics if `col` is not a column of every fragment.
+pub fn hash_partition(
+    ex: &mut RowExchange<'_>,
+    stream: usize,
+    frags: &[Relation],
+    col: usize,
+    h: &HashFamily,
+) {
+    let p = ex.p();
+    assert!(
+        frags.iter().all(|f| col < f.arity()),
+        "hash_partition: no column {col} in some fragment"
+    );
+    assert!(
+        u32::try_from(p).is_ok(),
+        "destinations are remembered as u32"
+    );
+    let mut dests: Vec<u32> = Vec::with_capacity(frags.iter().map(Relation::len).sum());
+    let mut counts = vec![0usize; p];
+    for frag in frags {
+        for &key in frag.raw().iter().skip(col).step_by(frag.arity()) {
+            let d = h.hash(0, key, p);
+            counts[d] += 1;
+            dests.push(d as u32);
+        }
+    }
+    for (dest, &rows) in counts.iter().enumerate() {
+        ex.reserve(stream, dest, rows);
+    }
+    let mut dests = dests.iter();
+    for (sid, frag) in frags.iter().enumerate() {
+        ex.set_sender(sid);
+        let scan = RouteScan::new(sid, frag);
+        // `scan` is asked first, so a fragment's end leaves the next
+        // fragment's first destination unconsumed.
+        for (row, &d) in scan.iter().zip(&mut dests) {
+            ex.send_row(stream, d as usize, row);
         }
     }
 }
@@ -267,5 +336,85 @@ mod tests {
         };
         assert_eq!(run.output_size(), 3);
         assert_eq!(run.gathered().len(), 3);
+    }
+
+    /// The hash-as-you-go loop [`hash_partition`] replaced: the
+    /// reference for what it delivers and what it charges.
+    fn route_as_you_go(
+        ex: &mut RowExchange<'_>,
+        stream: usize,
+        frags: &[Relation],
+        col: usize,
+        h: &HashFamily,
+    ) {
+        let p = ex.p();
+        for (sid, frag) in frags.iter().enumerate() {
+            ex.set_sender(sid);
+            let scan = RouteScan::new(sid, frag);
+            for row in scan.iter() {
+                ex.send_row(stream, h.hash(0, row[col], p), row);
+            }
+        }
+    }
+
+    #[test]
+    fn hash_partition_is_the_hash_as_you_go_loop_with_exact_buffers() {
+        use parqp_data::generate;
+        use parqp_data::paged::{capture, StoreConfig};
+        use parqp_mpc::trace::Recorder;
+        use parqp_mpc::Cluster;
+
+        type Route = fn(&mut RowExchange<'_>, usize, &[Relation], usize, &HashFamily);
+        let h = HashFamily::new(11, 1);
+        // (servers, fragments as row counts, key domain): p = 1; a
+        // domain of 2 leaves most of 8 destinations unaddressed; an
+        // empty fragment between full ones; no rows at all.
+        let cases: [(usize, &[usize], u64); 4] = [
+            (1, &[5, 3], 100),
+            (8, &[40, 0, 17], 2),
+            (5, &[60, 61, 0, 62, 9], 1000),
+            (3, &[0, 0, 0], 10),
+        ];
+        for (p, sizes, domain) in cases {
+            let wide: Vec<Relation> = (0..)
+                .zip(sizes)
+                .map(|(seed, &n)| generate::uniform(3, n, domain, seed))
+                .collect();
+            let narrow: Vec<Relation> = wide.iter().map(|f| f.project(&[2])).collect();
+            let run = |route: Route| {
+                capture(
+                    StoreConfig {
+                        page_size: 8,
+                        pool_pages: 2,
+                    },
+                    || {
+                        Recorder::capture(|| {
+                            let mut cluster = Cluster::new(p);
+                            let mut ex = cluster.exchange_rows(&[3, 1]);
+                            route(&mut ex, 0, &wide, 1, &h);
+                            route(&mut ex, 1, &narrow, 0, &h);
+                            (ex.finish(), cluster.report())
+                        })
+                    },
+                )
+            };
+            let (io, (trace, (delivered, report))) = run(hash_partition);
+            let (ref_io, (ref_trace, reference)) = run(route_as_you_go);
+            assert_eq!((&delivered, &report), (&reference.0, &reference.1));
+            assert_eq!(io, ref_io, "pass 1 is not a charged scan");
+            assert!(trace.events().eq(ref_trace.events()));
+            for buf in delivered.iter().flatten() {
+                assert_eq!(buf.capacity(), buf.len(), "p = {p}: slack delivered");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "no column 2")]
+    fn hash_partition_refuses_a_column_past_the_row() {
+        let mut cluster = parqp_mpc::Cluster::new(2);
+        let mut ex = cluster.exchange_rows(&[2]);
+        let frags = [Relation::from_rows(2, [[1, 2], [3, 4]])];
+        hash_partition(&mut ex, 0, &frags, 2, &HashFamily::new(1, 1));
     }
 }

@@ -12,7 +12,8 @@
 //! `S` row minus its join column ([`crate::common::merge_rows`]).
 
 use crate::common::{
-    hash_join_rows, inbox_pairs, joined_arity, merge_rows, scatter, single_stream, JoinRun,
+    hash_join_rows, hash_partition, inbox_pairs, joined_arity, merge_rows, scatter, single_stream,
+    JoinRun,
 };
 use parqp_data::paged::RouteScan;
 use parqp_data::stats::{degree_counts, degree_join_size, join_heavy_hitters, join_output_size};
@@ -64,20 +65,8 @@ pub fn hash_join(
     let _span = trace::span("hash_join/partition");
     let arities = [r.arity(), s.arity()];
     let mut ex = cluster.exchange_rows(&arities);
-    for (sid, part) in r_parts.iter().enumerate() {
-        ex.set_sender(sid);
-        let scan = RouteScan::new(sid, part);
-        for row in scan.iter() {
-            ex.send_row(TAG_R, h.hash(0, row[r_col], p), row);
-        }
-    }
-    for (sid, part) in s_parts.iter().enumerate() {
-        ex.set_sender(sid);
-        let scan = RouteScan::new(sid, part);
-        for row in scan.iter() {
-            ex.send_row(TAG_S, h.hash(0, row[s_col], p), row);
-        }
-    }
+    hash_partition(&mut ex, TAG_R, &r_parts, r_col, &h);
+    hash_partition(&mut ex, TAG_S, &s_parts, s_col, &h);
     let inboxes = inbox_pairs(arities, ex.finish());
 
     let arity = joined_arity(r.arity(), s.arity());

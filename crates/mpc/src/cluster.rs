@@ -956,6 +956,19 @@ impl RowExchange<'_> {
         Ok(())
     }
 
+    /// Reserve room for exactly `rows` more rows of `stream` at `dest`,
+    /// for a sender that has counted them: the delivered buffer is then
+    /// allocated once and holds no growth slack. A capacity hint only,
+    /// as [`Exchange::reserve`]: it touches no counter and an unknown
+    /// stream or destination is ignored.
+    pub fn reserve(&mut self, stream: usize, dest: usize, rows: usize) {
+        if let Some(s) = self.streams.get_mut(stream) {
+            if let Some(buf) = s.bufs.get_mut(dest) {
+                buf.reserve_exact(rows.saturating_mul(s.stride));
+            }
+        }
+    }
+
     /// As [`Exchange::set_sender`].
     #[inline]
     pub fn set_sender(&mut self, sender: usize) {

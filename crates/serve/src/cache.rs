@@ -2,6 +2,17 @@
 //! canonical `(template, group, shares)`, with deterministic LRU-by-tick
 //! eviction and an exact hit/miss/insert/evict ledger.
 //!
+//! An entry keeps the build side *built*: each server's partition is
+//! stored with the [`KeyTable`] that indexes its join column
+//! ([`Partition`]), so a hit probes the resident table and costs
+//! O(probe), not an O(base) re-index.
+//!
+//! The budget is in **resident tuples**. A resident tuple of arity `a`
+//! costs `8·a` bytes of row — delivered buffers are reserved at their
+//! exact size, so there is no growth slack to keep — plus 8–12 bytes of
+//! table (a `u32` chain link per row and a `u32` head per bucket, one
+//! to two buckets per row).
+//!
 //! The cache is purely observational with respect to query *results*:
 //! a hit hands back exactly the partitions a rebuild would produce
 //! (bases are pure functions of their key and the replay seed), so
@@ -18,7 +29,7 @@
 
 use std::collections::BTreeMap;
 
-use parqp_data::Relation;
+use parqp_data::{KeyIndex, KeyTable, Relation};
 
 /// Canonical identity of a cacheable partitioned base: the template,
 /// the data-key group, and the share count `p` it was partitioned for.
@@ -44,11 +55,59 @@ pub struct BuildCost {
     pub tuples: u64,
 }
 
+/// The column every template's base is partitioned and joined on.
+const KEY: [usize; 1] = [0];
+
+#[cfg(test)]
+thread_local! {
+    /// Partitions indexed on this thread ([`Partition::new`] bumps it).
+    pub(crate) static PARTITIONS_BUILT: std::cell::Cell<usize> =
+        const { std::cell::Cell::new(0) };
+}
+
+/// One server's share of a hash-partitioned base, with the table that
+/// indexes its join column. The fields are private and [`Partition::new`]
+/// is the only constructor, so the table is always the table of these
+/// rows.
+#[derive(Debug, Clone)]
+pub struct Partition {
+    rows: Relation,
+    table: KeyTable,
+}
+
+impl Partition {
+    /// Index `rows` on the join column and keep both.
+    pub fn new(rows: Relation) -> Self {
+        #[cfg(test)]
+        PARTITIONS_BUILT.with(|n| n.set(n.get() + 1));
+        let table = KeyTable::build(&rows, &KEY);
+        Self { rows, table }
+    }
+
+    /// The partition as a probe-ready index on its join column; builds
+    /// nothing.
+    pub fn index(&self) -> KeyIndex<'_, Relation, &KeyTable> {
+        self.table
+            .over(&self.rows, &KEY)
+            .expect("a partition's table was built over its own rows")
+    }
+}
+
 #[derive(Debug, Clone)]
 struct Entry {
-    parts: Vec<Relation>,
+    parts: Vec<Partition>,
     cost: BuildCost,
     last_used: u64,
+}
+
+/// What [`PlanCache::insert`] did with a build.
+#[derive(Debug)]
+pub enum Admission<'c> {
+    /// Resident now; these are the cache's partitions.
+    Admitted(&'c [Partition]),
+    /// Larger than the whole budget (or the cache is off): served
+    /// uncached, the partitions go back to the caller.
+    Rejected(Vec<Partition>),
 }
 
 /// The exact cache ledger, mirroring the store's [`IoStats`] shape:
@@ -114,13 +173,14 @@ impl PlanCache {
         self.budget_tuples > 0
     }
 
-    /// Look `key` up at `tick`. A hit refreshes the entry's LRU tick
-    /// and banks its skipped build charges; a miss is counted and the
-    /// caller is expected to build + [`PlanCache::insert`]. Always a
-    /// miss (uncounted) when the cache is disabled.
-    pub fn lookup(&mut self, key: &CacheKey, tick: u64) -> bool {
+    /// Look `key` up at `tick`. A hit refreshes the entry's LRU tick,
+    /// banks its skipped build charges and hands out the resident
+    /// partitions; a miss is counted and the caller is expected to
+    /// build + [`PlanCache::insert`]. Always a miss (uncounted) when the
+    /// cache is disabled.
+    pub fn lookup(&mut self, key: &CacheKey, tick: u64) -> Option<&[Partition]> {
         if !self.enabled() {
-            return false;
+            return None;
         }
         match self.entries.get_mut(key) {
             Some(entry) => {
@@ -128,41 +188,44 @@ impl PlanCache {
                 self.stats.hits += 1;
                 self.stats.reads_saved += entry.cost.reads;
                 self.stats.words_saved += entry.cost.words;
-                true
+                Some(&entry.parts)
             }
             None => {
                 self.stats.misses += 1;
-                false
+                None
             }
         }
     }
 
-    /// The resident partitions for `key`, if any (no ledger effect —
-    /// bookkeeping happened at [`PlanCache::lookup`] time).
-    pub fn get(&self, key: &CacheKey) -> Option<&[Relation]> {
+    /// The resident partitions for `key`, if any (no ledger effect).
+    pub fn get(&self, key: &CacheKey) -> Option<&[Partition]> {
         self.entries.get(key).map(|e| e.parts.as_slice())
     }
 
     /// Admit a freshly built entry, evicting LRU entries (ties: the
-    /// smallest key) until it fits the budget. Returns the partitions
-    /// back to the caller when the build alone exceeds the budget (the
-    /// entry is rejected, not admitted); returns an empty `Vec` on
-    /// admission, after which [`PlanCache::get`] owns the parts.
+    /// smallest key) until it fits the budget. A build that alone
+    /// exceeds the budget is rejected and handed back. Re-admitting a
+    /// resident key replaces it: the old entry's tuples are retired
+    /// before the budget is consulted, and a replacement is not an
+    /// eviction.
     ///
     /// Disabled caches reject everything without counting.
     pub fn insert(
         &mut self,
         key: CacheKey,
-        parts: Vec<Relation>,
+        parts: Vec<Partition>,
         cost: BuildCost,
         tick: u64,
-    ) -> Vec<Relation> {
+    ) -> Admission<'_> {
         if !self.enabled() {
-            return parts;
+            return Admission::Rejected(parts);
         }
         if cost.tuples > self.budget_tuples {
             self.stats.rejected += 1;
-            return parts;
+            return Admission::Rejected(parts);
+        }
+        if let Some(old) = self.entries.remove(&key) {
+            self.stats.resident_tuples -= old.cost.tuples;
         }
         while self.stats.resident_tuples + cost.tuples > self.budget_tuples {
             let victim = self
@@ -181,15 +244,12 @@ impl PlanCache {
             .peak_resident_tuples
             .max(self.stats.resident_tuples);
         self.stats.insertions += 1;
-        self.entries.insert(
-            key,
-            Entry {
-                parts,
-                cost,
-                last_used: tick,
-            },
-        );
-        Vec::new()
+        let entry = self.entries.entry(key).or_insert(Entry {
+            parts,
+            cost,
+            last_used: tick,
+        });
+        Admission::Admitted(&entry.parts)
     }
 
     /// The exact ledger so far.
@@ -220,13 +280,13 @@ mod tests {
         }
     }
 
-    fn parts(tuples: u64) -> (Vec<Relation>, BuildCost) {
+    fn parts(tuples: u64) -> (Vec<Partition>, BuildCost) {
         let mut rel = Relation::new(2);
         for i in 0..tuples {
             rel.push(&[i, i]);
         }
         (
-            vec![rel],
+            vec![Partition::new(rel)],
             BuildCost {
                 reads: tuples,
                 words: 2 * tuples,
@@ -238,11 +298,14 @@ mod tests {
     #[test]
     fn hit_miss_ledger_is_exact() {
         let mut c = PlanCache::new(100);
-        assert!(!c.lookup(&key(0, 1), 0));
+        assert!(c.lookup(&key(0, 1), 0).is_none());
         let (p, cost) = parts(10);
-        assert!(c.insert(key(0, 1), p, cost, 0).is_empty());
-        assert!(c.lookup(&key(0, 1), 1));
-        assert!(!c.lookup(&key(0, 2), 1));
+        assert!(matches!(
+            c.insert(key(0, 1), p, cost, 0),
+            Admission::Admitted([only]) if only.index().rows().len() == 10
+        ));
+        assert!(c.lookup(&key(0, 1), 1).is_some());
+        assert!(c.lookup(&key(0, 2), 1).is_none());
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.insertions), (1, 2, 1));
         assert_eq!(s.reads_saved, 10);
@@ -276,7 +339,7 @@ mod tests {
         c.insert(key(0, 1), p, cost, 0);
         let (p, cost) = parts(10);
         c.insert(key(1, 1), p, cost, 1);
-        assert!(c.lookup(&key(0, 1), 2)); // 0 is now the newest
+        assert!(c.lookup(&key(0, 1), 2).is_some()); // 0 is now the newest
         let (p, cost) = parts(10);
         c.insert(key(2, 1), p, cost, 3);
         assert!(c.get(&key(1, 1)).is_none(), "untouched entry must go");
@@ -288,7 +351,10 @@ mod tests {
         let mut c = PlanCache::new(5);
         let (p, cost) = parts(10);
         let returned = c.insert(key(0, 1), p, cost, 0);
-        assert_eq!(returned.len(), 1, "rejected build returns to caller");
+        assert!(
+            matches!(returned, Admission::Rejected(back) if back.len() == 1),
+            "rejected build returns to caller"
+        );
         assert_eq!(c.stats().rejected, 1);
         assert_eq!(c.stats().insertions, 0);
         assert!(c.is_empty());
@@ -298,10 +364,43 @@ mod tests {
     fn disabled_cache_is_inert() {
         let mut c = PlanCache::new(0);
         assert!(!c.enabled());
-        assert!(!c.lookup(&key(0, 1), 0));
+        assert!(c.lookup(&key(0, 1), 0).is_none());
         let (p, cost) = parts(10);
-        assert_eq!(c.insert(key(0, 1), p, cost, 0).len(), 1);
+        assert!(matches!(
+            c.insert(key(0, 1), p, cost, 0),
+            Admission::Rejected(back) if back.len() == 1
+        ));
         assert_eq!(c.stats(), CacheStats::default());
         assert_eq!(c.len(), 0);
+    }
+
+    #[test]
+    fn readmitting_a_resident_key_replaces_it_within_the_budget() {
+        // The budget fits exactly one copy: the second admission must
+        // retire the first copy's tuples instead of stacking on them,
+        // and must not evict anything to make room for itself.
+        let mut c = PlanCache::new(20);
+        let (p, cost) = parts(10);
+        c.insert(key(1, 1), p, cost, 0);
+        for tick in [1, 2] {
+            let (p, cost) = parts(10);
+            assert!(matches!(
+                c.insert(key(0, 1), p, cost, tick),
+                Admission::Admitted(_)
+            ));
+        }
+        let s = c.stats();
+        assert_eq!(s.resident_tuples, 20, "two keys, one copy each");
+        assert_eq!(s.evictions, 0, "a replacement is not an eviction");
+        assert_eq!((c.len(), s.insertions), (2, 3));
+        assert!(c.get(&key(1, 1)).is_some(), "the bystander stays resident");
+
+        let mut c = PlanCache::new(10);
+        for tick in [0, 1] {
+            let (p, cost) = parts(10);
+            c.insert(key(0, 1), p, cost, tick);
+        }
+        let s = c.stats();
+        assert_eq!((s.resident_tuples, s.evictions, c.len()), (10, 0, 1));
     }
 }

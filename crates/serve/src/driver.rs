@@ -4,22 +4,25 @@
 //! [`replay`] schedules the stream, then runs every arrival against a
 //! single [`Cluster`] under captured store/metrics/fault runtimes. Each
 //! query is two phases: *build* (scatter + hash-partition the
-//! template's base — skipped entirely on a cache hit) and *probe*
-//! (route the per-query probe relation with the same hash, then join
-//! locally against the resident partitions). A ledger mark taken before
+//! template's base and index each partition's join column — skipped
+//! entirely on a cache hit) and *probe* (route the per-query probe
+//! relation with the same hash, then probe the partitions' tables
+//! locally). The base is paid for once per build: cache off, miss, hit
+//! and rejected build all run the same probe against a
+//! [`Partition`] — only who owns it differs. A ledger mark taken before
 //! each query turns the cluster's cumulative ledger into exact
 //! per-query deltas via [`Cluster::report_since`], so tenant totals
 //! reconcile with the global registry to the tuple.
 
-use parqp_data::paged::{self, IoStats, RouteScan, StoreConfig};
+use parqp_data::paged::{self, IoStats, StoreConfig};
 use parqp_data::Relation;
-use parqp_join::common::{hash_join_rows, joined_arity, scatter, single_stream};
+use parqp_join::common::{hash_partition, joined_arity, probe_rows, scatter, single_stream};
 use parqp_mpc::faults::{self, FaultPlan, FaultSpec, RecoveryStrategy};
 use parqp_mpc::metrics::{self, MetricsRegistry};
 use parqp_mpc::{Cluster, HashFamily, LoadReport};
 use parqp_obs::{LogHistogram, ObsConfig, QueryObs, SeriesRecorder, SeriesReport};
 
-use crate::cache::{BuildCost, CacheKey, CacheStats, PlanCache};
+use crate::cache::{Admission, BuildCost, CacheKey, CacheStats, Partition, PlanCache};
 use crate::report::{digest_relation, QueryRecord, ServeReport, TenantStats};
 use crate::templates::{self, TEMPLATES};
 use crate::workload::{self, QueryArrival};
@@ -259,34 +262,35 @@ fn run_stream(
         };
         let h = HashFamily::new(templates::partition_seed(a.template, a.group, cfg.seed), 1);
         let mark = cluster.rounds_so_far();
-        let mut owned: Vec<Relation> = Vec::new();
-        let cache_state = if !cache.enabled() {
-            owned = build_partitions(&mut cluster, &h, a, cfg.seed).0;
-            "off"
-        } else if cache.lookup(&key, a.tick) {
-            "hit"
+        // Whoever ends up owning the partitions — the cache, or this
+        // query alone when the cache is off or refused the build — the
+        // probe below reads them through one borrow.
+        let uncached: Vec<Partition>;
+        let (cache_state, parts): (_, &[Partition]) = if !cache.enabled() {
+            uncached = build_partitions(&mut cluster, &h, a, cfg.seed).0;
+            ("off", &uncached)
+        } else if let Some(resident) = cache.lookup(&key, a.tick) {
+            ("hit", resident)
         } else {
-            let (parts, cost) = build_partitions(&mut cluster, &h, a, cfg.seed);
-            owned = cache.insert(key, parts, cost, a.tick);
-            "miss"
-        };
-        let parts: &[Relation] = if owned.is_empty() {
-            cache
-                .get(&key)
-                .expect("a hit or admitted build must be resident")
-        } else {
-            &owned
+            let (built, cost) = build_partitions(&mut cluster, &h, a, cfg.seed);
+            match cache.insert(key, built, cost, a.tick) {
+                Admission::Admitted(resident) => ("miss", resident),
+                Admission::Rejected(back) => {
+                    uncached = back;
+                    ("miss", &uncached)
+                }
+            }
         };
 
         // Probe phase: route this query's probe rows with the *same*
-        // hash that partitioned the base, then join locally.
+        // hash that partitioned the base, then probe each partition's
+        // table locally.
         let probe = templates::probe_relation(a.template, a.group, a.serial, cfg.seed);
-        let frags = scatter(&probe, p);
-        let inboxes = route_by_key(&mut cluster, &h, &frags);
+        let inboxes = partition_by_key(&mut cluster, &h, &probe);
         let arity = joined_arity(2, 2);
         let outputs = cluster.map(inboxes, |s, probes| {
             let mut out = Relation::new(arity);
-            hash_join_rows(&parts[s], 0, &probes, 0, &mut out);
+            probe_rows(&parts[s].index(), &probes, 0, &mut out);
             out
         });
 
@@ -405,19 +409,21 @@ fn annotate_window_gauges(registry: &mut MetricsRegistry, series: &SeriesReport)
     }
 }
 
-/// Build phase: scatter the base and hash-partition it across the
-/// cluster (one exchange round), returning the per-server partitions
-/// and what the build cost — the charges a cache hit skips.
+/// Build phase: scatter the base, hash-partition it across the cluster
+/// (one exchange round) and index every partition where it landed,
+/// returning the per-server partitions and what the build cost — the
+/// charges a cache hit skips.
 fn build_partitions(
     cluster: &mut Cluster,
     h: &HashFamily,
     a: &QueryArrival,
     seed: u64,
-) -> (Vec<Relation>, BuildCost) {
-    let p = cluster.p();
+) -> (Vec<Partition>, BuildCost) {
     let base = templates::base_relation(a.template, a.group, seed);
-    // The delivered buffers are the partitions the cache keeps.
-    let parts = route_by_key(cluster, h, &scatter(&base, p));
+    // The delivered buffers are the rows the cache keeps; indexing them
+    // is each server's local work.
+    let delivered = partition_by_key(cluster, h, &base);
+    let parts = cluster.map(delivered, |_, rows| Partition::new(rows));
     let n = base.len() as u64;
     (
         parts,
@@ -429,19 +435,13 @@ fn build_partitions(
     )
 }
 
-/// One exchange round: every row of the binary `frags` to the server
-/// its first column hashes to. Each server's inbox comes back as the
-/// fragment its flat receive buffer already is.
-fn route_by_key(cluster: &mut Cluster, h: &HashFamily, frags: &[Relation]) -> Vec<Relation> {
-    let p = cluster.p();
+/// One exchange round: the binary `rel`, scattered, every row to the
+/// server its first column hashes to. Each server's inbox comes back as
+/// the fragment its flat receive buffer already is.
+fn partition_by_key(cluster: &mut Cluster, h: &HashFamily, rel: &Relation) -> Vec<Relation> {
+    let frags = scatter(rel, cluster.p());
     let mut ex = cluster.exchange_rows(&[2]);
-    for (sid, frag) in frags.iter().enumerate() {
-        ex.set_sender(sid);
-        let scan = RouteScan::new(sid, frag);
-        for row in scan.iter() {
-            ex.send_row(0, h.hash(0, row[0], p), row);
-        }
-    }
+    hash_partition(&mut ex, 0, &frags, 0, h);
     single_stream(2, ex.finish())
 }
 
@@ -593,6 +593,38 @@ mod tests {
                 _ => assert_eq!(q.rounds, 2, "miss must build + probe: {q:?}"),
             }
         }
+    }
+
+    #[test]
+    fn a_hit_indexes_nothing() {
+        use crate::cache::PARTITIONS_BUILT;
+        let indexed_by = |cfg: &ServeConfig| {
+            let before = PARTITIONS_BUILT.with(std::cell::Cell::get);
+            let report = replay(cfg).expect("valid config");
+            (PARTITIONS_BUILT.with(std::cell::Cell::get) - before, report)
+        };
+        // 8k tuples hold two bases at most, 2k none: hits, evictions
+        // and rejected builds are all in play.
+        for cache_budget in [50_000, 8000, 2000] {
+            let cfg = ServeConfig {
+                cache_budget,
+                ..small()
+            };
+            let (indexed, r) = indexed_by(&cfg);
+            assert_eq!(r.cache.misses, r.cache.insertions + r.cache.rejected);
+            assert_eq!(
+                indexed as u64,
+                cfg.servers as u64 * r.cache.misses,
+                "budget {cache_budget}: only a miss indexes, once per server: {:?}",
+                r.cache
+            );
+        }
+        let off = ServeConfig {
+            cache_budget: 0,
+            ..small()
+        };
+        let (indexed, r) = indexed_by(&off);
+        assert_eq!(indexed as u64, off.servers as u64 * r.served());
     }
 
     #[test]

@@ -108,12 +108,13 @@ pub struct ServeReport {
     pub fault_log: Option<FaultLog>,
 }
 
-/// Digest of a canonicalized relation (same construction as the
+/// Digest of a relation's canonical row set (same construction as the
 /// experiment digests in `parqp::observe`: row length then values, in
-/// canonical row order).
+/// canonical row order). The rows are hashed where they lie — what
+/// hashing [`Relation::canonical`] yields, without building it.
 pub fn digest_relation(rel: &Relation) -> u64 {
     let mut h = FxHasher::default();
-    for row in rel.canonical().iter() {
+    for row in rel.canonical_rows() {
         h.write_u64(row.len() as u64);
         for &v in row {
             h.write_u64(v);
@@ -394,6 +395,46 @@ mod tests {
         assert_eq!(digest_relation(&a), digest_relation(&b), "order-free");
         let c = Relation::from_rows(2, [[1, 2], [3, 5]]);
         assert_ne!(digest_relation(&a), digest_relation(&c));
+    }
+
+    /// `digest_relation` as it was first written: build the canonical
+    /// copy, then hash it.
+    fn digest_of_canonical_copy(rel: &Relation) -> u64 {
+        let mut h = FxHasher::default();
+        for row in rel.canonical().iter() {
+            h.write_u64(row.len() as u64);
+            for &v in row {
+                h.write_u64(v);
+            }
+        }
+        h.finish()
+    }
+
+    #[test]
+    fn digest_relation_is_the_digest_of_the_canonical_copy() {
+        let empty = Relation::new(3);
+        assert_eq!(digest_relation(&empty), digest_of_canonical_copy(&empty));
+        let mut state = 0xD16E57u64;
+        for arity in 1..=3 {
+            for rows in [1usize, 2, 50, 400] {
+                // A domain of 6 makes most rows duplicates of another.
+                for domain in [6u64, u64::MAX] {
+                    let rel = Relation::from_rows(
+                        arity,
+                        (0..rows).map(|_| {
+                            (0..arity)
+                                .map(|_| parqp_testkit::splitmix64(&mut state) % domain)
+                                .collect::<Vec<_>>()
+                        }),
+                    );
+                    assert_eq!(
+                        digest_relation(&rel),
+                        digest_of_canonical_copy(&rel),
+                        "arity {arity}, {rows} rows, domain {domain}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! # parqp-store — deterministic paged storage with a page-IO ledger
 //!
-//! The out-of-core substrate underneath `parqp-data`: fixed-size pages
-//! of encoded tuple rows ([`page`]), a bounded per-server buffer pool
-//! with deterministic clock replacement ([`pool`]), and a thread-local
-//! runtime ([`runtime`]) with the run context's install/guard
-//! lifecycle — install a [`StoreConfig`], run, and every paged scan is
-//! charged to an exact **page-IO ledger** (logical reads, pool misses,
-//! evictions) that `parqp-mpc` drains into the metrics registry as a
-//! second cost axis beside communication load.
+//! The out-of-core substrate underneath `parqp-data`: page identities
+//! ([`page`]), a bounded per-server buffer pool with deterministic
+//! clock replacement ([`pool`]), and a thread-local runtime
+//! ([`runtime`]) with the run context's install/guard lifecycle —
+//! install a [`StoreConfig`], run, and every paged scan is charged to
+//! an exact **page-IO ledger** (logical reads, pool misses, evictions)
+//! that `parqp-mpc` drains into the metrics registry as a second cost
+//! axis beside communication load.
 //!
 //! Determinism rules match the rest of the workspace: no wall clock,
 //! no `HashMap` (the pool's resident index is a `BTreeMap`, frames are
@@ -19,16 +19,17 @@
 //! unpaged runs produce identical digests, `(L, r)` ledgers and trace
 //! exports (the `store_differential` suite pins this).
 //!
-//! No real files are involved: pages live in memory behind the
-//! [`PageStore`] trait and eviction merely drops pool residency, so a
-//! re-touch of an evicted page is a counted miss, not data loss.
+//! No real files are involved and the store holds no rows: a page is an
+//! id, its rows stay in the relation `parqp-data` views as pages, and
+//! eviction merely drops pool residency, so a re-touch of an evicted
+//! page is a counted miss, not data loss.
 
 pub mod page;
 pub mod pool;
 pub mod region;
 pub mod runtime;
 
-pub use page::{MemStore, Page, PageId, PageStore};
+pub use page::PageId;
 pub use pool::{BufferPool, IoStats};
 pub use region::{IoCursor, IoRegion};
 pub use runtime::{

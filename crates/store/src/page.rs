@@ -1,171 +1,11 @@
-//! Fixed-size pages of encoded rows and the in-memory page store.
+//! Page identity.
 //!
-//! A [`Page`] is a bounded buffer of `u64` words. Row encoding is the
-//! caller's contract (parqp-data packs fixed-arity tuples row-major and
-//! never lets a row straddle a page boundary); the page itself only
-//! enforces its word capacity. [`MemStore`] is the one [`PageStore`]
-//! implementation: a `BTreeMap` from [`PageId`] to page, so iteration
-//! and lookup order are deterministic by construction.
-
-use std::collections::BTreeMap;
+//! A page is an id and whatever range of rows its owner says it covers:
+//! `parqp-data` views a relation's flat storage as fixed-size,
+//! row-aligned pages and never copies a row into one. The store only
+//! ever sees the id — the pool tracks which ids are resident, the
+//! ledger counts touches — so there is no page *content* type here.
 
 /// Globally unique page identifier, allocated monotonically by the
 /// [`runtime`](crate::runtime) (or locally by an uninstalled owner).
 pub type PageId = u64;
-
-/// A fixed-capacity buffer of `u64` words holding encoded rows.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Page {
-    capacity: usize,
-    words: Vec<u64>,
-}
-
-impl Page {
-    /// An empty page able to hold `capacity` words.
-    ///
-    /// # Panics
-    /// Panics if `capacity == 0`.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "pages must hold at least one word");
-        Self {
-            capacity,
-            words: Vec::new(),
-        }
-    }
-
-    /// Word capacity of the page.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Words currently stored.
-    pub fn len(&self) -> usize {
-        self.words.len()
-    }
-
-    /// Whether the page holds no words.
-    pub fn is_empty(&self) -> bool {
-        self.words.is_empty()
-    }
-
-    /// Whether `n` more words still fit.
-    pub fn fits(&self, n: usize) -> bool {
-        self.words.len() + n <= self.capacity
-    }
-
-    /// Append an encoded row. Returns `false` (and stores nothing) when
-    /// the row does not fit — the caller then opens a fresh page. Rows
-    /// wider than the capacity of an *empty* page are accepted whole so
-    /// that oversized tuples occupy one dedicated page rather than
-    /// straddling two.
-    pub fn push_row(&mut self, row: &[u64]) -> bool {
-        if !self.fits(row.len()) && !self.words.is_empty() {
-            return false;
-        }
-        self.words.extend_from_slice(row);
-        true
-    }
-
-    /// The stored words, in insertion order.
-    pub fn words(&self) -> &[u64] {
-        &self.words
-    }
-}
-
-/// Where pages live. The simulator only ever needs the in-memory
-/// [`MemStore`], but the trait keeps the paged layer honest: everything
-/// above it (paged relations, scans) goes through page handles, never
-/// through a relation's flat vector.
-pub trait PageStore {
-    /// Store `page` under `id`, replacing any previous page with it.
-    fn insert(&mut self, id: PageId, page: Page);
-    /// The page stored under `id`, if any.
-    fn page(&self, id: PageId) -> Option<&Page>;
-    /// Number of pages stored.
-    fn num_pages(&self) -> usize;
-    /// Total words across all pages.
-    fn total_words(&self) -> u64;
-}
-
-/// The in-memory page store: a deterministic `BTreeMap` of pages.
-#[derive(Debug, Clone, Default)]
-pub struct MemStore {
-    pages: BTreeMap<PageId, Page>,
-}
-
-impl MemStore {
-    /// An empty store.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The stored `(id, page)` pairs in id order.
-    pub fn iter(&self) -> impl Iterator<Item = (PageId, &Page)> + '_ {
-        self.pages.iter().map(|(&id, p)| (id, p))
-    }
-}
-
-impl PageStore for MemStore {
-    fn insert(&mut self, id: PageId, page: Page) {
-        self.pages.insert(id, page);
-    }
-
-    fn page(&self, id: PageId) -> Option<&Page> {
-        self.pages.get(&id)
-    }
-
-    fn num_pages(&self) -> usize {
-        self.pages.len()
-    }
-
-    fn total_words(&self) -> u64 {
-        self.pages.values().map(|p| p.len() as u64).sum()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn page_respects_capacity() {
-        let mut p = Page::new(4);
-        assert!(p.push_row(&[1, 2]));
-        assert!(p.push_row(&[3, 4]));
-        assert!(!p.push_row(&[5, 6]), "full page rejects the row");
-        assert_eq!(p.words(), &[1, 2, 3, 4]);
-        assert_eq!(p.len(), 4);
-        assert!(p.fits(0) && !p.fits(1));
-    }
-
-    #[test]
-    fn oversized_row_gets_a_dedicated_page() {
-        let mut p = Page::new(2);
-        assert!(p.push_row(&[1, 2, 3]), "empty page takes an oversized row");
-        assert!(!p.push_row(&[4]), "…and then nothing else");
-        assert_eq!(p.len(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one word")]
-    fn zero_capacity_rejected() {
-        Page::new(0);
-    }
-
-    #[test]
-    fn memstore_roundtrip() {
-        let mut s = MemStore::new();
-        let mut a = Page::new(8);
-        a.push_row(&[1, 2]);
-        let mut b = Page::new(8);
-        b.push_row(&[3]);
-        s.insert(7, a.clone());
-        s.insert(3, b);
-        assert_eq!(s.num_pages(), 2);
-        assert_eq!(s.total_words(), 3);
-        assert_eq!(s.page(7), Some(&a));
-        assert!(s.page(99).is_none());
-        let ids: Vec<PageId> = s.iter().map(|(id, _)| id).collect();
-        assert_eq!(ids, vec![3, 7], "iteration is id-ordered");
-    }
-}
