@@ -1,0 +1,147 @@
+//! The two local kernels on their own, so a slower `perf` row can be
+//! told apart from a slower kernel without the full run. Nothing gates
+//! these numbers; each is the fastest of [`RUNS`] calls.
+//!
+//! * `join_kernel/*` — what every server does after the shuffle, minus
+//!   the query: index `n` rows, then probe with `n` rows at about one
+//!   match each. The last rows are the serve shape — a small resident
+//!   build side probed by many tiny batches — indexed per batch and
+//!   indexed once.
+//! * `local_sort/*` — one PSRS server's share of `sort_psrs` (1 M keys
+//!   over 64 servers) ordered by `sort_by_key` (what `psrs_by` runs),
+//!   by `sort_unstable`, and by the radix kernel `sort_words` (what
+//!   `psrs` runs).
+//!
+//! ```text
+//! cargo bench -p parqp-bench --bench kernels
+//! ```
+
+use parqp::data::{generate, KeyIndex, KeyTable, Relation};
+use parqp::sort::sort_words;
+use parqp_testkit::bench::time_ns;
+use std::borrow::Borrow;
+use std::hint::black_box;
+
+const RUNS: usize = 30;
+
+/// Fastest of [`RUNS`] calls of `f` after one untimed warm-up, in µs.
+fn best_us<O>(mut f: impl FnMut() -> O) -> f64 {
+    black_box(f());
+    let best = (0..RUNS)
+        .map(|_| {
+            let start = time_ns();
+            black_box(f());
+            time_ns().saturating_sub(start)
+        })
+        .min()
+        .unwrap_or(0);
+    best as f64 / 1e3
+}
+
+/// The serve shape's join column, on both sides.
+const KEY: &[usize] = &[0];
+
+/// Matches of `batch`'s rows in `index`, both keyed on [`KEY`].
+fn matches<T: Borrow<KeyTable>>(index: &KeyIndex<'_, Relation, T>, batch: &Relation) -> usize {
+    batch.iter().map(|row| index.probe(row, KEY).count()).sum()
+}
+
+/// One `local_sort/*` row: every part of `parts` cloned and sorted by
+/// `sort`. The clone is on the clock for every sort alike. So is the
+/// allocator: `sort_words` frees a scratch vector of the part's length
+/// every call, and when that block is the top of the heap glibc trims
+/// it and the next call page-faults it back (≈ 30 faults, +35 µs at
+/// 15,625 keys) — a row can move by that much with no change to the
+/// kernel.
+fn local_sort_row(shape: &str, name: &str, parts: &[Vec<u64>], sort: impl Fn(&mut Vec<u64>)) {
+    let us = best_us(|| {
+        parts
+            .iter()
+            .filter_map(|part| {
+                let mut keys = part.clone();
+                sort(&mut keys);
+                keys.last().copied()
+            })
+            .fold(0, u64::wrapping_add)
+    });
+    let row = format!("local_sort/{shape}/{name}");
+    println!("{row:<40} {us:>10.1} µs");
+}
+
+/// The three ways a server can order its words, on one shape.
+fn local_sort_rows(shape: &str, parts: &[Vec<u64>]) {
+    local_sort_row(shape, "sort_by_key", parts, |keys| keys.sort_by_key(|&k| k));
+    local_sort_row(shape, "sort_unstable", parts, |keys| keys.sort_unstable());
+    local_sort_row(shape, "sort_words", parts, sort_words);
+}
+
+/// `sort_psrs` keys per server: 1 M over p = 64.
+const PART: usize = 15_625;
+
+fn local_sort() {
+    let words = |domain: u64, seed: u64| generate::uniform(1, PART, domain, seed).raw().to_vec();
+    // Phase 1 of `sort_psrs`: uniform keys below 2³² (4 of 8 passes run).
+    let narrow = words(1 << 32, 61);
+    local_sort_rows("below_2e32", std::slice::from_ref(&narrow));
+    // Phase 2: what a server receives — one sorted run per sender, all
+    // inside its splitter interval (a 64th of the range), so the top
+    // live byte takes four values and its pass is the slow kind.
+    let mut inbox: Vec<u64> = words(1 << 26, 63).iter().map(|k| (37 << 26) + k).collect();
+    for run in inbox.chunks_mut(PART.div_ceil(64)) {
+        run.sort_unstable();
+    }
+    local_sort_rows("inbox_64_runs", &[inbox]);
+    // The kernel's worst case: every byte differs, all 8 passes run.
+    local_sort_rows("full_width", &[words(u64::MAX, 62)]);
+    // The same keys in parts of the length at which `sort_words` stops
+    // being `sort_unstable` (`radix::SMALL`): radix passes must not lose
+    // to it here, and below this length they do.
+    let parts: Vec<Vec<u64>> = narrow.chunks(1024).map(<[u64]>::to_vec).collect();
+    local_sort_rows("parts_of_1024", &parts);
+}
+
+fn main() {
+    for n in [1_000usize, 100_000] {
+        for cols in [&[0usize][..], &[0, 1]] {
+            // As many distinct keys as rows, whatever the key width.
+            let domain = (n as f64).powf(1.0 / cols.len() as f64).ceil() as u64;
+            let build = generate::uniform(2, n, domain, 51);
+            let probe = generate::uniform(2, n, domain, 52);
+            let shape = format!("{n}rows_{}col", cols.len());
+            let build_us = best_us(|| KeyIndex::build(&build, cols));
+            println!("join_kernel/build/{shape:<16} {build_us:>10.1} µs");
+            let index = KeyIndex::build(&build, cols);
+            let probe_us = best_us(|| {
+                probe
+                    .iter()
+                    .map(|row| index.probe(row, cols).count())
+                    .sum::<usize>()
+            });
+            println!("join_kernel/probe/{shape:<16} {probe_us:>10.1} µs");
+        }
+    }
+
+    // One server's share of a served base (500 rows), probed by the
+    // 8-row batches a served query routes to it.
+    let build = generate::uniform(2, 500, 250, 53);
+    let batches: Vec<Relation> = (0..64)
+        .map(|i| generate::uniform(2, 8, 250, 54 + i))
+        .collect();
+    let rebuilt_us = best_us(|| {
+        batches
+            .iter()
+            .map(|batch| matches(&KeyIndex::build(&build, KEY), batch))
+            .sum::<usize>()
+    });
+    println!("join_kernel/reuse/build_per_batch   {rebuilt_us:>10.1} µs");
+    let table = KeyTable::build(&build, KEY);
+    let reused_us = best_us(|| {
+        batches
+            .iter()
+            .map(|batch| matches(&table.over(&build, KEY).expect("same rows"), batch))
+            .sum::<usize>()
+    });
+    println!("join_kernel/reuse/one_key_table     {reused_us:>10.1} µs");
+
+    local_sort();
+}

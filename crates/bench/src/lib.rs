@@ -12,8 +12,9 @@
 //! The *numbers the paper is about* — loads, rounds, communication —
 //! come from this module, deterministically. Wall-clock is the `perf`
 //! program's (`src/bin/perf/`, run through `BENCHMARK.json`), and
-//! `benches/join_kernel.rs` times the local-join kernel alone so a
-//! regression there can be attributed without a full `perf` run.
+//! `benches/kernels.rs` times the local-join and local-sort kernels
+//! alone so a regression there can be attributed without a full `perf`
+//! run.
 
 pub mod experiments;
 pub mod table;

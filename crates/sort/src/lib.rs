@@ -12,9 +12,14 @@
 //!   (slides 104–105): with per-round fan-out `f` it runs in
 //!   `O(log_f p)` rounds, exhibiting the `Ω(log_L N)` round/load
 //!   trade-off of the sorting lower bound.
+//!
+//! The model calls a server's local sort free; wherever either algorithm
+//! sorts `u64` keys locally it calls one radix kernel, [`sort_words`].
 
 pub mod multiround;
 pub mod psrs;
+mod radix;
 
 pub use multiround::{multiround_sort, multiround_sort_with_oversample};
 pub use psrs::{psrs, psrs_by};
+pub use radix::sort_words;

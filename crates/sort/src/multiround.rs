@@ -13,10 +13,16 @@
 //! * after `⌈log_f p⌉` levels every group is a single server, which sorts
 //!   locally; group ranges are ordered, so the result is globally sorted.
 //!
+//! Every local sort — a member ordering a copy of its run to sample it,
+//! the leader ordering the samples it received, the leaves — is the
+//! crate's radix kernel ([`sort_words`]); the leaves sort under
+//! [`Cluster::map`], so `ExecMode::Parallel` spreads them over the pool.
+//!
 //! Rounds are `3·⌈log_f p⌉` — exactly the `Θ(log_L N)` shape when the
 //! fan-out is what a load budget `L` admits. Larger fan-out `f` = fewer
 //! rounds but a larger per-round splitter/sample load; E13 sweeps this.
 
+use crate::radix::sort_words;
 use parqp_mpc::{metrics, trace, Cluster};
 
 /// Default oversampling factor: samples collected per subgroup boundary.
@@ -118,7 +124,7 @@ pub fn multiround_sort_with_oversample(
             }
             let subgroups = fanout.min(g);
             let mut sample = sample_boxes[lo].clone();
-            sample.sort_unstable();
+            sort_words(&mut sample);
             let splitters: Vec<u64> = (1..subgroups)
                 .map(|i| {
                     let idx = i * sample.len() / subgroups;
@@ -186,10 +192,10 @@ pub fn multiround_sort_with_oversample(
         groups = next_groups;
     }
 
-    for part in &mut data {
-        part.sort_unstable();
-    }
-    data
+    cluster.map(data, |_, mut part| {
+        sort_words(&mut part);
+        part
+    })
 }
 
 /// `count` evenly spaced keys from (an unsorted copy of) `items`.
@@ -198,7 +204,7 @@ fn sample_keys(items: &[u64], count: usize) -> Vec<u64> {
         return Vec::new();
     }
     let mut sorted = items.to_vec();
-    sorted.sort_unstable();
+    sort_words(&mut sorted);
     (1..=count)
         .map(|i| sorted[(i * sorted.len() / (count + 1)).min(sorted.len() - 1)])
         .collect()

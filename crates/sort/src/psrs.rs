@@ -1,12 +1,17 @@
 //! Parallel Sorting by Regular Sampling (PSRS), slides 100–102.
 //!
-//! 1. every server sorts its local data and extracts `p−1` evenly spaced
-//!    local splitters (the *regular sample*);
+//! 1. every server sorts its local data — word keys with the radix
+//!    kernel ([`sort_words`]), items under an arbitrary `Ord` key by
+//!    comparison — and extracts `p−1` evenly spaced local splitters (the
+//!    *regular sample*);
 //! 2. every server broadcasts its sample (one communication round);
 //! 3. all servers deterministically sort the union of samples and keep
 //!    every `p`-th element as the global splitters;
 //! 4. every item is routed to the server owning its splitter interval
-//!    (second communication round); each server sorts locally.
+//!    (second communication round); each server sorts what it received
+//!    with the same local sort as step 1. Its inbox is `p` sorted runs,
+//!    and it is sorted, not merged: the radix kernel is faster than a
+//!    merge tree over the runs (DESIGN.md §9, "Local sort kernel").
 //!
 //! The result is globally sorted: every key on server `i` is ≤ every key
 //! on server `i+1`. The regular-sampling guarantee bounds each server's
@@ -14,6 +19,7 @@
 //! duplicate-heavy inputs, which is exactly the skew effect the sort-based
 //! join must handle (slide 31).
 
+use crate::radix::sort_words;
 use parqp_mpc::{metrics, trace, Cluster, Weight};
 
 /// Sort `u64` keys across the cluster. Returns per-server partitions,
@@ -29,10 +35,10 @@ use parqp_mpc::{metrics, trace, Cluster, Weight};
 /// assert_eq!(cluster.report().num_rounds(), 2);
 /// ```
 pub fn psrs(cluster: &mut Cluster, local: Vec<Vec<u64>>) -> Vec<Vec<u64>> {
-    psrs_by(cluster, local, |&k| k)
+    psrs_with(cluster, local, |&k| k, sort_words)
 }
 
-/// Sort arbitrary items by a `u64` key across the cluster.
+/// Sort arbitrary items by an `Ord` key across the cluster.
 ///
 /// `local` holds each server's input (index = server rank). The output is
 /// per-server partitions such that all keys on server `i` are ≤ all keys
@@ -51,7 +57,23 @@ pub fn psrs_by<T, K>(
     key: impl Fn(&T) -> K + Sync,
 ) -> Vec<Vec<T>>
 where
-    T: Clone + Weight + Send,
+    T: Weight + Send,
+    K: Ord + Copy + Weight,
+{
+    psrs_with(cluster, local, &key, |part| part.sort_by_key(&key))
+}
+
+/// The one PSRS body: the only function here that opens an exchange.
+/// `local_sort` sorts a server's items by `key`, in both local phases,
+/// and is all that differs between [`psrs`] and [`psrs_by`].
+fn psrs_with<T, K>(
+    cluster: &mut Cluster,
+    local: Vec<Vec<T>>,
+    key: impl Fn(&T) -> K + Sync,
+    local_sort: impl Fn(&mut Vec<T>) + Sync,
+) -> Vec<Vec<T>>
+where
+    T: Weight + Send,
     K: Ord + Copy + Weight,
 {
     let p = cluster.p();
@@ -71,29 +93,38 @@ where
 
     // Phase 1: local sort + regular sample.
     let local: Vec<Vec<T>> = cluster.map(local, |_, mut part| {
-        part.sort_by_key(|t| key(t));
+        local_sort(&mut part);
         part
     });
-    // Round 1: broadcast regular samples (p−1 keys per server).
+    // Round 1: broadcast regular samples (p−1 keys per non-empty
+    // server). Every inbox receives every sample, so each is sized once
+    // and a sample reaches a destination as one run.
     let sample_span = trace::span("psrs/sample-broadcast");
+    let local_samples: Vec<Vec<K>> = local
+        .iter()
+        .map(|part| regular_sample(part, p, &key))
+        .collect();
+    let sampled: usize = local_samples.iter().map(Vec::len).sum();
     let mut ex = cluster.exchange::<K>();
-    for (sid, part) in local.iter().enumerate() {
+    for dest in 0..p {
+        ex.reserve(dest, sampled);
+    }
+    for (sid, sample) in local_samples.into_iter().enumerate() {
         ex.set_sender(sid);
-        for s in regular_sample(part, p, &key) {
-            ex.broadcast(s);
+        for dest in 0..p {
+            ex.send_all(dest, sample.iter().copied());
         }
     }
-    let samples = ex.finish();
+    let mut samples = ex.finish().into_iter();
     drop(sample_span);
 
     // Phase 2: identical splitter computation everywhere. All inboxes see
     // the same multiset; we compute once and assert agreement in debug.
-    let mut all: Vec<K> = samples[0].clone();
+    let mut all: Vec<K> = samples.next().unwrap_or_default();
     all.sort_unstable();
-    debug_assert!(samples.iter().all(|s| {
-        let mut t = s.clone();
-        t.sort_unstable();
-        t == all
+    debug_assert!(samples.all(|mut s| {
+        s.sort_unstable();
+        s == all
     }));
     let splitters = choose_splitters(&all, p);
     // The p sample inboxes (p(p−1) keys each) are dead from here on:
@@ -111,9 +142,16 @@ where
         .map(|part| run_ends(part, &splitters, &key))
         .collect();
     let mut ex = cluster.exchange::<T>();
-    for dest in 0..=splitters.len() {
-        let run_len = |ends: &Vec<usize>| ends[dest] - dest.checked_sub(1).map_or(0, |d| ends[d]);
-        ex.reserve(dest, cuts.iter().map(run_len).sum());
+    let mut inbox_len = vec![0usize; p];
+    for ends in &cuts {
+        let mut start = 0;
+        for (len, &end) in inbox_len.iter_mut().zip(ends) {
+            *len += end - start;
+            start = end;
+        }
+    }
+    for (dest, len) in inbox_len.into_iter().enumerate() {
+        ex.reserve(dest, len);
     }
     for (sid, (part, ends)) in local.into_iter().zip(cuts).enumerate() {
         ex.set_sender(sid);
@@ -133,7 +171,7 @@ where
     }
     let partitions = ex.finish();
     cluster.map(partitions, |_, mut part| {
-        part.sort_by_key(|t| key(t));
+        local_sort(&mut part);
         part
     })
 }
@@ -154,8 +192,10 @@ fn run_ends<T, K: Ord + Copy>(sorted: &[T], splitters: &[K], key: &impl Fn(&T) -
     ends
 }
 
-/// `p−1` evenly spaced keys from a locally sorted partition (fewer if the
-/// partition is smaller than `p−1`).
+/// `p−1` evenly spaced keys from a locally sorted partition, or none if
+/// it is empty. Always exactly `p−1`: a partition shorter than that
+/// repeats keys, so every non-empty server's share of the sample round
+/// is the `p−1` keys the announced `p(p−1)` load counts.
 fn regular_sample<T, K: Copy>(sorted: &[T], p: usize, key: &impl Fn(&T) -> K) -> Vec<K> {
     let n = sorted.len();
     if n == 0 || p <= 1 {
@@ -262,6 +302,21 @@ mod tests {
         assert_eq!(start, sorted.len());
         assert_eq!(run_ends(&sorted, &[], &|&k: &u64| k), vec![sorted.len()]);
         assert_eq!(run_ends(&[], &splitters, &|&k: &u64| k), vec![0; 5]);
+    }
+
+    #[test]
+    fn a_part_shorter_than_the_sample_still_sends_p_minus_one_keys() {
+        // The sample round's announced load is p(p−1) per server: a
+        // short part repeats keys rather than sending fewer.
+        let p = 64;
+        for n in [1, 2, p - 2] {
+            let part: Vec<u64> = (0..n as u64).map(|i| 10 * i + 7).collect();
+            let sample = regular_sample(&part, p, &|&k| k);
+            assert_eq!(sample.len(), p - 1, "{n} keys");
+            assert!(sample.iter().all(|k| part.contains(k)), "{n} keys");
+            assert!(sample.windows(2).all(|w| w[0] <= w[1]), "{n} keys");
+        }
+        assert!(regular_sample(&[], p, &|&k: &u64| k).is_empty());
     }
 
     #[test]

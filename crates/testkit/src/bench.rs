@@ -4,7 +4,7 @@
 //! out, so nothing in the library reads a clock (lint rule PQ003).
 //! Time is measured by the `perf` program (`BENCHMARK.json`,
 //! `crates/bench/src/bin/perf/`), which repeats every operation and
-//! reports spread; it and the `join_kernel` micro-bench take every
+//! reports spread; it and the `kernels` micro-bench take every
 //! timestamp from [`time_ns`].
 
 use std::time::Instant;
