@@ -903,7 +903,7 @@ fn serve_cmd(o: &Opts) -> Result<String, String> {
         faults,
     };
     // `--slo` and `--format prom` need the window series, so they imply
-    // `--obs`; a plain replay records nothing extra.
+    // `--obs`; a plain replay skips the fold.
     let observed = o.obs || o.slo.is_some() || o.format.as_deref() == Some("prom");
     let (report, series) = if observed {
         let (report, series) = replay_observed(&cfg, o.window)?;
@@ -942,7 +942,7 @@ fn serve_cmd(o: &Opts) -> Result<String, String> {
     let mut slo_text = String::new();
     if let (Some(path), Some(series)) = (&o.slo, &series) {
         let src = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        let rules = parqp_obs::SloRules::parse(&src)?;
+        let rules = parqp_serve::obs::SloRules::parse(&src)?;
         let verdict = rules.evaluate(series);
         verdict
             .gate()

@@ -51,11 +51,11 @@
 //!   the CI gate compares against;
 //! * [`serve`] — the multi-tenant workload driver (`parqp serve`):
 //!   seeded bursty query streams against one long-lived cluster, with
-//!   shared-plan caching and per-tenant ledgers;
-//! * [`obs`] — deterministic time-series telemetry over serving runs
-//!   (`parqp dash`): tick-windowed throughput/latency/cache series,
-//!   log₂-sketched percentiles, SLO burn-rate gates, JSONL/Prometheus
-//!   exporters;
+//!   shared-plan caching and one record per served query;
+//! * [`obs`] — `serve::obs`, the time-series telemetry folded from those
+//!   records (`parqp dash`): tick-windowed throughput/latency/cache
+//!   series, log₂-sketched percentiles, SLO burn-rate gates,
+//!   JSONL/Prometheus exporters;
 //! * [`cli`] — the `parqp` command-line tool (plan/run/analyze/stats/
 //!   generate/trace/faults/metrics over CSV relations).
 
@@ -66,9 +66,9 @@ pub use parqp_matmul as matmul;
 pub use parqp_mpc as mpc;
 pub use parqp_mpc::faults;
 pub use parqp_mpc::trace;
-pub use parqp_obs as obs;
 pub use parqp_query as query;
 pub use parqp_serve as serve;
+pub use parqp_serve::obs;
 pub use parqp_sort as sort;
 
 pub mod cli;

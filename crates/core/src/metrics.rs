@@ -140,7 +140,7 @@ impl Point for ServePoint {
 }
 
 /// SLO verdict of one serve preset's window series, evaluated against
-/// the committed [`parqp_obs::SloRules::serve_steady`] objectives.
+/// the committed [`parqp_serve::obs::SloRules::serve_steady`] objectives.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SloPoint {
     /// Windows in the recorded series ([`SLO_WINDOW_TICKS`] ticks each).
@@ -253,7 +253,7 @@ pub fn collect(seed: u64) -> Result<MetricsReport, String> {
     }
     let mut serve = BTreeMap::new();
     let mut slo = BTreeMap::new();
-    let rules = parqp_obs::SloRules::serve_steady();
+    let rules = parqp_serve::obs::SloRules::serve_steady();
     for (name, cfg) in serve_presets(seed) {
         // One observed replay feeds both the serve row and the SLO
         // verdict (replay + replay_observed would double the work and

@@ -174,12 +174,6 @@ pub fn run_experiment_full(name: &str, servers: usize, seed: u64) -> Result<Expe
     })
 }
 
-/// Run the named experiment, capturing only its trace (the historical
-/// entry point of `parqp trace`).
-pub fn run_experiment(name: &str, servers: usize, seed: u64) -> Result<Recorder, String> {
-    run_experiment_full(name, servers, seed).map(|run| run.recorder)
-}
-
 /// Digest of a relation's canonical row set (sorted + deduplicated, so
 /// per-server output ordering cannot leak into the digest).
 fn digest_relation(rel: &Relation) -> u64 {
@@ -249,17 +243,19 @@ mod tests {
 
     #[test]
     fn unknown_experiment_lists_known_names() {
-        let err = run_experiment("nope", 4, 1).expect_err("unknown name");
+        let err = run_experiment_full("nope", 4, 1)
+            .err()
+            .expect("unknown name");
         assert!(err.contains("triangle-hypercube"));
     }
 
     #[test]
     fn same_seed_same_trace() {
-        let a = run_experiment("twoway-hash", 8, 3).expect("runs");
-        let b = run_experiment("twoway-hash", 8, 3).expect("runs");
+        let a = run_experiment_full("twoway-hash", 8, 3).expect("runs");
+        let b = run_experiment_full("twoway-hash", 8, 3).expect("runs");
         assert_eq!(
-            a.events().collect::<Vec<_>>(),
-            b.events().collect::<Vec<_>>()
+            a.recorder.events().collect::<Vec<_>>(),
+            b.recorder.events().collect::<Vec<_>>()
         );
     }
 

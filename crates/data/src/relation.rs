@@ -167,19 +167,6 @@ impl Relation {
         self.data = sorted;
     }
 
-    /// Sort tuples by one column (stable within equal keys by full tuple).
-    pub fn sort_by_col(&mut self, col: usize) {
-        assert!(col < self.arity, "sort column out of range");
-        let arity = self.arity;
-        let mut rows: Vec<&[Value]> = self.data.chunks_exact(arity).collect();
-        rows.sort_unstable_by(|a, b| a[col].cmp(&b[col]).then_with(|| a.cmp(b)));
-        let mut sorted = Vec::with_capacity(self.data.len());
-        for r in rows {
-            sorted.extend_from_slice(r);
-        }
-        self.data = sorted;
-    }
-
     /// The rows of the canonical *set* form — sorted, deduplicated — as
     /// borrowed slices: for a reader that walks them once (a digest)
     /// and has no use for the copy [`Relation::canonical`] makes.
@@ -204,17 +191,6 @@ impl Relation {
     /// Convert to a vector of owned rows (test convenience).
     pub fn to_rows(&self) -> Vec<Vec<Value>> {
         self.iter().map(<[Value]>::to_vec).collect()
-    }
-
-    /// Take the rows out as one owned `Vec` each: the per-message
-    /// adaptor for callers that still exchange a message per row. The
-    /// library's own rounds move rows through flat buffers and read
-    /// them back with [`Relation::from_raw`].
-    pub fn into_messages(self) -> Vec<Vec<Value>> {
-        self.data
-            .chunks_exact(self.arity)
-            .map(<[Value]>::to_vec)
-            .collect()
     }
 }
 
@@ -276,13 +252,6 @@ mod tests {
     }
 
     #[test]
-    fn sort_by_column() {
-        let mut r = r3();
-        r.sort_by_col(1);
-        assert_eq!(r.row(0), &[3, 1]);
-    }
-
-    #[test]
     fn canonical_dedups() {
         let r = Relation::from_rows(1, [[2], [1], [2], [1], [3]]);
         assert_eq!(r.canonical().to_rows(), vec![vec![1], vec![2], vec![3]]);
@@ -313,14 +282,6 @@ mod tests {
     #[should_panic(expected = "not whole rows")]
     fn from_raw_rejects_ragged_data() {
         Relation::from_raw(2, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn into_messages_roundtrip() {
-        let r = r3();
-        let msgs = r.clone().into_messages();
-        let back = Relation::from_rows(2, msgs);
-        assert_eq!(back, r);
     }
 
     #[test]

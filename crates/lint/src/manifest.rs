@@ -31,7 +31,7 @@ pub const ALLOWED_DEPS: &[(&str, &[&str])] = &[
     (
         "core",
         &[
-            "mpc", "data", "lp", "query", "join", "sort", "matmul", "serve", "obs", "lint",
+            "mpc", "data", "lp", "query", "join", "sort", "matmul", "serve", "lint",
         ],
     ),
     ("data", &["store", "testkit"]),
@@ -40,9 +40,8 @@ pub const ALLOWED_DEPS: &[(&str, &[&str])] = &[
     ("lp", &[]),
     ("matmul", &["mpc", "data", "join", "query", "testkit"]),
     ("mpc", &["store", "testkit"]),
-    ("obs", &[]),
     ("query", &["data", "lp"]),
-    ("serve", &["mpc", "data", "join", "obs", "testkit"]),
+    ("serve", &["mpc", "data", "join", "testkit"]),
     ("sort", &["mpc", "data"]),
     ("store", &[]),
     ("testkit", &[]),
@@ -292,25 +291,15 @@ mod tests {
         assert_eq!(find("data"), &["store", "testkit"]);
         assert!(find("lp").is_empty());
         assert!(find("core").contains(&"join"));
-        // The serving layer composes the simulator, the algorithms it
-        // serves, and the window recorder it feeds; only core (the
-        // `parqp serve` front door) may depend on it.
-        assert_eq!(find("serve"), &["mpc", "data", "join", "obs", "testkit"]);
+        // The serving layer composes the simulator and the algorithms
+        // it serves (its telemetry is its own `obs` module); only core
+        // (the `parqp serve` front door) may depend on it.
+        assert_eq!(find("serve"), &["mpc", "data", "join", "testkit"]);
         assert!(find("core").contains(&"serve"));
         for (name, deps) in ALLOWED_DEPS {
             assert!(
                 *name == "core" || !deps.contains(&"serve"),
                 "only core (the `parqp serve` front door) may depend on serve"
-            );
-        }
-        // The observation layer is a leaf: pure data types
-        // and renderers, fed only by serve, consumed by serve and the
-        // `parqp dash`/`parqp serve --obs` front doors in core.
-        assert!(find("obs").is_empty());
-        for (name, deps) in ALLOWED_DEPS {
-            assert!(
-                *name == "core" || *name == "serve" || !deps.contains(&"obs"),
-                "only serve (the emitter) and core (the front door) may depend on obs"
             );
         }
         for (name, deps) in ALLOWED_DEPS {

@@ -25,16 +25,6 @@
 //! |       |             | ledger (`drain_io`, `reset_io`) outside `parqp-mpc`.    |
 //! |       |             | Algorithm crates touch paging only through              |
 //! |       |             | `parqp_data::paged` scans                               |
-//! | PQ110 | layering    | driving the shared-plan cache (`PlanCache`) or          |
-//! |       |             | fabricating per-tenant ledgers (`TenantLedger`) outside |
-//! |       |             | `parqp-serve`; tenant counters must come out of the     |
-//! |       |             | cluster's ledger deltas, and cache admission/eviction   |
-//! |       |             | must stay inside the serving layer's exact hit/miss     |
-//! |       |             | accounting. Consumers read `ServeReport` instead        |
-//! | PQ111 | layering    | fabricating observations (`QueryObs`, `SeriesRecorder`) |
-//! |       |             | outside `parqp-serve`/`parqp-obs`; window series must   |
-//! |       |             | come out of the serving driver's per-query ledger       |
-//! |       |             | deltas. Consumers read the returned `SeriesReport`      |
 //! | PQ112 | layering    | a `thread_local!` outside the two ambient slots         |
 //! |       |             | (`mpc::context`, `store::runtime`) and `parqp-testkit`: |
 //! |       |             | a new instrument joins the run context instead of       |
@@ -42,6 +32,8 @@
 //!
 //! Who may *feed* the installed trace sink, metrics registry and fault
 //! clock is not a rule here: those hooks are private to `parqp-mpc`.
+//! Likewise the serving layer's plan cache is `pub(crate)` and its
+//! per-query record `#[non_exhaustive]` — visibility facts, not rules.
 //!
 //! Manifest-level rules (`PQ101`, `PQ102`, `PQ301`, `PQ302`) live in
 //! [`crate::manifest`]; the panic-surface ratchet (`PQ201`) lives in
@@ -55,7 +47,7 @@ use crate::Diagnostic;
 /// (file I/O), `core` (CLI), `bench` (CSV output), `testkit` (env-var
 /// knobs) and `lint` (this tool) legitimately touch the OS.
 pub const SIDE_CHANNEL_SCOPE: &[&str] = &[
-    "mpc", "lp", "query", "join", "sort", "matmul", "store", "serve", "obs",
+    "mpc", "lp", "query", "join", "sort", "matmul", "store", "serve",
 ];
 
 /// Why stdout/stderr writes are a side channel: the one effect of a
@@ -302,38 +294,6 @@ const TOKEN_RULES: &[TokenRule] = &[
         message: "only parqp-mpc rewinds the IO ledger (in Cluster::reset), so counters stay aligned with the round clock",
         scope: None,
         exempt: &["store", "mpc"],
-        exempt_paths: &[],
-    },
-    TokenRule {
-        rule: "PQ110",
-        token: "PlanCache",
-        message: "only parqp-serve drives the shared-plan cache, so its hit/miss/evict ledger stays exact; consumers read the CacheStats in a ServeReport instead",
-        scope: None,
-        exempt: &["serve"],
-        exempt_paths: &[],
-    },
-    TokenRule {
-        rule: "PQ110",
-        token: "TenantLedger",
-        message: "only parqp-serve folds per-tenant ledgers (from the cluster's per-query report_since deltas); fabricating tenant counters elsewhere desyncs them from the (L, r, C) ledger",
-        scope: None,
-        exempt: &["serve"],
-        exempt_paths: &[],
-    },
-    TokenRule {
-        rule: "PQ111",
-        token: "QueryObs",
-        message: "only parqp-serve fabricates served-query observations (from Cluster::report_since deltas and the page-IO ledger); inventing them elsewhere desyncs the series from the (L, r, C) ledger",
-        scope: None,
-        exempt: &["serve", "obs"],
-        exempt_paths: &[],
-    },
-    TokenRule {
-        rule: "PQ111",
-        token: "SeriesRecorder",
-        message: "only parqp-obs owns the window recorder (built by parqp-serve's replay_observed); read the finished SeriesReport instead",
-        scope: None,
-        exempt: &["serve", "obs"],
         exempt_paths: &[],
     },
     TokenRule {
@@ -620,51 +580,9 @@ mod tests {
     }
 
     #[test]
-    fn plan_cache_and_tenant_ledger_confined_to_serve() {
-        let src = "let mut cache = PlanCache::new(budget);\nlet t = TenantLedger::default();\n";
-        assert_eq!(rules_of("join", src), vec![("PQ110", 1), ("PQ110", 2)]);
-        assert_eq!(rules_of("core", src), vec![("PQ110", 1), ("PQ110", 2)]);
-        assert!(rules_of("serve", src).is_empty());
-    }
-
-    #[test]
-    fn serve_report_consumption_allowed_everywhere() {
-        let src = "let report = parqp_serve::replay(&cfg)?;\n\
-                   let rate = report.cache.hit_rate();\n\
-                   let p99 = report.l_percentile(99);\n";
-        assert!(rules_of("core", src).is_empty());
-        assert!(rules_of("bench", src).is_empty());
-    }
-
-    #[test]
     fn serve_is_side_channel_scoped() {
         assert_eq!(rules_of("serve", "use std::fs;\n"), vec![("PQ103", 1)]);
         assert_eq!(rules_of("serve", "use std::env;\n"), vec![("PQ103", 1)]);
-    }
-
-    #[test]
-    fn observation_fabrication_confined_to_serve_and_obs() {
-        let src =
-            "let q = QueryObs { serial, tick, ..dflt };\nlet rec = SeriesRecorder::new(cfg);\n";
-        assert_eq!(rules_of("join", src), vec![("PQ111", 1), ("PQ111", 2)]);
-        assert_eq!(rules_of("core", src), vec![("PQ111", 1), ("PQ111", 2)]);
-        assert!(rules_of("serve", src).is_empty());
-        assert!(rules_of("obs", src).is_empty());
-    }
-
-    #[test]
-    fn series_consumption_allowed_everywhere() {
-        let src = "let (report, series) = parqp_serve::replay_observed(&cfg, window)?;\n\
-                   let dash = series.dashboard();\n\
-                   let gate = parqp_obs::evaluate(&rules, &series).gate();\n";
-        assert!(rules_of("core", src).is_empty());
-        assert!(rules_of("bench", src).is_empty());
-    }
-
-    #[test]
-    fn obs_is_side_channel_scoped() {
-        assert_eq!(rules_of("obs", "use std::fs;\n"), vec![("PQ103", 1)]);
-        assert_eq!(rules_of("obs", "use std::env;\n"), vec![("PQ103", 1)]);
     }
 
     #[test]
@@ -685,7 +603,6 @@ mod tests {
         for (krate, path) in [
             ("mpc", "crates/mpc/src/exec.rs"),
             ("store", "crates/store/src/pool.rs"),
-            ("obs", "crates/obs/src/runtime.rs"),
             ("serve", "crates/serve/src/driver.rs"),
         ] {
             let diags = lint_source(krate, path, &src);

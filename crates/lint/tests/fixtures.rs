@@ -118,70 +118,6 @@ fn combinator_accounting_passes() {
     assert_eq!(hits(&diags), vec![]);
 }
 
-// --------------------------------------------------------------------- PQ110
-
-#[test]
-fn serve_cache_and_tenant_ledger_violations_reported() {
-    let src = include_str!("fixtures/serve_bad.rs");
-    let diags = lint_source("core", "fixtures/serve_bad.rs", &sanitize(src));
-    assert_eq!(
-        hits(&diags),
-        vec![
-            ("PQ110", 4),  // importing PlanCache outside serve
-            ("PQ110", 7),  // constructing the cache
-            ("PQ110", 17), // fabricating a TenantLedger type
-            ("PQ110", 21), // returning the forged ledger
-            ("PQ110", 22), // filling in invented counters
-        ]
-    );
-}
-
-#[test]
-fn serve_is_exempt_from_plan_cache_ownership() {
-    let src = include_str!("fixtures/serve_bad.rs");
-    let diags = lint_source("serve", "fixtures/serve_bad.rs", &sanitize(src));
-    assert_eq!(hits(&diags), vec![], "serve owns the plan cache");
-}
-
-#[test]
-fn serve_report_consumption_passes() {
-    let src = include_str!("fixtures/serve_ok.rs");
-    let diags = lint_source("core", "fixtures/serve_ok.rs", &sanitize(src));
-    assert_eq!(hits(&diags), vec![]);
-}
-
-// --------------------------------------------------------------------- PQ111
-
-#[test]
-fn observation_fabrication_reported_outside_serve_and_obs() {
-    let src = include_str!("fixtures/obs_bad.rs");
-    let diags = lint_source("core", "fixtures/obs_bad.rs", &sanitize(src));
-    assert_eq!(
-        hits(&diags),
-        vec![
-            ("PQ111", 4),  // importing QueryObs / SeriesRecorder
-            ("PQ111", 12), // constructing the recorder
-            ("PQ111", 13), // fabricating an observation
-        ]
-    );
-}
-
-#[test]
-fn serve_and_obs_are_exempt_from_observation_ownership() {
-    let src = include_str!("fixtures/obs_bad.rs");
-    for owner in ["serve", "obs"] {
-        let diags = lint_source(owner, "fixtures/obs_bad.rs", &sanitize(src));
-        assert_eq!(hits(&diags), vec![], "{owner} owns the observation path");
-    }
-}
-
-#[test]
-fn series_consumption_passes() {
-    let src = include_str!("fixtures/obs_ok.rs");
-    let diags = lint_source("core", "fixtures/obs_ok.rs", &sanitize(src));
-    assert_eq!(hits(&diags), vec![]);
-}
-
 // ---------------------------------------------------------------- PQ101/PQ102
 
 #[test]

@@ -9,6 +9,7 @@
 
 use crate::event::TraceEvent;
 use crate::recorder::Recorder;
+use crate::registry::{bucket_of, nearest_rank};
 
 /// Dense per-server load of one recorded round, reconstructed from a
 /// `RoundBegin … RoundEnd` block (elided zero-load servers filled in).
@@ -158,13 +159,9 @@ pub struct RoundSummary {
 
 /// Nearest-rank percentile of an unsorted load vector.
 fn percentile(values: &[u64], pct: u64) -> u64 {
-    if values.is_empty() {
-        return 0;
-    }
     let mut sorted = values.to_vec();
     sorted.sort_unstable();
-    let rank = (sorted.len() as u64 * pct).div_ceil(100).max(1) as usize;
-    sorted[rank - 1]
+    nearest_rank(&sorted, pct)
 }
 
 /// Summarize each round's load distribution.
@@ -235,12 +232,7 @@ pub struct HistBucket {
 /// Power-of-two load histogram of one round: bucket 0 is exactly-zero
 /// load, bucket `k ≥ 1` covers `[2^(k-1), 2^k - 1]`.
 pub fn histogram(load: &RoundLoad) -> Vec<HistBucket> {
-    let max = load.max_tuples();
-    let nbuckets = if max == 0 {
-        1
-    } else {
-        2 + max.ilog2() as usize
-    };
+    let nbuckets = 1 + bucket_of(load.max_tuples());
     let mut buckets: Vec<HistBucket> = (0..nbuckets)
         .map(|k| {
             if k == 0 {
@@ -259,8 +251,7 @@ pub fn histogram(load: &RoundLoad) -> Vec<HistBucket> {
         })
         .collect();
     for &t in &load.tuples {
-        let k = if t == 0 { 0 } else { 1 + t.ilog2() as usize };
-        buckets[k].count += 1;
+        buckets[bucket_of(t)].count += 1;
     }
     buckets
 }
@@ -556,6 +547,9 @@ mod tests {
         // Two values: rank ⌈2·50/100⌉ = 1 keeps the lower, 51 tips over.
         assert_eq!(percentile(&[10, 20], 50), 10);
         assert_eq!(percentile(&[10, 20], 51), 20);
+        // Past 100 there is no further rank to take: still the max.
+        assert_eq!(percentile(&v, 101), 100);
+        assert_eq!(percentile(&v, u64::MAX), 100);
     }
 
     #[test]

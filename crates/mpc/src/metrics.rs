@@ -32,7 +32,7 @@ use std::rc::Rc;
 use crate::context::{self, ContextGuard, Instrument};
 
 pub use crate::bound::{BoundProvider, LoadUnit, PaperBound};
-pub use crate::registry::{BoundRecord, MetricsRegistry};
+pub use crate::registry::{bucket_of, nearest_rank, percentile_rank, BoundRecord, MetricsRegistry};
 
 /// Install `registry` as this thread's metrics sink until the returned
 /// guard drops. Nesting is allowed; the innermost install wins and the

@@ -2,10 +2,12 @@
 //! histogram, and announced bounds, all fed by the simulator's
 //! [`TraceEvent`] stream.
 //!
-//! The registry is a [`TraceSink`], so it can also be filled offline
-//! from a captured `Recorder` via [`MetricsRegistry::ingest`]. Every
-//! container is a `BTreeMap` or a dense vector — iteration order is
-//! deterministic by construction (PQ001).
+//! Every container is a `BTreeMap` or a dense vector — iteration order
+//! is deterministic by construction (PQ001).
+//!
+//! The two conventions every load summary in the workspace shares live
+//! beside it: the log₂ bucketing ([`bucket_of`]) and the nearest-rank
+//! percentile ([`percentile_rank`], [`nearest_rank`]).
 
 use std::collections::BTreeMap;
 
@@ -24,6 +26,31 @@ pub struct BoundRecord {
     pub predicted_rounds: usize,
     /// Unit of `predicted_load`.
     pub unit: LoadUnit,
+}
+
+/// The log₂ bucket of `value`: 0 holds the value 0, bucket `k ≥ 1`
+/// holds `[2^(k−1), 2^k − 1]`. [`MetricsRegistry::recv_histogram`],
+/// `trace::analyze::histogram` and the serving layer's load sketch all
+/// bucket through this one function.
+pub fn bucket_of(value: u64) -> usize {
+    (u64::BITS - value.leading_zeros()) as usize
+}
+
+/// The 1-based nearest rank of the `pct`-th percentile among `len`
+/// samples: `⌈pct · len / 100⌉` clamped into `1..=len`, so `pct = 0`
+/// reads the minimum and any `pct ≥ 100` the maximum. The product is
+/// taken in `u128`; no `pct` / `len` pair overflows.
+pub fn percentile_rank(len: u64, pct: u64) -> u64 {
+    let rank = (u128::from(pct) * u128::from(len)).div_ceil(100);
+    rank.clamp(1, u128::from(len.max(1))) as u64
+}
+
+/// Nearest-rank percentile of an ascending-sorted sample; 0 when empty.
+pub fn nearest_rank(sorted: &[u64], pct: u64) -> u64 {
+    match sorted.len() {
+        0 => 0,
+        len => sorted[percentile_rank(len as u64, pct) as usize - 1],
+    }
 }
 
 /// Counters, gauges, histograms, and bound-adherence state for one
@@ -120,14 +147,6 @@ impl MetricsRegistry {
             0.0
         } else {
             1.0 - self.counter("io_misses") as f64 / reads as f64
-        }
-    }
-
-    /// Feed every event of an already-captured stream into the
-    /// registry (offline filling, e.g. from a `Recorder`).
-    pub fn ingest<'a>(&mut self, events: impl IntoIterator<Item = &'a TraceEvent>) {
-        for event in events {
-            self.observe_event(event);
         }
     }
 
@@ -228,11 +247,7 @@ impl MetricsRegistry {
     }
 
     fn bump_hist(&mut self, value: u64) {
-        let bucket = if value == 0 {
-            0
-        } else {
-            64 - value.leading_zeros() as usize
-        };
+        let bucket = bucket_of(value);
         if self.recv_hist.len() <= bucket {
             self.recv_hist.resize(bucket + 1, 0);
         }
@@ -285,6 +300,68 @@ mod tests {
         assert_eq!(reg.load_max(LoadUnit::Words), 60);
         // Round 0: max 30 over mean 15 ⇒ skew 2; round 1 is balanced.
         assert_eq!(reg.max_skew_ratio(), 2.0);
+    }
+
+    #[test]
+    fn bucket_of_splits_at_powers_of_two() {
+        assert_eq!(bucket_of(0), 0);
+        assert_eq!(bucket_of(1), 1);
+        assert_eq!((bucket_of(2), bucket_of(3)), (2, 2));
+        assert_eq!(bucket_of(4), 3);
+        assert_eq!(bucket_of(u64::MAX), 64);
+        for k in 1..64 {
+            assert_eq!(bucket_of((1 << k) - 1), k, "2^{k} - 1 closes bucket {k}");
+            assert_eq!(bucket_of(1 << k), k + 1, "2^{k} opens bucket {}", k + 1);
+        }
+    }
+
+    #[test]
+    fn nearest_rank_clamps_out_of_range_percentiles() {
+        assert_eq!(nearest_rank(&[], 99), 0);
+        assert_eq!(nearest_rank(&[7], 50), 7);
+        let sorted: Vec<u64> = (0..1000).collect();
+        // pct = 0 clamps up to rank 1; 100, 101 and u64::MAX all clamp
+        // down to the top sample (pct · len would overflow a u64).
+        for (pct, want) in [(0, 0), (50, 499), (99, 989), (100, 999), (101, 999)] {
+            assert_eq!(nearest_rank(&sorted, pct), want, "pct {pct}");
+        }
+        assert_eq!(nearest_rank(&sorted, u64::MAX), 999);
+        assert_eq!(nearest_rank(&[u64::MAX], u64::MAX), u64::MAX);
+        assert_eq!(percentile_rank(0, 50), 1, "an empty sample has no rank 0");
+        assert_eq!(percentile_rank(u64::MAX, u64::MAX), u64::MAX);
+    }
+
+    /// Naive nearest-rank reference: walk the sample counting ranks.
+    fn nearest_rank_reference(sorted: &[u64], pct: u64) -> u64 {
+        let rank = (u128::from(pct) * sorted.len() as u128)
+            .div_ceil(100)
+            .max(1) as usize;
+        let mut taken = 0usize;
+        for &v in sorted {
+            taken += 1;
+            if taken >= rank {
+                return v;
+            }
+        }
+        sorted.last().copied().unwrap_or(0)
+    }
+
+    #[test]
+    fn nearest_rank_matches_naive_reference_on_random_samples() {
+        let mut state = 0x5EEDu64;
+        for len in [1usize, 2, 3, 7, 100, 101, 997] {
+            let mut samples: Vec<u64> = (0..len)
+                .map(|_| parqp_testkit::splitmix64(&mut state) % 1_000_000)
+                .collect();
+            samples.sort_unstable();
+            for pct in [0u64, 1, 33, 50, 99, 100] {
+                assert_eq!(
+                    nearest_rank(&samples, pct),
+                    nearest_rank_reference(&samples, pct),
+                    "len={len} pct={pct}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -168,14 +168,6 @@ impl LoadReport {
         self.rounds.iter().map(RoundStats::total_words).sum()
     }
 
-    /// Sum over rounds of the per-round *maximum* tuple load.
-    ///
-    /// This is the `r × L`-style cost when rounds have unequal loads: the
-    /// critical-path communication volume through the most loaded server.
-    pub fn sum_of_round_maxima(&self) -> u64 {
-        self.rounds.iter().map(RoundStats::max_tuples).sum()
-    }
-
     /// Per-round maximum tuple loads, one entry per round.
     pub fn round_max_tuples(&self) -> Vec<u64> {
         self.rounds.iter().map(RoundStats::max_tuples).collect()
@@ -285,7 +277,6 @@ mod tests {
         assert_eq!(r.total_tuples(), 18);
         assert_eq!(r.total_words(), 36);
         assert_eq!(r.num_rounds(), 2);
-        assert_eq!(r.sum_of_round_maxima(), 12);
         assert_eq!(r.round_max_tuples(), vec![5, 7]);
     }
 

@@ -21,11 +21,10 @@
 //! function of the admission/touch sequence: least-recently-used tick
 //! first, ties broken by smallest key, so replays never diverge.
 //!
-//! Constructing a [`PlanCache`] outside `parqp-serve` is a layering
-//! violation (lint rule PQ110), the same way fabricating a
-//! `LoadReport` outside `parqp-mpc` is (PQ104): cache hits excuse
-//! queries from communication charges, so only the serving layer —
-//! whose differential tests prove the excusal sound — may grant them.
+//! Everything here but the [`CacheStats`] a report carries is
+//! `pub(crate)`: cache hits excuse queries from communication charges,
+//! so only the serving layer — whose differential tests prove the
+//! excusal sound — can grant them.
 
 use std::collections::BTreeMap;
 
@@ -34,7 +33,7 @@ use parqp_data::{KeyIndex, KeyTable, Relation};
 /// Canonical identity of a cacheable partitioned base: the template,
 /// the data-key group, and the share count `p` it was partitioned for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct CacheKey {
+pub(crate) struct CacheKey {
     /// Index into [`crate::templates::TEMPLATES`].
     pub template: usize,
     /// Data-key group.
@@ -46,7 +45,7 @@ pub struct CacheKey {
 
 /// What building one entry cost — the charges a future hit skips.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BuildCost {
+pub(crate) struct BuildCost {
     /// Logical page reads charged by the base scan.
     pub reads: u64,
     /// Words the partition exchange moved.
@@ -70,7 +69,7 @@ thread_local! {
 /// is the only constructor, so the table is always the table of these
 /// rows.
 #[derive(Debug, Clone)]
-pub struct Partition {
+pub(crate) struct Partition {
     rows: Relation,
     table: KeyTable,
 }
@@ -102,7 +101,7 @@ struct Entry {
 
 /// What [`PlanCache::insert`] did with a build.
 #[derive(Debug)]
-pub enum Admission<'c> {
+pub(crate) enum Admission<'c> {
     /// Resident now; these are the cache's partitions.
     Admitted(&'c [Partition]),
     /// Larger than the whole budget (or the cache is off): served
@@ -152,7 +151,7 @@ impl CacheStats {
 /// queries and tenants. Budget 0 disables the cache entirely (every
 /// lookup misses without being counted — the "off" differential arm).
 #[derive(Debug, Default)]
-pub struct PlanCache {
+pub(crate) struct PlanCache {
     entries: BTreeMap<CacheKey, Entry>,
     budget_tuples: u64,
     stats: CacheStats,
@@ -195,11 +194,6 @@ impl PlanCache {
                 None
             }
         }
-    }
-
-    /// The resident partitions for `key`, if any (no ledger effect).
-    pub fn get(&self, key: &CacheKey) -> Option<&[Partition]> {
-        self.entries.get(key).map(|e| e.parts.as_slice())
     }
 
     /// Admit a freshly built entry, evicting LRU entries (ties: the
@@ -255,16 +249,6 @@ impl PlanCache {
     /// The exact ledger so far.
     pub fn stats(&self) -> CacheStats {
         self.stats
-    }
-
-    /// Number of resident entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether nothing is resident.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -325,8 +309,11 @@ mod tests {
         // smallest key: template 1.
         let (p, cost) = parts(10);
         c.insert(key(3, 1), p, cost, 6);
-        assert!(c.get(&key(1, 1)).is_none(), "LRU tie-break must evict 1");
-        assert!(c.get(&key(0, 1)).is_some() && c.get(&key(2, 1)).is_some());
+        assert!(
+            !c.entries.contains_key(&key(1, 1)),
+            "LRU tie-break must evict 1"
+        );
+        assert!(c.entries.contains_key(&key(0, 1)) && c.entries.contains_key(&key(2, 1)));
         assert_eq!(c.stats().evictions, 1);
         assert_eq!(c.stats().resident_tuples, 30);
         assert_eq!(c.stats().peak_resident_tuples, 30);
@@ -342,8 +329,11 @@ mod tests {
         assert!(c.lookup(&key(0, 1), 2).is_some()); // 0 is now the newest
         let (p, cost) = parts(10);
         c.insert(key(2, 1), p, cost, 3);
-        assert!(c.get(&key(1, 1)).is_none(), "untouched entry must go");
-        assert!(c.get(&key(0, 1)).is_some());
+        assert!(
+            !c.entries.contains_key(&key(1, 1)),
+            "untouched entry must go"
+        );
+        assert!(c.entries.contains_key(&key(0, 1)));
     }
 
     #[test]
@@ -357,7 +347,7 @@ mod tests {
         );
         assert_eq!(c.stats().rejected, 1);
         assert_eq!(c.stats().insertions, 0);
-        assert!(c.is_empty());
+        assert!(c.entries.is_empty());
     }
 
     #[test]
@@ -371,7 +361,7 @@ mod tests {
             Admission::Rejected(back) if back.len() == 1
         ));
         assert_eq!(c.stats(), CacheStats::default());
-        assert_eq!(c.len(), 0);
+        assert_eq!(c.entries.len(), 0);
     }
 
     #[test]
@@ -392,8 +382,11 @@ mod tests {
         let s = c.stats();
         assert_eq!(s.resident_tuples, 20, "two keys, one copy each");
         assert_eq!(s.evictions, 0, "a replacement is not an eviction");
-        assert_eq!((c.len(), s.insertions), (2, 3));
-        assert!(c.get(&key(1, 1)).is_some(), "the bystander stays resident");
+        assert_eq!((c.entries.len(), s.insertions), (2, 3));
+        assert!(
+            c.entries.contains_key(&key(1, 1)),
+            "the bystander stays resident"
+        );
 
         let mut c = PlanCache::new(10);
         for tick in [0, 1] {
@@ -401,6 +394,9 @@ mod tests {
             c.insert(key(0, 1), p, cost, tick);
         }
         let s = c.stats();
-        assert_eq!((s.resident_tuples, s.evictions, c.len()), (10, 0, 1));
+        assert_eq!(
+            (s.resident_tuples, s.evictions, c.entries.len()),
+            (10, 0, 1)
+        );
     }
 }

@@ -9,21 +9,24 @@
 //! relation with the same hash, then probe the partitions' tables
 //! locally). The base is paid for once per build: cache off, miss, hit
 //! and rejected build all run the same probe against a
-//! [`Partition`] — only who owns it differs. A ledger mark taken before
+//! `Partition` — only who owns it differs. A ledger mark taken before
 //! each query turns the cluster's cumulative ledger into exact
-//! per-query deltas via [`Cluster::report_since`], so tenant totals
-//! reconcile with the global registry to the tuple.
+//! per-query deltas via [`Cluster::report_since`], and one store-ledger
+//! snapshot per arrival does the same for page IO. The resulting
+//! [`QueryRecord`] is all the loop produces: tenant stats and the
+//! window series are folds over the records, so they reconcile with the
+//! ledgers and the global registry to the tuple.
 
 use parqp_data::paged::{self, IoStats, StoreConfig};
 use parqp_data::Relation;
 use parqp_join::common::{hash_partition, joined_arity, probe_rows, scatter, single_stream};
 use parqp_mpc::faults::{self, FaultPlan, FaultSpec, RecoveryStrategy};
-use parqp_mpc::metrics::{self, MetricsRegistry};
+use parqp_mpc::metrics;
 use parqp_mpc::{Cluster, HashFamily, LoadReport};
-use parqp_obs::{LogHistogram, ObsConfig, QueryObs, SeriesRecorder, SeriesReport};
 
 use crate::cache::{Admission, BuildCost, CacheKey, CacheStats, Partition, PlanCache};
 use crate::report::{digest_relation, QueryRecord, ServeReport, TenantStats};
+use crate::series::{ObsConfig, SeriesReport};
 use crate::templates::{self, TEMPLATES};
 use crate::workload::{self, QueryArrival};
 
@@ -137,124 +140,46 @@ struct StreamOut {
     totals: LoadReport,
 }
 
-/// Exact load samples a tenant ledger retains before falling back to
-/// its log₂ sketch: short streams keep byte-exact percentiles, long
-/// streams stay O(buckets) instead of O(queries).
-pub(crate) const MAX_EXACT_L_SAMPLES: usize = 512;
-
-/// Per-tenant accumulation while the stream replays. Fabricating one
-/// of these outside `parqp-serve` is a layering violation (lint rule
-/// PQ110): tenant counters must come out of the cluster's ledger
-/// deltas, never be invented.
-///
-/// Load percentiles come from a bounded pair: up to
-/// [`MAX_EXACT_L_SAMPLES`] exact samples (exact nearest-rank while the
-/// tenant's stream is short) plus a [`LogHistogram`] sketch that
-/// absorbs every sample — so state is O(buckets + cap) however long
-/// the stream runs, and sketch percentiles stay within one log₂ bucket
-/// of exact (`percentile_cap_keeps_state_bounded` below).
-#[derive(Debug, Clone, Default)]
-struct TenantLedger {
-    served: u64,
-    rounds: u64,
-    tuples: u64,
-    words: u64,
-    hits: u64,
-    misses: u64,
-    l_hist: LogHistogram,
-    l_exact: Vec<u64>,
-}
-
-impl TenantLedger {
-    /// Fold one served query into the ledger.
-    fn observe(&mut self, r: &QueryRecord) {
-        self.served += 1;
-        self.rounds += r.rounds;
-        self.tuples += r.tuples;
-        self.words += r.words;
-        match r.cache {
-            "hit" => self.hits += 1,
-            "miss" => self.misses += 1,
-            _ => {}
-        }
-        self.l_hist.record(r.l);
-        if self.l_exact.len() < MAX_EXACT_L_SAMPLES {
-            self.l_exact.push(r.l);
-        }
-    }
-
-    /// Nearest-rank load percentile: exact while every sample is
-    /// retained, sketched (within one log₂ bucket) beyond the cap.
-    fn l_percentile(&self, sorted_exact: &[u64], pct: u64) -> u64 {
-        if self.served as usize <= MAX_EXACT_L_SAMPLES {
-            percentile(sorted_exact, pct)
-        } else {
-            self.l_hist.percentile(pct)
-        }
-    }
-}
-
 /// Replay `cfg`'s query stream and return the full report.
 ///
 /// Deterministic end to end: equal configurations produce byte-equal
 /// reports (records, ledgers, digests), under any execution mode and
 /// any fault plan.
 pub fn replay(cfg: &ServeConfig) -> Result<ServeReport, String> {
-    replay_into(cfg, None)
-}
-
-/// [`replay`], feeding one observation per served query to `obs` when
-/// there is one.
-fn replay_into(
-    cfg: &ServeConfig,
-    mut obs: Option<&mut SeriesRecorder>,
-) -> Result<ServeReport, String> {
     cfg.validate()?;
     let arrivals = workload::schedule(cfg);
-    let (io_parts, (mut registry, (fault_log, out))) = paged::capture(cfg.store, || {
+    let (io_parts, (registry, (fault_log, out))) = paged::capture(cfg.store, || {
         metrics::capture(|| match &cfg.faults {
             Some(f) => {
                 let plan = FaultPlan::random(cfg.seed, cfg.servers, f.horizon, &f.spec);
-                let (log, out) = faults::capture(plan, f.strategy, || {
-                    run_stream(cfg, &arrivals, obs.as_deref_mut())
-                });
+                let (log, out) = faults::capture(plan, f.strategy, || run_stream(cfg, &arrivals));
                 (Some(log), out)
             }
-            None => (None, run_stream(cfg, &arrivals, obs)),
+            None => (None, run_stream(cfg, &arrivals)),
         })
     });
-    let mut io = IoStats::default();
-    for part in &io_parts {
-        io.merge(part);
-    }
-    let tenants = tally_tenants(cfg, &out.records);
-    annotate_registry(&mut registry, &tenants, &out.cache, cfg.ticks);
     Ok(ServeReport {
         config: cfg.clone(),
+        tenants: TenantStats::fold(cfg, &out.records),
         records: out.records,
-        tenants,
         cache: out.cache,
         totals: out.totals,
-        io,
+        io: sum_io(&io_parts),
         registry,
         fault_log,
     })
 }
 
 /// Run every arrival against one long-lived cluster.
-fn run_stream(
-    cfg: &ServeConfig,
-    arrivals: &[QueryArrival],
-    mut obs: Option<&mut SeriesRecorder>,
-) -> StreamOut {
+fn run_stream(cfg: &ServeConfig, arrivals: &[QueryArrival]) -> StreamOut {
     let p = cfg.servers;
     let mut cluster = Cluster::new(p);
     let mut cache = PlanCache::new(cfg.cache_budget);
     let mut records = Vec::with_capacity(arrivals.len());
+    // The store ledger is monotone over a replay, so each query's
+    // closing snapshot opens the next one's delta.
+    let mut io_so_far = io_totals();
     for a in arrivals {
-        // Observations need the query's IO delta; an unobserved replay
-        // skips building them entirely.
-        let io_before = obs.is_some().then(io_totals);
         let key = CacheKey {
             template: a.template,
             group: a.group,
@@ -300,35 +225,14 @@ fn run_stream(
             gathered.extend_from(part);
         }
         let delta = cluster.report_since(mark);
-        if let (Some(obs), Some(io_before)) = (obs.as_deref_mut(), io_before) {
-            let io = io_totals().since(&io_before);
-            let mut per_server = vec![0u64; p];
-            let mut heaviest_round = 0u64;
-            for round in &delta.rounds {
-                heaviest_round = heaviest_round.max(round.total_tuples());
-                for (acc, t) in per_server.iter_mut().zip(&round.tuples) {
-                    *acc += t;
-                }
-            }
-            obs.record(&QueryObs {
-                serial: a.serial,
-                tick: a.tick,
-                tenant: a.tenant,
-                lookup: cache_state != "off",
-                hit: cache_state == "hit",
-                l: delta.max_load_tuples(),
-                predicted_l: heaviest_round.div_ceil(p as u64).max(1),
-                rounds: delta.num_rounds() as u64,
-                tuples: delta.total_tuples(),
-                words: delta.total_words(),
-                out_rows: gathered.len() as u64,
-                io_reads: io.reads,
-                io_misses: io.misses,
-                io_evictions: io.evictions,
-                per_server_tuples: per_server,
-            });
-        }
-        records.push(QueryRecord {
+        let io_now = io_totals();
+        let heaviest_round_tuples = delta
+            .rounds
+            .iter()
+            .map(|round| round.total_tuples())
+            .max()
+            .unwrap_or(0);
+        let mut record = QueryRecord {
             serial: a.serial,
             tick: a.tick,
             tenant: a.tenant,
@@ -341,7 +245,25 @@ fn run_stream(
             words: delta.total_words(),
             out_rows: gathered.len() as u64,
             digest: digest_relation(&gathered),
-        });
+            io: io_now.since(&io_so_far),
+            per_server_tuples: Vec::new(),
+            heaviest_round_tuples,
+        };
+        // The delta is this query's alone, so its first round's vector
+        // becomes the record's and the other rounds are added into it.
+        record.per_server_tuples = delta
+            .rounds
+            .into_iter()
+            .map(|round| round.tuples)
+            .reduce(|mut sum, round| {
+                for (acc, t) in sum.iter_mut().zip(&round) {
+                    *acc += t;
+                }
+                sum
+            })
+            .unwrap_or_default();
+        records.push(record);
+        io_so_far = io_now;
     }
     StreamOut {
         records,
@@ -350,63 +272,43 @@ fn run_stream(
     }
 }
 
-/// The paged store's cumulative IO totals summed across servers — a
-/// pure read of `paged::io_report`, monotone over a replay (nothing in
-/// the serving path resets the ledger), so two snapshots bracket a
-/// query's exact IO delta.
-fn io_totals() -> IoStats {
+/// Per-server IO ledgers summed into one.
+fn sum_io(parts: &[IoStats]) -> IoStats {
     let mut sum = IoStats::default();
-    for part in &paged::io_report() {
+    for part in parts {
         sum.merge(part);
     }
     sum
 }
 
-/// [`replay`], observed: record the per-query stream into fixed-width
-/// tick windows and return the series beside the report. The registry
-/// additionally carries `serve.window.*` gauges. Same determinism
-/// contract as [`replay`]: equal configurations (and equal window
-/// widths) produce byte-equal series under any execution mode and any
-/// fault plan's recovery (`tests/obs_invariants.rs`).
+/// The paged store's cumulative IO totals summed across servers — a
+/// pure read of `paged::io_report`, monotone over a replay (nothing in
+/// the serving path resets the ledger), so two snapshots bracket
+/// exactly the IO charged between them.
+fn io_totals() -> IoStats {
+    sum_io(&paged::io_report())
+}
+
+/// [`replay`], with its records also cut into fixed-width tick windows:
+/// the series beside the report. Same determinism contract as
+/// [`replay`]: equal configurations (and equal window widths) produce
+/// byte-equal series under any execution mode and any fault plan's
+/// recovery (`tests/obs_invariants.rs`).
 pub fn replay_observed(
     cfg: &ServeConfig,
     window_ticks: u64,
 ) -> Result<(ServeReport, SeriesReport), String> {
-    cfg.validate()?;
     if window_ticks == 0 {
         return Err("serve: --window must be at least one tick".into());
     }
-    let obs_cfg = ObsConfig {
+    let report = replay(cfg)?;
+    let shape = ObsConfig {
         window_ticks,
         ticks: cfg.ticks,
         servers: cfg.servers,
     };
-    let mut recorder = SeriesRecorder::new(obs_cfg);
-    let mut report = replay_into(cfg, Some(&mut recorder))?;
-    let series = recorder.finish();
-    annotate_window_gauges(&mut report.registry, &series);
+    let series = SeriesReport::fold(shape, &report.records);
     Ok((report, series))
-}
-
-/// Mirror the window series into registry gauges, beside the tenant
-/// and cache gauges [`annotate_registry`] sets.
-fn annotate_window_gauges(registry: &mut MetricsRegistry, series: &SeriesReport) {
-    registry.set_gauge("serve.windows", series.windows.len() as f64);
-    registry.set_gauge(
-        "serve.window.width_ticks",
-        series.config.window_ticks as f64,
-    );
-    registry.set_gauge("serve.recovery_rounds", series.recovery_rounds() as f64);
-    for w in &series.windows {
-        let base = format!("serve.window.{}", w.index);
-        registry.set_gauge(format!("{base}.served"), w.served as f64);
-        registry.set_gauge(format!("{base}.p99_l"), w.l_percentile(99) as f64);
-        registry.set_gauge(format!("{base}.hit_rate"), w.hit_rate());
-        registry.set_gauge(
-            format!("{base}.recovery_rounds"),
-            w.recovery_rounds() as f64,
-        );
-    }
 }
 
 /// Build phase: scatter the base, hash-partition it across the cluster
@@ -443,85 +345,6 @@ fn partition_by_key(cluster: &mut Cluster, h: &HashFamily, rel: &Relation) -> Ve
     let mut ex = cluster.exchange_rows(&[2]);
     hash_partition(&mut ex, 0, &frags, 0, h);
     single_stream(2, ex.finish())
-}
-
-/// Fold the per-query records into per-tenant stats.
-fn tally_tenants(cfg: &ServeConfig, records: &[QueryRecord]) -> Vec<TenantStats> {
-    let mut ledgers = vec![TenantLedger::default(); cfg.tenants];
-    for r in records {
-        ledgers[r.tenant].observe(r);
-    }
-    ledgers
-        .into_iter()
-        .enumerate()
-        .map(|(tenant, mut t)| {
-            t.l_exact.sort_unstable();
-            TenantStats {
-                tenant,
-                served: t.served,
-                rounds: t.rounds,
-                tuples: t.tuples,
-                words: t.words,
-                hits: t.hits,
-                misses: t.misses,
-                l_p50: t.l_percentile(&t.l_exact, 50),
-                l_p99: t.l_percentile(&t.l_exact, 99),
-                throughput_per_kticks: t.served * 1000 / cfg.ticks,
-            }
-        })
-        .collect()
-}
-
-/// Nearest-rank percentile of an ascending-sorted sample; 0 when empty.
-/// Rank arithmetic is u128 so no `pct`/length combination can overflow.
-pub(crate) fn percentile(sorted: &[u64], pct: u64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = (u128::from(pct) * sorted.len() as u128)
-        .div_ceil(100)
-        .max(1);
-    let idx = (rank - 1).min(sorted.len() as u128 - 1) as usize;
-    sorted[idx]
-}
-
-/// Mirror the per-tenant and cache ledgers into registry gauges, so
-/// `parqp metrics`-style consumers see serving health next to the
-/// event-derived counters.
-fn annotate_registry(
-    registry: &mut MetricsRegistry,
-    tenants: &[TenantStats],
-    cache: &CacheStats,
-    ticks: u64,
-) {
-    let mut served = 0u64;
-    for t in tenants {
-        served += t.served;
-        let base = format!("serve.tenant.{}", t.tenant);
-        registry.set_gauge(format!("{base}.served"), t.served as f64);
-        registry.set_gauge(format!("{base}.rounds"), t.rounds as f64);
-        registry.set_gauge(format!("{base}.p50_l"), t.l_p50 as f64);
-        registry.set_gauge(format!("{base}.p99_l"), t.l_p99 as f64);
-        registry.set_gauge(format!("{base}.cache_hit_rate"), t.hit_rate());
-        registry.set_gauge(
-            format!("{base}.throughput_per_kticks"),
-            t.throughput_per_kticks as f64,
-        );
-    }
-    registry.set_gauge("serve.queries_served", served as f64);
-    registry.set_gauge(
-        "serve.throughput_per_kticks",
-        (served * 1000 / ticks) as f64,
-    );
-    registry.set_gauge("serve.cache.hits", cache.hits as f64);
-    registry.set_gauge("serve.cache.misses", cache.misses as f64);
-    registry.set_gauge("serve.cache.insertions", cache.insertions as f64);
-    registry.set_gauge("serve.cache.evictions", cache.evictions as f64);
-    registry.set_gauge("serve.cache.hit_rate", cache.hit_rate());
-    registry.set_gauge(
-        "serve.cache.peak_resident_tuples",
-        cache.peak_resident_tuples as f64,
-    );
 }
 
 #[cfg(test)]
@@ -680,148 +503,6 @@ mod tests {
         ] {
             assert!(replay(&bad).is_err(), "{bad:?} must be rejected");
         }
-    }
-
-    #[test]
-    fn percentile_nearest_rank() {
-        assert_eq!(percentile(&[], 99), 0);
-        assert_eq!(percentile(&[7], 50), 7);
-        assert_eq!(percentile(&[1, 2, 3, 4], 50), 2);
-        assert_eq!(percentile(&[1, 2, 3, 4], 99), 4);
-        assert_eq!(percentile(&[1, 2, 3, 4], 100), 4);
-    }
-
-    /// Naive nearest-rank reference for the percentile property test:
-    /// count how many samples each candidate dominates.
-    fn percentile_reference(sorted: &[u64], pct: u64) -> u64 {
-        if sorted.is_empty() {
-            return 0;
-        }
-        let rank = (u128::from(pct) * sorted.len() as u128)
-            .div_ceil(100)
-            .max(1) as usize;
-        let mut taken = 0usize;
-        for &v in sorted {
-            taken += 1;
-            if taken >= rank {
-                return v;
-            }
-        }
-        *sorted.last().expect("non-empty")
-    }
-
-    #[test]
-    fn percentile_matches_naive_reference_on_random_samples() {
-        let mut state = 0x5EEDu64;
-        for len in [1usize, 2, 3, 7, 100, 101, 997] {
-            let mut samples: Vec<u64> = (0..len)
-                .map(|_| parqp_testkit::splitmix64(&mut state) % 1_000_000)
-                .collect();
-            samples.sort_unstable();
-            for pct in [0u64, 1, 33, 50, 99, 100] {
-                assert_eq!(
-                    percentile(&samples, pct),
-                    percentile_reference(&samples, pct),
-                    "len={len} pct={pct}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn percentile_pct_zero_is_the_minimum() {
-        // rank clamps to 1: pct=0 reads the smallest sample, not a
-        // panic or an out-of-range index.
-        assert_eq!(percentile(&[5, 9, 12], 0), 5);
-        assert_eq!(percentile(&[], 0), 0);
-    }
-
-    #[test]
-    fn percentile_rank_arithmetic_cannot_overflow() {
-        // u64::MAX · len would overflow the old u64 rank arithmetic;
-        // the u128 path clamps to the top sample instead.
-        let sorted: Vec<u64> = (0..1000).collect();
-        assert_eq!(percentile(&sorted, u64::MAX), 999);
-        assert_eq!(percentile(&[u64::MAX], u64::MAX), u64::MAX);
-    }
-
-    #[test]
-    fn tenant_ledger_state_is_bounded_by_the_cap() {
-        // Regression for the unbounded l_samples vector: however many
-        // queries a tenant serves, the ledger retains at most the cap
-        // of exact samples plus the fixed-size sketch.
-        let mut ledger = TenantLedger::default();
-        for serial in 0..(MAX_EXACT_L_SAMPLES as u64 * 20) {
-            ledger.observe(&QueryRecord {
-                serial,
-                tick: serial,
-                tenant: 0,
-                template: "t",
-                group: 1,
-                cache: "hit",
-                l: serial % 4096,
-                rounds: 1,
-                tuples: 2,
-                words: 4,
-                out_rows: 0,
-                digest: 0,
-            });
-        }
-        assert_eq!(ledger.served, MAX_EXACT_L_SAMPLES as u64 * 20);
-        assert!(ledger.l_exact.len() <= MAX_EXACT_L_SAMPLES);
-        assert_eq!(ledger.l_hist.count(), ledger.served);
-    }
-
-    #[test]
-    fn capped_ledger_percentiles_stay_within_one_bucket() {
-        let mut ledger = TenantLedger::default();
-        let mut all = Vec::new();
-        let mut state = 0xABu64;
-        for serial in 0..10_000u64 {
-            let l = parqp_testkit::splitmix64(&mut state) % 100_000;
-            all.push(l);
-            ledger.observe(&QueryRecord {
-                serial,
-                tick: serial,
-                tenant: 0,
-                template: "t",
-                group: 1,
-                cache: "miss",
-                l,
-                rounds: 2,
-                tuples: 2 * l,
-                words: 4 * l,
-                out_rows: 0,
-                digest: 0,
-            });
-        }
-        all.sort_unstable();
-        let mut sorted_exact = ledger.l_exact.clone();
-        sorted_exact.sort_unstable();
-        for pct in [50u64, 99] {
-            let exact = percentile(&all, pct);
-            let sketched = ledger.l_percentile(&sorted_exact, pct);
-            let bucket = |v: u64| 64 - v.leading_zeros();
-            assert_eq!(
-                bucket(exact),
-                bucket(sketched),
-                "pct {pct}: exact {exact} vs sketch {sketched}"
-            );
-        }
-    }
-
-    #[test]
-    fn observed_replay_matches_plain_replay() {
-        let plain = replay(&small()).expect("valid config");
-        let (observed, series) = replay_observed(&small(), 4).expect("valid config");
-        assert_eq!(plain.records, observed.records);
-        assert_eq!(plain.tenants, observed.tenants);
-        assert_eq!(series.served(), plain.served());
-        assert_eq!(series.rounds(), plain.totals.num_rounds() as u64);
-        assert_eq!(series.windows.len(), 5);
-        let gauges: Vec<&str> = observed.registry.gauges().map(|(name, _)| name).collect();
-        assert!(gauges.contains(&"serve.windows"));
-        assert!(gauges.contains(&"serve.window.0.served"));
     }
 
     #[test]

@@ -329,34 +329,30 @@ fn row_float(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::series::{ObsConfig, QueryObs, SeriesRecorder};
+    use crate::report::QueryRecord;
+    use crate::series::ObsConfig;
 
     fn sample() -> SeriesReport {
-        let mut rec = SeriesRecorder::new(ObsConfig {
+        let records: Vec<QueryRecord> = (0..6u64)
+            .map(|tick| {
+                let cache = if tick % 3 == 0 { "hit" } else { "miss" };
+                let mut q = QueryRecord::synthetic(tick, 8 << tick, cache);
+                q.out_rows = tick;
+                q.io.reads = 100;
+                q.io.misses = 10;
+                q.io.evictions = 1;
+                // Skewed 3:1 across the two servers; predicted_l = l / 2.
+                q.per_server_tuples = vec![12 << tick, 4 << tick];
+                q.heaviest_round_tuples = 8 << tick;
+                q
+            })
+            .collect();
+        let shape = ObsConfig {
             window_ticks: 2,
             ticks: 6,
             servers: 2,
-        });
-        for tick in 0..6u64 {
-            rec.record(&QueryObs {
-                serial: tick,
-                tick,
-                tenant: (tick % 2) as usize,
-                lookup: true,
-                hit: tick % 3 == 0,
-                l: 8 << tick,
-                predicted_l: 4 << tick,
-                rounds: if tick % 3 == 0 { 1 } else { 2 },
-                tuples: 16 << tick,
-                words: 32 << tick,
-                out_rows: tick,
-                io_reads: 100,
-                io_misses: 10,
-                io_evictions: 1,
-                per_server_tuples: vec![12 << tick, 4 << tick],
-            });
-        }
-        rec.finish()
+        };
+        SeriesReport::fold(shape, &records)
     }
 
     #[test]

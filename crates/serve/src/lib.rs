@@ -19,17 +19,24 @@
 //!   — exactly the repetition the shared cache exploits.
 //! * **Shared-plan cache** — a query's expensive phase is
 //!   hash-partitioning its template's base relation across the cluster.
-//!   [`cache::PlanCache`] keys the partitioned relation by the
-//!   canonical `(template, group, shares)` triple; hits skip the base
-//!   scan and the partition exchange entirely. Eviction is
-//!   deterministic LRU by last-used tick with an exact
-//!   hit/miss/insert/evict ledger ([`cache::CacheStats`]), mirroring
-//!   the store's page-IO ledger.
-//! * **Accounting** — every ledger round of the long-lived cluster is
-//!   attributed to exactly one query via
-//!   [`parqp_mpc::Cluster::report_since`], so per-tenant totals
-//!   reconcile *exactly* with the global [`MetricsRegistry`]
-//!   (`tests/serve_reconciliation.rs` asserts this).
+//!   The plan cache (the crate-private `cache` module) keys the
+//!   partitioned relation by the canonical `(template, group, shares)`
+//!   triple; hits skip the base scan and the partition exchange
+//!   entirely. Eviction is deterministic LRU by last-used tick with an
+//!   exact hit/miss/insert/evict ledger ([`CacheStats`]), mirroring the
+//!   store's page-IO ledger.
+//! * **Accounting** — every ledger round of the long-lived cluster and
+//!   every page read is attributed to exactly one query
+//!   ([`parqp_mpc::Cluster::report_since`], one store-ledger snapshot
+//!   per arrival) and lands in that query's [`QueryRecord`] — the only
+//!   per-query type there is. Per-tenant stats are a fold over the
+//!   records, so they reconcile *exactly* with the cluster ledger and
+//!   the global [`MetricsRegistry`] (`tests/serve_reconciliation.rs`).
+//! * **Time-series observability** — [`obs`]: the window series is a
+//!   second fold over the same records
+//!   ([`obs::SeriesReport::fold`]), and [`driver::replay_observed`] is
+//!   [`driver::replay`] plus that fold. The exporters, the `parqp dash`
+//!   dashboard and the SLO burn-rate gates are functions of the series.
 //! * **Faults under load** — an optional seeded
 //!   [`parqp_mpc::faults::FaultPlan`] fires while the stream replays;
 //!   recovery overhead lands in whichever query's rounds it inflates,
@@ -40,28 +47,28 @@
 //! cache on or off, serial or parallel, faulted or fault-free
 //! (`tests/serve_differential.rs`).
 //!
-//! Only this crate may construct plan-cache entries and tenant ledgers
-//! (lint rule PQ110 confines `PlanCache`/`TenantLedger` to `serve`, the
-//! way PQ104 confines `LoadReport` fabrication to `mpc`).
-//!
-//! * **Time-series observability** — [`driver::replay_observed`] runs
-//!   the same replay with a `parqp_obs` recorder passed down to the
-//!   stream loop: every served query is recorded as a `QueryObs` (its
-//!   exact ledger delta, cache outcome, and page-IO delta) and folded
-//!   into fixed-width tick windows. Only this crate may fabricate
-//!   observations (lint rule PQ111); consumers read the returned
-//!   `SeriesReport` — exporters, the `parqp dash` dashboard, and SLO
-//!   burn-rate gates live in `parqp-obs`.
+//! Who may build what is a visibility fact, not a lint rule: the cache
+//! types are `pub(crate)` — a hit excuses a query from communication
+//! charges, and the differential tests that prove the excusal sound
+//! cover this crate's use of it and no one else's — and [`QueryRecord`]
+//! is `#[non_exhaustive]`, so other crates read records and cannot
+//! invent one.
 //!
 //! [`MetricsRegistry`]: parqp_mpc::metrics::MetricsRegistry
 
-pub mod cache;
+mod cache;
 pub mod driver;
+pub mod obs;
 pub mod report;
 pub mod templates;
 pub mod workload;
 
-pub use cache::{CacheStats, PlanCache};
+mod export;
+mod series;
+mod sketch;
+mod slo;
+
+pub use cache::CacheStats;
 pub use driver::{replay, replay_observed, FaultSetup, ServeConfig};
 pub use report::{QueryRecord, ServeReport, TenantStats};
 pub use templates::{Template, TEMPLATES};

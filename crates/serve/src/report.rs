@@ -1,5 +1,11 @@
-//! The replay report: per-query records, per-tenant stats, and the
-//! deterministic table / JSONL renderers behind `parqp serve`.
+//! The replay report: per-query records, the per-tenant fold over
+//! them, and the deterministic table / JSONL renderers behind `parqp
+//! serve`.
+//!
+//! A [`QueryRecord`] is the only thing the stream loop produces per
+//! arrival; [`TenantStats`] here and the window series in
+//! [`crate::obs`] are both pure functions of the record slice, sharing
+//! one accumulator (`Sums`).
 //!
 //! Both renderers are pure functions of the report with fixed field
 //! order and fixed-precision floats, so byte-identical output is
@@ -13,15 +19,20 @@ use parqp_data::fasthash::FxHasher;
 use parqp_data::paged::IoStats;
 use parqp_data::Relation;
 use parqp_mpc::faults::{FaultLog, RecoveryStrategy};
-use parqp_mpc::metrics::MetricsRegistry;
+use parqp_mpc::metrics::{nearest_rank, MetricsRegistry};
 use parqp_mpc::LoadReport;
 
 use crate::cache::CacheStats;
-use crate::driver::{percentile, ServeConfig};
+use crate::driver::ServeConfig;
 
 /// One served query: where it came from, how the cache treated it, and
-/// its exact slice of the cluster ledger.
+/// its exact slice of the cluster and page-IO ledgers.
+///
+/// `#[non_exhaustive]`: other crates read records, only the replay's
+/// stream loop builds them — from `Cluster::report_since` and the store
+/// ledger — so every number downstream of a record was measured.
 #[derive(Debug, Clone, PartialEq, Eq)]
+#[non_exhaustive]
 pub struct QueryRecord {
     /// Stream serial (replay order).
     pub serial: u64,
@@ -48,6 +59,91 @@ pub struct QueryRecord {
     pub out_rows: u64,
     /// Digest of the canonicalized output.
     pub digest: u64,
+    /// Page IO while this query ran, summed across servers.
+    pub io: IoStats,
+    /// Tuples received per server across this query's rounds (length =
+    /// `p`; sums to `tuples`).
+    pub per_server_tuples: Vec<u64>,
+    /// Total tuples of this query's heaviest round.
+    pub heaviest_round_tuples: u64,
+}
+
+impl QueryRecord {
+    /// The skew-free line for this query: its heaviest round's total
+    /// spread evenly over the `p` servers (≥ 1). `l / predicted_l` is
+    /// the query's bound ratio.
+    pub fn predicted_l(&self) -> u64 {
+        let p = self.per_server_tuples.len().max(1) as u64;
+        self.heaviest_round_tuples.div_ceil(p).max(1)
+    }
+
+    /// A record no replay produced, for unit tests of the folds: one
+    /// query at `tick` with load `l` on two balanced servers (so
+    /// `predicted_l == l`), one round on a `"hit"` and two otherwise.
+    #[cfg(test)]
+    pub(crate) fn synthetic(tick: u64, l: u64, cache: &'static str) -> Self {
+        Self {
+            serial: tick,
+            tick,
+            tenant: 0,
+            template: "t",
+            group: 0,
+            cache,
+            l,
+            rounds: if cache == "hit" { 1 } else { 2 },
+            tuples: 2 * l,
+            words: 4 * l,
+            out_rows: 0,
+            digest: 0,
+            io: IoStats::default(),
+            per_server_tuples: vec![l, l],
+            heaviest_round_tuples: 2 * l,
+        }
+    }
+}
+
+/// The sums every fold over a group of records starts from: the tenant
+/// stats and the window series differ only in how they group.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Sums {
+    pub(crate) served: u64,
+    pub(crate) rounds: u64,
+    pub(crate) tuples: u64,
+    pub(crate) words: u64,
+    pub(crate) hits: u64,
+    pub(crate) misses: u64,
+}
+
+impl Sums {
+    pub(crate) fn of<'a>(records: impl IntoIterator<Item = &'a QueryRecord>) -> Self {
+        let mut sums = Self::default();
+        for q in records {
+            sums.served += 1;
+            sums.rounds += q.rounds;
+            sums.tuples += q.tuples;
+            sums.words += q.words;
+            match q.cache {
+                "hit" => sums.hits += 1,
+                "miss" => sums.misses += 1,
+                _ => {}
+            }
+        }
+        sums
+    }
+}
+
+/// Split `records` into `n ≥ 1` groups by `key` (a key past the end
+/// joins the last group), replay order kept within each.
+pub(crate) fn group_by(
+    records: &[QueryRecord],
+    n: usize,
+    key: impl Fn(&QueryRecord) -> usize,
+) -> Vec<Vec<&QueryRecord>> {
+    let mut groups = vec![Vec::new(); n];
+    for q in records {
+        groups[key(q).min(n - 1)].push(q);
+    }
+    groups
 }
 
 /// Per-tenant serving stats folded from the query records.
@@ -76,6 +172,32 @@ pub struct TenantStats {
 }
 
 impl TenantStats {
+    /// One entry per tenant of `cfg`, each a fold over that tenant's own
+    /// records; the percentiles are the exact nearest rank.
+    pub(crate) fn fold(cfg: &ServeConfig, records: &[QueryRecord]) -> Vec<TenantStats> {
+        group_by(records, cfg.tenants, |q| q.tenant)
+            .iter()
+            .enumerate()
+            .map(|(tenant, qs)| {
+                let sums = Sums::of(qs.iter().copied());
+                let mut loads: Vec<u64> = qs.iter().map(|q| q.l).collect();
+                loads.sort_unstable();
+                TenantStats {
+                    tenant,
+                    served: sums.served,
+                    rounds: sums.rounds,
+                    tuples: sums.tuples,
+                    words: sums.words,
+                    hits: sums.hits,
+                    misses: sums.misses,
+                    l_p50: nearest_rank(&loads, 50),
+                    l_p99: nearest_rank(&loads, 99),
+                    throughput_per_kticks: sums.served * 1000 / cfg.ticks,
+                }
+            })
+            .collect()
+    }
+
     /// `hits / (hits + misses)`; 0 when the cache never saw the tenant.
     pub fn hit_rate(&self) -> f64 {
         let lookups = self.hits + self.misses;
@@ -102,7 +224,8 @@ pub struct ServeReport {
     pub totals: LoadReport,
     /// The whole-replay page-IO ledger (summed across servers).
     pub io: IoStats,
-    /// The captured registry, annotated with `serve.*` gauges.
+    /// The registry captured around the replay: counters fed by the
+    /// same event stream and IO drains the ledgers above sum.
     pub registry: MetricsRegistry,
     /// What fired, when faults were injected.
     pub fault_log: Option<FaultLog>,
@@ -139,7 +262,7 @@ impl ServeReport {
     pub fn l_percentile(&self, pct: u64) -> u64 {
         let mut samples: Vec<u64> = self.records.iter().map(|q| q.l).collect();
         samples.sort_unstable();
-        percentile(&samples, pct)
+        nearest_rank(&samples, pct)
     }
 
     /// Order-sensitive digest of the whole replay: folds every query's

@@ -1,9 +1,9 @@
 //! Fixed-width windows on the logical tick clock.
 //!
-//! The serving driver emits one [`QueryObs`] per served query — the
-//! query's exact ledger delta (`Cluster::report_since`), its cache
-//! outcome, and its page-IO delta. The [`SeriesRecorder`] folds each
-//! observation into the window its arrival tick belongs to, so every
+//! A series is a fold over the replay's [`QueryRecord`]s and nothing
+//! else: [`SeriesReport::fold`] sends each record — the query's exact
+//! ledger delta (`Cluster::report_since`), its cache outcome, and its
+//! page-IO delta — to the window its arrival tick belongs to, so every
 //! counter *tiles*: summing any field across windows reproduces the
 //! whole-run ledger exactly (`tests/obs_invariants.rs` reconciles them
 //! against `LoadReport`, `CacheStats` and the IO ledger).
@@ -15,9 +15,10 @@
 //! exactly 0 on a fault-free replay, and summing to the fault log's
 //! `recovery_rounds` on a faulted one.
 
+use crate::report::{group_by, QueryRecord, Sums};
 use crate::sketch::LogHistogram;
 
-/// Shape of a recorded series: window width and run horizon.
+/// Shape of a series: window width and run horizon.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ObsConfig {
     /// Window width in ticks (≥ 1).
@@ -27,47 +28,6 @@ pub struct ObsConfig {
     pub ticks: u64,
     /// Cluster width `p` (per-server load vectors are this long).
     pub servers: usize,
-}
-
-/// One served query, as the serving driver observed it. Fabricating
-/// one of these outside `parqp-serve`/`parqp-obs` is a layering
-/// violation (lint rule PQ111): observations must come out of the
-/// cluster's ledger deltas, never be invented.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QueryObs {
-    /// Stream serial (replay order).
-    pub serial: u64,
-    /// Arrival tick (selects the window).
-    pub tick: u64,
-    /// Issuing tenant.
-    pub tenant: usize,
-    /// Whether the plan cache was consulted (false when disabled).
-    pub lookup: bool,
-    /// Whether the lookup hit.
-    pub hit: bool,
-    /// The query's load `L` in tuples (max over its rounds).
-    pub l: u64,
-    /// The skew-free line for this query: its heaviest round's total
-    /// spread evenly over `p` servers (≥ 1). `l / predicted_l` is the
-    /// query's bound ratio.
-    pub predicted_l: u64,
-    /// Ledger rounds attributed to this query (including recovery).
-    pub rounds: u64,
-    /// Total tuples this query's rounds moved.
-    pub tuples: u64,
-    /// Total words this query's rounds moved.
-    pub words: u64,
-    /// Output rows produced.
-    pub out_rows: u64,
-    /// Page-IO delta while this query ran: logical reads.
-    pub io_reads: u64,
-    /// Page-IO delta: pool misses.
-    pub io_misses: u64,
-    /// Page-IO delta: evictions.
-    pub io_evictions: u64,
-    /// Tuples received per server across this query's rounds
-    /// (length = `p`; sums to `tuples`).
-    pub per_server_tuples: Vec<u64>,
 }
 
 /// Everything one window of the series accumulated.
@@ -81,7 +41,7 @@ pub struct WindowStats {
     pub end_tick: u64,
     /// Queries served.
     pub served: u64,
-    /// Cache hits / misses among them (`lookup`-true queries only).
+    /// Cache hits among them (0 with the cache off).
     pub hits: u64,
     /// Cache misses.
     pub misses: u64,
@@ -99,7 +59,7 @@ pub struct WindowStats {
     pub l_hist: LogHistogram,
     /// The window's worst bound-ratio query, as an exact
     /// `(l, predicted_l)` pair (compared by cross-multiplication, so
-    /// no float ever enters recorder state).
+    /// no float ever enters the fold).
     pub worst_l: u64,
     /// Denominator of the worst bound ratio (0 until a query lands).
     pub worst_predicted_l: u64,
@@ -114,19 +74,22 @@ pub struct WindowStats {
 }
 
 impl WindowStats {
-    fn new(index: usize, cfg: &ObsConfig) -> Self {
+    /// Window `index` of `cfg`'s horizon, folded from the records whose
+    /// arrival tick it covers.
+    fn fold(index: usize, cfg: &ObsConfig, records: &[&QueryRecord]) -> Self {
+        let sums = Sums::of(records.iter().copied());
         let start = index as u64 * cfg.window_ticks;
-        Self {
+        let mut w = Self {
             index,
             start_tick: start,
             end_tick: (start + cfg.window_ticks).min(cfg.ticks),
-            served: 0,
-            hits: 0,
-            misses: 0,
+            served: sums.served,
+            hits: sums.hits,
+            misses: sums.misses,
             out_rows: 0,
-            rounds: 0,
-            tuples: 0,
-            words: 0,
+            rounds: sums.rounds,
+            tuples: sums.tuples,
+            words: sums.words,
             max_l: 0,
             l_hist: LogHistogram::new(),
             worst_l: 0,
@@ -135,39 +98,28 @@ impl WindowStats {
             io_misses: 0,
             io_evictions: 0,
             per_server_tuples: vec![0; cfg.servers],
-        }
-    }
-
-    fn absorb(&mut self, q: &QueryObs) {
-        self.served += 1;
-        if q.lookup {
-            if q.hit {
-                self.hits += 1;
-            } else {
-                self.misses += 1;
+        };
+        for q in records {
+            w.out_rows += q.out_rows;
+            w.max_l = w.max_l.max(q.l);
+            w.l_hist.record(q.l);
+            // worst l/pred < q.l/q.pred  ⇔  worst_l · q.pred < q.l · worst_pred
+            let pred = q.predicted_l();
+            if w.worst_predicted_l == 0
+                || u128::from(w.worst_l) * u128::from(pred)
+                    < u128::from(q.l) * u128::from(w.worst_predicted_l)
+            {
+                w.worst_l = q.l;
+                w.worst_predicted_l = pred;
+            }
+            w.io_reads += q.io.reads;
+            w.io_misses += q.io.misses;
+            w.io_evictions += q.io.evictions;
+            for (acc, t) in w.per_server_tuples.iter_mut().zip(&q.per_server_tuples) {
+                *acc += t;
             }
         }
-        self.out_rows += q.out_rows;
-        self.rounds += q.rounds;
-        self.tuples += q.tuples;
-        self.words += q.words;
-        self.max_l = self.max_l.max(q.l);
-        self.l_hist.record(q.l);
-        // worst l/pred < q.l/q.pred  ⇔  worst_l · q.pred < q.l · worst_pred
-        let pred = q.predicted_l.max(1);
-        if u128::from(self.worst_l) * u128::from(pred)
-            < u128::from(q.l) * u128::from(self.worst_predicted_l.max(1))
-            || self.worst_predicted_l == 0
-        {
-            self.worst_l = q.l;
-            self.worst_predicted_l = pred;
-        }
-        self.io_reads += q.io_reads;
-        self.io_misses += q.io_misses;
-        self.io_evictions += q.io_evictions;
-        for (acc, t) in self.per_server_tuples.iter_mut().zip(&q.per_server_tuples) {
-            *acc += t;
-        }
+        w
     }
 
     /// Window width in ticks (the last window may be short).
@@ -250,51 +202,32 @@ impl WindowStats {
     }
 }
 
-/// Folds per-query observations into windows. The serving driver's
-/// `replay_observed` builds one and feeds it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SeriesRecorder {
-    config: ObsConfig,
-    windows: Vec<WindowStats>,
-}
-
-impl SeriesRecorder {
-    /// A recorder with every window of the horizon pre-allocated (so
-    /// quiet windows still appear, and tiling is total).
-    pub fn new(mut config: ObsConfig) -> Self {
-        config.window_ticks = config.window_ticks.max(1);
-        config.ticks = config.ticks.max(1);
-        let n = config.ticks.div_ceil(config.window_ticks) as usize;
-        let windows = (0..n).map(|i| WindowStats::new(i, &config)).collect();
-        Self { config, windows }
-    }
-
-    /// Fold one observation into its arrival window (ticks past the
-    /// horizon clamp to the last window).
-    pub fn record(&mut self, q: &QueryObs) {
-        let i = ((q.tick / self.config.window_ticks) as usize).min(self.windows.len() - 1);
-        self.windows[i].absorb(q);
-    }
-
-    /// Close the series.
-    pub fn finish(self) -> SeriesReport {
-        SeriesReport {
-            config: self.config,
-            windows: self.windows,
-        }
-    }
-}
-
 /// A finished series: the windows plus the shape they were cut with.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SeriesReport {
-    /// The shape the series was recorded under.
+    /// The shape the series was cut with.
     pub config: ObsConfig,
     /// One entry per window, in tick order.
     pub windows: Vec<WindowStats>,
 }
 
 impl SeriesReport {
+    /// Cut `records` into `config`'s windows. Every window of the
+    /// horizon is present (quiet ones too, so tiling is total), a
+    /// zero width or horizon is clamped to 1, and a tick past the
+    /// horizon lands in the last window.
+    pub fn fold(mut config: ObsConfig, records: &[QueryRecord]) -> Self {
+        config.window_ticks = config.window_ticks.max(1);
+        config.ticks = config.ticks.max(1);
+        let n = config.ticks.div_ceil(config.window_ticks) as usize;
+        let windows = group_by(records, n, |q| (q.tick / config.window_ticks) as usize)
+            .iter()
+            .enumerate()
+            .map(|(i, qs)| WindowStats::fold(i, &config, qs))
+            .collect();
+        Self { config, windows }
+    }
+
     /// Queries served across all windows.
     pub fn served(&self) -> u64 {
         self.windows.iter().map(|w| w.served).sum()
@@ -345,24 +278,15 @@ impl SeriesReport {
 mod tests {
     use super::*;
 
-    fn obs(tick: u64, l: u64, hit: bool) -> QueryObs {
-        QueryObs {
-            serial: 0,
-            tick,
-            tenant: 0,
-            lookup: true,
-            hit,
-            l,
-            predicted_l: l.div_ceil(2).max(1),
-            rounds: if hit { 1 } else { 2 },
-            tuples: 2 * l,
-            words: 4 * l,
-            out_rows: 1,
-            io_reads: 10,
-            io_misses: 2,
-            io_evictions: 1,
-            per_server_tuples: vec![l, l],
-        }
+    /// A two-server record at `tick` whose skew-free line is `l / 2`.
+    fn obs(tick: u64, l: u64, hit: bool) -> QueryRecord {
+        let mut q = QueryRecord::synthetic(tick, l, if hit { "hit" } else { "miss" });
+        q.heaviest_round_tuples = l;
+        q.out_rows = 1;
+        q.io.reads = 10;
+        q.io.misses = 2;
+        q.io.evictions = 1;
+        q
     }
 
     fn cfg() -> ObsConfig {
@@ -375,7 +299,7 @@ mod tests {
 
     #[test]
     fn windows_tile_the_horizon() {
-        let r = SeriesRecorder::new(cfg()).finish();
+        let r = SeriesReport::fold(cfg(), &[]);
         assert_eq!(r.windows.len(), 3);
         assert_eq!(r.windows[0].start_tick, 0);
         for w in r.windows.windows(2) {
@@ -386,41 +310,43 @@ mod tests {
 
     #[test]
     fn ragged_last_window_is_short() {
-        let r = SeriesRecorder::new(ObsConfig {
-            window_ticks: 5,
-            ticks: 12,
-            servers: 1,
-        })
-        .finish();
+        let r = SeriesReport::fold(
+            ObsConfig {
+                window_ticks: 5,
+                ticks: 12,
+                servers: 1,
+            },
+            &[],
+        );
         assert_eq!(r.windows.len(), 3);
         assert_eq!(r.windows[2].width_ticks(), 2);
     }
 
     #[test]
     fn observations_land_in_their_tick_window() {
-        let mut rec = SeriesRecorder::new(cfg());
-        rec.record(&obs(0, 8, false));
-        rec.record(&obs(3, 16, true));
-        rec.record(&obs(4, 32, true));
-        rec.record(&obs(11, 64, false));
-        let r = rec.finish();
+        let records = [
+            obs(0, 8, false),
+            obs(3, 16, true),
+            obs(4, 32, true),
+            obs(11, 64, false),
+            obs(99, 1, true), // past the horizon: the last window's
+        ];
+        let r = SeriesReport::fold(cfg(), &records);
         assert_eq!(r.windows[0].served, 2);
         assert_eq!(r.windows[1].served, 1);
-        assert_eq!(r.windows[2].served, 1);
+        assert_eq!(r.windows[2].served, 2);
         assert_eq!(r.windows[0].hits, 1);
         assert_eq!(r.windows[0].misses, 1);
         assert_eq!(r.windows[0].max_l, 16);
         assert_eq!(r.windows[0].per_server_tuples, vec![24, 24]);
-        assert_eq!(r.served(), 4);
-        assert_eq!(r.tuples(), 2 * (8 + 16 + 32 + 64));
+        assert_eq!(r.served(), 5);
+        assert_eq!(r.tuples(), 2 * (8 + 16 + 32 + 64 + 1));
     }
 
     #[test]
     fn derived_rates_are_sane() {
-        let mut rec = SeriesRecorder::new(cfg());
-        rec.record(&obs(0, 8, false));
-        rec.record(&obs(1, 8, true));
-        let w = &rec.finish().windows[0];
+        let r = SeriesReport::fold(cfg(), &[obs(0, 8, false), obs(1, 8, true)]);
+        let w = &r.windows[0];
         assert_eq!(w.hit_rate(), 0.5);
         assert_eq!(w.io_reads, 20);
         assert!((w.io_hit_rate() - 0.8).abs() < 1e-12);
@@ -432,18 +358,16 @@ mod tests {
 
     #[test]
     fn recovery_rounds_are_the_excess_over_the_query_mix() {
-        let mut rec = SeriesRecorder::new(cfg());
         let mut q = obs(0, 8, false);
         q.rounds = 5; // build + probe + 3 recovery rounds
-        rec.record(&q);
-        let w = &rec.finish().windows[0];
+        let w = &SeriesReport::fold(cfg(), &[q]).windows[0];
         assert_eq!(w.recovery_rounds(), 3);
         assert!((w.recovery_overhead() - 1.5).abs() < 1e-12);
     }
 
     #[test]
     fn empty_windows_read_as_neutral() {
-        let r = SeriesRecorder::new(cfg()).finish();
+        let r = SeriesReport::fold(cfg(), &[]);
         let w = &r.windows[1];
         assert_eq!(w.hit_rate(), 0.0);
         assert_eq!(w.skew(), 1.0);
@@ -455,12 +379,14 @@ mod tests {
 
     #[test]
     fn zero_width_config_is_clamped() {
-        let r = SeriesRecorder::new(ObsConfig {
-            window_ticks: 0,
-            ticks: 0,
-            servers: 1,
-        })
-        .finish();
+        let r = SeriesReport::fold(
+            ObsConfig {
+                window_ticks: 0,
+                ticks: 0,
+                servers: 1,
+            },
+            &[],
+        );
         assert_eq!(r.windows.len(), 1);
     }
 }

@@ -1,20 +1,23 @@
 //! A deterministic log₂-bucketed histogram sketch.
 //!
-//! Bucket convention matches `MetricsRegistry`'s recv histogram: bucket
-//! 0 holds the value 0, bucket `k ≥ 1` holds `[2^(k−1), 2^k − 1]` —
-//! i.e. a value's bucket is `64 − leading_zeros(value)`. Because log₂
-//! bucketing is monotone, the buckets partition any sorted sample, and
+//! Buckets are `MetricsRegistry`'s recv histogram's — one [`bucket_of`],
+//! defined beside the registry: bucket 0 holds the value 0, bucket
+//! `k ≥ 1` holds `[2^(k−1), 2^k − 1]`. Because log₂ bucketing is
+//! monotone, the buckets partition any sorted sample, and
 //! walking the cumulative counts to a nearest-rank finds *exactly* the
 //! bucket that contains the rank-th sample. The sketch therefore
 //! reports a percentile in the same bucket as the exact nearest-rank
 //! percentile — the "within one log₂ bucket" guarantee
 //! `tests/obs_invariants.rs` checks against a sorted reference.
 
-/// Number of buckets: the zero bucket plus one per `u64` magnitude.
-pub const BUCKETS: usize = 65;
+pub use parqp_mpc::metrics::bucket_of;
+use parqp_mpc::metrics::percentile_rank;
 
-/// A fixed-size log₂ histogram: O([`BUCKETS`]) state however many
-/// samples it absorbs.
+/// Number of buckets: the zero bucket plus one per `u64` magnitude.
+const BUCKETS: usize = 65;
+
+/// A fixed-size log₂ histogram: 65 counters however many samples it
+/// absorbs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LogHistogram {
     counts: [u64; BUCKETS],
@@ -26,11 +29,6 @@ impl Default for LogHistogram {
     fn default() -> Self {
         Self::new()
     }
-}
-
-/// The bucket holding `value` (0 for 0, else `64 − leading_zeros`).
-pub fn bucket_of(value: u64) -> usize {
-    (64 - value.leading_zeros()) as usize
 }
 
 /// The largest value bucket `b` can hold.
@@ -89,12 +87,10 @@ impl LogHistogram {
         if self.count == 0 {
             return 0;
         }
-        let rank = (u128::from(pct) * u128::from(self.count))
-            .div_ceil(100)
-            .max(1);
-        let mut seen = 0u128;
+        let rank = percentile_rank(self.count, pct);
+        let mut seen = 0u64;
         for (b, &n) in self.counts.iter().enumerate() {
-            seen += u128::from(n);
+            seen += n;
             if seen >= rank {
                 return bucket_hi(b).min(self.max);
             }
@@ -119,15 +115,12 @@ mod tests {
     }
 
     #[test]
-    fn bucket_convention_matches_registry() {
-        assert_eq!(bucket_of(0), 0);
-        assert_eq!(bucket_of(1), 1);
-        assert_eq!(bucket_of(2), 2);
-        assert_eq!(bucket_of(3), 2);
-        assert_eq!(bucket_of(4), 3);
-        assert_eq!(bucket_of(u64::MAX), 64);
+    fn bucket_hi_is_the_largest_value_of_its_bucket() {
         for b in 0..BUCKETS {
             assert_eq!(bucket_of(bucket_hi(b)), b, "hi of bucket {b}");
+            if b < 64 {
+                assert_eq!(bucket_of(bucket_hi(b) + 1), b + 1, "hi + 1 leaves {b}");
+            }
         }
     }
 

@@ -263,7 +263,7 @@ impl SloReport {
 }
 
 impl SloRules {
-    /// Evaluate these rules against a recorded series.
+    /// Evaluate these rules against a series.
     ///
     /// (A method rather than a free `evaluate` so the name cannot be
     /// confused with the query oracle's `evaluate` — by readers or by
@@ -381,37 +381,31 @@ fn run_rule(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::series::{ObsConfig, QueryObs, SeriesRecorder};
+    use crate::report::QueryRecord;
+    use crate::series::ObsConfig;
+
+    /// One-tick windows over `records`, two servers wide.
+    fn one_tick_windows(records: &[QueryRecord]) -> SeriesReport {
+        let shape = ObsConfig {
+            window_ticks: 1,
+            ticks: records.len() as u64,
+            servers: 2,
+        };
+        SeriesReport::fold(shape, records)
+    }
 
     /// A series of one query per tick with the given loads; hit flags
     /// alternate by `hit_every`.
     fn series(loads: &[u64], hit_every: usize) -> SeriesReport {
-        let mut rec = SeriesRecorder::new(ObsConfig {
-            window_ticks: 1,
-            ticks: loads.len() as u64,
-            servers: 2,
-        });
-        for (tick, &l) in loads.iter().enumerate() {
-            let hit = hit_every > 0 && tick % hit_every == 0;
-            rec.record(&QueryObs {
-                serial: tick as u64,
-                tick: tick as u64,
-                tenant: 0,
-                lookup: true,
-                hit,
-                l,
-                predicted_l: l.max(1),
-                rounds: if hit { 1 } else { 2 },
-                tuples: 2 * l,
-                words: 4 * l,
-                out_rows: 0,
-                io_reads: 0,
-                io_misses: 0,
-                io_evictions: 0,
-                per_server_tuples: vec![l, l],
-            });
-        }
-        rec.finish()
+        let records: Vec<QueryRecord> = loads
+            .iter()
+            .enumerate()
+            .map(|(tick, &l)| {
+                let hit = hit_every > 0 && tick % hit_every == 0;
+                QueryRecord::synthetic(tick as u64, l, if hit { "hit" } else { "miss" })
+            })
+            .collect();
+        one_tick_windows(&records)
     }
 
     #[test]
@@ -491,37 +485,16 @@ mod tests {
 
     #[test]
     fn hit_rate_floor_ignores_lookupless_windows() {
-        let mut rec = SeriesRecorder::new(ObsConfig {
-            window_ticks: 1,
-            ticks: 3,
-            servers: 1,
-        });
         // Only tick 1 sees a (missing) lookup; ticks 0/2 are cache-off.
-        for tick in 0..3u64 {
-            rec.record(&QueryObs {
-                serial: tick,
-                tick,
-                tenant: 0,
-                lookup: tick == 1,
-                hit: false,
-                l: 1,
-                predicted_l: 1,
-                rounds: 2,
-                tuples: 2,
-                words: 4,
-                out_rows: 0,
-                io_reads: 0,
-                io_misses: 0,
-                io_evictions: 0,
-                per_server_tuples: vec![2],
-            });
-        }
+        let records: Vec<QueryRecord> = (0..3u64)
+            .map(|tick| QueryRecord::synthetic(tick, 1, if tick == 1 { "miss" } else { "off" }))
+            .collect();
         let rules = SloRules {
             hit_rate_floor: Some(0.9),
             slow_burn_fraction: 1.0,
             ..SloRules::default()
         };
-        let report = rules.evaluate(&rec.finish());
+        let report = rules.evaluate(&one_tick_windows(&records));
         assert_eq!(report.outcomes[0].eligible, 1);
         assert_eq!(report.outcomes[0].burned, vec![1]);
         assert!(
@@ -552,36 +525,17 @@ mod tests {
 
     #[test]
     fn recovery_overhead_rule_reads_excess_rounds() {
-        let mut rec = SeriesRecorder::new(ObsConfig {
-            window_ticks: 1,
-            ticks: 2,
-            servers: 1,
-        });
-        for (tick, rounds) in [(0u64, 2u64), (1, 6)] {
-            rec.record(&QueryObs {
-                serial: tick,
-                tick,
-                tenant: 0,
-                lookup: false,
-                hit: false,
-                l: 1,
-                predicted_l: 1,
-                rounds,
-                tuples: 2,
-                words: 4,
-                out_rows: 0,
-                io_reads: 0,
-                io_misses: 0,
-                io_evictions: 0,
-                per_server_tuples: vec![2],
-            });
-        }
+        let mut records = [
+            QueryRecord::synthetic(0, 1, "off"),
+            QueryRecord::synthetic(1, 1, "off"),
+        ];
+        records[1].rounds = 6;
         let rules = SloRules {
             recovery_overhead_cap: Some(1.0),
             fast_burn_windows: 1,
             ..SloRules::default()
         };
-        let report = rules.evaluate(&rec.finish());
+        let report = rules.evaluate(&one_tick_windows(&records));
         // Window 1: expected 2, got 6 → overhead 2.0 > 1.0 → burn, and
         // fast_burn_windows=1 promotes it to an alert.
         assert_eq!(report.outcomes[0].burned, vec![1]);

@@ -1,7 +1,10 @@
-//! Observability invariants: the window series recorded by
-//! `replay_observed` is an exact re-tiling of the serving ledgers — it
-//! invents nothing and loses nothing.
+//! Observability invariants: the window series `replay_observed`
+//! returns is an exact re-tiling of the serving ledgers — it invents
+//! nothing and loses nothing.
 //!
+//! * **A fold, by construction** — the series is `SeriesReport::fold`
+//!   over the records a plain `replay` returns, and the observed
+//!   replay's report is that replay's report.
 //! * **Tiling** — per-window served/rounds/tuples/words/out_rows and
 //!   the cache and page-IO deltas sum exactly to the `ServeReport`
 //!   ledgers the same replay produced.
@@ -22,8 +25,8 @@ use parqp::faults::FaultSpec;
 use parqp::metrics::{serve_presets, SLO_WINDOW_TICKS};
 use parqp::mpc::{exec, ExecMode};
 use parqp::obs::sketch::bucket_of;
-use parqp::obs::{SeriesReport, SloRules};
-use parqp::serve::{replay_observed, FaultSetup, ServeConfig, ServeReport};
+use parqp::obs::{ObsConfig, SeriesReport, SloRules};
+use parqp::serve::{replay, replay_observed, FaultSetup, ServeConfig, ServeReport};
 
 const WINDOW: u64 = 6;
 
@@ -59,6 +62,32 @@ fn observed(cfg: &ServeConfig) -> (ServeReport, SeriesReport) {
 }
 
 #[test]
+fn the_series_is_a_function_of_the_plain_replays_records() {
+    let cold = ServeConfig {
+        cache_budget: 0,
+        ..stream()
+    };
+    let mut small_pool = stream();
+    small_pool.store.pool_pages = 2;
+    for cfg in [stream(), cold, faulted(&stream()), small_pool] {
+        let plain = replay(&cfg).expect("valid config");
+        let (report, series) = observed(&cfg);
+        let shape = ObsConfig {
+            window_ticks: WINDOW,
+            ticks: cfg.ticks,
+            servers: cfg.servers,
+        };
+        assert_eq!(series, SeriesReport::fold(shape, &plain.records));
+        assert_eq!(series.windows.len(), 4);
+        assert_eq!(report.records, plain.records);
+        assert_eq!(report.tenants, plain.tenants);
+        assert_eq!(report.cache, plain.cache);
+        assert_eq!(report.totals, plain.totals);
+        assert_eq!(report.io, plain.io);
+    }
+}
+
+#[test]
 fn window_series_tiles_the_serving_ledgers_exactly() {
     for cfg in [stream(), faulted(&stream())] {
         let (report, series) = observed(&cfg);
@@ -80,11 +109,24 @@ fn window_series_tiles_the_serving_ledgers_exactly() {
         assert_eq!(sum(&|w| w.io_reads), report.io.reads);
         assert_eq!(sum(&|w| w.io_misses), report.io.misses);
         assert_eq!(sum(&|w| w.io_evictions), report.io.evictions);
+        // The records the windows were folded from tile the same
+        // ledgers: per-query IO deltas and per-server tuples.
+        let mut io = parqp::data::paged::IoStats::default();
+        let mut recorded = vec![0u64; cfg.servers];
+        for q in &report.records {
+            io.merge(&q.io);
+            assert_eq!(q.per_server_tuples.iter().sum::<u64>(), q.tuples);
+            for (acc, t) in recorded.iter_mut().zip(&q.per_server_tuples) {
+                *acc += t;
+            }
+        }
+        assert_eq!(io, report.io);
         // Per-server tuples tile the per-server communication volume.
-        for s in 0..cfg.servers {
+        for (s, &recorded) in recorded.iter().enumerate() {
             let windowed: u64 = series.windows.iter().map(|w| w.per_server_tuples[s]).sum();
             let ledger: u64 = report.totals.rounds.iter().map(|r| r.tuples[s]).sum();
             assert_eq!(windowed, ledger, "server {s}");
+            assert_eq!(recorded, ledger, "server {s}");
         }
     }
 }

@@ -2,8 +2,7 @@
 //! numbers. Tenant stats are folded from per-query ledger deltas
 //! (`Cluster::report_since`), so their sums must equal the whole-replay
 //! `(L, r, C)` ledger *exactly*; the captured `MetricsRegistry` counts
-//! the same event stream, so its counters must match both; and the
-//! `serve.*` gauges must mirror the tenant stats they annotate.
+//! the same event stream, so its counters must match both.
 
 use parqp::serve::{replay, FaultSetup, ServeConfig, ServeReport};
 
@@ -72,33 +71,6 @@ fn registry_counters_match_the_report_ledgers() {
     assert_eq!(r.registry.io_reads(), r.io.reads);
     assert_eq!(r.registry.counter("io_misses"), r.io.misses);
     assert_eq!(r.registry.counter("io_evictions"), r.io.evictions);
-}
-
-#[test]
-fn registry_gauges_mirror_tenant_stats() {
-    let r = replay(&stream()).expect("valid config");
-    let gauge = |name: &str| {
-        r.registry
-            .gauge(name)
-            .unwrap_or_else(|| panic!("gauge {name}"))
-    };
-    for t in &r.tenants {
-        let base = format!("serve.tenant.{}", t.tenant);
-        assert_eq!(gauge(&format!("{base}.served")), t.served as f64);
-        assert_eq!(gauge(&format!("{base}.rounds")), t.rounds as f64);
-        assert_eq!(gauge(&format!("{base}.p50_l")), t.l_p50 as f64);
-        assert_eq!(gauge(&format!("{base}.p99_l")), t.l_p99 as f64);
-        assert_eq!(gauge(&format!("{base}.cache_hit_rate")), t.hit_rate());
-        assert_eq!(
-            gauge(&format!("{base}.throughput_per_kticks")),
-            t.throughput_per_kticks as f64
-        );
-    }
-    assert_eq!(gauge("serve.queries_served"), r.served() as f64);
-    assert_eq!(gauge("serve.cache.hits"), r.cache.hits as f64);
-    assert_eq!(gauge("serve.cache.misses"), r.cache.misses as f64);
-    assert_eq!(gauge("serve.cache.evictions"), r.cache.evictions as f64);
-    assert_eq!(gauge("serve.cache.hit_rate"), r.cache.hit_rate());
 }
 
 #[test]
