@@ -31,7 +31,7 @@ pub fn run() -> Vec<Table> {
         ],
     );
     for t in [4usize, 8, 16] {
-        let run = rect_block(&a, &b, t);
+        let run = rect_block(&a, &b, t, t);
         assert!(run.c.max_abs_diff(&oracle) < 1e-9);
         let l = (2 * t * n) as u64;
         t1.row(vec![
@@ -81,10 +81,10 @@ pub fn run() -> Vec<Table> {
         ]);
     }
 
-    let ai = Matrix::random_int(32, 8, 3);
-    let bi = Matrix::random_int(32, 8, 4);
+    let ai = Matrix::random_int(32, 32, 8, 1.0, 3);
+    let bi = Matrix::random_int(32, 32, 8, 1.0, 4);
     let sql = sql_matmul(&ai, &bi, 16, 5);
-    let rect = rect_block(&ai, &bi, 8);
+    let rect = rect_block(&ai, &bi, 8, 8);
     let square = square_block(&ai, &bi, 4, 16);
     assert!(sql.c.max_abs_diff(&rect.c) < 1e-9);
     assert!(sql.c.max_abs_diff(&square.c) < 1e-9);

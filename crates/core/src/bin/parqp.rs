@@ -2,15 +2,10 @@
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // `lint` has a three-way exit contract (0 clean, 1 findings,
-    // 2 setup error) that the text-dispatch path cannot express.
-    if let Some(("lint", rest)) = args.split_first().map(|(c, r)| (c.as_str(), r)) {
-        std::process::exit(parqp::cli::lint_main(rest));
-    }
     match parqp::cli::dispatch(&args) {
         Ok(report) => print!("{report}"),
-        Err(message) => {
-            eprintln!("{message}");
+        Err(error) => {
+            eprintln!("{error}");
             std::process::exit(2);
         }
     }

@@ -11,1007 +11,60 @@
 //! parqp faults   --experiment twoway-hash --seed 42 --strategy replication
 //! ```
 //!
-//! The logic lives in [`dispatch`] (pure: args in, report text out) so
-//! it is unit-testable; `src/bin/parqp.rs` is a thin wrapper.
+//! The front end is two tables and one error type: `flags` declares
+//! every flag once (name, type, default, range) and parses argv against
+//! it, `commands` declares every command once (the flags it accepts,
+//! its usage prose, its body), and whatever goes wrong is a
+//! [`CliError`]. [`dispatch`] is pure — args in, report text out — so
+//! it is the one function a test or a fuzzer calls;
+//! `src/bin/parqp.rs` prints what it returns.
 
-use crate::planner::{plan, run_plan};
-use parqp_data::io::{read_relation, write_relation};
-use parqp_data::Relation;
-use parqp_query::parse_query;
-use std::fmt::Write as _;
+mod commands;
+mod error;
+mod flags;
+
+pub use error::CliError;
+
+use commands::COMMANDS;
 
 /// Run one CLI invocation. `args` excludes the program name. Returns the
-/// report to print on success, or an error message (exit code 2).
-pub fn dispatch(args: &[String]) -> Result<String, String> {
-    let Some((cmd, rest)) = args.split_first() else {
-        return Err(usage());
+/// report to print on success; any error is exit code 2.
+pub fn dispatch(args: &[String]) -> Result<String, CliError> {
+    let Some((name, rest)) = args.split_first() else {
+        return Err(CliError::Usage(usage()));
     };
-    // `lint` owns its own tiny flag set and installs no execution mode;
-    // the binary routes it before dispatch for the 0/1/2 exit contract,
-    // this arm keeps it reachable in-process (tests, help discovery).
-    if cmd == "lint" {
-        let (body, code) = lint_run(rest);
-        return if code == 0 { Ok(body) } else { Err(body) };
+    if matches!(name.as_str(), "--help" | "-h" | "help") {
+        return Ok(usage());
     }
-    let opts = Opts::parse(rest)?;
+    let Some(command) = COMMANDS.iter().find(|c| c.name == name) else {
+        let message = format!("unknown command {name:?}\n{}", usage());
+        return Err(CliError::Usage(message));
+    };
+    let args = flags::parse(command.name, command.flags, rest)?;
     // Install the execution mode for the whole invocation: every Cluster
     // any command constructs snapshots it, so `--exec parallel` applies
     // uniformly to trace, faults, metrics, run, … The guard restores the
     // caller's mode on return (dispatch is re-entrant in tests).
-    let _exec = parqp_mpc::exec::install(opts.exec_mode()?).map_err(|e| e.to_string())?;
-    // `--page-size`/`--pool-pages` install a paged store the same way;
-    // `store` and `serve` manage their own (store runs both modes to
-    // compare them, serve captures per-replay IO ledgers).
-    let _store = if cmd == "store" || cmd == "serve" || cmd == "dash" {
-        None
-    } else {
-        opts.store_config().map(parqp_data::paged::install)
+    let _exec = parqp_mpc::exec::install(commands::exec_mode(&args)?)?;
+    // `--page-size`/`--pool-pages` install a paged store the same way,
+    // around every command that does not manage its own.
+    let _store = match commands::store_config(&args) {
+        Some(cfg) if command.paged => Some(parqp_data::paged::install(cfg)),
+        _ => None,
     };
-    match cmd.as_str() {
-        "analyze" => analyze(&opts),
-        "plan" => plan_cmd(&opts, false),
-        "run" => plan_cmd(&opts, true),
-        "stats" => stats(&opts),
-        "generate" => generate(&opts),
-        "trace" => trace_cmd(&opts),
-        "faults" => faults_cmd(&opts),
-        "metrics" => metrics_cmd(&opts),
-        "store" => store_cmd(&opts),
-        "serve" => serve_cmd(&opts),
-        "dash" => dash_cmd(&opts),
-        "--help" | "-h" | "help" => Ok(usage()),
-        other => Err(format!("unknown command {other:?}\n{}", usage())),
-    }
+    (command.body)(&args)
 }
 
-/// `parqp lint` front door: run the in-tree static analyzer over the
-/// workspace. Shared by [`dispatch`] (in-process tests) and
-/// [`lint_main`] (the binary, which needs the three-way exit code).
-/// Returns the report text plus the exit code: 0 clean, 1 findings,
-/// 2 setup error.
-fn lint_run(args: &[String]) -> (String, i32) {
-    let mut json = false;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--format" => match it.next().map(String::as_str) {
-                Some("json") => json = true,
-                Some("text") => json = false,
-                other => {
-                    let got = other.unwrap_or("nothing");
-                    return (
-                        format!("parqp lint: --format wants text|json, got \"{got}\"\n"),
-                        2,
-                    );
-                }
-            },
-            other => {
-                return (
-                    format!(
-                        "parqp lint: unknown option {other:?} (only --format text|json here; \
-                         use `cargo run -p parqp-lint` for --fix-baseline and friends)\n"
-                    ),
-                    2,
-                )
-            }
-        }
-    }
-    let root = parqp_lint::workspace_root();
-    let report = match parqp_lint::load_baseline(&root)
-        .and_then(|baseline| parqp_lint::lint_workspace(&root, Some(&baseline)))
-    {
-        Ok(report) => report,
-        Err(e) => return (format!("parqp lint: {e}\n"), 2),
-    };
-    let code = if report.diagnostics.is_empty() { 0 } else { 1 };
-    if json {
-        return (parqp_lint::render_json(&report), code);
-    }
-    let mut s = String::new();
-    for d in &report.diagnostics {
-        let _ = writeln!(s, "{d}");
-    }
-    if code == 0 {
-        let _ = writeln!(
-            s,
-            "parqp-lint: clean ({} files, {} crates)",
-            report.files_scanned,
-            report.panic_counts.len()
-        );
-    } else {
-        let _ = writeln!(s, "parqp-lint: {} finding(s)", report.diagnostics.len());
-    }
-    (s, code)
-}
-
-/// Binary entry point for `parqp lint`: prints the report and returns
-/// the process exit code (0 = clean, 1 = findings, 2 = setup error) —
-/// the plain [`dispatch`] path can only express success-or-2.
-pub fn lint_main(args: &[String]) -> i32 {
-    let (body, code) = lint_run(args);
-    if code == 0 {
-        print!("{body}");
-    } else {
-        eprint!("{body}");
-    }
-    code
-}
-
+/// The usage text, assembled from the command table's rows.
 fn usage() -> String {
-    "usage: parqp <analyze|plan|run|stats|generate|trace|faults|metrics|store|serve|dash|lint> [options]\n\
-     \n\
-     analyze  --query Q                         τ*, ψ*, acyclicity, bounds\n\
-     plan     --query Q --data F... [--servers P]   planner decision only\n\
-     run      --query Q --data F... [--servers P] [--seed S] [--out F]\n\
-     stats    --data F [--servers P]            degrees & heavy hitters\n\
-     generate --kind uniform|zipf|graph --rows N [--domain D] [--alpha A]\n\
-              [--seed S] --out F                write a synthetic relation\n\
-     trace    --experiment E [--servers P] [--seed S] [--out F]\n\
-              [--format summary|heatmap|jsonl|chrome]\n\
-              trace a named experiment (no --experiment: list them)\n\
-     faults   --experiment E [--servers P] [--seed S] [--out F]\n\
-              [--strategy checkpoint|replication] [--every K] [--replicas R]\n\
-              [--crashes N] [--drops N] [--duplicates N] [--stragglers N]\n\
-              [--horizon H] [--format summary|heatmap|jsonl|chrome]\n\
-              run a named experiment under a seeded fault plan and\n\
-              report recovery overhead (no --experiment: list them)\n\
-     metrics  [--seed S] [--format table|json] [--out F]\n\
-              [--check BENCH_parqp.json]\n\
-              measure L, rounds, bound adherence and page IO of every\n\
-              experiment at p = 8, 27, 64; --check gates every count\n\
-              against the committed document\n\
-     store    [--servers P] [--seed S] [--page-size W] [--pool-pages N]\n\
-              [--out F]\n\
-              run every experiment unpaged and under the paged store\n\
-              and verify digests, ledgers and traces are byte-identical;\n\
-              reports per-experiment page-IO (reads, misses, evictions)\n\
-     serve    [--servers P] [--seed S] [--tenants T] [--templates K]\n\
-              [--groups G] [--ticks N] [--zipf-q A] [--zipf-data A]\n\
-              [--cache-budget B] [--faults] [--verify]\n\
-              [--format table|jsonl] [--out F]\n\
-              replay a seeded multi-tenant query stream against one\n\
-              long-lived cluster with shared-plan caching and exact\n\
-              per-tenant ledgers; --cache-budget 0 disables the cache,\n\
-              --faults injects a seeded fault plan under load (same\n\
-              --strategy/--crashes/... flags as `faults`), --verify\n\
-              re-runs cache-off and fails on any per-query digest\n\
-              divergence; --obs records a per-window time series\n\
-              (--window W ticks each, default 8) — table format appends\n\
-              the ASCII dashboard, jsonl appends the window series, and\n\
-              --format prom emits Prometheus text exposition; --slo F\n\
-              evaluates the rules file against the series and exits\n\
-              nonzero on a burn-rate alert (implies --obs)\n\
-     dash     [--preset steady|cold|faulted] [--window W] [--seed S]\n\
-              [--format dash|jsonl|prom] [--out F]\n\
-              render the serving dashboard (sparklines + per-server\n\
-              heatmap) for a named serve preset — the same presets the\n\
-              metrics gate measures\n\
-     lint     [--format text|json]\n\
-              run the in-tree static analyzer (determinism, layering,\n\
-              panic-surface and offline rules) over the workspace;\n\
-              exits 0 clean, 1 findings, 2 setup error\n\
-     \n\
-     global   --exec serial|parallel [--workers N]\n\
-              run every server's per-round compute on a worker pool\n\
-              (N = 0 or omitted: all cores, at most 1024); output is\n\
-              byte-identical to serial mode\n\
-              --page-size W --pool-pages N\n\
-              run the command against the paged store (W words per page,\n\
-              N resident pages per server); output is byte-identical to\n\
-              the unpaged run, only the page-IO ledger changes\n"
-        .into()
-}
-
-/// Ceiling on `--workers`: far above any core count, far below any
-/// host's thread limit. A refused spawn comes back as a typed error,
-/// but a thread that starts and then cannot map its guard page aborts
-/// the whole process from inside the runtime, which nothing can catch
-/// — so an absurd request has to be a parse error.
-const MAX_WORKERS: usize = 1024;
-
-/// Parsed `--key value` options.
-struct Opts {
-    query: Option<String>,
-    data: Vec<String>,
-    servers: usize,
-    seed: u64,
-    out: Option<String>,
-    kind: Option<String>,
-    rows: usize,
-    domain: u64,
-    alpha: f64,
-    experiment: Option<String>,
-    format: Option<String>,
-    strategy: Option<String>,
-    every: usize,
-    replicas: usize,
-    crashes: usize,
-    drops: usize,
-    duplicates: usize,
-    stragglers: usize,
-    horizon: usize,
-    check: Option<String>,
-    exec: Option<String>,
-    workers: usize,
-    page_size: Option<usize>,
-    pool_pages: Option<usize>,
-    tenants: usize,
-    templates: usize,
-    groups: usize,
-    ticks: u64,
-    zipf_q: f64,
-    zipf_data: f64,
-    cache_budget: u64,
-    faults: bool,
-    verify: bool,
-    obs: bool,
-    window: u64,
-    slo: Option<String>,
-    preset: Option<String>,
-}
-
-impl Opts {
-    fn parse(args: &[String]) -> Result<Self, String> {
-        let mut o = Opts {
-            query: None,
-            data: Vec::new(),
-            servers: 64,
-            seed: 42,
-            out: None,
-            kind: None,
-            rows: 10_000,
-            domain: 1000,
-            alpha: 1.0,
-            experiment: None,
-            format: None,
-            strategy: None,
-            every: 4,
-            replicas: 3,
-            crashes: 1,
-            drops: 1,
-            duplicates: 1,
-            stragglers: 1,
-            horizon: 8,
-            check: None,
-            exec: None,
-            workers: 0,
-            page_size: None,
-            pool_pages: None,
-            tenants: 4,
-            templates: 3,
-            groups: 12,
-            ticks: 120,
-            zipf_q: 1.1,
-            zipf_data: 1.2,
-            cache_budget: 120_000,
-            faults: false,
-            verify: false,
-            obs: false,
-            window: 8,
-            slo: None,
-            preset: None,
-        };
-        let mut it = args.iter().peekable();
-        while let Some(flag) = it.next() {
-            let mut value = |name: &str| -> Result<String, String> {
-                it.next()
-                    .cloned()
-                    .ok_or_else(|| format!("{name} requires a value"))
-            };
-            match flag.as_str() {
-                "--query" => o.query = Some(value("--query")?),
-                "--data" => {
-                    o.data.push(value("--data")?);
-                    // allow space-separated file lists after --data
-                    while let Some(next) = it.peek() {
-                        if next.starts_with("--") {
-                            break;
-                        }
-                        o.data.push(it.next().expect("peeked").clone());
-                    }
-                }
-                "--servers" | "-p" => {
-                    o.servers = value(flag)?
-                        .parse()
-                        .map_err(|e| format!("--servers: {e}"))?;
-                }
-                "--seed" => {
-                    o.seed = value("--seed")?
-                        .parse()
-                        .map_err(|e| format!("--seed: {e}"))?
-                }
-                "--out" => o.out = Some(value("--out")?),
-                "--kind" => o.kind = Some(value("--kind")?),
-                "--rows" => {
-                    o.rows = value("--rows")?
-                        .parse()
-                        .map_err(|e| format!("--rows: {e}"))?
-                }
-                "--domain" => {
-                    o.domain = value("--domain")?
-                        .parse()
-                        .map_err(|e| format!("--domain: {e}"))?;
-                }
-                "--alpha" => {
-                    o.alpha = value("--alpha")?
-                        .parse()
-                        .map_err(|e| format!("--alpha: {e}"))?;
-                }
-                "--experiment" => o.experiment = Some(value("--experiment")?),
-                "--format" => o.format = Some(value("--format")?),
-                "--strategy" => o.strategy = Some(value("--strategy")?),
-                "--check" => o.check = Some(value("--check")?),
-                "--exec" => o.exec = Some(value("--exec")?),
-                "--workers" => {
-                    o.workers = value("--workers")?
-                        .parse()
-                        .map_err(|e| format!("--workers: {e}"))?;
-                    if o.workers > MAX_WORKERS {
-                        return Err(format!(
-                            "--workers: at most {MAX_WORKERS} (got {})",
-                            o.workers
-                        ));
-                    }
-                }
-                "--page-size" => {
-                    o.page_size = Some(
-                        value("--page-size")?
-                            .parse()
-                            .map_err(|e| format!("--page-size: {e}"))?,
-                    );
-                }
-                "--pool-pages" => {
-                    o.pool_pages = Some(
-                        value("--pool-pages")?
-                            .parse()
-                            .map_err(|e| format!("--pool-pages: {e}"))?,
-                    );
-                }
-                "--tenants" => {
-                    o.tenants = value("--tenants")?
-                        .parse()
-                        .map_err(|e| format!("--tenants: {e}"))?;
-                }
-                "--templates" => {
-                    o.templates = value("--templates")?
-                        .parse()
-                        .map_err(|e| format!("--templates: {e}"))?;
-                }
-                "--groups" => {
-                    o.groups = value("--groups")?
-                        .parse()
-                        .map_err(|e| format!("--groups: {e}"))?;
-                }
-                "--ticks" => {
-                    o.ticks = value("--ticks")?
-                        .parse()
-                        .map_err(|e| format!("--ticks: {e}"))?;
-                }
-                "--zipf-q" => {
-                    o.zipf_q = value("--zipf-q")?
-                        .parse()
-                        .map_err(|e| format!("--zipf-q: {e}"))?;
-                }
-                "--zipf-data" => {
-                    o.zipf_data = value("--zipf-data")?
-                        .parse()
-                        .map_err(|e| format!("--zipf-data: {e}"))?;
-                }
-                "--cache-budget" => {
-                    o.cache_budget = value("--cache-budget")?
-                        .parse()
-                        .map_err(|e| format!("--cache-budget: {e}"))?;
-                }
-                "--faults" => o.faults = true,
-                "--verify" => o.verify = true,
-                "--obs" => o.obs = true,
-                "--window" => {
-                    o.window = value("--window")?
-                        .parse()
-                        .map_err(|e| format!("--window: {e}"))?;
-                }
-                "--slo" => o.slo = Some(value("--slo")?),
-                "--preset" => o.preset = Some(value("--preset")?),
-                "--every" | "--replicas" | "--crashes" | "--drops" | "--duplicates"
-                | "--stragglers" | "--horizon" => {
-                    let parsed: usize = value(flag)?.parse().map_err(|e| format!("{flag}: {e}"))?;
-                    match flag.as_str() {
-                        "--every" => o.every = parsed,
-                        "--replicas" => o.replicas = parsed,
-                        "--crashes" => o.crashes = parsed,
-                        "--drops" => o.drops = parsed,
-                        "--duplicates" => o.duplicates = parsed,
-                        "--stragglers" => o.stragglers = parsed,
-                        _ => o.horizon = parsed,
-                    }
-                }
-                other => return Err(format!("unknown option {other:?}")),
-            }
-        }
-        if o.servers == 0 {
-            return Err("--servers must be positive".into());
-        }
-        if o.page_size == Some(0) {
-            return Err("--page-size must be positive".into());
-        }
-        if o.pool_pages == Some(0) {
-            return Err("--pool-pages must be positive".into());
-        }
-        Ok(o)
+    let names: Vec<&str> = COMMANDS.iter().map(|c| c.name).collect();
+    let mut s = format!("usage: parqp <{}> [options]\n\n", names.join("|"));
+    for command in COMMANDS {
+        s.push_str(command.usage);
     }
-
-    /// The execution mode requested by `--exec`/`--workers`.
-    fn exec_mode(&self) -> Result<parqp_mpc::ExecMode, String> {
-        match self.exec.as_deref().unwrap_or("serial") {
-            "serial" => Ok(parqp_mpc::ExecMode::Serial),
-            "parallel" => Ok(parqp_mpc::ExecMode::Parallel {
-                workers: self.workers,
-            }),
-            other => Err(format!("unknown --exec {other:?} (serial|parallel)")),
-        }
-    }
-
-    /// The recovery strategy requested by `--strategy`/`--every`/
-    /// `--replicas` (shared by `faults` and `serve --faults`).
-    fn recovery_strategy(&self) -> Result<crate::faults::RecoveryStrategy, String> {
-        match self.strategy.as_deref().unwrap_or("checkpoint") {
-            "checkpoint" => Ok(crate::faults::RecoveryStrategy::Checkpoint {
-                every: self.every.max(1),
-            }),
-            "replication" => Ok(crate::faults::RecoveryStrategy::Replication {
-                replicas: self.replicas.max(1),
-            }),
-            other => Err(format!(
-                "unknown --strategy {other:?} (checkpoint|replication)"
-            )),
-        }
-    }
-
-    /// The fault specification requested by `--crashes`/`--drops`/
-    /// `--duplicates`/`--stragglers`.
-    fn fault_spec(&self) -> crate::faults::FaultSpec {
-        crate::faults::FaultSpec {
-            crashes: self.crashes,
-            drops: self.drops,
-            duplicates: self.duplicates,
-            stragglers: self.stragglers,
-            max_batch: 8,
-        }
-    }
-
-    /// The paged-store configuration requested by `--page-size`/
-    /// `--pool-pages`, `None` when neither flag was given (unpaged).
-    fn store_config(&self) -> Option<parqp_data::paged::StoreConfig> {
-        if self.page_size.is_none() && self.pool_pages.is_none() {
-            return None;
-        }
-        let defaults = parqp_data::paged::StoreConfig::default();
-        Some(parqp_data::paged::StoreConfig {
-            page_size: self.page_size.unwrap_or(defaults.page_size),
-            pool_pages: self.pool_pages.unwrap_or(defaults.pool_pages),
-        })
-    }
-}
-
-fn require_query(o: &Opts) -> Result<parqp_query::Query, String> {
-    let src = o.query.as_ref().ok_or("--query is required")?;
-    parse_query(src).map_err(|e| e.to_string())
-}
-
-fn analyze(o: &Opts) -> Result<String, String> {
-    let q = require_query(o)?;
-    let h = q.hypergraph();
-    let tau = crate::model::tau_star(&q);
-    let psi = parqp_query::psi_star(&q);
-    let rho = parqp_lp::fractional_edge_cover(&h).value;
-    let acyclic = parqp_query::Ghd::join_tree(&q).is_some();
-    let p = o.servers as f64;
-    let mut s = String::new();
-    let _ = writeln!(s, "query     : {q}");
-    let _ = writeln!(
-        s,
-        "atoms     : {}, variables: {}",
-        q.num_atoms(),
-        q.num_vars()
-    );
-    let _ = writeln!(s, "acyclic   : {acyclic}");
-    let _ = writeln!(
-        s,
-        "τ* (packing) : {tau}   — skew-free 1-round L = IN/p^(1/τ*)"
-    );
-    let _ = writeln!(s, "ψ* (skew)    : {psi}   — skewed 1-round L = IN/p^(1/ψ*)");
-    let _ = writeln!(s, "ρ* (cover)   : {rho}   — AGM bound |OUT| ≤ IN^(ρ*)");
-    let _ = writeln!(
-        s,
-        "at p = {}: speedup p^(1/τ*) = {:.2}; 2× speedup needs {:.0}× more servers",
-        o.servers,
-        crate::model::hypercube_speedup(p, tau),
-        crate::model::processors_for_double_speedup(tau)
-    );
-    if acyclic {
-        let _ = writeln!(
-            s,
-            "GYM wins while OUT < p^(1-1/τ*)·IN − IN (slide 78 crossover)"
-        );
-    }
-    Ok(s)
-}
-
-fn load_data(o: &Opts, q: &parqp_query::Query) -> Result<Vec<Relation>, String> {
-    if o.data.len() != q.num_atoms() {
-        return Err(format!(
-            "--data needs {} file(s) (one per atom), got {}",
-            q.num_atoms(),
-            o.data.len()
-        ));
-    }
-    o.data
-        .iter()
-        .zip(q.atoms())
-        .map(|(f, atom)| {
-            let rel = read_relation(f).map_err(|e| format!("{f}: {e}"))?;
-            if rel.arity() != atom.arity() {
-                return Err(format!(
-                    "{f}: atom {atom} has arity {}, file has {} columns",
-                    atom.arity(),
-                    rel.arity()
-                ));
-            }
-            Ok(rel)
-        })
-        .collect()
-}
-
-fn plan_cmd(o: &Opts, execute: bool) -> Result<String, String> {
-    let q = require_query(o)?;
-    let rels = load_data(o, &q)?;
-    let d = plan(&q, &rels, o.servers);
-    let mut s = String::new();
-    let _ = writeln!(s, "query    : {q}");
-    let _ = writeln!(s, "strategy : {:?}", d.strategy);
-    let _ = writeln!(s, "reason   : {}", d.reason);
-    if execute {
-        let run = run_plan(&q, &rels, o.servers, o.seed, &d.strategy);
-        let _ = writeln!(
-            s,
-            "cost     : L = {} tuples, r = {}, C = {} tuples on p = {}",
-            run.report.max_load_tuples(),
-            run.report.num_rounds(),
-            run.report.total_tuples(),
-            o.servers
-        );
-        let _ = writeln!(s, "output   : {} tuples", run.output_size());
-        if let Some(out) = &o.out {
-            let gathered = run.gathered();
-            write_relation(&gathered, out).map_err(|e| format!("{out}: {e}"))?;
-            let _ = writeln!(s, "written  : {out}");
-        }
-    }
-    Ok(s)
-}
-
-fn stats(o: &Opts) -> Result<String, String> {
-    let file = o.data.first().ok_or("--data is required")?;
-    let rel = read_relation(file).map_err(|e| format!("{file}: {e}"))?;
-    let mut s = String::new();
-    let _ = writeln!(s, "file    : {file}");
-    let _ = writeln!(s, "tuples  : {}, arity: {}", rel.len(), rel.arity());
-    let threshold = ((rel.len() / o.servers) as u64).max(1);
-    for col in 0..rel.arity() {
-        let degrees = parqp_data::stats::degree_counts(&rel, col);
-        let distinct = degrees.len();
-        let maxd = degrees.values().copied().max().unwrap_or(0);
-        let heavy = degrees.values().filter(|&&d| d >= threshold).count();
-        let _ = writeln!(
-            s,
-            "col {col}  : {distinct} distinct, max degree {maxd}, \
-             {heavy} heavy hitter(s) at threshold {threshold} (IN/p, p = {})",
-            o.servers
-        );
-    }
-    Ok(s)
-}
-
-fn generate(o: &Opts) -> Result<String, String> {
-    let kind = o.kind.as_deref().ok_or("--kind is required")?;
-    let out = o.out.as_ref().ok_or("--out is required")?;
-    let rel = match kind {
-        "uniform" => parqp_data::generate::uniform(2, o.rows, o.domain.max(1), o.seed),
-        "zipf" => {
-            parqp_data::generate::zipf_pairs(o.rows, o.domain.max(1) as usize, o.alpha, 0, o.seed)
-        }
-        "graph" => parqp_data::generate::random_graph(o.domain.max(2), o.rows, o.seed),
-        other => return Err(format!("unknown --kind {other:?} (uniform|zipf|graph)")),
-    };
-    write_relation(&rel, out).map_err(|e| format!("{out}: {e}"))?;
-    Ok(format!("wrote {} tuples to {out}\n", rel.len()))
-}
-
-fn trace_cmd(o: &Opts) -> Result<String, String> {
-    use crate::trace::{analyze, export};
-
-    let Some(name) = o.experiment.as_deref() else {
-        let mut s = String::from("available experiments (--experiment <name>):\n");
-        for e in crate::observe::EXPERIMENTS {
-            let _ = writeln!(s, "  {:<20} {}", e.name, e.description);
-        }
-        return Ok(s);
-    };
-    let run = crate::observe::run_experiment_full(name, o.servers, o.seed)?;
-    let rec = &run.recorder;
-    let body = match o.format.as_deref().unwrap_or("summary") {
-        "summary" => {
-            let loads = analyze::round_loads(rec);
-            let totals = analyze::totals(rec);
-            let mut s = format!(
-                "experiment {name} on p = {} (seed {}): {} round(s), \
-                 {} tuples, {} words\n",
-                o.servers, o.seed, totals.rounds, totals.tuples, totals.words
-            );
-            s.push_str(&analyze::summary_table(&loads));
-            let _ = writeln!(s, "output     : digest {:#018x}", run.digest);
-            s
-        }
-        "heatmap" => analyze::heatmap(&analyze::round_loads(rec), 16),
-        "jsonl" => export::jsonl(rec),
-        "chrome" => export::chrome_trace(rec),
-        other => {
-            return Err(format!(
-                "unknown --format {other:?} (summary|heatmap|jsonl|chrome)"
-            ))
-        }
-    };
-    if let Some(out) = &o.out {
-        std::fs::write(out, &body).map_err(|e| format!("{out}: {e}"))?;
-        Ok(format!("wrote {} bytes to {out}\n", body.len()))
-    } else {
-        Ok(body)
-    }
-}
-
-fn faults_cmd(o: &Opts) -> Result<String, String> {
-    use crate::faults::{capture, FaultPlan, RecoveryStrategy};
-    use crate::trace::{analyze, export};
-
-    let Some(name) = o.experiment.as_deref() else {
-        let mut s = String::from("available experiments (--experiment <name>):\n");
-        for e in crate::observe::EXPERIMENTS {
-            let _ = writeln!(s, "  {:<20} {}", e.name, e.description);
-        }
-        return Ok(s);
-    };
-    let strategy = o.recovery_strategy()?;
-    let plan = FaultPlan::random(o.seed, o.servers, o.horizon, &o.fault_spec());
-    let clean = crate::observe::run_experiment_full(name, o.servers, o.seed)?;
-    let (log, faulty) = capture(plan.clone(), strategy, || {
-        crate::observe::run_experiment_full(name, o.servers, o.seed)
-    });
-    let faulty = faulty?;
-    let body = match o.format.as_deref().unwrap_or("summary") {
-        "summary" => {
-            let mut s = format!(
-                "experiment {name} on p = {} (seed {}), strategy {}\n",
-                o.servers,
-                o.seed,
-                match strategy {
-                    RecoveryStrategy::Checkpoint { every } => format!("checkpoint(every {every})"),
-                    RecoveryStrategy::Replication { replicas } =>
-                        format!("replication(r = {replicas})"),
-                }
-            );
-            let _ = writeln!(
-                s,
-                "fault plan : {} scheduled over a {}-round horizon",
-                plan.len(),
-                o.horizon
-            );
-            for (round, server, kind) in plan.schedule() {
-                let _ = writeln!(s, "  round {round:>2} server {server:>3}: {kind}");
-            }
-            let _ = writeln!(s, "fired      : {} fault(s)", log.fired());
-            for f in &log.injected {
-                let _ = writeln!(
-                    s,
-                    "  ledger round {:>2} server {:>3}: {}",
-                    f.round, f.server, f.kind
-                );
-            }
-            for (label, run) in [("clean", &clean), ("faulty", &faulty)] {
-                let _ = writeln!(
-                    s,
-                    "{label:<11}: L = {} tuples, r = {}, C = {} tuples",
-                    run.report.max_load_tuples(),
-                    run.report.num_rounds(),
-                    run.report.total_tuples(),
-                );
-            }
-            let _ = writeln!(
-                s,
-                "recovery   : +{} round(s), +{} tuples, +{} words charged",
-                log.recovery_rounds, log.recovery_tuples, log.recovery_words
-            );
-            let _ = writeln!(
-                s,
-                "output     : {} (digest {:#018x})",
-                if faulty.digest == clean.digest {
-                    "byte-identical to fault-free run"
-                } else {
-                    "DIVERGED from fault-free run"
-                },
-                faulty.digest
-            );
-            s
-        }
-        "heatmap" => analyze::heatmap(&analyze::round_loads(&faulty.recorder), 16),
-        "jsonl" => export::jsonl(&faulty.recorder),
-        "chrome" => export::chrome_trace(&faulty.recorder),
-        other => {
-            return Err(format!(
-                "unknown --format {other:?} (summary|heatmap|jsonl|chrome)"
-            ))
-        }
-    };
-    if let Some(out) = &o.out {
-        std::fs::write(out, &body).map_err(|e| format!("{out}: {e}"))?;
-        Ok(format!("wrote {} bytes to {out}\n", body.len()))
-    } else {
-        Ok(body)
-    }
-}
-
-fn metrics_cmd(o: &Opts) -> Result<String, String> {
-    if let Some(path) = &o.check {
-        // Read the document before paying for a collection: a file the
-        // gate cannot read is an error whatever the run would measure.
-        let src = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        let baseline = crate::metrics::from_json(&src).map_err(|e| format!("{path}: {e}"))?;
-        let current = crate::metrics::collect(o.seed)?;
-        let regressions = crate::metrics::compare(&baseline, &current);
-        return if regressions.is_empty() {
-            Ok(format!(
-                "metrics match baseline {path} ({} points, seed {})\n",
-                baseline.experiments.len(),
-                baseline.seed
-            ))
-        } else {
-            Err(format!(
-                "{} metrics regression(s) against {path}:\n  {}",
-                regressions.len(),
-                regressions.join("\n  ")
-            ))
-        };
-    }
-    let render = match o.format.as_deref().unwrap_or("table") {
-        "table" => crate::metrics::table,
-        "json" => crate::metrics::to_json,
-        other => return Err(format!("unknown --format {other:?} (table|json)")),
-    };
-    let body = render(&crate::metrics::collect(o.seed)?);
-    if let Some(out) = &o.out {
-        std::fs::write(out, &body).map_err(|e| format!("{out}: {e}"))?;
-        Ok(format!("wrote {} bytes to {out}\n", body.len()))
-    } else {
-        Ok(body)
-    }
-}
-
-/// `parqp store`: the paged-vs-unpaged differential. Every experiment
-/// runs twice at the same `(p, seed)` — once unpaged, once under a
-/// bounded buffer pool — and the command verifies the paged run is
-/// *observationally identical*: same output digest, same `(L, r, C)`
-/// ledger, byte-identical trace JSONL. Only the page-IO ledger may
-/// differ (it is the whole point), and it is what gets reported.
-fn store_cmd(o: &Opts) -> Result<String, String> {
-    use crate::trace::export;
-
-    let cfg = o.store_config().unwrap_or_default();
-    let mut s = format!(
-        "paged-vs-unpaged differential: p = {}, seed {}, page_size {}, pool_pages {}\n",
-        o.servers, o.seed, cfg.page_size, cfg.pool_pages
-    );
-    let _ = writeln!(
-        s,
-        "{:<20} {:>12} {:>10} {:>10} {:>8}  result",
-        "experiment", "io_reads", "misses", "evictions", "hit_rate"
-    );
-    let mut failures = Vec::new();
-    for e in crate::observe::EXPERIMENTS {
-        let unpaged = crate::observe::run_experiment_full(e.name, o.servers, o.seed)?;
-        let (totals, paged) = parqp_data::paged::capture(cfg, || {
-            crate::observe::run_experiment_full(e.name, o.servers, o.seed)
-        });
-        let paged = paged?;
-        let mut io = parqp_data::paged::IoStats::default();
-        for t in &totals {
-            io.merge(t);
-        }
-        let mut verdict = Vec::new();
-        if paged.digest != unpaged.digest {
-            verdict.push("digest");
-        }
-        if paged.report != unpaged.report {
-            verdict.push("ledger");
-        }
-        if export::jsonl(&paged.recorder) != export::jsonl(&unpaged.recorder) {
-            verdict.push("trace");
-        }
-        let result = if verdict.is_empty() {
-            "identical".to_string()
-        } else {
-            let what = verdict.join("+");
-            failures.push(format!("{}: {what} diverged under paging", e.name));
-            format!("DIVERGED ({what})")
-        };
-        let _ = writeln!(
-            s,
-            "{:<20} {:>12} {:>10} {:>10} {:>8.4}  {result}",
-            e.name,
-            io.reads,
-            io.misses,
-            io.evictions,
-            io.hit_rate()
-        );
-    }
-    if !failures.is_empty() {
-        return Err(format!(
-            "{} experiment(s) diverged under the paged store:\n  {}\n\n{s}",
-            failures.len(),
-            failures.join("\n  ")
-        ));
-    }
-    let _ = writeln!(
-        s,
-        "all {} experiments byte-identical under paging",
-        crate::observe::EXPERIMENTS.len()
-    );
-    if let Some(out) = &o.out {
-        std::fs::write(out, &s).map_err(|e| format!("{out}: {e}"))?;
-        Ok(format!("wrote {} bytes to {out}\n", s.len()))
-    } else {
-        Ok(s)
-    }
-}
-
-/// `parqp serve`: replay a seeded multi-tenant query stream against one
-/// long-lived cluster. With `--verify` the same stream is replayed a
-/// second time with the cache disabled and every per-query output
-/// digest is compared — caching must be a pure cost optimization, never
-/// observable in results.
-fn serve_cmd(o: &Opts) -> Result<String, String> {
-    use parqp_serve::{replay, replay_observed, FaultSetup, ServeConfig};
-
-    let faults = if o.faults {
-        Some(FaultSetup {
-            spec: o.fault_spec(),
-            strategy: o.recovery_strategy()?,
-            horizon: o.horizon,
-        })
-    } else {
-        None
-    };
-    let cfg = ServeConfig {
-        servers: o.servers,
-        tenants: o.tenants,
-        templates: o.templates,
-        groups: o.groups,
-        ticks: o.ticks,
-        seed: o.seed,
-        zipf_q: o.zipf_q,
-        zipf_data: o.zipf_data,
-        cache_budget: o.cache_budget,
-        store: o.store_config().unwrap_or_default(),
-        faults,
-    };
-    // `--slo` and `--format prom` need the window series, so they imply
-    // `--obs`; a plain replay skips the fold.
-    let observed = o.obs || o.slo.is_some() || o.format.as_deref() == Some("prom");
-    let (report, series) = if observed {
-        let (report, series) = replay_observed(&cfg, o.window)?;
-        (report, Some(series))
-    } else {
-        (replay(&cfg)?, None)
-    };
-    let mut verified = String::new();
-    if o.verify {
-        let off = replay(&ServeConfig {
-            cache_budget: 0,
-            ..cfg.clone()
-        })?;
-        let diverged: Vec<String> = report
-            .records
-            .iter()
-            .zip(off.records.iter())
-            .filter(|(on, off)| on.digest != off.digest)
-            .map(|(on, _)| format!("query #{} ({} group {})", on.serial, on.template, on.group))
-            .collect();
-        if report.served() != off.served() || !diverged.is_empty() {
-            return Err(format!(
-                "serve --verify: {} of {} per-query digests diverged cache-on vs cache-off:\n  {}",
-                diverged.len(),
-                report.served(),
-                diverged.join("\n  ")
-            ));
-        }
-        verified = format!(
-            "verified: {} per-query digests identical cache-on vs cache-off\n",
-            report.served()
-        );
-    }
-    // Evaluate the SLO rules before rendering: a burn-rate alert is an
-    // error (nonzero exit), whatever format was asked for.
-    let mut slo_text = String::new();
-    if let (Some(path), Some(series)) = (&o.slo, &series) {
-        let src = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        let rules = parqp_serve::obs::SloRules::parse(&src)?;
-        let verdict = rules.evaluate(series);
-        verdict
-            .gate()
-            .map_err(|e| format!("slo gate {path}:\n{}{e}", verdict.table()))?;
-        slo_text = verdict.table();
-    }
-    let body = match o.format.as_deref().unwrap_or("table") {
-        "table" => match &series {
-            Some(series) => format!(
-                "{}{verified}\n{}{slo_text}",
-                report.table(),
-                series.dashboard()
-            ),
-            None => format!("{}{verified}", report.table()),
-        },
-        "jsonl" => match &series {
-            Some(series) => format!("{}{}", report.jsonl(), series.jsonl()),
-            None => report.jsonl(),
-        },
-        // `observed` covers this arm, but stay typed rather than assert.
-        "prom" => match &series {
-            Some(series) => series.prometheus(),
-            None => return Err("--format prom records a series; pass --obs".into()),
-        },
-        other => return Err(format!("unknown --format {other:?} (table|jsonl|prom)")),
-    };
-    if let Some(out) = &o.out {
-        std::fs::write(out, &body).map_err(|e| format!("{out}: {e}"))?;
-        Ok(format!(
-            "wrote {} bytes to {out}\n{verified}{slo_text}",
-            body.len()
-        ))
-    } else {
-        Ok(body)
-    }
-}
-
-/// `parqp dash`: render the serving dashboard — sparklines over the
-/// window series plus the servers × windows heatmap — for one of the
-/// named serve presets the metrics gate measures.
-fn dash_cmd(o: &Opts) -> Result<String, String> {
-    let preset = o.preset.as_deref().unwrap_or("steady");
-    let presets = crate::metrics::serve_presets(o.seed);
-    let names: Vec<&str> = presets
-        .iter()
-        .map(|(name, _)| name.split('/').next().unwrap_or(name))
-        .collect();
-    let Some((_, cfg)) = presets
-        .iter()
-        .find(|(name, _)| name.split('/').next() == Some(preset))
-    else {
-        return Err(format!(
-            "unknown --preset {preset:?} (one of: {})",
-            names.join("|")
-        ));
-    };
-    let (_, series) = parqp_serve::replay_observed(cfg, o.window)?;
-    let body = match o.format.as_deref().unwrap_or("dash") {
-        "dash" => series.dashboard(),
-        "jsonl" => series.jsonl(),
-        "prom" => series.prometheus(),
-        other => return Err(format!("unknown --format {other:?} (dash|jsonl|prom)")),
-    };
-    if let Some(out) = &o.out {
-        std::fs::write(out, &body).map_err(|e| format!("{out}: {e}"))?;
-        Ok(format!("wrote {} bytes to {out}\n", body.len()))
-    } else {
-        Ok(body)
-    }
+    s.push('\n');
+    s.push_str(commands::GLOBAL_USAGE);
+    s
 }
 
 #[cfg(test)]
@@ -1124,7 +177,9 @@ mod tests {
         ] {
             let mut args = vec![cmd, "--query", query, "--data"];
             args.extend(data);
-            let err = dispatch(&argv(&args)).expect_err("width mismatch is refused");
+            let err = dispatch(&argv(&args))
+                .expect_err("width mismatch is refused")
+                .to_string();
             assert_eq!(
                 err,
                 format!("{three}: atom {atom} has arity 2, file has 3 columns")
@@ -1150,9 +205,166 @@ mod tests {
     }
 
     #[test]
+    fn hostile_argv_is_a_typed_error_never_a_panic() {
+        let dir = tmpdir("hostile");
+        let file = |name: &str, bytes: &[u8]| {
+            let path = dir.join(name);
+            std::fs::write(&path, bytes).expect("write");
+            path.to_str().expect("utf8").to_string()
+        };
+        let ragged = file("ragged.csv", b"1,2\n3\n");
+        let binary = file("binary.csv", &[0xff, 0xfe, b'\n']);
+        let garbage = file("garbage.txt", b"not a document\n");
+        let missing = dir.join("missing").to_str().expect("utf8").to_string();
+        let huge = u64::MAX;
+        // Each row: a command line (split on spaces) and the prefix of
+        // the `Debug` form of the error it must return — the variant,
+        // and for a flag-table refusal the start of its message.
+        let rows = [
+            // The four command lines that panicked the binary.
+            (
+                "generate --kind zipf --alpha -1 --out x",
+                "Flag(\"--alpha must be a finite exponent".to_string(),
+            ),
+            (
+                "generate --kind graph --rows 10 --domain 3 --out x",
+                "Flag(\"--rows: at most 6 ".into(),
+            ),
+            (
+                &format!("trace --experiment twoway-hash --servers {huge}"),
+                "Flag(\"--servers: at most 1024 ".into(),
+            ),
+            (
+                &format!("generate --kind uniform --rows {huge} --out x"),
+                "Flag(\"--rows: at most".into(),
+            ),
+            // Floors, ceilings, exponents.
+            (
+                "store --page-size 0",
+                "Flag(\"--page-size must be positive".into(),
+            ),
+            (
+                "store --pool-pages 0",
+                "Flag(\"--pool-pages must be positive".into(),
+            ),
+            (
+                "trace --servers 0",
+                "Flag(\"--servers must be positive".into(),
+            ),
+            ("dash --window 0", "Flag(\"--window must be positive".into()),
+            (
+                "serve --templates 0",
+                "Flag(\"--templates must be positive".into(),
+            ),
+            (
+                "serve --tenants 0",
+                "Flag(\"--tenants must be positive".into(),
+            ),
+            ("serve --ticks 0", "Flag(\"--ticks must be positive".into()),
+            (
+                "serve --groups 0",
+                "Flag(\"--groups must be positive".into(),
+            ),
+            (
+                "serve --zipf-q inf",
+                "Flag(\"--zipf-q must be a finite exponent".into(),
+            ),
+            (
+                "generate --alpha NaN",
+                "Flag(\"--alpha must be a finite exponent".into(),
+            ),
+            (
+                "trace --workers 1025",
+                "Flag(\"--workers: at most 1024 ".into(),
+            ),
+            ("serve --templates 99", "Flag(\"--templates: at most".into()),
+            (
+                &format!("serve --ticks {huge}"),
+                "Flag(\"--ticks: at most".into(),
+            ),
+            (
+                &format!("generate --kind zipf --domain {huge}"),
+                "Flag(\"--domain: at most".into(),
+            ),
+            // Argv that does not parse against the tables.
+            (
+                "trace --experiment",
+                "Flag(\"--experiment requires a value".into(),
+            ),
+            ("stats -p", "Flag(\"-p requires a value".into()),
+            (
+                "trace --servers many",
+                "Flag(\"--servers: invalid digit".into(),
+            ),
+            ("trace --wat", "Flag(\"unknown option".into()),
+            (
+                "analyze --cache-budget 3 --query R(a,b),S(b,c)",
+                "Flag(\"--cache-budget is not an option of `parqp analyze`".into(),
+            ),
+            ("trace --exec wat", "Flag(\"unknown --exec".into()),
+            ("analyze", "Flag(\"--query is required".into()),
+            ("frobnicate", "Usage(\"unknown command".into()),
+            ("", "Usage(\"usage: parqp".into()),
+            // Inputs that do not parse.
+            ("analyze --query R(x,", "Query(".into()),
+            (
+                &format!("stats --data {missing}"),
+                format!("Data({missing:?}, Io("),
+            ),
+            (
+                &format!("stats --data {binary}"),
+                format!("Data({binary:?}, Io("),
+            ),
+            (
+                &format!("stats --data {ragged}"),
+                format!("Data({ragged:?}, Parse {{ line: 2"),
+            ),
+            (
+                &format!("plan --query R(a,b),S(b,c) --data {ragged}"),
+                "Shape(".into(),
+            ),
+            (&format!("serve --ticks 4 --slo {garbage}"), "Slo(".into()),
+            (
+                &format!("serve --ticks 4 --slo {missing}"),
+                format!("File({missing:?}"),
+            ),
+            (&format!("metrics --check {garbage}"), "Metrics(".into()),
+            ("trace --experiment wat", "Experiment(".into()),
+        ];
+        for (line, expected) in rows {
+            let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+            let caught = std::panic::catch_unwind(|| dispatch(&args));
+            let Ok(result) = caught else {
+                panic!("`parqp {line}` panicked");
+            };
+            let err = result.expect_err("hostile argv is refused");
+            let shape = format!("{err:?}");
+            assert!(shape.starts_with(&expected), "`parqp {line}`: {shape}");
+            let one_line = err.to_string().lines().count() == 1;
+            assert!(
+                one_line || shape.starts_with("Usage("),
+                "`parqp {line}`: {err}"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn help_text() {
         let h = dispatch(&argv(&["help"])).expect("help");
         assert!(h.contains("usage: parqp"));
+        // Assembled from the tables: every command heads its own block
+        // and every flag row is documented somewhere in the text.
+        for command in COMMANDS {
+            assert!(h.contains(&format!("\n{:<9}", command.name)), "{h}");
+        }
+        for flag in flags::Flag::ALL {
+            assert!(
+                h.contains(flag.spec().name),
+                "{} undocumented",
+                flag.spec().name
+            );
+        }
     }
 
     #[test]
@@ -1216,7 +428,9 @@ mod tests {
 
     #[test]
     fn exec_rejects_unknown_mode() {
-        let err = dispatch(&argv(&["trace", "--exec", "wat"])).expect_err("must fail");
+        let err = dispatch(&argv(&["trace", "--exec", "wat"]))
+            .expect_err("must fail")
+            .to_string();
         assert!(err.contains("serial|parallel"), "got: {err}");
     }
 
@@ -1233,7 +447,7 @@ mod tests {
             "--workers",
             "100000",
         ];
-        let err = dispatch(&argv(&args)).expect_err("must fail");
+        let err = dispatch(&argv(&args)).expect_err("must fail").to_string();
         assert!(err.contains("--workers"), "got: {err}");
     }
 
@@ -1245,9 +459,13 @@ mod tests {
 
     #[test]
     fn paging_flags_must_be_positive() {
-        let err = dispatch(&argv(&["store", "--page-size", "0"])).expect_err("must fail");
+        let err = dispatch(&argv(&["store", "--page-size", "0"]))
+            .expect_err("must fail")
+            .to_string();
         assert!(err.contains("--page-size must be positive"), "got: {err}");
-        let err = dispatch(&argv(&["store", "--pool-pages", "0"])).expect_err("must fail");
+        let err = dispatch(&argv(&["store", "--pool-pages", "0"]))
+            .expect_err("must fail")
+            .to_string();
         assert!(err.contains("--pool-pages must be positive"), "got: {err}");
     }
 
@@ -1368,7 +586,8 @@ mod tests {
         // A corrupted baseline is a reported regression.
         std::fs::write(&f, json.replace("\"rounds\": 2", "\"rounds\": 9")).expect("write");
         let err = dispatch(&argv(&["metrics", "--check", f.to_str().expect("utf8")]))
-            .expect_err("drift must fail the gate");
+            .expect_err("drift must fail the gate")
+            .to_string();
         assert!(err.contains("rounds changed"), "got: {err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1401,7 +620,9 @@ mod tests {
             ("not json at all".to_string(), "malformed line"),
         ] {
             std::fs::write(&f, doc).expect("write");
-            let err = dispatch(&argv(&["metrics", "--check", path])).expect_err("refused");
+            let err = dispatch(&argv(&["metrics", "--check", path]))
+                .expect_err("refused")
+                .to_string();
             assert!(err.starts_with(path), "got: {err}");
             assert!(err.contains(want), "want {want:?}, got: {err}");
             assert_eq!(err.lines().count(), 1, "got: {err}");
@@ -1493,32 +714,6 @@ mod tests {
         assert!(h.contains("store"), "got: {h}");
         assert!(h.contains("--page-size"), "got: {h}");
         assert!(h.contains("--pool-pages"), "got: {h}");
-    }
-
-    #[test]
-    fn lint_front_door_reports_a_clean_workspace() {
-        let out = dispatch(&argv(&["lint"])).expect("workspace is lint-clean");
-        assert!(out.contains("parqp-lint: clean"), "got: {out}");
-    }
-
-    #[test]
-    fn lint_front_door_json_format() {
-        let out = dispatch(&argv(&["lint", "--format", "json"])).expect("json works");
-        assert!(out.contains("\"clean\": true"), "got: {out}");
-    }
-
-    #[test]
-    fn lint_front_door_rejects_unknown_flags() {
-        let err = dispatch(&argv(&["lint", "--fix-baseline"])).expect_err("must fail");
-        assert!(err.contains("cargo run -p parqp-lint"), "got: {err}");
-        assert!(dispatch(&argv(&["lint", "--format", "wat"])).is_err());
-    }
-
-    #[test]
-    fn help_mentions_lint_and_exit_codes() {
-        let h = dispatch(&argv(&["help"])).expect("help");
-        assert!(h.contains("lint"), "got: {h}");
-        assert!(h.contains("exits 0 clean, 1 findings"), "got: {h}");
     }
 
     const SERVE_SMALL: &[&str] = &[
@@ -1664,7 +859,9 @@ mod tests {
         // An impossible budget burns every window: fast-burn alert,
         // nonzero exit, alert text in the error.
         std::fs::write(&rules, "p99_l_budget = 0\n").expect("write rules");
-        let err = dispatch(&argv(&args)).expect_err("slo gate must trip");
+        let err = dispatch(&argv(&args))
+            .expect_err("slo gate must trip")
+            .to_string();
         assert!(err.contains("slo gate"), "got: {err}");
         assert!(err.contains("fast burn"), "got: {err}");
         // A malformed rules file is a setup error, not a pass.
@@ -1681,7 +878,9 @@ mod tests {
         assert!(out.contains("heatmap: tuples received"), "got: {out}");
         let cold = dispatch(&argv(&["dash", "--preset", "cold"])).expect("cold preset runs");
         assert!(cold.contains("hit_rate"), "got: {cold}");
-        let err = dispatch(&argv(&["dash", "--preset", "wat"])).expect_err("unknown preset");
+        let err = dispatch(&argv(&["dash", "--preset", "wat"]))
+            .expect_err("unknown preset")
+            .to_string();
         assert!(err.contains("steady|cold|faulted"), "got: {err}");
         assert!(dispatch(&argv(&["dash", "--format", "wat"])).is_err());
     }

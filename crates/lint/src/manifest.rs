@@ -31,14 +31,14 @@ pub const ALLOWED_DEPS: &[(&str, &[&str])] = &[
     (
         "core",
         &[
-            "mpc", "data", "lp", "query", "join", "sort", "matmul", "serve", "lint",
+            "mpc", "data", "lp", "query", "join", "sort", "matmul", "serve",
         ],
     ),
     ("data", &["store", "testkit"]),
     ("join", &["mpc", "data", "lp", "query", "sort"]),
     ("lint", &[]),
     ("lp", &[]),
-    ("matmul", &["mpc", "data", "join", "query", "testkit"]),
+    ("matmul", &["mpc", "data", "testkit"]),
     ("mpc", &["store", "testkit"]),
     ("query", &["data", "lp"]),
     ("serve", &["mpc", "data", "join", "testkit"]),
@@ -277,8 +277,8 @@ mod tests {
         // (the simulator with its trace, metrics and fault instruments
         // folded in) sees only store's IO ledger plus testkit for the
         // sanctioned worker pool and seeded fault schedules, core sees
-        // every algorithm crate, and only core may depend on the
-        // linter (the `parqp lint` front door).
+        // every algorithm crate, and nothing depends on the linter (it
+        // runs before anything else compiles).
         let find = |n: &str| {
             ALLOWED_DEPS
                 .iter()
@@ -302,11 +302,9 @@ mod tests {
                 "only core (the `parqp serve` front door) may depend on serve"
             );
         }
-        for (name, deps) in ALLOWED_DEPS {
-            assert!(
-                *name == "core" || !deps.contains(&"lint"),
-                "only core (the `parqp lint` front door) may depend on the linter"
-            );
+        for (_, deps) in ALLOWED_DEPS {
+            assert!(!deps.contains(&"lint"), "nothing depends on the linter");
         }
+        assert_eq!(find("matmul"), &["mpc", "data", "testkit"]);
     }
 }

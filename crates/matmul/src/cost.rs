@@ -69,7 +69,7 @@ mod tests {
         let l = 2 * t * n;
         let a = crate::Matrix::random(n as usize, 1);
         let b = crate::Matrix::random(n as usize, 2);
-        let run = crate::rect_block(&a, &b, t as usize);
+        let run = crate::rect_block(&a, &b, t as usize, t as usize);
         assert_eq!(run.report.total_words() as f64, rect_comm(n, l));
     }
 

@@ -9,22 +9,21 @@
 //! | [`rect_block`] (rectangle-block, 1 round) | `C = Θ(n⁴/L)` | 1 |
 //! | [`square_block`] (square-block, multi-round) | `C = Θ(n³/√L)` | `Θ(n³/(p·L^{3/2}))` (+ aggregation) |
 //!
-//! plus non-square and sparse multiplication ([`rectmm`] — slide 127's
-//! "Other Results") and the SQL formulation of slide 108 (`SELECT A.i, B.k,
-//! SUM(A.v*B.v) FROM A, B WHERE A.j = B.j GROUP BY A.i, B.k`) executed
-//! through the join crate as a cross-check, and the closed-form cost
-//! model behind the slide 126 `C`-vs-`L` frontier.
+//! plus the SQL formulation of slide 108 ([`sql_matmul`]: `SELECT A.i,
+//! B.k, SUM(A.v*B.v) FROM A, B WHERE A.j = B.j GROUP BY A.i, B.k`) as a
+//! cross-check, and the closed-form cost model behind the slide 126
+//! `C`-vs-`L` frontier. [`Matrix`] is `rows × cols`, and [`rect_block`]
+//! and [`sql_matmul`] take any conforming `m×k · k×n` — slide 127's
+//! non-square and sparse "Other Results" are the same code, not a copy.
 
 pub mod cost;
 pub mod dense;
 pub mod rect;
-pub mod rectmm;
 pub mod sqlmm;
 pub mod square;
 
 pub use dense::Matrix;
 pub use rect::rect_block;
-pub use rectmm::{rect_block_nonsquare, sql_matmul_rect, MatMulRun2, RectMatrix};
 pub use sqlmm::sql_matmul;
 pub use square::square_block;
 

@@ -5,7 +5,9 @@
 //! `t²n` elementary products. Dividing the rows and columns into
 //! `K = ⌈n/t⌉ groups` needs `p = K²` processors and total communication
 //! `C = K²·L = Θ(n⁴/L)` — the 1-round lower bound (slide 126), met with
-//! equality.
+//! equality. Nothing in the algorithm needs the matrices square: with
+//! separate group sizes for the rows of `A` and the columns of `B` it
+//! multiplies any `m×k · k×n` (slide 127).
 
 use crate::dense::Matrix;
 use crate::MatMulRun;
@@ -26,63 +28,69 @@ impl Weight for Strip {
     }
 }
 
-/// Multiply with the rectangle-block algorithm at row/column group size
-/// `t` (so the load is `L = 2tn` and `p = ⌈n/t⌉²`).
+/// Multiply `A (m×k) · B (k×n)` with the rectangle-block algorithm at
+/// row-group size `t1` and column-group size `t2`: processor `(i, j)` of
+/// a `⌈m/t1⌉ × ⌈n/t2⌉` grid receives `t1` rows of `A` and `t2` columns
+/// of `B` — load `L = (t1 + t2)·k` — and computes a `t1 × t2` block of
+/// `C`. The square case of the slides is `t1 = t2 = t`, `L = 2tn`,
+/// `p = ⌈n/t⌉²`; other shapes are slide 127's non-square result.
 ///
 /// ```
 /// use parqp_matmul::{rect_block, Matrix};
 ///
 /// let a = Matrix::random(8, 1);
 /// let b = Matrix::random(8, 2);
-/// let run = rect_block(&a, &b, 2);
+/// let run = rect_block(&a, &b, 2, 2);
 /// assert!(run.c.max_abs_diff(&a.multiply(&b)) < 1e-9);
 /// assert_eq!(run.report.num_rounds(), 1);
 /// ```
 ///
 /// # Panics
-/// Panics if `t == 0` or `t > n`.
-pub fn rect_block(a: &Matrix, b: &Matrix, t: usize) -> MatMulRun {
-    let n = a.n();
-    assert_eq!(n, b.n(), "dimension mismatch");
-    assert!(t >= 1 && t <= n, "group size must be in 1..=n");
-    let k = n.div_ceil(t);
-    let grid = Grid::new(vec![k, k]);
+/// Panics if the inner dimensions differ, or a group size is zero or
+/// exceeds its dimension.
+pub fn rect_block(a: &Matrix, b: &Matrix, t1: usize, t2: usize) -> MatMulRun {
+    assert_eq!(a.cols(), b.rows(), "inner dimension mismatch");
+    let (m, k, n) = (a.rows(), a.cols(), b.cols());
+    assert!(t1 >= 1 && t1 <= m, "t1 must be in 1..=m");
+    assert!(t2 >= 1 && t2 <= n, "t2 must be in 1..=n");
+    let grid = Grid::new(vec![m.div_ceil(t1), n.div_ceil(t2)]);
     let mut cluster = Cluster::new(grid.len());
     if metrics::is_enabled() {
-        // Slides 109–110: L = 2tn words (t rows of A + t columns of B),
-        // one round, meeting the 1-round lower bound with equality.
+        // Slides 109–110: L = (t1 + t2)·k words (t1 rows of A + t2
+        // columns of B), one round, meeting the 1-round lower bound
+        // with equality.
         metrics::announce(&metrics::PaperBound::words(
             "matmul_rect",
-            2.0 * (t * n) as f64,
+            ((t1 + t2) * k) as f64,
             1,
         ));
     }
 
-    // One round: row i of A goes to every processor in row-group i/t;
-    // column j of B to every processor in column-group j/t. Ids ≥ n mark
-    // columns so receivers can split their inbox.
+    // One round: row i of A goes to every processor in row-group i/t1;
+    // column j of B to every processor in column-group j/t2. Ids ≥ m
+    // mark columns so receivers can split their inbox.
     let scatter_span = trace::span("matmul_rect/scatter");
     let mut ex = cluster.exchange::<Strip>();
-    for i in 0..n {
+    for i in 0..m {
         let strip = Strip {
             id: i as u64,
             vals: a.row(i).to_vec(),
         };
-        ex.send_matching(&grid, &[Some(i / t), None], strip);
+        ex.send_matching(&grid, &[Some(i / t1), None], strip);
     }
     for j in 0..n {
         let strip = Strip {
-            id: (n + j) as u64,
+            id: (m + j) as u64,
             vals: b.col(j),
         };
-        ex.send_matching(&grid, &[None, Some(j / t)], strip);
+        ex.send_matching(&grid, &[None, Some(j / t2)], strip);
     }
     let inboxes = ex.finish();
     drop(scatter_span);
 
     // Local: each processor multiplies its rows × columns block.
     let _span = trace::span("matmul_rect/multiply");
-    let mut c = Matrix::zeros(n);
+    let mut c = Matrix::zeros(m, n);
     for (rank, inbox) in inboxes.into_iter().enumerate() {
         let coords = grid.coords(rank);
         let (bi, bj) = (coords[0], coords[1]);
@@ -90,14 +98,14 @@ pub fn rect_block(a: &Matrix, b: &Matrix, t: usize) -> MatMulRun {
         let mut cols: Vec<(usize, Vec<f64>)> = Vec::new();
         for strip in inbox {
             let id = strip.id as usize;
-            if id < n {
+            if id < m {
                 rows.push((id, strip.vals));
             } else {
-                cols.push((id - n, strip.vals));
+                cols.push((id - m, strip.vals));
             }
         }
-        debug_assert!(rows.iter().all(|&(i, _)| i / t == bi));
-        debug_assert!(cols.iter().all(|&(j, _)| j / t == bj));
+        debug_assert!(rows.iter().all(|&(i, _)| i / t1 == bi));
+        debug_assert!(cols.iter().all(|&(j, _)| j / t2 == bj));
         for (i, arow) in &rows {
             for (j, bcol) in &cols {
                 let dot: f64 = arow.iter().zip(bcol).map(|(x, y)| x * y).sum();
@@ -121,7 +129,7 @@ mod tests {
         let b = Matrix::random(12, 2);
         let expect = a.multiply(&b);
         for t in [1, 2, 3, 4, 6, 12] {
-            let run = rect_block(&a, &b, t);
+            let run = rect_block(&a, &b, t, t);
             assert!(run.c.max_abs_diff(&expect) < 1e-9, "t = {t} wrong product");
         }
     }
@@ -132,7 +140,7 @@ mod tests {
         let a = Matrix::random(n, 3);
         let b = Matrix::random(n, 4);
         let t = 4;
-        let run = rect_block(&a, &b, t);
+        let run = rect_block(&a, &b, t, t);
         assert_eq!(run.report.num_rounds(), 1);
         // Every processor receives exactly t rows + t cols = 2tn words.
         assert_eq!(run.report.max_load_words(), (2 * t * n) as u64);
@@ -145,7 +153,7 @@ mod tests {
         let a = Matrix::random(n, 5);
         let b = Matrix::random(n, 6);
         let t = 4;
-        let run = rect_block(&a, &b, t);
+        let run = rect_block(&a, &b, t, t);
         let l = (2 * t * n) as u64;
         // C = K²·L = (n/t)²·2tn = 2n³/t = 4n⁴/L exactly.
         assert_eq!(run.report.total_words(), 4 * (n as u64).pow(4) / l);
@@ -155,7 +163,7 @@ mod tests {
     fn ragged_group_size() {
         let a = Matrix::random(10, 7);
         let b = Matrix::random(10, 8);
-        let run = rect_block(&a, &b, 3); // K = ⌈10/3⌉ = 4
+        let run = rect_block(&a, &b, 3, 3); // K = ⌈10/3⌉ = 4
         assert!(run.c.max_abs_diff(&a.multiply(&b)) < 1e-9);
         assert_eq!(run.report.servers, 16);
     }
@@ -164,8 +172,40 @@ mod tests {
     fn t_equals_n_single_server() {
         let a = Matrix::random(6, 9);
         let b = Matrix::random(6, 10);
-        let run = rect_block(&a, &b, 6);
+        let run = rect_block(&a, &b, 6, 6);
         assert_eq!(run.report.servers, 1);
         assert!(run.c.max_abs_diff(&a.multiply(&b)) < 1e-9);
+    }
+
+    #[test]
+    fn rect_block_correct_nonsquare() {
+        let a = Matrix::random_int(12, 20, 5, 1.0, 1);
+        let b = Matrix::random_int(20, 8, 5, 1.0, 2);
+        let expect = a.multiply(&b);
+        for (t1, t2) in [(3, 2), (4, 4), (12, 8), (1, 1), (5, 3)] {
+            let run = rect_block(&a, &b, t1, t2);
+            assert!(run.c.max_abs_diff(&expect) < 1e-9, "t=({t1},{t2})");
+            assert_eq!(run.report.num_rounds(), 1);
+        }
+    }
+
+    #[test]
+    fn rect_block_load_formula() {
+        let a = Matrix::random_int(12, 20, 5, 1.0, 3);
+        let b = Matrix::random_int(20, 8, 5, 1.0, 4);
+        let run = rect_block(&a, &b, 3, 2);
+        // (t1 + t2)·k = 5 · 20 = 100 words per processor.
+        assert_eq!(run.report.max_load_words(), 100);
+        assert_eq!(run.report.servers, (12 / 3) * (8 / 2));
+    }
+
+    #[test]
+    fn square_case_agrees_with_square_module() {
+        let n = 12;
+        let a = Matrix::random_int(n, n, 5, 1.0, 12);
+        let b = Matrix::random_int(n, n, 5, 1.0, 13);
+        let rect = rect_block(&a, &b, 4, 4);
+        let square = crate::square_block(&a, &b, 3, 9);
+        assert!(rect.c.max_abs_diff(&square.c) < 1e-9);
     }
 }

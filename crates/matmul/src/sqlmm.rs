@@ -6,9 +6,13 @@
 //! GROUP BY A.i, B.k
 //! ```
 //!
-//! Executed as two MPC rounds: a parallel hash join on `j` (the *join
-//! part*), then a repartition of the partial sums by `(i, k)` (the
-//! *aggregation part*). This is the query-processing view of matmul the
+//! Executed here, on its own [`Cluster`], as two MPC rounds: a parallel
+//! hash join on `j` (the *join part*), then a repartition of the
+//! partial sums by `(i, k)` (the *aggregation part*). Only non-zero
+//! entries travel, so the plan is *sparsity adaptive*: communication
+//! scales with `nnz(A) + nnz(B) +` the partial-sum volume, and the
+//! shapes may be any conforming `m×k · k×n` (slide 127's non-square and
+//! sparse results). This is the query-processing view of matmul the
 //! tutorial uses to connect the two worlds: the join part is exactly a
 //! two-way join with τ\* = 1, and the aggregation part is what the
 //! multi-round lower bound's `log_L n` term is about. It is a
@@ -36,17 +40,21 @@ impl Weight for Entry {
     }
 }
 
-/// Multiply via the SQL plan: hash join on `j`, then group-by `(i, k)`.
+/// Multiply `A (m×k) · B (k×n)` via the SQL plan: hash join on `j`,
+/// then group-by `(i, k)`.
+///
+/// # Panics
+/// Panics if the inner dimensions differ.
 pub fn sql_matmul(a: &Matrix, b: &Matrix, p: usize, seed: u64) -> MatMulRun {
-    let n = a.n();
-    assert_eq!(n, b.n(), "dimension mismatch");
+    assert_eq!(a.cols(), b.rows(), "inner dimension mismatch");
+    let (m, inner, n) = (a.rows(), a.cols(), b.cols());
     let mut cluster = Cluster::new(p);
     let h = HashFamily::new(seed, 2);
 
     // Round 1: repartition both relations by the join attribute j.
     let mut ex = cluster.exchange::<Entry>();
-    for i in 0..n {
-        for j in 0..n {
+    for i in 0..m {
+        for j in 0..inner {
             let v = a.get(i, j);
             if v != 0.0 {
                 ex.send(
@@ -61,7 +69,7 @@ pub fn sql_matmul(a: &Matrix, b: &Matrix, p: usize, seed: u64) -> MatMulRun {
             }
         }
     }
-    for j in 0..n {
+    for j in 0..inner {
         for k in 0..n {
             let v = b.get(j, k);
             if v != 0.0 {
@@ -124,7 +132,7 @@ pub fn sql_matmul(a: &Matrix, b: &Matrix, p: usize, seed: u64) -> MatMulRun {
     }
     let inboxes = ex.finish();
 
-    let mut c = Matrix::zeros(n);
+    let mut c = Matrix::zeros(m, n);
     for inbox in inboxes {
         for e in inbox {
             c.add(e.r, e.c, e.v);
@@ -142,8 +150,8 @@ mod tests {
 
     #[test]
     fn matches_dense_oracle() {
-        let a = Matrix::random_int(10, 5, 1);
-        let b = Matrix::random_int(10, 5, 2);
+        let a = Matrix::random_int(10, 10, 5, 1.0, 1);
+        let b = Matrix::random_int(10, 10, 5, 1.0, 2);
         let run = sql_matmul(&a, &b, 8, 7);
         assert_eq!(run.c, a.multiply(&b), "integer matrices are exact");
         assert_eq!(run.report.num_rounds(), 2);
@@ -151,10 +159,10 @@ mod tests {
 
     #[test]
     fn matches_block_algorithms() {
-        let a = Matrix::random_int(12, 4, 3);
-        let b = Matrix::random_int(12, 4, 4);
+        let a = Matrix::random_int(12, 12, 4, 1.0, 3);
+        let b = Matrix::random_int(12, 12, 4, 1.0, 4);
         let sql = sql_matmul(&a, &b, 6, 9);
-        let rect = crate::rect_block(&a, &b, 4);
+        let rect = crate::rect_block(&a, &b, 4, 4);
         let square = crate::square_block(&a, &b, 3, 9);
         assert!(sql.c.max_abs_diff(&rect.c) < 1e-9);
         assert!(sql.c.max_abs_diff(&square.c) < 1e-9);
@@ -171,10 +179,10 @@ mod tests {
 
     #[test]
     fn sparse_inputs_send_less() {
-        let mut a = Matrix::zeros(10);
+        let mut a = Matrix::zeros(10, 10);
         a.set(0, 0, 1.0);
         a.set(3, 7, 2.0);
-        let b = Matrix::random_int(10, 3, 8);
+        let b = Matrix::random_int(10, 10, 3, 1.0, 8);
         let run = sql_matmul(&a, &b, 4, 13);
         assert!(run.c.max_abs_diff(&a.multiply(&b)) < 1e-9);
         // Round 1 ships only 2 + 100 entries ≤ 102 tuples.
@@ -183,9 +191,41 @@ mod tests {
 
     #[test]
     fn single_processor() {
-        let a = Matrix::random_int(6, 4, 21);
-        let b = Matrix::random_int(6, 4, 22);
+        let a = Matrix::random_int(6, 6, 4, 1.0, 21);
+        let b = Matrix::random_int(6, 6, 4, 1.0, 22);
         let run = sql_matmul(&a, &b, 1, 1);
         assert_eq!(run.c, a.multiply(&b));
+    }
+
+    #[test]
+    fn sql_rect_matches_oracle() {
+        let a = Matrix::random_int(10, 15, 4, 1.0, 5);
+        let b = Matrix::random_int(15, 9, 4, 1.0, 6);
+        let run = sql_matmul(&a, &b, 8, 7);
+        assert_eq!(run.c, a.multiply(&b));
+        assert_eq!(run.report.num_rounds(), 2);
+    }
+
+    #[test]
+    fn sparse_communication_scales_with_nnz() {
+        let n = 40;
+        let dense_a = Matrix::random_int(n, n, 4, 1.0, 8);
+        let dense_b = Matrix::random_int(n, n, 4, 1.0, 9);
+        let sparse_a = Matrix::random_int(n, n, 4, 0.05, 10);
+        let sparse_b = Matrix::random_int(n, n, 4, 0.05, 11);
+        let dense = sql_matmul(&dense_a, &dense_b, 8, 3);
+        let sparse = sql_matmul(&sparse_a, &sparse_b, 8, 3);
+        assert_eq!(sparse.c, sparse_a.multiply(&sparse_b));
+        // Round-1 traffic is exactly the non-zero count.
+        assert_eq!(
+            sparse.report.rounds[0].total_tuples() as usize,
+            sparse_a.nnz() + sparse_b.nnz()
+        );
+        assert!(
+            sparse.report.total_tuples() * 4 < dense.report.total_tuples(),
+            "sparse C {} vs dense C {}",
+            sparse.report.total_tuples(),
+            dense.report.total_tuples()
+        );
     }
 }

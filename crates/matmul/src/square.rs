@@ -177,7 +177,7 @@ pub fn square_block(a: &Matrix, b: &Matrix, h: usize, p: usize) -> MatMulRun {
         .iter()
         .enumerate()
         .any(|(proc, m)| m.keys().any(|&(i, k)| owner(i, k) != proc));
-    let mut c = Matrix::zeros(n);
+    let mut c = Matrix::zeros(n, n);
     if needs_aggregation {
         let _span = trace::span("matmul_square/aggregate");
         let mut ex = cluster.exchange::<BlockMsg>();

@@ -2,9 +2,7 @@
 //! equals the serial oracle across random shapes, blockings and
 //! processor counts; cost identities hold exactly.
 
-use parqp_matmul::{
-    rect_block, rect_block_nonsquare, sql_matmul, sql_matmul_rect, square_block, Matrix, RectMatrix,
-};
+use parqp_matmul::{rect_block, sql_matmul, square_block, Matrix};
 use parqp_testkit::prelude::*;
 
 proptest! {
@@ -15,7 +13,7 @@ proptest! {
         let t = t.min(n);
         let a = Matrix::random(n, seed);
         let b = Matrix::random(n, seed + 1);
-        let run = rect_block(&a, &b, t);
+        let run = rect_block(&a, &b, t, t);
         prop_assert!(run.c.max_abs_diff(&a.multiply(&b)) < 1e-9);
         prop_assert_eq!(run.report.num_rounds(), 1);
     }
@@ -49,9 +47,9 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let (t1, t2) = (t1.min(m), t2.min(n));
-        let a = RectMatrix::random_int(m, k, 5, 1.0, seed);
-        let b = RectMatrix::random_int(k, n, 5, 1.0, seed + 1);
-        let run = rect_block_nonsquare(&a, &b, t1, t2);
+        let a = Matrix::random_int(m, k, 5, 1.0, seed);
+        let b = Matrix::random_int(k, n, 5, 1.0, seed + 1);
+        let run = rect_block(&a, &b, t1, t2);
         prop_assert!(run.c.max_abs_diff(&a.multiply(&b)) < 1e-9);
         // L = (t1 + t2)·k exactly, for every processor.
         prop_assert_eq!(run.report.max_load_words(), ((t1 + t2) * k) as u64);
@@ -64,9 +62,9 @@ proptest! {
         density in 0.05f64..1.0,
         seed in 0u64..1000,
     ) {
-        let a = RectMatrix::random_int(n, n, 6, density, seed);
-        let b = RectMatrix::random_int(n, n, 6, density, seed + 1);
-        let run = sql_matmul_rect(&a, &b, p, seed);
+        let a = Matrix::random_int(n, n, 6, density, seed);
+        let b = Matrix::random_int(n, n, 6, density, seed + 1);
+        let run = sql_matmul(&a, &b, p, seed);
         prop_assert_eq!(&run.c, &a.multiply(&b));
         // Round-1 communication is exactly nnz(A) + nnz(B).
         let sent = run.report.rounds[0].total_tuples() as usize;
@@ -75,8 +73,8 @@ proptest! {
 
     #[test]
     fn square_and_sql_agree(n in 2usize..12, seed in 0u64..500) {
-        let ai = Matrix::random_int(n, 7, seed);
-        let bi = Matrix::random_int(n, 7, seed + 1);
+        let ai = Matrix::random_int(n, n, 7, 1.0, seed);
+        let bi = Matrix::random_int(n, n, 7, 1.0, seed + 1);
         let sql = sql_matmul(&ai, &bi, 4, seed);
         let sq = square_block(&ai, &bi, if n % 2 == 0 { 2 } else { 1 }, 4);
         prop_assert!(sql.c.max_abs_diff(&sq.c) < 1e-9);

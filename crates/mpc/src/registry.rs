@@ -139,15 +139,15 @@ impl MetricsRegistry {
         self.counter("io_reads")
     }
 
-    /// Buffer-pool hit rate `1 − io_misses/io_reads`; 0 when no paged
-    /// scan ran.
+    /// Buffer-pool hit rate ([`IoStats::hit_rate`](parqp_store::IoStats::hit_rate)
+    /// of the observed counters); 0 when no paged scan ran.
     pub fn io_hit_rate(&self) -> f64 {
-        let reads = self.counter("io_reads");
-        if reads == 0 {
-            0.0
-        } else {
-            1.0 - self.counter("io_misses") as f64 / reads as f64
+        parqp_store::IoStats {
+            reads: self.counter("io_reads"),
+            misses: self.counter("io_misses"),
+            evictions: self.counter("io_evictions"),
         }
+        .hit_rate()
     }
 
     /// Record an announced bound: the first announcement of a capture

@@ -17,6 +17,7 @@
 
 use crate::report::{group_by, QueryRecord, Sums};
 use crate::sketch::LogHistogram;
+use parqp_data::paged::IoStats;
 
 /// Shape of a series: window width and run horizon.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -142,13 +143,15 @@ impl WindowStats {
         }
     }
 
-    /// `1 − io_misses/io_reads`; 0 when nothing was read.
+    /// [`IoStats::hit_rate`] of the window's page IO; 0 when nothing
+    /// was read.
     pub fn io_hit_rate(&self) -> f64 {
-        if self.io_reads == 0 {
-            0.0
-        } else {
-            1.0 - self.io_misses as f64 / self.io_reads as f64
+        IoStats {
+            reads: self.io_reads,
+            misses: self.io_misses,
+            evictions: self.io_evictions,
         }
+        .hit_rate()
     }
 
     /// Sketch percentile of per-query load (within one log₂ bucket of

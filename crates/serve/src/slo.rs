@@ -56,19 +56,16 @@ impl Default for SloRules {
 }
 
 impl SloRules {
-    /// The committed objectives for the steady serve preset — the same
-    /// thresholds as `slo/serve_steady.slo`, which the CI gate replays
+    /// The committed objectives for the steady serve preset:
+    /// `slo/serve_steady.slo` itself, which the CI gate replays
     /// (`parqp serve --obs --slo slo/serve_steady.slo`) and the BENCH
-    /// `slo` section is measured against.
+    /// `slo` section is measured against. The file is compiled in, so
+    /// it is the only place the thresholds are written;
+    /// `tests/obs_invariants.rs` parses the same file from disk and
+    /// fails on one that does not parse, which is what keeps the
+    /// fallback below unreachable.
     pub fn serve_steady() -> Self {
-        Self {
-            p99_l_budget: Some(4096),
-            hit_rate_floor: Some(0.25),
-            bound_ratio_ceiling: Some(4.0),
-            recovery_overhead_cap: Some(1.0),
-            fast_burn_windows: 2,
-            slow_burn_fraction: 0.5,
-        }
+        Self::parse(include_str!("../../../slo/serve_steady.slo")).unwrap_or_default()
     }
 
     /// Parse rules from `key = value` lines (`#` comments and blank

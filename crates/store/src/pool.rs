@@ -29,12 +29,17 @@ pub struct IoStats {
 }
 
 impl IoStats {
-    /// `1 − misses/reads`; 0 when nothing was read.
+    /// `1 − misses/reads` clamped into `[0, 1]`; 0 when nothing was
+    /// read. A record wider than a page is one logical read and one
+    /// miss per page it spans (`region.rs`), so misses can outnumber
+    /// reads — that is a rate of 0, not a negative one. The only
+    /// definition: the metrics registry and serve's windows call it.
+    #[inline]
     pub fn hit_rate(&self) -> f64 {
         if self.reads == 0 {
             0.0
         } else {
-            1.0 - self.misses as f64 / self.reads as f64
+            (1.0 - self.misses as f64 / self.reads as f64).clamp(0.0, 1.0)
         }
     }
 

@@ -151,6 +151,14 @@ mod tests {
     }
 
     #[test]
+    fn hit_rate_at_page_size_one_is_zero_not_negative() {
+        // Eight words over one-word pages: one read, eight misses.
+        let (totals, ()) = capture(cfg(1, 1), || IoRegion::new(8).read_at(0, 0, 8));
+        assert_eq!((totals[0].reads, totals[0].misses), (1, 8));
+        assert_eq!(totals[0].hit_rate(), 0.0);
+    }
+
+    #[test]
     fn region_is_inert_when_disabled() {
         let r = IoRegion::new(1000);
         r.read_at(0, 500, 10); // must not panic, charges nothing

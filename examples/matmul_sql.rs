@@ -12,15 +12,15 @@ use parqp::matmul::{cost, rect_block, sql_matmul, square_block, Matrix};
 fn main() {
     let n = 64;
     let p = 64;
-    let a = Matrix::random_int(n, 10, 1);
-    let b = Matrix::random_int(n, 10, 2);
+    let a = Matrix::random_int(n, n, 10, 1.0, 1);
+    let b = Matrix::random_int(n, n, 10, 1.0, 2);
     let oracle = a.multiply(&b);
 
     // SELECT A.i, B.k, SUM(A.v*B.v) FROM A, B WHERE A.j = B.j GROUP BY A.i, B.k
     let sql = sql_matmul(&a, &b, p, 42);
     // Rectangle-block: t rows × t cols per processor, one round.
     let t = 16;
-    let rect = rect_block(&a, &b, t);
+    let rect = rect_block(&a, &b, t, t);
     // Square-block: H×H blocking, groups G_z, H rounds at p = H².
     let h = 8;
     let square = square_block(&a, &b, h, h * h);

@@ -55,11 +55,11 @@ fn gym_ghd_widths_agree_with_hypercube() {
 
 #[test]
 fn matmul_three_engines_agree() {
-    let a = Matrix::random_int(24, 6, 1);
-    let b = Matrix::random_int(24, 6, 2);
+    let a = Matrix::random_int(24, 24, 6, 1.0, 1);
+    let b = Matrix::random_int(24, 24, 6, 1.0, 2);
     let oracle = a.multiply(&b);
     assert!(sql_matmul(&a, &b, 8, 3).c.max_abs_diff(&oracle) < 1e-9);
-    assert!(rect_block(&a, &b, 6).c.max_abs_diff(&oracle) < 1e-9);
+    assert!(rect_block(&a, &b, 6, 6).c.max_abs_diff(&oracle) < 1e-9);
     assert!(square_block(&a, &b, 4, 16).c.max_abs_diff(&oracle) < 1e-9);
     assert!(square_block(&a, &b, 3, 5).c.max_abs_diff(&oracle) < 1e-9);
 }

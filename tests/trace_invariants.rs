@@ -113,7 +113,7 @@ fn matmul_traces_match_reports() {
     let a = Matrix::random(24, 1);
     let b = Matrix::random(24, 2);
     assert_trace_matches("square_block", true, || square_block(&a, &b, 4, 8).report);
-    assert_trace_matches("rect_block", true, || rect_block(&a, &b, 6).report);
+    assert_trace_matches("rect_block", true, || rect_block(&a, &b, 6, 6).report);
 }
 
 #[test]
