@@ -1,4 +1,4 @@
-//! The two local kernels on their own, so a slower `perf` row can be
+//! The three local kernels on their own, so a slower `perf` row can be
 //! told apart from a slower kernel without the full run. Nothing gates
 //! these numbers; each is the fastest of [`RUNS`] calls.
 //!
@@ -11,12 +11,19 @@
 //!   over 64 servers) ordered by `sort_by_key` (what `psrs_by` runs),
 //!   by `sort_unstable`, and by the radix kernel `sort_words` (what
 //!   `psrs` runs).
+//! * `matmul_kernel/*` — the 64 block products of `matmul_parallel`
+//!   (`square_block` at n = 216, h = 4: 54 × 54 blocks) through
+//!   `gemm_acc`, on blocks copied into buffers of their own and on
+//!   views of the 216 × 216 matrices (what `square_block` runs; the
+//!   difference is what a row stride of 216 costs the kernel), and
+//!   `Matrix::multiply` at n = 216, the same flops as one product.
 //!
 //! ```text
 //! cargo bench -p parqp-bench --bench kernels
 //! ```
 
 use parqp::data::{generate, KeyIndex, KeyTable, Relation};
+use parqp::matmul::{gemm_acc, Matrix, View};
 use parqp::sort::sort_words;
 use parqp_testkit::bench::time_ns;
 use std::borrow::Borrow;
@@ -100,6 +107,55 @@ fn local_sort() {
     local_sort_rows("parts_of_1024", &parts);
 }
 
+/// `matmul_parallel`'s blocking: h = 4 blocks of side 54.
+const H: usize = 4;
+const NB: usize = 54;
+
+/// All `H³` block products `C_ik += A_ij · B_jk`, operands from `a_of`
+/// and `b_of`, into zeroed accumulators allocated on the clock.
+fn block_products<'a>(
+    a_of: impl Fn(usize, usize) -> View<'a>,
+    b_of: impl Fn(usize, usize) -> View<'a>,
+) -> f64 {
+    let mut c = vec![0.0; H * H * NB * NB];
+    for (at, acc) in c.chunks_exact_mut(NB * NB).enumerate() {
+        let (i, k) = (at / H, at % H);
+        for j in 0..H {
+            gemm_acc(acc, NB, a_of(i, j), b_of(j, k));
+        }
+    }
+    c.iter().sum()
+}
+
+/// Block `(bi, bj)` of `m`, read where it lies (row stride 216).
+fn in_place(m: &Matrix, bi: usize, bj: usize) -> View<'_> {
+    m.block(bi * NB, bj * NB, NB, NB)
+}
+
+/// Every block of `m` copied into a matrix of its own, block-row-major.
+fn copied_blocks(m: &Matrix) -> Vec<Matrix> {
+    (0..H * H)
+        .map(|at| {
+            let rows = (0..NB).map(|r| m.row(at / H * NB + r));
+            let block = rows.flat_map(|row| &row[at % H * NB..][..NB]);
+            Matrix::from_data(NB, NB, block.copied().collect())
+        })
+        .collect()
+}
+
+fn matmul_kernel() {
+    let a = Matrix::random(H * NB, 71);
+    let b = Matrix::random(H * NB, 72);
+    let (ac, bc) = (copied_blocks(&a), copied_blocks(&b));
+    let contiguous =
+        best_us(|| block_products(|i, j| ac[i * H + j].view(), |j, k| bc[j * H + k].view()));
+    let strided = best_us(|| block_products(|i, j| in_place(&a, i, j), |j, k| in_place(&b, j, k)));
+    let multiply = best_us(|| a.multiply(&b));
+    println!("matmul_kernel/64x54x54/contiguous    {contiguous:>10.1} µs");
+    println!("matmul_kernel/64x54x54/strided_views {strided:>10.1} µs");
+    println!("matmul_kernel/multiply_216           {multiply:>10.1} µs");
+}
+
 fn main() {
     for n in [1_000usize, 100_000] {
         for cols in [&[0usize][..], &[0, 1]] {
@@ -144,4 +200,5 @@ fn main() {
     println!("join_kernel/reuse/one_key_table     {reused_us:>10.1} µs");
 
     local_sort();
+    matmul_kernel();
 }

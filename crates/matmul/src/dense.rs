@@ -1,5 +1,7 @@
-//! Dense matrices and the serial oracle.
+//! Dense matrices, the serial oracle, and the one local kernel
+//! ([`gemm_acc`]) every product in this crate runs through.
 
+use parqp_mpc::Weight;
 use parqp_testkit::Rng;
 
 /// A dense `rows × cols` matrix of `f64`, row-major.
@@ -107,6 +109,34 @@ impl Matrix {
         &self.data[i * self.cols..(i + 1) * self.cols]
     }
 
+    /// Row `i` as a mutable slice.
+    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
+        &mut self.data[i * self.cols..(i + 1) * self.cols]
+    }
+
+    /// The non-empty `rows × cols` block whose top-left element is
+    /// `(r0, c0)`, read where it lies.
+    ///
+    /// # Panics
+    /// Panics if the block is empty or reaches outside the matrix.
+    pub fn block(&self, r0: usize, c0: usize, rows: usize, cols: usize) -> View<'_> {
+        assert!(
+            rows > 0 && cols > 0 && r0 + rows <= self.rows && c0 + cols <= self.cols,
+            "a block is non-empty and inside the matrix"
+        );
+        View {
+            data: &self.data[r0 * self.cols + c0..],
+            stride: self.cols,
+            rows,
+            cols,
+        }
+    }
+
+    /// The whole matrix as a [`View`].
+    pub fn view(&self) -> View<'_> {
+        self.block(0, 0, self.rows, self.cols)
+    }
+
     /// Column `j` as an owned vector.
     pub fn col(&self, j: usize) -> Vec<f64> {
         (0..self.rows).map(|i| self.get(i, j)).collect()
@@ -124,22 +154,8 @@ impl Matrix {
     /// Panics unless `self.cols == other.rows`.
     pub fn multiply(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.rows, "inner dimension mismatch");
-        let n = other.cols;
-        let mut c = Matrix::zeros(self.rows, n);
-        // i-k-j loop order for cache-friendly row access.
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.get(i, k);
-                if a == 0.0 {
-                    continue;
-                }
-                let brow = other.row(k);
-                let crow = &mut c.data[i * n..(i + 1) * n];
-                for (cv, bv) in crow.iter_mut().zip(brow) {
-                    *cv += a * bv;
-                }
-            }
-        }
+        let mut c = Matrix::zeros(self.rows, other.cols);
+        gemm_acc(&mut c.data, other.cols, self.view(), other.view());
         c
     }
 
@@ -155,6 +171,69 @@ impl Matrix {
             .zip(&other.data)
             .map(|(a, b)| (a - b).abs())
             .fold(0.0, f64::max)
+    }
+}
+
+/// A borrowed row-major `rows × cols` operand whose rows start `stride`
+/// elements apart: a [`Matrix`] or a [block](Matrix::block) of one, read
+/// where it lies. On the wire it weighs its `rows · cols` elements.
+#[derive(Debug, Clone, Copy)]
+pub struct View<'a> {
+    data: &'a [f64],
+    stride: usize,
+    rows: usize,
+    cols: usize,
+}
+
+impl<'a> View<'a> {
+    fn row_slices(self) -> impl Iterator<Item = &'a [f64]> {
+        let rows = self.data.chunks(self.stride).take(self.rows);
+        rows.map(move |r| &r[..self.cols])
+    }
+}
+
+impl Weight for View<'_> {
+    fn words(&self) -> u64 {
+        (self.rows * self.cols) as u64
+    }
+}
+
+/// The local kernel: `C += A · B`, where `c` holds the `a.rows × b.cols`
+/// result row-major with rows `c_stride` apart. Every `C` element
+/// accumulates its products in ascending inner index and an exactly-zero
+/// `A` element contributes nothing, so the result's bits depend on the
+/// operands' values alone, never on strides or the running thread. The
+/// loops run over row slices: no bounds check is left inside them and
+/// the inner `c += a·b` vectorises.
+///
+/// # Panics
+/// Panics unless `a.cols == b.rows` and `c` reaches the end of the last
+/// result row.
+pub fn gemm_acc(c: &mut [f64], c_stride: usize, a: View<'_>, b: View<'_>) {
+    assert_eq!(a.cols, b.rows, "inner dimension mismatch");
+    assert!(
+        c_stride >= b.cols && c.len() >= (a.rows - 1) * c_stride + b.cols,
+        "c ends before the last result row"
+    );
+    for (crow, arow) in c.chunks_mut(c_stride).zip(a.row_slices()) {
+        for (&av, brow) in arow.iter().zip(b.row_slices()) {
+            if av == 0.0 {
+                continue;
+            }
+            // `brow` is `b.cols` long and ends the zip there.
+            for (cv, &bv) in crow.iter_mut().zip(brow) {
+                *cv += av * bv;
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+impl Matrix {
+    /// Every element's bit pattern, for tests that compare products
+    /// bit for bit (`==` on `f64` equates `0.0` and `-0.0`).
+    pub(crate) fn bits(&self) -> Vec<u64> {
+        self.data.iter().map(|v| v.to_bits()).collect()
     }
 }
 
@@ -210,6 +289,89 @@ mod tests {
         assert_eq!((c.rows(), c.cols()), (2, 1));
         assert_eq!(c, Matrix::from_data(2, 1, vec![7.0, 16.0]));
         assert_eq!(b.nnz(), 2);
+    }
+
+    /// The triple-indexed loop `gemm_acc` replaced, kept as the reference:
+    /// ascending `k` per `C` element, exact-zero `A` elements skipped.
+    fn gemm_reference(
+        c: &mut [f64],
+        c_stride: usize,
+        a: &[f64],
+        a_stride: usize,
+        b: &[f64],
+        b_stride: usize,
+        (m, k, n): (usize, usize, usize),
+    ) {
+        for r in 0..m {
+            for kk in 0..k {
+                let av = a[r * a_stride + kk];
+                if av == 0.0 {
+                    continue;
+                }
+                for col in 0..n {
+                    c[r * c_stride + col] += av * b[kk * b_stride + col];
+                }
+            }
+        }
+    }
+
+    /// Non-integer entries (so rounding depends on summation order), a
+    /// `1 − density` share of them exactly zero.
+    fn fractional(rows: usize, cols: usize, density: f64, seed: u64) -> Matrix {
+        let mut m = Matrix::random_int(rows, cols, 4, density, seed);
+        let scale = Matrix::random(rows.max(cols), seed + 1);
+        for (v, f) in m.data.iter_mut().zip(&scale.data) {
+            *v *= f;
+        }
+        m
+    }
+
+    #[test]
+    fn gemm_acc_equals_the_indexed_loop_bit_for_bit() {
+        // Sub-blocks of larger matrices at an offset (so every stride
+        // exceeds its width), non-square m×k×n, exact zeros in A, and a
+        // C that does not start at zero.
+        let big_a = fractional(13, 17, 0.6, 1);
+        let big_b = Matrix::random(19, 3);
+        let start_c = Matrix::random(23, 4);
+        assert!(big_a.nnz() < 13 * 17, "the skip must be exercised");
+        for (m, k, n) in [(5, 7, 3), (1, 9, 11), (8, 1, 8), (6, 6, 6), (11, 8, 13)] {
+            let (ar, ac, br, bc, cr, cc) = (2, 3, 1, 4, 3, 2);
+            let mut got = start_c.clone();
+            let mut want = start_c.clone();
+            gemm_acc(
+                &mut got.data[cr * 23 + cc..],
+                23,
+                big_a.block(ar, ac, m, k),
+                big_b.block(br, bc, k, n),
+            );
+            gemm_reference(
+                &mut want.data[cr * 23 + cc..],
+                23,
+                &big_a.data[ar * 17 + ac..],
+                17,
+                &big_b.data[br * 19 + bc..],
+                19,
+                (m, k, n),
+            );
+            assert_eq!(got.bits(), want.bits(), "{m}x{k}x{n}");
+            assert_ne!(got, start_c);
+        }
+    }
+
+    #[test]
+    fn multiply_is_the_kernel_on_whole_matrices() {
+        let a = fractional(9, 14, 0.5, 5);
+        let b = fractional(14, 6, 1.0, 7);
+        let mut want = Matrix::zeros(9, 6);
+        gemm_reference(&mut want.data, 6, &a.data, 14, &b.data, 6, (9, 14, 6));
+        assert_eq!(a.multiply(&b).bits(), want.bits());
+    }
+
+    #[test]
+    #[should_panic(expected = "inside the matrix")]
+    fn block_outside_the_matrix_rejected() {
+        Matrix::zeros(4, 4).block(2, 2, 3, 1);
     }
 
     #[test]

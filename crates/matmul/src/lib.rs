@@ -22,7 +22,7 @@ pub mod rect;
 pub mod sqlmm;
 pub mod square;
 
-pub use dense::Matrix;
+pub use dense::{gemm_acc, Matrix, View};
 pub use rect::rect_block;
 pub use sqlmm::sql_matmul;
 pub use square::square_block;

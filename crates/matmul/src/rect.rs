@@ -9,7 +9,7 @@
 //! separate group sizes for the rows of `A` and the columns of `B` it
 //! multiplies any `m×k · k×n` (slide 127).
 
-use crate::dense::Matrix;
+use crate::dense::{gemm_acc, Matrix};
 use crate::MatMulRun;
 use parqp_mpc::{metrics, trace, Cluster, Grid, Weight};
 
@@ -94,23 +94,26 @@ pub fn rect_block(a: &Matrix, b: &Matrix, t1: usize, t2: usize) -> MatMulRun {
     for (rank, inbox) in inboxes.into_iter().enumerate() {
         let coords = grid.coords(rank);
         let (bi, bj) = (coords[0], coords[1]);
-        let mut rows: Vec<(usize, Vec<f64>)> = Vec::new();
-        let mut cols: Vec<(usize, Vec<f64>)> = Vec::new();
+        // The received columns go straight into a `k × tc` row-major
+        // panel, transposed once, so that each received row is one kernel
+        // call into its slice of `C`.
+        let mut panel = Matrix::zeros(k, t2.min(n - bj * t2));
+        let mut rows = Vec::new();
         for strip in inbox {
             let id = strip.id as usize;
             if id < m {
-                rows.push((id, strip.vals));
+                debug_assert_eq!(id / t1, bi);
+                rows.push((id, Matrix::from_data(1, k, strip.vals)));
             } else {
-                cols.push((id - m, strip.vals));
+                debug_assert_eq!((id - m) / t2, bj);
+                for (kk, v) in strip.vals.into_iter().enumerate() {
+                    panel.set(kk, id - m - bj * t2, v);
+                }
             }
         }
-        debug_assert!(rows.iter().all(|&(i, _)| i / t1 == bi));
-        debug_assert!(cols.iter().all(|&(j, _)| j / t2 == bj));
-        for (i, arow) in &rows {
-            for (j, bcol) in &cols {
-                let dot: f64 = arow.iter().zip(bcol).map(|(x, y)| x * y).sum();
-                c.set(*i, *j, dot);
-            }
+        for (i, arow) in rows {
+            let crow = &mut c.row_mut(i)[bj * t2..];
+            gemm_acc(crow, n, arow.view(), panel.view());
         }
     }
     MatMulRun {

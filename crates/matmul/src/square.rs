@@ -18,23 +18,24 @@
 //! Per round a processor receives `2(n/H)²` elements (`L`), and total
 //! communication is `Θ(n³/√L)` — the multi-round lower bound (slide 126).
 
-use crate::dense::Matrix;
+use crate::dense::{gemm_acc, Matrix, View};
 use crate::MatMulRun;
 use parqp_mpc::{metrics, trace, Cluster, Weight};
 
-/// An `nb × nb` block on the wire (row-major), with its block coordinates.
+/// A block on the wire with its block coordinates. An `A` or `B` block
+/// travels as a [`View`]: the receiver reads its rows where they lie and
+/// the round is charged the block's `nb²` words. Only a partial `C`
+/// block (the aggregation round) is computed data and owns its values.
 #[derive(Debug, Clone)]
-struct BlockMsg {
-    /// 0 = A block, 1 = B block, 2 = partial C block.
-    kind: u8,
+struct BlockMsg<V> {
     bi: usize,
     bj: usize,
-    vals: Vec<f64>,
+    vals: V,
 }
 
-impl Weight for BlockMsg {
+impl<V: Weight> Weight for BlockMsg<V> {
     fn words(&self) -> u64 {
-        self.vals.len() as u64
+        self.vals.words()
     }
 }
 
@@ -56,18 +57,12 @@ pub fn square_block(a: &Matrix, b: &Matrix, h: usize, p: usize) -> MatMulRun {
     // per block row against the page span the row occupies.
     let a_region = parqp_data::paged::IoRegion::new((n * n) as u64);
     let b_region = parqp_data::paged::IoRegion::new((n * n) as u64);
-    let block_of = |m: &Matrix,
-                    region: &parqp_data::paged::IoRegion,
-                    proc: usize,
-                    bi: usize,
-                    bj: usize|
-     -> Vec<f64> {
-        let mut out = Vec::with_capacity(nb * nb);
+    let block_of = |m, region: &parqp_data::paged::IoRegion, proc, bi, bj| {
         for r in 0..nb {
             region.read_at(proc, ((bi * nb + r) * n + bj * nb) as u64, nb as u64);
-            out.extend_from_slice(&m.row(bi * nb + r)[bj * nb..(bj + 1) * nb]);
         }
-        out
+        let vals = Matrix::block(m, bi * nb, bj * nb, nb, nb);
+        BlockMsg { bi, bj, vals }
     };
 
     // Product g (group-major: g = z·H² + i·H + k) runs on processor
@@ -91,13 +86,14 @@ pub fn square_block(a: &Matrix, b: &Matrix, h: usize, p: usize) -> MatMulRun {
             rounds + usize::from(distinct > 1),
         ));
     }
-    // partial[proc] maps (i,k) → accumulated nb×nb partial sum.
-    let mut partial: Vec<parqp_data::FastMap<(usize, usize), Vec<f64>>> =
-        vec![parqp_data::FastMap::default(); p];
 
+    // The multiplication rounds are accounting only: a round delivers at
+    // most one (A, B) pair per processor (g ranges over [lo, lo + p)),
+    // and each processor keeps its pairs in round order.
     let multiply_span = trace::span("matmul_square/multiply");
+    let mut pairs: Vec<Vec<BlockMsg<View<'_>>>> = vec![Vec::new(); p];
     for round in 0..rounds {
-        let mut ex = cluster.exchange::<BlockMsg>();
+        let mut ex = cluster.exchange();
         let lo = round * p;
         let hi = (lo + p).min(total);
         for g in lo..hi {
@@ -106,122 +102,63 @@ pub fn square_block(a: &Matrix, b: &Matrix, h: usize, p: usize) -> MatMulRun {
             let i = (g / h) % h;
             let k = g % h;
             let j = (i + k + z) % h;
-            ex.send(
-                proc,
-                BlockMsg {
-                    kind: 0,
-                    bi: i,
-                    bj: j,
-                    vals: block_of(a, &a_region, proc, i, j),
-                },
-            );
-            ex.send(
-                proc,
-                BlockMsg {
-                    kind: 1,
-                    bi: j,
-                    bj: k,
-                    vals: block_of(b, &b_region, proc, j, k),
-                },
-            );
+            ex.send(proc, block_of(a, &a_region, proc, i, j));
+            ex.send(proc, block_of(b, &b_region, proc, j, k));
         }
-        let inboxes = ex.finish();
-        // Each processor's accumulator moves into its job and back out,
-        // so the round's block multiplies can run on the pool while the
-        // per-(proc, block) accumulation order stays fixed.
-        let work: Vec<_> = std::mem::take(&mut partial)
-            .into_iter()
-            .zip(inboxes)
-            .collect();
-        partial = cluster.map(work, |_, (mut acc_map, inbox)| {
-            // Pair up A and B blocks: the schedule sends at most one
-            // product per processor per round... except when p < H²:
-            // then g mod p repeats within a round? No — g ranges over
-            // [lo, lo+p), so each processor gets exactly one product.
-            let mut ablock: Option<BlockMsg> = None;
-            let mut bblock: Option<BlockMsg> = None;
-            for m in inbox {
-                if m.kind == 0 {
-                    ablock = Some(m);
-                } else {
-                    bblock = Some(m);
-                }
-            }
-            let (Some(am), Some(bm)) = (ablock, bblock) else {
-                return acc_map;
-            };
-            let acc = acc_map
-                .entry((am.bi, bm.bj))
-                .or_insert_with(|| vec![0.0; nb * nb]);
-            // Conventional block multiply: acc += A_blk · B_blk.
-            for r in 0..nb {
-                for kk in 0..nb {
-                    let av = am.vals[r * nb + kk];
-                    if av == 0.0 {
-                        continue;
-                    }
-                    for c in 0..nb {
-                        acc[r * nb + c] += av * bm.vals[kk * nb + c];
-                    }
-                }
-            }
-            acc_map
-        });
+        for (list, inbox) in pairs.iter_mut().zip(ex.finish()) {
+            list.extend(inbox);
+        }
     }
+    // No message depends on a product before the aggregation round, so
+    // all of them run in one local phase: each processor multiplies its
+    // pairs in round order into `(i, k, partial C_{i,k})` accumulators
+    // kept in first-touch order, which fixes the accumulation order per
+    // (processor, block) whichever thread runs it.
+    let mut partial = cluster.map(pairs, |_, list| {
+        let mut blocks: Vec<BlockMsg<Vec<f64>>> = Vec::new();
+        for pair in list.chunks_exact(2) {
+            let [am, bm] = pair else { continue };
+            let acc = accumulator(&mut blocks, am.bi, bm.bj, nb);
+            gemm_acc(acc, nb, am.vals, bm.vals);
+        }
+        blocks
+    });
     drop(multiply_span);
 
     // Aggregation: if several processors hold partials of the same C
     // block, one more round routes them to the block's owner (slide 121).
-    let owner = |i: usize, k: usize| (i * h + k) % p;
+    let owner = |m: &BlockMsg<Vec<f64>>| (m.bi * h + m.bj) % p;
     let needs_aggregation = partial
         .iter()
         .enumerate()
-        .any(|(proc, m)| m.keys().any(|&(i, k)| owner(i, k) != proc));
-    let mut c = Matrix::zeros(n, n);
+        .any(|(proc, blocks)| blocks.iter().any(|m| owner(m) != proc));
     if needs_aggregation {
         let _span = trace::span("matmul_square/aggregate");
-        let mut ex = cluster.exchange::<BlockMsg>();
-        for (proc, blocks) in partial.iter().enumerate() {
+        let mut ex = cluster.exchange();
+        for (proc, blocks) in partial.iter_mut().enumerate() {
             ex.set_sender(proc);
-            for (&(i, k), vals) in blocks {
-                let dest = owner(i, k);
-                if dest != proc {
-                    ex.send(
-                        dest,
-                        BlockMsg {
-                            kind: 2,
-                            bi: i,
-                            bj: k,
-                            vals: vals.clone(),
-                        },
-                    );
+            // Only owners' accumulators are final after this round.
+            for m in std::mem::take(blocks) {
+                if owner(&m) == proc {
+                    blocks.push(m);
+                } else {
+                    ex.send(owner(&m), m);
                 }
             }
         }
-        let inboxes = ex.finish();
-        for (proc, inbox) in inboxes.into_iter().enumerate() {
+        for (blocks, inbox) in partial.iter_mut().zip(ex.finish()) {
             for m in inbox {
-                let acc = partial[proc]
-                    .entry((m.bi, m.bj))
-                    .or_insert_with(|| vec![0.0; nb * nb]);
+                let acc = accumulator(blocks, m.bi, m.bj, nb);
                 for (av, mv) in acc.iter_mut().zip(&m.vals) {
                     *av += mv;
                 }
             }
         }
-        // Only owners' accumulators are final now.
-        for (proc, blocks) in partial.iter().enumerate() {
-            for (&(i, k), vals) in blocks {
-                if owner(i, k) == proc {
-                    write_block(&mut c, i, k, nb, vals);
-                }
-            }
-        }
-    } else {
-        for blocks in &partial {
-            for (&(i, k), vals) in blocks {
-                write_block(&mut c, i, k, nb, vals);
-            }
+    }
+    let mut c = Matrix::zeros(n, n);
+    for m in partial.iter().flatten() {
+        for (r, vals) in m.vals.chunks_exact(nb).enumerate() {
+            c.row_mut(m.bi * nb + r)[m.bj * nb..(m.bj + 1) * nb].copy_from_slice(vals);
         }
     }
     MatMulRun {
@@ -230,12 +167,21 @@ pub fn square_block(a: &Matrix, b: &Matrix, h: usize, p: usize) -> MatMulRun {
     }
 }
 
-fn write_block(c: &mut Matrix, bi: usize, bk: usize, nb: usize, vals: &[f64]) {
-    for r in 0..nb {
-        for col in 0..nb {
-            c.set(bi * nb + r, bk * nb + col, vals[r * nb + col]);
-        }
+/// The `nb × nb` accumulator of block `(bi, bj)` in `blocks`, appended as
+/// zeros on first touch.
+fn accumulator(
+    blocks: &mut Vec<BlockMsg<Vec<f64>>>,
+    bi: usize,
+    bj: usize,
+    nb: usize,
+) -> &mut [f64] {
+    let found = blocks.iter().position(|m| (m.bi, m.bj) == (bi, bj));
+    let at = found.unwrap_or(blocks.len());
+    if found.is_none() {
+        let vals = vec![0.0; nb * nb];
+        blocks.push(BlockMsg { bi, bj, vals });
     }
+    &mut blocks[at].vals
 }
 
 #[cfg(test)]
@@ -253,6 +199,55 @@ mod tests {
                 run.c.max_abs_diff(&expect) < 1e-9,
                 "h={h} p={p} wrong product"
             );
+        }
+    }
+
+    /// `(h, p)` with `p < H²`, `p = H²`, `p = 2H²` (an aggregation round),
+    /// `p` that does not divide `H³`, and one processor.
+    const SHAPES: [(usize, usize); 6] = [(4, 8), (4, 16), (4, 32), (3, 5), (6, 5), (2, 1)];
+
+    #[test]
+    fn parallel_equals_serial_bit_for_bit() {
+        use parqp_mpc::exec::{with_mode, ExecMode};
+        let a = Matrix::random(12, 11);
+        let b = Matrix::random(12, 12);
+        for (h, p) in SHAPES {
+            let serial = with_mode(ExecMode::Serial, || square_block(&a, &b, h, p));
+            let parallel = with_mode(ExecMode::Parallel { workers: 3 }, || {
+                square_block(&a, &b, h, p)
+            });
+            assert_eq!(parallel.c.bits(), serial.c.bits(), "h={h} p={p}");
+            assert_eq!(parallel.report, serial.report, "h={h} p={p}");
+        }
+    }
+
+    #[test]
+    fn paged_reads_are_those_of_the_copying_implementation() {
+        // A block read in place still costs one logical read per block
+        // row, charged to the destination. Pinned from the implementation
+        // that copied every block (n = 24, 16-word pages, 2-page pools):
+        // (reads, misses, evictions) over all processors, then processor 0's.
+        use parqp_data::paged::{capture, IoStats, StoreConfig};
+        const WANT: [[(u64, u64, u64); 2]; 6] = [
+            [(768, 960, 944), (96, 108, 106)],
+            [(768, 960, 928), (48, 54, 52)],
+            [(768, 960, 896), (24, 27, 25)],
+            [(432, 432, 422), (96, 96, 94)],
+            [(1728, 1728, 1718), (352, 352, 350)],
+            [(192, 288, 286), (192, 288, 286)],
+        ];
+        let a = Matrix::random(24, 13);
+        let b = Matrix::random(24, 14);
+        let config = StoreConfig {
+            page_size: 16,
+            pool_pages: 2,
+        };
+        for ((h, p), want) in SHAPES.into_iter().zip(WANT) {
+            let (io, _) = capture(config, || square_block(&a, &b, h, p));
+            let sum = |f: fn(&IoStats) -> u64| io.iter().map(f).sum::<u64>();
+            let total = (sum(|s| s.reads), sum(|s| s.misses), sum(|s| s.evictions));
+            let first = (io[0].reads, io[0].misses, io[0].evictions);
+            assert_eq!([total, first], want, "h={h} p={p}");
         }
     }
 
