@@ -22,7 +22,7 @@ use crate::model;
 use parqp_data::stats::max_degree;
 use parqp_data::Relation;
 use parqp_join::{baselines, gym, multiway, plans, skewhc, twoway, JoinRun};
-use parqp_query::{acyclic_output_size, Ghd, Query};
+use parqp_query::{acyclic_output_size, in_variable_order, Ghd, Query, SchemaJoin};
 
 /// The algorithm chosen for an input.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -283,47 +283,9 @@ pub fn run_plan(
     seed: u64,
     strategy: &Strategy,
 ) -> JoinRun {
+    let columns = join_columns(query);
     match strategy {
-        Strategy::HashJoin | Strategy::BroadcastJoin | Strategy::SkewJoin => {
-            assert_eq!(
-                query.num_atoms(),
-                2,
-                "two-way strategy on non-two-way query"
-            );
-            let shared = query.shared_vars(0, 1);
-            assert_eq!(shared.len(), 1, "two-way strategies join on one variable");
-            let v = shared[0];
-            let r_col = query.atoms()[0]
-                .vars
-                .iter()
-                .position(|&x| x == v)
-                .expect("shared");
-            let s_col = query.atoms()[1]
-                .vars
-                .iter()
-                .position(|&x| x == v)
-                .expect("shared");
-            let run = match strategy {
-                Strategy::HashJoin => twoway::hash_join(&rels[0], r_col, &rels[1], s_col, p, seed),
-                Strategy::BroadcastJoin => {
-                    if rels[0].len() <= rels[1].len() {
-                        twoway::broadcast_join(&rels[0], r_col, &rels[1], s_col, p)
-                    } else {
-                        twoway::broadcast_join(&rels[1], s_col, &rels[0], r_col, p)
-                    }
-                }
-                _ => twoway::skew_join(&rels[0], r_col, &rels[1], s_col, p, seed),
-            };
-            reorder_twoway(
-                query,
-                run,
-                r_col,
-                s_col,
-                matches!(strategy, Strategy::BroadcastJoin) && rels[0].len() > rels[1].len(),
-            )
-        }
-        Strategy::Cartesian => multiway::hypercube(query, rels, p, seed),
-        Strategy::HyperCube => multiway::hypercube(query, rels, p, seed),
+        Strategy::Cartesian | Strategy::HyperCube => multiway::hypercube(query, rels, p, seed),
         Strategy::SkewHC => skewhc::skewhc(query, rels, p, seed),
         Strategy::Gym => {
             let tree = Ghd::join_tree(query).expect("Gym strategy requires an acyclic query");
@@ -331,23 +293,31 @@ pub fn run_plan(
         }
         Strategy::BinaryPlan => plans::binary_join_plan(query, rels, p, seed, None),
         Strategy::ExpansionJoin => parqp_join::subgraph::expansion_join(query, rels, p, seed),
-        Strategy::SingleServer => {
-            if query.num_atoms() == 2 && query.shared_vars(0, 1).len() == 1 {
-                let v = query.shared_vars(0, 1)[0];
-                let r_col = query.atoms()[0]
-                    .vars
-                    .iter()
-                    .position(|&x| x == v)
-                    .expect("shared");
-                let s_col = query.atoms()[1]
-                    .vars
-                    .iter()
-                    .position(|&x| x == v)
-                    .expect("shared");
-                let run = baselines::naive_one_server(&rels[0], r_col, &rels[1], s_col, 1);
-                reorder_twoway(query, run, r_col, s_col, false)
-            } else {
-                multiway::hypercube(query, rels, 1, seed)
+        Strategy::SingleServer if columns.is_none() => multiway::hypercube(query, rels, 1, seed),
+        // The two-way kernels, and a single server over a two-way join.
+        two_way => {
+            let (r_col, s_col) =
+                columns.expect("two-way strategies join two atoms on one variable");
+            let (r, s) = (&rels[0], &rels[1]);
+            let swapped = matches!(two_way, Strategy::BroadcastJoin) && r.len() > s.len();
+            let run = match two_way {
+                Strategy::HashJoin => twoway::hash_join(r, r_col, s, s_col, p, seed),
+                Strategy::BroadcastJoin if swapped => twoway::broadcast_join(s, s_col, r, r_col, p),
+                Strategy::BroadcastJoin => twoway::broadcast_join(r, r_col, s, s_col, p),
+                Strategy::SkewJoin => twoway::skew_join(r, r_col, s, s_col, p, seed),
+                _ => baselines::naive_one_server(r, r_col, s, s_col, 1),
+            };
+            // Rows come out as the first side, then the second without
+            // its join column: the schema join of the two atoms.
+            let [first, second] = if swapped { [1, 0] } else { [0, 1] }.map(|a| &query.atoms()[a]);
+            let vars = SchemaJoin::new(&first.vars, &second.vars).into_vars();
+            JoinRun {
+                outputs: run
+                    .outputs
+                    .into_iter()
+                    .map(|rel| in_variable_order(rel, &vars))
+                    .collect(),
+                report: run.report,
             }
         }
     }
@@ -360,52 +330,16 @@ pub fn plan_and_run(query: &Query, rels: &[Relation], p: usize, seed: u64) -> (D
     (d, run)
 }
 
-/// Reorder a two-way join's `r ++ (s − join col)` output into the
-/// query's variable order `x₀ … x_{k-1}`.
-fn reorder_twoway(
-    query: &Query,
-    run: JoinRun,
-    r_col: usize,
-    s_col: usize,
-    swapped: bool,
-) -> JoinRun {
-    let (first, second, fcol, scol) = if swapped {
-        (1, 0, s_col, r_col)
-    } else {
-        (0, 1, r_col, s_col)
+/// The join column of each atom of a two-atom query sharing exactly one
+/// variable — the shape the two-way kernels run — or `None`.
+fn join_columns(query: &Query) -> Option<(usize, usize)> {
+    let [r, s] = query.atoms() else {
+        return None;
     };
-    let a0 = &query.atoms()[first];
-    let a1 = &query.atoms()[second];
-    // Output schema of the two-way algorithms: a0 vars, then a1 vars
-    // minus its join position.
-    let mut schema: Vec<usize> = a0.vars.clone();
-    schema.extend(
-        a1.vars
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| i != scol)
-            .map(|(_, &v)| v),
-    );
-    let _ = fcol;
-    let mut col_of_var = vec![0usize; query.num_vars()];
-    for (i, &v) in schema.iter().enumerate() {
-        col_of_var[v] = i;
-    }
-    let order: Vec<usize> = (0..query.num_vars()).map(|v| col_of_var[v]).collect();
-    let outputs = run
-        .outputs
-        .into_iter()
-        .map(|rel| {
-            if rel.is_empty() {
-                parqp_data::Relation::new(query.num_vars())
-            } else {
-                rel.project(&order)
-            }
-        })
-        .collect();
-    JoinRun {
-        outputs,
-        report: run.report,
+    let on = SchemaJoin::new(&r.vars, &s.vars);
+    match (on.left_key(), on.right_key()) {
+        (&[r_col], &[s_col]) => Some((r_col, s_col)),
+        _ => None,
     }
 }
 
@@ -544,6 +478,93 @@ mod tests {
         let (_, run) = plan_and_run(&q, &[r, s], 4, 3);
         assert_eq!(run.gathered().to_rows(), vec![vec![100, 1, 200]]);
     }
+
+    /// `run_plan`'s two-way arms, word for word: every server's fragment
+    /// in raw row order (arity, length, words) and the ledger. `R(x₁, x₀)
+    /// ⋈ S(x₂, x₁)` joins R's column 0 with S's column 1, so every arm
+    /// permutes its rows into variable order. Printed by this test at the
+    /// commit before the arms shared one column lookup and one reorder.
+    #[test]
+    fn two_way_arms_pin_their_fragments_in_row_order() {
+        use parqp_data::fasthash::FxHasher;
+        use parqp_query::Atom;
+        use std::hash::Hasher;
+
+        let q = Query::new(
+            3,
+            vec![Atom::new("R", vec![1, 0]), Atom::new("S", vec![2, 1])],
+        );
+        // Zipf keys in the join columns: heavy hitters for the skew join.
+        let r = generate::zipf_pairs(400, 30, 1.2, 0, 4);
+        let s = generate::zipf_pairs(300, 30, 1.2, 1, 5);
+        let small = generate::uniform(2, 20, 30, 6);
+        let cases = [
+            (
+                "hash",
+                Strategy::HashJoin,
+                [&r, &s],
+                8,
+                0xc943_5627_e0ae_4940,
+            ),
+            (
+                "broadcast, small first",
+                Strategy::BroadcastJoin,
+                [&small, &s],
+                8,
+                0x9c64_5055_3391_9a5e,
+            ),
+            (
+                "broadcast, small second",
+                Strategy::BroadcastJoin,
+                [&r, &small],
+                8,
+                0x4527_7eda_d80b_6ea5,
+            ),
+            (
+                "skew",
+                Strategy::SkewJoin,
+                [&r, &s],
+                8,
+                0xa0aa_956c_eb87_e52d,
+            ),
+            (
+                "single server",
+                Strategy::SingleServer,
+                [&r, &s],
+                1,
+                0x5b94_c66f_d6b6_e68d,
+            ),
+        ];
+        let mut wrong = Vec::new();
+        for (what, strategy, [r, s], p, want) in cases {
+            let rels = [r.clone(), s.clone()];
+            let run = run_plan(&q, &rels, p, 7, &strategy);
+            assert!(run.output_size() > 0, "{what}: a vacuous case pins nothing");
+            assert_eq!(
+                run.gathered().canonical(),
+                evaluate(&q, &rels).canonical(),
+                "{what}"
+            );
+            let mut h = FxHasher::default();
+            for f in &run.outputs {
+                h.write_usize(f.arity());
+                h.write_usize(f.len());
+                for &w in f.raw() {
+                    h.write_u64(w);
+                }
+            }
+            h.write_u64(run.report.total_words());
+            h.write_usize(run.report.num_rounds());
+            if h.finish() != want {
+                wrong.push(format!(
+                    "{what}: {:#018x} != pinned {want:#018x}",
+                    h.finish()
+                ));
+            }
+        }
+        assert!(wrong.is_empty(), "{wrong:#?}");
+    }
+
     #[test]
     fn plan_builds_each_degree_table_once() {
         // A shape per rule family: two-way (sizes and degrees), cyclic

@@ -2,7 +2,9 @@
 
 use parqp_data::paged::RouteScan;
 use parqp_data::{KeyIndex, KeyTable, Relation, Rows, Value};
+use parqp_mpc::hash::splitmix64;
 use parqp_mpc::{HashFamily, LoadReport, RowExchange, Weight};
+use parqp_query::{in_variable_order, Var};
 use std::borrow::Borrow;
 
 /// The result of running a distributed algorithm: per-server outputs and
@@ -60,6 +62,76 @@ impl Tagged {
 impl Weight for Tagged {
     fn words(&self) -> u64 {
         self.row.len() as u64
+    }
+}
+
+/// A distributed relation: the variables its columns hold and one
+/// fragment per server — the state GYM, the binary plans and the
+/// expansion join carry from round to round.
+#[derive(Debug, Default)]
+pub(crate) struct Dist {
+    pub(crate) vars: Vec<Var>,
+    pub(crate) parts: Vec<Relation>,
+}
+
+impl Dist {
+    /// `rel`, over `vars`, in its free initial placement on `p` servers.
+    pub(crate) fn scatter(rel: &Relation, vars: &[Var], p: usize) -> Self {
+        Self {
+            vars: vars.to_vec(),
+            parts: scatter(rel, p),
+        }
+    }
+
+    /// Rows across all servers.
+    pub(crate) fn total(&self) -> usize {
+        self.parts.iter().map(Relation::len).sum()
+    }
+
+    /// The fragments in variable order `x₀ … x_{k-1}`: a run's outputs.
+    ///
+    /// # Panics
+    /// Panics unless the columns bind all `num_vars` variables.
+    pub(crate) fn into_outputs(self, num_vars: usize) -> Vec<Relation> {
+        assert_eq!(self.vars.len(), num_vars, "result must bind every variable");
+        let vars = self.vars;
+        self.parts
+            .into_iter()
+            .map(|part| in_variable_order(part, &vars))
+            .collect()
+    }
+}
+
+/// The server among `p` that a row's `key` columns hash to: their
+/// values chained through one routing digest. Rounds that route several
+/// (parent, child) pairs at once salt each pair's digest apart.
+#[inline]
+pub(crate) fn dest_of(h: &HashFamily, row: &[Value], key: &[usize], salt: u64, p: usize) -> usize {
+    let digest = key.iter().fold(0xcbf2_9ce4_8422_2325u64, |acc, &c| {
+        splitmix64(acc ^ h.digest(0, row[c]))
+    });
+    ((digest ^ salt) % p as u64) as usize
+}
+
+/// Send every row of `parts` on `stream` to the server its `key`
+/// columns hash to ([`dest_of`]).
+// `#[inline]` builds this loop in its callers' codegen units: a second
+// caller of `send_row` in this module's unit stops LLVM inlining it into
+// `hash_partition`, and the two-way join workloads measured that (PR 25).
+#[inline]
+pub(crate) fn route_rows(
+    ex: &mut RowExchange<'_>,
+    stream: usize,
+    parts: &[Relation],
+    h: &HashFamily,
+    key: &[usize],
+    salt: u64,
+) {
+    let p = ex.p();
+    for part in parts {
+        for row in part {
+            ex.send_row(stream, dest_of(h, row, key, salt, p), row);
+        }
     }
 }
 
@@ -194,29 +266,6 @@ pub fn local_hash_join(
     hash_join_rows(r_rows, r_col, s_rows, s_col, out);
 }
 
-/// Local join of schema-carrying rows (GYM, the binary plans, the
-/// expansion join): every `left` row, in order, extended by the `fresh`
-/// columns of each `right` row agreeing with it on the key columns, in
-/// `right`'s order.
-pub(crate) fn extend_rows(
-    left: &Relation,
-    left_pos: &[usize],
-    right: &Relation,
-    right_pos: &[usize],
-    fresh: &[usize],
-) -> Relation {
-    let index = KeyIndex::build(right, right_pos);
-    let mut out = Vec::new();
-    for lrow in left.iter() {
-        for i in index.probe(lrow, left_pos) {
-            let rrow = right.row(i);
-            out.extend_from_slice(lrow);
-            out.extend(fresh.iter().map(|&posn| rrow[posn]));
-        }
-    }
-    Relation::from_raw(left.arity() + fresh.len(), out)
-}
-
 /// One delivered stream of a row exchange as per-server fragments: the
 /// flat buffers *are* the fragments' storage.
 pub(crate) fn fragments(arity: usize, bufs: Vec<Vec<Value>>) -> Vec<Relation> {
@@ -257,20 +306,6 @@ pub(crate) fn inbox_pairs(
     let mut next = |arity| fragments(arity, streams.next().unwrap_or_default());
     let [first, second] = arities.map(&mut next);
     first.into_iter().zip(second).collect()
-}
-
-/// A relation's columns permuted into variable order `x₀ … x_{k-1}`,
-/// given the variable each column holds. A relation already in that
-/// order is handed back as it is.
-pub(crate) fn in_variable_order(rel: Relation, schema: &[usize]) -> Relation {
-    if rel.arity() == schema.len() && schema.iter().copied().eq(0..schema.len()) {
-        return rel;
-    }
-    let mut col_of_var = vec![0usize; schema.len()];
-    for (col, &v) in schema.iter().enumerate() {
-        col_of_var[v] = col;
-    }
-    rel.project(&col_of_var)
 }
 
 /// The serial two-way equi-join oracle in the same output convention.

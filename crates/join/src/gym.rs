@@ -22,129 +22,66 @@
 //! GYM beats the one-round algorithms whenever
 //! `OUT < p^{1−1/τ*} · IN` (slide 78) — experiment E11.
 
-use crate::common::{extend_rows, fragments, in_variable_order, inbox_pairs, scatter, JoinRun};
-use crate::plans::combined_hash;
+use crate::common::{dest_of, fragments, inbox_pairs, route_rows, Dist, JoinRun};
 use parqp_data::{FastMap, KeyIndex, Relation, Value};
 use parqp_mpc::hash::splitmix64;
 use parqp_mpc::{Cluster, Grid, HashFamily, LoadReport, RowExchange};
-use parqp_query::{Ghd, Query, Var};
+use parqp_query::{Ghd, Query, SchemaJoin, Var};
 
-/// A distributed intermediate relation: per-server fragments plus the
-/// variable schema they share.
-#[derive(Debug, Default)]
-struct Dist {
-    schema: Vec<Var>,
-    parts: Vec<Relation>,
-}
-
-impl Dist {
-    fn from_relation(rel: &Relation, vars: &[Var], p: usize) -> Self {
-        Self {
-            schema: vars.to_vec(),
-            parts: scatter(rel, p),
-        }
-    }
-
-    fn total(&self) -> usize {
-        self.parts.iter().map(Relation::len).sum()
-    }
-}
-
-fn shared_positions(left: &[Var], right: &[Var]) -> Vec<(usize, usize)> {
-    left.iter()
-        .enumerate()
-        .filter_map(|(lp, v)| right.iter().position(|rv| rv == v).map(|rp| (lp, rp)))
-        .collect()
-}
-
-/// [`shared_positions`] as the two key-column lists.
-fn key_columns(left: &[Var], right: &[Var]) -> (Vec<usize>, Vec<usize>) {
-    shared_positions(left, right).into_iter().unzip()
-}
-
-/// The server a row's `pos` columns hash to. Rounds that route several
-/// (parent, child) pairs at once salt each pair's hash apart.
-fn dest_of(h: &HashFamily, row: &[Value], pos: &[usize], salt: u64, p: usize) -> usize {
-    ((combined_hash(h, row, pos) ^ salt) % p as u64) as usize
-}
-
-/// Send every row of `parts` on `stream` to the server its `pos`
-/// columns hash to.
-fn route_rows(
-    ex: &mut RowExchange<'_>,
-    stream: usize,
-    parts: &[Relation],
-    h: &HashFamily,
-    pos: &[usize],
-    salt: u64,
-) {
-    let p = ex.p();
-    for part in parts {
-        for row in part {
-            ex.send_row(stream, dest_of(h, row, pos, salt, p), row);
-        }
-    }
-}
-
-/// Send the `pos` projection of `parts` on `stream`, deduplicated per
+/// Send the `key` projection of `parts` on `stream`, deduplicated per
 /// origin server (a row speaks for its key iff it is the first of its
-/// chain), each key to the server it hashes to.
+/// chain), each key to the server it hashes to. The projection's
+/// variables are the [`SchemaJoin::key_vars`] of the join that keyed it.
 fn route_distinct_keys(
     ex: &mut RowExchange<'_>,
     stream: usize,
     parts: &[Relation],
     h: &HashFamily,
-    pos: &[usize],
+    key: &[usize],
     salt: u64,
 ) {
     let p = ex.p();
-    let mut key = Vec::with_capacity(pos.len());
+    let mut projected = Vec::with_capacity(key.len());
     for part in parts {
-        let index = KeyIndex::build(part, pos);
+        let index = KeyIndex::build(part, key);
         for (i, row) in part.iter().enumerate() {
             if index.is_first_of_key(i) {
-                key.clear();
-                key.extend(pos.iter().map(|&c| row[c]));
-                ex.send_row(stream, dest_of(h, row, pos, salt, p), &key);
+                projected.clear();
+                projected.extend(key.iter().map(|&c| row[c]));
+                ex.send_row(stream, dest_of(h, row, key, salt, p), &projected);
             }
         }
     }
-}
-
-/// The rows of `rows` whose `pos` columns are one of `keys`' rows.
-fn semijoin_local(rows: &Relation, pos: &[usize], keys: &Relation) -> Relation {
-    let whole: Vec<usize> = (0..keys.arity()).collect();
-    let index = KeyIndex::build(keys, &whole);
-    rows.filter(|row| index.contains(row, pos))
 }
 
 /// One distributed semijoin round: `left ⋉ right`, both repartitioned by
 /// the hash of their shared variables. Returns the filtered left.
 fn semijoin_round(cluster: &mut Cluster, h: &HashFamily, left: Dist, right: &Dist) -> Dist {
     let p = cluster.p();
-    let (left_pos, right_pos) = key_columns(&left.schema, &right.schema);
-    if left_pos.is_empty() {
+    let on = SchemaJoin::new(&left.vars, &right.vars);
+    if on.is_product() {
         // Disconnected: pure emptiness filter, no data movement needed
         // beyond a 1-bit flag we do not charge.
         if right.total() == 0 {
             return Dist {
-                parts: vec![Relation::new(left.schema.len()); p],
-                schema: left.schema,
+                parts: vec![Relation::new(left.vars.len()); p],
+                vars: left.vars,
             };
         }
         return left;
     }
 
-    let arities = [left.schema.len(), right_pos.len()];
+    let arities = [left.vars.len(), on.left_key().len()];
     let mut ex = cluster.exchange_rows(&arities);
-    route_rows(&mut ex, 0, &left.parts, h, &left_pos, 0);
-    route_distinct_keys(&mut ex, 1, &right.parts, h, &right_pos, 0);
+    route_rows(&mut ex, 0, &left.parts, h, on.left_key(), 0);
+    route_distinct_keys(&mut ex, 1, &right.parts, h, on.right_key(), 0);
+    let keyed = SchemaJoin::new(&left.vars, &on.key_vars());
     let parts = inbox_pairs(arities, ex.finish())
         .iter()
-        .map(|(rows, keys)| semijoin_local(rows, &left_pos, keys))
+        .map(|(rows, keys)| keyed.semijoin(rows, keys))
         .collect();
     Dist {
-        schema: left.schema,
+        vars: left.vars,
         parts,
     }
 }
@@ -153,16 +90,10 @@ fn semijoin_round(cluster: &mut Cluster, h: &HashFamily, left: Dist, right: &Dis
 /// of the shared variables (Cartesian grid if none) and join locally.
 fn join_round(cluster: &mut Cluster, h: &HashFamily, left: Dist, right: Dist) -> Dist {
     let p = cluster.p();
-    let (left_pos, right_pos) = key_columns(&left.schema, &right.schema);
-    let fresh: Vec<usize> = (0..right.schema.len())
-        .filter(|&rp| !left.schema.contains(&right.schema[rp]))
-        .collect();
-    let mut schema = left.schema.clone();
-    schema.extend(fresh.iter().map(|&rp| right.schema[rp]));
-
-    let arities = [left.schema.len(), right.schema.len()];
+    let on = SchemaJoin::new(&left.vars, &right.vars);
+    let arities = [left.vars.len(), right.vars.len()];
     let mut ex = cluster.exchange_rows(&arities);
-    if left_pos.is_empty() {
+    if on.is_product() {
         let (p1, p2) = crate::twoway::product_grid(left.total(), right.total(), p);
         let grid = Grid::new(vec![p1, p2]);
         let mut idx = 0u64;
@@ -182,14 +113,17 @@ fn join_round(cluster: &mut Cluster, h: &HashFamily, left: Dist, right: Dist) ->
             }
         }
     } else {
-        route_rows(&mut ex, 0, &left.parts, h, &left_pos, 0);
-        route_rows(&mut ex, 1, &right.parts, h, &right_pos, 0);
+        route_rows(&mut ex, 0, &left.parts, h, on.left_key(), 0);
+        route_rows(&mut ex, 1, &right.parts, h, on.right_key(), 0);
     }
     let parts = inbox_pairs(arities, ex.finish())
         .iter()
-        .map(|(lrows, rrows)| extend_rows(lrows, &left_pos, rrows, &right_pos, &fresh))
+        .map(|(lrows, rrows)| on.join(lrows, rrows))
         .collect();
-    Dist { schema, parts }
+    Dist {
+        vars: on.into_vars(),
+        parts,
+    }
 }
 
 /// GYM over a width-1 join tree: `optimized = false` is vanilla
@@ -237,12 +171,15 @@ pub fn gym(
         .iter()
         .map(|bag| {
             let a = bag.atoms[0];
-            Dist::from_relation(&rels[a], &query.atoms()[a].vars, p)
+            Dist::scatter(&rels[a], &query.atoms()[a].vars, p)
         })
         .collect();
 
     let final_dist = run_yannakakis(&mut cluster, &h, tree, states, optimized);
-    finish(query, final_dist, cluster.report())
+    JoinRun {
+        report: cluster.report(),
+        outputs: final_dist.into_outputs(query.num_vars()),
+    }
 }
 
 /// Generalized GYM over any GHD (slide 95): one round of per-bag
@@ -271,23 +208,12 @@ pub fn gym_ghd(query: &Query, rels: &[Relation], ghd: &Ghd, p: usize, seed: u64)
         (p / multi.len()).max(1)
     };
     let mut mat_reports = Vec::new();
-    let mut bag_rels: Vec<Option<Relation>> = vec![None; nbags];
+    let mut bag_rels: Vec<Relation> = Vec::with_capacity(nbags);
     for (bi, bag) in ghd.bags.iter().enumerate() {
-        if bag.atoms.len() == 1 {
-            let a = bag.atoms[0];
-            // Project the atom onto the bag variable order.
-            let cols: Vec<usize> = bag
-                .vars
-                .iter()
-                .map(|v| {
-                    query.atoms()[a]
-                        .vars
-                        .iter()
-                        .position(|av| av == v)
-                        .expect("λ covers")
-                })
-                .collect();
-            bag_rels[bi] = Some(rels[a].project(&cols));
+        if let [a] = bag.atoms[..] {
+            // Project the atom onto the bag variable order (λ covers it).
+            let on = SchemaJoin::new(&bag.vars, &query.atoms()[a].vars);
+            bag_rels.push(rels[a].project(on.right_key()));
         } else {
             let sub_atoms: Vec<parqp_query::Atom> = bag
                 .atoms
@@ -323,7 +249,7 @@ pub fn gym_ghd(query: &Query, rels: &[Relation], ghd: &Ghd, p: usize, seed: u64)
             mat_reports.push(run.report.clone());
             // Project the sub-join onto the bag vars, deduplicated.
             let cols: Vec<usize> = bag.vars.iter().map(|&v| remap(v)).collect();
-            bag_rels[bi] = Some(run.gathered().project(&cols).canonical());
+            bag_rels.push(run.gathered().project(&cols).canonical());
         }
     }
     let mat_report = if mat_reports.is_empty() {
@@ -332,15 +258,6 @@ pub fn gym_ghd(query: &Query, rels: &[Relation], ghd: &Ghd, p: usize, seed: u64)
         Some(LoadReport::parallel(&mat_reports).folded(p))
     };
 
-    // Synthetic acyclic query over the bag relations.
-    let bag_query = Query::new(
-        query.num_vars(),
-        ghd.bags
-            .iter()
-            .enumerate()
-            .map(|(bi, bag)| parqp_query::Atom::new(format!("B{bi}"), bag.vars.clone()))
-            .collect(),
-    );
     let bag_tree = Ghd {
         bags: ghd
             .bags
@@ -356,21 +273,21 @@ pub fn gym_ghd(query: &Query, rels: &[Relation], ghd: &Ghd, p: usize, seed: u64)
 
     let mut cluster = Cluster::new(p);
     let h = HashFamily::new(seed ^ 0x6d79, 4);
-    let states: Vec<Dist> = (0..nbags)
-        .map(|bi| {
-            Dist::from_relation(
-                bag_rels[bi].as_ref().expect("materialized"),
-                &ghd.bags[bi].vars,
-                p,
-            )
-        })
+    let states: Vec<Dist> = ghd
+        .bags
+        .iter()
+        .zip(&bag_rels)
+        .map(|(bag, rel)| Dist::scatter(rel, &bag.vars, p))
         .collect();
     let final_dist = run_yannakakis(&mut cluster, &h, &bag_tree, states, true);
-    let mut run = finish(&bag_query, final_dist, cluster.report());
-    if let Some(mat) = mat_report {
-        run.report = LoadReport::sequential(&[mat, run.report]);
+    let report = cluster.report();
+    JoinRun {
+        report: match mat_report {
+            Some(mat) => LoadReport::sequential(&[mat, report]),
+            None => report,
+        },
+        outputs: final_dist.into_outputs(query.num_vars()),
     }
-    run
 }
 
 /// The three Yannakakis phases over already-distributed bag states.
@@ -468,28 +385,20 @@ fn run_yannakakis(
         .unwrap_or_default()
 }
 
-/// One (parent, child) edge of a level round, with the key columns the
-/// two bags share.
+/// One (parent, child) edge of a level round and how the two bags join.
 struct Edge {
     parent: usize,
     child: usize,
-    parent_pos: Vec<usize>,
-    child_pos: Vec<usize>,
+    on: SchemaJoin,
 }
 
 fn level_edges(states: &[Dist], edges: &[(usize, usize)]) -> Vec<Edge> {
     edges
         .iter()
         .map(|&(parent, child)| {
-            let (parent_pos, child_pos) =
-                key_columns(&states[parent].schema, &states[child].schema);
-            assert!(!parent_pos.is_empty(), "join-tree edges share variables");
-            Edge {
-                parent,
-                child,
-                parent_pos,
-                child_pos,
-            }
+            let on = SchemaJoin::new(&states[parent].vars, &states[child].vars);
+            assert!(!on.is_product(), "join-tree edges share variables");
+            Edge { parent, child, on }
         })
         .collect()
 }
@@ -510,7 +419,7 @@ fn upward_level(
         *filter_count.entry(e.parent).or_insert(0) += 1;
     }
     let needs_intersection = filter_count.values().any(|&c| c > 1);
-    let parent_arity = |e: &Edge| states[e.parent].schema.len();
+    let parent_arity = |e: &Edge| states[e.parent].vars.len();
 
     // Filter round. Streams 2i and 2i+1 carry edge i's parent rows and
     // its child keys. A parent row's instance id (origin server ≪ 32 |
@@ -518,7 +427,7 @@ fn upward_level(
     // `insts[i][dest][k]` names the k-th row stream 2i delivers to `dest`.
     let arities: Vec<usize> = edges
         .iter()
-        .flat_map(|e| [parent_arity(e), e.child_pos.len()])
+        .flat_map(|e| [parent_arity(e), e.on.left_key().len()])
         .collect();
     let mut ex = cluster.exchange_rows(&arities);
     let mut insts: Vec<Vec<Vec<u64>>> = vec![vec![Vec::new(); p]; edges.len()];
@@ -526,7 +435,7 @@ fn upward_level(
         let salt = splitmix64(i as u64);
         for (sid, part) in states[e.parent].parts.iter().enumerate() {
             for (idx, row) in part.iter().enumerate() {
-                let dest = dest_of(h, row, &e.parent_pos, salt, p);
+                let dest = dest_of(h, row, e.on.left_key(), salt, p);
                 ex.send_row(2 * i, dest, row);
                 if needs_intersection {
                     insts[i][dest].push(((sid as u64) << 32) | idx as u64);
@@ -538,7 +447,7 @@ fn upward_level(
             2 * i + 1,
             &states[e.child].parts,
             h,
-            &e.child_pos,
+            e.on.right_key(),
             salt,
         );
     }
@@ -548,23 +457,21 @@ fn upward_level(
     // key vouches for (and, for the intersection, their instance ids).
     let mut survivors: Vec<Vec<(Relation, Vec<u64>)>> = Vec::with_capacity(edges.len());
     for (i, e) in edges.iter().enumerate() {
-        let inboxes = inbox_pairs([parent_arity(e), e.child_pos.len()], delivered.by_ref());
+        let inboxes = inbox_pairs([parent_arity(e), e.on.left_key().len()], delivered.by_ref());
+        let keyed = SchemaJoin::new(&states[e.parent].vars, &e.on.key_vars());
         survivors.push(
             inboxes
                 .iter()
                 .zip(&insts[i])
                 .map(|((rows, keys), row_insts)| {
                     if !needs_intersection {
-                        return (semijoin_local(rows, &e.parent_pos, keys), Vec::new());
+                        return (keyed.semijoin(rows, keys), Vec::new());
                     }
-                    let whole: Vec<usize> = (0..keys.arity()).collect();
-                    let index = KeyIndex::build(keys, &whole);
+                    let keep = keyed.matches(keys);
                     let mut kept = (Relation::new(rows.arity()), Vec::new());
-                    for (row, &inst) in rows.iter().zip(row_insts) {
-                        if index.contains(row, &e.parent_pos) {
-                            kept.0.push(row);
-                            kept.1.push(inst);
-                        }
+                    for (row, &inst) in rows.iter().zip(row_insts).filter(|(row, _)| keep(row)) {
+                        kept.0.push(row);
+                        kept.1.push(inst);
                     }
                     kept
                 })
@@ -635,7 +542,7 @@ fn downward_level(
     // Streams 2i and 2i+1: edge i's child rows and its parent keys.
     let arities: Vec<usize> = edges
         .iter()
-        .flat_map(|e| [states[e.child].schema.len(), e.parent_pos.len()])
+        .flat_map(|e| [states[e.child].vars.len(), e.on.left_key().len()])
         .collect();
     let mut ex = cluster.exchange_rows(&arities);
     for (i, e) in edges.iter().enumerate() {
@@ -645,7 +552,7 @@ fn downward_level(
             2 * i,
             &states[e.child].parts,
             h,
-            &e.child_pos,
+            e.on.right_key(),
             salt,
         );
         route_distinct_keys(
@@ -653,17 +560,19 @@ fn downward_level(
             2 * i + 1,
             &states[e.parent].parts,
             h,
-            &e.parent_pos,
+            e.on.left_key(),
             salt,
         );
     }
     let mut delivered = ex.finish().into_iter();
 
     for e in &edges {
-        let arities = [states[e.child].schema.len(), e.parent_pos.len()];
+        let child = &states[e.child];
+        let keyed = SchemaJoin::new(&child.vars, &e.on.key_vars());
+        let arities = [child.vars.len(), e.on.left_key().len()];
         states[e.child].parts = inbox_pairs(arities, delivered.by_ref())
             .iter()
-            .map(|(rows, keys)| semijoin_local(rows, &e.child_pos, keys))
+            .map(|(rows, keys)| keyed.semijoin(rows, keys))
             .collect();
     }
 }
@@ -689,7 +598,8 @@ fn join_level(
         offset: usize,
         /// The parent's stream; child `ci` is stream `stream + 1 + ci`.
         stream: usize,
-        sv: Vec<(Vec<usize>, Vec<usize>)>, // per child: (parent pos, child pos)
+        /// Per child: how the parent joins it.
+        on: Vec<SchemaJoin>,
     }
     let mut plans = Vec::new();
     let mut arities = Vec::new();
@@ -710,24 +620,24 @@ fn join_level(
             vec![1; c]
         };
         let grid = Grid::new(shares);
-        let sv = children
+        let on = children
             .iter()
             .map(|&b| {
-                let pos = key_columns(&states[par].schema, &states[b].schema);
-                assert!(!pos.0.is_empty(), "join-tree edges share variables");
-                pos
+                let on = SchemaJoin::new(&states[par].vars, &states[b].vars);
+                assert!(!on.is_product(), "join-tree edges share variables");
+                on
             })
             .collect();
         let stream = arities.len();
-        arities.push(states[par].schema.len());
-        arities.extend(children.iter().map(|&b| states[b].schema.len()));
+        arities.push(states[par].vars.len());
+        arities.extend(children.iter().map(|&b| states[b].vars.len()));
         plans.push(NodePlan {
             parent: par,
             children,
             grid,
             offset: i * block,
             stream,
-            sv,
+            on,
         });
     }
 
@@ -739,19 +649,19 @@ fn join_level(
         for row in states[plan.parent].parts.iter().flatten() {
             coords.clear();
             coords.extend(
-                plan.sv
+                plan.on
                     .iter()
                     .zip(dims)
-                    .map(|((ppos, _), &dim)| dest_of(h, row, ppos, 0, dim)),
+                    .map(|(on, &dim)| dest_of(h, row, on.left_key(), 0, dim)),
             );
             ex.send_row(plan.stream, plan.offset + plan.grid.rank(&coords), row);
         }
         // Child rows: own dimension fixed, others broadcast.
         for (ci, &b) in plan.children.iter().enumerate() {
-            let (_, cpos) = &plan.sv[ci];
+            let child_key = plan.on[ci].right_key();
             let mut partial = vec![None; plan.children.len()];
             for row in states[b].parts.iter().flatten() {
-                partial[ci] = Some(dest_of(h, row, cpos, 0, dims[ci]));
+                partial[ci] = Some(dest_of(h, row, child_key, 0, dims[ci]));
                 for dest in plan.grid.matching_ranks(&partial) {
                     ex.send_row(plan.stream + 1 + ci, plan.offset + dest, row);
                 }
@@ -766,40 +676,21 @@ fn join_level(
     // Local: fold children into the parent fragment. Servers outside the
     // node's block received nothing on its streams and fold to empty.
     for plan in &plans {
-        let mut schema = states[plan.parent].schema.clone();
-        let mut acc = next_stream(schema.len());
+        let mut vars = states[plan.parent].vars.clone();
+        let mut parts = next_stream(vars.len());
         for &b in &plan.children {
-            let child_schema = &states[b].schema;
-            let rows = next_stream(child_schema.len());
-            let (lpos, rpos) = key_columns(&schema, child_schema);
-            let fresh: Vec<usize> = (0..child_schema.len())
-                .filter(|&rp| !schema.contains(&child_schema[rp]))
-                .collect();
-            acc = acc
+            let child = &states[b];
+            let on = SchemaJoin::new(&vars, &child.vars);
+            let rows = next_stream(child.vars.len());
+            parts = parts
                 .iter()
                 .zip(&rows)
-                .map(|(acc, rows)| extend_rows(acc, &lpos, rows, &rpos, &fresh))
+                .map(|(acc, rows)| on.join(acc, rows))
                 .collect();
-            schema.extend(fresh.iter().map(|&posn| child_schema[posn]));
+            vars = on.into_vars();
         }
-        states[plan.parent] = Dist { schema, parts: acc };
+        states[plan.parent] = Dist { vars, parts };
     }
-}
-
-/// Convert the final distributed state into per-server output relations
-/// in variable order.
-fn finish(query: &Query, dist: Dist, report: LoadReport) -> JoinRun {
-    assert_eq!(
-        dist.schema.len(),
-        query.num_vars(),
-        "result must bind every variable"
-    );
-    let outputs = dist
-        .parts
-        .into_iter()
-        .map(|part| in_variable_order(part, &dist.schema))
-        .collect();
-    JoinRun { outputs, report }
 }
 
 #[cfg(test)]

@@ -20,10 +20,11 @@
 use crate::common::{fragments, inbox_pairs, scatter, single_stream, JoinRun};
 use parqp_data::{FastMap, FastSet, KeyIndex, Relation, Value};
 use parqp_mpc::{Cluster, HashFamily, LoadReport};
+use parqp_query::SchemaJoin;
 
-/// Filter the in-place left fragments by membership of column `key_col`
-/// in the unary relation `right`, without moving `left`: a request/reply
-/// distributed semijoin (2 rounds on `cluster`).
+/// Filter the in-place fragments of `S(x₀, x₁)` by membership of
+/// column `key_col` in the unary relation `right`, without moving `S`:
+/// a request/reply distributed semijoin (2 rounds on `cluster`).
 ///
 /// Skew-insensitive: only *distinct* keys travel, so a key of any degree
 /// costs at most one request per holding server and one reply each.
@@ -71,9 +72,9 @@ fn semijoin_requests(
     }
     let replies = single_stream(1, ex.finish());
 
+    let on = SchemaJoin::new(&[0, 1], &[key_col]);
     for (part, reply) in left_parts.iter_mut().zip(replies) {
-        let keep = KeyIndex::build(&reply, &[0]);
-        *part = part.filter(|row| keep.contains(row, &[key_col]));
+        *part = on.semijoin(part, &reply);
     }
 }
 
@@ -145,6 +146,11 @@ pub fn hl_triangle(r: &Relation, s: &Relation, t: &Relation, p: usize, seed: u64
     // R(x,y) ⋉ {y: S(y,c)} ⋉ {x: T(c,x)} on its own group, 2 rounds:
     // round 1 filters on y, round 2 filters on x (co-hash semijoins).
     let group = ((p / 2) / heavy.len()).max(1);
+    // R(x₀, x₁) ⋉ {x₁ : S(x₁, c)}, then ⋉ {x₀ : T(c, x₀)}.
+    let (on_y, on_x) = (
+        SchemaJoin::new(&[0, 1], &[1]),
+        SchemaJoin::new(&[0, 1], &[0]),
+    );
     let mut reports = vec![light_run.report.clone()];
     let mut outputs = light_run.outputs;
     for (i, &c) in heavy.iter().enumerate() {
@@ -181,11 +187,8 @@ pub fn hl_triangle(r: &Relation, s: &Relation, t: &Relation, p: usize, seed: u64
             ex.send_row(1, h.hash(0, y, group), &[y]);
         }
         let filtered: Vec<Relation> = inbox_pairs([2, 1], ex.finish())
-            .into_iter()
-            .map(|(rows, keys)| {
-                let keys = KeyIndex::build(&keys, &[0]);
-                rows.filter(|row| keys.contains(row, &[1]))
-            })
+            .iter()
+            .map(|(rows, keys)| on_y.semijoin(rows, keys))
             .collect();
         // Round 2: survivors by h(x), T_c keys by h(x); filter; emit (x,y,c).
         let mut ex = cluster.exchange_rows(&[2, 1]);
@@ -198,14 +201,11 @@ pub fn hl_triangle(r: &Relation, s: &Relation, t: &Relation, p: usize, seed: u64
             ex.send_row(1, h.hash(1, x, group), &[x]);
         }
         for (rows, keys) in inbox_pairs([2, 1], ex.finish()) {
-            let keys = KeyIndex::build(&keys, &[0]);
-            let mut out = Relation::new(3);
-            for row in &rows {
-                if keys.contains(row, &[0]) {
-                    out.push(&[row[0], row[1], c]);
-                }
-            }
-            outputs.push(out);
+            let kept = on_x.semijoin(&rows, &keys);
+            outputs.push(Relation::from_raw(
+                3,
+                kept.iter().flat_map(|row| [row[0], row[1], c]).collect(),
+            ));
         }
         reports.push(cluster.report());
     }

@@ -11,23 +11,36 @@
 //! one-round HyperCube and the Yannakakis-style [`crate::gym`] avoid in
 //! their respective regimes.
 
-use crate::common::{extend_rows, in_variable_order, inbox_pairs, scatter, JoinRun};
+use crate::common::{dest_of, inbox_pairs, scatter, Dist, JoinRun};
 use parqp_data::paged::{IoCursor, RouteScan};
-use parqp_data::{Relation, Value};
+use parqp_data::Relation;
 use parqp_mpc::{metrics, trace, Cluster, Grid, HashFamily};
-use parqp_query::{Query, Var};
+use parqp_query::{Query, SchemaJoin};
 
 /// The two streams of a plan round: the intermediate and the next atom.
 const LEFT: usize = 0;
 const RIGHT: usize = 1;
 
-/// Combine the values at `positions` of `row` into one routing digest.
-pub(crate) fn combined_hash(h: &HashFamily, row: &[Value], positions: &[usize]) -> u64 {
-    let mut acc = 0xcbf2_9ce4_8422_2325u64;
-    for &p in positions {
-        acc = parqp_mpc::hash::splitmix64(acc ^ h.digest(0, row[p]));
+/// The atom order of a left-deep plan over `rels` (`0..n` by default),
+/// once the inputs are known to fit `query`.
+///
+/// # Panics
+/// Panics unless there is one relation per atom, each as wide as its
+/// atom, and `order` permutes the atoms.
+fn plan_order(query: &Query, rels: &[Relation], order: Option<Vec<usize>>) -> Vec<usize> {
+    assert_eq!(rels.len(), query.num_atoms(), "one relation per atom");
+    for (a, r) in query.atoms().iter().zip(rels) {
+        assert_eq!(a.arity(), r.arity(), "arity mismatch for atom {}", a.name);
     }
-    acc
+    let order = order.unwrap_or_else(|| (0..query.num_atoms()).collect());
+    let mut sorted = order.clone();
+    sorted.sort_unstable();
+    assert_eq!(
+        sorted,
+        (0..query.num_atoms()).collect::<Vec<_>>(),
+        "order must permute atoms"
+    );
+    order
 }
 
 /// Execute `query` with a left-deep iterative binary-join plan over the
@@ -43,21 +56,7 @@ pub fn binary_join_plan(
     seed: u64,
     order: Option<Vec<usize>>,
 ) -> JoinRun {
-    assert_eq!(rels.len(), query.num_atoms(), "one relation per atom");
-    for (a, r) in query.atoms().iter().zip(rels) {
-        assert_eq!(a.arity(), r.arity(), "arity mismatch for atom {}", a.name);
-    }
-    let order = order.unwrap_or_else(|| (0..query.num_atoms()).collect());
-    {
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        assert_eq!(
-            sorted,
-            (0..query.num_atoms()).collect::<Vec<_>>(),
-            "order must permute atoms"
-        );
-    }
-
+    let order = plan_order(query, rels, order);
     let mut cluster = Cluster::new(p);
     let h = HashFamily::new(seed, 1);
     if metrics::is_enabled() {
@@ -73,45 +72,26 @@ pub fn binary_join_plan(
         ));
     }
 
-    // Intermediate state: distributed rows + their variable schema.
+    // Intermediate state: the distributed rows of the atoms joined so far.
     let first = order[0];
-    let mut schema: Vec<Var> = query.atoms()[first].vars.clone();
-    let mut parts: Vec<Relation> = scatter(&rels[first], p);
-
+    let mut state = Dist::scatter(&rels[first], &query.atoms()[first].vars, p);
     for &next in &order[1..] {
-        let atom = &query.atoms()[next];
-        let shared_left: Vec<usize> = (0..schema.len())
-            .filter(|&i| atom.vars.contains(&schema[i]))
-            .collect();
-        let shared_right: Vec<usize> = shared_left
-            .iter()
-            .map(|&i| {
-                atom.vars
-                    .iter()
-                    .position(|&v| v == schema[i])
-                    .expect("shared")
-            })
-            .collect();
-        let fresh_right: Vec<usize> = (0..atom.vars.len())
-            .filter(|&pos| !schema.contains(&atom.vars[pos]))
-            .collect();
+        let on = SchemaJoin::new(&state.vars, &query.atoms()[next].vars);
         let right_parts = scatter(&rels[next], p);
-
-        let arities = [schema.len(), atom.arity()];
-        let span = trace::span(if shared_left.is_empty() {
+        let arities = [state.vars.len(), rels[next].arity()];
+        let span = trace::span(if on.is_product() {
             "binary_plan/cartesian"
         } else {
             "binary_plan/join"
         });
         let mut ex = cluster.exchange_rows(&arities);
-        if shared_left.is_empty() {
+        if on.is_product() {
             // Cartesian round on a product grid (which may use fewer
             // than p servers).
-            let left_n: usize = parts.iter().map(Relation::len).sum();
-            let (p1, p2) = crate::twoway::product_grid(left_n, rels[next].len(), p);
+            let (p1, p2) = crate::twoway::product_grid(state.total(), rels[next].len(), p);
             let grid = Grid::new(vec![p1, p2]);
             let mut idx = 0u64;
-            for (sid, part) in parts.iter().enumerate() {
+            for (sid, part) in state.parts.iter().enumerate() {
                 ex.set_sender(sid);
                 // Intermediate rows stream through the server's buffer
                 // pool (one logical read per row) under a paged store.
@@ -138,21 +118,19 @@ pub fn binary_join_plan(
                 }
             }
         } else {
-            for (sid, part) in parts.iter().enumerate() {
+            for (sid, part) in state.parts.iter().enumerate() {
                 ex.set_sender(sid);
                 let mut io = IoCursor::new(sid);
                 for row in part {
                     io.read(row.len());
-                    let dest = (combined_hash(&h, row, &shared_left) % p as u64) as usize;
-                    ex.send_row(LEFT, dest, row);
+                    ex.send_row(LEFT, dest_of(&h, row, on.left_key(), 0, p), row);
                 }
             }
             for (sid, part) in right_parts.iter().enumerate() {
                 ex.set_sender(sid);
                 let scan = RouteScan::new(sid, part);
                 for row in scan.iter() {
-                    let dest = (combined_hash(&h, row, &shared_right) % p as u64) as usize;
-                    ex.send_row(RIGHT, dest, row);
+                    ex.send_row(RIGHT, dest_of(&h, row, on.right_key(), 0, p), row);
                 }
             }
         }
@@ -160,62 +138,34 @@ pub fn binary_join_plan(
         drop(span);
 
         // Local join on the shared variables.
-        parts = cluster.map(inboxes, |_, (left, right)| {
-            extend_rows(&left, &shared_left, &right, &shared_right, &fresh_right)
-        });
-        schema.extend(fresh_right.iter().map(|&pos| atom.vars[pos]));
+        let parts = cluster.map(inboxes, |_, (left, right)| on.join(&left, &right));
+        state = Dist {
+            vars: on.into_vars(),
+            parts,
+        };
     }
-
-    // Reorder columns to x₀ … x_{k-1}.
-    assert_eq!(
-        schema.len(),
-        query.num_vars(),
-        "plan must bind every variable"
-    );
-    let outputs = parts
-        .into_iter()
-        .map(|part| in_variable_order(part, &schema))
-        .collect();
     JoinRun {
-        outputs,
+        outputs: state.into_outputs(query.num_vars()),
         report: cluster.report(),
     }
 }
 
 /// Size of the largest intermediate result of a left-deep plan, computed
-/// serially (used by E09/E11 to report intermediate blow-up).
+/// serially (used by E09/E11 to report intermediate blow-up): a fold of
+/// the plan's joins.
+///
+/// # Panics
+/// As [`binary_join_plan`].
 pub fn max_intermediate_size(query: &Query, rels: &[Relation], order: Option<Vec<usize>>) -> usize {
-    let order = order.unwrap_or_else(|| (0..query.num_atoms()).collect());
-    let mut schema = query.atoms()[order[0]].vars.clone();
-    let mut rows = rels[order[0]].clone();
-    let mut max = rows.len();
-    for &next in &order[1..] {
-        let atom = &query.atoms()[next];
-        let shared_left: Vec<usize> = (0..schema.len())
-            .filter(|&i| atom.vars.contains(&schema[i]))
-            .collect();
-        let shared_right: Vec<usize> = shared_left
-            .iter()
-            .map(|&i| {
-                atom.vars
-                    .iter()
-                    .position(|&v| v == schema[i])
-                    .expect("shared")
-            })
-            .collect();
-        let fresh_right: Vec<usize> = (0..atom.vars.len())
-            .filter(|&pos| !schema.contains(&atom.vars[pos]))
-            .collect();
-        rows = extend_rows(
-            &rows,
-            &shared_left,
-            &rels[next],
-            &shared_right,
-            &fresh_right,
-        );
+    let order = plan_order(query, rels, order);
+    let first = (query.atoms()[order[0]].vars.clone(), rels[order[0]].clone());
+    let mut max = first.1.len();
+    order[1..].iter().fold(first, |(vars, rows), &next| {
+        let on = SchemaJoin::new(&vars, &query.atoms()[next].vars);
+        let rows = on.join(&rows, &rels[next]);
         max = max.max(rows.len());
-        schema.extend(fresh_right.iter().map(|&pos| atom.vars[pos]));
-    }
+        (on.into_vars(), rows)
+    });
     max
 }
 
@@ -296,6 +246,35 @@ mod tests {
         assert_eq!(blow, (m * m) as usize);
         let out = parqp_query::evaluate(&q, &[r1, r2, r3]);
         assert_eq!(out.len(), m as usize);
+    }
+
+    #[test]
+    #[should_panic(expected = "order must permute")]
+    fn max_intermediate_size_rejects_an_atom_twice() {
+        let g = generate::uniform(2, 10, 5, 1);
+        max_intermediate_size(
+            &Query::triangle(),
+            &[g.clone(), g.clone(), g],
+            Some(vec![0, 0]),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "order must permute")]
+    fn max_intermediate_size_rejects_a_short_order() {
+        let g = generate::uniform(2, 10, 5, 1);
+        max_intermediate_size(
+            &Query::triangle(),
+            &[g.clone(), g.clone(), g],
+            Some(vec![0]),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "one relation per atom")]
+    fn max_intermediate_size_needs_one_relation_per_atom() {
+        let g = generate::uniform(2, 10, 5, 1);
+        max_intermediate_size(&Query::triangle(), &[g.clone(), g], None);
     }
 
     #[test]

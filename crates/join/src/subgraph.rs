@@ -24,11 +24,10 @@
 //! result follows **set semantics** (duplicate input tuples do not
 //! multiply outputs; compare canonical forms).
 
-use crate::common::{extend_rows, in_variable_order, inbox_pairs, scatter, JoinRun};
-use crate::plans::combined_hash;
-use parqp_data::{FastSet, KeyIndex, Relation};
+use crate::common::{inbox_pairs, route_rows, scatter, Dist, JoinRun};
+use parqp_data::{FastSet, Relation};
 use parqp_mpc::{Cluster, HashFamily};
-use parqp_query::{Query, Var};
+use parqp_query::{Query, SchemaJoin, Var};
 
 /// Run the expansion join with the default variable order (the first
 /// atom's variables, then the remaining variables in index order).
@@ -80,137 +79,96 @@ pub fn expansion_join_with_order(
     let mut cluster = Cluster::new(p);
     let h = HashFamily::new(seed ^ 0x5b9e_37c1, 2);
 
-    // State: distributed bindings with schema `bound`.
-    let mut bound: Vec<Var> = query.atoms()[seed_atom].vars.clone();
-    let mut parts: Vec<Relation> = scatter(&dedup(&rels[seed_atom]), p);
+    // State: distributed bindings over the variables bound so far.
+    let seed_vars = &query.atoms()[seed_atom].vars;
+    let mut bindings = Dist::scatter(&rels[seed_atom].canonical(), seed_vars, p);
     let mut verified = vec![false; query.num_atoms()];
     verified[seed_atom] = true;
 
-    for &v in &order[bound.len()..] {
+    for &v in &order[seed_vars.len()..] {
+        let bound = |x: &Var| bindings.vars.contains(x);
         // Choose the extender: an atom containing v sharing the most
         // bound variables and the fewest other unbound ones.
         let extender = (0..query.num_atoms())
             .filter(|&j| query.atoms()[j].vars.contains(&v))
             .max_by_key(|&j| {
                 let a = &query.atoms()[j];
-                let shared = a.vars.iter().filter(|x| bound.contains(x)).count();
-                let unbound_others = a
-                    .vars
-                    .iter()
-                    .filter(|&&x| x != v && !bound.contains(&x))
-                    .count();
+                let shared = a.vars.iter().filter(|x| bound(x)).count();
+                let unbound_others = a.vars.iter().filter(|&&x| x != v && !bound(&x)).count();
                 (shared, usize::MAX - unbound_others)
             })
             .expect("every variable appears in some atom");
         let atom = &query.atoms()[extender];
-        let shared_vars: Vec<Var> = atom
-            .vars
-            .iter()
-            .copied()
-            .filter(|x| bound.contains(x))
-            .collect();
+        // Project the extender onto its bound variables (in its own
+        // order), then v: set semantics.
+        let ext_vars: Vec<Var> = atom.vars.iter().copied().filter(bound).chain([v]).collect();
         assert!(
-            !shared_vars.is_empty(),
+            ext_vars.len() > 1,
             "variable order disconnects the query at x{v}"
         );
-        // Project the extender onto (shared ++ v), set semantics.
-        let mut proj_cols: Vec<usize> = shared_vars
-            .iter()
-            .map(|sv| atom.vars.iter().position(|x| x == sv).expect("shared"))
-            .collect();
-        proj_cols.push(
-            atom.vars
-                .iter()
-                .position(|&x| x == v)
-                .expect("extender has v"),
-        );
-        let ext = rels[extender].project(&proj_cols).canonical();
-        if proj_cols.len() == atom.vars.len() {
+        let ext_cols = SchemaJoin::new(&ext_vars, &atom.vars);
+        let ext = rels[extender].project(ext_cols.right_key()).canonical();
+        if ext_vars.len() == atom.vars.len() {
             verified[extender] = true;
         }
 
-        // Extension round: bindings and extender fragments co-hash on the
-        // shared variables.
-        let bound_pos: Vec<usize> = shared_vars
-            .iter()
-            .map(|sv| bound.iter().position(|x| x == sv).expect("bound"))
-            .collect();
-        let ext_key: Vec<usize> = (0..shared_vars.len()).collect();
-        let arities = [bound.len(), ext.arity()];
-        let mut ex = cluster.exchange_rows(&arities);
-        for part in &parts {
-            for b in part {
-                let dest = (combined_hash(&h, b, &bound_pos) % p as u64) as usize;
-                ex.send_row(0, dest, b);
-            }
-        }
-        for part in scatter(&ext, p) {
-            for row in part.iter() {
-                let dest = (combined_hash(&h, row, &ext_key) % p as u64) as usize;
-                ex.send_row(1, dest, row);
-            }
-        }
-        // Extender rows are (shared…, v): key on all but the last
-        // column, extend each binding with the last.
-        parts = inbox_pairs(arities, ex.finish())
-            .iter()
-            .map(|(bindings, ext_rows)| {
-                extend_rows(bindings, &bound_pos, ext_rows, &ext_key, &[ext_key.len()])
-            })
-            .collect();
-        bound.push(v);
+        // Extension round: each binding extended with every consistent v.
+        let on = SchemaJoin::new(&bindings.vars, &ext_vars);
+        let parts = expansion_round(&mut cluster, &h, &bindings, &ext, &ext_vars, |b, e| {
+            on.join(b, e)
+        });
+        bindings = Dist {
+            vars: on.into_vars(),
+            parts,
+        };
 
         // Filter rounds: any unverified atom that is now fully bound.
-        for j in 0..query.num_atoms() {
-            if verified[j] || !query.atoms()[j].vars.iter().all(|x| bound.contains(x)) {
+        for (j, atom) in query.atoms().iter().enumerate() {
+            if verified[j] || !atom.vars.iter().all(|x| bindings.vars.contains(x)) {
                 continue;
             }
             verified[j] = true;
-            let fatom = &query.atoms()[j];
-            let bpos: Vec<usize> = fatom
-                .vars
-                .iter()
-                .map(|fv| bound.iter().position(|x| x == fv).expect("fully bound"))
-                .collect();
-            let filt = dedup(&rels[j]);
-            let filt_key: Vec<usize> = (0..filt.arity()).collect();
-            let arities = [bound.len(), filt.arity()];
-            let mut ex = cluster.exchange_rows(&arities);
-            for part in &parts {
-                for b in part {
-                    let dest = (combined_hash(&h, b, &bpos) % p as u64) as usize;
-                    ex.send_row(0, dest, b);
-                }
-            }
-            for part in scatter(&filt, p) {
-                for row in part.iter() {
-                    let dest = (combined_hash(&h, row, &filt_key) % p as u64) as usize;
-                    ex.send_row(1, dest, row);
-                }
-            }
-            parts = inbox_pairs(arities, ex.finish())
-                .iter()
-                .map(|(bindings, members)| {
-                    let members = KeyIndex::build(members, &filt_key);
-                    bindings.filter(|b| members.contains(b, &bpos))
-                })
-                .collect();
+            let on = SchemaJoin::new(&bindings.vars, &atom.vars);
+            bindings.parts = expansion_round(
+                &mut cluster,
+                &h,
+                &bindings,
+                &rels[j].canonical(),
+                &atom.vars,
+                |b, m| on.semijoin(b, m),
+            );
         }
     }
     assert!(verified.iter().all(|&x| x), "every atom must be verified");
 
-    let outputs = parts
-        .into_iter()
-        .map(|part| in_variable_order(part, &bound))
-        .collect();
     JoinRun {
-        outputs,
+        outputs: bindings.into_outputs(query.num_vars()),
         report: cluster.report(),
     }
 }
 
-fn dedup(rel: &Relation) -> Relation {
-    rel.canonical()
+/// One round of the expansion join: the bindings and the rows of `side`
+/// (over `side_vars`) meet on the variables they share — hashed in
+/// `side_vars`' order, so a binding lands where the atom rows it needs
+/// do — and each server applies `local` to the two fragments it holds.
+fn expansion_round(
+    cluster: &mut Cluster,
+    h: &HashFamily,
+    bindings: &Dist,
+    side: &Relation,
+    side_vars: &[Var],
+    local: impl Fn(&Relation, &Relation) -> Relation,
+) -> Vec<Relation> {
+    let p = cluster.p();
+    let key = SchemaJoin::new(side_vars, &bindings.vars);
+    let arities = [bindings.vars.len(), side.arity()];
+    let mut ex = cluster.exchange_rows(&arities);
+    route_rows(&mut ex, 0, &bindings.parts, h, key.right_key(), 0);
+    route_rows(&mut ex, 1, &scatter(side, p), h, key.left_key(), 0);
+    inbox_pairs(arities, ex.finish())
+        .iter()
+        .map(|(rows, side_rows)| local(rows, side_rows))
+        .collect()
 }
 
 #[cfg(test)]

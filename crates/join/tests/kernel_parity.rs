@@ -22,7 +22,7 @@ use parqp_join::plans::{binary_join_plan, max_intermediate_size};
 use parqp_join::skewhc::skewhc;
 use parqp_join::subgraph::{expansion_join, expansion_join_with_order};
 use parqp_join::twoway::{broadcast_join, cartesian, hash_join, skew_join, sort_merge_join};
-use parqp_query::{Ghd, Query};
+use parqp_query::{yannakakis_serial, Atom, Ghd, Query};
 use std::hash::Hasher;
 
 fn digest(fragments: &[Relation]) -> u64 {
@@ -119,8 +119,11 @@ fn gym_fragments_and_ledger() {
         generate::uniform(1, 60, 500, 52),
     ];
     let product_tree = Ghd::join_tree(&product).expect("acyclic");
+    // Small: the balanced GHD's root bag covers R0 and R2 ⋈ R3, which
+    // share nothing, so it materializes their product.
+    let balanced_rels = uniform_rels(4, 40, 12, 70);
 
-    let cases: [(&str, JoinRun, u64); 8] = [
+    let cases: [(&str, JoinRun, u64); 9] = [
         (
             "star vanilla",
             gym(&star, &star_rels, &Ghd::star_flat(&star), 8, 3, false),
@@ -161,11 +164,77 @@ fn gym_fragments_and_ledger() {
             gym_ghd(&chain, &chain_rels, &Ghd::chain_blocks(4, 2), 8, 11),
             0xae2a_b678_94f7_f97d,
         ),
+        (
+            "gym_ghd chain balanced (a product bag)",
+            gym_ghd(&chain, &balanced_rels, &Ghd::chain_balanced(4), 8, 11),
+            0x9c10_c4c7_520c_9460,
+        ),
     ];
     let mut pins = Pins::default();
     for (what, run, want) in cases {
         assert!(run.output_size() > 0, "{what}: a vacuous case pins nothing");
         pins.check(what, run_digest(&run), want);
+    }
+    pins.finish();
+}
+
+/// Serial Yannakakis in raw row order: its semijoins and joins and the
+/// reorder of its result are the ones the distributed algorithms use.
+#[test]
+fn yannakakis_serial_rows_and_order() {
+    let chain = Query::chain(4);
+    let star = Query::star(4);
+    let tree64 = Query::slide64_tree();
+    let product = Query::product();
+    // A chain written back to front: the join tree's result columns are
+    // not in variable order, so the reorder permutes.
+    let reversed = Query::new(
+        4,
+        vec![
+            Atom::new("R", vec![3, 2]),
+            Atom::new("S", vec![2, 1]),
+            Atom::new("T", vec![1, 0]),
+        ],
+    );
+    let tree = |q: &Query| Ghd::join_tree(q).expect("acyclic");
+    let cases: [(&str, Relation, u64); 5] = [
+        (
+            "chain",
+            yannakakis_serial(&chain, &uniform_rels(4, 150, 30, 20), &tree(&chain)),
+            0xf0be_b7f7_cd9d_e42a,
+        ),
+        (
+            "star",
+            yannakakis_serial(&star, &uniform_rels(4, 200, 40, 10), &Ghd::star_flat(&star)),
+            0x65e5_87cc_be20_2ee4,
+        ),
+        (
+            "slide-64 tree",
+            yannakakis_serial(&tree64, &uniform_rels(5, 150, 30, 30), &tree(&tree64)),
+            0x040c_1453_6bab_c1b8,
+        ),
+        (
+            "forest (product)",
+            yannakakis_serial(
+                &product,
+                &[
+                    generate::uniform(1, 50, 500, 51),
+                    generate::uniform(1, 60, 500, 52),
+                ],
+                &tree(&product),
+            ),
+            0xf691_7737_cea3_92d9,
+        ),
+        (
+            "chain written back to front",
+            yannakakis_serial(&reversed, &uniform_rels(3, 150, 30, 40), &tree(&reversed)),
+            0x8472_7aa0_a854_eb87,
+        ),
+    ];
+    let mut pins = Pins::default();
+    for (what, out, want) in cases {
+        assert!(!out.is_empty(), "{what}: a vacuous case pins nothing");
+        pins.check(what, digest(&[out]), want);
     }
     pins.finish();
 }

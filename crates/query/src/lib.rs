@@ -17,6 +17,9 @@
 //!   the `O(IN)` output size the planner reads;
 //! * [`parser`] — a Datalog-style surface syntax
 //!   (`Q(x,y,z) :- R(x,y), S(y,z), T(z,x)`);
+//! * [`schema`] — the one local join and semijoin of two relations over
+//!   variable schemas ([`SchemaJoin`]) and the reorder into variable
+//!   order, shared by the serial oracle and every multi-round algorithm;
 //! * [`wcoj`] — a worst-case-optimal serial Generic Join (the `O(AGM)`
 //!   engine behind the slide 55 bound and the slide 97 BiGJoin family).
 
@@ -25,6 +28,7 @@ pub mod oracle;
 pub mod parser;
 pub mod query;
 pub mod residual;
+pub mod schema;
 pub mod wcoj;
 
 pub use ghd::{Bag, Ghd};
@@ -32,4 +36,5 @@ pub use oracle::{acyclic_output_size, evaluate, yannakakis_serial};
 pub use parser::{parse_query, ParseError};
 pub use query::{Atom, Query, Var};
 pub use residual::{all_residuals, psi_star, residual, ResidualQuery};
+pub use schema::{in_variable_order, SchemaJoin};
 pub use wcoj::{generic_join, generic_join_with_order};

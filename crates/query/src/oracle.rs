@@ -13,7 +13,8 @@
 //!   to the same output rows in the same order.
 //! * [`yannakakis_serial`] — the Yannakakis algorithm over a width-1 GHD
 //!   (slides 64–77): upward semijoin phase, downward semijoin phase, then
-//!   a bottom-up join phase, running in `O(IN + OUT)`.
+//!   a bottom-up join phase, running in `O(IN + OUT)`. Every step is a
+//!   [`SchemaJoin`], the local join the distributed algorithms share.
 //! * [`acyclic_output_size`] — the size of that join and nothing else, in
 //!   `O(IN)`: Yannakakis carrying counts instead of tuples. Every tuple
 //!   holds the number of ways it extends into its bag's subtree; a child
@@ -30,6 +31,7 @@
 
 use crate::ghd::Ghd;
 use crate::query::{Query, Var};
+use crate::schema::{in_variable_order, SchemaJoin};
 use parqp_data::index::Chain;
 use parqp_data::{KeyIndex, Relation, Value};
 
@@ -147,45 +149,47 @@ pub fn yannakakis_serial(q: &Query, rels: &[Relation], tree: &Ghd) -> Relation {
     // Upward semijoin phase: leaves to root.
     for &b in order.iter().rev() {
         if let Some(parent) = tree.parent[b] {
-            work[parent] = semijoin(&work[parent], bags[parent].0, &work[b], bags[b].0);
+            let on = SchemaJoin::new(bags[parent].0, bags[b].0);
+            work[parent] = on.semijoin(&work[parent], &work[b]);
         }
     }
     // Downward semijoin phase: root to leaves.
     for &b in &order {
         if let Some(parent) = tree.parent[b] {
-            work[b] = semijoin(&work[b], bags[b].0, &work[parent], bags[parent].0);
+            let on = SchemaJoin::new(bags[b].0, bags[parent].0);
+            work[b] = on.semijoin(&work[b], &work[parent]);
         }
     }
 
-    // Join phase: fold children into parents, bottom-up. Track the
-    // variable schema of each partial result.
-    let mut schema: Vec<Vec<Var>> = bags.iter().map(|&(vars, _)| vars.to_vec()).collect();
-    let mut partial: Vec<Option<Relation>> = work.into_iter().map(Some).collect();
+    // Join phase: fold children into parents, bottom-up, each partial
+    // result beside its variables.
+    type Side = (Vec<Var>, Relation);
+    let join = |(left_vars, left): Side, (right_vars, right): Side| {
+        let on = SchemaJoin::new(&left_vars, &right_vars);
+        let joined = on.join(&left, &right);
+        (on.into_vars(), joined)
+    };
+    let mut partial: Vec<Option<Side>> = bags
+        .iter()
+        .zip(work)
+        .map(|(&(vars, _), rel)| Some((vars.to_vec(), rel)))
+        .collect();
     for &b in order.iter().rev() {
         if let Some(parent) = tree.parent[b] {
-            let child_rel = partial[b].take().expect("child joined once");
-            let parent_rel = partial[parent].take().expect("parent present");
-            let (joined, joined_schema) =
-                join_on_schemas(&parent_rel, &schema[parent], &child_rel, &schema[b]);
-            partial[parent] = Some(joined);
-            schema[parent] = joined_schema;
+            let child = partial[b].take().expect("child joined once");
+            let parent_side = partial[parent].take().expect("parent present");
+            partial[parent] = Some(join(parent_side, child));
         }
     }
 
     // Combine roots (forest ⇒ Cartesian product across components).
-    let mut acc: Option<(Relation, Vec<Var>)> = None;
-    for &b in &order {
-        if tree.parent[b].is_none() {
-            let rel = partial[b].take().expect("root present");
-            let sch = schema[b].clone();
-            acc = Some(match acc {
-                None => (rel, sch),
-                Some((a_rel, a_sch)) => join_on_schemas(&a_rel, &a_sch, &rel, &sch),
-            });
-        }
-    }
-    let (rel, sch) = acc.expect("at least one root");
-    bindings_to_relation(q.num_vars(), &sch, rel.raw())
+    let (vars, rel) = order
+        .iter()
+        .filter(|&&b| tree.parent[b].is_none())
+        .map(|&b| partial[b].take().expect("root present"))
+        .reduce(join)
+        .expect("at least one root");
+    in_variable_order(rel, &vars)
 }
 
 /// `yannakakis_serial(q, rels, tree).len()` without the join: the exact
@@ -219,13 +223,14 @@ pub fn acyclic_output_size(q: &Query, rels: &[Relation], tree: &Ghd) -> u64 {
             continue;
         };
         let ((parent_vars, parent_rel), (child_vars, child_rel)) = (bags[parent], bags[b]);
-        let (parent_cols, child_cols) = shared_columns(parent_vars, child_vars);
-        let index = KeyIndex::build(child_rel, &child_cols);
+        let on = SchemaJoin::new(parent_vars, child_vars);
+        let (parent_cols, child_cols) = (on.left_key(), on.right_key());
+        let index = KeyIndex::build(child_rel, child_cols);
         // Fold every later row of a key into the key's first row, in
         // place: that row's weight becomes the message for the key.
         for (i, row) in child_rel.iter().enumerate() {
             let w = message[i];
-            let first = index.probe(row, &child_cols).next();
+            let first = index.probe(row, child_cols).next();
             let earlier = first.filter(|&first| first != i);
             if let Some(sum) = earlier.and_then(|first| message.get_mut(first)) {
                 *sum = sum.saturating_add(w);
@@ -233,73 +238,12 @@ pub fn acyclic_output_size(q: &Query, rels: &[Relation], tree: &Ghd) -> u64 {
         }
         for (row, w) in parent_rel.iter().zip(&mut weights[parent]) {
             // No child row on this key: the message is 0.
-            let first = index.probe(row, &parent_cols).next();
+            let first = index.probe(row, parent_cols).next();
             let sum = first.and_then(|first| message.get(first));
             *w = w.saturating_mul(sum.copied().unwrap_or(0));
         }
     }
     total
-}
-
-/// `left ⋉ right`: keep the tuples of `left` whose shared variables with
-/// `right` (per the two schemas) match some tuple of `right`.
-pub fn semijoin(
-    left: &Relation,
-    left_vars: &[Var],
-    right: &Relation,
-    right_vars: &[Var],
-) -> Relation {
-    let (left_cols, right_cols) = shared_columns(left_vars, right_vars);
-    if left_cols.is_empty() {
-        return if right.is_empty() {
-            Relation::new(left.arity())
-        } else {
-            left.clone()
-        };
-    }
-    let keys = KeyIndex::build(right, &right_cols);
-    left.filter(|row| keys.contains(row, &left_cols))
-}
-
-/// Natural join of two relations with explicit variable schemas; returns
-/// the joined relation and its schema (left schema ++ fresh right vars).
-fn join_on_schemas(
-    left: &Relation,
-    left_vars: &[Var],
-    right: &Relation,
-    right_vars: &[Var],
-) -> (Relation, Vec<Var>) {
-    let (left_cols, right_cols) = shared_columns(left_vars, right_vars);
-    let fresh: Vec<usize> = (0..right_vars.len())
-        .filter(|&rp| !left_vars.contains(&right_vars[rp]))
-        .collect();
-
-    let index = KeyIndex::build(right, &right_cols);
-    let mut schema = left_vars.to_vec();
-    schema.extend(fresh.iter().map(|&p| right_vars[p]));
-    let mut out = Relation::new(schema.len());
-    let mut buf = Vec::with_capacity(schema.len());
-    for row in left.iter() {
-        for i in index.probe(row, &left_cols) {
-            let m = right.row(i);
-            buf.clear();
-            buf.extend_from_slice(row);
-            buf.extend(fresh.iter().map(|&p| m[p]));
-            out.push(&buf);
-        }
-    }
-    (out, schema)
-}
-
-/// The columns of the variables two schemas share, as parallel lists:
-/// positions in `left_vars` (ascending) and the matching positions in
-/// `right_vars`.
-fn shared_columns(left_vars: &[Var], right_vars: &[Var]) -> (Vec<usize>, Vec<usize>) {
-    left_vars
-        .iter()
-        .enumerate()
-        .filter_map(|(lp, v)| right_vars.iter().position(|rv| rv == v).map(|rp| (lp, rp)))
-        .unzip()
 }
 
 /// Check that `tree` is a width-1 join tree of `q` with one bag per
@@ -341,29 +285,11 @@ fn check_inputs(q: &Query, rels: &[Relation]) {
     }
 }
 
-/// Permute a flat table whose columns follow `schema` into a relation
-/// in variable order `x₀ … x_{k-1}`.
-fn bindings_to_relation(num_vars: usize, schema: &[Var], table: &[Value]) -> Relation {
-    assert_eq!(schema.len(), num_vars, "result must bind every variable");
-    let mut order = vec![0usize; num_vars];
-    for (i, &v) in schema.iter().enumerate() {
-        order[v] = i;
-    }
-    let mut out = Relation::with_capacity(num_vars, table.len() / num_vars);
-    let mut buf = vec![0; num_vars];
-    for r in table.chunks_exact(num_vars) {
-        for (slot, &col) in buf.iter_mut().zip(&order) {
-            *slot = r[col];
-        }
-        out.push(&buf);
-    }
-    out
-}
-
 /// The evaluators as they were before the [`KeyIndex`] kernel, bodies
 /// unchanged: one heap key and one heap value per build row, one heap
 /// row per binding. Kept as the executable statement of what the kernel
-/// versions must output, row for row.
+/// versions — `evaluate` and [`SchemaJoin`]'s join and semijoin — must
+/// output, row for row.
 #[cfg(test)]
 mod reference {
     use super::check_inputs;
@@ -576,7 +502,7 @@ mod tests {
     fn semijoin_filters() {
         let l = Relation::from_rows(2, [[1, 2], [3, 4]]);
         let r = Relation::from_rows(2, [[2, 7]]);
-        let out = semijoin(&l, &[0, 1], &r, &[1, 5]);
+        let out = SchemaJoin::new(&[0, 1], &[1, 5]).semijoin(&l, &r);
         assert_eq!(out.to_rows(), vec![vec![1, 2]]);
     }
 
@@ -585,8 +511,9 @@ mod tests {
         let l = Relation::from_rows(1, [[1], [2]]);
         let nonempty = Relation::from_rows(1, [[9]]);
         let empty = Relation::new(1);
-        assert_eq!(semijoin(&l, &[0], &nonempty, &[1]).len(), 2);
-        assert_eq!(semijoin(&l, &[0], &empty, &[1]).len(), 0);
+        let on = SchemaJoin::new(&[0], &[1]);
+        assert_eq!(on.semijoin(&l, &nonempty).len(), 2);
+        assert_eq!(on.semijoin(&l, &empty).len(), 0);
     }
 
     #[test]
@@ -632,11 +559,10 @@ mod tests {
 /// (`raw()`-equality, stronger than the canonical comparisons above).
 #[cfg(test)]
 mod differential {
-    use super::{
-        acyclic_output_size, evaluate, join_on_schemas, reference, semijoin, yannakakis_serial,
-    };
+    use super::{acyclic_output_size, evaluate, reference, yannakakis_serial};
     use crate::ghd::Ghd;
     use crate::query::{Atom, Query, Var};
+    use crate::schema::SchemaJoin;
     use parqp_data::{Relation, Value};
     use parqp_testkit::prelude::*;
 
@@ -751,14 +677,15 @@ mod differential {
             let (q, rels) = random_instance(seed);
             let last = q.num_atoms() - 1;
             let (l, r) = (&q.atoms()[0], &q.atoms()[last]);
-            let ours = semijoin(&rels[0], &l.vars, &rels[last], &r.vars);
+            let on = SchemaJoin::new(&l.vars, &r.vars);
+            let ours = on.semijoin(&rels[0], &rels[last]);
             let theirs = reference::semijoin(&rels[0], &l.vars, &rels[last], &r.vars);
             prop_assert_eq!(ours.raw(), theirs.raw(), "semijoin of {:?}", q);
 
-            let (ours, our_schema) = join_on_schemas(&rels[0], &l.vars, &rels[last], &r.vars);
+            let ours = on.join(&rels[0], &rels[last]);
             let (theirs, their_schema) =
                 reference::join_on_schemas(&rels[0], &l.vars, &rels[last], &r.vars);
-            prop_assert_eq!(our_schema, their_schema);
+            prop_assert_eq!(on.into_vars(), their_schema);
             prop_assert_eq!(ours.arity(), theirs.arity());
             prop_assert_eq!(ours.raw(), theirs.raw(), "join of {:?}", q);
         }
