@@ -4,9 +4,15 @@
 //!
 //! * `join_kernel/*` — what every server does after the shuffle, minus
 //!   the query: index `n` rows, then probe with `n` rows at about one
-//!   match each. The last rows are the serve shape — a small resident
-//!   build side probed by many tiny batches — indexed per batch and
-//!   indexed once.
+//!   match each, and (`probe_miss`) with `n` keys the build side does
+//!   not hold — the closing atom of a triangle, where almost every probe
+//!   misses. The last rows are the serve shape — a small resident build
+//!   side probed by many tiny batches — indexed per batch and indexed
+//!   once.
+//! * `multiway/triangle_64_fragments` — HyperCube's local phase in
+//!   `triangle_planned`: `evaluate` over each of the 64 servers' atom
+//!   fragments (seed 42, shares 4 × 4 × 4), placed as the shuffle
+//!   places them.
 //! * `local_sort/*` — one PSRS server's share of `sort_psrs` (1 M keys
 //!   over 64 servers) ordered by `sort_by_key` (what `psrs_by` runs),
 //!   by `sort_unstable`, and by the radix kernel `sort_words` (what
@@ -23,7 +29,10 @@
 //! ```
 
 use parqp::data::{generate, KeyIndex, KeyTable, Relation};
+use parqp::join::common::scatter;
 use parqp::matmul::{gemm_acc, Matrix, View};
+use parqp::mpc::{Grid, HashFamily};
+use parqp::query::{evaluate, Query};
 use parqp::sort::sort_words;
 use parqp_testkit::bench::time_ns;
 use std::borrow::Borrow;
@@ -156,7 +165,62 @@ fn matmul_kernel() {
     println!("matmul_kernel/multiply_216           {multiply:>10.1} µs");
 }
 
+/// `triangle_planned`'s per-server inputs: its graph (seed 42) in all
+/// three atoms, each row on every server of the 4 × 4 × 4 grid its
+/// variables' hashes pick, in the order the shuffle delivers them.
+fn triangle_fragments() -> Vec<Vec<Relation>> {
+    let (query, seed) = (Query::triangle(), 42);
+    let g = generate::random_symmetric_graph(1500, 20_000, seed);
+    let grid = Grid::new(vec![4, 4, 4]);
+    let h = HashFamily::new(seed, query.num_vars());
+    let mut inboxes = vec![vec![Relation::new(2); query.num_atoms()]; grid.len()];
+    for (j, atom) in query.atoms().iter().enumerate() {
+        let fan = grid.fan_out(|v| atom.vars.contains(&v));
+        for row in scatter(&g, grid.len()).iter().flat_map(Relation::iter) {
+            let base: usize = atom
+                .vars
+                .iter()
+                .zip(row)
+                .map(|(&v, &value)| h.hash(v, value, grid.dims()[v]) * fan.strides()[v])
+                .sum();
+            for dest in fan.ranks(base) {
+                inboxes[dest][j].push(row);
+            }
+        }
+    }
+    inboxes
+}
+
+fn multiway() {
+    let query = Query::triangle();
+    let fragments = triangle_fragments();
+    let us = best_us(|| {
+        fragments
+            .iter()
+            .map(|inbox| evaluate(&query, inbox).len())
+            .sum::<usize>()
+    });
+    println!("multiway/triangle_64_fragments      {us:>10.1} µs");
+}
+
 fn main() {
+    for n in [1_000usize, 100_000] {
+        // Keys in [0, n) built, keys in [n, 2n) probed: every probe misses.
+        let build = generate::uniform(2, n, n as u64, 55);
+        let index = KeyIndex::build(&build, KEY);
+        let misses: Vec<[u64; 2]> = generate::uniform(2, n, n as u64, 56)
+            .iter()
+            .map(|row| [row[0] + n as u64, row[1]])
+            .collect();
+        let miss_us = best_us(|| {
+            misses
+                .iter()
+                .map(|row| index.probe(row, KEY).count())
+                .sum::<usize>()
+        });
+        let shape = format!("{n}rows");
+        println!("join_kernel/probe_miss/{shape:<11} {miss_us:>10.1} µs");
+    }
     for n in [1_000usize, 100_000] {
         for cols in [&[0usize][..], &[0, 1]] {
             // As many distinct keys as rows, whatever the key width.
@@ -199,6 +263,7 @@ fn main() {
     });
     println!("join_kernel/reuse/one_key_table     {reused_us:>10.1} µs");
 
+    multiway();
     local_sort();
     matmul_kernel();
 }

@@ -6,10 +6,10 @@
 //! set, probe it with rows of another". [`KeyIndex`] is that table. It
 //! never copies a row or a key: it borrows the row source and stores two
 //! `u32` vectors, `heads` (one slot per bucket) and `next` (one slot per
-//! row), so a build is two allocations whatever the row count and a
-//! probe is none.
+//! row), and a byte per bucket of miss filter (below), so a build is
+//! three allocations whatever the row count and a probe is none.
 //!
-//! **Build once, probe many.** The two vectors are a [`KeyTable`]: owned,
+//! **Build once, probe many.** The three vectors are a [`KeyTable`]: owned,
 //! lifetime-free, everything `build` computes. A [`KeyIndex`] is a table
 //! plus the borrowed rows and key columns it reads through — either its
 //! own table ([`KeyIndex::build`]) or one kept beside the rows by a
@@ -27,6 +27,20 @@
 //! hashes there, not only equal keys. Each candidate's key columns are
 //! compared against the probe's before it is yielded, so a hash
 //! collision can cost a comparison but never a false match.
+//!
+//! **Misses are predictable.** Most probes of a local join miss: the
+//! closing atom of a HyperCube triangle is probed once per 2-path and
+//! almost none of those close a triangle. With at most one row per
+//! bucket on average, 37–61 % of the buckets are empty, so "is this
+//! chain empty?" is close to a coin flip the branch predictor loses. Beside the heads sits a one-bit-per-slot
+//! miss filter: eight slots per bucket, one byte beside each head, a
+//! key's slot picked by the three hash bits below its bucket's. A build
+//! sets the slot of every key it inserts, and a probe whose slot is
+//! clear returns the empty chain after one load and a branch that
+//! almost always goes the same way, without touching the heads. A set
+//! slot only sends the probe down its chain as before, so the order
+//! contract and verify-on-probe are untouched and every probe returns
+//! what the bare chain walk returns.
 
 use crate::fasthash::mix;
 use crate::{Relation, Value};
@@ -35,6 +49,9 @@ use std::fmt;
 
 /// End-of-chain marker; also why a row id must stay below `u32::MAX`.
 const NIL: u32 = u32::MAX;
+
+/// `log2` of the miss filter's slots per bucket (one byte's bits).
+const SLOTS_PER_BUCKET_LOG2: u32 = 3;
 
 /// A row source an index can be built over and probed from: anything
 /// with `len()` rows addressable by position.
@@ -122,16 +139,19 @@ impl Default for Chain {
     }
 }
 
-/// The owned half of a [`KeyIndex`]: the bucket heads and per-row chain
-/// links a build computes, without the rows. Keep it beside the rows it
-/// was built over and [`KeyTable::over`] views them as an index again,
-/// at no cost — what a cache of build sides stores.
+/// The owned half of a [`KeyIndex`]: the bucket heads, per-row chain
+/// links and miss filter a build computes, without the rows. Keep it
+/// beside the rows it was built over and [`KeyTable::over`] views them
+/// as an index again, at no cost — what a cache of build sides stores.
 #[derive(Debug, Clone)]
 pub struct KeyTable {
     /// First row of each bucket's chain, or [`NIL`]. Power-of-two length.
     heads: Vec<u32>,
     /// The row after row `i` in its chain, or [`NIL`].
     next: Vec<u32>,
+    /// The miss filter: eight one-bit slots per bucket, a slot set iff
+    /// some inserted key hashes to it.
+    seen: Vec<u8>,
     /// `64 - log2(heads.len())`: a hash's top bits pick its bucket.
     shift: u32,
 }
@@ -144,6 +164,13 @@ pub struct KeyIndex<'a, R: Rows + ?Sized, T: Borrow<KeyTable> = KeyTable> {
     rows: &'a R,
     cols: &'a [usize],
     table: T,
+}
+
+/// A hash's miss-filter slot within its bucket's byte: the three hash
+/// bits below the bucket's.
+#[inline]
+fn slot_bit(hash: u64, shift: u32) -> u8 {
+    1 << (hash >> (shift - SLOTS_PER_BUCKET_LOG2) & 7)
 }
 
 /// Fx-mix the key columns of `row`. One column is one multiply.
@@ -180,13 +207,23 @@ impl KeyTable {
         let shift = 64 - buckets.trailing_zeros();
         let mut heads = vec![NIL; buckets];
         let mut next = vec![NIL; n];
+        let mut seen = vec![0u8; buckets];
         // Linked back to front, so each chain reads front to back.
         for i in (0..n).rev() {
-            let b = (hash_key(rows.row(i), cols) >> shift) as usize;
+            let hash = hash_key(rows.row(i), cols);
+            let b = (hash >> shift) as usize;
             next[i] = heads[b];
             heads[b] = i as u32;
+            if let Some(slots) = seen.get_mut(b) {
+                *slots |= slot_bit(hash, shift);
+            }
         }
-        Self { heads, next, shift }
+        Self {
+            heads,
+            next,
+            seen,
+            shift,
+        }
     }
 
     /// Fallible [`KeyTable::build`]: refuses a row count whose ids would
@@ -278,15 +315,26 @@ impl<'a, R: Rows + ?Sized, T: Borrow<KeyTable>> KeyIndex<'a, R, T> {
     /// iterator, for a caller that has to write to the probing row's
     /// buffer between matches (a pipelined multiway join): the bucket
     /// chain `row`'s `cols` hash to, to be walked by
-    /// [`KeyIndex::advance`] with the same `row` and `cols`.
+    /// [`KeyIndex::advance`] with the same `row` and `cols` — or the
+    /// empty chain, when the miss filter says no inserted key hashes
+    /// where this one does.
     ///
     /// # Panics
     /// Panics if `cols` is not as long as the indexed key.
-    #[inline]
+    // Always inlined: with the filter test the body outgrew LLVM's
+    // threshold at `evaluate`'s two call sites, which then paid a call
+    // per probe.
+    #[inline(always)]
     pub fn start(&self, row: &[Value], cols: &[usize]) -> Chain {
         assert_eq!(cols.len(), self.cols.len(), "probe key width");
         let table = self.table.borrow();
-        Chain(table.heads[(hash_key(row, cols) >> table.shift) as usize])
+        let hash = hash_key(row, cols);
+        let b = (hash >> table.shift) as usize;
+        let seen = table.seen.get(b).copied().unwrap_or(0);
+        if seen & slot_bit(hash, table.shift) == 0 {
+            return Chain::default();
+        }
+        Chain(table.heads[b])
     }
 
     /// The next indexed row on `chain` whose key equals `row`'s `cols`,
@@ -321,9 +369,61 @@ impl<'a, R: Rows + ?Sized, T: Borrow<KeyTable>> KeyIndex<'a, R, T> {
     }
 }
 
+/// The table before the miss filter: bucket heads and chain links only,
+/// every probe walking its bucket's chain. The reference [`KeyIndex`]
+/// probes are held to, id for id and in order.
+#[cfg(test)]
+mod reference {
+    use super::{hash_key, key_eq, Rows, NIL};
+    use crate::Value;
+
+    pub struct ChainTable {
+        heads: Vec<u32>,
+        next: Vec<u32>,
+        shift: u32,
+    }
+
+    impl ChainTable {
+        pub fn build<R: Rows + ?Sized>(rows: &R, cols: &[usize]) -> Self {
+            let n = rows.len();
+            let buckets = n.next_power_of_two().max(2);
+            let shift = 64 - buckets.trailing_zeros();
+            let mut heads = vec![NIL; buckets];
+            let mut next = vec![NIL; n];
+            for i in (0..n).rev() {
+                let b = (hash_key(rows.row(i), cols) >> shift) as usize;
+                next[i] = heads[b];
+                heads[b] = i as u32;
+            }
+            Self { heads, next, shift }
+        }
+
+        /// Ids of `rows` whose `cols` equal `row`'s `probe_cols`.
+        pub fn probe<R: Rows + ?Sized>(
+            &self,
+            rows: &R,
+            cols: &[usize],
+            row: &[Value],
+            probe_cols: &[usize],
+        ) -> Vec<usize> {
+            let mut out = Vec::new();
+            let mut at = self.heads[(hash_key(row, probe_cols) >> self.shift) as usize];
+            while at != NIL {
+                let i = at as usize;
+                at = self.next[i];
+                if key_eq(rows.row(i), cols, row, probe_cols) {
+                    out.push(i);
+                }
+            }
+            out
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parqp_testkit::prelude::*;
 
     fn ids<R: Rows + ?Sized>(index: &KeyIndex<'_, R>, key: &[Value]) -> Vec<usize> {
         let cols: Vec<usize> = (0..key.len()).collect();
@@ -433,6 +533,116 @@ mod tests {
             assert_eq!(ids(&a, &[key]), ids(&b, &[key]));
             assert_eq!(ids(&a, &[key]), ids(&c, &[key]));
         }
+    }
+
+    /// Row counts on both sides of powers of two, where the bucket count
+    /// and so the filter's width change.
+    fn random_len(rng: &mut Rng) -> usize {
+        match rng.gen_below(4) {
+            0 => rng.gen_below(2) as usize,
+            1 => {
+                let pow = 1usize << rng.gen_range(1u32..=8);
+                pow - 1 + rng.gen_below(3) as usize
+            }
+            _ => rng.gen_range(2usize..=300),
+        }
+    }
+
+    /// Keys that share row 0's bucket in a table of `n` rows.
+    fn colliders(n: usize) -> Vec<Value> {
+        let shift = 64 - n.next_power_of_two().max(2).trailing_zeros();
+        let bucket = |k: Value| mix(0, k) >> shift;
+        (0..).filter(|&k| bucket(k) == bucket(0)).take(4).collect()
+    }
+
+    /// A relation of `n` rows in one of the shapes a table must survive,
+    /// and the probe rows to ask it: every row it holds, then as many
+    /// drawn from the same shape (mostly misses) and from far away.
+    fn random_case(rng: &mut Rng) -> (Relation, Vec<usize>, Vec<Vec<Value>>) {
+        let arity = rng.gen_range(1usize..=3);
+        let mut cols: Vec<usize> = (0..arity).collect();
+        rng.shuffle(&mut cols);
+        cols.truncate(rng.gen_range(0usize..=arity));
+        let n = random_len(rng);
+        let shape = rng.gen_below(6);
+        let pool = colliders(n);
+        let value = |rng: &mut Rng| match shape {
+            // Every row on one key.
+            0 => 3,
+            // Small domain: duplicate keys and rows.
+            1 => rng.gen_below(3),
+            // Values that differ only above bit 40.
+            2 => rng.gen_below(4) << 40 | 1,
+            // Multiples of a large power of two.
+            3 => rng.gen_below(4) << 60,
+            // Keys that collide in one bucket.
+            4 => pool[rng.gen_below(pool.len() as u64) as usize],
+            _ => rng.gen_below(1 << 20),
+        };
+        let mut rel = Relation::with_capacity(arity, n);
+        let mut row = vec![0; arity];
+        for _ in 0..n {
+            for slot in &mut row {
+                *slot = value(rng);
+            }
+            rel.push(&row);
+        }
+        let mut probes = rel.to_rows();
+        for far in [false, true] {
+            for _ in 0..n.max(8) {
+                let mut probe: Vec<Value> = (0..arity).map(|_| value(rng)).collect();
+                if far {
+                    for slot in &mut probe {
+                        *slot ^= 1 << 50;
+                    }
+                }
+                probes.push(probe);
+            }
+        }
+        (rel, cols, probes)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        #[test]
+        fn probes_are_the_chain_walk_id_for_id(seed in any::<u64>()) {
+            let mut rng = Rng::seed_from_u64(seed);
+            let (rel, cols, probes) = random_case(&mut rng);
+            let reference = reference::ChainTable::build(&rel, &cols);
+            let table = KeyTable::build(&rel, &cols);
+            let index = table.over(&rel, &cols).expect("same rows");
+            for probe in &probes {
+                let want = reference.probe(&rel, &cols, probe, &cols);
+                let got: Vec<usize> = index.probe(probe, &cols).collect();
+                prop_assert_eq!(&got, &want, "cols {:?}, probe {:?}", cols, probe);
+                prop_assert_eq!(index.contains(probe, &cols), !want.is_empty());
+            }
+            for i in 0..rel.len() {
+                let first = reference.probe(&rel, &cols, rel.row(i), &cols).first() == Some(&i);
+                prop_assert_eq!(index.is_first_of_key(i), first);
+            }
+        }
+    }
+
+    #[test]
+    fn a_clear_slot_is_a_miss_without_a_walk() {
+        // One row: two buckets of eight slots, one slot set.
+        let rel = Relation::from_rows(1, [[7u64]]);
+        let index = KeyIndex::build(&rel, &[0]);
+        let table = &index.table;
+        assert_eq!(table.seen.len(), table.heads.len());
+        assert_eq!(table.seen.iter().map(|s| s.count_ones()).sum::<u32>(), 1);
+        let slot = |k: Value| mix(0, k) >> (table.shift - SLOTS_PER_BUCKET_LOG2);
+        // A key in row 0's bucket but another slot: the chain is not empty,
+        // the probe never walks it.
+        let bucket = |k: Value| mix(0, k) >> table.shift;
+        let miss = (0..)
+            .find(|&k| bucket(k) == bucket(7) && slot(k) != slot(7))
+            .expect("other slots of the bucket");
+        assert_eq!(index.start(&[miss], &[0]).0, NIL);
+        assert!(!index.contains(&[miss], &[0]));
+        assert_eq!(ids(&index, &[7]), vec![0]);
     }
 
     /// Claims a row count without holding a row.

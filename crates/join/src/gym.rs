@@ -96,11 +96,12 @@ fn join_round(cluster: &mut Cluster, h: &HashFamily, left: Dist, right: Dist) ->
     if on.is_product() {
         let (p1, p2) = crate::twoway::product_grid(left.total(), right.total(), p);
         let grid = Grid::new(vec![p1, p2]);
+        let (left_fan, right_fan) = (grid.fan_out(|d| d == 0), grid.fan_out(|d| d == 1));
         let mut idx = 0u64;
         for row in left.parts.iter().flatten() {
             let band = (h.digest(0, idx) % p1 as u64) as usize;
             idx += 1;
-            for dest in grid.matching_ranks(&[Some(band), None]) {
+            for dest in left_fan.ranks(band * p2) {
                 ex.send_row(0, dest, row);
             }
         }
@@ -108,7 +109,7 @@ fn join_round(cluster: &mut Cluster, h: &HashFamily, left: Dist, right: Dist) ->
         for row in right.parts.iter().flatten() {
             let band = (h.digest(0, !idx) % p2 as u64) as usize;
             idx += 1;
-            for dest in grid.matching_ranks(&[None, Some(band)]) {
+            for dest in right_fan.ranks(band) {
                 ex.send_row(1, dest, row);
             }
         }
@@ -659,11 +660,12 @@ fn join_level(
         // Child rows: own dimension fixed, others broadcast.
         for (ci, &b) in plan.children.iter().enumerate() {
             let child_key = plan.on[ci].right_key();
-            let mut partial = vec![None; plan.children.len()];
+            let fan = plan.grid.fan_out(|d| d == ci);
+            let stride = fan.strides()[ci];
             for row in states[b].parts.iter().flatten() {
-                partial[ci] = Some(dest_of(h, row, child_key, 0, dims[ci]));
-                for dest in plan.grid.matching_ranks(&partial) {
-                    ex.send_row(plan.stream + 1 + ci, plan.offset + dest, row);
+                let base = plan.offset + dest_of(h, row, child_key, 0, dims[ci]) * stride;
+                for dest in fan.ranks(base) {
+                    ex.send_row(plan.stream + 1 + ci, dest, row);
                 }
             }
         }

@@ -16,7 +16,7 @@
 use crate::common::{inboxes, scatter, JoinRun};
 use parqp_data::paged::RouteScan;
 use parqp_data::Relation;
-use parqp_mpc::{metrics, trace, Cluster, Grid, HashFamily};
+use parqp_mpc::{metrics, trace, Cluster, Grid, HashFamily, RowExchange};
 use parqp_query::{evaluate, Query};
 
 /// Run the HyperCube algorithm with LP-optimal integer shares.
@@ -37,6 +37,11 @@ use parqp_query::{evaluate, Query};
 ///
 /// An empty atom makes the join empty: the run returns `p` empty
 /// fragments and zero communication rounds.
+///
+/// Share rounding keeps `∏ shares ≤ p`, and a `p` that is not a product
+/// of the shares leaves servers off the grid. They sit the round out:
+/// the run still has `p` servers, `p` (possibly empty) fragments and a
+/// ledger and trace over all `p`.
 ///
 /// # Panics
 /// Panics if inputs mismatch the query.
@@ -72,10 +77,11 @@ pub fn hypercube(query: &Query, rels: &[Relation], p: usize, seed: u64) -> JoinR
             .sum();
         metrics::announce(&metrics::PaperBound::tuples("hypercube", predicted, 1));
     }
-    hypercube_with_shares(query, rels, &shares, seed)
+    run_on_grid(query, rels, &shares, seed, p)
 }
 
-/// Run the HyperCube algorithm with explicit shares (one per variable).
+/// Run the HyperCube algorithm with explicit shares (one per variable)
+/// on exactly `∏ shares` servers.
 ///
 /// # Panics
 /// Panics if `shares.len() != query.num_vars()` or any share is zero.
@@ -85,6 +91,13 @@ pub fn hypercube_with_shares(
     shares: &[usize],
     seed: u64,
 ) -> JoinRun {
+    run_on_grid(query, rels, shares, seed, 0)
+}
+
+/// HyperCube on a cluster of `max(p, ∏ shares)` servers: the grid is
+/// ranks `0 .. ∏ shares`, and the servers past it hold no input and
+/// receive nothing.
+fn run_on_grid(query: &Query, rels: &[Relation], shares: &[usize], seed: u64, p: usize) -> JoinRun {
     assert_eq!(rels.len(), query.num_atoms(), "one relation per atom");
     for (a, r) in query.atoms().iter().zip(rels) {
         assert_eq!(a.arity(), r.arity(), "arity mismatch for atom {}", a.name);
@@ -92,7 +105,7 @@ pub fn hypercube_with_shares(
     assert_eq!(shares.len(), query.num_vars(), "one share per variable");
 
     let grid = Grid::new(shares.to_vec());
-    let mut cluster = Cluster::new(grid.len());
+    let mut cluster = Cluster::new(p.max(grid.len()));
     let h = HashFamily::new(seed, query.num_vars());
 
     let shuffle = trace::span("hypercube/shuffle");
@@ -100,22 +113,7 @@ pub fn hypercube_with_shares(
     // takes, already in place.
     let arities: Vec<usize> = rels.iter().map(Relation::arity).collect();
     let mut ex = cluster.exchange_rows(&arities);
-    for (j, rel) in rels.iter().enumerate() {
-        let atom = &query.atoms()[j];
-        // Every row of the atom fixes the same coordinates (its own
-        // variables) and leaves the same ones free: one buffer per atom.
-        let mut partial: Vec<Option<usize>> = vec![None; query.num_vars()];
-        for (sid, part) in scatter(rel, grid.len()).into_iter().enumerate() {
-            ex.set_sender(sid);
-            let scan = RouteScan::new(sid, &part);
-            for row in scan.iter() {
-                for (pos, &v) in atom.vars.iter().enumerate() {
-                    partial[v] = Some(h.hash(v, row[pos], shares[v]));
-                }
-                ex.send_row_matching(j, &grid, &partial, row);
-            }
-        }
-    }
+    route(&mut ex, query, rels, &grid, &h);
     let received = inboxes(&arities, ex.finish());
     drop(shuffle);
 
@@ -125,6 +123,80 @@ pub fn hypercube_with_shares(
     JoinRun {
         outputs,
         report: cluster.report(),
+    }
+}
+
+/// The HyperCube shuffle: atom `j`'s rows, scattered over the grid's
+/// servers, go on stream `j` to every server whose coordinates agree
+/// with the hashes of the row's variables.
+///
+/// Count, reserve, send, as in
+/// [`hash_partition`](crate::common::hash_partition). Every row of an
+/// atom fixes the grid dimensions of the atom's variables and leaves the
+/// others free, so its destinations are one base rank plus the offsets
+/// of the atom's [`FanOut`](parqp_mpc::FanOut). Pass 1 hashes each row
+/// once into its base and counts rows per base; the counts spread over
+/// the offsets size every delivered buffer exactly. Pass 2 is the
+/// [`RouteScan`] loop sending each row to its remembered base plus every
+/// offset: the sends, in the order, that placing each row afresh makes.
+fn route(ex: &mut RowExchange<'_>, query: &Query, rels: &[Relation], grid: &Grid, h: &HashFamily) {
+    let on_grid = grid.len();
+    assert!(
+        u32::try_from(on_grid).is_ok(),
+        "base ranks are remembered as u32"
+    );
+    let mut rows_at = vec![0usize; on_grid];
+    let mut per_dest = vec![0usize; on_grid];
+    for (j, (atom, rel)) in query.atoms().iter().zip(rels).enumerate() {
+        let fan = grid.fan_out(|v| atom.vars.contains(&v));
+        // Per column: its variable (which hash), share and stride.
+        let per_col: Vec<(usize, usize, usize)> = atom
+            .vars
+            .iter()
+            .map(|&v| (v, grid.dims()[v], fan.strides()[v]))
+            .collect();
+        let parts = scatter(rel, on_grid);
+
+        let mut bases: Vec<u32> = Vec::with_capacity(rel.len());
+        rows_at.fill(0);
+        for row in parts.iter().flat_map(Relation::iter) {
+            let base: usize = row
+                .iter()
+                .zip(&per_col)
+                .map(|(&value, &(v, share, stride))| h.hash(v, value, share) * stride)
+                .sum();
+            if let Some(n) = rows_at.get_mut(base) {
+                *n += 1;
+            }
+            bases.push(base as u32);
+        }
+        per_dest.fill(0);
+        for (base, &n) in rows_at.iter().enumerate().filter(|(_, &n)| n > 0) {
+            for dest in fan.ranks(base) {
+                if let Some(total) = per_dest.get_mut(dest) {
+                    *total += n;
+                }
+            }
+        }
+        for (dest, &rows) in per_dest.iter().enumerate() {
+            ex.reserve(j, dest, rows);
+        }
+
+        if !rel.is_empty() {
+            ex.note_grid(grid);
+        }
+        let mut bases = bases.iter();
+        for (sid, part) in parts.iter().enumerate() {
+            ex.set_sender(sid);
+            let scan = RouteScan::new(sid, part);
+            // `scan` is asked first, so a fragment's end leaves the next
+            // fragment's first base unconsumed.
+            for (row, &base) in scan.iter().zip(&mut bases) {
+                for dest in fan.ranks(base as usize) {
+                    ex.send_row(j, dest, row);
+                }
+            }
+        }
     }
 }
 
@@ -246,6 +318,137 @@ mod tests {
         let t = Relation::from_rows(2, [[3, 1]]);
         let run = hypercube(&q, &[r, s, t], 1, 7);
         assert_eq!(run.output_size(), 1);
+    }
+
+    /// The per-row loop [`route`] replaced: every row places itself
+    /// afresh, enumerating its partial coordinate's matches.
+    fn route_per_row(
+        ex: &mut RowExchange<'_>,
+        query: &Query,
+        rels: &[Relation],
+        grid: &Grid,
+        h: &HashFamily,
+    ) {
+        for (j, (atom, rel)) in query.atoms().iter().zip(rels).enumerate() {
+            let mut partial: Vec<Option<usize>> = vec![None; query.num_vars()];
+            for (sid, part) in scatter(rel, grid.len()).iter().enumerate() {
+                ex.set_sender(sid);
+                let scan = RouteScan::new(sid, part);
+                for row in scan.iter() {
+                    for (pos, &v) in atom.vars.iter().enumerate() {
+                        partial[v] = Some(h.hash(v, row[pos], grid.dims()[v]));
+                    }
+                    ex.note_grid(grid);
+                    for dest in grid.matching_ranks(&partial) {
+                        ex.send_row(j, dest, row);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn route_is_the_per_row_loop_with_exact_buffers() {
+        use parqp_data::paged::{capture, StoreConfig};
+        use parqp_mpc::trace::Recorder;
+
+        type Route = fn(&mut RowExchange<'_>, &Query, &[Relation], &Grid, &HashFamily);
+        let g = generate::random_symmetric_graph(40, 300, 8);
+        let tri = vec![g.clone(), g.clone(), g.clone()];
+        let chain: Vec<Relation> = (0..4)
+            .map(|i| generate::uniform(2, 90, 12, 50 + i))
+            .collect();
+        let pair = vec![
+            generate::unary_range(30),
+            generate::uniform(2, 120, 40, 71),
+            generate::unary_range(20),
+        ];
+        // (query, inputs, shares, servers): a cube, a grid padded to a
+        // non-product p, a shared dimension of size 1, an empty atom, a
+        // product query, and unary atoms fixing one dimension each.
+        let cases: Vec<(Query, Vec<Relation>, Vec<usize>, usize)> = vec![
+            (Query::triangle(), tri.clone(), vec![2, 2, 2], 8),
+            (Query::triangle(), tri.clone(), vec![2, 2, 1], 5),
+            (Query::chain(4), chain, vec![2, 1, 3, 1, 2], 12),
+            (
+                Query::triangle(),
+                vec![g.clone(), Relation::new(2), g],
+                vec![3, 1, 2],
+                6,
+            ),
+            (
+                Query::product(),
+                vec![
+                    generate::uniform(1, 50, 100, 1),
+                    generate::uniform(1, 40, 100, 2),
+                ],
+                vec![3, 4],
+                13,
+            ),
+            (Query::semijoin_pair(), pair, vec![3, 3], 9),
+        ];
+        for (query, rels, shares, p) in &cases {
+            let grid = Grid::new(shares.clone());
+            let h = HashFamily::new(17, query.num_vars());
+            let arities: Vec<usize> = rels.iter().map(Relation::arity).collect();
+            let run = |route: Route| {
+                capture(
+                    StoreConfig {
+                        page_size: 8,
+                        pool_pages: 2,
+                    },
+                    || {
+                        Recorder::capture(|| {
+                            let mut cluster = Cluster::new(*p);
+                            let mut ex = cluster.exchange_rows(&arities);
+                            route(&mut ex, query, rels, &grid, &h);
+                            (ex.finish(), cluster.report())
+                        })
+                    },
+                )
+            };
+            let (io, (trace, (delivered, report))) = run(route);
+            let (ref_io, (ref_trace, reference)) = run(route_per_row);
+            assert_eq!((&delivered, &report), (&reference.0, &reference.1));
+            assert_eq!(io, ref_io, "pass 1 is not a charged scan");
+            assert!(trace.events().eq(ref_trace.events()));
+            for buf in delivered.iter().flatten() {
+                assert_eq!(buf.capacity(), buf.len(), "{shares:?}: slack delivered");
+            }
+        }
+    }
+
+    #[test]
+    fn p_off_the_grid_sits_the_round_out() {
+        use parqp_mpc::trace::{analyze, Recorder};
+
+        let q = Query::triangle();
+        let g = generate::random_symmetric_graph(60, 600, 7);
+        let rels = vec![g.clone(), g.clone(), g];
+        let sizes = [rels[0].len() as u64; 3];
+        for p in [5, 7, 10, 30, 63] {
+            let shares = parqp_lp::plan_shares(&q.hypergraph(), &sizes, p).shares;
+            let on_grid: usize = shares.iter().product();
+            assert!(on_grid < p, "p = {p} must leave servers off the grid");
+            let (trace, run) = Recorder::capture(|| hypercube(&q, &rels, p, 3));
+            let grid_run = hypercube_with_shares(&q, &rels, &shares, 3);
+            assert_eq!(run.outputs.len(), p);
+            assert_eq!(run.report.servers, p);
+            assert_eq!(
+                run.report.max_load_tuples(),
+                grid_run.report.max_load_tuples()
+            );
+            assert_eq!(run.report.total_words(), grid_run.report.total_words());
+            assert_eq!(run.outputs[..on_grid], grid_run.outputs[..]);
+            assert!(run.outputs[on_grid..].iter().all(Relation::is_empty));
+            // The trace's rounds are the ledger's, over all p servers.
+            let rounds = analyze::round_loads(&trace);
+            assert_eq!(rounds.len(), run.report.num_rounds());
+            for (traced, kept) in rounds.iter().zip(&run.report.rounds) {
+                assert_eq!(traced.servers, p);
+                assert_eq!((&traced.tuples, &traced.words), (&kept.tuples, &kept.words));
+            }
+        }
     }
 
     #[test]

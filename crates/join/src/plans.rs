@@ -90,6 +90,7 @@ pub fn binary_join_plan(
             // than p servers).
             let (p1, p2) = crate::twoway::product_grid(state.total(), rels[next].len(), p);
             let grid = Grid::new(vec![p1, p2]);
+            let (left_fan, right_fan) = (grid.fan_out(|d| d == 0), grid.fan_out(|d| d == 1));
             let mut idx = 0u64;
             for (sid, part) in state.parts.iter().enumerate() {
                 ex.set_sender(sid);
@@ -100,7 +101,7 @@ pub fn binary_join_plan(
                     io.read(row.len());
                     let band = (h.digest(0, idx) % p1 as u64) as usize;
                     idx += 1;
-                    for dest in grid.matching_ranks(&[Some(band), None]) {
+                    for dest in left_fan.ranks(band * p2) {
                         ex.send_row(LEFT, dest, row);
                     }
                 }
@@ -112,7 +113,7 @@ pub fn binary_join_plan(
                 for row in scan.iter() {
                     let band = (h.digest(0, !idx) % p2 as u64) as usize;
                     idx += 1;
-                    for dest in grid.matching_ranks(&[None, Some(band)]) {
+                    for dest in right_fan.ranks(band) {
                         ex.send_row(RIGHT, dest, row);
                     }
                 }

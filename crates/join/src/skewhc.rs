@@ -26,7 +26,7 @@ use crate::common::{inboxes, scatter, JoinRun};
 use parqp_data::paged::RouteScan;
 use parqp_data::stats::degree_counts;
 use parqp_data::{FastSet, Relation, Value};
-use parqp_mpc::{metrics, trace, Cluster, Grid, HashFamily};
+use parqp_mpc::{metrics, trace, Cluster, FanOut, Grid, HashFamily};
 use parqp_query::{evaluate, residual, Query};
 
 /// One heavy/light combination's execution plan.
@@ -152,11 +152,13 @@ pub fn skewhc_with_plans(
     let shuffle = trace::span("skewhc/shuffle");
     let arities: Vec<usize> = rels.iter().map(Relation::arity).collect();
     let mut ex = cluster.exchange_rows(&arities);
-    let mut partial: Vec<Option<usize>> = vec![None; k];
-    for (j, rel) in rels.iter().enumerate() {
-        let atom = &query.atoms()[j];
-        // Every row of the atom fixes the same coordinates.
-        partial.fill(None);
+    for (j, (atom, rel)) in query.atoms().iter().zip(rels).enumerate() {
+        // Every row of the atom fixes the same coordinates on every
+        // combination's grid: one fan-out per grid.
+        let fans: Vec<FanOut> = grids
+            .iter()
+            .map(|g| g.fan_out(|v| atom.vars.contains(&v)))
+            .collect();
         for (sid, part) in scatter(rel, total_servers).into_iter().enumerate() {
             ex.set_sender(sid);
             let scan = RouteScan::new(sid, &part);
@@ -170,19 +172,18 @@ pub fn skewhc_with_plans(
                         own_mask |= 1 << v;
                     }
                 }
-                for (plan, grid) in plans.iter().zip(&grids) {
+                for (plan, fan) in plans.iter().zip(&fans) {
                     if plan.mask & own_bits != own_mask {
                         continue; // incompatible combination
                     }
-                    for (pos, &v) in atom.vars.iter().enumerate() {
-                        partial[v] = Some(if plan.mask & (1 << v) != 0 {
-                            0 // heavy: share 1
-                        } else {
-                            h.hash(v, row[pos], plan.shares[v])
-                        });
-                    }
-                    for dest in grid.matching_ranks(&partial) {
-                        ex.send_row(j, plan.offset + dest, row);
+                    // A heavy variable has share 1: it hashes to 0.
+                    let base: usize = row
+                        .iter()
+                        .zip(&atom.vars)
+                        .map(|(&value, &v)| h.hash(v, value, plan.shares[v]) * fan.strides()[v])
+                        .sum();
+                    for dest in fan.ranks(plan.offset + base) {
+                        ex.send_row(j, dest, row);
                     }
                 }
             }

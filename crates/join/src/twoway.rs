@@ -174,6 +174,12 @@ pub fn cartesian(r: &Relation, s: &Relation, p: usize, seed: u64) -> JoinRun {
     let _span = trace::span("cartesian/scatter");
     let arities = [r.arity(), s.arity()];
     let mut ex = cluster.exchange_rows(&arities);
+    if !(r.is_empty() && s.is_empty()) {
+        ex.note_grid(&grid);
+    }
+    // An R row fixes its grid row (stride p₂) and spans the columns; an
+    // S row fixes its column and spans the rows.
+    let (r_fan, s_fan) = (grid.fan_out(|d| d == 0), grid.fan_out(|d| d == 1));
     let mut index = 0u64;
     for (sid, part) in r_parts.iter().enumerate() {
         ex.set_sender(sid);
@@ -181,7 +187,9 @@ pub fn cartesian(r: &Relation, s: &Relation, p: usize, seed: u64) -> JoinRun {
         for row in scan.iter() {
             let band = h.hash(0, index, p1);
             index += 1;
-            ex.send_row_matching(TAG_R, &grid, &[Some(band), None], row);
+            for dest in r_fan.ranks(band * p2) {
+                ex.send_row(TAG_R, dest, row);
+            }
         }
     }
     index = 0;
@@ -191,7 +199,9 @@ pub fn cartesian(r: &Relation, s: &Relation, p: usize, seed: u64) -> JoinRun {
         for row in scan.iter() {
             let band = h.hash(1, index, p2);
             index += 1;
-            ex.send_row_matching(TAG_S, &grid, &[None, Some(band)], row);
+            for dest in s_fan.ranks(band) {
+                ex.send_row(TAG_S, dest, row);
+            }
         }
     }
     let inboxes = inbox_pairs(arities, ex.finish());

@@ -360,6 +360,14 @@ fn expansion_join_fragments_and_ledger() {
 /// The planner's picks are pinned as the calls `run_plan` dispatches
 /// them to (`parqp-join` cannot name `parqp::planner`): HyperCube for
 /// the triangle, optimized GYM over the join tree for the 3-chain.
+///
+/// Two pins at `p` = 5 were re-derived once, when HyperCube began
+/// returning `p` servers where share rounding leaves some off the grid
+/// (2 × 2 × 1 = 4 here): "hypercube (the planner's triangle)" and
+/// `hl_triangle`, which finds no heavy value at `p` = 5 and returns its
+/// light HyperCube run as is. Each new digest is the old run plus one
+/// idle server, which [`padding_hypercube_appends_idle_servers`] checks
+/// against the old pins.
 #[test]
 fn routed_fragments_and_ledger_per_server() {
     const PS: [usize; 4] = [1, 5, 8, 64];
@@ -469,7 +477,7 @@ fn routed_fragments_and_ledger_per_server() {
             Box::new(|p| hypercube(&triangle, &tri_rels, p, 5)),
             [
                 0x0ba3_ff14_1111_d2e2,
-                0xa6e5_ec67_692e_399d,
+                0xe40f_3d54_23f2_cc6c,
                 0x4118_272c_82f8_47e6,
                 0xde2c_f11b_dd9d_e13e,
             ],
@@ -509,7 +517,7 @@ fn routed_fragments_and_ledger_per_server() {
             Box::new(|p| hl_triangle(&hl_r, &hl_s, &hl_t, p, 5)),
             [
                 0x9c47_62d1_ef42_a675,
-                0x3a94_36d2_d812_f05e,
+                0xe0f7_f3ca_3734_37ff,
                 0x4b02_cb1e_61a6_1cb0,
                 0xb957_9a22_c6ad_e09b,
             ],
@@ -562,4 +570,36 @@ fn routed_fragments_and_ledger_per_server() {
         }
     }
     pins.finish();
+}
+
+/// The old `p` = 5 pins of HyperCube and `hl_triangle` (servers 0–3,
+/// the 2 × 2 × 1 grid) are the new runs' first four servers: padding
+/// appended an idle fifth server and moved no row and no word.
+#[test]
+fn padding_hypercube_appends_idle_servers() {
+    let triangle = Query::triangle();
+    let g = generate::random_symmetric_graph(40, 300, 8);
+    let hl_r = generate::uniform(2, 400, 60, 21);
+    let hl_s = generate::constant_key_pairs(400, 9, 1);
+    let mut hl_t = generate::uniform(2, 400, 60, 22);
+    for i in 0..400u64 {
+        hl_t.push(&[9, i % 60]);
+    }
+    let cases = [
+        (
+            hypercube(&triangle, &[g.clone(), g.clone(), g], 5, 5),
+            0xa6e5_ec67_692e_399d,
+        ),
+        (
+            hl_triangle(&hl_r, &hl_s, &hl_t, 5, 5),
+            0x3a94_36d2_d812_f05e,
+        ),
+    ];
+    for (mut run, old) in cases {
+        assert_eq!((run.outputs.len(), run.report.servers), (5, 5));
+        let idle = run.outputs.pop().expect("five servers");
+        assert!(idle.is_empty());
+        assert!(run.report.rounds.iter().all(|r| r.words[4] == 0));
+        assert_eq!(run_digest(&run), old);
+    }
 }

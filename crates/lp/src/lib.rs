@@ -27,7 +27,6 @@ pub use covers::{
 };
 pub use hypergraph::Hypergraph;
 pub use shares::{
-    integer_shares, optimal_share_exponents, packing_load_bound, plan_shares, predicted_load,
-    ShareAssignment,
+    integer_shares, optimal_share_exponents, plan_shares, predicted_load, ShareAssignment,
 };
 pub use simplex::{solve, Constraint, ConstraintOp, LinearProgram, LpOutcome, Solution};

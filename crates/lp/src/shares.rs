@@ -13,12 +13,13 @@
 //! ```
 //!
 //! By LP duality the optimum equals the edge-packing bound of slide 40:
-//! `L = max_u (∏_j |S_j|^{u_j} / p)^{1/Σu_j}` — a fact the tests verify.
+//! `L = max_u (∏_j |S_j|^{u_j} / p)^{1/Σu_j}` over fractional edge
+//! packings `u` (for equal sizes `N`, `N/p^{1/τ*}`, which the tests
+//! check).
 //!
 //! Real grids need integer shares; [`integer_shares`] rounds the
 //! fractional optimum greedily, never exceeding `p` servers.
 
-use crate::covers::fractional_edge_packing;
 use crate::hypergraph::Hypergraph;
 use crate::simplex::{solve, Constraint, ConstraintOp, LinearProgram};
 
@@ -216,26 +217,6 @@ pub fn plan_shares(h: &Hypergraph, sizes: &[u64], p: usize) -> ShareAssignment {
     }
 }
 
-/// The slide-40 closed form: the optimal fractional load
-/// `L = max_u (∏_j |S_j|^{u_j} / p)^{1/Σ u_j}` evaluated at the optimal
-/// packing `u` returned by [`fractional_edge_packing`] — correct whenever
-/// all sizes are equal (then the optimum is attained at the maximum
-/// packing), and a lower bound in general.
-pub fn packing_load_bound(h: &Hypergraph, sizes: &[u64], p: usize) -> f64 {
-    let packing = fractional_edge_packing(h);
-    let total: f64 = packing.weights.iter().sum();
-    if total <= 1e-12 {
-        return 0.0;
-    }
-    let log_num: f64 = packing
-        .weights
-        .iter()
-        .zip(sizes)
-        .map(|(&u, &s)| u * (s as f64).ln())
-        .sum();
-    ((log_num - (p as f64).ln()) / total).exp()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -266,25 +247,6 @@ mod tests {
         let (e, lam) = optimal_share_exponents(&h, &[n, n], 16);
         assert!(close(e[1], 1.0, 1e-6), "e_y = {}", e[1]);
         assert!(close((16.0f64).powf(lam), n as f64 / 16.0, 1.0));
-    }
-
-    #[test]
-    fn lp_matches_packing_bound_equal_sizes() {
-        for h in [
-            Hypergraph::triangle(),
-            Hypergraph::cycle(4),
-            Hypergraph::chain(3),
-        ] {
-            let sizes = vec![100_000u64; h.num_edges()];
-            let p = 64;
-            let (_, lam) = optimal_share_exponents(&h, &sizes, p);
-            let lp_load = (p as f64).powf(lam);
-            let pack = packing_load_bound(&h, &sizes, p);
-            assert!(
-                close(lp_load, pack, pack * 1e-5),
-                "{lp_load} vs {pack} for {h:?}"
-            );
-        }
     }
 
     #[test]

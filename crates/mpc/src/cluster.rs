@@ -982,23 +982,14 @@ impl RowExchange<'_> {
         }
     }
 
-    /// Send `row` on `stream` to every server of `grid` whose
-    /// coordinates match `partial` (`None` = `*`), as
-    /// [`Exchange::send_matching`] does.
-    ///
-    /// `grid.len()` must equal the cluster size.
-    pub fn send_row_matching(
-        &mut self,
-        stream: usize,
-        grid: &Grid,
-        partial: &[Option<usize>],
-        row: &[u64],
-    ) {
-        debug_assert_eq!(grid.len(), self.cluster.p, "grid does not span the cluster");
+    /// Declare that this round places rows on `grid`, for the trace's
+    /// `Topology` event (the first grid declared wins). Purely
+    /// observational, as [`RowExchange::set_sender`]: a no-op when no
+    /// trace sink is installed. A replicating sender declares its grid
+    /// and sends each row to the ranks of the grid's
+    /// [`Grid::fan_out`].
+    pub fn note_grid(&mut self, grid: &Grid) {
         self.charges.note_grid(grid);
-        for dest in grid.matching_ranks(partial) {
-            self.send_row(stream, dest, row);
-        }
     }
 
     /// Deliver all rows, record the round exactly as

@@ -6,6 +6,13 @@
 //! on the dimensions `S_j` mentions, and are arbitrary (`*`) elsewhere —
 //! i.e. a broadcast along the unconstrained dimensions. [`Grid`] provides
 //! the rank ↔ coordinate mapping and the `*`-match enumeration.
+//!
+//! An atom fixes the same dimensions on every one of its rows, so that
+//! enumeration has one shape per atom: a row's matches are one *base*
+//! rank, its fixed coordinates times their strides, plus a fixed list of
+//! *offsets* spanning the free dimensions. [`Grid::fan_out`] computes
+//! that shape once ([`FanOut`]); [`Grid::matching_ranks`] is the same
+//! list moved to one partial coordinate's base.
 
 use crate::error::MpcError;
 
@@ -149,12 +156,10 @@ impl Grid {
         Ok(self.try_matching_ranks(partial)?.collect())
     }
 
-    /// [`Grid::matching`] without the `Vec`, for per-row placement in a
-    /// routing loop. Panics as `matching` does.
-    pub fn matching_ranks<'g>(
-        &'g self,
-        partial: &'g [Option<usize>],
-    ) -> impl Iterator<Item = usize> + 'g {
+    /// [`Grid::matching`] as an iterator. Panics as `matching` does. A
+    /// routing loop whose rows all fix the same dimensions takes their
+    /// [`Grid::fan_out`] once instead.
+    pub fn matching_ranks(&self, partial: &[Option<usize>]) -> impl Iterator<Item = usize> {
         match self.try_matching_ranks(partial) {
             Ok(ranks) => ranks,
             Err(e) => panic!("{e}"),
@@ -162,13 +167,12 @@ impl Grid {
     }
 
     /// The matching ranks in order (the last free dimension varies
-    /// fastest), never materialised: the `t`-th match is the fixed
-    /// coordinates' rank plus `t` written in the mixed radix of the free
-    /// dimensions.
-    fn try_matching_ranks<'g>(
-        &'g self,
-        partial: &'g [Option<usize>],
-    ) -> Result<impl Iterator<Item = usize> + 'g, MpcError> {
+    /// fastest): the fixed coordinates' rank, the base, plus each offset
+    /// of the partial's [`FanOut`].
+    fn try_matching_ranks(
+        &self,
+        partial: &[Option<usize>],
+    ) -> Result<impl Iterator<Item = usize>, MpcError> {
         if partial.len() != self.dims.len() {
             return Err(MpcError::BadArity {
                 got: partial.len(),
@@ -186,17 +190,48 @@ impl Grid {
             }
             base = base * d + c;
         }
-        Ok((0..self.matching_count(partial)).map(move |t| {
-            let (mut rank, mut rest, mut stride) = (base, t, 1);
-            for (c, &d) in partial.iter().zip(&self.dims).rev() {
-                if c.is_none() {
-                    rank += rest % d * stride;
-                    rest /= d;
-                }
-                stride *= d;
+        let fan = self.fan_out(|d| partial.get(d).is_some_and(Option::is_some));
+        Ok(fan.offsets.into_iter().map(move |o| base + o))
+    }
+
+    /// The placement shape of every row that fixes the dimensions `fixed`
+    /// selects and leaves the others free (`*`): the strides of all
+    /// dimensions and the rank offsets of the free dimensions' matches,
+    /// in [`Grid::matching`] order. A row whose fixed coordinate along
+    /// dimension `d` is `c_d` goes to `base + o` for every offset `o`,
+    /// with `base = Σ_d c_d · stride(d)` — one multiply-add per fixed
+    /// dimension and one add per destination, where enumerating the
+    /// matches afresh costs a `%` and a `/` per destination.
+    ///
+    /// ```
+    /// use parqp_mpc::Grid;
+    ///
+    /// // Triangle on 2×3×4: R(x, y) fixes x and y, broadcasts along z.
+    /// let g = Grid::new(vec![2, 3, 4]);
+    /// let fan = g.fan_out(|d| d < 2);
+    /// assert!(fan.ranks(0).eq(0..4));
+    /// let base = fan.strides()[0] + 2 * fan.strides()[1]; // (x, y) = (1, 2)
+    /// assert!(fan.ranks(base).eq(g.matching_ranks(&[Some(1), Some(2), None])));
+    /// ```
+    pub fn fan_out(&self, fixed: impl Fn(usize) -> bool) -> FanOut {
+        let mut strides = vec![1; self.dims.len()];
+        let mut stride = 1;
+        for (s, &d) in strides.iter_mut().zip(&self.dims).rev() {
+            *s = stride;
+            stride *= d;
+        }
+        // Dimension 0 outermost: each free dimension expands every offset
+        // so far into its `d` steps, side by side.
+        let mut offsets = vec![0];
+        for (dim, (&d, &s)) in self.dims.iter().zip(&strides).enumerate() {
+            if !fixed(dim) {
+                offsets = offsets
+                    .iter()
+                    .flat_map(|&o| (0..d).map(move |c| o + c * s))
+                    .collect();
             }
-            rank
-        }))
+        }
+        FanOut { strides, offsets }
     }
 
     /// Number of servers a partial coordinate matches (`∏` of the free dims).
@@ -209,9 +244,38 @@ impl Grid {
     }
 }
 
+/// Where the rows of one atom go on a [`Grid`]: the strides of its
+/// dimensions and the rank offsets its free dimensions span (see
+/// [`Grid::fan_out`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FanOut {
+    /// Per dimension, how far one step along it moves a rank.
+    strides: Vec<usize>,
+    /// The free dimensions' matches relative to the base, in
+    /// [`Grid::matching`] order; the first is always 0.
+    offsets: Vec<usize>,
+}
+
+impl FanOut {
+    /// Per dimension, how far one step along it moves a rank (row-major:
+    /// the last dimension's stride is 1).
+    #[inline]
+    pub fn strides(&self) -> &[usize] {
+        &self.strides
+    }
+
+    /// The destinations of a row whose fixed coordinates put it at rank
+    /// `base`.
+    #[inline]
+    pub fn ranks(&self, base: usize) -> impl Iterator<Item = usize> + '_ {
+        self.offsets.iter().map(move |&o| base + o)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parqp_testkit::prelude::*;
 
     #[test]
     fn rank_roundtrip() {
@@ -340,6 +404,57 @@ mod tests {
                 dim_size: 1
             })
         );
+    }
+
+    /// The enumeration [`Grid::fan_out`] replaced: the `t`-th match is
+    /// the fixed coordinates' rank plus `t` written in the mixed radix
+    /// of the free dimensions, one `%` and one `/` per free dimension
+    /// per destination.
+    fn mixed_radix(g: &Grid, partial: &[Option<usize>]) -> Vec<usize> {
+        let base = partial
+            .iter()
+            .zip(g.dims())
+            .fold(0, |r, (c, &d)| r * d + c.unwrap_or(0));
+        (0..g.matching_count(partial))
+            .map(|t| {
+                let (mut rank, mut rest, mut stride) = (base, t, 1);
+                for (c, &d) in partial.iter().zip(g.dims()).rev() {
+                    if c.is_none() {
+                        rank += rest % d * stride;
+                        rest /= d;
+                    }
+                    stride *= d;
+                }
+                rank
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        #[test]
+        fn fan_out_is_the_mixed_radix_enumeration(seed in any::<u64>()) {
+            let mut rng = Rng::seed_from_u64(seed);
+            let dims: Vec<usize> = (0..rng.gen_range(1usize..=5))
+                .map(|_| rng.gen_range(1usize..=5))
+                .collect();
+            let g = Grid::new(dims.clone());
+            let partial: Vec<Option<usize>> = dims
+                .iter()
+                .map(|&d| rng.gen_bool(0.5).then(|| rng.gen_range(0..d)))
+                .collect();
+            let fan = g.fan_out(|d| partial[d].is_some());
+            let base: usize = partial
+                .iter()
+                .zip(fan.strides())
+                .map(|(c, s)| c.unwrap_or(0) * s)
+                .sum();
+            let want = mixed_radix(&g, &partial);
+            prop_assert_eq!(fan.ranks(base).collect::<Vec<_>>(), want.clone(), "{:?} {:?}", dims, partial);
+            prop_assert_eq!(g.matching(&partial), want);
+            prop_assert_eq!(fan.ranks(0).next(), Some(0));
+        }
     }
 
     #[test]

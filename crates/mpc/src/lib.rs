@@ -88,7 +88,7 @@ pub use cluster::{Cluster, Exchange, RowExchange};
 pub use context::ContextGuard;
 pub use error::MpcError;
 pub use exec::ExecMode;
-pub use grid::Grid;
+pub use grid::{FanOut, Grid};
 pub use hash::HashFamily;
 pub use stats::{LoadReport, RoundStats};
 pub use weight::Weight;

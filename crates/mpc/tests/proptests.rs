@@ -266,8 +266,15 @@ proptest! {
                     ex.set_sender(sender); // 7 is out of range below p = 7: unattributed
                     match how {
                         0 => ex.broadcast_row(stream, &row),
-                        1 => ex.send_row_matching(stream, &line, &[Some(dest % p)], &row),
-                        2 => ex.send_row_matching(stream, &line, &[None], &row),
+                        1 | 2 => {
+                            // The fan-out of a fixed (1) or free (2) line.
+                            ex.note_grid(&line);
+                            let fan = line.fan_out(|_| how == 1);
+                            let base = if how == 1 { dest % p } else { 0 };
+                            for to in fan.ranks(base) {
+                                ex.send_row(stream, to, &row);
+                            }
+                        }
                         _ => ex.send_row(stream, dest % p, &row),
                     }
                 }
