@@ -23,18 +23,26 @@
 //!   views of the 216 × 216 matrices (what `square_block` runs; the
 //!   difference is what a row stride of 216 costs the kernel), and
 //!   `Matrix::multiply` at n = 216, the same flops as one product.
+//! * `zipf/sample/<n>x<α>` — the draws of one skewed serve base
+//!   (zipf-heavy: 2400 over 800 values at α = 1.2; zipf-light: 3000
+//!   over 1500 at 0.8) from a sampler built once, and
+//!   `serve/base/<template>` — `base_relation` whole, sampler build and
+//!   draws included: what every `serve_churn` miss generates.
 //!
 //! ```text
 //! cargo bench -p parqp-bench --bench kernels
 //! ```
 
+use parqp::data::zipf::Zipf;
 use parqp::data::{generate, KeyIndex, KeyTable, Relation};
 use parqp::join::common::scatter;
 use parqp::matmul::{gemm_acc, Matrix, View};
 use parqp::mpc::{Grid, HashFamily};
 use parqp::query::{evaluate, Query};
+use parqp::serve::templates::{base_relation, TEMPLATES};
 use parqp::sort::sort_words;
 use parqp_testkit::bench::time_ns;
+use parqp_testkit::Rng;
 use std::borrow::Borrow;
 use std::hint::black_box;
 
@@ -203,6 +211,20 @@ fn multiway() {
     println!("multiway/triangle_64_fragments      {us:>10.1} µs");
 }
 
+fn zipf_and_serve_bases() {
+    for (n, alpha, draws) in [(800usize, 1.2, 2400), (1500, 0.8, 3000)] {
+        let z = Zipf::new(n, alpha);
+        let mut rng = Rng::seed_from_u64(61);
+        let us = best_us(|| (0..draws).map(|_| z.sample(&mut rng)).sum::<u64>());
+        let shape = format!("{n}x{alpha}");
+        println!("zipf/sample/{shape:<23} {us:>10.1} µs");
+    }
+    for (template, spec) in TEMPLATES.iter().enumerate() {
+        let us = best_us(|| base_relation(template, 1, 42));
+        println!("serve/base/{:<24} {us:>10.1} µs", spec.name);
+    }
+}
+
 fn main() {
     for n in [1_000usize, 100_000] {
         // Keys in [0, n) built, keys in [n, 2n) probed: every probe misses.
@@ -266,4 +288,5 @@ fn main() {
     multiway();
     local_sort();
     matmul_kernel();
+    zipf_and_serve_bases();
 }

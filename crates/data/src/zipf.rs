@@ -3,8 +3,15 @@
 //! Skewed join keys are the central difficulty the tutorial addresses
 //! (slides 24–31, 46–51). We generate them with the classical Zipf
 //! distribution: value `k` has probability `k^{-α} / H_{n,α}`. The sampler
-//! precomputes the CDF once and draws by binary search, so sampling is
-//! `O(log n)` and fully deterministic given the RNG.
+//! precomputes the CDF once, plus a guide table (Chen and Asau): the
+//! unit interval cut into `m = n.next_power_of_two()` equal buckets, and
+//! for each cut `j/m` the first CDF index at or above it. A draw `u`
+//! looks up its bucket `⌊u·m⌋` and binary-searches only that bucket's
+//! index range, which holds O(1) entries on average (`n ≤ m`), instead
+//! of all `n`. Because `m` is a power of two and every draw is a
+//! multiple of 2⁻⁵³, `u·m` and `j/m` are exact, so the answer is the
+//! first index whose CDF is `≥ u` — the full binary search's, draw for
+//! draw — and sampling stays fully deterministic given the RNG.
 
 use parqp_testkit::Rng;
 
@@ -12,6 +19,10 @@ use parqp_testkit::Rng;
 #[derive(Debug, Clone)]
 pub struct Zipf {
     cdf: Vec<f64>,
+    /// `guide[j]` is the first index whose CDF is `≥ j/m`, for
+    /// `j ∈ 0..=m`: a draw in `[j/m, (j+1)/m)` lands in
+    /// `guide[j]..=guide[j+1]`.
+    guide: Vec<usize>,
 }
 
 impl Zipf {
@@ -39,7 +50,17 @@ impl Zipf {
         }
         // Guard against floating-point shortfall at the end.
         *cdf.last_mut().expect("non-empty cdf") = 1.0;
-        Self { cdf }
+        // One merged pass over the cuts and the CDF: both ascend, so
+        // each cut resumes where the previous one stopped.
+        let m = n.next_power_of_two();
+        let mut guide = Vec::with_capacity(m + 1);
+        let mut i = 0;
+        for j in 0..=m {
+            let cut = j as f64 / m as f64;
+            i += cdf.iter().skip(i).take_while(|&&c| c < cut).count();
+            guide.push(i);
+        }
+        Self { cdf, guide }
     }
 
     /// Support size `n`.
@@ -49,10 +70,23 @@ impl Zipf {
 
     /// Draw one sample in `1..=n`.
     pub fn sample(&self, rng: &mut Rng) -> u64 {
-        let u = rng.gen_f64();
-        // partition_point returns the first index whose cdf >= u.
-        let idx = self.cdf.partition_point(|&c| c < u);
-        (idx.min(self.cdf.len() - 1) + 1) as u64
+        (self.index_of(rng.gen_f64()) + 1) as u64
+    }
+
+    /// The first index whose CDF is `≥ u`, for `u ∈ [0, 1)`: the guide
+    /// bucket of `u` bounds it to `lo..=hi`, and the search runs there.
+    fn index_of(&self, u: f64) -> usize {
+        let m = self.guide.len() - 1;
+        let j = (u * m as f64) as usize;
+        let (lo, hi) = match self.guide.get(j..j + 2) {
+            Some(&[lo, hi]) => (lo, hi),
+            // Only a `u` outside [0, 1) has no bucket: search everything.
+            _ => (0, self.cdf.len() - 1),
+        };
+        lo + self
+            .cdf
+            .get(lo..hi)
+            .map_or(0, |bucket| bucket.partition_point(|&c| c < u))
     }
 
     /// The probability of value `k` (1-based).
@@ -70,6 +104,82 @@ impl Zipf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parqp_testkit::prelude::*;
+
+    /// The sampler before the guide table: a binary search over the
+    /// whole CDF for the first entry `≥ u`.
+    fn reference_index(z: &Zipf, u: f64) -> usize {
+        z.cdf.partition_point(|&c| c < u).min(z.cdf.len() - 1)
+    }
+
+    /// Draws worth checking for `z`: every bucket boundary `j/m` and its
+    /// neighbours one draw (2⁻⁵³) either side, and every CDF entry
+    /// rounded down and up to the draw grid.
+    fn edge_draws(z: &Zipf) -> Vec<f64> {
+        let ulp = 1.0 / (1u64 << 53) as f64;
+        let m = z.guide.len() - 1;
+        let cuts = (0..m).map(|j| j as f64 / m as f64);
+        let grid = |x: f64| (x / ulp).floor() * ulp;
+        let cdf = z.cdf.iter().map(|&c| grid(c));
+        cuts.chain(cdf)
+            .flat_map(|u| [u - ulp, u, u + ulp])
+            .filter(|u| (0.0..1.0).contains(u))
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        #[test]
+        fn guide_table_draws_what_the_binary_search_draws(
+            n_pick in 0usize..38,
+            alpha_pick in 0usize..6,
+            seed in any::<u64>(),
+        ) {
+            // 1, 2, and 2ᵏ−1, 2ᵏ, 2ᵏ+1 for k = 2..=12: 38 supports with
+            // the serve templates' domains and the proptests' largest.
+            let sizes: Vec<usize> = [1, 2]
+                .into_iter()
+                .chain((2..=12).flat_map(|k| [(1 << k) - 1, 1 << k, (1 << k) + 1]))
+                .chain([800, 1500, 5000])
+                .collect();
+            let n = sizes.get(n_pick).copied().unwrap_or(1);
+            let alpha = [0.0, 0.5, 1.1, 1.2, 3.0, 1000.0]
+                .get(alpha_pick)
+                .copied()
+                .unwrap_or(1.0);
+            let z = Zipf::new(n, alpha);
+            for u in edge_draws(&z) {
+                prop_assert_eq!(z.index_of(u), reference_index(&z, u), "n {}, α {}, u {}", n, alpha, u);
+            }
+            let mut rng = Rng::seed_from_u64(seed);
+            let mut twin = rng.clone();
+            for _ in 0..500 {
+                let want = reference_index(&z, twin.gen_f64()) as u64 + 1;
+                prop_assert_eq!(z.sample(&mut rng), want, "n {}, α {}", n, alpha);
+            }
+        }
+    }
+
+    #[test]
+    fn guide_entries_are_the_first_index_at_each_cut() {
+        for (n, alpha) in [(1, 1.0), (5, 0.0), (800, 1.2), (1000, 1000.0)] {
+            let z = Zipf::new(n, alpha);
+            let m = n.next_power_of_two();
+            assert_eq!(z.guide.len(), m + 1);
+            for (j, &g) in z.guide.iter().enumerate() {
+                let cut = j as f64 / m as f64;
+                assert_eq!(g, z.cdf.partition_point(|&c| c < cut), "n {n}, cut {j}/{m}");
+            }
+        }
+        // At α = 1000 every value past the first has a mass that
+        // vanishes beside 1 in the sum: the CDF is all 1.0, and every
+        // draw is 1.
+        let z = Zipf::new(1000, 1000.0);
+        assert!(z.cdf.iter().all(|&c| c == 1.0));
+        let mut rng = Rng::seed_from_u64(9);
+        assert!((0..100).all(|_| z.sample(&mut rng) == 1));
+    }
 
     #[test]
     fn uniform_when_alpha_zero() {

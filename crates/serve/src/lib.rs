@@ -22,8 +22,10 @@
 //!   The plan cache (the crate-private `cache` module) keys the
 //!   partitioned relation by the canonical `(template, group, shares)`
 //!   triple; hits skip the base scan and the partition exchange
-//!   entirely. Eviction is deterministic LRU by last-used tick with an
-//!   exact hit/miss/insert/evict ledger ([`CacheStats`]), mirroring the
+//!   entirely. Eviction is deterministic: the resident entry asked for
+//!   least often goes first (lookup counts survive eviction; ties fall
+//!   to the least-recent tick, then the smallest key), with an exact
+//!   hit/miss/insert/evict ledger ([`CacheStats`]), mirroring the
 //!   store's page-IO ledger.
 //! * **Accounting** — every ledger round of the long-lived cluster and
 //!   every page read is attributed to exactly one query
