@@ -54,7 +54,7 @@
 //!   shared-plan caching and one record per served query;
 //! * [`obs`] — `serve::obs`, the time-series telemetry folded from those
 //!   records (`parqp dash`): tick-windowed throughput/latency/cache
-//!   series, log₂-sketched percentiles, SLO burn-rate gates,
+//!   series, log₂-resolution percentiles, SLO burn-rate gates,
 //!   JSONL/Prometheus exporters;
 //! * [`cli`] — the `parqp` command-line tool (plan/run/analyze/stats/
 //!   generate/trace/faults/metrics over CSV relations).

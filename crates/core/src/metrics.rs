@@ -147,7 +147,7 @@ pub struct SloPoint {
     pub windows: u64,
     /// Burning windows summed across all enabled rules.
     pub burned: u64,
-    /// Worst per-window p99 load `L` (tuples, log₂-bucket sketch).
+    /// Worst per-window p99 load `L` (tuples, at log₂-bucket resolution).
     pub p99_l_worst: u64,
     /// Minimum per-window cache hit rate over windows with lookups (1
     /// when the preset never looks up).
@@ -245,8 +245,8 @@ pub fn collect(seed: u64) -> Result<MetricsReport, String> {
                 l: registry.load_max(unit),
                 rounds: run.report.num_rounds() as u64,
                 bound_ratio: registry.bound_ratio().map_or(0.0, round4),
-                io_reads: registry.io_reads(),
-                io_hit_rate: round4(registry.io_hit_rate()),
+                io_reads: registry.io().reads,
+                io_hit_rate: round4(registry.io().hit_rate()),
             };
             experiments.insert(format!("{}/p{p}", e.name), point);
         }

@@ -4,107 +4,67 @@
 //!
 //! Everything here consumes the *receive* side of the event stream —
 //! `Recv` events are what the ledger charges, so they are the ground
-//! truth for the load `L` the paper's theorems bound. Send fan-out
-//! and topology events are carried along for display only.
+//! truth for the load `L` the paper's theorems bound. A recording folds
+//! into the ledger's own per-round type, [`RoundStats`], through the
+//! same fold the live metrics registry runs, so a trace, a registry and
+//! a `LoadReport` are three readings of one value.
 
 use crate::event::TraceEvent;
 use crate::recorder::Recorder;
 use crate::registry::{bucket_of, nearest_rank};
+use crate::stats::RoundStats;
 
-/// Dense per-server load of one recorded round, reconstructed from a
-/// `RoundBegin … RoundEnd` block (elided zero-load servers filled in).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RoundLoad {
-    /// Cluster-local round index (restarts when a capture spans
-    /// several clusters; the position in the returned `Vec` is the
-    /// global round ordinal).
-    pub round: usize,
-    /// Cluster size `p` for this round.
-    pub servers: usize,
-    /// Tuples received per server (length `servers`).
-    pub tuples: Vec<u64>,
-    /// Words received per server (length `servers`).
-    pub words: Vec<u64>,
-    /// Grid dimensions, when the round used HyperCube addressing.
-    pub dims: Option<Vec<usize>>,
+/// The streaming fold from events to [`RoundStats`]: each `RoundBegin
+/// … Recv … RoundEnd` block becomes one round, elided zero-load
+/// servers filled in. Events outside a block (spans, fault and recovery
+/// markers, send attribution, topology) carry no receive-side load and
+/// are skipped; a block whose `RoundBegin` fell off a recorder's ring
+/// is discarded rather than reported with partial loads.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct RoundFold {
+    open: Option<RoundStats>,
+    /// Every completed round, in stream order.
+    pub(crate) rounds: Vec<RoundStats>,
 }
 
-impl RoundLoad {
-    /// Maximum tuples received by any server this round.
-    pub fn max_tuples(&self) -> u64 {
-        self.tuples.iter().copied().max().unwrap_or(0)
-    }
-
-    /// Total tuples received this round.
-    pub fn total_tuples(&self) -> u64 {
-        self.tuples.iter().sum()
-    }
-
-    /// Total words received this round.
-    pub fn total_words(&self) -> u64 {
-        self.words.iter().sum()
-    }
-}
-
-/// Reconstruct every complete round block in the trace, in order.
-///
-/// Events outside a `RoundBegin … RoundEnd` block (spans) are
-/// ignored; a truncated leading block (its `RoundBegin` fell off the
-/// ring) is discarded rather than reported with partial loads.
-pub fn round_loads(rec: &Recorder) -> Vec<RoundLoad> {
-    let mut out = Vec::new();
-    let mut open: Option<RoundLoad> = None;
-    for ev in rec.events() {
-        match ev {
-            TraceEvent::RoundBegin { round, servers } => {
-                open = Some(RoundLoad {
-                    round: *round,
-                    servers: *servers,
-                    tuples: vec![0; *servers],
-                    words: vec![0; *servers],
-                    dims: None,
-                });
-            }
-            TraceEvent::Topology { dims, .. } => {
-                if let Some(rl) = &mut open {
-                    rl.dims = Some(dims.clone());
-                }
-            }
+impl RoundFold {
+    /// Fold one event.
+    pub(crate) fn observe(&mut self, event: &TraceEvent) {
+        match *event {
+            TraceEvent::RoundBegin { servers, .. } => self.open = Some(RoundStats::zero(servers)),
             TraceEvent::Recv {
                 server,
                 tuples,
                 words,
                 ..
             } => {
-                if let Some(rl) = &mut open {
-                    if let Some(t) = rl.tuples.get_mut(*server) {
-                        *t = *tuples;
-                    }
-                    if let Some(w) = rl.words.get_mut(*server) {
-                        *w = *words;
+                if let Some(round) = &mut self.open {
+                    if let (Some(t), Some(w)) =
+                        (round.tuples.get_mut(server), round.words.get_mut(server))
+                    {
+                        (*t, *w) = (tuples, words);
                     }
                 }
             }
-            TraceEvent::RoundEnd { .. } => {
-                if let Some(rl) = open.take() {
-                    out.push(rl);
-                }
-            }
-            // Send attribution, spans, and fault/recovery markers carry
-            // no receive-side load; the recovery rounds themselves
-            // arrive as ordinary RoundBegin…RoundEnd blocks.
-            TraceEvent::Send { .. }
-            | TraceEvent::FaultInjected { .. }
-            | TraceEvent::RecoveryBegin { .. }
-            | TraceEvent::RecoveryEnd { .. }
-            | TraceEvent::SpanBegin { .. }
-            | TraceEvent::SpanEnd { .. } => {}
+            TraceEvent::RoundEnd { .. } => self.rounds.extend(self.open.take()),
+            _ => {}
         }
     }
-    out
 }
 
-/// Whole-trace communication totals, from the `RoundEnd` events.
+/// Fold every complete round block in the trace, in order. The
+/// position in the returned `Vec` is the global round ordinal; a
+/// round's width is its cluster's `p` (a capture spanning several
+/// clusters holds rounds of several widths).
+pub fn round_loads(rec: &Recorder) -> Vec<RoundStats> {
+    let mut fold = RoundFold::default();
+    for ev in rec.events() {
+        fold.observe(ev);
+    }
+    fold.rounds
+}
+
+/// Whole-trace communication totals: the sums of [`round_loads`].
 ///
 /// Exact only when [`Recorder::dropped`] is zero — a truncated ring
 /// loses the oldest rounds.
@@ -118,21 +78,14 @@ pub struct Totals {
     pub words: u64,
 }
 
-/// Sum the `RoundEnd` totals over the retained trace.
+/// Sum the folded rounds of the retained trace.
 pub fn totals(rec: &Recorder) -> Totals {
-    let mut t = Totals {
-        rounds: 0,
-        tuples: 0,
-        words: 0,
-    };
-    for ev in rec.events() {
-        if let TraceEvent::RoundEnd { tuples, words, .. } = ev {
-            t.rounds += 1;
-            t.tuples += tuples;
-            t.words += words;
-        }
+    let rounds = round_loads(rec);
+    Totals {
+        rounds: rounds.len(),
+        tuples: rounds.iter().map(RoundStats::total_tuples).sum(),
+        words: rounds.iter().map(RoundStats::total_words).sum(),
     }
-    t
 }
 
 /// Skew summary of one round: the per-round statistics the tutorial's
@@ -165,17 +118,18 @@ fn percentile(values: &[u64], pct: u64) -> u64 {
 }
 
 /// Summarize each round's load distribution.
-pub fn summarize(loads: &[RoundLoad]) -> Vec<RoundSummary> {
+pub fn summarize(loads: &[RoundStats]) -> Vec<RoundSummary> {
     loads
         .iter()
         .enumerate()
         .map(|(index, rl)| {
+            let servers = rl.tuples.len();
             let total_tuples = rl.total_tuples();
             let max_tuples = rl.max_tuples();
-            let mean_tuples = if rl.servers == 0 {
+            let mean_tuples = if servers == 0 {
                 0.0
             } else {
-                total_tuples as f64 / rl.servers as f64
+                total_tuples as f64 / servers as f64
             };
             let skew = if mean_tuples > 0.0 {
                 max_tuples as f64 / mean_tuples
@@ -184,7 +138,7 @@ pub fn summarize(loads: &[RoundLoad]) -> Vec<RoundSummary> {
             };
             RoundSummary {
                 index,
-                servers: rl.servers,
+                servers,
                 max_tuples,
                 p99_tuples: percentile(&rl.tuples, 99),
                 mean_tuples,
@@ -197,7 +151,7 @@ pub fn summarize(loads: &[RoundLoad]) -> Vec<RoundSummary> {
 }
 
 /// Render [`summarize`] as an aligned text table (one row per round).
-pub fn summary_table(loads: &[RoundLoad]) -> String {
+pub fn summary_table(loads: &[RoundStats]) -> String {
     let mut out = String::from(
         "round        p      L_max        p99       mean   skew     tuples      words\n",
     );
@@ -231,23 +185,13 @@ pub struct HistBucket {
 
 /// Power-of-two load histogram of one round: bucket 0 is exactly-zero
 /// load, bucket `k ≥ 1` covers `[2^(k-1), 2^k - 1]`.
-pub fn histogram(load: &RoundLoad) -> Vec<HistBucket> {
+pub fn histogram(load: &RoundStats) -> Vec<HistBucket> {
     let nbuckets = 1 + bucket_of(load.max_tuples());
     let mut buckets: Vec<HistBucket> = (0..nbuckets)
-        .map(|k| {
-            if k == 0 {
-                HistBucket {
-                    lo: 0,
-                    hi: 0,
-                    count: 0,
-                }
-            } else {
-                HistBucket {
-                    lo: 1 << (k - 1),
-                    hi: (1 << k) - 1,
-                    count: 0,
-                }
-            }
+        .map(|k| HistBucket {
+            lo: (1 << k) >> 1,
+            hi: (1 << k) - 1,
+            count: 0,
         })
         .collect();
     for &t in &load.tuples {
@@ -266,9 +210,9 @@ const RAMP: &str = " .:-=+*#%@";
 /// quantity the theorems bound, so bucketing never hides a hot spot);
 /// columns are rounds in trace order. Intensity is scaled to the
 /// whole-trace maximum, printed in the legend.
-pub fn heatmap(loads: &[RoundLoad], max_rows: usize) -> String {
+pub fn heatmap(loads: &[RoundStats], max_rows: usize) -> String {
     let max_rows = max_rows.max(1);
-    let servers = loads.iter().map(|rl| rl.servers).max().unwrap_or(0);
+    let servers = loads.iter().map(|rl| rl.tuples.len()).max().unwrap_or(0);
     if servers == 0 || loads.is_empty() {
         return String::from("(empty trace)\n");
     }
@@ -379,7 +323,7 @@ mod tests {
         record_round(&mut rec, 1, 2, &[(0, 1)]);
         let loads = round_loads(&rec);
         assert_eq!(loads.len(), 1);
-        assert_eq!(loads[0].round, 1);
+        assert_eq!(loads[0].tuples, vec![1, 0]);
     }
 
     #[test]
@@ -417,12 +361,9 @@ mod tests {
 
     #[test]
     fn histogram_buckets_by_powers_of_two() {
-        let rl = RoundLoad {
-            round: 0,
-            servers: 5,
+        let rl = RoundStats {
             tuples: vec![0, 1, 2, 3, 8],
             words: vec![0; 5],
-            dims: None,
         };
         let h = histogram(&rl);
         // buckets: [0], [1], [2,3], [4,7], [8,15]
@@ -481,7 +422,7 @@ mod tests {
         let mut rec = Recorder::new();
         record_round(&mut rec, 0, 1, &[(0, 7)]);
         let loads = round_loads(&rec);
-        assert_eq!(loads[0].servers, 1);
+        assert_eq!(loads[0].tuples.len(), 1);
         let s = summarize(&loads);
         // With p = 1, max == mean == p99 and the skew ratio is exactly 1.
         assert_eq!(s[0].max_tuples, 7);
@@ -507,12 +448,9 @@ mod tests {
     #[test]
     fn histogram_boundary_values_split_buckets() {
         // 2^k - 1 closes bucket k; 2^k opens bucket k + 1.
-        let rl = RoundLoad {
-            round: 0,
-            servers: 4,
+        let rl = RoundStats {
             tuples: vec![3, 4, 7, 8],
             words: vec![0; 4],
-            dims: None,
         };
         let h = histogram(&rl);
         assert_eq!(h.len(), 5);
@@ -524,12 +462,9 @@ mod tests {
     #[test]
     fn histogram_handles_large_loads_without_overflow() {
         let big = 1u64 << 62;
-        let rl = RoundLoad {
-            round: 0,
-            servers: 2,
+        let rl = RoundStats {
             tuples: vec![big - 1, big],
             words: vec![0; 2],
-            dims: None,
         };
         let h = histogram(&rl);
         assert_eq!(h.len(), 64);

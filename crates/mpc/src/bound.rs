@@ -47,7 +47,7 @@ impl LoadUnit {
 /// path, gated only by [`crate::metrics::is_enabled`].
 pub trait BoundProvider {
     /// Stable algorithm name (`"hash_join"`, `"hypercube"`, …), used
-    /// as the gauge-key prefix and the summary-table row label.
+    /// as the summary-table row label.
     fn algorithm(&self) -> &'static str;
     /// The load the paper predicts for this run, in [`unit`](Self::unit).
     fn predicted_load(&self) -> f64;

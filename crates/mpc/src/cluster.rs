@@ -501,9 +501,9 @@ struct PlannedFault {
     batch: (u64, u64),
 }
 
-/// Per-exchange trace state, allocated only while a sink or registry
-/// is installed: send-side attribution and the grid
-/// the round routed over. Boxed so the untraced hot path pays one
+/// Per-exchange trace state, allocated only while a trace sink is
+/// installed (the one reader of `Send` and `Topology` events):
+/// send-side attribution and the grid the round routed over. Boxed so the untraced hot path pays one
 /// `Option` discriminant, not three vectors.
 #[derive(Debug)]
 struct ExchangeTrace {
@@ -549,7 +549,7 @@ fn flush_io() {
     if context::is_metered() {
         let delta = store::drain_io();
         if !delta.is_zero() {
-            metrics::emit_io(delta.reads, delta.misses, delta.evictions);
+            metrics::emit_io(&delta);
         }
     }
 }
@@ -629,7 +629,7 @@ impl Charges {
         Self {
             tuples: vec![0; p],
             words: vec![0; p],
-            trace: context::is_observed().then(|| Box::new(ExchangeTrace::new(p))),
+            trace: context::is_traced().then(|| Box::new(ExchangeTrace::new(p))),
         }
     }
 
@@ -1275,7 +1275,7 @@ mod tests {
                 let _ = c.report();
             })
         });
-        assert_eq!(reg.io_reads(), 3);
+        assert_eq!(reg.io().reads, 3);
         assert_eq!(totals.iter().map(|s| s.reads).sum::<u64>(), 3);
     }
 
@@ -1297,8 +1297,7 @@ mod tests {
                 let _ = c.report(); // final flush catches the tail
             });
         });
-        assert_eq!(reg.io_reads(), 7);
-        assert_eq!(reg.counter("io_misses"), 2);
+        assert_eq!((reg.io().reads, reg.io().misses), (7, 2));
     }
 
     #[test]
@@ -1437,22 +1436,20 @@ mod tests {
     #[test]
     fn metrics_only_run_feeds_registry() {
         // With no trace sink installed, an installed metrics registry
-        // alone must still see the full event stream (including
-        // send-side attribution, which needs the ExchangeTrace).
+        // alone still folds every round — and, reading no send-side
+        // attribution, costs the exchange no trace state.
         let (reg, report) = metrics::capture(|| {
             assert!(!crate::trace::is_enabled());
             let mut c = Cluster::new(3);
             let mut ex = c.exchange::<Vec<u64>>();
+            assert!(ex.charges.trace.is_none());
             ex.set_sender(1);
             ex.send(0, vec![1, 2]);
             ex.send(2, vec![3]);
             ex.finish();
             c.report()
         });
-        assert_eq!(reg.rounds(), 1);
-        assert_eq!(reg.counter("tuples"), report.total_tuples());
-        assert_eq!(reg.counter("words"), report.total_words());
-        assert_eq!(reg.counter("sends"), 2);
+        assert_eq!(reg.rounds(), &report.rounds[..]);
         assert_eq!(
             reg.load_max(metrics::LoadUnit::Tuples),
             report.max_load_tuples()

@@ -57,8 +57,8 @@ use crate::registry::MetricsRegistry;
 pub(crate) enum Instrument {
     /// Receives every event [`observe`] and `trace::span` produce.
     Sink(Rc<RefCell<dyn TraceSink>>),
-    /// Receives every event [`observe`] produces, drained page IO and
-    /// announced bounds.
+    /// Folds every event [`observe`] produces into rounds; receives
+    /// drained page IO and announced bounds.
     Registry(Rc<RefCell<MetricsRegistry>>),
     /// The fault plan, its logical round clock and its log.
     Faults(Rc<RefCell<FaultRuntime>>),
@@ -181,8 +181,8 @@ pub(crate) fn is_faulted() -> bool {
 }
 
 /// Whether anything is listening to round events. `Cluster` checks
-/// this once per exchange to skip building per-event state when nobody
-/// is.
+/// this once per recorded round to skip emitting its event block when
+/// nobody is.
 pub(crate) fn is_observed() -> bool {
     any_live(|i| matches!(i, Instrument::Sink(_) | Instrument::Registry(_)))
 }
@@ -267,7 +267,7 @@ mod tests {
                 let reg = Rc::new(RefCell::new(MetricsRegistry::new()));
                 Installed {
                     guard: install(Instrument::Registry(reg.clone())),
-                    seen: Box::new(move |_| reg.borrow().rounds() as usize),
+                    seen: Box::new(move |_| reg.borrow().rounds().len()),
                 }
             },
         },
@@ -428,9 +428,7 @@ mod tests {
         assert_eq!(log.fired(), 2, "the fault clock saw all three rounds");
         assert_eq!(report.num_rounds(), 4, "three rounds plus one retransmit");
         // registry == ledger …
-        assert_eq!(reg.rounds(), 4);
-        assert_eq!(reg.counter("tuples"), report.total_tuples());
-        assert_eq!(reg.counter("words"), report.total_words());
+        assert_eq!(reg.rounds(), &report.rounds[..]);
         // … == trace, the shadowed round landing in the inner recorder.
         let (outer, inner) = (
             trace::analyze::totals(&rec),

@@ -4,12 +4,13 @@
 //! IN/p^{1/τ*}` per round for skew-free inputs, `IN/p^{1/ψ*}` under
 //! skew, AGM for output sizes — yet [`crate::trace`] only records *raw*
 //! per-round loads. This module closes the gap: a [`MetricsRegistry`]
-//! of counters, gauges, and power-of-two histograms is fed by the very
-//! same [`TraceEvent`](crate::trace::TraceEvent) stream the simulator
-//! already emits, and each algorithm *announces* its predicted load
+//! folds the very same [`TraceEvent`](crate::trace::TraceEvent) stream
+//! the simulator already emits into the ledger's per-round
+//! [`RoundStats`](crate::RoundStats) (the fold `trace::analyze` runs
+//! over a recording), and each algorithm *announces* its predicted load
 //! through the [`BoundProvider`] trait so the registry can report
-//! `measured_L / predicted_L` ratios, round counts vs. paper rounds,
-//! and skew ratios per experiment.
+//! `measured_L / predicted_L` ratios and round counts vs. paper rounds
+//! per experiment.
 //!
 //! Everything here is deterministic: no clocks, no randomness, no
 //! iteration over unordered maps (PQ001–PQ003 clean). Wall-clock
@@ -19,27 +20,18 @@
 //!
 //! ## Layering
 //!
-//! [`install`] puts a registry in the [run context](crate::context)
-//! and [`capture`] wraps a closure and hands back the filled registry.
+//! [`capture`] puts a fresh registry in the [run context](crate::context)
+//! for the length of a closure and hands back the filled registry;
+//! nested captures shadow the outer one, which resumes afterwards.
 //! Only [`Cluster`](crate::Cluster) forwards communication events and
 //! drained page IO into the live registry — the hooks are private to
 //! this crate; algorithm crates only [`announce`] bounds, and
 //! consumers read the finished registry.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use crate::context::{self, ContextGuard, Instrument};
+use crate::context::{self, Instrument};
 
 pub use crate::bound::{BoundProvider, LoadUnit, PaperBound};
 pub use crate::registry::{bucket_of, nearest_rank, percentile_rank, BoundRecord, MetricsRegistry};
-
-/// Install `registry` as this thread's metrics sink until the returned
-/// guard drops. Nesting is allowed; the innermost install wins and the
-/// outer registry resumes when the inner guard drops.
-pub fn install(registry: MetricsRegistry) -> ContextGuard {
-    context::install(Instrument::Registry(Rc::new(RefCell::new(registry))))
-}
 
 /// Whether a registry is currently installed. Algorithms check this
 /// before computing expensive bounds (the SkewHC ψ\* LP, for
@@ -50,10 +42,10 @@ pub fn is_enabled() -> bool {
 
 /// Forward a drained page-IO delta (summed across servers) to the
 /// installed registry, if any: `Cluster` drains the store ledger at
-/// round boundaries and on `Cluster::report`, so the counters come
-/// from the store runtime and are never fabricated.
-pub(crate) fn emit_io(reads: u64, misses: u64, evictions: u64) {
-    context::with_registry(|reg| reg.observe_io(reads, misses, evictions));
+/// round boundaries and on `Cluster::report`, so the registry's IO
+/// comes from the store runtime and is never fabricated.
+pub(crate) fn emit_io(delta: &parqp_store::IoStats) {
+    context::with_registry(|reg| reg.observe_io(delta));
 }
 
 /// Announce a paper bound to the installed registry, if any. Algorithm

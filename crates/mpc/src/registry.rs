@@ -1,19 +1,18 @@
-//! The [`MetricsRegistry`]: counters, gauges, a power-of-two receive
-//! histogram, and announced bounds, all fed by the simulator's
-//! [`TraceEvent`] stream.
-//!
-//! Every container is a `BTreeMap` or a dense vector — iteration order
-//! is deterministic by construction (PQ001).
+//! The [`MetricsRegistry`]: the run's rounds, folded live from the
+//! simulator's [`TraceEvent`] stream by the same fold
+//! `trace::analyze::round_loads` runs over a recording, plus the
+//! drained page IO and the announced bounds.
 //!
 //! The two conventions every load summary in the workspace shares live
 //! beside it: the log₂ bucketing ([`bucket_of`]) and the nearest-rank
 //! percentile ([`percentile_rank`], [`nearest_rank`]).
 
-use std::collections::BTreeMap;
+use parqp_store::IoStats;
 
-use crate::event::{TraceEvent, TraceSink};
-
+use crate::analyze::RoundFold;
 use crate::bound::{BoundProvider, LoadUnit};
+use crate::event::TraceEvent;
+use crate::stats::RoundStats;
 
 /// One announced bound, as recorded by [`MetricsRegistry::announce_bound`].
 #[derive(Debug, Clone, PartialEq)]
@@ -29,9 +28,9 @@ pub struct BoundRecord {
 }
 
 /// The log₂ bucket of `value`: 0 holds the value 0, bucket `k ≥ 1`
-/// holds `[2^(k−1), 2^k − 1]`. [`MetricsRegistry::recv_histogram`],
-/// `trace::analyze::histogram` and the serving layer's load sketch all
-/// bucket through this one function.
+/// holds `[2^(k−1), 2^k − 1]`. `trace::analyze::histogram` and the
+/// serving layer's windowed load percentiles both bucket through this
+/// one function.
 pub fn bucket_of(value: u64) -> usize {
     (u64::BITS - value.leading_zeros()) as usize
 }
@@ -53,23 +52,13 @@ pub fn nearest_rank(sorted: &[u64], pct: u64) -> u64 {
     }
 }
 
-/// Counters, gauges, histograms, and bound-adherence state for one
-/// observed run (or one experiment's worth of runs).
+/// What one observed run (or one experiment's worth of runs) measured:
+/// its rounds, its page IO, and the bounds its algorithms announced.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
-    counters: BTreeMap<&'static str, u64>,
-    gauges: BTreeMap<String, f64>,
-    /// Power-of-two histogram of per-server per-round receive loads in
-    /// tuples: bucket 0 counts zero loads, bucket `k ≥ 1` counts loads
-    /// in `[2^(k−1), 2^k − 1]` — the same shape `trace::analyze`
-    /// uses, so the two stay comparable.
-    recv_hist: Vec<u64>,
+    fold: RoundFold,
+    io: IoStats,
     bounds: Vec<BoundRecord>,
-    load_max_tuples: u64,
-    load_max_words: u64,
-    round_servers: usize,
-    round_max_tuples: u64,
-    max_skew_ratio: f64,
 }
 
 impl MetricsRegistry {
@@ -78,122 +67,39 @@ impl MetricsRegistry {
         Self::default()
     }
 
-    /// Observe one simulator event (the [`TraceSink`] entry point).
-    pub fn observe_event(&mut self, event: &TraceEvent) {
-        match *event {
-            TraceEvent::RoundBegin { servers, .. } => {
-                self.add("rounds", 1);
-                self.round_servers = servers;
-                self.round_max_tuples = 0;
-            }
-            TraceEvent::Topology { .. } => self.add("topologies", 1),
-            TraceEvent::Send { msgs, words, .. } => {
-                self.add("sends", msgs);
-                self.add("send_words", words);
-            }
-            TraceEvent::Recv { tuples, words, .. } => {
-                self.add("recvs", 1);
-                self.bump_hist(tuples);
-                self.load_max_tuples = self.load_max_tuples.max(tuples);
-                self.load_max_words = self.load_max_words.max(words);
-                self.round_max_tuples = self.round_max_tuples.max(tuples);
-            }
-            TraceEvent::RoundEnd { tuples, words, .. } => {
-                self.add("tuples", tuples);
-                self.add("words", words);
-                if self.round_servers > 0 && tuples > 0 {
-                    let mean = tuples as f64 / self.round_servers as f64;
-                    let ratio = self.round_max_tuples as f64 / mean;
-                    self.max_skew_ratio = self.max_skew_ratio.max(ratio);
-                }
-            }
-            TraceEvent::FaultInjected { .. } => self.add("faults_injected", 1),
-            TraceEvent::RecoveryBegin { .. } => self.add("recoveries", 1),
-            TraceEvent::RecoveryEnd {
-                rounds,
-                tuples,
-                words,
-                ..
-            } => {
-                self.add("recovery_rounds", rounds as u64);
-                self.add("recovery_tuples", tuples);
-                self.add("recovery_words", words);
-            }
-            TraceEvent::SpanBegin { .. } => self.add("spans", 1),
-            TraceEvent::SpanEnd { .. } => {}
-        }
+    /// Fold one simulator event into the rounds.
+    pub(crate) fn observe_event(&mut self, event: &TraceEvent) {
+        self.fold.observe(event);
     }
 
-    /// Observe a drained page-IO delta from the store ledger: counters
-    /// `io_reads`, `io_misses` and `io_evictions` accumulate exactly
-    /// what the buffer pools measured (the second cost axis beside
-    /// communication load). Zero deltas are recorded as-is.
-    pub fn observe_io(&mut self, reads: u64, misses: u64, evictions: u64) {
-        self.add("io_reads", reads);
-        self.add("io_misses", misses);
-        self.add("io_evictions", evictions);
-    }
-
-    /// Total logical page reads observed (counter `io_reads`).
-    pub fn io_reads(&self) -> u64 {
-        self.counter("io_reads")
-    }
-
-    /// Buffer-pool hit rate ([`IoStats::hit_rate`](parqp_store::IoStats::hit_rate)
-    /// of the observed counters); 0 when no paged scan ran.
-    pub fn io_hit_rate(&self) -> f64 {
-        parqp_store::IoStats {
-            reads: self.counter("io_reads"),
-            misses: self.counter("io_misses"),
-            evictions: self.counter("io_evictions"),
-        }
-        .hit_rate()
+    /// Add a drained page-IO delta from the store ledger: the registry
+    /// accumulates exactly what the buffer pools measured (the second
+    /// cost axis beside communication load).
+    pub(crate) fn observe_io(&mut self, delta: &IoStats) {
+        self.io.merge(delta);
     }
 
     /// Record an announced bound: the first announcement of a capture
     /// is the run's *primary* bound (outermost algorithm announces
     /// before any sub-algorithm it delegates to).
     pub fn announce_bound(&mut self, bound: &dyn BoundProvider) {
-        let record = BoundRecord {
+        self.bounds.push(BoundRecord {
             algorithm: bound.algorithm(),
             predicted_load: bound.predicted_load(),
             predicted_rounds: bound.predicted_rounds(),
             unit: bound.unit(),
-        };
-        self.set_gauge(
-            format!("bound.{}.predicted_load", record.algorithm),
-            record.predicted_load,
-        );
-        self.set_gauge(
-            format!("bound.{}.predicted_rounds", record.algorithm),
-            record.predicted_rounds as f64,
-        );
-        self.bounds.push(record);
+        });
     }
 
-    /// Set gauge `name` to `value` (overwrites).
-    pub fn set_gauge(&mut self, name: impl Into<String>, value: f64) {
-        self.gauges.insert(name.into(), value);
+    /// Every round observed, in stream order — the ledger's own
+    /// per-round type.
+    pub fn rounds(&self) -> &[RoundStats] {
+        &self.fold.rounds
     }
 
-    /// Counter value (0 when never incremented).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Gauge value, if set.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).copied()
-    }
-
-    /// All counters in name order.
-    pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.counters.iter().map(|(&k, &v)| (k, v))
-    }
-
-    /// All gauges in name order.
-    pub fn gauges(&self) -> impl Iterator<Item = (&str, f64)> + '_ {
-        self.gauges.iter().map(|(k, &v)| (k.as_str(), v))
+    /// The page IO drained into this registry, summed across servers.
+    pub fn io(&self) -> IoStats {
+        self.io
     }
 
     /// Every announced bound, in announcement order.
@@ -209,15 +115,11 @@ impl MetricsRegistry {
 
     /// Maximum per-server per-round receive load observed, in `unit`.
     pub fn load_max(&self, unit: LoadUnit) -> u64 {
-        match unit {
-            LoadUnit::Tuples => self.load_max_tuples,
-            LoadUnit::Words => self.load_max_words,
-        }
-    }
-
-    /// Rounds observed (counter `rounds`).
-    pub fn rounds(&self) -> u64 {
-        self.counter("rounds")
+        let max = match unit {
+            LoadUnit::Tuples => RoundStats::max_tuples,
+            LoadUnit::Words => RoundStats::max_words,
+        };
+        self.rounds().iter().map(max).max().unwrap_or(0)
     }
 
     /// `measured_L / predicted_L` against the primary bound, in the
@@ -228,36 +130,6 @@ impl MetricsRegistry {
             return None;
         }
         Some(self.load_max(bound.unit) as f64 / bound.predicted_load)
-    }
-
-    /// Largest per-round `max / mean` receive-load ratio observed (1.0
-    /// is perfectly balanced; 0.0 when no round carried load).
-    pub fn max_skew_ratio(&self) -> f64 {
-        self.max_skew_ratio
-    }
-
-    /// The power-of-two receive histogram: bucket 0 counts zero loads,
-    /// bucket `k ≥ 1` counts loads in `[2^(k−1), 2^k − 1]` tuples.
-    pub fn recv_histogram(&self) -> &[u64] {
-        &self.recv_hist
-    }
-
-    fn add(&mut self, name: &'static str, delta: u64) {
-        *self.counters.entry(name).or_insert(0) += delta;
-    }
-
-    fn bump_hist(&mut self, value: u64) {
-        let bucket = bucket_of(value);
-        if self.recv_hist.len() <= bucket {
-            self.recv_hist.resize(bucket + 1, 0);
-        }
-        self.recv_hist[bucket] += 1;
-    }
-}
-
-impl TraceSink for MetricsRegistry {
-    fn record(&mut self, event: TraceEvent) {
-        self.observe_event(&event);
     }
 }
 
@@ -291,15 +163,20 @@ mod tests {
     fn counters_and_maxima_track_the_stream() {
         let mut reg = MetricsRegistry::new();
         round(&mut reg, 0, 4, &[10, 20, 0, 30]);
+        // Fault, recovery and span markers sit between blocks and
+        // carry no load of their own.
+        reg.observe_event(&TraceEvent::FaultInjected {
+            round: 0,
+            server: 1,
+            kind: "drop",
+        });
+        reg.observe_event(&TraceEvent::SpanBegin { label: "x/y" });
         round(&mut reg, 1, 4, &[5, 5, 5, 5]);
-        assert_eq!(reg.rounds(), 2);
-        assert_eq!(reg.counter("tuples"), 80);
-        assert_eq!(reg.counter("words"), 160);
-        assert_eq!(reg.counter("recvs"), 7);
+        assert_eq!(reg.rounds().len(), 2);
+        assert_eq!(reg.rounds()[0].tuples, vec![10, 20, 0, 30]);
+        assert_eq!(reg.rounds()[1].words, vec![10; 4]);
         assert_eq!(reg.load_max(LoadUnit::Tuples), 30);
         assert_eq!(reg.load_max(LoadUnit::Words), 60);
-        // Round 0: max 30 over mean 15 ⇒ skew 2; round 1 is balanced.
-        assert_eq!(reg.max_skew_ratio(), 2.0);
     }
 
     #[test]
@@ -365,14 +242,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_are_powers_of_two() {
-        let mut reg = MetricsRegistry::new();
-        round(&mut reg, 0, 4, &[1, 2, 3, 8]);
-        // value 1 → bucket 1; values 2,3 → bucket 2; value 8 → bucket 4.
-        assert_eq!(reg.recv_histogram(), &[0, 1, 2, 0, 1]);
-    }
-
-    #[test]
     fn first_announcement_is_primary() {
         let mut reg = MetricsRegistry::new();
         reg.announce_bound(&PaperBound::tuples("skew_join", 100.0, 1));
@@ -380,8 +249,8 @@ mod tests {
         round(&mut reg, 0, 2, &[110, 90]);
         assert_eq!(reg.primary_bound().map(|b| b.algorithm), Some("skew_join"));
         assert_eq!(reg.bound_ratio(), Some(1.1));
-        assert_eq!(reg.gauge("bound.hash_join.predicted_load"), Some(40.0));
         assert_eq!(reg.bounds().len(), 2);
+        assert_eq!(reg.bounds()[1].predicted_load, 40.0);
     }
 
     #[test]
@@ -393,46 +262,20 @@ mod tests {
     }
 
     #[test]
-    fn fault_and_recovery_events_are_counted() {
-        let mut reg = MetricsRegistry::new();
-        reg.observe_event(&TraceEvent::FaultInjected {
-            round: 0,
-            server: 1,
-            kind: "crash",
-        });
-        reg.observe_event(&TraceEvent::RecoveryBegin {
-            round: 0,
-            server: 1,
-            strategy: "checkpoint",
-        });
-        reg.observe_event(&TraceEvent::RecoveryEnd {
-            round: 1,
-            server: 1,
-            rounds: 1,
-            tuples: 25,
-            words: 50,
-        });
-        reg.observe_event(&TraceEvent::SpanBegin { label: "x/y" });
-        reg.observe_event(&TraceEvent::SpanEnd { label: "x/y" });
-        assert_eq!(reg.counter("faults_injected"), 1);
-        assert_eq!(reg.counter("recoveries"), 1);
-        assert_eq!(reg.counter("recovery_rounds"), 1);
-        assert_eq!(reg.counter("recovery_tuples"), 25);
-        assert_eq!(reg.counter("recovery_words"), 50);
-        assert_eq!(reg.counter("spans"), 1);
-    }
-
-    #[test]
     fn io_deltas_accumulate_into_counters() {
         let mut reg = MetricsRegistry::new();
-        assert_eq!(reg.io_reads(), 0);
-        assert_eq!(reg.io_hit_rate(), 0.0);
-        reg.observe_io(80, 10, 2);
-        reg.observe_io(20, 10, 3);
-        assert_eq!(reg.io_reads(), 100);
-        assert_eq!(reg.counter("io_misses"), 20);
-        assert_eq!(reg.counter("io_evictions"), 5);
-        assert!((reg.io_hit_rate() - 0.8).abs() < 1e-12);
+        assert_eq!(reg.io(), IoStats::default());
+        assert_eq!(reg.io().hit_rate(), 0.0);
+        for (reads, misses, evictions) in [(80, 10, 2), (20, 10, 3)] {
+            reg.observe_io(&IoStats {
+                reads,
+                misses,
+                evictions,
+            });
+        }
+        let io = reg.io();
+        assert_eq!((io.reads, io.misses, io.evictions), (100, 20, 5));
+        assert!((io.hit_rate() - 0.8).abs() < 1e-12);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! per-query accounting.
 //!
 //! [`replay`] schedules the stream, then runs every arrival against a
-//! single [`Cluster`] under captured store/metrics/fault runtimes. Each
+//! single [`Cluster`] under captured store and fault runtimes. Each
 //! query is two phases: *build* (scatter + hash-partition the
 //! template's base and index each partition's join column — skipped
 //! entirely on a cache hit) and *probe* (route the per-query probe
@@ -15,13 +15,12 @@
 //! snapshot per arrival does the same for page IO. The resulting
 //! [`QueryRecord`] is all the loop produces: tenant stats and the
 //! window series are folds over the records, so they reconcile with the
-//! ledgers and the global registry to the tuple.
+//! ledgers to the tuple.
 
 use parqp_data::paged::{self, IoStats, StoreConfig};
 use parqp_data::Relation;
 use parqp_join::common::{hash_partition, joined_arity, probe_rows, scatter, single_stream};
 use parqp_mpc::faults::{self, FaultPlan, FaultSpec, RecoveryStrategy};
-use parqp_mpc::metrics;
 use parqp_mpc::{Cluster, HashFamily, LoadReport};
 
 use crate::cache::{Admission, BuildCost, CacheKey, CacheStats, Partition, PlanCache};
@@ -148,15 +147,13 @@ struct StreamOut {
 pub fn replay(cfg: &ServeConfig) -> Result<ServeReport, String> {
     cfg.validate()?;
     let arrivals = workload::schedule(cfg);
-    let (io_parts, (registry, (fault_log, out))) = paged::capture(cfg.store, || {
-        metrics::capture(|| match &cfg.faults {
-            Some(f) => {
-                let plan = FaultPlan::random(cfg.seed, cfg.servers, f.horizon, &f.spec);
-                let (log, out) = faults::capture(plan, f.strategy, || run_stream(cfg, &arrivals));
-                (Some(log), out)
-            }
-            None => (None, run_stream(cfg, &arrivals)),
-        })
+    let (io_parts, (fault_log, out)) = paged::capture(cfg.store, || match &cfg.faults {
+        Some(f) => {
+            let plan = FaultPlan::random(cfg.seed, cfg.servers, f.horizon, &f.spec);
+            let (log, out) = faults::capture(plan, f.strategy, || run_stream(cfg, &arrivals));
+            (Some(log), out)
+        }
+        None => (None, run_stream(cfg, &arrivals)),
     });
     Ok(ServeReport {
         config: cfg.clone(),
@@ -165,7 +162,6 @@ pub fn replay(cfg: &ServeConfig) -> Result<ServeReport, String> {
         cache: out.cache,
         totals: out.totals,
         io: sum_io(&io_parts),
-        registry,
         fault_log,
     })
 }

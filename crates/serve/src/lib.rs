@@ -32,8 +32,8 @@
 //!   ([`parqp_mpc::Cluster::report_since`], one store-ledger snapshot
 //!   per arrival) and lands in that query's [`QueryRecord`] — the only
 //!   per-query type there is. Per-tenant stats are a fold over the
-//!   records, so they reconcile *exactly* with the cluster ledger and
-//!   the global [`MetricsRegistry`] (`tests/serve_reconciliation.rs`).
+//!   records, so they reconcile *exactly* with the cluster ledger, the
+//!   page-IO ledger and the fault log (`tests/serve_reconciliation.rs`).
 //! * **Time-series observability** — [`obs`]: the window series is a
 //!   second fold over the same records
 //!   ([`obs::SeriesReport::fold`]), and [`driver::replay_observed`] is
@@ -55,8 +55,6 @@
 //! cover this crate's use of it and no one else's — and [`QueryRecord`]
 //! is `#[non_exhaustive]`, so other crates read records and cannot
 //! invent one.
-//!
-//! [`MetricsRegistry`]: parqp_mpc::metrics::MetricsRegistry
 
 mod cache;
 pub mod driver;
@@ -67,7 +65,6 @@ pub mod workload;
 
 mod export;
 mod series;
-mod sketch;
 mod slo;
 
 pub use cache::CacheStats;

@@ -1,16 +1,16 @@
 //! Time-series telemetry over a replay: the public face of the private
-//! `series`, `sketch`, `slo` and `export` modules.
+//! `series`, `slo` and `export` modules.
 //!
 //! * **Windows on the tick clock** — [`SeriesReport::fold`] cuts a
 //!   replay's [`QueryRecord`](crate::QueryRecord)s into fixed-width
 //!   [`WindowStats`] windows. Every counter tiles: window sums
 //!   reconcile exactly with the whole-run ledgers
 //!   (`tests/obs_invariants.rs`).
-//! * **Sketched percentiles** — per-window p50/p99 load comes from a
-//!   [`LogHistogram`], a log₂-bucketed histogram over the registry's
-//!   own [`sketch::bucket_of`]. The nearest-rank sample always falls in
-//!   the bucket the sketch reports, so the sketch percentile is within
-//!   one log₂ bucket of the exact one.
+//! * **Log₂ percentiles** — per-window p50/p99 load is the exact
+//!   nearest-rank sample of the window's sorted loads, snapped to the
+//!   top of its log₂ bucket (the metrics registry's `bucket_of`) and
+//!   clamped to the window maximum: within one log₂ bucket of the exact
+//!   percentile, and byte-stable in every export.
 //! * **SLO burn rates** — [`SloRules`] are declarative thresholds (p99
 //!   load budget, hit-rate floor, bound-ratio ceiling,
 //!   recovery-overhead cap) evaluated per window; a rule *alerts* only
@@ -27,10 +27,4 @@
 //! [`crate::replay_observed`] is that replay plus the fold.
 
 pub use crate::series::{ObsConfig, SeriesReport, WindowStats};
-pub use crate::sketch::LogHistogram;
 pub use crate::slo::{AlertKind, RuleOutcome, SloAlert, SloReport, SloRules};
-
-/// The sketch's bucket convention (the metrics registry's).
-pub mod sketch {
-    pub use crate::sketch::bucket_of;
-}

@@ -19,7 +19,7 @@ use parqp_data::fasthash::FxHasher;
 use parqp_data::paged::IoStats;
 use parqp_data::Relation;
 use parqp_mpc::faults::{FaultLog, RecoveryStrategy};
-use parqp_mpc::metrics::{nearest_rank, MetricsRegistry};
+use parqp_mpc::metrics::nearest_rank;
 use parqp_mpc::LoadReport;
 
 use crate::cache::CacheStats;
@@ -104,7 +104,7 @@ impl QueryRecord {
 
 /// The sums every fold over a group of records starts from: the tenant
 /// stats and the window series differ only in how they group.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct Sums {
     pub(crate) served: u64,
     pub(crate) rounds: u64,
@@ -112,6 +112,8 @@ pub(crate) struct Sums {
     pub(crate) words: u64,
     pub(crate) hits: u64,
     pub(crate) misses: u64,
+    /// Per-query loads `L`, ascending: the percentiles' sample.
+    pub(crate) loads: Vec<u64>,
 }
 
 impl Sums {
@@ -127,7 +129,9 @@ impl Sums {
                 "miss" => sums.misses += 1,
                 _ => {}
             }
+            sums.loads.push(q.l);
         }
+        sums.loads.sort_unstable();
         sums
     }
 }
@@ -180,8 +184,6 @@ impl TenantStats {
             .enumerate()
             .map(|(tenant, qs)| {
                 let sums = Sums::of(qs.iter().copied());
-                let mut loads: Vec<u64> = qs.iter().map(|q| q.l).collect();
-                loads.sort_unstable();
                 TenantStats {
                     tenant,
                     served: sums.served,
@@ -190,8 +192,8 @@ impl TenantStats {
                     words: sums.words,
                     hits: sums.hits,
                     misses: sums.misses,
-                    l_p50: nearest_rank(&loads, 50),
-                    l_p99: nearest_rank(&loads, 99),
+                    l_p50: nearest_rank(&sums.loads, 50),
+                    l_p99: nearest_rank(&sums.loads, 99),
                     throughput_per_kticks: sums.served * 1000 / cfg.ticks,
                 }
             })
@@ -224,9 +226,6 @@ pub struct ServeReport {
     pub totals: LoadReport,
     /// The whole-replay page-IO ledger (summed across servers).
     pub io: IoStats,
-    /// The registry captured around the replay: counters fed by the
-    /// same event stream and IO drains the ledgers above sum.
-    pub registry: MetricsRegistry,
     /// What fired, when faults were injected.
     pub fault_log: Option<FaultLog>,
 }

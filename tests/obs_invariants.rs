@@ -8,9 +8,9 @@
 //! * **Tiling** — per-window served/rounds/tuples/words/out_rows and
 //!   the cache and page-IO deltas sum exactly to the `ServeReport`
 //!   ledgers the same replay produced.
-//! * **Sketch accuracy** — the log₂-bucketed latency sketch lands
-//!   p50/p99 in the same bucket as the exact nearest-rank percentile of
-//!   the per-window samples.
+//! * **Percentile accuracy** — the log₂-resolution p50/p99 land in the
+//!   same bucket as the exact nearest-rank percentile of the per-window
+//!   samples.
 //! * **Determinism** — the full JSONL/Prometheus/dashboard exports are
 //!   byte-identical serial vs `ExecMode::Parallel`.
 //! * **Fault invariance** — the steady projection (served/hits/misses/
@@ -23,8 +23,8 @@
 
 use parqp::faults::FaultSpec;
 use parqp::metrics::{serve_presets, SLO_WINDOW_TICKS};
+use parqp::mpc::metrics::bucket_of;
 use parqp::mpc::{exec, ExecMode};
-use parqp::obs::sketch::bucket_of;
 use parqp::obs::{ObsConfig, SeriesReport, SloRules};
 use parqp::serve::{replay, replay_observed, FaultSetup, ServeConfig, ServeReport};
 

@@ -20,7 +20,6 @@ use std::rc::Rc;
 
 use parqp::faults::{capture as fault_capture, FaultLog, FaultPlan, FaultSpec, RecoveryStrategy};
 use parqp::mpc::exec;
-use parqp::mpc::metrics::{LoadUnit, MetricsRegistry};
 use parqp::mpc::{Cluster, ExecMode, LoadReport, MpcError};
 use parqp::trace::export;
 use parqp_testkit::pool::{ncpu, WorkerPool};
@@ -37,37 +36,12 @@ fn worker_counts() -> Vec<usize> {
     w
 }
 
-/// A canonical, total rendering of a metrics registry. Two registries
-/// that print identically observed identical event streams.
-fn registry_snapshot(reg: &MetricsRegistry) -> String {
-    use std::fmt::Write as _;
-    let mut s = String::new();
-    for (name, v) in reg.counters() {
-        let _ = writeln!(s, "counter {name} = {v}");
-    }
-    for (name, v) in reg.gauges() {
-        let _ = writeln!(s, "gauge {name} = {v}");
-    }
-    for b in reg.bounds() {
-        let _ = writeln!(s, "bound {b:?}");
-    }
-    let _ = writeln!(
-        s,
-        "load_max tuples={} words={} rounds={} skew={} hist={:?}",
-        reg.load_max(LoadUnit::Tuples),
-        reg.load_max(LoadUnit::Words),
-        reg.rounds(),
-        reg.max_skew_ratio(),
-        reg.recv_histogram()
-    );
-    s
-}
-
 /// Everything observable about one experiment run.
 struct Observed {
     digest: u64,
     report: LoadReport,
     jsonl: String,
+    /// The registry's `Debug` rendering: its rounds, IO and bounds.
     registry: String,
 }
 
@@ -81,7 +55,7 @@ fn observe(name: &str, p: usize, seed: u64, mode: ExecMode) -> Observed {
             digest: run.digest,
             report: run.report,
             jsonl: export::jsonl(&run.recorder),
-            registry: registry_snapshot(&registry),
+            registry: format!("{registry:?}"),
         }
     })
 }
@@ -146,7 +120,7 @@ fn fault_recovery_is_byte_identical_in_parallel_mode() {
                                 digest: run.digest,
                                 report: run.report,
                                 jsonl: export::jsonl(&run.recorder),
-                                registry: registry_snapshot(&registry),
+                                registry: format!("{registry:?}"),
                             },
                         )
                     })
@@ -187,43 +161,27 @@ fn parallel_metrics_reconcile_with_ledger_and_trace_under_faults() {
             })
         });
         let run = run.expect("known experiment");
-        let totals = parqp::trace::analyze::totals(&run.recorder);
         let name = e.name;
         assert_eq!(
-            registry.counter("tuples"),
-            run.report.total_tuples(),
-            "{name}: metrics vs ledger Σ tuples"
+            registry.rounds(),
+            parqp::trace::analyze::round_loads(&run.recorder),
+            "{name}: metrics vs trace"
         );
-        assert_eq!(
-            registry.counter("words"),
-            run.report.total_words(),
-            "{name}: metrics vs ledger Σ words"
-        );
-        assert_eq!(
-            registry.counter("tuples"),
-            totals.tuples,
-            "{name}: metrics vs trace Σ tuples"
-        );
-        assert_eq!(
-            registry.counter("words"),
-            totals.words,
-            "{name}: metrics vs trace Σ words"
-        );
-        assert_eq!(
-            registry.rounds() as usize,
-            totals.rounds,
-            "{name}: metrics vs trace rounds"
-        );
-        assert_eq!(
-            registry.load_max(LoadUnit::Tuples),
-            run.report.max_load_tuples(),
-            "{name}: metrics vs ledger L_max (tuples)"
-        );
-        assert_eq!(
-            registry.load_max(LoadUnit::Words),
-            run.report.max_load_words(),
-            "{name}: metrics vs ledger L_max (words)"
-        );
+        // The run composes sub-cluster reports, so against the ledger
+        // only C and L are exact (tests/trace_invariants.rs).
+        let cost = |r: &LoadReport| {
+            [
+                r.total_tuples(),
+                r.total_words(),
+                r.max_load_tuples(),
+                r.max_load_words(),
+            ]
+        };
+        let folded = LoadReport {
+            servers: run.report.servers,
+            rounds: registry.rounds().to_vec(),
+        };
+        assert_eq!(cost(&folded), cost(&run.report), "{name}: C and L");
     }
 }
 
@@ -272,7 +230,7 @@ fn residue(mode: ExecMode, f: fn(usize, u64) -> (u64, ExecMode)) -> Residue {
         Residue {
             out,
             jsonl: export::jsonl(&recorder),
-            registry: registry_snapshot(&registry),
+            registry: format!("{registry:?}"),
             io,
         }
     })
