@@ -10,7 +10,9 @@
 //!
 //! To re-derive them: check out the parent commit, copy this file into
 //! its `crates/join/tests/` and run it; each test fails listing every
-//! digest it computed next to the pinned one.
+//! digest it computed next to the pinned one. Pins added later were
+//! printed the same way, in a commit of their own that changed no code
+//! they pin, so a refactor landing after them has to reproduce them.
 
 use parqp_data::fasthash::FxHasher;
 use parqp_data::{generate, Relation};
@@ -22,7 +24,7 @@ use parqp_join::plans::{binary_join_plan, max_intermediate_size};
 use parqp_join::skewhc::skewhc;
 use parqp_join::subgraph::{expansion_join, expansion_join_with_order};
 use parqp_join::twoway::{broadcast_join, cartesian, hash_join, skew_join, sort_merge_join};
-use parqp_query::{yannakakis_serial, Atom, Ghd, Query};
+use parqp_query::{yannakakis_serial, Atom, Bag, Ghd, Query};
 use std::hash::Hasher;
 
 fn digest(fragments: &[Relation]) -> u64 {
@@ -122,8 +124,36 @@ fn gym_fragments_and_ledger() {
     // Small: the balanced GHD's root bag covers R0 and R2 ⋈ R3, which
     // share nothing, so it materializes their product.
     let balanced_rels = uniform_rels(4, 40, 12, 70);
+    // Every tree edge shares two variables, listed in a different order
+    // by each side, so a key taken in the wrong side's column order
+    // hashes elsewhere. R has two children (the optimized upward level
+    // takes its intersection round) and S one (a second level).
+    let pairs = Query::new(
+        6,
+        vec![
+            Atom::new("R", vec![0, 1, 2]),
+            Atom::new("S", vec![2, 1, 3]),
+            Atom::new("T", vec![1, 0, 4]),
+            Atom::new("U", vec![3, 2, 5]),
+        ],
+    );
+    let pairs_rels: Vec<Relation> = (0..4)
+        .map(|i| generate::uniform(3, 200, 8, 80 + i))
+        .collect();
+    let pairs_tree = Ghd {
+        bags: pairs
+            .atoms()
+            .iter()
+            .enumerate()
+            .map(|(a, atom)| Bag {
+                vars: atom.vars.clone(),
+                atoms: vec![a],
+            })
+            .collect(),
+        parent: vec![None, Some(0), Some(0), Some(1)],
+    };
 
-    let cases: [(&str, JoinRun, u64); 9] = [
+    let cases: [(&str, JoinRun, u64); 13] = [
         (
             "star vanilla",
             gym(&star, &star_rels, &Ghd::star_flat(&star), 8, 3, false),
@@ -158,6 +188,26 @@ fn gym_fragments_and_ledger() {
             "forest (product) vanilla",
             gym(&product, &product_rels, &product_tree, 8, 15, false),
             0xd456_2092_7db3_4acc,
+        ),
+        (
+            "forest (product) optimized",
+            gym(&product, &product_rels, &product_tree, 8, 15, true),
+            0xd456_2092_7db3_4acc,
+        ),
+        (
+            "two-variable edges vanilla",
+            gym(&pairs, &pairs_rels, &pairs_tree, 8, 17, false),
+            0xd693_d5cf_6063_9d50,
+        ),
+        (
+            "two-variable edges optimized",
+            gym(&pairs, &pairs_rels, &pairs_tree, 8, 17, true),
+            0x3fe9_b474_7f13_4308,
+        ),
+        (
+            "gym_ghd two-variable edges",
+            gym_ghd(&pairs, &pairs_rels, &pairs_tree, 8, 17),
+            0x9f91_19e2_0b93_b12d,
         ),
         (
             "gym_ghd chain blocks of 2",

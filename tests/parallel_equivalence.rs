@@ -9,7 +9,9 @@
 //! registry must all be byte-identical to the serial run. A second
 //! matrix repeats the comparison under seeded fault plans with both
 //! recovery strategies, so recovery replays parallelize identically
-//! too.
+//! too. GYM (both modes and generalized) and the binary plan, which no
+//! observe experiment runs, get the same comparison fragment by
+//! fragment.
 //!
 //! Also here: the pool-stress satellites — submit-order merging under
 //! adversarial completion order, panic-in-worker surfacing as a typed
@@ -18,9 +20,15 @@
 
 use std::rc::Rc;
 
+use parqp::data::{generate, Relation};
 use parqp::faults::{capture as fault_capture, FaultLog, FaultPlan, FaultSpec, RecoveryStrategy};
+use parqp::join::gym::{gym, gym_ghd};
+use parqp::join::plans::binary_join_plan;
+use parqp::join::JoinRun;
 use parqp::mpc::exec;
+use parqp::mpc::trace::Recorder;
 use parqp::mpc::{Cluster, ExecMode, LoadReport, MpcError};
+use parqp::query::{Ghd, Query};
 use parqp::trace::export;
 use parqp_testkit::pool::{ncpu, WorkerPool};
 
@@ -39,6 +47,9 @@ fn worker_counts() -> Vec<usize> {
 /// Everything observable about one experiment run.
 struct Observed {
     digest: u64,
+    /// A join run's fragments, server by server (empty for an
+    /// experiment, which digests its output instead).
+    outputs: Vec<Relation>,
     report: LoadReport,
     jsonl: String,
     /// The registry's `Debug` rendering: its rounds, IO and bounds.
@@ -53,6 +64,7 @@ fn observe(name: &str, p: usize, seed: u64, mode: ExecMode) -> Observed {
         let run = run.expect("known experiment");
         Observed {
             digest: run.digest,
+            outputs: Vec::new(),
             report: run.report,
             jsonl: export::jsonl(&run.recorder),
             registry: format!("{registry:?}"),
@@ -62,6 +74,10 @@ fn observe(name: &str, p: usize, seed: u64, mode: ExecMode) -> Observed {
 
 fn assert_identical(label: &str, serial: &Observed, parallel: &Observed) {
     assert_eq!(serial.digest, parallel.digest, "{label}: output digest");
+    assert_eq!(
+        serial.outputs, parallel.outputs,
+        "{label}: output fragments"
+    );
     assert_eq!(
         serial.report, parallel.report,
         "{label}: ledger (RoundStats sequence)"
@@ -83,6 +99,68 @@ fn every_experiment_is_byte_identical_across_worker_counts() {
                 let parallel = observe(e.name, p, 42, ExecMode::Parallel { workers: w });
                 let label = format!("{}/p{p} workers={w}", e.name);
                 assert_identical(&label, &serial, &parallel);
+            }
+        }
+    }
+}
+
+/// A join run on `p` servers.
+type JoinOn = fn(usize) -> JoinRun;
+
+/// The multi-round joins that are not observe experiments, on `p`
+/// servers: GYM in both modes over a star (the optimized upward level's
+/// intersection round) and a path, generalized GYM, and a binary plan.
+fn multi_round_joins() -> [(&'static str, JoinOn); 6] {
+    fn rels(seed: u64) -> Vec<Relation> {
+        (0..4)
+            .map(|i| generate::uniform(2, 300, 40, seed + i))
+            .collect()
+    }
+    fn star(p: usize, optimized: bool) -> JoinRun {
+        let q = Query::star(4);
+        gym(&q, &rels(10), &Ghd::star_flat(&q), p, 42, optimized)
+    }
+    fn chain(p: usize, optimized: bool) -> JoinRun {
+        let q = Query::chain(4);
+        let tree = Ghd::join_tree(&q).expect("chains are acyclic");
+        gym(&q, &rels(20), &tree, p, 42, optimized)
+    }
+    [
+        ("gym vanilla, star-4", |p| star(p, false)),
+        ("gym optimized, star-4", |p| star(p, true)),
+        ("gym vanilla, chain-4", |p| chain(p, false)),
+        ("gym optimized, chain-4", |p| chain(p, true)),
+        ("gym_ghd, chain-4 in blocks of 2", |p| {
+            gym_ghd(&Query::chain(4), &rels(20), &Ghd::chain_blocks(4, 2), p, 42)
+        }),
+        ("binary plan, chain-4", |p| {
+            binary_join_plan(&Query::chain(4), &rels(20), p, 42, None)
+        }),
+    ]
+}
+
+#[test]
+fn gym_and_the_binary_plan_are_byte_identical_across_worker_counts() {
+    let observe = |run: JoinOn, p, mode| {
+        exec::with_mode(mode, || {
+            let (registry, (recorder, run)) =
+                parqp::mpc::metrics::capture(|| Recorder::capture(|| run(p)));
+            Observed {
+                digest: 0,
+                outputs: run.outputs,
+                report: run.report,
+                jsonl: export::jsonl(&recorder),
+                registry: format!("{registry:?}"),
+            }
+        })
+    };
+    for (name, run) in multi_round_joins() {
+        for &p in SIZES {
+            let serial = observe(run, p, ExecMode::Serial);
+            assert!(!serial.jsonl.is_empty(), "{name}/p{p}: empty trace");
+            for w in worker_counts() {
+                let parallel = observe(run, p, ExecMode::Parallel { workers: w });
+                assert_identical(&format!("{name}/p{p} workers={w}"), &serial, &parallel);
             }
         }
     }
@@ -118,6 +196,7 @@ fn fault_recovery_is_byte_identical_in_parallel_mode() {
                             log,
                             Observed {
                                 digest: run.digest,
+                                outputs: Vec::new(),
                                 report: run.report,
                                 jsonl: export::jsonl(&run.recorder),
                                 registry: format!("{registry:?}"),
