@@ -19,113 +19,20 @@
 //!   optimized GYM over the bag tree: `r = O(d)`,
 //!   `L = O((IN^w + OUT)/p)` — the width/depth trade-off.
 //!
+//! Each semijoin round is one `common::Dist::semijoin` (a level's edges
+//! together, each salted apart) and each pairwise join round, the roots'
+//! products included, one `Dist::join`, as in the binary plans. Only the
+//! intersection round and the per-node HyperCube join are GYM's own.
+//!
 //! GYM beats the one-round algorithms whenever
 //! `OUT < p^{1−1/τ*} · IN` (slide 78) — experiment E11.
 
-use crate::common::{dest_of, fragments, inbox_pairs, route_rows, Dist, JoinRun};
-use parqp_data::{FastMap, KeyIndex, Relation, Value};
+use crate::common::{dest_of, fragments, Dist, JoinRun, Semijoin};
+use parqp_data::{FastMap, Relation, Value};
 use parqp_mpc::hash::splitmix64;
-use parqp_mpc::{Cluster, Grid, HashFamily, LoadReport, RowExchange};
+use parqp_mpc::{Cluster, Grid, HashFamily, LoadReport};
 use parqp_query::{Ghd, Query, SchemaJoin, Var};
-
-/// Send the `key` projection of `parts` on `stream`, deduplicated per
-/// origin server (a row speaks for its key iff it is the first of its
-/// chain), each key to the server it hashes to. The projection's
-/// variables are the [`SchemaJoin::key_vars`] of the join that keyed it.
-fn route_distinct_keys(
-    ex: &mut RowExchange<'_>,
-    stream: usize,
-    parts: &[Relation],
-    h: &HashFamily,
-    key: &[usize],
-    salt: u64,
-) {
-    let p = ex.p();
-    let mut projected = Vec::with_capacity(key.len());
-    for part in parts {
-        let index = KeyIndex::build(part, key);
-        for (i, row) in part.iter().enumerate() {
-            if index.is_first_of_key(i) {
-                projected.clear();
-                projected.extend(key.iter().map(|&c| row[c]));
-                ex.send_row(stream, dest_of(h, row, key, salt, p), &projected);
-            }
-        }
-    }
-}
-
-/// One distributed semijoin round: `left ⋉ right`, both repartitioned by
-/// the hash of their shared variables. Returns the filtered left.
-fn semijoin_round(cluster: &mut Cluster, h: &HashFamily, left: Dist, right: &Dist) -> Dist {
-    let p = cluster.p();
-    let on = SchemaJoin::new(&left.vars, &right.vars);
-    if on.is_product() {
-        // Disconnected: pure emptiness filter, no data movement needed
-        // beyond a 1-bit flag we do not charge.
-        if right.total() == 0 {
-            return Dist {
-                parts: vec![Relation::new(left.vars.len()); p],
-                vars: left.vars,
-            };
-        }
-        return left;
-    }
-
-    let arities = [left.vars.len(), on.left_key().len()];
-    let mut ex = cluster.exchange_rows(&arities);
-    route_rows(&mut ex, 0, &left.parts, h, on.left_key(), 0);
-    route_distinct_keys(&mut ex, 1, &right.parts, h, on.right_key(), 0);
-    let keyed = SchemaJoin::new(&left.vars, &on.key_vars());
-    let parts = inbox_pairs(arities, ex.finish())
-        .iter()
-        .map(|(rows, keys)| keyed.semijoin(rows, keys))
-        .collect();
-    Dist {
-        vars: left.vars,
-        parts,
-    }
-}
-
-/// One distributed binary join round: repartition both sides by the hash
-/// of the shared variables (Cartesian grid if none) and join locally.
-fn join_round(cluster: &mut Cluster, h: &HashFamily, left: Dist, right: Dist) -> Dist {
-    let p = cluster.p();
-    let on = SchemaJoin::new(&left.vars, &right.vars);
-    let arities = [left.vars.len(), right.vars.len()];
-    let mut ex = cluster.exchange_rows(&arities);
-    if on.is_product() {
-        let (p1, p2) = crate::twoway::product_grid(left.total(), right.total(), p);
-        let grid = Grid::new(vec![p1, p2]);
-        let (left_fan, right_fan) = (grid.fan_out(|d| d == 0), grid.fan_out(|d| d == 1));
-        let mut idx = 0u64;
-        for row in left.parts.iter().flatten() {
-            let band = (h.digest(0, idx) % p1 as u64) as usize;
-            idx += 1;
-            for dest in left_fan.ranks(band * p2) {
-                ex.send_row(0, dest, row);
-            }
-        }
-        idx = 0;
-        for row in right.parts.iter().flatten() {
-            let band = (h.digest(0, !idx) % p2 as u64) as usize;
-            idx += 1;
-            for dest in right_fan.ranks(band) {
-                ex.send_row(1, dest, row);
-            }
-        }
-    } else {
-        route_rows(&mut ex, 0, &left.parts, h, on.left_key(), 0);
-        route_rows(&mut ex, 1, &right.parts, h, on.right_key(), 0);
-    }
-    let parts = inbox_pairs(arities, ex.finish())
-        .iter()
-        .map(|(lrows, rrows)| on.join(lrows, rrows))
-        .collect();
-    Dist {
-        vars: on.into_vars(),
-        parts,
-    }
-}
+use std::mem;
 
 /// GYM over a width-1 join tree: `optimized = false` is vanilla
 /// (`r = O(n)`), `optimized = true` runs per-level (`r = O(d)`).
@@ -259,19 +166,6 @@ pub fn gym_ghd(query: &Query, rels: &[Relation], ghd: &Ghd, p: usize, seed: u64)
         Some(LoadReport::parallel(&mat_reports).folded(p))
     };
 
-    let bag_tree = Ghd {
-        bags: ghd
-            .bags
-            .iter()
-            .enumerate()
-            .map(|(bi, bag)| parqp_query::Bag {
-                vars: bag.vars.clone(),
-                atoms: vec![bi],
-            })
-            .collect(),
-        parent: ghd.parent.clone(),
-    };
-
     let mut cluster = Cluster::new(p);
     let h = HashFamily::new(seed ^ 0x6d79, 4);
     let states: Vec<Dist> = ghd
@@ -280,7 +174,7 @@ pub fn gym_ghd(query: &Query, rels: &[Relation], ghd: &Ghd, p: usize, seed: u64)
         .zip(&bag_rels)
         .map(|(bag, rel)| Dist::scatter(rel, &bag.vars, p))
         .collect();
-    let final_dist = run_yannakakis(&mut cluster, &h, &bag_tree, states, true);
+    let final_dist = run_yannakakis(&mut cluster, &h, ghd, states, true);
     let report = cluster.report();
     JoinRun {
         report: match mat_report {
@@ -291,7 +185,8 @@ pub fn gym_ghd(query: &Query, rels: &[Relation], ghd: &Ghd, p: usize, seed: u64)
     }
 }
 
-/// The three Yannakakis phases over already-distributed bag states.
+/// The three Yannakakis phases over already-distributed bag states,
+/// one per bag of `tree` (only its shape is read).
 fn run_yannakakis(
     cluster: &mut Cluster,
     h: &HashFamily,
@@ -312,44 +207,34 @@ fn run_yannakakis(
     let max_depth = depth_of.iter().copied().max().unwrap_or(0);
 
     if optimized {
+        // The (parent, child) edges into the bags at depth `level`, which
+        // every depth up to `max_depth` has.
+        let at = |level: usize| -> Vec<(usize, usize)> {
+            order
+                .iter()
+                .filter(|&&b| depth_of[b] == level)
+                .filter_map(|&b| tree.parent[b].map(|par| (par, b)))
+                .collect()
+        };
         // Upward, per level (deepest first): filter round (+ intersection
         // round when some parent has several children).
         for level in (1..=max_depth).rev() {
-            let edges: Vec<(usize, usize)> = order
-                .iter()
-                .filter(|&&b| depth_of[b] == level)
-                .filter_map(|&b| tree.parent[b].map(|par| (par, b)))
-                .collect();
-            if edges.is_empty() {
-                continue;
-            }
-            upward_level(cluster, h, &mut states, &edges);
+            upward_level(cluster, h, &mut states, &at(level));
         }
         // Downward, per level: every bag filtered by its parent, 1 round.
         for level in 1..=max_depth {
-            let edges: Vec<(usize, usize)> = order
-                .iter()
-                .filter(|&&b| depth_of[b] == level)
-                .filter_map(|&b| tree.parent[b].map(|par| (par, b)))
-                .collect();
-            if edges.is_empty() {
-                continue;
+            let edges = level_edges(&states, &at(level));
+            let filtered = filter_level(cluster, h, &states, &edges, false);
+            for (e, child) in edges.iter().zip(filtered) {
+                states[e.child] = child;
             }
-            downward_level(cluster, h, &mut states, &edges);
         }
         // Join, per level (deepest first): each parent absorbs all its
         // children in one round on a per-parent HyperCube block.
         for level in (1..=max_depth).rev() {
             let mut by_parent: FastMap<usize, Vec<usize>> = FastMap::default();
-            for &b in &order {
-                if depth_of[b] == level {
-                    if let Some(par) = tree.parent[b] {
-                        by_parent.entry(par).or_default().push(b);
-                    }
-                }
-            }
-            if by_parent.is_empty() {
-                continue;
+            for (par, b) in at(level) {
+                by_parent.entry(par).or_default().push(b);
             }
             join_level(cluster, h, &mut states, &by_parent);
         }
@@ -359,21 +244,18 @@ fn run_yannakakis(
         // child it folds in: nothing reads either again.
         for &b in order.iter().rev() {
             if let Some(par) = tree.parent[b] {
-                let parent_state = std::mem::take(&mut states[par]);
-                states[par] = semijoin_round(cluster, h, parent_state, &states[b]);
+                states[par] = filter_by(cluster, h, mem::take(&mut states[par]), &states[b]);
             }
         }
         for &b in &order {
             if let Some(par) = tree.parent[b] {
-                let child_state = std::mem::take(&mut states[b]);
-                states[b] = semijoin_round(cluster, h, child_state, &states[par]);
+                states[b] = filter_by(cluster, h, mem::take(&mut states[b]), &states[par]);
             }
         }
         for &b in order.iter().rev() {
             if let Some(par) = tree.parent[b] {
-                let left = std::mem::take(&mut states[par]);
-                let right = std::mem::take(&mut states[b]);
-                states[par] = join_round(cluster, h, left, right);
+                let child = mem::take(&mut states[b]);
+                states[par] = mem::take(&mut states[par]).join(child, cluster, h);
             }
         }
     }
@@ -381,8 +263,33 @@ fn run_yannakakis(
     // Combine roots (forest ⇒ Cartesian product rounds).
     (0..tree.bags.len())
         .filter(|&b| tree.parent[b].is_none())
-        .map(|b| std::mem::take(&mut states[b]))
-        .reduce(|acc, right| join_round(cluster, h, acc, right))
+        .map(|b| mem::take(&mut states[b]))
+        .reduce(|acc, right| acc.join(right, cluster, h))
+        .unwrap_or_default()
+}
+
+/// Vanilla GYM's semijoin: `target ⋉ source` in a round of its own,
+/// keyed in the target's column order. Bags that share no variable
+/// (a hand-built tree may link such bags) need no round: the source's
+/// emptiness decides, a 1-bit flag we do not charge.
+fn filter_by(cluster: &mut Cluster, h: &HashFamily, target: Dist, source: &Dist) -> Dist {
+    let on = SchemaJoin::new(&target.vars, &source.vars);
+    if on.is_product() {
+        if source.total() == 0 {
+            let empty = vec![Relation::new(target.vars.len()); cluster.p()];
+            return Dist::new(target.vars, empty);
+        }
+        return target;
+    }
+    let edge = Semijoin {
+        target: &target,
+        target_key: on.left_key(),
+        source,
+        source_key: on.right_key(),
+        salt: 0,
+    };
+    Dist::semijoin(&[edge], cluster, h)
+        .pop()
         .unwrap_or_default()
 }
 
@@ -404,6 +311,38 @@ fn level_edges(states: &[Dist], edges: &[(usize, usize)]) -> Vec<Edge> {
         .collect()
 }
 
+/// The filter round of a level, every edge `i` keyed in its parent's
+/// column order and salted by `splitmix64(i)`: each parent filtered by
+/// its child (`upward`) or each child by its parent. Returns the
+/// filtered targets in edge order.
+fn filter_level(
+    cluster: &mut Cluster,
+    h: &HashFamily,
+    states: &[Dist],
+    edges: &[Edge],
+    upward: bool,
+) -> Vec<Dist> {
+    let round: Vec<Semijoin<'_>> = edges
+        .iter()
+        .zip(0u64..)
+        .map(|(e, i)| {
+            let mut sides = [(e.parent, e.on.left_key()), (e.child, e.on.right_key())];
+            if !upward {
+                sides.reverse();
+            }
+            let [(target, target_key), (source, source_key)] = sides;
+            Semijoin {
+                target: &states[target],
+                target_key,
+                source: &states[source],
+                source_key,
+                salt: splitmix64(i),
+            }
+        })
+        .collect();
+    Dist::semijoin(&round, cluster, h)
+}
+
 /// Optimized upward level: all parents filtered by all their
 /// level-children. One filter round; plus one intersection round if any
 /// parent has ≥ 2 children here (slides 90–91).
@@ -419,73 +358,41 @@ fn upward_level(
     for e in &edges {
         *filter_count.entry(e.parent).or_insert(0) += 1;
     }
-    let needs_intersection = filter_count.values().any(|&c| c > 1);
-    let parent_arity = |e: &Edge| states[e.parent].vars.len();
-
-    // Filter round. Streams 2i and 2i+1 carry edge i's parent rows and
-    // its child keys. A parent row's instance id (origin server ≪ 32 |
-    // index) is routing metadata and rides beside the round uncharged:
-    // `insts[i][dest][k]` names the k-th row stream 2i delivers to `dest`.
-    let arities: Vec<usize> = edges
-        .iter()
-        .flat_map(|e| [parent_arity(e), e.on.left_key().len()])
-        .collect();
-    let mut ex = cluster.exchange_rows(&arities);
-    let mut insts: Vec<Vec<Vec<u64>>> = vec![vec![Vec::new(); p]; edges.len()];
-    for (i, e) in edges.iter().enumerate() {
-        let salt = splitmix64(i as u64);
-        for (sid, part) in states[e.parent].parts.iter().enumerate() {
-            for (idx, row) in part.iter().enumerate() {
-                let dest = dest_of(h, row, e.on.left_key(), salt, p);
-                ex.send_row(2 * i, dest, row);
-                if needs_intersection {
-                    insts[i][dest].push(((sid as u64) << 32) | idx as u64);
-                }
-            }
-        }
-        route_distinct_keys(
-            &mut ex,
-            2 * i + 1,
-            &states[e.child].parts,
-            h,
-            e.on.right_key(),
-            salt,
-        );
-    }
-    let mut delivered = ex.finish().into_iter();
-
-    // Local filtering: per edge, per server, the parent rows some child
-    // key vouches for (and, for the intersection, their instance ids).
-    let mut survivors: Vec<Vec<(Relation, Vec<u64>)>> = Vec::with_capacity(edges.len());
-    for (i, e) in edges.iter().enumerate() {
-        let inboxes = inbox_pairs([parent_arity(e), e.on.left_key().len()], delivered.by_ref());
-        let keyed = SchemaJoin::new(&states[e.parent].vars, &e.on.key_vars());
-        survivors.push(
-            inboxes
-                .iter()
-                .zip(&insts[i])
-                .map(|((rows, keys), row_insts)| {
-                    if !needs_intersection {
-                        return (keyed.semijoin(rows, keys), Vec::new());
-                    }
-                    let keep = keyed.matches(keys);
-                    let mut kept = (Relation::new(rows.arity()), Vec::new());
-                    for (row, &inst) in rows.iter().zip(row_insts).filter(|(row, _)| keep(row)) {
-                        kept.0.push(row);
-                        kept.1.push(inst);
-                    }
-                    kept
-                })
-                .collect(),
-        );
-    }
-
-    if !needs_intersection {
+    let filtered = filter_level(cluster, h, states, &edges, true);
+    if filter_count.values().all(|&c| c == 1) {
         // Each parent had exactly one child: survivors are the new state.
-        for (e, kept) in edges.iter().zip(survivors) {
-            states[e.parent].parts = kept.into_iter().map(|(rows, _)| rows).collect();
+        for (e, parent) in edges.iter().zip(filtered) {
+            states[e.parent] = parent;
         }
         return;
+    }
+
+    // A parent row's instance id (origin server ≪ 32 | index) is routing
+    // metadata and rides beside the rounds uncharged. The filter round
+    // sent each parent row to one server, in origin order, and a row
+    // survives by its key alone, so a server's survivors of edge i are,
+    // in order, the rows sent to it that equal the next survivor.
+    let parent_arity = |e: &Edge| states[e.parent].vars.len();
+    let mut survivors: Vec<Vec<(Relation, Vec<u64>)>> = Vec::with_capacity(edges.len());
+    for ((e, kept), salt) in edges.iter().zip(filtered).zip((0u64..).map(splitmix64)) {
+        let parent = &states[e.parent];
+        let mut sent: Vec<Vec<u64>> = vec![Vec::new(); p];
+        for (sid, part) in parent.parts.iter().enumerate() {
+            for (idx, row) in part.iter().enumerate() {
+                let dest = dest_of(h, row, e.on.left_key(), salt, p);
+                sent[dest].push(((sid as u64) << 32) | idx as u64);
+            }
+        }
+        let row_of = |inst: u64| parent.parts[(inst >> 32) as usize].row(inst as u32 as usize);
+        let per_server = kept.parts.into_iter().zip(sent).map(|(rows, sent)| {
+            let insts = {
+                let mut next = rows.iter().peekable();
+                let mut survived = |inst| next.next_if_eq(&row_of(inst)).is_some();
+                sent.into_iter().filter(|&inst| survived(inst)).collect()
+            };
+            (rows, insts)
+        });
+        survivors.push(per_server.collect());
     }
 
     // Intersection round: survivors routed by instance id (stream i is
@@ -527,54 +434,8 @@ fn upward_level(
         }
     }
     for (par, parts) in new_parts {
-        states[par].parts = parts;
-    }
-}
-
-/// Optimized downward level: every level bag filtered by its (unique)
-/// parent, all in one round.
-fn downward_level(
-    cluster: &mut Cluster,
-    h: &HashFamily,
-    states: &mut [Dist],
-    edges: &[(usize, usize)],
-) {
-    let edges = level_edges(states, edges);
-    // Streams 2i and 2i+1: edge i's child rows and its parent keys.
-    let arities: Vec<usize> = edges
-        .iter()
-        .flat_map(|e| [states[e.child].vars.len(), e.on.left_key().len()])
-        .collect();
-    let mut ex = cluster.exchange_rows(&arities);
-    for (i, e) in edges.iter().enumerate() {
-        let salt = splitmix64(i as u64);
-        route_rows(
-            &mut ex,
-            2 * i,
-            &states[e.child].parts,
-            h,
-            e.on.right_key(),
-            salt,
-        );
-        route_distinct_keys(
-            &mut ex,
-            2 * i + 1,
-            &states[e.parent].parts,
-            h,
-            e.on.left_key(),
-            salt,
-        );
-    }
-    let mut delivered = ex.finish().into_iter();
-
-    for e in &edges {
-        let child = &states[e.child];
-        let keyed = SchemaJoin::new(&child.vars, &e.on.key_vars());
-        let arities = [child.vars.len(), e.on.left_key().len()];
-        states[e.child].parts = inbox_pairs(arities, delivered.by_ref())
-            .iter()
-            .map(|(rows, keys)| keyed.semijoin(rows, keys))
-            .collect();
+        let vars = mem::take(&mut states[par].vars);
+        states[par] = Dist::new(vars, parts);
     }
 }
 
@@ -691,7 +552,7 @@ fn join_level(
                 .collect();
             vars = on.into_vars();
         }
-        states[plan.parent] = Dist { vars, parts };
+        states[plan.parent] = Dist::new(vars, parts);
     }
 }
 
@@ -836,6 +697,35 @@ mod tests {
         let rels = vec![r, s];
         let run = gym(&q, &rels, &tree, 8, 15, false);
         assert_eq!(run.output_size(), 50 * 60);
+    }
+
+    #[test]
+    fn vanilla_tree_edge_sharing_no_variable_runs_no_semijoin_round() {
+        // A valid tree may link bags that share no variable; vanilla GYM
+        // semijoins over such an edge by the source's emptiness alone.
+        let q = Query::product();
+        let bag = |v| parqp_query::Bag {
+            vars: vec![v],
+            atoms: vec![v],
+        };
+        let tree = Ghd {
+            bags: vec![bag(0), bag(1)],
+            parent: vec![None, Some(0)],
+        };
+        tree.validate(&q).expect("a valid tree");
+        let r = generate::uniform(1, 30, 500, 1);
+        let run = gym(
+            &q,
+            &[r.clone(), generate::uniform(1, 20, 500, 2)],
+            &tree,
+            8,
+            3,
+            false,
+        );
+        assert_eq!(run.output_size(), 30 * 20);
+        assert_eq!(run.report.num_rounds(), 1, "only the join phase's round");
+        let run = gym(&q, &[r, Relation::new(1)], &tree, 8, 3, false);
+        assert_eq!((run.output_size(), run.report.num_rounds()), (0, 1));
     }
 
     #[test]

@@ -2,24 +2,19 @@
 //!
 //! "Most systems: iterative binary join plans" — the baseline every
 //! one-round algorithm is compared against. A left-deep plan joins one
-//! atom per round into a growing intermediate result, repartitioning both
-//! sides by a hash of their shared variables (a Cartesian grid round when
-//! they share none).
+//! atom per round into a growing intermediate result: each round is a
+//! `common::Dist::join`, which repartitions both sides by a hash of their
+//! shared variables (a Cartesian grid round when they share none).
 //!
 //! On skew-free inputs each round costs `O(IN/p + |intermediate|/p)`
 //! (slide 57); the danger is intermediate blow-up (slide 63), which the
 //! one-round HyperCube and the Yannakakis-style [`crate::gym`] avoid in
 //! their respective regimes.
 
-use crate::common::{dest_of, inbox_pairs, scatter, Dist, JoinRun};
-use parqp_data::paged::{IoCursor, RouteScan};
+use crate::common::{Dist, JoinRun};
 use parqp_data::Relation;
-use parqp_mpc::{metrics, trace, Cluster, Grid, HashFamily};
+use parqp_mpc::{metrics, trace, Cluster, HashFamily};
 use parqp_query::{Query, SchemaJoin};
-
-/// The two streams of a plan round: the intermediate and the next atom.
-const LEFT: usize = 0;
-const RIGHT: usize = 1;
 
 /// The atom order of a left-deep plan over `rels` (`0..n` by default),
 /// once the inputs are known to fit `query`.
@@ -76,74 +71,14 @@ pub fn binary_join_plan(
     let first = order[0];
     let mut state = Dist::scatter(&rels[first], &query.atoms()[first].vars, p);
     for &next in &order[1..] {
-        let on = SchemaJoin::new(&state.vars, &query.atoms()[next].vars);
-        let right_parts = scatter(&rels[next], p);
-        let arities = [state.vars.len(), rels[next].arity()];
-        let span = trace::span(if on.is_product() {
-            "binary_plan/cartesian"
-        } else {
+        let atom = Dist::scatter(&rels[next], &query.atoms()[next].vars, p);
+        let shared = state.vars.iter().any(|v| atom.vars.contains(v));
+        let _span = trace::span(if shared {
             "binary_plan/join"
-        });
-        let mut ex = cluster.exchange_rows(&arities);
-        if on.is_product() {
-            // Cartesian round on a product grid (which may use fewer
-            // than p servers).
-            let (p1, p2) = crate::twoway::product_grid(state.total(), rels[next].len(), p);
-            let grid = Grid::new(vec![p1, p2]);
-            let (left_fan, right_fan) = (grid.fan_out(|d| d == 0), grid.fan_out(|d| d == 1));
-            let mut idx = 0u64;
-            for (sid, part) in state.parts.iter().enumerate() {
-                ex.set_sender(sid);
-                // Intermediate rows stream through the server's buffer
-                // pool (one logical read per row) under a paged store.
-                let mut io = IoCursor::new(sid);
-                for row in part {
-                    io.read(row.len());
-                    let band = (h.digest(0, idx) % p1 as u64) as usize;
-                    idx += 1;
-                    for dest in left_fan.ranks(band * p2) {
-                        ex.send_row(LEFT, dest, row);
-                    }
-                }
-            }
-            idx = 0;
-            for (sid, part) in right_parts.iter().enumerate() {
-                ex.set_sender(sid);
-                let scan = RouteScan::new(sid, part);
-                for row in scan.iter() {
-                    let band = (h.digest(0, !idx) % p2 as u64) as usize;
-                    idx += 1;
-                    for dest in right_fan.ranks(band) {
-                        ex.send_row(RIGHT, dest, row);
-                    }
-                }
-            }
         } else {
-            for (sid, part) in state.parts.iter().enumerate() {
-                ex.set_sender(sid);
-                let mut io = IoCursor::new(sid);
-                for row in part {
-                    io.read(row.len());
-                    ex.send_row(LEFT, dest_of(&h, row, on.left_key(), 0, p), row);
-                }
-            }
-            for (sid, part) in right_parts.iter().enumerate() {
-                ex.set_sender(sid);
-                let scan = RouteScan::new(sid, part);
-                for row in scan.iter() {
-                    ex.send_row(RIGHT, dest_of(&h, row, on.right_key(), 0, p), row);
-                }
-            }
-        }
-        let inboxes = inbox_pairs(arities, ex.finish());
-        drop(span);
-
-        // Local join on the shared variables.
-        let parts = cluster.map(inboxes, |_, (left, right)| on.join(&left, &right));
-        state = Dist {
-            vars: on.into_vars(),
-            parts,
-        };
+            "binary_plan/cartesian"
+        });
+        state = state.join(atom, &mut cluster, &h);
     }
     JoinRun {
         outputs: state.into_outputs(query.num_vars()),

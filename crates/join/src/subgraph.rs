@@ -24,9 +24,9 @@
 //! result follows **set semantics** (duplicate input tuples do not
 //! multiply outputs; compare canonical forms).
 
-use crate::common::{inbox_pairs, route_rows, scatter, Dist, JoinRun};
+use crate::common::{dest_of, inbox_pairs, scatter, Dist, JoinRun};
 use parqp_data::{FastSet, Relation};
-use parqp_mpc::{Cluster, HashFamily};
+use parqp_mpc::{Cluster, HashFamily, RowExchange};
 use parqp_query::{Query, SchemaJoin, Var};
 
 /// Run the expansion join with the default variable order (the first
@@ -117,10 +117,7 @@ pub fn expansion_join_with_order(
         let parts = expansion_round(&mut cluster, &h, &bindings, &ext, &ext_vars, |b, e| {
             on.join(b, e)
         });
-        bindings = Dist {
-            vars: on.into_vars(),
-            parts,
-        };
+        bindings = Dist::new(on.into_vars(), parts);
 
         // Filter rounds: any unverified atom that is now fully bound.
         for (j, atom) in query.atoms().iter().enumerate() {
@@ -163,12 +160,29 @@ fn expansion_round(
     let key = SchemaJoin::new(side_vars, &bindings.vars);
     let arities = [bindings.vars.len(), side.arity()];
     let mut ex = cluster.exchange_rows(&arities);
-    route_rows(&mut ex, 0, &bindings.parts, h, key.right_key(), 0);
-    route_rows(&mut ex, 1, &scatter(side, p), h, key.left_key(), 0);
+    route_rows(&mut ex, 0, &bindings.parts, h, key.right_key());
+    route_rows(&mut ex, 1, &scatter(side, p), h, key.left_key());
     inbox_pairs(arities, ex.finish())
         .iter()
         .map(|(rows, side_rows)| local(rows, side_rows))
         .collect()
+}
+
+/// Send every row of `parts` on `stream` to the server its `key`
+/// columns hash to ([`dest_of`]).
+fn route_rows(
+    ex: &mut RowExchange<'_>,
+    stream: usize,
+    parts: &[Relation],
+    h: &HashFamily,
+    key: &[usize],
+) {
+    let p = ex.p();
+    for part in parts {
+        for row in part {
+            ex.send_row(stream, dest_of(h, row, key, 0, p), row);
+        }
+    }
 }
 
 #[cfg(test)]
