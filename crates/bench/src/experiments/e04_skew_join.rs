@@ -8,6 +8,7 @@
 use crate::table::fmt;
 use crate::Table;
 use parqp::data::generate;
+use parqp::data::stats::join_output_size;
 use parqp::join::twoway;
 use parqp_data::Relation;
 
@@ -54,7 +55,7 @@ pub fn run() -> Vec<Table> {
         ),
     ];
     for (name, r, s) in &cases {
-        let out = twoway::output_size(r, 1, s, 0);
+        let out = join_output_size(r, 1, s, 0);
         let input = (r.len() + s.len()) as f64;
         let hash = twoway::hash_join(r, 1, s, 0, p, 42);
         let skew = twoway::skew_join(r, 1, s, 0, p, 42);

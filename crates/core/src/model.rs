@@ -3,7 +3,7 @@
 //! Every bench prints a "paper formula" column next to the measured
 //! value; the formulas live here.
 
-use parqp_lp::{fractional_edge_packing, Hypergraph};
+use parqp_lp::fractional_edge_packing;
 use parqp_query::{psi_star, Query};
 
 /// Chernoff tail bound for hash partitioning with uniform degree `d`
@@ -40,11 +40,6 @@ pub fn one_round_load_skewed(input: f64, p: f64, psi: f64) -> f64 {
     input / p.powf(1.0 / psi)
 }
 
-/// GYM / Yannakakis-style load `L = (IN + OUT)/p` (slide 78).
-pub fn gym_load(input: f64, output: f64, p: f64) -> f64 {
-    (input + output) / p
-}
-
 /// The GYM-vs-HyperCube crossover of slide 78: GYM's `(IN+OUT)/p` beats
 /// the one-round `IN/p^{1/τ*}` exactly when `OUT < p^{1−1/τ*}·IN − IN`;
 /// returns that output threshold.
@@ -55,11 +50,6 @@ pub fn gym_crossover_output(input: f64, p: f64, tau_star: f64) -> f64 {
 /// τ\* of a query (fractional edge packing optimum).
 pub fn tau_star(q: &Query) -> f64 {
     fractional_edge_packing(&q.hypergraph()).value
-}
-
-/// τ\* straight from a hypergraph.
-pub fn tau_star_hg(h: &Hypergraph) -> f64 {
-    fractional_edge_packing(h).value
 }
 
 /// ψ\* of a query (slide 47; re-exported from `parqp_query`).

@@ -15,10 +15,11 @@
 use std::hash::Hasher;
 
 use parqp_data::fasthash::FxHasher;
-use parqp_data::{generate, Relation};
+use parqp_data::generate;
 use parqp_mpc::trace::Recorder;
 use parqp_mpc::LoadReport;
 use parqp_query::Query;
+use parqp_serve::report::digest_relation;
 
 /// A named experiment: a deterministic algorithm run to trace.
 pub struct Experiment {
@@ -174,19 +175,6 @@ pub fn run_experiment_full(name: &str, servers: usize, seed: u64) -> Result<Expe
     })
 }
 
-/// Digest of a relation's canonical row set (sorted + deduplicated, so
-/// per-server output ordering cannot leak into the digest).
-fn digest_relation(rel: &Relation) -> u64 {
-    let mut h = FxHasher::default();
-    for row in rel.canonical_rows() {
-        h.write_u64(row.len() as u64);
-        for &v in row {
-            h.write_u64(v);
-        }
-    }
-    h.finish()
-}
-
 /// Digest of per-server sorted key runs, boundaries included (the
 /// partition *and* the order are part of a sort's contract).
 fn digest_keys(runs: &[Vec<u64>]) -> u64 {
@@ -215,8 +203,7 @@ fn digest_matrix(m: &parqp_matmul::Matrix) -> u64 {
 /// Deterministic sort input: `n` keys drawn through the data
 /// generator's seeded hashing (no global RNG involved).
 fn sort_input(n: usize, seed: u64) -> Vec<u64> {
-    let rel = generate::uniform(1, n, 1 << 32, seed);
-    rel.iter().map(|row| row[0]).collect()
+    generate::uniform(1, n, 1 << 32, seed).into_raw()
 }
 
 #[cfg(test)]

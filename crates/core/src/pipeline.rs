@@ -66,7 +66,7 @@ impl AggregateQuery {
     }
 
     /// Output arity: the group columns plus the aggregate.
-    pub fn output_arity(&self) -> usize {
+    fn output_arity(&self) -> usize {
         self.group_by.len() + 1
     }
 }

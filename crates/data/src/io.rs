@@ -45,7 +45,7 @@ impl From<std::io::Error> for IoError {
 /// Parse a relation from delimited text: one tuple per line, values
 /// separated by `delim`, `#`-prefixed lines and blank lines ignored.
 /// The arity is fixed by the first data line.
-pub fn parse_relation(text: &str, delim: char) -> Result<Relation, IoError> {
+fn parse_relation(text: &str, delim: char) -> Result<Relation, IoError> {
     let mut rel: Option<Relation> = None;
     for (idx, line) in text.lines().enumerate() {
         let line = line.trim();

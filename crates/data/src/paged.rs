@@ -75,7 +75,8 @@ impl<'a> PagedRelation<'a> {
     }
 
     /// Number of pages backing the relation.
-    pub fn num_pages(&self) -> usize {
+    #[cfg(test)]
+    fn num_pages(&self) -> usize {
         self.rel.len().div_ceil(self.rows_per_page)
     }
 
@@ -93,7 +94,8 @@ impl<'a> PagedRelation<'a> {
     }
 
     /// Rebuild the flat relation (test helper for round-trip checks).
-    pub fn to_relation(&self) -> Relation {
+    #[cfg(test)]
+    fn to_relation(&self) -> Relation {
         let mut rel = Relation::with_capacity(self.arity(), self.len());
         for row in self.iter() {
             rel.push(row);

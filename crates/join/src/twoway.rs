@@ -561,12 +561,6 @@ pub fn sort_merge_join(
     }
 }
 
-/// Exact output size of the join, used by benches to compare measured
-/// loads against `√(OUT/p)`.
-pub fn output_size(r: &Relation, r_col: usize, s: &Relation, s_col: usize) -> u64 {
-    join_output_size(r, r_col, s, s_col)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -4,6 +4,7 @@
 //! bit-pattern keys that stress weak hash functions, empty sides,
 //! singleton relations, and self-joins.
 
+use parqp_data::stats::join_output_size;
 use parqp_data::{generate, Relation};
 use parqp_join::common::twoway_oracle;
 use parqp_join::twoway;
@@ -76,7 +77,7 @@ fn skew_resilient_loads_bounded_on_two_heavy_values() {
     s.extend_from(&generate::constant_key_pairs(n / 2, 2, 0));
     let p = 64;
     let run = twoway::skew_join(&r, 0, &s, 0, p, 7);
-    let out = twoway::output_size(&r, 0, &s, 0);
+    let out = join_output_size(&r, 0, &s, 0);
     assert_eq!(out, 2 * (n as u64 / 2) * (n as u64 / 2));
     let bound = 2.0 * (out as f64 / p as f64).sqrt() + (2 * n) as f64 / p as f64;
     let l = run.report.max_load_tuples() as f64;

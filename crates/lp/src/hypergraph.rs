@@ -61,13 +61,6 @@ impl Hypergraph {
         self.edges[j].binary_search(&v).is_ok()
     }
 
-    /// The indices of the edges containing vertex `v`.
-    pub fn edges_of_vertex(&self, v: usize) -> Vec<usize> {
-        (0..self.edges.len())
-            .filter(|&j| self.edge_contains(j, v))
-            .collect()
-    }
-
     /// Whether every vertex appears in at least one edge (required for an
     /// edge cover to exist).
     pub fn all_vertices_covered(&self) -> bool {
@@ -164,7 +157,7 @@ mod tests {
         assert_eq!(h.num_vertices(), 3);
         assert_eq!(h.num_edges(), 3);
         assert!(h.edge_contains(0, 0) && h.edge_contains(0, 1));
-        assert_eq!(h.edges_of_vertex(0), vec![0, 2]);
+        assert!(h.edge_contains(2, 0) && !h.edge_contains(1, 0));
         assert!(h.all_vertices_covered());
     }
 

@@ -39,14 +39,6 @@ pub fn lb_comm_multi_round(n: u64, l: u64) -> f64 {
     (n as f64).powi(3) / (l as f64).sqrt()
 }
 
-/// The round lower bound `r = Ω(max(n³/(p·L^{3/2}), log_L n))`
-/// (slide 125).
-pub fn lb_rounds(n: u64, l: u64, p: u64) -> f64 {
-    let nf = n as f64;
-    let lf = l as f64;
-    (nf.powi(3) / (p as f64 * lf.powf(1.5))).max(nf.ln() / lf.ln())
-}
-
 /// The minimum number of rounds forced by a load budget on slide 126's
 /// frontier: the number of rounds below which even the optimal
 /// multi-round algorithm cannot fit its communication, i.e. the smallest

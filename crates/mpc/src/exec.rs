@@ -65,7 +65,7 @@ impl ExecMode {
     }
 
     /// Resolve `workers == 0` to the machine's CPU count.
-    pub fn resolved_workers(self) -> usize {
+    fn resolved_workers(self) -> usize {
         match self {
             ExecMode::Serial => 0,
             ExecMode::Parallel { workers: 0 } => ncpu(),

@@ -57,11 +57,6 @@ impl Grid {
         &self.dims
     }
 
-    /// Number of dimensions `k`.
-    pub fn ndim(&self) -> usize {
-        self.dims.len()
-    }
-
     /// Total number of servers `∏ pᵢ`.
     pub fn len(&self) -> usize {
         self.dims.iter().product()
@@ -76,7 +71,7 @@ impl Grid {
     ///
     /// # Panics
     /// Panics if `coords` has the wrong length or a coordinate is out of
-    /// range; use [`Grid::try_rank`] to handle those cases.
+    /// range.
     pub fn rank(&self, coords: &[usize]) -> usize {
         match self.try_rank(coords) {
             Ok(r) => r,
@@ -85,8 +80,7 @@ impl Grid {
     }
 
     /// Fallible [`Grid::rank`].
-    #[must_use = "ranks are pure lookups; ignoring the result does nothing"]
-    pub fn try_rank(&self, coords: &[usize]) -> Result<usize, MpcError> {
+    fn try_rank(&self, coords: &[usize]) -> Result<usize, MpcError> {
         if coords.len() != self.dims.len() {
             return Err(MpcError::BadArity {
                 got: coords.len(),
@@ -109,8 +103,7 @@ impl Grid {
     /// The coordinates of server `rank`.
     ///
     /// # Panics
-    /// Panics if `rank >= self.len()`; use [`Grid::try_coords`] to handle
-    /// that case.
+    /// Panics if `rank >= self.len()`.
     pub fn coords(&self, rank: usize) -> Vec<usize> {
         match self.try_coords(rank) {
             Ok(c) => c,
@@ -119,8 +112,7 @@ impl Grid {
     }
 
     /// Fallible [`Grid::coords`].
-    #[must_use = "coordinates are pure lookups; ignoring the result does nothing"]
-    pub fn try_coords(&self, rank: usize) -> Result<Vec<usize>, MpcError> {
+    fn try_coords(&self, rank: usize) -> Result<Vec<usize>, MpcError> {
         if rank >= self.len() {
             return Err(MpcError::BadRank {
                 rank,
@@ -145,15 +137,9 @@ impl Grid {
     ///
     /// # Panics
     /// Panics if `partial` has the wrong arity or a fixed coordinate is
-    /// out of range; use [`Grid::try_matching`] to handle those cases.
+    /// out of range.
     pub fn matching(&self, partial: &[Option<usize>]) -> Vec<usize> {
         self.matching_ranks(partial).collect()
-    }
-
-    /// Fallible [`Grid::matching`].
-    #[must_use = "the broadcast set is a pure enumeration; ignoring the result does nothing"]
-    pub fn try_matching(&self, partial: &[Option<usize>]) -> Result<Vec<usize>, MpcError> {
-        Ok(self.try_matching_ranks(partial)?.collect())
     }
 
     /// [`Grid::matching`] as an iterator. Panics as `matching` does. A
@@ -299,7 +285,7 @@ mod tests {
     #[test]
     fn line_grid() {
         let g = Grid::line(5);
-        assert_eq!(g.ndim(), 1);
+        assert_eq!(g.dims(), &[5]);
         assert_eq!(g.len(), 5);
         assert_eq!(g.rank(&[3]), 3);
     }
@@ -362,8 +348,11 @@ mod tests {
         );
         assert_eq!(g.try_coords(5), Ok(vec![1, 2]));
         assert_eq!(g.try_coords(6), Err(MpcError::BadRank { rank: 6, size: 6 }));
-        assert!(g.try_matching(&[None]).is_err());
-        assert_eq!(g.try_matching(&[Some(1), None]).map(|m| m.len()), Ok(3));
+        assert!(g.try_matching_ranks(&[None]).is_err());
+        assert_eq!(
+            g.try_matching_ranks(&[Some(1), None]).map(Iterator::count),
+            Ok(3)
+        );
     }
 
     #[test]
@@ -398,7 +387,8 @@ mod tests {
             }
         }
         assert_eq!(
-            g.try_matching(&[None, Some(1), None, None]),
+            g.try_matching_ranks(&[None, Some(1), None, None])
+                .map(Iterator::count),
             Err(MpcError::BadCoordinate {
                 coord: 1,
                 dim_size: 1

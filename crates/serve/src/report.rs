@@ -230,10 +230,11 @@ pub struct ServeReport {
     pub fault_log: Option<FaultLog>,
 }
 
-/// Digest of a relation's canonical row set (same construction as the
-/// experiment digests in `parqp::observe`: row length then values, in
-/// canonical row order). The rows are hashed where they lie — what
-/// hashing [`Relation::canonical`] yields, without building it.
+/// Digest of a relation's canonical row set: row length then values, in
+/// canonical row order, so per-server output order cannot leak into it.
+/// Served queries and the `parqp::observe` experiments both report it.
+/// The rows are hashed where they lie — what hashing
+/// [`Relation::canonical`] yields, without building it.
 pub fn digest_relation(rel: &Relation) -> u64 {
     let mut h = FxHasher::default();
     for row in rel.canonical_rows() {

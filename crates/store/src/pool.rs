@@ -145,7 +145,8 @@ impl BufferPool {
     }
 
     /// Pages currently resident.
-    pub fn resident_pages(&self) -> usize {
+    #[cfg(test)]
+    fn resident_pages(&self) -> usize {
         self.resident.len()
     }
 
@@ -155,7 +156,8 @@ impl BufferPool {
     }
 
     /// Whether `page` is resident right now.
-    pub fn is_resident(&self, page: PageId) -> bool {
+    #[cfg(test)]
+    fn is_resident(&self, page: PageId) -> bool {
         self.resident.contains_key(&page)
     }
 

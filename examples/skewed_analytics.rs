@@ -11,6 +11,7 @@
 //! ```
 
 use parqp::data::generate;
+use parqp::data::stats::join_output_size;
 use parqp::join::twoway;
 use parqp::model;
 
@@ -29,7 +30,7 @@ fn main() {
         // Customers(key, region): one row per customer.
         let customers = generate::key_unique_pairs(n_customers, 0, 64, 12);
 
-        let out = twoway::output_size(&orders, 0, &customers, 0);
+        let out = join_output_size(&orders, 0, &customers, 0);
         let hash = twoway::hash_join(&orders, 0, &customers, 0, p, 42);
         let skew = twoway::skew_join(&orders, 0, &customers, 0, p, 42);
         let sort = twoway::sort_merge_join(&orders, 0, &customers, 0, p, 42);
