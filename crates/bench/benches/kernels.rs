@@ -8,7 +8,16 @@
 //!   not hold — the closing atom of a triangle, where almost every probe
 //!   misses. The last rows are the serve shape — a small resident build
 //!   side probed by many tiny batches — indexed per batch and indexed
-//!   once.
+//!   once. `probe_write/*` is the probe's output side: 64 local joins
+//!   of 1,250 × 1,250 rows (`join_uniform`'s servers), merged rows
+//!   staged in a scratch row and pushed (`staged`, the loop
+//!   `probe_rows` ran before) or written straight into the output
+//!   (`direct`, what `hash_join_rows` runs).
+//! * `join_kernel/route/*` — one hash round's routing at p = 64 over
+//!   two-column rows, from the input to the delivered buffers: the
+//!   input cut into round-robin fragments by `scatter` and each
+//!   fragment counted, reserved and sent row by row (`scatter`), or
+//!   placed straight from the input by `hash_partition` (`placed`).
 //! * `multiway/triangle_64_fragments` — HyperCube's local phase in
 //!   `triangle_planned`: `evaluate` over each of the 64 servers' atom
 //!   fragments (seed 42, shares 4 × 4 × 4), placed as the shuffle
@@ -33,11 +42,12 @@
 //! cargo bench -p parqp-bench --bench kernels
 //! ```
 
+use parqp::data::paged::RouteScan;
 use parqp::data::zipf::Zipf;
 use parqp::data::{generate, KeyIndex, KeyTable, Relation};
-use parqp::join::common::scatter;
+use parqp::join::common::{hash_join_rows, hash_partition, joined_arity, scatter};
 use parqp::matmul::{gemm_acc, Matrix, View};
-use parqp::mpc::{Grid, HashFamily};
+use parqp::mpc::{Cluster, Grid, HashFamily, RowExchange};
 use parqp::query::{evaluate, Query};
 use parqp::serve::templates::{base_relation, TEMPLATES};
 use parqp::sort::sort_words;
@@ -225,6 +235,101 @@ fn zipf_and_serve_bases() {
     }
 }
 
+/// The hash round before `hash_partition` placed rows: cut `rel` into
+/// round-robin fragments, count each destination's rows, reserve them
+/// exactly, then send every row as its fragment is scanned.
+fn scatter_and_route(ex: &mut RowExchange<'_>, rel: &Relation, h: &HashFamily) {
+    let p = ex.p();
+    let frags = scatter(rel, p);
+    let mut dests = Vec::with_capacity(rel.len());
+    let mut counts = vec![0; p];
+    for frag in &frags {
+        for &key in frag.raw().iter().step_by(frag.arity()) {
+            let d = h.hash(0, key, p);
+            counts[d] += 1;
+            dests.push(d);
+        }
+    }
+    for (dest, &rows) in counts.iter().enumerate() {
+        ex.reserve(0, dest, rows);
+    }
+    let mut dests = dests.iter();
+    for (sid, frag) in frags.iter().enumerate() {
+        ex.set_sender(sid);
+        for (row, &d) in RouteScan::new(sid, frag).iter().zip(&mut dests) {
+            ex.send_row(0, d, row);
+        }
+    }
+}
+
+/// `join_kernel/route/*`: one stream of two-column rows hashed on its
+/// first column to p = 64, both ways, at three input sizes.
+fn route() {
+    let h = HashFamily::new(42, 1);
+    for (n, shape) in [(40_000, "40k"), (200_000, "200k"), (2_000_000, "2M")] {
+        let rel = generate::uniform(2, n, n as u64, 57);
+        let round = |route: &dyn Fn(&mut RowExchange<'_>)| {
+            let mut cluster = Cluster::new(64);
+            let mut ex = cluster.exchange_rows(&[2]);
+            route(&mut ex);
+            ex.finish()
+        };
+        let scattered = best_us(|| round(&|ex| scatter_and_route(ex, &rel, &h)));
+        println!("join_kernel/route/scatter/{shape:<10} {scattered:>10.1} µs");
+        let placed = best_us(|| round(&|ex| hash_partition(ex, 0, &rel, 0, &h)));
+        println!("join_kernel/route/placed/{shape:<11} {placed:>10.1} µs");
+    }
+}
+
+/// `join_kernel/probe_write/*`: 64 local joins of 1,250 × 1,250
+/// two-column rows at about one match a probe, merged rows staged and
+/// pushed, or written in place.
+fn probe_write() {
+    let pairs: Vec<(Relation, Relation)> = (0..64)
+        .map(|i| {
+            let r = generate::uniform(2, 1250, 1250, 80 + i);
+            let s = generate::uniform(2, 1250, 1250, 180 + i);
+            (r, s)
+        })
+        .collect();
+    let arity = joined_arity(2, 2);
+    let staged = best_us(|| {
+        let mut row = Vec::with_capacity(arity);
+        pairs
+            .iter()
+            .map(|(r, s)| {
+                let index = KeyIndex::build(r, &[1]);
+                let mut out = Relation::new(arity);
+                for s_row in s.iter() {
+                    for i in index.probe(s_row, KEY) {
+                        row.clear();
+                        row.extend_from_slice(r.row(i));
+                        for (c, &v) in s_row.iter().enumerate() {
+                            if c != 0 {
+                                row.push(v);
+                            }
+                        }
+                        out.push(&row);
+                    }
+                }
+                out.len()
+            })
+            .sum::<usize>()
+    });
+    println!("join_kernel/probe_write/staged      {staged:>10.1} µs");
+    let direct = best_us(|| {
+        pairs
+            .iter()
+            .map(|(r, s)| {
+                let mut out = Relation::new(arity);
+                hash_join_rows(r, 1, s, 0, &mut out);
+                out.len()
+            })
+            .sum::<usize>()
+    });
+    println!("join_kernel/probe_write/direct      {direct:>10.1} µs");
+}
+
 fn main() {
     for n in [1_000usize, 100_000] {
         // Keys in [0, n) built, keys in [n, 2n) probed: every probe misses.
@@ -285,6 +390,8 @@ fn main() {
     });
     println!("join_kernel/reuse/one_key_table     {reused_us:>10.1} µs");
 
+    probe_write();
+    route();
     multiway();
     local_sort();
     matmul_kernel();

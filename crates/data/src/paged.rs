@@ -194,6 +194,79 @@ impl<'a> Iterator for ScanIter<'a> {
     }
 }
 
+/// A relation read front to back as the `p` round-robin fragments of
+/// its free initial placement — server `s` holds rows `s, s + p, …` —
+/// without cutting them out. Each server is charged exactly what a
+/// [`RouteScan`] of its cut fragment would charge: the same page ids,
+/// allocated server by server as the fragments' scans would allocate
+/// them, and the same reads per page in the same order. Only the
+/// interleaving of different servers' touches differs, and pools are
+/// per server.
+#[derive(Debug)]
+pub struct PlacementScan<'a> {
+    rel: &'a Relation,
+    p: usize,
+    /// With a store installed: rows per page and each server's first
+    /// page id.
+    pages: Option<(usize, Vec<PageId>)>,
+}
+
+impl<'a> PlacementScan<'a> {
+    /// A scan of `rel` as placed on `p` servers, paged iff a store
+    /// runtime is installed.
+    pub fn new(p: usize, rel: &'a Relation) -> Self {
+        let p = p.max(1);
+        let pages = store::config().map(|config| {
+            let rows_per_page = (config.page_size / rel.arity()).max(1);
+            let bases = (0..p)
+                .map(|s| {
+                    let pages = fragment_len(rel.len(), p, s).div_ceil(rows_per_page) as u64;
+                    (pages > 0)
+                        .then(|| store::alloc_pages(pages))
+                        .flatten()
+                        .unwrap_or(0)
+                })
+                .collect();
+            (rows_per_page, bases)
+        });
+        Self { rel, p, pages }
+    }
+
+    /// The rows in order as blocks of raw words, each starting at a row
+    /// whose index is a multiple of `p` (so a block's `k`-th row is
+    /// server `k mod p`'s). Unpaged, the whole relation is one block;
+    /// paged, a block is one page of every fragment, charged before it
+    /// is handed out.
+    pub fn blocks(&self) -> impl Iterator<Item = &'a [Value]> + '_ {
+        let raw = self.rel.raw();
+        let (n, p) = (self.rel.len(), self.p);
+        let block_words = match &self.pages {
+            Some((rows_per_page, _)) => rows_per_page
+                .saturating_mul(p)
+                .saturating_mul(self.rel.arity()),
+            None => raw.len().max(1),
+        };
+        raw.chunks(block_words).zip(0..).map(move |(block, page)| {
+            if let Some((rows_per_page, bases)) = &self.pages {
+                for (s, &base) in bases.iter().enumerate() {
+                    let left = fragment_len(n, p, s).saturating_sub(page * rows_per_page);
+                    if left > 0 {
+                        let reads = left.min(*rows_per_page) as u64;
+                        store::touch_page(s, base + page as u64, reads);
+                    }
+                }
+            }
+            block
+        })
+    }
+}
+
+/// Rows of a relation of `n` rows that server `s` holds when it is
+/// placed round-robin on `p`.
+fn fragment_len(n: usize, p: usize, s: usize) -> usize {
+    n.saturating_sub(s).div_ceil(p)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -306,6 +379,37 @@ mod tests {
             },
         );
         assert_eq!((totals[0].reads, totals[0].misses), (1, 1));
+    }
+
+    #[test]
+    fn placement_scan_charges_what_scans_of_the_cut_fragments_would() {
+        // Fewer rows than servers, a multiple of p and not; page sizes
+        // of one row, a few rows and more than any fragment holds.
+        for (p, rows) in [(4, 3), (4, 40), (3, 41), (1, 9)] {
+            let rel = generate::uniform(2, rows, 64, 17);
+            let fragments: Vec<Relation> = (0..p)
+                .map(|s| Relation::from_rows(2, rel.iter().skip(s).step_by(p)))
+                .collect();
+            for page_size in [2, 6, 1024] {
+                let config = StoreConfig {
+                    page_size,
+                    pool_pages: 2,
+                };
+                let (placed, words) = capture(config, || {
+                    let scan = PlacementScan::new(p, &rel);
+                    scan.blocks().flatten().copied().collect::<Vec<_>>()
+                });
+                assert_eq!(words, rel.raw(), "blocks are the rows in order");
+                let (cut, ()) = capture(config, || {
+                    for (s, fragment) in fragments.iter().enumerate() {
+                        RouteScan::new(s, fragment).iter().for_each(drop);
+                    }
+                });
+                assert_eq!(placed, cut, "p = {p}, {rows} rows, page {page_size}");
+            }
+            let unpaged = PlacementScan::new(p, &rel);
+            assert_eq!(unpaged.blocks().count(), usize::from(rows > 0));
+        }
     }
 
     #[test]

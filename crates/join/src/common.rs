@@ -5,12 +5,13 @@
 //! (`Dist::semijoin`) what arrived. Both rounds attribute each fragment
 //! to its sender and charge its page reads.
 
-use parqp_data::paged::{is_enabled, IoCursor, RouteScan};
+use parqp_data::paged::{is_enabled, IoCursor, PlacementScan, RouteScan};
 use parqp_data::{KeyIndex, KeyTable, Relation, Rows, Value};
 use parqp_mpc::hash::splitmix64;
 use parqp_mpc::{Cluster, Grid, HashFamily, LoadReport, RowExchange, Weight};
 use parqp_query::{in_variable_order, SchemaJoin, Var};
 use std::borrow::Borrow;
+use std::mem;
 
 /// The result of running a distributed algorithm: per-server outputs and
 /// the communication cost summary.
@@ -136,11 +137,6 @@ impl Dist {
     /// `p₁ × p₂` product grid (which may use fewer than `p` servers)
     /// when they share none (slides 23, 28), and each server joins what
     /// it received under [`Cluster::map`].
-    // The rounds and their sends are `#[inline]`, which builds them in
-    // their callers' codegen units: a second caller of `send_row` in this
-    // module's unit stops LLVM inlining it into `hash_partition`, and the
-    // two-way join workloads measure that.
-    #[inline]
     pub(crate) fn join(self, right: Dist, cluster: &mut Cluster, h: &HashFamily) -> Dist {
         let p = cluster.p();
         let on = SchemaJoin::new(&self.vars, &right.vars);
@@ -170,7 +166,6 @@ impl Dist {
     /// source's distinct keys meet at the salted hash of the key, and
     /// each server keeps the target rows some key it received vouches
     /// for. Returns each edge's filtered target, in edge order.
-    #[inline]
     pub(crate) fn semijoin(
         edges: &[Semijoin<'_>],
         cluster: &mut Cluster,
@@ -284,19 +279,8 @@ pub fn scatter(rel: &Relation, p: usize) -> Vec<Relation> {
     parts
 }
 
-/// Build one output row of a two-way join in the workspace convention:
-/// all of `r_row`, then `s_row` with the join column removed.
-pub fn merge_rows(r_row: &[Value], s_row: &[Value], s_col: usize, buf: &mut Vec<Value>) {
-    buf.clear();
-    buf.extend_from_slice(r_row);
-    for (i, &v) in s_row.iter().enumerate() {
-        if i != s_col {
-            buf.push(v);
-        }
-    }
-}
-
-/// Output arity of a two-way join under the [`merge_rows`] convention.
+/// Output arity of a two-way join under the [`Relation::push_merged`]
+/// convention.
 pub fn joined_arity(r_arity: usize, s_arity: usize) -> usize {
     r_arity + s_arity - 1
 }
@@ -327,65 +311,90 @@ where
 {
     let s_key = [s_col];
     let r = index.rows();
-    let mut buf = Vec::new();
+    // Checked once: rows are fixed-width, and merged rows are written
+    // straight into `out`'s storage.
+    if !r.is_empty() && !s.is_empty() {
+        assert_eq!(
+            out.arity(),
+            joined_arity(r.row(0).len(), s.row(0).len()),
+            "probe_rows: output arity is not the joined arity"
+        );
+    }
     for j in 0..s.len() {
         let s_row = s.row(j);
         for i in index.probe(s_row, &s_key) {
-            merge_rows(r.row(i), s_row, s_col, &mut buf);
-            out.push(&buf);
+            out.push_merged(r.row(i), s_row, s_col);
         }
     }
 }
 
-/// Hash-partition one stream of a row exchange: every row of
-/// `frags[sid]`, sent by server `sid`, goes to the server `h` hashes
-/// its `col` to. Count, reserve, then send — pass 1 hashes the key
-/// column of the in-memory fragments into a scratch vector and counts
-/// rows per destination, every delivered buffer is reserved at exactly
-/// its final size, and pass 2 is the [`RouteScan`] loop sending each
-/// row to its remembered destination. Only pass 2 is a scan: the IO
-/// ledger is charged once per routed row, and the exchange sees the
-/// sends a hash-as-you-go loop would make, in the same order.
+/// Hash-partition one stream of a row exchange straight from its input:
+/// `rel` in its free initial placement (server `s` holds rows
+/// `s, s + p, …`), every row to the server `h` hashes its `col` to.
+/// Two front-to-back passes, with no fragment ever cut out: pass 1
+/// hashes the key column and counts rows per (destination, sender);
+/// pass 2 copies each row to its final offset in an exactly sized
+/// buffer per destination, laid out sender by sender — the order a
+/// fragment-by-fragment send loop produces. Only pass 2 is a charged
+/// scan ([`PlacementScan`]), and the buffers go to the exchange as
+/// placed deliveries ([`RowExchange::try_send_placed`]), so the round
+/// delivers, charges, traces and pages exactly what sending each
+/// fragment row by row would.
 ///
 /// # Panics
-/// Panics if `col` is not a column of every fragment.
+/// Panics if `col` is not a column of `rel`.
 pub fn hash_partition(
     ex: &mut RowExchange<'_>,
     stream: usize,
-    frags: &[Relation],
+    rel: &Relation,
     col: usize,
     h: &HashFamily,
 ) {
-    let p = ex.p();
+    let (p, arity) = (ex.p(), rel.arity());
+    assert!(col < arity, "hash_partition: no column {col} in the input");
     assert!(
-        frags.iter().all(|f| col < f.arity()),
-        "hash_partition: no column {col} in some fragment"
+        u32::try_from(p * p).is_ok(),
+        "(destination, sender) cells are remembered as u32"
     );
-    assert!(
-        u32::try_from(p).is_ok(),
-        "destinations are remembered as u32"
-    );
-    let mut dests: Vec<u32> = Vec::with_capacity(frags.iter().map(Relation::len).sum());
-    let mut counts = vec![0usize; p];
-    for frag in frags {
-        for &key in frag.raw().iter().skip(col).step_by(frag.arity()) {
-            let d = h.hash(0, key, p);
-            counts[d] += 1;
-            dests.push(d as u32);
+    // Pass 1: row `i`'s cell `d · p + s` (destination `d`, sender
+    // `s = i mod p`), and `counts[cell]` rows in each.
+    let mut counts = vec![0u64; p * p];
+    let mut cells: Vec<u32> = Vec::with_capacity(rel.len());
+    let mut s = 0;
+    for &key in rel.raw().iter().skip(col).step_by(arity) {
+        let cell = h.hash(0, key, p) * p + s;
+        counts[cell] += 1;
+        cells.push(cell as u32);
+        s = if s + 1 == p { 0 } else { s + 1 };
+    }
+    // Each destination's buffer, cut into one window per cell in
+    // sender order; a window shrinks from the front as rows land in it.
+    let mut bufs: Vec<Vec<Value>> = counts
+        .chunks_exact(p)
+        .map(|sent| vec![0; sent.iter().sum::<u64>() as usize * arity])
+        .collect();
+    let mut windows: Vec<&mut [Value]> = Vec::with_capacity(p * p);
+    for (buf, sent) in bufs.iter_mut().zip(counts.chunks_exact(p)) {
+        let mut rest = buf.as_mut_slice();
+        for &rows in sent {
+            let (window, tail) = mem::take(&mut rest).split_at_mut(rows as usize * arity);
+            windows.push(window);
+            rest = tail;
         }
     }
-    for (dest, &rows) in counts.iter().enumerate() {
-        ex.reserve(stream, dest, rows);
-    }
-    let mut dests = dests.iter();
-    for (sid, frag) in frags.iter().enumerate() {
-        ex.set_sender(sid);
-        let scan = RouteScan::new(sid, frag);
-        // `scan` is asked first, so a fragment's end leaves the next
-        // fragment's first destination unconsumed.
-        for (row, &d) in scan.iter().zip(&mut dests) {
-            ex.send_row(stream, d as usize, row);
+    // Pass 2.
+    let mut cells = cells.iter();
+    for block in PlacementScan::new(p, rel).blocks() {
+        for (row, &cell) in block.chunks_exact(arity).zip(&mut cells) {
+            let window = &mut windows[cell as usize];
+            let (slot, rest) = mem::take(window).split_at_mut(arity);
+            slot.copy_from_slice(row);
+            *window = rest;
         }
+    }
+    for ((d, buf), sent) in bufs.into_iter().enumerate().zip(counts.chunks_exact(p)) {
+        let placed = ex.try_send_placed(stream, d, sent, buf);
+        assert!(placed.is_ok(), "hash_partition: {placed:?}");
     }
 }
 
@@ -471,11 +480,13 @@ mod tests {
 
     #[test]
     fn merge_rows_drops_join_col() {
-        let mut buf = Vec::new();
-        merge_rows(&[1, 2], &[2, 9], 0, &mut buf);
-        assert_eq!(buf, vec![1, 2, 9]);
-        merge_rows(&[1, 2], &[9, 2], 1, &mut buf);
-        assert_eq!(buf, vec![1, 2, 9]);
+        let r = Relation::from_rows(2, [[1, 2]]);
+        for (s_row, s_col) in [([2, 9], 0), ([9, 2], 1)] {
+            let s = Relation::from_rows(2, [s_row]);
+            let mut out = Relation::new(3);
+            hash_join_rows(&r, 1, &s, s_col, &mut out);
+            assert_eq!(out.to_rows(), vec![vec![1, 2, 9]]);
+        }
     }
 
     #[test]
@@ -509,17 +520,17 @@ mod tests {
         assert_eq!(run.gathered().len(), 3);
     }
 
-    /// The hash-as-you-go loop [`hash_partition`] replaced: the
-    /// reference for what it delivers and what it charges.
+    /// The round [`hash_partition`] stands for: scatter, then send each
+    /// fragment's rows as they are scanned, hashing as it goes.
     fn route_as_you_go(
         ex: &mut RowExchange<'_>,
         stream: usize,
-        frags: &[Relation],
+        rel: &Relation,
         col: usize,
         h: &HashFamily,
     ) {
         let p = ex.p();
-        for (sid, frag) in frags.iter().enumerate() {
+        for (sid, frag) in scatter(rel, p).iter().enumerate() {
             ex.set_sender(sid);
             let scan = RouteScan::new(sid, frag);
             for row in scan.iter() {
@@ -535,23 +546,21 @@ mod tests {
         use parqp_mpc::trace::Recorder;
         use parqp_mpc::Cluster;
 
-        type Route = fn(&mut RowExchange<'_>, usize, &[Relation], usize, &HashFamily);
+        type Route = fn(&mut RowExchange<'_>, usize, &Relation, usize, &HashFamily);
         let h = HashFamily::new(11, 1);
-        // (servers, fragments as row counts, key domain): p = 1; a
-        // domain of 2 leaves most of 8 destinations unaddressed; an
-        // empty fragment between full ones; no rows at all.
-        let cases: [(usize, &[usize], u64); 4] = [
-            (1, &[5, 3], 100),
-            (8, &[40, 0, 17], 2),
-            (5, &[60, 61, 0, 62, 9], 1000),
-            (3, &[0, 0, 0], 10),
+        // (servers, rows, key domain): p = 1; a domain of 2 leaves most
+        // of 8 destinations unaddressed; fewer rows than servers; no
+        // rows at all.
+        let cases = [
+            (1, 8, 100),
+            (8, 57, 2),
+            (5, 192, 1000),
+            (7, 3, 10),
+            (3, 0, 10),
         ];
-        for (p, sizes, domain) in cases {
-            let wide: Vec<Relation> = (0..)
-                .zip(sizes)
-                .map(|(seed, &n)| generate::uniform(3, n, domain, seed))
-                .collect();
-            let narrow: Vec<Relation> = wide.iter().map(|f| f.project(&[2])).collect();
+        for (p, n, domain) in cases {
+            let wide = generate::uniform(3, n, domain, n as u64);
+            let narrow = wide.project(&[2]);
             let run = |route: Route| {
                 capture(
                     StoreConfig {
@@ -585,7 +594,7 @@ mod tests {
     fn hash_partition_refuses_a_column_past_the_row() {
         let mut cluster = parqp_mpc::Cluster::new(2);
         let mut ex = cluster.exchange_rows(&[2]);
-        let frags = [Relation::from_rows(2, [[1, 2], [3, 4]])];
-        hash_partition(&mut ex, 0, &frags, 2, &HashFamily::new(1, 1));
+        let rel = Relation::from_rows(2, [[1, 2], [3, 4]]);
+        hash_partition(&mut ex, 0, &rel, 2, &HashFamily::new(1, 1));
     }
 }

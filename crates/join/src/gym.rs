@@ -401,12 +401,13 @@ fn upward_level(
     let arities: Vec<usize> = edges.iter().map(parent_arity).collect();
     let mut ex = cluster.exchange_rows(&arities);
     let mut insts: Vec<Vec<Vec<u64>>> = vec![vec![Vec::new(); p]; edges.len()];
-    for (i, per_server) in survivors.iter().enumerate() {
-        for (rows, row_insts) in per_server {
+    for ((i, per_server), edge_insts) in survivors.iter().enumerate().zip(&mut insts) {
+        for (sid, (rows, row_insts)) in per_server.iter().enumerate() {
+            ex.set_sender(sid);
             for (row, &inst) in rows.iter().zip(row_insts) {
                 let dest = (splitmix64(inst) % p as u64) as usize;
                 ex.send_row(i, dest, row);
-                insts[i][dest].push(inst);
+                edge_insts[dest].push(inst);
             }
         }
     }
@@ -508,25 +509,31 @@ fn join_level(
         let dims = plan.grid.dims();
         // Parent rows: fully determined coordinates.
         let mut coords = Vec::with_capacity(dims.len());
-        for row in states[plan.parent].parts.iter().flatten() {
-            coords.clear();
-            coords.extend(
-                plan.on
-                    .iter()
-                    .zip(dims)
-                    .map(|(on, &dim)| dest_of(h, row, on.left_key(), 0, dim)),
-            );
-            ex.send_row(plan.stream, plan.offset + plan.grid.rank(&coords), row);
+        for (sid, part) in states[plan.parent].parts.iter().enumerate() {
+            ex.set_sender(sid);
+            for row in part {
+                coords.clear();
+                coords.extend(
+                    plan.on
+                        .iter()
+                        .zip(dims)
+                        .map(|(on, &dim)| dest_of(h, row, on.left_key(), 0, dim)),
+                );
+                ex.send_row(plan.stream, plan.offset + plan.grid.rank(&coords), row);
+            }
         }
         // Child rows: own dimension fixed, others broadcast.
         for (ci, &b) in plan.children.iter().enumerate() {
             let child_key = plan.on[ci].right_key();
             let fan = plan.grid.fan_out(|d| d == ci);
             let stride = fan.strides()[ci];
-            for row in states[b].parts.iter().flatten() {
-                let base = plan.offset + dest_of(h, row, child_key, 0, dims[ci]) * stride;
-                for dest in fan.ranks(base) {
-                    ex.send_row(plan.stream + 1 + ci, dest, row);
+            for (sid, part) in states[b].parts.iter().enumerate() {
+                ex.set_sender(sid);
+                for row in part {
+                    let base = plan.offset + dest_of(h, row, child_key, 0, dims[ci]) * stride;
+                    for dest in fan.ranks(base) {
+                        ex.send_row(plan.stream + 1 + ci, dest, row);
+                    }
                 }
             }
         }

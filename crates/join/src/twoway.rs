@@ -9,11 +9,10 @@
 //! | [`sort_merge_join`] | `O(√(OUT/p) + IN/p)` for any skew | 4 |
 //!
 //! Output convention: a joined row is the full `R` row followed by the
-//! `S` row minus its join column ([`crate::common::merge_rows`]).
+//! `S` row minus its join column ([`Relation::push_merged`]).
 
 use crate::common::{
-    hash_join_rows, hash_partition, inbox_pairs, joined_arity, merge_rows, scatter, single_stream,
-    JoinRun,
+    hash_join_rows, hash_partition, inbox_pairs, joined_arity, scatter, single_stream, JoinRun,
 };
 use parqp_data::paged::RouteScan;
 use parqp_data::stats::{degree_counts, degree_join_size, join_heavy_hitters, join_output_size};
@@ -51,8 +50,6 @@ pub fn hash_join(
 ) -> JoinRun {
     let mut cluster = Cluster::new(p);
     let h = HashFamily::new(seed, 1);
-    let r_parts = scatter(r, p);
-    let s_parts = scatter(s, p);
     if metrics::is_enabled() {
         // Slide 23: one round at L = IN/p on skew-free input (τ* = 1).
         metrics::announce(&metrics::PaperBound::tuples(
@@ -65,8 +62,8 @@ pub fn hash_join(
     let _span = trace::span("hash_join/partition");
     let arities = [r.arity(), s.arity()];
     let mut ex = cluster.exchange_rows(&arities);
-    hash_partition(&mut ex, TAG_R, &r_parts, r_col, &h);
-    hash_partition(&mut ex, TAG_S, &s_parts, s_col, &h);
+    hash_partition(&mut ex, TAG_R, r, r_col, &h);
+    hash_partition(&mut ex, TAG_S, s, s_col, &h);
     let inboxes = inbox_pairs(arities, ex.finish());
 
     let arity = joined_arity(r.arity(), s.arity());
@@ -544,12 +541,10 @@ pub fn sort_merge_join(
         let [local_r, local_s] = local;
         hash_join_rows(&local_r, r_col, &local_s, s_col, &mut out);
         // Crossing phase: Cartesian within each key.
-        let mut buf = Vec::new();
         for a in &cross_r {
             for b in &cross_s {
                 if a[r_col] == b[s_col] {
-                    merge_rows(a, b, s_col, &mut buf);
-                    out.push(&buf);
+                    out.push_merged(a, b, s_col);
                 }
             }
         }

@@ -19,7 +19,7 @@
 
 use parqp_data::paged::{self, IoStats, StoreConfig};
 use parqp_data::Relation;
-use parqp_join::common::{hash_partition, joined_arity, probe_rows, scatter, single_stream};
+use parqp_join::common::{hash_partition, joined_arity, probe_rows, single_stream};
 use parqp_mpc::faults::{self, FaultPlan, FaultSpec, RecoveryStrategy};
 use parqp_mpc::{Cluster, HashFamily, LoadReport};
 
@@ -333,13 +333,12 @@ fn build_partitions(
     )
 }
 
-/// One exchange round: the binary `rel`, scattered, every row to the
-/// server its first column hashes to. Each server's inbox comes back as
-/// the fragment its flat receive buffer already is.
+/// One exchange round: the binary `rel`, in its initial placement,
+/// every row to the server its first column hashes to. Each server's
+/// inbox comes back as the fragment its flat receive buffer already is.
 fn partition_by_key(cluster: &mut Cluster, h: &HashFamily, rel: &Relation) -> Vec<Relation> {
-    let frags = scatter(rel, cluster.p());
     let mut ex = cluster.exchange_rows(&[2]);
-    hash_partition(&mut ex, 0, &frags, 0, h);
+    hash_partition(&mut ex, 0, rel, 0, h);
     single_stream(2, ex.finish())
 }
 

@@ -20,7 +20,7 @@ use parqp::join::{baselines, gym, hl, multiway, plans, skewhc, subgraph, twoway}
 use parqp::matmul::{rect_block, square_block, Matrix};
 use parqp::mpc::{Cluster, LoadReport, RoundStats};
 use parqp::query::{Ghd, Query};
-use parqp::trace::{analyze, export, Recorder};
+use parqp::trace::{analyze, export, Recorder, TraceEvent};
 use parqp_testkit::Rng;
 
 /// Check the folded `rounds` of a trace against the `report` of the
@@ -157,6 +157,74 @@ fn composed_traces_match_reports() {
         assert_trace_matches(&format!("naive_ring p={p}"), true, || {
             baselines::naive_ring(&r, 1, &s, 0, p).report
         });
+    }
+}
+
+/// Each traced round's `Σ Send msgs` beside the tuples it received.
+fn sent_and_received(rec: &Recorder) -> Vec<(u64, u64)> {
+    let mut rounds = Vec::new();
+    let mut sent = 0;
+    for event in rec.events() {
+        match *event {
+            TraceEvent::RoundBegin { .. } => sent = 0,
+            TraceEvent::Send { msgs, .. } => sent += msgs,
+            TraceEvent::RoundEnd { tuples, .. } => rounds.push((sent, tuples)),
+            _ => {}
+        }
+    }
+    rounds
+}
+
+#[test]
+fn gym_attributes_every_tuple_it_sends() {
+    // A chain (one child per parent) and a flat star (the centre has
+    // three children, so optimized GYM runs its intersection round);
+    // GYM vanilla and optimized over each, and `gym_ghd` over a chain.
+    let chain = Query::chain(3);
+    let crels: Vec<_> = (0..3)
+        .map(|i| generate::uniform(2, 600, 120, 40 + i))
+        .collect();
+    let star = Query::star(4);
+    let srels: Vec<_> = (0..4).map(|i| generate::uniform(2, 200, 40, i)).collect();
+    let trees = [
+        (
+            "chain",
+            &chain,
+            &crels,
+            Ghd::join_tree(&chain).expect("acyclic"),
+        ),
+        ("star", &star, &srels, Ghd::star_flat(&star)),
+    ];
+    let c6 = Query::chain(6);
+    let r6: Vec<_> = (0..6)
+        .map(|i| generate::uniform(2, 60, 25, 50 + i))
+        .collect();
+    let blocks = Ghd::chain_blocks(6, 2);
+    for p in [3, 8] {
+        let mut runs: Vec<(String, Recorder, Option<LoadReport>)> = Vec::new();
+        for (name, q, rels, tree) in &trees {
+            for optimized in [false, true] {
+                let (rec, run) = Recorder::capture(|| gym::gym(q, rels, tree, p, 7, optimized));
+                runs.push((
+                    format!("gym {name} opt={optimized} p={p}"),
+                    rec,
+                    Some(run.report),
+                ));
+            }
+        }
+        let (rec, _) = Recorder::capture(|| gym::gym_ghd(&c6, &r6, &blocks, p, 7));
+        runs.push((format!("gym_ghd p={p}"), rec, None));
+        for (name, rec, report) in &runs {
+            let rounds = sent_and_received(rec);
+            for (i, &(sent, received)) in rounds.iter().enumerate() {
+                assert_eq!(sent, received, "{name}: round {i} sent vs received");
+            }
+            if let Some(report) = report {
+                let ledger: Vec<u64> = report.rounds.iter().map(|r| r.total_tuples()).collect();
+                let traced: Vec<u64> = rounds.iter().map(|&(_, received)| received).collect();
+                assert_eq!(traced, ledger, "{name}: traced rounds vs ledger");
+            }
+        }
     }
 }
 
