@@ -130,11 +130,10 @@ fn run_on_grid(query: &Query, rels: &[Relation], shares: &[usize], seed: u64, p:
 /// servers, go on stream `j` to every server whose coordinates agree
 /// with the hashes of the row's variables.
 ///
-/// Count, reserve, send, as in
-/// [`hash_partition`](crate::common::hash_partition). Every row of an
-/// atom fixes the grid dimensions of the atom's variables and leaves the
-/// others free, so its destinations are one base rank plus the offsets
-/// of the atom's [`FanOut`](parqp_mpc::FanOut). Pass 1 hashes each row
+/// Count, reserve, send. Every row of an atom fixes the grid dimensions
+/// of the atom's variables and leaves the others free, so its
+/// destinations are one base rank plus the offsets of the atom's
+/// [`FanOut`](parqp_mpc::FanOut). Pass 1 hashes each row
 /// once into its base and counts rows per base; the counts spread over
 /// the offsets size every delivered buffer exactly. Pass 2 is the
 /// [`RouteScan`] loop sending each row to its remembered base plus every
