@@ -17,7 +17,11 @@
 //!   two-column rows, from the input to the delivered buffers: the
 //!   input cut into round-robin fragments by `scatter` and each
 //!   fragment counted, reserved and sent row by row (`scatter`), or
-//!   placed straight from the input by `hash_partition` (`placed`).
+//!   placed straight from the input by `hash_partition` (`placed`);
+//!   and `join_kernel/route/hypercube/*`, `triangle_planned`'s shuffle
+//!   (its graph, seed 42, in all three atoms on the 4 × 4 × 4 grid):
+//!   the count, reserve and send loop over scattered fragments
+//!   (`scatter`), or one `route_input` round per atom (`placed`).
 //! * `multiway/triangle_64_fragments` — HyperCube's local phase in
 //!   `triangle_planned`: `evaluate` over each of the 64 servers' atom
 //!   fragments (seed 42, shares 4 × 4 × 4), placed as the shuffle
@@ -45,9 +49,9 @@
 use parqp::data::paged::RouteScan;
 use parqp::data::zipf::Zipf;
 use parqp::data::{generate, KeyIndex, KeyTable, Relation};
-use parqp::join::common::{hash_join_rows, hash_partition, joined_arity, scatter};
+use parqp::join::common::{hash_join_rows, hash_partition, joined_arity, route_input, scatter};
 use parqp::matmul::{gemm_acc, Matrix, View};
-use parqp::mpc::{Cluster, Grid, HashFamily, RowExchange};
+use parqp::mpc::{Cluster, FanOut, Grid, HashFamily, RowExchange};
 use parqp::query::{evaluate, Query};
 use parqp::serve::templates::{base_relation, TEMPLATES};
 use parqp::sort::sort_words;
@@ -262,8 +266,69 @@ fn scatter_and_route(ex: &mut RowExchange<'_>, rel: &Relation, h: &HashFamily) {
     }
 }
 
+/// The HyperCube shuffle before `route_input` placed rows: per atom,
+/// cut the input into round-robin fragments over the grid, hash every
+/// row's base once and count rows per base, spread the counts over the
+/// atom's fan-out to reserve each destination exactly, then send every
+/// row to its base plus each offset as its fragment is scanned.
+fn scatter_and_fan_out(ex: &mut RowExchange<'_>, query: &Query, rels: &[Relation], grid: &Grid) {
+    let h = HashFamily::new(42, query.num_vars());
+    let on_grid = grid.len();
+    for (j, (atom, rel)) in query.atoms().iter().zip(rels).enumerate() {
+        let fan = grid.fan_out(|v| atom.vars.contains(&v));
+        let parts = scatter(rel, on_grid);
+        let mut bases: Vec<u32> = Vec::with_capacity(rel.len());
+        let mut rows_at = vec![0usize; on_grid];
+        for row in parts.iter().flat_map(Relation::iter) {
+            let base = fan_base(&h, grid, &fan, &atom.vars, row);
+            rows_at[base] += 1;
+            bases.push(base as u32);
+        }
+        let mut per_dest = vec![0usize; on_grid];
+        for (base, &n) in rows_at.iter().enumerate().filter(|(_, &n)| n > 0) {
+            for dest in fan.ranks(base) {
+                per_dest[dest] += n;
+            }
+        }
+        for (dest, &rows) in per_dest.iter().enumerate() {
+            ex.reserve(j, dest, rows);
+        }
+        ex.note_grid(grid);
+        let mut bases = bases.iter();
+        for (sid, part) in parts.iter().enumerate() {
+            ex.set_sender(sid);
+            for (row, &base) in RouteScan::new(sid, part).iter().zip(&mut bases) {
+                for dest in fan.ranks(base as usize) {
+                    ex.send_row(j, dest, row);
+                }
+            }
+        }
+    }
+}
+
+/// The same shuffle through `route_input`, one call per atom.
+fn placed_fan_out(ex: &mut RowExchange<'_>, query: &Query, rels: &[Relation], grid: &Grid) {
+    let h = HashFamily::new(42, query.num_vars());
+    for (j, (atom, rel)) in query.atoms().iter().zip(rels).enumerate() {
+        let fan = grid.fan_out(|v| atom.vars.contains(&v));
+        ex.note_grid(grid);
+        route_input(ex, j, rel, grid.len(), fan.offsets(), |_, row| {
+            fan_base(&h, grid, &fan, &atom.vars, row)
+        });
+    }
+}
+
+/// The grid rank a row of an atom over `vars` fixes.
+fn fan_base(h: &HashFamily, grid: &Grid, fan: &FanOut, vars: &[usize], row: &[u64]) -> usize {
+    row.iter()
+        .zip(vars)
+        .map(|(&value, &v)| h.hash(v, value, grid.dims()[v]) * fan.strides()[v])
+        .sum()
+}
+
 /// `join_kernel/route/*`: one stream of two-column rows hashed on its
-/// first column to p = 64, both ways, at three input sizes.
+/// first column to p = 64, both ways, at three input sizes; then
+/// `triangle_planned`'s shuffle, both ways.
 fn route() {
     let h = HashFamily::new(42, 1);
     for (n, shape) in [(40_000, "40k"), (200_000, "200k"), (2_000_000, "2M")] {
@@ -279,6 +344,20 @@ fn route() {
         let placed = best_us(|| round(&|ex| hash_partition(ex, 0, &rel, 0, &h)));
         println!("join_kernel/route/placed/{shape:<11} {placed:>10.1} µs");
     }
+    let query = Query::triangle();
+    let g = generate::random_symmetric_graph(1500, 20_000, 42);
+    let rels = vec![g.clone(), g.clone(), g];
+    let grid = Grid::new(vec![4, 4, 4]);
+    let shuffle = |route: fn(&mut RowExchange<'_>, &Query, &[Relation], &Grid)| {
+        let mut cluster = Cluster::new(grid.len());
+        let mut ex = cluster.exchange_rows(&[2, 2, 2]);
+        route(&mut ex, &query, &rels, &grid);
+        ex.finish()
+    };
+    let scattered = best_us(|| shuffle(scatter_and_fan_out));
+    println!("join_kernel/route/hypercube/scatter {scattered:>10.1} µs");
+    let placed = best_us(|| shuffle(placed_fan_out));
+    println!("join_kernel/route/hypercube/placed  {placed:>10.1} µs");
 }
 
 /// `join_kernel/probe_write/*`: 64 local joins of 1,250 × 1,250

@@ -57,7 +57,8 @@ pub fn hash_group_sum(
     let h = HashFamily::new(seed, 1);
     let parts = crate::common::scatter(rel, p);
     let mut ex = cluster.exchange::<[Value; 2]>();
-    for part in &parts {
+    for (sid, part) in parts.iter().enumerate() {
+        ex.set_sender(sid);
         for row in part.iter() {
             ex.send(h.hash(0, row[key_col], p), [row[key_col], row[val_col]]);
         }
@@ -92,7 +93,8 @@ pub fn combiner_group_sum(
     let h = HashFamily::new(seed, 1);
     let parts = crate::common::scatter(rel, p);
     let mut ex = cluster.exchange::<[Value; 2]>();
-    for part in &parts {
+    for (sid, part) in parts.iter().enumerate() {
+        ex.set_sender(sid);
         let mut local: FastMap<Value, u64> = FastMap::default();
         for row in part.iter() {
             *local.entry(row[key_col]).or_insert(0) += row[val_col];
@@ -155,6 +157,7 @@ pub fn tree_group_sum(
                 continue; // this server is a receiver this round
             }
             let dest = (block - block % fanin) * stride;
+            ex.set_sender(src);
             for (&k, &v) in &partials[src] {
                 ex.send(dest, [k, v]);
             }

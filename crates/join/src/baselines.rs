@@ -9,7 +9,9 @@
 //! These exist to regenerate E01 and as sanity baselines: every real
 //! algorithm in this crate must beat at least one of them on every input.
 
-use crate::common::{hash_join_rows, inbox_pairs, joined_arity, scatter, single_stream, JoinRun};
+use crate::common::{
+    hash_join_rows, inbox_pairs, joined_arity, route_input, scatter, single_stream, JoinRun,
+};
 use parqp_data::Relation;
 use parqp_mpc::Cluster;
 
@@ -23,20 +25,10 @@ pub fn naive_one_server(
     p: usize,
 ) -> JoinRun {
     let mut cluster = Cluster::new(p);
-    let r_parts = scatter(r, p);
-    let s_parts = scatter(s, p);
     let arities = [r.arity(), s.arity()];
     let mut ex = cluster.exchange_rows(&arities);
-    for part in &r_parts {
-        for row in part.iter() {
-            ex.send_row(0, 0, row);
-        }
-    }
-    for part in &s_parts {
-        for row in part.iter() {
-            ex.send_row(1, 0, row);
-        }
-    }
+    route_input(&mut ex, 0, r, p, &[0], |_, _| 0);
+    route_input(&mut ex, 1, s, p, &[0], |_, _| 0);
     let inboxes = inbox_pairs(arities, ex.finish());
 
     let mut outputs: Vec<Relation> = (0..p)
@@ -71,6 +63,7 @@ pub fn naive_ring(r: &Relation, r_col: usize, s: &Relation, s_col: usize, p: usi
     for _hop in 1..p {
         let mut ex = cluster.exchange_rows(&[s.arity()]);
         for (sid, rows) in s_parts.iter().enumerate() {
+            ex.set_sender(sid);
             let dest = (sid + 1) % p;
             for row in rows {
                 ex.send_row(0, dest, row);

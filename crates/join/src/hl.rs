@@ -17,7 +17,7 @@
 //!   `R(x,y) ⋉ S(y,c) ⋉ T(c,x)` on its own `~p^{2/3}`-server group,
 //!   2 rounds at `L = O(IN/p^{2/3})` — worst-case optimal overall.
 
-use crate::common::{fragments, inbox_pairs, scatter, single_stream, JoinRun};
+use crate::common::{fragments, inbox_pairs, route_input, scatter, single_stream, JoinRun};
 use parqp_data::{FastMap, FastSet, KeyIndex, Relation, Value};
 use parqp_mpc::{Cluster, HashFamily, LoadReport};
 use parqp_query::SchemaJoin;
@@ -39,28 +39,28 @@ fn semijoin_requests(
     let p = cluster.p();
     // Round A: distinct left keys and right keys meet at h(key). Stream
     // `sid` carries server `sid`'s asks — the asking server is routing
-    // metadata, as uncharged as a tag — and stream `p` the right keys.
-    let right_parts = scatter(right, p);
+    // metadata, as uncharged as a tag — and stream `p` the right keys,
+    // routed from their initial placement.
     let mut ex = cluster.exchange_rows(&vec![1; p + 1]);
     for (sid, part) in left_parts.iter().enumerate() {
+        ex.set_sender(sid);
         let mut seen: FastSet<Value> = FastSet::default();
         for row in part.iter() {
-            if seen.insert(row[key_col]) {
-                ex.send_row(sid, h.hash(dim, row[key_col], p), &[row[key_col]]);
+            let key = row[key_col];
+            if seen.insert(key) {
+                ex.send_row(sid, h.hash(dim, key, p), &[key]);
             }
         }
     }
-    for part in &right_parts {
-        for row in part.iter() {
-            ex.send_row(p, h.hash(dim, row[0], p), &[row[0]]);
-        }
-    }
+    route_input(&mut ex, p, right, p, &[0], |_, row| h.hash(dim, row[0], p));
     let mut asks = ex.finish();
     let members = fragments(1, asks.pop().unwrap_or_default());
 
-    // Round B: positive replies go back to the asking servers.
+    // Round B: positive replies go back to the asking servers, each sent
+    // by the member server that holds the key.
     let mut ex = cluster.exchange_rows(&[1]);
     for (at, members) in members.iter().enumerate() {
+        ex.set_sender(at);
         let members = KeyIndex::build(members, &[0]);
         for (origin, from) in asks.iter().enumerate() {
             for key in from[at].chunks_exact(1) {
@@ -176,29 +176,30 @@ pub fn hl_triangle(r: &Relation, s: &Relation, t: &Relation, p: usize, seed: u64
         };
         let mut cluster = Cluster::new(group);
         let h = HashFamily::new(seed ^ (0x7e47 + i as u64), 2);
-        // Round 1: R by h(y), S_c keys by h(y); filter.
+        // Round 1: R by h(y), S_c keys by h(y); filter. The key lists
+        // are computed centrally and belong to no server, so each round
+        // sends its keys before any sender is set.
         let mut ex = cluster.exchange_rows(&[2, 1]);
-        for part in scatter(r, group) {
-            for row in part.iter() {
-                ex.send_row(0, h.hash(0, row[1], group), row);
-            }
-        }
         for &y in &sc {
             ex.send_row(1, h.hash(0, y, group), &[y]);
         }
+        route_input(&mut ex, 0, r, group, &[0], |_, row| {
+            h.hash(0, row[1], group)
+        });
         let filtered: Vec<Relation> = inbox_pairs([2, 1], ex.finish())
             .iter()
             .map(|(rows, keys)| on_y.semijoin(rows, keys))
             .collect();
         // Round 2: survivors by h(x), T_c keys by h(x); filter; emit (x,y,c).
         let mut ex = cluster.exchange_rows(&[2, 1]);
-        for rows in &filtered {
+        for &x in &tc {
+            ex.send_row(1, h.hash(1, x, group), &[x]);
+        }
+        for (sid, rows) in filtered.iter().enumerate() {
+            ex.set_sender(sid);
             for row in rows {
                 ex.send_row(0, h.hash(1, row[0], group), row);
             }
-        }
-        for &x in &tc {
-            ex.send_row(1, h.hash(1, x, group), &[x]);
         }
         for (rows, keys) in inbox_pairs([2, 1], ex.finish()) {
             let kept = on_x.semijoin(&rows, &keys);

@@ -13,8 +13,7 @@
 //! load is `N / p^{1/τ*}` w.h.p. (slide 40), e.g. `N/p^{2/3}` for the
 //! triangle query (slide 36).
 
-use crate::common::{inboxes, scatter, JoinRun};
-use parqp_data::paged::RouteScan;
+use crate::common::{inboxes, route_input, JoinRun};
 use parqp_data::Relation;
 use parqp_mpc::{metrics, trace, Cluster, Grid, HashFamily, RowExchange};
 use parqp_query::{evaluate, Query};
@@ -126,26 +125,15 @@ fn run_on_grid(query: &Query, rels: &[Relation], shares: &[usize], seed: u64, p:
     }
 }
 
-/// The HyperCube shuffle: atom `j`'s rows, scattered over the grid's
-/// servers, go on stream `j` to every server whose coordinates agree
-/// with the hashes of the row's variables.
+/// The HyperCube shuffle: atom `j`'s rows, in their free initial
+/// placement on the grid's servers, go on stream `j` to every server
+/// whose coordinates agree with the hashes of the row's variables.
 ///
-/// Count, reserve, send. Every row of an atom fixes the grid dimensions
-/// of the atom's variables and leaves the others free, so its
-/// destinations are one base rank plus the offsets of the atom's
-/// [`FanOut`](parqp_mpc::FanOut). Pass 1 hashes each row
-/// once into its base and counts rows per base; the counts spread over
-/// the offsets size every delivered buffer exactly. Pass 2 is the
-/// [`RouteScan`] loop sending each row to its remembered base plus every
-/// offset: the sends, in the order, that placing each row afresh makes.
+/// Every row of an atom fixes the grid dimensions of the atom's
+/// variables and leaves the others free, so its destinations are one
+/// base rank plus the offsets of the atom's [`FanOut`](parqp_mpc::FanOut):
+/// one [`route_input`] round per atom, the base hashed from the row.
 fn route(ex: &mut RowExchange<'_>, query: &Query, rels: &[Relation], grid: &Grid, h: &HashFamily) {
-    let on_grid = grid.len();
-    assert!(
-        u32::try_from(on_grid).is_ok(),
-        "base ranks are remembered as u32"
-    );
-    let mut rows_at = vec![0usize; on_grid];
-    let mut per_dest = vec![0usize; on_grid];
     for (j, (atom, rel)) in query.atoms().iter().zip(rels).enumerate() {
         let fan = grid.fan_out(|v| atom.vars.contains(&v));
         // Per column: its variable (which hash), share and stride.
@@ -154,48 +142,15 @@ fn route(ex: &mut RowExchange<'_>, query: &Query, rels: &[Relation], grid: &Grid
             .iter()
             .map(|&v| (v, grid.dims()[v], fan.strides()[v]))
             .collect();
-        let parts = scatter(rel, on_grid);
-
-        let mut bases: Vec<u32> = Vec::with_capacity(rel.len());
-        rows_at.fill(0);
-        for row in parts.iter().flat_map(Relation::iter) {
-            let base: usize = row
-                .iter()
-                .zip(&per_col)
-                .map(|(&value, &(v, share, stride))| h.hash(v, value, share) * stride)
-                .sum();
-            if let Some(n) = rows_at.get_mut(base) {
-                *n += 1;
-            }
-            bases.push(base as u32);
-        }
-        per_dest.fill(0);
-        for (base, &n) in rows_at.iter().enumerate().filter(|(_, &n)| n > 0) {
-            for dest in fan.ranks(base) {
-                if let Some(total) = per_dest.get_mut(dest) {
-                    *total += n;
-                }
-            }
-        }
-        for (dest, &rows) in per_dest.iter().enumerate() {
-            ex.reserve(j, dest, rows);
-        }
-
         if !rel.is_empty() {
             ex.note_grid(grid);
         }
-        let mut bases = bases.iter();
-        for (sid, part) in parts.iter().enumerate() {
-            ex.set_sender(sid);
-            let scan = RouteScan::new(sid, part);
-            // `scan` is asked first, so a fragment's end leaves the next
-            // fragment's first base unconsumed.
-            for (row, &base) in scan.iter().zip(&mut bases) {
-                for dest in fan.ranks(base as usize) {
-                    ex.send_row(j, dest, row);
-                }
-            }
-        }
+        route_input(ex, j, rel, grid.len(), fan.offsets(), |_, row| {
+            row.iter()
+                .zip(&per_col)
+                .map(|(&value, &(v, share, stride))| h.hash(v, value, share) * stride)
+                .sum()
+        });
     }
 }
 
@@ -317,104 +272,6 @@ mod tests {
         let t = Relation::from_rows(2, [[3, 1]]);
         let run = hypercube(&q, &[r, s, t], 1, 7);
         assert_eq!(run.output_size(), 1);
-    }
-
-    /// The per-row loop [`route`] replaced: every row places itself
-    /// afresh, enumerating its partial coordinate's matches.
-    fn route_per_row(
-        ex: &mut RowExchange<'_>,
-        query: &Query,
-        rels: &[Relation],
-        grid: &Grid,
-        h: &HashFamily,
-    ) {
-        for (j, (atom, rel)) in query.atoms().iter().zip(rels).enumerate() {
-            let mut partial: Vec<Option<usize>> = vec![None; query.num_vars()];
-            for (sid, part) in scatter(rel, grid.len()).iter().enumerate() {
-                ex.set_sender(sid);
-                let scan = RouteScan::new(sid, part);
-                for row in scan.iter() {
-                    for (pos, &v) in atom.vars.iter().enumerate() {
-                        partial[v] = Some(h.hash(v, row[pos], grid.dims()[v]));
-                    }
-                    ex.note_grid(grid);
-                    for dest in grid.matching_ranks(&partial) {
-                        ex.send_row(j, dest, row);
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn route_is_the_per_row_loop_with_exact_buffers() {
-        use parqp_data::paged::{capture, StoreConfig};
-        use parqp_mpc::trace::Recorder;
-
-        type Route = fn(&mut RowExchange<'_>, &Query, &[Relation], &Grid, &HashFamily);
-        let g = generate::random_symmetric_graph(40, 300, 8);
-        let tri = vec![g.clone(), g.clone(), g.clone()];
-        let chain: Vec<Relation> = (0..4)
-            .map(|i| generate::uniform(2, 90, 12, 50 + i))
-            .collect();
-        let pair = vec![
-            generate::unary_range(30),
-            generate::uniform(2, 120, 40, 71),
-            generate::unary_range(20),
-        ];
-        // (query, inputs, shares, servers): a cube, a grid padded to a
-        // non-product p, a shared dimension of size 1, an empty atom, a
-        // product query, and unary atoms fixing one dimension each.
-        let cases: Vec<(Query, Vec<Relation>, Vec<usize>, usize)> = vec![
-            (Query::triangle(), tri.clone(), vec![2, 2, 2], 8),
-            (Query::triangle(), tri.clone(), vec![2, 2, 1], 5),
-            (Query::chain(4), chain, vec![2, 1, 3, 1, 2], 12),
-            (
-                Query::triangle(),
-                vec![g.clone(), Relation::new(2), g],
-                vec![3, 1, 2],
-                6,
-            ),
-            (
-                Query::product(),
-                vec![
-                    generate::uniform(1, 50, 100, 1),
-                    generate::uniform(1, 40, 100, 2),
-                ],
-                vec![3, 4],
-                13,
-            ),
-            (Query::semijoin_pair(), pair, vec![3, 3], 9),
-        ];
-        for (query, rels, shares, p) in &cases {
-            let grid = Grid::new(shares.clone());
-            let h = HashFamily::new(17, query.num_vars());
-            let arities: Vec<usize> = rels.iter().map(Relation::arity).collect();
-            let run = |route: Route| {
-                capture(
-                    StoreConfig {
-                        page_size: 8,
-                        pool_pages: 2,
-                    },
-                    || {
-                        Recorder::capture(|| {
-                            let mut cluster = Cluster::new(*p);
-                            let mut ex = cluster.exchange_rows(&arities);
-                            route(&mut ex, query, rels, &grid, &h);
-                            (ex.finish(), cluster.report())
-                        })
-                    },
-                )
-            };
-            let (io, (trace, (delivered, report))) = run(route);
-            let (ref_io, (ref_trace, reference)) = run(route_per_row);
-            assert_eq!((&delivered, &report), (&reference.0, &reference.1));
-            assert_eq!(io, ref_io, "pass 1 is not a charged scan");
-            assert!(trace.events().eq(ref_trace.events()));
-            for buf in delivered.iter().flatten() {
-                assert_eq!(buf.capacity(), buf.len(), "{shares:?}: slack delivered");
-            }
-        }
     }
 
     #[test]

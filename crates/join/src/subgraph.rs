@@ -24,9 +24,9 @@
 //! result follows **set semantics** (duplicate input tuples do not
 //! multiply outputs; compare canonical forms).
 
-use crate::common::{dest_of, inbox_pairs, scatter, Dist, JoinRun};
+use crate::common::{dest_of, inbox_pairs, route_input, Dist, JoinRun};
 use parqp_data::{FastSet, Relation};
-use parqp_mpc::{Cluster, HashFamily, RowExchange};
+use parqp_mpc::{Cluster, HashFamily};
 use parqp_query::{Query, SchemaJoin, Var};
 
 /// Run the expansion join with the default variable order (the first
@@ -160,29 +160,16 @@ fn expansion_round(
     let key = SchemaJoin::new(side_vars, &bindings.vars);
     let arities = [bindings.vars.len(), side.arity()];
     let mut ex = cluster.exchange_rows(&arities);
-    route_rows(&mut ex, 0, &bindings.parts, h, key.right_key());
-    route_rows(&mut ex, 1, &scatter(side, p), h, key.left_key());
+    bindings.send(&mut ex, 0, |_, row| {
+        [dest_of(h, row, key.right_key(), 0, p)]
+    });
+    route_input(&mut ex, 1, side, p, &[0], |_, row| {
+        dest_of(h, row, key.left_key(), 0, p)
+    });
     inbox_pairs(arities, ex.finish())
         .iter()
         .map(|(rows, side_rows)| local(rows, side_rows))
         .collect()
-}
-
-/// Send every row of `parts` on `stream` to the server its `key`
-/// columns hash to ([`dest_of`]).
-fn route_rows(
-    ex: &mut RowExchange<'_>,
-    stream: usize,
-    parts: &[Relation],
-    h: &HashFamily,
-    key: &[usize],
-) {
-    let p = ex.p();
-    for part in parts {
-        for row in part {
-            ex.send_row(stream, dest_of(h, row, key, 0, p), row);
-        }
-    }
 }
 
 #[cfg(test)]

@@ -12,9 +12,9 @@
 //! `S` row minus its join column ([`Relation::push_merged`]).
 
 use crate::common::{
-    hash_join_rows, hash_partition, inbox_pairs, joined_arity, scatter, single_stream, JoinRun,
+    hash_join_rows, hash_partition, inbox_pairs, joined_arity, route_input, scatter, single_stream,
+    JoinRun,
 };
-use parqp_data::paged::RouteScan;
 use parqp_data::stats::{degree_counts, degree_join_size, join_heavy_hitters, join_output_size};
 use parqp_data::{Relation, Value};
 use parqp_mpc::{metrics, trace, Cluster, HashFamily, LoadReport, Weight};
@@ -83,7 +83,6 @@ pub fn hash_join(
 /// choice when `|R| ≪ |S|/√p`.
 pub fn broadcast_join(r: &Relation, r_col: usize, s: &Relation, s_col: usize, p: usize) -> JoinRun {
     let mut cluster = Cluster::new(p);
-    let r_parts = scatter(r, p);
     let s_parts = scatter(s, p);
     if metrics::is_enabled() {
         // Slide 32: the replicated small side lands whole on every
@@ -98,13 +97,8 @@ pub fn broadcast_join(r: &Relation, r_col: usize, s: &Relation, s_col: usize, p:
 
     let _span = trace::span("broadcast_join/replicate");
     let mut ex = cluster.exchange_rows(&[r.arity()]);
-    for (sid, part) in r_parts.iter().enumerate() {
-        ex.set_sender(sid);
-        let scan = RouteScan::new(sid, part);
-        for row in scan.iter() {
-            ex.broadcast_row(0, row);
-        }
-    }
+    let everyone: Vec<usize> = (0..p).collect();
+    route_input(&mut ex, 0, r, p, &everyone, |_, _| 0);
     let replicas = single_stream(r.arity(), ex.finish());
 
     let arity = joined_arity(r.arity(), s.arity());
@@ -157,8 +151,6 @@ pub fn cartesian(r: &Relation, s: &Relation, p: usize, seed: u64) -> JoinRun {
     let grid = parqp_mpc::Grid::new(vec![p1, p2]);
     let mut cluster = Cluster::new(grid.len());
     let h = HashFamily::new(seed, 2);
-    let r_parts = scatter(r, grid.len());
-    let s_parts = scatter(s, grid.len());
     if metrics::is_enabled() {
         // Slide 28: |R|/p₁ + |S|/p₂ at the grid the split chose.
         metrics::announce(&metrics::PaperBound::tuples(
@@ -175,32 +167,16 @@ pub fn cartesian(r: &Relation, s: &Relation, p: usize, seed: u64) -> JoinRun {
         ex.note_grid(&grid);
     }
     // An R row fixes its grid row (stride p₂) and spans the columns; an
-    // S row fixes its column and spans the rows.
+    // S row fixes its column and spans the rows. A row's band is drawn
+    // from its index in fragment order.
     let (r_fan, s_fan) = (grid.fan_out(|d| d == 0), grid.fan_out(|d| d == 1));
-    let mut index = 0u64;
-    for (sid, part) in r_parts.iter().enumerate() {
-        ex.set_sender(sid);
-        let scan = RouteScan::new(sid, part);
-        for row in scan.iter() {
-            let band = h.hash(0, index, p1);
-            index += 1;
-            for dest in r_fan.ranks(band * p2) {
-                ex.send_row(TAG_R, dest, row);
-            }
-        }
-    }
-    index = 0;
-    for (sid, part) in s_parts.iter().enumerate() {
-        ex.set_sender(sid);
-        let scan = RouteScan::new(sid, part);
-        for row in scan.iter() {
-            let band = h.hash(1, index, p2);
-            index += 1;
-            for dest in s_fan.ranks(band) {
-                ex.send_row(TAG_S, dest, row);
-            }
-        }
-    }
+    let on_grid = grid.len();
+    route_input(&mut ex, TAG_R, r, on_grid, r_fan.offsets(), |i, _| {
+        h.hash(0, i as u64, p1) * p2
+    });
+    route_input(&mut ex, TAG_S, s, on_grid, s_fan.offsets(), |i, _| {
+        h.hash(1, i as u64, p2)
+    });
     let inboxes = inbox_pairs(arities, ex.finish());
 
     let arity = r.arity() + s.arity();

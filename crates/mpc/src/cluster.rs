@@ -1046,13 +1046,6 @@ impl RowExchange<'_> {
         self.charges.set_sender(sender);
     }
 
-    /// Send `row` on `stream` to every server (`p` rows charged).
-    pub fn broadcast_row(&mut self, stream: usize, row: &[u64]) {
-        for dest in 0..self.cluster.p {
-            self.send_row(stream, dest, row);
-        }
-    }
-
     /// Declare that this round places rows on `grid`, for the trace's
     /// `Topology` event (the first grid declared wins). Purely
     /// observational, as [`RowExchange::set_sender`]: a no-op when no

@@ -250,6 +250,13 @@ impl FanOut {
         &self.strides
     }
 
+    /// The free dimensions' matches relative to a row's base rank, in
+    /// [`Grid::matching`] order; the first is always 0.
+    #[inline]
+    pub fn offsets(&self) -> &[usize] {
+        &self.offsets
+    }
+
     /// The destinations of a row whose fixed coordinates put it at rank
     /// `base`.
     #[inline]

@@ -265,7 +265,11 @@ proptest! {
                     ex.reserve(raw_stream, dest, n);
                     ex.set_sender(sender); // 7 is out of range below p = 7: unattributed
                     match how {
-                        0 => ex.broadcast_row(stream, &row),
+                        0 => {
+                            for to in 0..p {
+                                ex.send_row(stream, to, &row);
+                            }
+                        }
                         1 | 2 => {
                             // The fan-out of a fixed (1) or free (2) line.
                             ex.note_grid(&line);

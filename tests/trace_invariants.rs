@@ -16,7 +16,7 @@
 //! produces byte-identical JSONL on two consecutive invocations.
 
 use parqp::data::generate;
-use parqp::join::{baselines, gym, hl, multiway, plans, skewhc, subgraph, twoway};
+use parqp::join::{aggregate, baselines, gym, hl, multiway, plans, skewhc, subgraph, twoway};
 use parqp::matmul::{rect_block, square_block, Matrix};
 use parqp::mpc::{Cluster, LoadReport, RoundStats};
 use parqp::query::{Ghd, Query};
@@ -175,8 +175,83 @@ fn sent_and_received(rec: &Recorder) -> Vec<(u64, u64)> {
     rounds
 }
 
+/// One traced run of an entry point: what it is, its trace, its
+/// ledger where the ledger is not folded (`LoadReport::parallel` and
+/// `folded` merge rounds the trace keeps apart), and per traced round
+/// the tuples it receives that no server sends.
+struct Attributed {
+    name: String,
+    rec: Recorder,
+    report: Option<LoadReport>,
+    central: Vec<u64>,
+}
+
+fn traced(name: String, folded: bool, f: impl FnOnce() -> LoadReport) -> Attributed {
+    let (rec, report) = Recorder::capture(f);
+    Attributed {
+        name,
+        rec,
+        report: (!folded).then_some(report),
+        central: Vec::new(),
+    }
+}
+
 #[test]
-fn gym_attributes_every_tuple_it_sends() {
+fn every_join_attributes_every_tuple_it_sends() {
+    // Every `parqp-join` entry point: in each traced round the `Send`
+    // events account for every tuple received (Σ msgs = tuples), and
+    // the traced rounds are the ledger's wherever it is not folded.
+    //
+    // `hl_triangle`'s heavy groups filter with key lists computed
+    // centrally (`S(y, c)`'s ys and `T(c, x)`'s xs for the heavy c),
+    // which belong to no server: their rounds receive exactly those
+    // keys more than the servers send, and the check allows that many
+    // and no more.
+    let (r, s) = (
+        generate::uniform(2, 600, 120, 1),
+        generate::uniform(2, 600, 120, 2),
+    );
+    let small = generate::uniform(2, 40, 120, 3);
+    let (ur, us) = (
+        generate::uniform(1, 60, 1000, 4),
+        generate::uniform(1, 50, 1000, 5),
+    );
+    let (zr, zs) = (
+        generate::zipf_pairs(600, 60, 1.2, 1, 6),
+        generate::zipf_pairs(600, 60, 1.2, 0, 7),
+    );
+    let tri = Query::triangle();
+    let g = generate::random_symmetric_graph(80, 600, 11);
+    let tri_rels = vec![g.clone(), g.clone(), g.clone()];
+    let mut hub = generate::random_symmetric_graph(50, 200, 9);
+    for i in 0..60 {
+        hub.push(&[0, 100 + i]);
+        hub.push(&[100 + i, 0]);
+    }
+    let hub_rels = vec![hub.clone(), hub.clone(), hub];
+    // z = 9 is heavy in S and T at p = 8, and nothing is at p = 3.
+    let hl_r = generate::uniform(2, 400, 60, 21);
+    let hl_s = generate::constant_key_pairs(400, 9, 1);
+    let mut hl_t = generate::uniform(2, 400, 60, 22);
+    for i in 0..400u64 {
+        hl_t.push(&[9, i % 60]);
+    }
+    let distinct = |rel: &parqp::data::Relation, at: usize, keep: usize| {
+        let mut keys: Vec<u64> = rel
+            .iter()
+            .filter(|row| row[at] == 9)
+            .map(|row| row[keep])
+            .collect();
+        keys.sort_unstable();
+        keys.dedup();
+        keys.len() as u64
+    };
+    let hub_keys = vec![distinct(&hl_s, 1, 0), distinct(&hl_t, 0, 1)];
+    let (sj_r, sj_s, sj_t) = (
+        generate::unary_range(60),
+        generate::uniform(2, 600, 100, 23),
+        generate::unary_range(80),
+    );
     // A chain (one child per parent) and a flat star (the centre has
     // three children, so optimized GYM runs its intersection round);
     // GYM vanilla and optimized over each, and `gym_ghd` over a chain.
@@ -200,26 +275,103 @@ fn gym_attributes_every_tuple_it_sends() {
         .map(|i| generate::uniform(2, 60, 25, 50 + i))
         .collect();
     let blocks = Ghd::chain_blocks(6, 2);
+    let sums = generate::zipf_pairs(600, 80, 1.1, 0, 31);
+
     for p in [3, 8] {
-        let mut runs: Vec<(String, Recorder, Option<LoadReport>)> = Vec::new();
+        let mut runs = vec![
+            traced(format!("hash_join p={p}"), false, || {
+                twoway::hash_join(&r, 1, &s, 0, p, 7).report
+            }),
+            traced(format!("broadcast_join p={p}"), false, || {
+                twoway::broadcast_join(&small, 1, &s, 0, p).report
+            }),
+            traced(format!("cartesian p={p}"), false, || {
+                twoway::cartesian(&ur, &us, p, 9).report
+            }),
+            traced(format!("skew_join p={p}"), true, || {
+                twoway::skew_join(&zr, 1, &zs, 0, p, 8).report
+            }),
+            traced(format!("sort_merge_join p={p}"), false, || {
+                twoway::sort_merge_join(&zr, 1, &zs, 0, p, 12).report
+            }),
+            traced(format!("hypercube p={p}"), false, || {
+                multiway::hypercube(&tri, &tri_rels, p, 5).report
+            }),
+            traced(format!("hypercube_with_shares p={p}"), false, || {
+                multiway::hypercube_with_shares(&tri, &tri_rels, &[p, 1, 2], 5).report
+            }),
+            traced(format!("skewhc p={p}"), true, || {
+                skewhc::skewhc(&tri, &hub_rels, p, 7).report
+            }),
+            traced(format!("gym_ghd p={p}"), true, || {
+                gym::gym_ghd(&c6, &r6, &blocks, p, 7).report
+            }),
+            traced(format!("binary_join_plan p={p}"), false, || {
+                plans::binary_join_plan(&chain, &crels, p, 13, None).report
+            }),
+            traced(format!("semijoin_pair_hl p={p}"), false, || {
+                hl::semijoin_pair_hl(&sj_r, &sj_s, &sj_t, p, 7).report
+            }),
+            traced(format!("hl_triangle uniform p={p}"), false, || {
+                hl::hl_triangle(&g, &g, &g, p, 5).report
+            }),
+            traced(format!("expansion_join p={p}"), false, || {
+                subgraph::expansion_join(&tri, &tri_rels, p, 5).report
+            }),
+            traced(format!("expansion_join order z x y p={p}"), false, || {
+                subgraph::expansion_join_with_order(&tri, &tri_rels, p, 5, &[2, 0, 1]).report
+            }),
+            traced(format!("naive_one_server p={p}"), false, || {
+                baselines::naive_one_server(&r, 1, &s, 0, p).report
+            }),
+            traced(format!("naive_ring p={p}"), false, || {
+                baselines::naive_ring(&r, 1, &s, 0, p).report
+            }),
+            traced(format!("hash_group_sum p={p}"), false, || {
+                aggregate::hash_group_sum(&sums, 0, 1, p, 7).report
+            }),
+            traced(format!("combiner_group_sum p={p}"), false, || {
+                aggregate::combiner_group_sum(&sums, 0, 1, p, 7).report
+            }),
+            traced(format!("tree_group_sum p={p}"), false, || {
+                aggregate::tree_group_sum(&sums, 0, 1, p, 2).report
+            }),
+        ];
         for (name, q, rels, tree) in &trees {
             for optimized in [false, true] {
-                let (rec, run) = Recorder::capture(|| gym::gym(q, rels, tree, p, 7, optimized));
-                runs.push((
+                runs.push(traced(
                     format!("gym {name} opt={optimized} p={p}"),
-                    rec,
-                    Some(run.report),
+                    false,
+                    || gym::gym(q, rels, tree, p, 7, optimized).report,
                 ));
             }
         }
-        let (rec, _) = Recorder::capture(|| gym::gym_ghd(&c6, &r6, &blocks, p, 7));
-        runs.push((format!("gym_ghd p={p}"), rec, None));
-        for (name, rec, report) in &runs {
-            let rounds = sent_and_received(rec);
-            for (i, &(sent, received)) in rounds.iter().enumerate() {
-                assert_eq!(sent, received, "{name}: round {i} sent vs received");
+        let mut hub_run = traced(format!("hl_triangle hub p={p}"), p == 8, || {
+            hl::hl_triangle(&hl_r, &hl_s, &hl_t, p, 5).report
+        });
+        // At p = 8 every S row is heavy, so the light HyperCube has no
+        // round and the heavy group's two rounds are the run's.
+        hub_run.central = if p == 8 { hub_keys.clone() } else { vec![0] };
+        runs.push(hub_run);
+
+        for run in &runs {
+            let name = &run.name;
+            let rounds = sent_and_received(&run.rec);
+            assert!(!rounds.is_empty(), "{name}: no round traced");
+            let central = if run.central.is_empty() {
+                vec![0; rounds.len()]
+            } else {
+                run.central.clone()
+            };
+            assert_eq!(rounds.len(), central.len(), "{name}: traced rounds");
+            for (i, (&(sent, received), &unsent)) in rounds.iter().zip(&central).enumerate() {
+                assert_eq!(
+                    sent + unsent,
+                    received,
+                    "{name}: round {i} sent vs received"
+                );
             }
-            if let Some(report) = report {
+            if let Some(report) = &run.report {
                 let ledger: Vec<u64> = report.rounds.iter().map(|r| r.total_tuples()).collect();
                 let traced: Vec<u64> = rounds.iter().map(|&(_, received)| received).collect();
                 assert_eq!(traced, ledger, "{name}: traced rounds vs ledger");
