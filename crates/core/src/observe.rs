@@ -27,6 +27,8 @@ pub struct Experiment {
     pub name: &'static str,
     /// One-line description shown by `parqp trace` without arguments.
     pub description: &'static str,
+    /// The run on `(servers, seed)`: its ledger and output digest.
+    pub run: fn(usize, u64) -> (LoadReport, u64),
 }
 
 /// Every experiment `parqp trace` knows about.
@@ -34,38 +36,109 @@ pub const EXPERIMENTS: &[Experiment] = &[
     Experiment {
         name: "triangle-hypercube",
         description: "HyperCube triangle join over a random symmetric graph",
+        run: |p, s| {
+            let q = Query::triangle();
+            let g = generate::random_symmetric_graph(120, 900, s);
+            let run = parqp_join::multiway::hypercube(&q, &[g.clone(), g.clone(), g], p, s);
+            (run.report.clone(), digest_relation(&run.gathered()))
+        },
     },
     Experiment {
         name: "twoway-hash",
         description: "two-way hash join of uniform relations",
+        run: |p, s| {
+            // Domain ≫ p² keeps hash-partition imbalance low, so the
+            // measured bound_ratio stays near 1 even at p = 64 (the
+            // metrics invariants pin it to [1.0, 1.5]).
+            let r = generate::uniform(2, 16_000, 8000, s);
+            let t = generate::uniform(2, 16_000, 8000, s.wrapping_add(1));
+            let run = parqp_join::twoway::hash_join(&r, 1, &t, 0, p, s);
+            (run.report.clone(), digest_relation(&run.gathered()))
+        },
     },
     Experiment {
         name: "twoway-skew",
         description: "skew join of a zipf-skewed relation against a uniform one",
+        run: |p, s| {
+            let r = generate::zipf_pairs(4000, 1000, 1.2, 0, s);
+            let t = generate::uniform(2, 4000, 1000, s.wrapping_add(1));
+            let run = parqp_join::twoway::skew_join(&r, 0, &t, 0, p, s);
+            (run.report.clone(), digest_relation(&run.gathered()))
+        },
     },
     Experiment {
         name: "chain-binary",
         description: "3-atom chain query via the binary join plan (multi-round)",
+        run: |p, s| {
+            let q = Query::chain(3);
+            let rels: Vec<_> = (0..3)
+                .map(|i| generate::uniform(2, 800, 120, s.wrapping_add(i)))
+                .collect();
+            let run = parqp_join::plans::binary_join_plan(&q, &rels, p, s, None);
+            (run.report.clone(), digest_relation(&run.gathered()))
+        },
     },
     Experiment {
         name: "skewhc-triangle",
         description: "SkewHC triangle join over zipf-skewed edges",
+        run: |p, s| {
+            let q = Query::triangle();
+            let rels: Vec<_> = (0..3)
+                .map(|i| generate::zipf_pairs(1500, 400, 1.1, 0, s.wrapping_add(i)))
+                .collect();
+            let run = parqp_join::skewhc::skewhc(&q, &rels, p, s);
+            (run.report.clone(), digest_relation(&run.gathered()))
+        },
     },
     Experiment {
         name: "psrs",
         description: "2-round parallel sorting by regular sampling",
+        run: |p, s| {
+            let keys = sort_input(20_000, s);
+            let mut cluster = parqp_mpc::Cluster::new(p);
+            let local = cluster.scatter(keys);
+            let sorted = parqp_sort::psrs(&mut cluster, local);
+            (cluster.report(), digest_keys(&sorted))
+        },
     },
     Experiment {
         name: "multiround-sort",
         description: "splitter-tree distribution sort, fan-out 4",
+        run: |p, s| {
+            let keys = sort_input(20_000, s);
+            let mut cluster = parqp_mpc::Cluster::new(p);
+            let local = cluster.scatter(keys);
+            let sorted = parqp_sort::multiround_sort(&mut cluster, local, 4);
+            (cluster.report(), digest_keys(&sorted))
+        },
     },
     Experiment {
         name: "matmul-square",
         description: "multi-round square-block matrix multiplication",
+        run: |p, s| {
+            // n = 144 (36×36 blocks at H = 4) makes the block products
+            // compute-bound — Θ(n³) multiplies against Θ(n²·H) words on
+            // the wire — so this is the experiment where the parallel
+            // execution backend's speedup is measured.
+            let a = parqp_matmul::Matrix::random(144, s);
+            let b = parqp_matmul::Matrix::random(144, s.wrapping_add(1));
+            let run = parqp_matmul::square_block(&a, &b, 4, p);
+            (run.report.clone(), digest_matrix(&run.c))
+        },
     },
     Experiment {
         name: "bigjoin",
         description: "large two-way hash join (IN = 320k) sized for out-of-core paging",
+        run: |p, s| {
+            // 10× twoway-hash's input (IN = 320k tuples): under a
+            // default-size pool the partition scans cycle far more
+            // pages than fit resident, so this is the experiment where
+            // bounded-pool evictions are exercised at realistic scale.
+            let r = generate::uniform(2, 160_000, 80_000, s);
+            let t = generate::uniform(2, 160_000, 80_000, s.wrapping_add(1));
+            let run = parqp_join::twoway::hash_join(&r, 1, &t, 0, p, s);
+            (run.report.clone(), digest_relation(&run.gathered()))
+        },
     },
 ];
 
@@ -87,87 +160,14 @@ pub struct ExperimentRun {
 /// names (with the known ones listed).
 pub fn run_experiment_full(name: &str, servers: usize, seed: u64) -> Result<ExperimentRun, String> {
     assert!(servers >= 1, "need at least one server");
-    let run: fn(usize, u64) -> (LoadReport, u64) = match name {
-        "triangle-hypercube" => |p, s| {
-            let q = Query::triangle();
-            let g = generate::random_symmetric_graph(120, 900, s);
-            let run = parqp_join::multiway::hypercube(&q, &[g.clone(), g.clone(), g], p, s);
-            (run.report.clone(), digest_relation(&run.gathered()))
-        },
-        "twoway-hash" => |p, s| {
-            // Domain ≫ p² keeps hash-partition imbalance low, so the
-            // measured bound_ratio stays near 1 even at p = 64 (the
-            // metrics invariants pin it to [1.0, 1.5]).
-            let r = generate::uniform(2, 16_000, 8000, s);
-            let t = generate::uniform(2, 16_000, 8000, s.wrapping_add(1));
-            let run = parqp_join::twoway::hash_join(&r, 1, &t, 0, p, s);
-            (run.report.clone(), digest_relation(&run.gathered()))
-        },
-        "twoway-skew" => |p, s| {
-            let r = generate::zipf_pairs(4000, 1000, 1.2, 0, s);
-            let t = generate::uniform(2, 4000, 1000, s.wrapping_add(1));
-            let run = parqp_join::twoway::skew_join(&r, 0, &t, 0, p, s);
-            (run.report.clone(), digest_relation(&run.gathered()))
-        },
-        "chain-binary" => |p, s| {
-            let q = Query::chain(3);
-            let rels: Vec<_> = (0..3)
-                .map(|i| generate::uniform(2, 800, 120, s.wrapping_add(i)))
-                .collect();
-            let run = parqp_join::plans::binary_join_plan(&q, &rels, p, s, None);
-            (run.report.clone(), digest_relation(&run.gathered()))
-        },
-        "skewhc-triangle" => |p, s| {
-            let q = Query::triangle();
-            let rels: Vec<_> = (0..3)
-                .map(|i| generate::zipf_pairs(1500, 400, 1.1, 0, s.wrapping_add(i)))
-                .collect();
-            let run = parqp_join::skewhc::skewhc(&q, &rels, p, s);
-            (run.report.clone(), digest_relation(&run.gathered()))
-        },
-        "psrs" => |p, s| {
-            let keys = sort_input(20_000, s);
-            let mut cluster = parqp_mpc::Cluster::new(p);
-            let local = cluster.scatter(keys);
-            let sorted = parqp_sort::psrs(&mut cluster, local);
-            (cluster.report(), digest_keys(&sorted))
-        },
-        "multiround-sort" => |p, s| {
-            let keys = sort_input(20_000, s);
-            let mut cluster = parqp_mpc::Cluster::new(p);
-            let local = cluster.scatter(keys);
-            let sorted = parqp_sort::multiround_sort(&mut cluster, local, 4);
-            (cluster.report(), digest_keys(&sorted))
-        },
-        "matmul-square" => |p, s| {
-            // n = 144 (36×36 blocks at H = 4) makes the block products
-            // compute-bound — Θ(n³) multiplies against Θ(n²·H) words on
-            // the wire — so this is the experiment where the parallel
-            // execution backend's speedup is measured.
-            let a = parqp_matmul::Matrix::random(144, s);
-            let b = parqp_matmul::Matrix::random(144, s.wrapping_add(1));
-            let run = parqp_matmul::square_block(&a, &b, 4, p);
-            (run.report.clone(), digest_matrix(&run.c))
-        },
-        "bigjoin" => |p, s| {
-            // 10× twoway-hash's input (IN = 320k tuples): under a
-            // default-size pool the partition scans cycle far more
-            // pages than fit resident, so this is the experiment where
-            // bounded-pool evictions are exercised at realistic scale.
-            let r = generate::uniform(2, 160_000, 80_000, s);
-            let t = generate::uniform(2, 160_000, 80_000, s.wrapping_add(1));
-            let run = parqp_join::twoway::hash_join(&r, 1, &t, 0, p, s);
-            (run.report.clone(), digest_relation(&run.gathered()))
-        },
-        other => {
-            let known: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
-            return Err(format!(
-                "unknown experiment {other:?}; known: {}",
-                known.join(", ")
-            ));
-        }
+    let Some(e) = EXPERIMENTS.iter().find(|e| e.name == name) else {
+        let known: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
+        return Err(format!(
+            "unknown experiment {name:?}; known: {}",
+            known.join(", ")
+        ));
     };
-    let (recorder, (report, digest)) = Recorder::capture(|| run(servers, seed));
+    let (recorder, (report, digest)) = Recorder::capture(|| (e.run)(servers, seed));
     Ok(ExperimentRun {
         recorder,
         report,

@@ -117,7 +117,8 @@ pub fn run_aggregate(aq: &AggregateQuery, rels: &[Relation], p: usize, seed: u64
     let h = HashFamily::new(seed ^ 0xa66, 1);
     let pn = cluster.p();
     let mut ex = cluster.exchange::<Partial>();
-    for fragment in &join_run.outputs {
+    for (sid, fragment) in join_run.outputs.iter().enumerate() {
+        ex.set_sender(sid);
         let mut local: FastMap<Vec<Value>, u64> = FastMap::default();
         for row in fragment.iter() {
             let key: Vec<Value> = aq.group_by.iter().map(|&v| row[v]).collect();

@@ -19,7 +19,7 @@
 //! composed, and [`run_plan`] executes the choice.
 
 use crate::model;
-use parqp_data::stats::max_degree;
+use parqp_data::stats::{heavy_threshold, max_degree};
 use parqp_data::Relation;
 use parqp_join::{baselines, gym, multiway, plans, skewhc, twoway, JoinRun};
 use parqp_query::{acyclic_output_size, in_variable_order, Ghd, Query, SchemaJoin};
@@ -160,15 +160,13 @@ pub fn decide(query: &Query, stats: &PlanStats, p: usize) -> Decision {
     }
     let input: u64 = stats.sizes.iter().sum();
 
-    // Any heavy hitters (per the paper's |S_j|/p threshold)? A variable
-    // is skewed only if a value repeats beyond threshold; degree-1
-    // "heavy" values from the max(1,…) floor don't count.
+    // Any heavy hitters, at the cut SkewHC splits on?
     let skewed = stats
         .sizes
         .iter()
         .zip(&stats.max_degree)
         .any(|(&size, degrees)| {
-            let threshold = (size / p as u64).max(2);
+            let threshold = heavy_threshold(size, p);
             degrees.iter().any(|&degree| degree >= threshold)
         });
 

@@ -25,6 +25,19 @@ pub fn degree_counts(rel: &Relation, col: usize) -> FastMap<Value, u64> {
     deg
 }
 
+/// The heavy-hitter cut for an atom of `size` tuples on `p` servers:
+/// a value is heavy when its degree reaches `max(size/p, 2)`. The
+/// `size/p` part is slide 47's `N/p`; the floor of 2 is
+/// arXiv:1401.1872's, and keeps a value seen once light, since no
+/// residual query can spread one tuple thinner. Without it every value
+/// of an atom smaller than `2p` would be heavy, and SkewHC would send
+/// every such tuple to its all-heavy plan's single server. The planner
+/// and SkewHC both cut here, so the planner's "heavy hitters exist" is
+/// SkewHC's.
+pub fn heavy_threshold(size: u64, p: usize) -> u64 {
+    (size / p.max(1) as u64).max(2)
+}
+
 /// Values whose degree in column `col` is **at least** `threshold`.
 ///
 /// The paper's definition (slide 29): a heavy hitter is a value occurring

@@ -2,7 +2,8 @@
 //!
 //! Plain HyperCube loads degrade when join values are skewed. SkewHC
 //! fixes this by declaring a value of variable `x` **heavy** when it
-//! occurs ≥ `|S_j|/p` times in some atom `S_j` containing `x` (slide 47),
+//! occurs ≥ `max(|S_j|/p, 2)` times in some atom `S_j` containing `x`
+//! (slide 47; [`heavy_threshold`]),
 //! and running, *in parallel on disjoint server groups*, one residual
 //! query per heavy/light combination of the variables:
 //!
@@ -24,7 +25,7 @@
 
 use crate::common::{inboxes, scatter, JoinRun};
 use parqp_data::paged::RouteScan;
-use parqp_data::stats::degree_counts;
+use parqp_data::stats::{degree_counts, heavy_threshold};
 use parqp_data::{FastSet, Relation, Value};
 use parqp_mpc::{metrics, trace, Cluster, FanOut, Grid, HashFamily};
 use parqp_query::{evaluate, residual, Query};
@@ -207,12 +208,13 @@ pub fn skewhc_with_plans(
 }
 
 /// Per-variable heavy-hitter sets: value `v` of variable `x` is heavy iff
-/// its degree in some atom containing `x` is at least `|S_j|/p`
-/// (slide 47's `N/p` threshold, per atom).
+/// its degree in some atom containing `x` is at least
+/// [`heavy_threshold`]`(|S_j|, p)` = `max(|S_j|/p, 2)` (slide 47's `N/p`
+/// threshold, per atom; the planner cuts at the same place).
 pub fn heavy_values(query: &Query, rels: &[Relation], p: usize) -> Vec<FastSet<Value>> {
     let mut heavy: Vec<FastSet<Value>> = vec![FastSet::default(); query.num_vars()];
     for (j, rel) in rels.iter().enumerate() {
-        let threshold = ((rel.len() / p.max(1)) as u64).max(1);
+        let threshold = heavy_threshold(rel.len() as u64, p);
         for (pos, &v) in query.atoms()[j].vars.iter().enumerate() {
             for (value, deg) in degree_counts(rel, pos) {
                 if deg >= threshold {
@@ -328,5 +330,29 @@ mod tests {
         // Variable y (=1): value 5 occurs 32 ≥ 96/8 times in R's column y.
         assert!(heavy[1].contains(&5));
         assert_eq!(heavy[1].len(), 1);
+    }
+
+    #[test]
+    fn heavy_cut_matches_the_planner_below_two_p() {
+        // 40 rows per atom on 64 servers: |S_j|/p is 0, so only the
+        // floor of 2 separates heavy from light. Value 5 appears twice
+        // in each atom's first column; every other value once.
+        let (q, n, p) = (Query::triangle(), 40, 64);
+        let rels: Vec<Relation> = (0..3)
+            .map(|i| {
+                let mut r = generate::uniform(2, n - 2, 1 << 30, 11 + i);
+                r.push(&[5, 6]);
+                r.push(&[5, 7]);
+                r
+            })
+            .collect();
+        for (v, heavy) in heavy_values(&q, &rels, p).iter().enumerate() {
+            assert_eq!(heavy.iter().copied().collect::<Vec<_>>(), vec![5], "x{v}");
+        }
+        // Were every value heavy, every tuple would go to the
+        // all-heavy plan's one server (L = 3n = 120).
+        let run = skewhc(&q, &rels, p, 3);
+        assert_eq!(run.gathered().canonical(), oracle(&q, &rels).canonical());
+        assert_eq!(run.report.max_load_tuples(), 33);
     }
 }

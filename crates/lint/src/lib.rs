@@ -5,15 +5,24 @@
 //! bounds like the HyperCube `IN/p^{1/τ*}` check in
 //! `tests/hypercube_load_bounds.rs` are only meaningful if (a) runs are
 //! bit-reproducible and (b) every message an algorithm sends is charged
-//! through `parqp_mpc::Cluster::exchange`. This crate enforces those
-//! invariants lexically, with zero dependencies, so the check runs in CI
-//! before anything is even compiled:
+//! through `parqp_mpc::Cluster::exchange`.
 //!
-//! - **determinism** (`PQ001`–`PQ004`, [`rules`]) — no seed-dependent
-//!   hash containers, wall-clock reads, or threads in production code;
-//! - **layering** (`PQ101`–`PQ104`, [`rules`], [`manifest`]) — the crate
-//!   DAG matches DESIGN.md, `parqp-testkit` stays dev-only outside the
-//!   RNG whitelist, and only `parqp-mpc` constructs accounting;
+//! Each of those invariants has one enforcer, the strongest available.
+//! The compiler enforces the ledger: `LoadReport` and `RoundStats` are
+//! `#[non_exhaustive]` and only a finished exchange records a round.
+//! Clippy enforces the determinism type and method bans (`HashMap`,
+//! `HashSet`, `RandomState`, `DefaultHasher`, `SystemTime`,
+//! `Instant::now`, `thread::spawn`) by resolved path, through the
+//! workspace `clippy.toml`. This crate keeps only the rules neither can
+//! express, lexically and with zero dependencies:
+//!
+//! - **determinism** (`PQ004`, [`rules`]) — no `std::thread` outside the
+//!   sanctioned worker pool: clippy can ban a function, not a module path;
+//! - **layering** (`PQ101`/`PQ102`, [`manifest`]; `PQ103`, `PQ109`,
+//!   `PQ112`, [`rules`]) — the crate DAG matches DESIGN.md,
+//!   `parqp-testkit` stays dev-only outside the RNG whitelist, and the
+//!   crate- or file-scoped bans on OS side channels, page-IO
+//!   fabrication and new thread-local runtimes hold;
 //! - **panic ratchet** (`PQ201`, [`ratchet`]) — the per-crate count of
 //!   `.unwrap()`/`.expect(`/`panic!`/index sites never grows past the
 //!   committed `lint/baseline.toml`;
@@ -21,7 +30,8 @@
 //!   dependency resolves inside the repo, and `rand`/`proptest`/
 //!   `criterion` never return;
 //! - **dead suppressions** (`PQ408`, [`lint_files`]) — an `allow(...)`
-//!   that suppresses nothing is itself a finding.
+//!   that suppresses nothing is itself a finding; `PQ000` flags a
+//!   malformed rule ID in one.
 //!
 //! Run it with `cargo run -p parqp-lint`; suppress a finding with an
 //! inline `// parqp-lint: allow(PQxxx)` comment (same line, or a lone
@@ -41,7 +51,7 @@ use ratchet::{Baseline, PanicCounts};
 /// One finding, with a machine-readable rule ID and a clickable location.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// Rule ID, e.g. `"PQ001"`.
+    /// Rule ID, e.g. `"PQ103"`.
     pub rule: &'static str,
     /// Workspace-relative path.
     pub path: String,
@@ -430,14 +440,14 @@ mod tests {
     #[test]
     fn diagnostic_display_with_and_without_line() {
         let d = Diagnostic {
-            rule: "PQ001",
+            rule: "PQ103",
             path: "crates/mpc/src/hash.rs".into(),
             line: 141,
             message: "msg".into(),
         };
-        assert_eq!(d.to_string(), "PQ001 crates/mpc/src/hash.rs:141: msg");
+        assert_eq!(d.to_string(), "PQ103 crates/mpc/src/hash.rs:141: msg");
         let d0 = Diagnostic { line: 0, ..d };
-        assert_eq!(d0.to_string(), "PQ001 crates/mpc/src/hash.rs: msg");
+        assert_eq!(d0.to_string(), "PQ103 crates/mpc/src/hash.rs: msg");
     }
 
     #[test]

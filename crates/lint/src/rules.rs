@@ -7,28 +7,35 @@
 //! rules). See `DESIGN.md` § "Static analysis & determinism invariants"
 //! for the rationale of each rule.
 //!
+//! Each invariant has one enforcer, the strongest available, and the
+//! rules here are the ones neither the type system nor clippy can
+//! state. Seeded hash containers, process-random hashers and wall-clock
+//! reads are banned by resolved path in the workspace `clippy.toml`,
+//! on every target (tests included). Only `parqp-mpc` can build a
+//! `RoundStats` or `LoadReport`, because both are `#[non_exhaustive]`
+//! and a round enters the ledger only when an exchange finishes. What
+//! is left is crate- or file-scoped:
+//!
 //! | ID    | family      | what it forbids (non-test code)                         |
 //! |-------|-------------|---------------------------------------------------------|
 //! | PQ000 | meta        | malformed rule ID inside an `allow(...)` annotation     |
-//! | PQ001 | determinism | std `HashMap`/`HashSet` (seeded, order-unstable)        |
-//! | PQ002 | determinism | `RandomState` / `DefaultHasher` (per-process seeds)     |
-//! | PQ003 | determinism | `Instant::now` / `SystemTime` (wall clock)              |
 //! | PQ004 | determinism | `thread::spawn` / `std::thread` (scheduling order)      |
+//! |       |             | outside the worker pool; clippy bans the function but   |
+//! |       |             | cannot ban a module path such as `std::thread::scope`   |
 //! | PQ103 | layering    | OS side channels (`std::fs`, `std::io`, `println!`, …)  |
 //! |       |             | in algorithm and simulator crates; `std::sync` there    |
-//! |       |             | and in `data`                                           |
-//! | PQ104 | layering    | constructing accounting types (`RoundStats`, literal    |
-//! |       |             | `LoadReport`, an `Exchange` type) outside `parqp-mpc`   |
+//! |       |             | and in `data` (clippy's lists are workspace-wide)       |
 //! | PQ109 | layering    | raw page access or IO-counter fabrication               |
 //! |       |             | (`touch_page`, `alloc_pages`) outside                   |
 //! |       |             | `parqp-store`/`parqp-data`; draining/rewinding the IO   |
 //! |       |             | ledger (`drain_io`, `reset_io`) outside `parqp-mpc`.    |
 //! |       |             | Algorithm crates touch paging only through              |
-//! |       |             | `parqp_data::paged` scans                               |
+//! |       |             | `parqp_data::paged` scans. Visibility cannot say it:    |
+//! |       |             | the owners call these functions across crate lines      |
 //! | PQ112 | layering    | a `thread_local!` outside the two ambient slots         |
 //! |       |             | (`mpc::context`, `store::runtime`) and `parqp-testkit`: |
 //! |       |             | a new instrument joins the run context instead of       |
-//! |       |             | growing a runtime of its own                            |
+//! |       |             | growing a runtime of its own (a macro, not a path)      |
 //!
 //! Who may *feed* the installed trace sink, metrics registry and fault
 //! clock is not a rule here: those hooks are private to `parqp-mpc`.
@@ -37,7 +44,8 @@
 //!
 //! Manifest-level rules (`PQ101`, `PQ102`, `PQ301`, `PQ302`) live in
 //! [`crate::manifest`]; the panic-surface ratchet (`PQ201`) lives in
-//! [`crate::ratchet`].
+//! [`crate::ratchet`]; dead suppressions (`PQ408`) in
+//! [`crate::lint_files`].
 
 use crate::tokenize::SourceFile;
 use crate::Diagnostic;
@@ -88,54 +96,6 @@ struct TokenRule {
 }
 
 const TOKEN_RULES: &[TokenRule] = &[
-    TokenRule {
-        rule: "PQ001",
-        token: "HashMap",
-        message: "std HashMap iterates in seed-dependent order; use data::FastMap or BTreeMap",
-        scope: None,
-        exempt: &[],
-        exempt_paths: &[],
-    },
-    TokenRule {
-        rule: "PQ001",
-        token: "HashSet",
-        message: "std HashSet iterates in seed-dependent order; use data::FastSet or BTreeSet",
-        scope: None,
-        exempt: &[],
-        exempt_paths: &[],
-    },
-    TokenRule {
-        rule: "PQ002",
-        token: "RandomState",
-        message: "RandomState draws a per-process seed; hashing must be reproducible",
-        scope: None,
-        exempt: &[],
-        exempt_paths: &[],
-    },
-    TokenRule {
-        rule: "PQ002",
-        token: "DefaultHasher",
-        message: "DefaultHasher is RandomState-seeded; use data::FxHasher or mpc::HashFamily",
-        scope: None,
-        exempt: &[],
-        exempt_paths: &[],
-    },
-    TokenRule {
-        rule: "PQ003",
-        token: "Instant::now",
-        message: "wall-clock reads make runs irreproducible; parqp_testkit::bench::time_ns is the one sanctioned clock",
-        scope: None,
-        exempt: &[],
-        exempt_paths: &[],
-    },
-    TokenRule {
-        rule: "PQ003",
-        token: "SystemTime",
-        message: "wall-clock reads make runs irreproducible; derive seeds explicitly instead",
-        scope: None,
-        exempt: &[],
-        exempt_paths: &[],
-    },
     TokenRule {
         rule: "PQ004",
         token: "thread::spawn",
@@ -249,22 +209,6 @@ const TOKEN_RULES: &[TokenRule] = &[
         exempt_paths: &[],
     },
     TokenRule {
-        rule: "PQ104",
-        token: "RoundStats",
-        message: "only parqp-mpc may fabricate round accounting; use Cluster::record_round or a LoadReport combinator",
-        scope: None,
-        exempt: &["mpc"],
-        exempt_paths: &[],
-    },
-    TokenRule {
-        rule: "PQ104",
-        token: "struct Exchange",
-        message: "only parqp-mpc owns the exchange primitive; route communication through Cluster::exchange",
-        scope: None,
-        exempt: &["mpc"],
-        exempt_paths: &[],
-    },
-    TokenRule {
         rule: "PQ109",
         token: "touch_page",
         message: "only parqp-store's pools and parqp-data's paged scans charge page reads; fabricating them elsewhere desyncs the IO ledger from the data actually scanned",
@@ -367,26 +311,6 @@ pub fn lint_source_tracked(crate_name: &str, path: &str, file: &SourceFile) -> S
                 }
             }
         }
-        // PQ104 second form: a `LoadReport { … }` struct literal. The
-        // token alone is legal everywhere (it is the public result type);
-        // only *construction* outside mpc fabricates accounting. A `{`
-        // directly after the token in a non-return-type position is a
-        // struct literal.
-        if crate_name != "mpc" && find_struct_literal(&line.code, "LoadReport").is_some() {
-            if line.allows("PQ104") {
-                used_allows.push((line.number, "PQ104"));
-            } else {
-                out.push(Diagnostic {
-                    rule: "PQ104",
-                    path: path.to_string(),
-                    line: line.number,
-                    message: "`LoadReport { … }` literal: only parqp-mpc may fabricate load \
-                              reports; use LoadReport::empty/idle/padded or compose with \
-                              parallel/sequential"
-                        .to_string(),
-                });
-            }
-        }
     }
     SourceLint {
         diagnostics: out,
@@ -423,26 +347,6 @@ pub fn contains_token(code: &str, token: &str) -> bool {
     false
 }
 
-/// Find `Token {` (a struct literal) that is not a function return type
-/// (`-> Token {`). Returns the byte offset of the token.
-fn find_struct_literal(code: &str, token: &str) -> Option<usize> {
-    let bytes = code.as_bytes();
-    let mut start = 0;
-    while let Some(pos) = code[start..].find(token) {
-        let at = start + pos;
-        let end = at + token.len();
-        let before_ok = at == 0 || !is_ident_char(bytes[at - 1]);
-        let rest = code[end..].trim_start();
-        let brace_follows = rest.starts_with('{');
-        let is_return_type = code[..at].trim_end().ends_with("->");
-        if before_ok && brace_follows && !is_return_type {
-            return Some(at);
-        }
-        start = at + 1;
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -456,38 +360,24 @@ mod tests {
     }
 
     #[test]
-    fn hashmap_flagged_with_line() {
-        let v = rules_of("join", "fn f() {}\nuse std::collections::HashMap;\n");
-        assert_eq!(v, vec![("PQ001", 2)]);
-    }
-
-    #[test]
     fn fxhashmap_not_flagged() {
-        assert!(rules_of("join", "use rustc_hash::FxHashMap;\n").is_empty());
+        // Tokens match on identifier boundaries: a banned path inside a
+        // longer name is a different name.
+        let src = "use rustc_hash::FxHashMap;\nuse std::fsevent;\nlet my_thread_local = 1;\n";
+        assert!(rules_of("join", src).is_empty());
+        assert_eq!(rules_of("join", "use std::fs;\n"), vec![("PQ103", 1)]);
     }
 
     #[test]
     fn test_module_exempt() {
-        let src = "#[cfg(test)]\nmod tests {\n    use std::collections::HashMap;\n}\n";
+        let src = "#[cfg(test)]\nmod tests {\n    use std::fs;\n}\n";
         assert!(rules_of("join", src).is_empty());
     }
 
     #[test]
     fn allow_suppresses() {
-        let src = "use std::collections::HashMap; // parqp-lint: allow(PQ001)\n";
+        let src = "use std::thread; // parqp-lint: allow(PQ004)\n";
         assert!(rules_of("data", src).is_empty());
-    }
-
-    #[test]
-    fn wall_clock_flagged_everywhere() {
-        assert_eq!(
-            rules_of("bench", "let t = Instant::now();\n"),
-            vec![("PQ003", 1)]
-        );
-        assert_eq!(
-            rules_of("mpc", "use std::time::SystemTime;\n"),
-            vec![("PQ003", 1)]
-        );
     }
 
     #[test]
@@ -520,16 +410,16 @@ mod tests {
                 "{path} must still be flagged"
             );
         }
-        // The exemption is per-rule: other determinism rules still fire
-        // inside the pool file.
+        // The exemption is per-rule: other rules still fire inside the
+        // pool file.
         let diags = lint_source(
             "testkit",
             "crates/testkit/src/pool.rs",
-            &crate::tokenize::sanitize("let t = Instant::now();\n"),
+            &crate::tokenize::sanitize("store::touch_page(sid, page, rows);\n"),
         );
         assert_eq!(
             diags.iter().map(|d| d.rule).collect::<Vec<_>>(),
-            vec!["PQ003"]
+            vec!["PQ109"]
         );
     }
 
@@ -649,30 +539,8 @@ mod tests {
     }
 
     #[test]
-    fn accounting_construction_flagged_outside_mpc() {
-        assert_eq!(
-            rules_of("join", "let r = RoundStats::zero(p);\n"),
-            vec![("PQ104", 1)]
-        );
-        assert_eq!(
-            rules_of(
-                "join",
-                "let r = LoadReport { servers: p, rounds: vec![] };\n"
-            ),
-            vec![("PQ104", 1)]
-        );
-        assert!(rules_of("mpc", "let r = RoundStats::zero(p);\n").is_empty());
-    }
-
-    #[test]
-    fn load_report_return_type_not_flagged() {
-        assert!(rules_of("join", "fn pad(r: LoadReport, p: usize) -> LoadReport {\n").is_empty());
-        assert!(rules_of("join", "let l: LoadReport = run.report;\n").is_empty());
-    }
-
-    #[test]
     fn mentions_in_comments_and_strings_ignored() {
-        let src = "// HashMap would be wrong here\nlet s = \"std::thread\";\n";
+        let src = "// std::fs would be wrong here\nlet s = \"std::thread\";\n";
         assert!(rules_of("mpc", src).is_empty());
     }
 
@@ -684,7 +552,7 @@ mod tests {
 
     #[test]
     fn valid_rule_ids() {
-        assert!(is_valid_rule_id("PQ001"));
+        assert!(is_valid_rule_id("PQ004"));
         assert!(is_valid_rule_id("PQ301"));
         assert!(!is_valid_rule_id("PQ1"));
         assert!(!is_valid_rule_id("pq001"));

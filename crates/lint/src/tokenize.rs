@@ -280,7 +280,7 @@ fn assemble(raw: Vec<(String, String)>) -> SourceFile {
     SourceFile { lines }
 }
 
-/// Extract rule IDs from a `parqp-lint: allow(PQ001, PQ002)` comment.
+/// Extract rule IDs from a `parqp-lint: allow(PQ004, PQ103)` comment.
 ///
 /// The annotation must be the *start* of the comment (`// parqp-lint: …`),
 /// so that prose which merely mentions the syntax — like this crate's own
@@ -393,18 +393,18 @@ mod tests {
 
     #[test]
     fn allow_same_line() {
-        let f = sanitize("use x::HashMap; // parqp-lint: allow(PQ001)\n");
-        assert!(f.lines[0].allows("PQ001"));
-        assert!(!f.lines[0].allows("PQ002"));
+        let f = sanitize("use x::HashMap; // parqp-lint: allow(PQ004)\n");
+        assert!(f.lines[0].allows("PQ004"));
+        assert!(!f.lines[0].allows("PQ103"));
     }
 
     #[test]
     fn allow_standalone_applies_to_next_line() {
-        let f = sanitize("// parqp-lint: allow(PQ001, PQ003)\nuse x::HashMap;\nuse y::Z;\n");
+        let f = sanitize("// parqp-lint: allow(PQ004, PQ109)\nuse x::HashMap;\nuse y::Z;\n");
         assert!(f.lines[0].code.trim().is_empty());
-        assert!(f.lines[1].allows("PQ001"));
-        assert!(f.lines[1].allows("PQ003"));
-        assert!(!f.lines[2].allows("PQ001"));
+        assert!(f.lines[1].allows("PQ004"));
+        assert!(f.lines[1].allows("PQ109"));
+        assert!(!f.lines[2].allows("PQ004"));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! PQ408 fixture: allow annotations that suppress nothing are
 //! themselves findings; justified, vetted, and malformed ones are not.
 
-use std::collections::BTreeMap; // parqp-lint: allow(PQ001)
+use std::collections::BTreeMap; // parqp-lint: allow(PQ004)
 
 pub fn clean(v: &BTreeMap<u64, u64>) -> u64 {
     v.len() as u64 // parqp-lint: allow(PQ201)

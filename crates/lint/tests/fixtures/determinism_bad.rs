@@ -1,16 +1,13 @@
-//! Fixture: seeded determinism violations (rules PQ001–PQ004).
-
-use std::collections::HashMap;
-use std::collections::hash_map::RandomState;
-
-pub fn lookup() -> HashMap<u64, u64> {
-    HashMap::new()
-}
-
-pub fn stamp() -> std::time::Duration {
-    std::time::Instant::now().elapsed()
-}
+//! Fixture: seeded determinism violations (rule PQ004). The type and
+//! method bans (`HashMap`, `RandomState`, `Instant::now`, …) live in
+//! the workspace `clippy.toml`; a module path is the lexical rule's.
 
 pub fn race() {
     std::thread::spawn(|| {});
+}
+
+pub fn scoped(x: &mut u64) {
+    std::thread::scope(|s| {
+        s.spawn(|| *x += 1);
+    });
 }

@@ -10,17 +10,19 @@ pub fn seen() -> FastSet<u64> {
     FastSet::default()
 }
 
-pub type Legacy = std::collections::HashMap<u64, u64>; // parqp-lint: allow(PQ001)
+pub fn hint() {
+    std::thread::yield_now(); // parqp-lint: allow(PQ004)
+}
 
-// A mention of HashMap in a comment is not a use of HashMap.
-pub const DOC: &str = "prefer FastMap over HashMap";
+// A mention of std::thread in a comment is not a use of std::thread.
+pub const DOC: &str = "prefer Cluster::map over std::thread::spawn";
 
 #[cfg(test)]
 mod tests {
-    use std::collections::HashMap;
+    use std::thread;
 
     #[test]
     fn test_only_usage_is_fine() {
-        let _m: HashMap<u64, u64> = HashMap::new();
+        thread::spawn(|| {}).join().unwrap();
     }
 }

@@ -1,14 +1,12 @@
-//! Fixture: MPC-layering violations in an algorithm crate (PQ103/PQ104).
+//! Fixture: MPC-layering violations in an algorithm crate (PQ103/PQ109).
 
-use parqp_mpc::{LoadReport, RoundStats};
+use parqp_store as store;
 
 pub fn leak() -> String {
     std::fs::read_to_string("/tmp/x").expect("read")
 }
 
-pub fn fabricate(p: usize) -> LoadReport {
-    LoadReport {
-        servers: p,
-        rounds: vec![RoundStats::zero(p)],
-    }
+pub fn fabricate() {
+    let _ = store::drain_io();
+    store::reset_io();
 }

@@ -4,11 +4,11 @@
 
 #[rustfmt::skip]
 pub fn attributed() -> u64 {
-    let banned_in_raw = r#"HashMap::new() // "quoted" not code"#;
+    let banned_in_raw = r#"std::thread::yield_now() // "quoted" not code"#;
     let hashes = br##"nested "#" quote"##;
-    /* block /* nested block */ still a comment: HashMap::new() */
+    /* block /* nested block */ still a comment: std::thread::yield_now() */
     let cont = "line one \
-HashMap continues";
-    let real = std::collections::HashMap::new();
-    real.len() as u64
+std::thread continues";
+    let real = std::thread::current();
+    real.name().map_or(0, str::len) as u64
 }

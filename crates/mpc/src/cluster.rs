@@ -217,57 +217,11 @@ impl Cluster {
         }
     }
 
-    /// Record a round in which server `s` received `tuples[s]` tuples and
-    /// `words[s]` words, without routing actual messages. Used by
-    /// algorithms that account for communication analytically (e.g. when a
-    /// phase's messages are a deterministic permutation).
-    ///
-    /// # Panics
-    /// Panics if either vector's length differs from `p`; use
-    /// [`Cluster::try_record_round`] to handle that case.
-    pub fn record_round(&mut self, tuples: Vec<u64>, words: Vec<u64>) {
-        if let Err(e) = self.try_record_round(tuples, words) {
-            panic!("{e}");
-        }
-    }
-
-    /// Fallible [`Cluster::record_round`].
-    #[must_use = "an Err means the round was NOT recorded"]
-    pub fn try_record_round(&mut self, tuples: Vec<u64>, words: Vec<u64>) -> Result<(), MpcError> {
-        for len in [tuples.len(), words.len()] {
-            if len != self.p {
-                return Err(MpcError::BadArity {
-                    got: len,
-                    expected: self.p,
-                });
-            }
-        }
-        // Analytic rounds have no inboxes; drop/duplicate batch words
-        // are charged proportionally to the batch's share of the
-        // victim's tuples.
-        let planned = plan_faults(self.p, |server, msgs, _| {
-            let eff = msgs.min(tuples[server]);
-            let w = (words[server] * eff)
-                .checked_div(tuples[server])
-                .unwrap_or(0);
-            (eff, w)
-        });
-        self.record_round_internal(
-            Charges {
-                tuples,
-                words,
-                trace: None,
-            },
-            planned,
-        );
-        Ok(())
-    }
-
     /// Record one round — the single point every recorded round flows
     /// through: applies planned fault injections, emits the round's
     /// trace block, pushes the `RoundStats`, then charges recovery to
     /// the ledger per the installed strategy.
-    fn record_round_internal(&mut self, charges: Charges, planned: Vec<PlannedFault>) {
+    fn commit_round(&mut self, charges: Charges, planned: Vec<PlannedFault>) {
         let Charges {
             mut tuples,
             mut words,
@@ -492,8 +446,7 @@ impl Cluster {
 /// One fault scheduled for the round being recorded, with the batch
 /// (tuples, words) its drop/duplicate injection affects — resolved
 /// from real inboxes by [`Exchange::finish`] and
-/// [`RowExchange::finish`], proportionally by
-/// [`Cluster::try_record_round`].
+/// [`RowExchange::finish`].
 #[derive(Debug, Clone, Copy)]
 struct PlannedFault {
     server: usize,
@@ -614,7 +567,7 @@ fn emit_round_events(
 /// What a round in progress has charged so far. Both containers —
 /// [`Exchange`]'s per-message inboxes and [`RowExchange`]'s flat
 /// buffers — charge through this one struct and hand it to
-/// [`Cluster::record_round_internal`], so there is one ledger and one
+/// [`Cluster::commit_round`], so there is one ledger and one
 /// trace path whatever carried the payload.
 #[derive(Debug)]
 struct Charges {
@@ -854,7 +807,7 @@ impl<T: Weight> Exchange<'_, T> {
             };
             (eff as u64, batch.iter().map(Weight::words).sum())
         });
-        cluster.record_round_internal(charges, planned);
+        cluster.commit_round(charges, planned);
         inboxes
     }
 
@@ -1085,14 +1038,8 @@ impl RowExchange<'_> {
             };
             (eff, words)
         });
-        cluster.record_round_internal(charges, planned);
+        cluster.commit_round(charges, planned);
         streams.into_iter().map(|s| s.bufs).collect()
-    }
-
-    /// Deliver all rows **without** recording a round, as
-    /// [`Exchange::finish_untracked`] does.
-    pub fn finish_untracked(self) -> Vec<Vec<Vec<u64>>> {
-        self.streams.into_iter().map(|s| s.bufs).collect()
     }
 }
 
@@ -1365,15 +1312,6 @@ mod tests {
     }
 
     #[test]
-    fn record_round_manual() {
-        let mut c = Cluster::new(2);
-        c.record_round(vec![3, 4], vec![6, 8]);
-        let r = c.report();
-        assert_eq!(r.max_load_tuples(), 4);
-        assert_eq!(r.max_load_words(), 8);
-    }
-
-    #[test]
     #[should_panic(expected = "at least one server")]
     fn zero_servers_rejected() {
         Cluster::new(0);
@@ -1468,26 +1406,6 @@ mod tests {
             drop(ex);
         });
         assert!(rec.is_empty(), "trace must mirror the ledger exactly");
-    }
-
-    #[test]
-    fn traced_record_round_emits_block() {
-        use crate::trace::{Recorder, TraceEvent};
-        let (rec, ()) = Recorder::capture(|| {
-            let mut c = Cluster::new(2);
-            c.record_round(vec![3, 0], vec![6, 0]);
-        });
-        let events: Vec<&TraceEvent> = rec.events().collect();
-        assert_eq!(events.len(), 3);
-        assert_eq!(
-            events[1],
-            &TraceEvent::Recv {
-                round: 0,
-                server: 0,
-                tuples: 3,
-                words: 6
-            }
-        );
     }
 
     #[test]
@@ -1661,21 +1579,6 @@ mod tests {
         }
 
         #[test]
-        fn analytic_rounds_fault_with_proportional_words() {
-            let plan = FaultPlan::new().with_fault(0, 0, FaultKind::Drop { msgs: 2 });
-            let (log, report) = capture(plan, RecoveryStrategy::default(), || {
-                let mut c = Cluster::new(2);
-                c.record_round(vec![4, 1], vec![8, 3]);
-                c.report()
-            });
-            assert_eq!(report.num_rounds(), 2);
-            // 2 of s0's 4 tuples retransmitted at 8 × 2/4 = 4 words.
-            assert_eq!(report.rounds[1].tuples, vec![2, 0]);
-            assert_eq!(report.rounds[1].words, vec![4, 0]);
-            assert_eq!(log.recovery_rounds, 1);
-        }
-
-        #[test]
         fn fault_clock_ignores_untracked_and_recovery_rounds() {
             // A drop at logical round 1 must fire on the *second
             // recorded* round even though an untracked exchange and a
@@ -1785,8 +1688,5 @@ mod tests {
         assert_eq!(inboxes[1], vec![7]);
         // The failed send must not have been charged to the ledger.
         assert_eq!(c.report().total_tuples(), 1);
-
-        assert!(c.try_record_round(vec![1], vec![1, 2]).is_err());
-        assert_eq!(c.report().num_rounds(), 1);
     }
 }

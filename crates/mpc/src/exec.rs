@@ -20,7 +20,7 @@
 //!    are empty, and the serial loop runs
 //!    [detached](crate::context) from both for the duration of the
 //!    phase. A span, an announced bound or a paged read inside a worker
-//!    is inert either way; sends and `record_round` need `&mut Cluster`,
+//!    is inert either way; sends and finished exchanges need `&mut Cluster`,
 //!    which `map(&self)` cannot lend.
 //!
 //! Hence ledgers, trace streams, metrics registries, and output

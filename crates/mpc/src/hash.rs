@@ -138,8 +138,8 @@ mod tests {
     #[test]
     fn splitmix_bijection_smoke() {
         // splitmix64 must not map two nearby values to the same digest.
-        // (BTreeSet, not std HashSet: the determinism lint PQ001 and
-        // clippy's disallowed-types ban seed-dependent containers.)
+        // (BTreeSet, not std HashSet: clippy's disallowed-types ban
+        // seed-dependent containers.)
         let mut seen = std::collections::BTreeSet::new();
         for v in 0..10_000u64 {
             assert!(seen.insert(splitmix64(v)));

@@ -13,7 +13,7 @@
 //! per experiment.
 //!
 //! Everything here is deterministic: no clocks, no randomness, no
-//! iteration over unordered maps (PQ001–PQ003 clean). Wall-clock
+//! iteration over unordered maps (the `clippy.toml` bans). Wall-clock
 //! timing lives in the testkit bench harness, the one sanctioned
 //! `Instant::now` site, and only ever decorates exported JSON — it
 //! never feeds a metric the CI gate compares exactly.

@@ -4,9 +4,37 @@
 //! per-round communication, and number of rounds (slides 12–20). The
 //! cluster records a [`RoundStats`] for every exchange; [`LoadReport`]
 //! summarizes a full run.
+//!
+//! Both types are `#[non_exhaustive]`, so only this crate builds them:
+//! a round enters the ledger when [`Exchange::finish`] or
+//! [`RowExchange::finish`] delivers it (with the recovery rounds a
+//! fault plan appends), and code outside the crate reads the fields
+//! and composes whole reports with [`LoadReport::empty`],
+//! [`LoadReport::idle`], [`LoadReport::padded`], [`LoadReport::folded`],
+//! [`LoadReport::parallel`] and [`LoadReport::sequential`]. A load no
+//! message carried has no way in.
+//!
+//! ```compile_fail
+//! // A report literal outside `parqp-mpc` does not compile …
+//! let r = parqp_mpc::LoadReport { servers: 2, rounds: Vec::new() };
+//! ```
+//!
+//! ```compile_fail
+//! // … nor does a round literal …
+//! let r = parqp_mpc::RoundStats { tuples: vec![1], words: vec![1] };
+//! ```
+//!
+//! ```compile_fail
+//! // … nor an empty round to fill in.
+//! let r = parqp_mpc::RoundStats::zero(2);
+//! ```
+//!
+//! [`Exchange::finish`]: crate::Exchange::finish
+//! [`RowExchange::finish`]: crate::RowExchange::finish
 
 /// Communication received in one round, per server.
 #[derive(Debug, Clone, PartialEq, Eq)]
+#[non_exhaustive]
 pub struct RoundStats {
     /// Tuples (messages) received by each server this round.
     pub tuples: Vec<u64>,
@@ -16,7 +44,7 @@ pub struct RoundStats {
 
 impl RoundStats {
     /// A round in which no server received anything, on `p` servers.
-    pub fn zero(p: usize) -> Self {
+    pub(crate) fn zero(p: usize) -> Self {
         Self {
             tuples: vec![0; p],
             words: vec![0; p],
@@ -46,6 +74,7 @@ impl RoundStats {
 
 /// Summary of a complete MPC run: the quantities the paper's theorems bound.
 #[derive(Debug, Clone, PartialEq, Eq)]
+#[non_exhaustive]
 pub struct LoadReport {
     /// Number of servers `p`.
     pub servers: usize,
@@ -56,9 +85,7 @@ pub struct LoadReport {
 impl LoadReport {
     /// A report of zero rounds on `servers` servers: the cost of an
     /// algorithm that never communicated (e.g. a join with an empty
-    /// input). Algorithm crates must use this (or [`LoadReport::idle`])
-    /// instead of fabricating report literals — constructing accounting
-    /// outside `parqp-mpc` is a layering violation (`parqp-lint` PQ104).
+    /// input).
     #[must_use]
     pub fn empty(servers: usize) -> LoadReport {
         LoadReport {

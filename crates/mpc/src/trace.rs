@@ -10,15 +10,16 @@
 //!
 //! The trace is **fully deterministic**: the only clock is the logical
 //! event sequence number (`seq`), assigned by the [`Recorder`] in
-//! emission order. There is no wall time anywhere (PQ002/PQ003-clean),
-//! so a fixed-seed run produces a byte-identical trace every time.
+//! emission order. There is no wall time anywhere (`clippy.toml` bans
+//! the clock), so a fixed-seed run produces a byte-identical trace
+//! every time.
 //!
 //! ## Layering
 //!
 //! Only [`Cluster`](crate::Cluster) *emits* communication events — the
-//! same accounting monopoly that PQ104 enforces for `LoadReport`
-//! extends to the event stream by visibility: the feeding hook is
-//! private to this crate (see [`crate::context`]). Algorithm crates
+//! same monopoly that keeps `LoadReport` and `RoundStats` buildable only
+//! inside this crate extends to the event stream by visibility: the
+//! feeding hook is private to this crate (see [`crate::context`]). Algorithm crates
 //! may only open [`span`]s, labelling phases like
 //! `"hypercube/shuffle"`. Exporters and analyses consume a borrowed
 //! [`Recorder`], never raw events.

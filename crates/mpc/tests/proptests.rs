@@ -77,12 +77,17 @@ proptest! {
         a_rounds in collection::vec(collection::vec(0u64..50, 2), 0..4),
         b_rounds in collection::vec(collection::vec(0u64..50, 3), 0..4),
     ) {
-        let mk = |rounds: &[Vec<u64>], servers: usize| LoadReport {
-            servers,
-            rounds: rounds
-                .iter()
-                .map(|t| parqp_mpc::RoundStats { tuples: t.clone(), words: t.clone() })
-                .collect(),
+        // Each round delivers `t[s]` one-word messages to server `s`.
+        let mk = |rounds: &[Vec<u64>], servers: usize| {
+            let mut c = Cluster::new(servers);
+            for t in rounds {
+                let mut ex = c.exchange::<u64>();
+                for (dest, &n) in t.iter().enumerate() {
+                    ex.send_all(dest, 0..n);
+                }
+                ex.finish();
+            }
+            c.report()
         };
         let a = mk(&a_rounds, 2);
         let b = mk(&b_rounds, 3);

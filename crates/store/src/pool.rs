@@ -6,7 +6,8 @@
 //! forward clearing reference bits until it finds an unreferenced frame
 //! to evict. Ties never arise — the hand visits frames in index order —
 //! so the eviction sequence is a pure function of the touch sequence,
-//! which is itself deterministic (PQ001/PQ003: no hashing, no clock).
+//! which is itself deterministic (no hashing, no clock: the
+//! `clippy.toml` bans).
 //!
 //! "IO" here is logical: an evicted page loses only *residency*. The
 //! next touch of it is a counted miss, exactly the signal a real

@@ -1,7 +1,8 @@
 //! The workspace's one wall-clock read.
 //!
 //! The paper prices an algorithm in load and rounds and leaves time
-//! out, so nothing in the library reads a clock (lint rule PQ003).
+//! out, so nothing in the library reads a clock (`clippy.toml` bans
+//! `Instant::now` and `SystemTime` everywhere else).
 //! Time is measured by the `perf` program (`BENCHMARK.json`,
 //! `crates/bench/src/bin/perf/`), which repeats every operation and
 //! reports spread; it and the `kernels` micro-bench take every
@@ -17,6 +18,6 @@ use std::time::Instant;
 #[allow(clippy::disallowed_methods)]
 pub fn time_ns() -> u64 {
     static EPOCH: std::sync::OnceLock<Instant> = std::sync::OnceLock::new();
-    let epoch = *EPOCH.get_or_init(Instant::now); // parqp-lint: allow(PQ003)
+    let epoch = *EPOCH.get_or_init(Instant::now);
     u64::try_from(epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }

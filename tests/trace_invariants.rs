@@ -19,6 +19,7 @@ use parqp::data::generate;
 use parqp::join::{aggregate, baselines, gym, hl, multiway, plans, skewhc, subgraph, twoway};
 use parqp::matmul::{rect_block, square_block, Matrix};
 use parqp::mpc::{Cluster, LoadReport, RoundStats};
+use parqp::pipeline::{self, Agg, AggregateQuery};
 use parqp::query::{Ghd, Query};
 use parqp::trace::{analyze, export, Recorder, TraceEvent};
 use parqp_testkit::Rng;
@@ -31,11 +32,13 @@ fn assert_fold_matches(name: &str, rounds_exact: bool, rounds: &[RoundStats], re
         assert_eq!(rounds, report.rounds, "{name}: folded trace vs ledger");
         return;
     }
-    let traced = LoadReport {
-        servers: report.servers,
-        rounds: rounds.to_vec(),
-    };
-    assert_eq!(cost(&traced), cost(report), "{name}: C and L");
+    let traced = [
+        rounds.iter().map(RoundStats::total_tuples).sum(),
+        rounds.iter().map(RoundStats::total_words).sum(),
+        rounds.iter().map(RoundStats::max_tuples).max().unwrap_or(0),
+        rounds.iter().map(RoundStats::max_words).max().unwrap_or(0),
+    ];
+    assert_eq!(traced, cost(report), "{name}: C and L");
     assert!(
         rounds.len() >= report.num_rounds(),
         "{name}: trace has {} rounds, report merged to {}",
@@ -198,9 +201,10 @@ fn traced(name: String, folded: bool, f: impl FnOnce() -> LoadReport) -> Attribu
 
 #[test]
 fn every_join_attributes_every_tuple_it_sends() {
-    // Every `parqp-join` entry point: in each traced round the `Send`
-    // events account for every tuple received (Σ msgs = tuples), and
-    // the traced rounds are the ledger's wherever it is not folded.
+    // Every `parqp-join` entry point and the join-then-aggregate
+    // pipeline: in each traced round the `Send` events account for
+    // every tuple received (Σ msgs = tuples), and the traced rounds are
+    // the ledger's wherever it is not folded.
     //
     // `hl_triangle`'s heavy groups filter with key lists computed
     // centrally (`S(y, c)`'s ys and `T(c, x)`'s xs for the heavy c),
@@ -276,6 +280,12 @@ fn every_join_attributes_every_tuple_it_sends() {
         .collect();
     let blocks = Ghd::chain_blocks(6, 2);
     let sums = generate::zipf_pairs(600, 80, 1.1, 0, 31);
+    // The planner-chosen join, then the aggregation round over its
+    // distributed output.
+    let count_by_x0 = AggregateQuery::new(Query::chain(2), vec![0], Agg::Count);
+    let agg_rels: Vec<_> = (0..2)
+        .map(|i| generate::uniform(2, 600, 50, 3 + i))
+        .collect();
 
     for p in [3, 8] {
         let mut runs = vec![
@@ -335,6 +345,9 @@ fn every_join_attributes_every_tuple_it_sends() {
             }),
             traced(format!("tree_group_sum p={p}"), false, || {
                 aggregate::tree_group_sum(&sums, 0, 1, p, 2).report
+            }),
+            traced(format!("run_aggregate p={p}"), false, || {
+                pipeline::run_aggregate(&count_by_x0, &agg_rels, p, 7).report
             }),
         ];
         for (name, q, rels, tree) in &trees {
