@@ -25,7 +25,11 @@
 //! * `multiway/triangle_64_fragments` — HyperCube's local phase in
 //!   `triangle_planned`: `evaluate` over each of the 64 servers' atom
 //!   fragments (seed 42, shares 4 × 4 × 4), placed as the shuffle
-//!   places them.
+//!   places them. `multiway/cycle4_*`, `zipf_triangle_*` and
+//!   `agm_triangle_*` are the same local phase on a 4-cycle, on a
+//!   triangle over 40 Zipf values, and on an AGM-tight triangle (every
+//!   atom a full grid). Each row is timed again through `generic_join`,
+//!   the set-semantics Generic Join, as a number to compare against.
 //! * `local_sort/*` — one PSRS server's share of `sort_psrs` (1 M keys
 //!   over 64 servers) ordered by `sort_by_key` (what `psrs_by` runs),
 //!   by `sort_unstable`, and by the radix kernel `sort_words` (what
@@ -50,9 +54,10 @@ use parqp::data::paged::RouteScan;
 use parqp::data::zipf::Zipf;
 use parqp::data::{generate, KeyIndex, KeyTable, Relation};
 use parqp::join::common::{hash_join_rows, hash_partition, joined_arity, route_input, scatter};
+use parqp::lp::plan_shares;
 use parqp::matmul::{gemm_acc, Matrix, View};
 use parqp::mpc::{Cluster, FanOut, Grid, HashFamily, RowExchange};
-use parqp::query::{evaluate, Query};
+use parqp::query::{evaluate, generic_join, Query};
 use parqp::serve::templates::{base_relation, TEMPLATES};
 use parqp::sort::sort_words;
 use parqp_testkit::bench::time_ns;
@@ -187,18 +192,18 @@ fn matmul_kernel() {
     println!("matmul_kernel/multiply_216           {multiply:>10.1} µs");
 }
 
-/// `triangle_planned`'s per-server inputs: its graph (seed 42) in all
-/// three atoms, each row on every server of the 4 × 4 × 4 grid its
-/// variables' hashes pick, in the order the shuffle delivers them.
-fn triangle_fragments() -> Vec<Vec<Relation>> {
-    let (query, seed) = (Query::triangle(), 42);
-    let g = generate::random_symmetric_graph(1500, 20_000, seed);
-    let grid = Grid::new(vec![4, 4, 4]);
+/// HyperCube's per-server inputs for `rels` at p = 64: every row on each
+/// server of the grid at the LP shares that its variables' hashes pick,
+/// in the order the shuffle delivers them.
+fn fragments(query: &Query, rels: &[Relation], seed: u64) -> Vec<Vec<Relation>> {
+    let sizes: Vec<u64> = rels.iter().map(|rel| rel.len() as u64).collect();
+    let grid = Grid::new(plan_shares(&query.hypergraph(), &sizes, 64).shares);
     let h = HashFamily::new(seed, query.num_vars());
-    let mut inboxes = vec![vec![Relation::new(2); query.num_atoms()]; grid.len()];
-    for (j, atom) in query.atoms().iter().enumerate() {
+    let empty: Vec<Relation> = rels.iter().map(|rel| Relation::new(rel.arity())).collect();
+    let mut inboxes = vec![empty; grid.len()];
+    for (j, (atom, rel)) in query.atoms().iter().zip(rels).enumerate() {
         let fan = grid.fan_out(|v| atom.vars.contains(&v));
-        for row in scatter(&g, grid.len()).iter().flat_map(Relation::iter) {
+        for row in scatter(rel, grid.len()).iter().flat_map(Relation::iter) {
             let base: usize = atom
                 .vars
                 .iter()
@@ -213,16 +218,51 @@ fn triangle_fragments() -> Vec<Vec<Relation>> {
     inboxes
 }
 
-fn multiway() {
-    let query = Query::triangle();
-    let fragments = triangle_fragments();
+/// One `multiway/*` row: `evaluate` over every server's fragments, and
+/// (`/generic_join`) the set-semantics Generic Join of `wcoj.rs` over
+/// the same fragments, for comparison only.
+fn multiway_row(name: &str, query: &Query, rels: &[Relation], seed: u64) {
+    let fragments = fragments(query, rels, seed);
+    let mut rows = 0;
+    let us = best_us(|| {
+        rows = fragments
+            .iter()
+            .map(|inbox| evaluate(query, inbox).len())
+            .sum::<usize>();
+        rows
+    });
+    println!("multiway/{name:<27} {us:>10.1} µs  ({rows} rows)");
     let us = best_us(|| {
         fragments
             .iter()
-            .map(|inbox| evaluate(&query, inbox).len())
+            .map(|inbox| generic_join(query, inbox).len())
             .sum::<usize>()
     });
-    println!("multiway/triangle_64_fragments      {us:>10.1} µs");
+    println!("multiway/{name:<27} {us:>10.1} µs  generic_join");
+}
+
+fn multiway() {
+    let triangle = Query::triangle();
+    // `triangle_planned`'s graph (seed 42) in all three atoms; its shares
+    // are 4 × 4 × 4.
+    let g = generate::random_symmetric_graph(1500, 20_000, 42);
+    let rels = [g.clone(), g.clone(), g];
+    multiway_row("triangle_64_fragments", &triangle, &rels, 42);
+    // A sparser graph in all four atoms.
+    let g = generate::random_symmetric_graph(1000, 8000, 42);
+    multiway_row("cycle4_64_fragments", &Query::cycle(4), &vec![g; 4], 42);
+    // The Zipf row of the ROADMAP's triangle table: 40 values, so most
+    // rows have duplicates and every value is a hub.
+    let zipf: Vec<Relation> = (0..3)
+        .map(|i| generate::zipf_pairs(1500, 40, 1.1, 0, 7 + i))
+        .collect();
+    multiway_row("zipf_triangle_64_fragments", &triangle, &zipf, 42);
+    // AGM-tight: each atom the full 80 × 80 grid, so OUT = 80³ = N^{3/2}
+    // and every 2-path closes.
+    let k = 80;
+    let full = Relation::from_rows(2, (0..k * k).map(|i| [i / k, i % k]));
+    let rels = [full.clone(), full.clone(), full];
+    multiway_row("agm_triangle_64_fragments", &triangle, &rels, 42);
 }
 
 fn zipf_and_serve_bases() {

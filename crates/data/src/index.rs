@@ -16,6 +16,14 @@
 //! caller that probes them again later ([`KeyTable::over`]). There is
 //! one probe walk whichever it is.
 //!
+//! **Two ways to probe, one walk.** [`KeyIndex::probe`] is an iterator
+//! over the matching row ids; [`KeyIndex::for_each_match`] calls a
+//! continuation per match instead and hands the probing row back
+//! writable, which is the shape of a nested-loop multiway join (the
+//! continuation is the next atom's loop). Both, and the semijoin and
+//! first-of-key tests, step down a bucket chain through the same private
+//! walk.
+//!
 //! **Order contract.** Rows are linked in *reverse* at build time, so
 //! walking a bucket's chain visits rows in ascending index — insertion
 //! order. A probe therefore yields its matches exactly as a
@@ -62,6 +70,13 @@ pub trait Rows {
     /// The `i`-th row.
     fn row(&self, i: usize) -> &[Value];
 
+    /// Column `c` of the `i`-th row, or `None` if the row has no column
+    /// `c`.
+    #[inline]
+    fn value(&self, i: usize, c: usize) -> Option<Value> {
+        self.row(i).get(c).copied()
+    }
+
     /// Whether there are no rows.
     fn is_empty(&self) -> bool {
         self.len() == 0
@@ -76,6 +91,14 @@ impl Rows for Relation {
     #[inline]
     fn row(&self, i: usize) -> &[Value] {
         Relation::row(self, i)
+    }
+
+    /// One bounds check on the flat storage, not a row slice and then a
+    /// column.
+    #[inline]
+    fn value(&self, i: usize, c: usize) -> Option<Value> {
+        let arity = self.arity();
+        (c < arity).then(|| self.raw().get(i * arity + c).copied())?
     }
 }
 
@@ -127,17 +150,6 @@ impl fmt::Display for IndexError {
 }
 
 impl std::error::Error for IndexError {}
-
-/// A position on one of a [`KeyIndex`]'s bucket chains (see
-/// [`KeyIndex::start`]). The default is the end of every chain.
-#[derive(Debug, Clone, Copy)]
-pub struct Chain(u32);
-
-impl Default for Chain {
-    fn default() -> Self {
-        Chain(NIL)
-    }
-}
 
 /// The owned half of a [`KeyIndex`]: the bucket heads, per-row chain
 /// links and miss filter a build computes, without the rows. Keep it
@@ -307,45 +319,92 @@ impl<'a, R: Rows + ?Sized, T: Borrow<KeyTable>> KeyIndex<'a, R, T> {
         row: &'i [Value],
         cols: &'i [usize],
     ) -> impl Iterator<Item = usize> + 'i {
-        let mut chain = self.start(row, cols);
-        std::iter::from_fn(move || self.advance(&mut chain, row, cols))
+        assert_eq!(cols.len(), self.cols.len(), "probe key width");
+        let mut at = self.head(hash_key(row, cols));
+        std::iter::from_fn(move || {
+            self.walk(&mut at, |i| key_eq(self.rows.row(i), self.cols, row, cols))
+        })
     }
 
-    /// [`KeyIndex::probe`] as a resumable position instead of an
-    /// iterator, for a caller that has to write to the probing row's
-    /// buffer between matches (a pipelined multiway join): the bucket
-    /// chain `row`'s `cols` hash to, to be walked by
-    /// [`KeyIndex::advance`] with the same `row` and `cols` — or the
-    /// empty chain, when the miss filter says no inserted key hashes
-    /// where this one does.
+    /// [`KeyIndex::probe`] as internal iteration: `f(row, i)` for each
+    /// match `i`, in the same order, with `row` handed back writable —
+    /// what a nested-loop join needs, whose inner loops bind the rest of
+    /// the probing row between one match and the next. `f` may write any
+    /// column of `row` but `cols`. One- and two-column keys are read once
+    /// and compared from registers.
     ///
     /// # Panics
     /// Panics if `cols` is not as long as the indexed key.
-    // Always inlined: with the filter test the body outgrew LLVM's
-    // threshold at `evaluate`'s two call sites, which then paid a call
-    // per probe.
+    // Always inlined: the caller's continuation is then compiled into the
+    // chain walk, and a nested-loop join's innermost probe costs one
+    // hash and one filter byte on a miss, with no call.
     #[inline(always)]
-    pub fn start(&self, row: &[Value], cols: &[usize]) -> Chain {
+    pub fn for_each_match(
+        &self,
+        row: &mut [Value],
+        cols: &[usize],
+        mut f: impl FnMut(&mut [Value], usize),
+    ) {
         assert_eq!(cols.len(), self.cols.len(), "probe key width");
+        match (cols, self.cols) {
+            (&[c], &[own]) => self.for_each_fixed([c], [own], row, f),
+            (&[c0, c1], &[own0, own1]) => self.for_each_fixed([c0, c1], [own0, own1], row, f),
+            _ => {
+                let mut at = self.head(hash_key(row, cols));
+                while let Some(i) =
+                    self.walk(&mut at, |i| key_eq(self.rows.row(i), self.cols, row, cols))
+                {
+                    f(row, i);
+                }
+            }
+        }
+    }
+
+    /// [`KeyIndex::for_each_match`] for a key of `W` columns, read once:
+    /// the hash folds and the comparison loops unroll.
+    #[inline(always)]
+    fn for_each_fixed<const W: usize>(
+        &self,
+        cols: [usize; W],
+        own: [usize; W],
+        row: &mut [Value],
+        mut f: impl FnMut(&mut [Value], usize),
+    ) {
+        let key = cols.map(|c| row[c]);
+        // `hash_key`'s fold: the build hashed every key with it.
+        let mut at = self.head(key.iter().fold(0, |h, &v| mix(h, v)));
+        while let Some(i) = self.walk(&mut at, |i| {
+            own.iter()
+                .zip(&key)
+                .all(|(&c, &k)| self.rows.value(i, c) == Some(k))
+        }) {
+            f(row, i);
+        }
+    }
+
+    /// The first row of the bucket chain `hash` picks, or [`NIL`] when
+    /// the miss filter says no inserted key hashes where this one does.
+    #[inline(always)]
+    fn head(&self, hash: u64) -> u32 {
         let table = self.table.borrow();
-        let hash = hash_key(row, cols);
         let b = (hash >> table.shift) as usize;
         let seen = table.seen.get(b).copied().unwrap_or(0);
         if seen & slot_bit(hash, table.shift) == 0 {
-            return Chain::default();
+            return NIL;
         }
-        Chain(table.heads[b])
+        table.heads.get(b).copied().unwrap_or(NIL)
     }
 
-    /// The next indexed row on `chain` whose key equals `row`'s `cols`,
+    /// The one chain walk, under every probe: moves `at` past the next
+    /// row on its chain whose id passes `matches` and returns that id,
     /// or `None` once the chain is exhausted.
-    #[inline]
-    pub fn advance(&self, chain: &mut Chain, row: &[Value], cols: &[usize]) -> Option<usize> {
+    #[inline(always)]
+    fn walk(&self, at: &mut u32, matches: impl Fn(usize) -> bool) -> Option<usize> {
         let next = &self.table.borrow().next;
-        while chain.0 != NIL {
-            let i = chain.0 as usize;
-            chain.0 = next[i];
-            if key_eq(self.rows.row(i), self.cols, row, cols) {
+        while *at != NIL {
+            let i = *at as usize;
+            *at = next.get(i).copied().unwrap_or(NIL);
+            if matches(i) {
                 return Some(i);
             }
         }
@@ -533,6 +592,14 @@ mod tests {
             assert_eq!(ids(&a, &[key]), ids(&b, &[key]));
             assert_eq!(ids(&a, &[key]), ids(&c, &[key]));
         }
+        // A column past the row's end is no value, not the next row's.
+        for i in 0..rel.len() {
+            for col in 0..3 {
+                let want = rel.row(i).get(col).copied();
+                assert_eq!(Rows::value(&rel, i, col), want, "row {i}, column {col}");
+                assert_eq!(Rows::value(owned.as_slice(), i, col), want);
+            }
+        }
     }
 
     /// Row counts on both sides of powers of two, where the bucket count
@@ -617,6 +684,19 @@ mod tests {
                 let got: Vec<usize> = index.probe(probe, &cols).collect();
                 prop_assert_eq!(&got, &want, "cols {:?}, probe {:?}", cols, probe);
                 prop_assert_eq!(index.contains(probe, &cols), !want.is_empty());
+                // Internal iteration, with every column but the key's
+                // overwritten between matches as a nested loop would.
+                let mut row = probe.clone();
+                let mut each = Vec::new();
+                index.for_each_match(&mut row, &cols, |row, i| {
+                    for (c, slot) in row.iter_mut().enumerate() {
+                        if !cols.contains(&c) {
+                            *slot = slot.wrapping_add(i as Value + 1);
+                        }
+                    }
+                    each.push(i);
+                });
+                prop_assert_eq!(&each, &want, "for_each_match, cols {:?}, probe {:?}", cols, probe);
             }
             for i in 0..rel.len() {
                 let first = reference.probe(&rel, &cols, rel.row(i), &cols).first() == Some(&i);
@@ -640,7 +720,7 @@ mod tests {
         let miss = (0..)
             .find(|&k| bucket(k) == bucket(7) && slot(k) != slot(7))
             .expect("other slots of the bucket");
-        assert_eq!(index.start(&[miss], &[0]).0, NIL);
+        assert_eq!(index.head(mix(0, miss)), NIL);
         assert!(!index.contains(&[miss], &[0]));
         assert_eq!(ids(&index, &[7]), vec![0]);
     }

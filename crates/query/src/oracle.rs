@@ -3,11 +3,13 @@
 //!
 //! The evaluators and the counter are exact and single-machine:
 //!
-//! * [`evaluate`] — a binding-table hash join that processes atoms left
+//! * [`evaluate`] — an index nested-loop join that processes atoms left
 //!   to right. Worst-case exponential like any join. It is not only an
 //!   oracle: HyperCube and SkewHC call it on every server for their
-//!   local phase, so it runs on the flat [`KeyIndex`] kernel and a flat
-//!   stride-`k` binding table. The plain `FastMap<Vec<Value>, …>`
+//!   local phase, so it runs on the flat [`KeyIndex`] kernel, one loop
+//!   per atom, each loop a [`KeyIndex::for_each_match`] probe whose
+//!   continuation is the next atom's loop, all writing one binding row
+//!   in place. The plain `FastMap<Vec<Value>, …>`
 //!   version it replaced lives on as this file's `#[cfg(test)]`
 //!   `reference` module, and a differential property test holds the two
 //!   to the same output rows in the same order.
@@ -32,7 +34,6 @@
 use crate::ghd::Ghd;
 use crate::query::{Query, Var};
 use crate::schema::{in_variable_order, SchemaJoin};
-use parqp_data::index::Chain;
 use parqp_data::{KeyIndex, Relation, Value};
 
 /// Evaluate `q` over `rels` (one relation per atom, positionally).
@@ -71,22 +72,11 @@ pub fn evaluate(q: &Query, rels: &[Relation]) -> Relation {
         })
         .collect();
 
-    /// One level of the nested loop: an atom's relation indexed on its
-    /// key, and how far the current probe has walked.
-    struct Step<'a> {
-        rel: &'a Relation,
-        index: KeyIndex<'a, Relation>,
-        chain: Chain,
-        key_vars: &'a [Var],
-        fresh: &'a [(usize, Var)],
-    }
-    let mut steps: Vec<Step<'_>> = plans
+    let steps: Vec<Step<'_>> = plans
         .iter()
         .zip(atoms)
         .map(|((key_cols, key_vars, fresh), (_, rel))| Step {
-            rel,
             index: KeyIndex::build(rel, key_cols),
-            chain: Chain::default(),
             key_vars,
             fresh,
         })
@@ -94,43 +84,55 @@ pub fn evaluate(q: &Query, rels: &[Relation]) -> Relation {
 
     // Nested-loop order — first atom's rows outermost, each later atom's
     // matches in its own row order — without materialising a level: one
-    // binding row `cur`, indexed by variable, and one chain position per
-    // step. A value written at a deeper step is stale after backtracking
-    // but is rewritten before anything reads it.
+    // binding row `cur`, indexed by variable, written in place as the
+    // loops descend. A value written at a deeper step is stale after
+    // backtracking but is rewritten before anything reads it.
     let mut cur: Vec<Value> = vec![0; q.num_vars()];
     for row in first_rel.iter() {
         for (&v, &x) in first.vars.iter().zip(row) {
             cur[v] = x;
         }
-        let Some(top) = steps.first_mut() else {
-            out.push(&cur);
-            continue;
-        };
-        top.chain = top.index.start(&cur, top.key_vars);
-        let mut depth = 0;
-        loop {
-            let step = &mut steps[depth];
-            let Some(i) = step.index.advance(&mut step.chain, &cur, step.key_vars) else {
-                if depth == 0 {
-                    break;
-                }
-                depth -= 1;
-                continue;
-            };
-            let matched = step.rel.row(i);
-            for &(pos, v) in step.fresh {
-                cur[v] = matched[pos];
-            }
-            match steps.get_mut(depth + 1) {
-                Some(deeper) => {
-                    deeper.chain = deeper.index.start(&cur, deeper.key_vars);
-                    depth += 1;
-                }
-                None => out.push(&cur),
-            }
-        }
+        walk(&steps, &mut cur, &mut out);
     }
     out
+}
+
+/// One level of [`evaluate`]'s nested loop: an atom's relation indexed
+/// on the columns an earlier atom binds, those variables, and the
+/// (column, variable) pairs the atom binds itself.
+struct Step<'a> {
+    index: KeyIndex<'a, Relation>,
+    key_vars: &'a [Var],
+    fresh: &'a [(usize, Var)],
+}
+
+impl Step<'_> {
+    /// `f(cur)` once per row of this atom that agrees with `cur` on the
+    /// key, in row order, with that row's fresh variables bound.
+    #[inline(always)]
+    fn each(&self, cur: &mut [Value], mut f: impl FnMut(&mut [Value])) {
+        let rel = self.index.rows();
+        self.index.for_each_match(cur, self.key_vars, |cur, i| {
+            let matched = rel.row(i);
+            for &(pos, v) in self.fresh {
+                cur[v] = matched[pos];
+            }
+            f(cur);
+        });
+    }
+}
+
+/// The loops of `steps` under the binding `cur`, each full binding
+/// pushed to `out`. The last step runs inside its parent's loop rather
+/// than through a call, so the closing probe — the triangle's `T(z, x)`,
+/// almost always a miss — costs a hash and a filter byte.
+fn walk(steps: &[Step<'_>], cur: &mut [Value], out: &mut Relation) {
+    match steps {
+        [] => out.push(cur),
+        [last] => last.each(cur, |cur| out.push(cur)),
+        [step, last] => step.each(cur, |cur| last.each(cur, |cur| out.push(cur))),
+        [step, rest @ ..] => step.each(cur, |cur| walk(rest, cur, out)),
+    }
 }
 
 /// The Yannakakis algorithm over a width-1 GHD whose bags each carry
@@ -788,6 +790,71 @@ mod differential {
         let forest_tree = Ghd::join_tree(&forest).expect("acyclic");
         let unary = vec![Relation::from_rows(1, vec![[7u64]; 4096]); 6];
         assert_eq!(acyclic_output_size(&forest, &unary, &forest_tree), u64::MAX);
+    }
+
+    /// The property above draws relations of at most 48 rows, so every
+    /// table it probes has at most 64 buckets. These cases are 300–3,000
+    /// rows a relation: tables of up to 4,096 buckets, chains made long by
+    /// duplicate rows and Zipf hubs, and miss-filter slots set by other
+    /// keys, so a set slot still ends in a chain that holds no match.
+    #[test]
+    fn evaluate_at_index_sizes_is_the_reference_row_for_row() {
+        use parqp_data::generate::{random_symmetric_graph, uniform, zipf_pairs};
+        // Every seventh row again, at the end.
+        let with_duplicates = |mut rel: Relation| {
+            let copies: Vec<Vec<Value>> = rel.iter().step_by(7).map(<[Value]>::to_vec).collect();
+            for row in &copies {
+                rel.push(row);
+            }
+            rel
+        };
+        let mut cases: Vec<(&str, Query, Vec<Relation>)> = Vec::new();
+        for seed in [1, 2] {
+            let g = random_symmetric_graph(300, 3000, seed);
+            cases.push(("triangle", Query::triangle(), vec![g.clone(), g.clone(), g]));
+        }
+        let rels = (0..4).map(|i| uniform(2, 800, 120, 30 + i)).collect();
+        cases.push(("4-cycle", Query::cycle(4), rels));
+        let rels = (0..3)
+            .map(|i| with_duplicates(zipf_pairs(600, 300, 1.1, 0, 40 + i)))
+            .collect();
+        cases.push(("Zipf 3-chain with duplicates", Query::chain(3), rels));
+        // The second atom is probed on all three of its columns.
+        let composite = Query::new(
+            3,
+            vec![Atom::new("R", vec![0, 1, 2]), Atom::new("S", vec![2, 0, 1])],
+        );
+        let rels = vec![uniform(3, 2000, 6, 50), uniform(3, 2000, 6, 51)];
+        cases.push(("3-column key", composite, rels));
+        // The middle atom shares no variable: its step scans every row.
+        let product = Query::new(
+            4,
+            vec![
+                Atom::new("R", vec![0, 1]),
+                Atom::new("T", vec![3]),
+                Atom::new("S", vec![1, 2]),
+            ],
+        );
+        let rels = vec![
+            uniform(2, 500, 1000, 60),
+            uniform(1, 300, 1 << 40, 61),
+            uniform(2, 300, 1000, 62),
+        ];
+        cases.push(("product step", product, rels));
+        let g = random_symmetric_graph(300, 3000, 3);
+        let rels = vec![g.clone(), Relation::new(2), g];
+        cases.push(("empty middle atom", Query::triangle(), rels));
+
+        for (name, q, rels) in cases {
+            let ours = evaluate(&q, &rels);
+            let theirs = reference::evaluate(&q, &rels);
+            assert_eq!(ours.arity(), theirs.arity(), "{name}");
+            assert_eq!(ours.raw(), theirs.raw(), "{name}");
+            assert!(
+                !ours.is_empty() || name == "empty middle atom",
+                "{name} joins nothing"
+            );
+        }
     }
 
     /// The shapes the generator only hits by chance, pinned.

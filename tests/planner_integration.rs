@@ -161,11 +161,49 @@ fn hypercube_speedup_curve_shape() {
     }
 }
 
+/// Through the front door, a long cycle returns `evaluate`'s bag, not
+/// its set: the planner must not hand atoms that repeat a row to the
+/// set-semantics expansion join.
+#[test]
+fn long_cycles_with_duplicate_rows_return_the_bag() {
+    for n in [7, 8] {
+        let q = Query::cycle(n);
+        let rels: Vec<Relation> = (0..n)
+            .map(|i| {
+                let mut rel = generate::uniform(2, 400, 300, 5 + i as u64);
+                rel.push(&[1, 1]);
+                rel.push(&[1, 1]);
+                rel
+            })
+            .collect();
+        let mut expect = parqp::query::evaluate(&q, &rels).to_rows();
+        expect.sort_unstable();
+        assert!(
+            expect.len()
+                > expect
+                    .iter()
+                    .collect::<std::collections::BTreeSet<_>>()
+                    .len()
+        );
+        for p in [8, 27] {
+            let (d, run) = plan_and_run(&q, &rels, p, 3);
+            let mut got = run.gathered().to_rows();
+            got.sort_unstable();
+            let picked = format!("cycle({n}) at p = {p}, {:?}", d.strategy);
+            assert_eq!(got.len(), expect.len(), "{picked}");
+            assert_eq!(got, expect, "{picked}");
+            assert_eq!(d.strategy, Strategy::BinaryPlan, "{picked}: {}", d.reason);
+        }
+    }
+}
+
 /// `planner::plan` as it was while it planned by joining, body
-/// unchanged: OUT is `yannakakis_serial(..).len()`, `skewed` also asks
-/// `heavy_values`, and the join tree and τ* are computed twice. Kept as
-/// the executable statement of what `decide(collect(..))` must return —
-/// strategy and reason.
+/// unchanged but for one rule added since — a long cycle whose atoms
+/// repeat a row is not sent to the set-semantics expansion join: OUT is
+/// `yannakakis_serial(..).len()`, `skewed` also asks `heavy_values`, and
+/// the join tree and τ* are computed twice. Kept as the executable
+/// statement of what `decide(collect(..))` must return — strategy and
+/// reason.
 mod reference {
     use parqp::join::skewhc;
     use parqp::model;
@@ -269,6 +307,16 @@ mod reference {
             // (the BiGJoin family, slide 97); otherwise fall back to plain
             // binary join plans.
             if query.atoms().iter().all(|a| a.arity() == 2) {
+                if rels.iter().any(|rel| rel.canonical().len() < rel.len()) {
+                    return Decision {
+                        strategy: Strategy::BinaryPlan,
+                        reason: format!(
+                            "cyclic subgraph query with τ* = {tau:.1}: one-round replication \
+                             is hopeless (slide 62), and an atom repeats a row, which the \
+                             set-semantics expansion join would drop: iterate binary joins"
+                        ),
+                    };
+                }
                 return Decision {
                     strategy: Strategy::ExpansionJoin,
                     reason: format!(
