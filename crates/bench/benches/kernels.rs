@@ -28,8 +28,7 @@
 //!   places them. `multiway/cycle4_*`, `zipf_triangle_*` and
 //!   `agm_triangle_*` are the same local phase on a 4-cycle, on a
 //!   triangle over 40 Zipf values, and on an AGM-tight triangle (every
-//!   atom a full grid). Each row is timed again through `generic_join`,
-//!   the set-semantics Generic Join, as a number to compare against.
+//!   atom a full grid).
 //! * `local_sort/*` — one PSRS server's share of `sort_psrs` (1 M keys
 //!   over 64 servers) ordered by `sort_by_key` (what `psrs_by` runs),
 //!   by `sort_unstable`, and by the radix kernel `sort_words` (what
@@ -57,7 +56,7 @@ use parqp::join::common::{hash_join_rows, hash_partition, joined_arity, route_in
 use parqp::lp::plan_shares;
 use parqp::matmul::{gemm_acc, Matrix, View};
 use parqp::mpc::{Cluster, FanOut, Grid, HashFamily, RowExchange};
-use parqp::query::{evaluate, generic_join, Query};
+use parqp::query::{evaluate, Query};
 use parqp::serve::templates::{base_relation, TEMPLATES};
 use parqp::sort::sort_words;
 use parqp_testkit::bench::time_ns;
@@ -218,9 +217,7 @@ fn fragments(query: &Query, rels: &[Relation], seed: u64) -> Vec<Vec<Relation>> 
     inboxes
 }
 
-/// One `multiway/*` row: `evaluate` over every server's fragments, and
-/// (`/generic_join`) the set-semantics Generic Join of `wcoj.rs` over
-/// the same fragments, for comparison only.
+/// One `multiway/*` row: `evaluate` over every server's fragments.
 fn multiway_row(name: &str, query: &Query, rels: &[Relation], seed: u64) {
     let fragments = fragments(query, rels, seed);
     let mut rows = 0;
@@ -232,13 +229,6 @@ fn multiway_row(name: &str, query: &Query, rels: &[Relation], seed: u64) {
         rows
     });
     println!("multiway/{name:<27} {us:>10.1} µs  ({rows} rows)");
-    let us = best_us(|| {
-        fragments
-            .iter()
-            .map(|inbox| generic_join(query, inbox).len())
-            .sum::<usize>()
-    });
-    println!("multiway/{name:<27} {us:>10.1} µs  generic_join");
 }
 
 fn multiway() {

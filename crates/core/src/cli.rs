@@ -186,12 +186,17 @@ mod tests {
             );
         }
         // `stats` on the same files: one line per column, read off one
-        // degree table each.
-        let stats = dispatch(&argv(&["stats", "--data", two, "--servers", "2"])).expect("stats");
-        assert!(stats.contains(
-            "col 0  : 2 distinct, max degree 3, 1 heavy hitter(s) at threshold 2 (IN/p, p = 2)"
-        ));
-        assert!(stats.contains("col 1  : 4 distinct, max degree 1, 0 heavy hitter(s)"));
+        // degree table each, heavy at the planner's and SkewHC's cut —
+        // at p = 4 too, where IN/p = 1 would call every value heavy.
+        for servers in ["2", "4"] {
+            let stats =
+                dispatch(&argv(&["stats", "--data", two, "--servers", servers])).expect("stats");
+            assert!(stats.contains(&format!(
+                "col 0  : 2 distinct, max degree 3, 1 heavy hitter(s) at threshold 2 \
+                 (max(IN/p, 2), p = {servers})"
+            )));
+            assert!(stats.contains("col 1  : 4 distinct, max degree 1, 0 heavy hitter(s)"));
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -337,7 +337,8 @@ fn stats(args: &Args) -> Result<String, CliError> {
         rel.len(),
         rel.arity()
     );
-    let threshold = ((rel.len() / servers) as u64).max(1);
+    // The cut the planner and SkewHC split on.
+    let threshold = parqp_data::stats::heavy_threshold(rel.len() as u64, servers);
     for col in 0..rel.arity() {
         let degrees = parqp_data::stats::degree_counts(&rel, col);
         let distinct = degrees.len();
@@ -346,7 +347,7 @@ fn stats(args: &Args) -> Result<String, CliError> {
         let _ = writeln!(
             s,
             "col {col}  : {distinct} distinct, max degree {maxd}, \
-             {heavy} heavy hitter(s) at threshold {threshold} (IN/p, p = {servers})",
+             {heavy} heavy hitter(s) at threshold {threshold} (max(IN/p, 2), p = {servers})",
         );
     }
     Ok(s)

@@ -20,7 +20,7 @@
 
 use crate::model;
 use parqp_data::stats::{heavy_threshold, max_degree};
-use parqp_data::{KeyIndex, Relation};
+use parqp_data::Relation;
 use parqp_join::{baselines, gym, multiway, plans, skewhc, twoway, JoinRun};
 use parqp_query::{acyclic_output_size, in_variable_order, Ghd, Query, SchemaJoin};
 
@@ -45,9 +45,7 @@ pub enum Strategy {
     /// one-round replication would exceed the input).
     BinaryPlan,
     /// BiGJoin-style vertex-at-a-time expansion (cyclic subgraph queries
-    /// with binary atoms, slide 97). Set semantics: duplicate input
-    /// tuples do not multiply outputs, so [`decide`] picks it only when
-    /// no atom repeats a row.
+    /// with binary atoms, slide 97).
     ExpansionJoin,
     /// Everything to one server — only ever "chosen" for `p == 1`.
     SingleServer,
@@ -75,18 +73,11 @@ pub struct PlanStats {
     /// query that is not a two-way join: the only shape whose rule, the
     /// slide 78 crossover, reads it.
     pub acyclic_out: Option<u64>,
-    /// Whether some atom's relation holds a row more than once, for a
-    /// cyclic query of binary atoms at τ* > 3: the only shape whose
-    /// rule reads it, since the expansion join that rule would pick
-    /// returns a set where every other strategy returns the bag.
-    pub duplicate_rows: Option<bool>,
 }
 
 impl PlanStats {
     /// One pass over `rels`: each (atom, column) degree table is built
-    /// once, OUT comes from the `O(IN)` count over the join tree, and a
-    /// long cycle's atoms are each indexed once on every column to look
-    /// for a repeated row.
+    /// once, and OUT comes from the `O(IN)` count over the join tree.
     ///
     /// # Panics
     /// Panics if `rels.len() != query.num_atoms()` or a relation's arity
@@ -102,9 +93,9 @@ impl PlanStats {
             );
         }
         // Two-way joins are decided on sizes and degrees alone.
-        let multiway = query.num_atoms() != 2;
-        let multiway_tree = multiway.then(|| Ghd::join_tree(query)).flatten();
-        let cyclic = multiway && multiway_tree.is_none();
+        let multiway_tree = (query.num_atoms() != 2)
+            .then(|| Ghd::join_tree(query))
+            .flatten();
         Self {
             sizes: rels.iter().map(|rel| rel.len() as u64).collect(),
             max_degree: rels
@@ -116,28 +107,8 @@ impl PlanStats {
                 })
                 .collect(),
             acyclic_out: multiway_tree.map(|tree| acyclic_output_size(query, rels, &tree)),
-            duplicate_rows: (cyclic && long_binary_cycle(query))
-                .then(|| rels.iter().any(has_duplicate_row)),
         }
     }
-}
-
-/// Whether every atom of a cyclic `query` is binary and τ* > 3: the
-/// shape the expansion join is picked for (slides 62, 97). A fractional
-/// edge packing of a graph weighs at most half its vertices, so a query
-/// of six variables or fewer (the triangle) is settled without the LP.
-fn long_binary_cycle(query: &Query) -> bool {
-    query.atoms().iter().all(|a| a.arity() == 2)
-        && query.num_vars() > 6
-        && model::tau_star(query) > 3.0
-}
-
-/// Whether some row of `rel` occurs twice: an index on every column, and
-/// a row that is not the first of its key.
-fn has_duplicate_row(rel: &Relation) -> bool {
-    let cols: Vec<usize> = (0..rel.arity()).collect();
-    let index = KeyIndex::build(rel, &cols);
-    (0..rel.len()).any(|i| !index.is_first_of_key(i))
 }
 
 /// [`max_degree`], counted under test: the one place planning builds a
@@ -163,9 +134,8 @@ pub fn plan(query: &Query, rels: &[Relation], p: usize) -> Decision {
 ///
 /// # Panics
 /// Panics if `stats` is not shaped like `query`: one size and one
-/// degree list per atom, one degree per column, OUT exactly when the
-/// query is acyclic and not a two-way join, and the duplicate-row flag
-/// exactly when it is a cyclic query of binary atoms at τ* > 3.
+/// degree list per atom, one degree per column, and OUT exactly when
+/// the query is acyclic and not a two-way join.
 pub fn decide(query: &Query, stats: &PlanStats, p: usize) -> Decision {
     assert_eq!(stats.sizes.len(), query.num_atoms(), "one size per atom");
     assert_eq!(
@@ -245,11 +215,6 @@ pub fn decide(query: &Query, stats: &PlanStats, p: usize) -> Decision {
         acyclic,
         "OUT is a statistic of acyclic multiway queries, and of those only"
     );
-    assert_eq!(
-        stats.duplicate_rows.is_some(),
-        !acyclic && long_binary_cycle(query),
-        "duplicate rows are a statistic of long cycles of binary atoms, and of those only"
-    );
     let tau = model::tau_star(query);
     if let Some(out) = stats.acyclic_out {
         // Acyclic: GYM wins when OUT is below the slide 78 crossover.
@@ -278,20 +243,9 @@ pub fn decide(query: &Query, stats: &PlanStats, p: usize) -> Decision {
         // Slide 62: p^{1/τ*} speedup collapses for high-τ* queries —
         // replicating IN·p^{1−1/τ*} is worse than iterating. For subgraph
         // shapes (all-binary atoms) grow bindings one vertex at a time
-        // (the BiGJoin family, slide 97) unless an atom repeats a row:
-        // the expansion join has set semantics. Otherwise fall back to
-        // plain binary join plans.
+        // (the BiGJoin family, slide 97); otherwise fall back to plain
+        // binary join plans.
         if query.atoms().iter().all(|a| a.arity() == 2) {
-            if stats.duplicate_rows == Some(true) {
-                return Decision {
-                    strategy: Strategy::BinaryPlan,
-                    reason: format!(
-                        "cyclic subgraph query with τ* = {tau:.1}: one-round replication is \
-                         hopeless (slide 62), and an atom repeats a row, which the \
-                         set-semantics expansion join would drop: iterate binary joins"
-                    ),
-                };
-            }
             return Decision {
                 strategy: Strategy::ExpansionJoin,
                 reason: format!(
@@ -401,13 +355,10 @@ mod tests {
 
     fn check(q: &Query, rels: &[Relation], p: usize) -> (Decision, JoinRun) {
         let (d, run) = plan_and_run(q, rels, p, 7);
-        let expect = evaluate(q, rels);
-        assert_eq!(
-            run.gathered().canonical(),
-            expect.canonical(),
-            "strategy {:?} wrong answer",
-            d.strategy
-        );
+        let (mut got, mut expect) = (run.gathered(), evaluate(q, rels));
+        got.sort();
+        expect.sort();
+        assert_eq!(got, expect, "strategy {:?} wrong answer", d.strategy);
         (d, run)
     }
 
@@ -492,19 +443,12 @@ mod tests {
     fn picks_expansion_join_for_long_cycles() {
         // Cycle-8 has τ* = 4: one-round replication is hopeless (slide 62);
         // binary atoms ⇒ grow bindings vertex-at-a-time instead.
-        // Duplicate-free atoms: the expansion join's set is the bag.
         let q = Query::cycle(8);
         let rels: Vec<Relation> = (0..8)
-            .map(|i| generate::uniform(2, 120, 40, 13 + i as u64).canonical())
+            .map(|i| generate::uniform(2, 120, 40, 13 + i as u64))
             .collect();
         let (d, _) = check(&q, &rels, 8);
         assert_eq!(d.strategy, Strategy::ExpansionJoin, "{}", d.reason);
-        // One repeated row anywhere and the binary plan keeps the bag.
-        let mut with_duplicate = rels;
-        let row = with_duplicate[5].row(0).to_vec();
-        with_duplicate[5].push(&row);
-        let d = plan(&q, &with_duplicate, 8);
-        assert_eq!(d.strategy, Strategy::BinaryPlan, "{}", d.reason);
     }
 
     #[test]
@@ -637,7 +581,6 @@ mod tests {
             sizes: vec![size; q.num_atoms()],
             max_degree: q.atoms().iter().map(|a| vec![degree; a.arity()]).collect(),
             acyclic_out: out,
-            duplicate_rows: None,
         }
     }
 

@@ -10,8 +10,9 @@
 //!    (an atom containing `v`, hashed on its variables already bound)
 //!    and extended with every consistent `v` value;
 //! 3. atoms that become fully bound are applied as **filters**, one
-//!    semijoin-style round each (route bindings by the atom's variables,
-//!    check membership).
+//!    round each (route bindings by the atom's variables and join them
+//!    with the atom's rows: every variable is bound, so a binding is
+//!    dropped or kept once per copy of its row).
 //!
 //! For the triangle with order `x, y, z` this is exactly the 2-round
 //! BiGJoin pipeline: seed with `R(x,y)`, extend `z` through `S(y,z)`,
@@ -19,10 +20,12 @@
 //! the sizes of the partial-binding relations — worst-case-optimal for
 //! a good variable order on many subgraph queries.
 //!
-//! Extension through an atom with *several* unbound variables projects
-//! that atom onto (bound ∪ {v}) with duplicate elimination, so the
-//! result follows **set semantics** (duplicate input tuples do not
-//! multiply outputs; compare canonical forms).
+//! The result is the bag every other engine returns: a row repeated in
+//! an input multiplies the outputs it takes part in. Extension through
+//! an atom with *several* unbound variables projects that atom onto
+//! (bound ∪ {v}) with duplicate elimination — only an existence check,
+//! since the atom is joined again, whole, as a filter once it is fully
+//! bound.
 
 use crate::common::{dest_of, inbox_pairs, route_input, Dist, JoinRun};
 use parqp_data::{FastSet, Relation};
@@ -81,7 +84,7 @@ pub fn expansion_join_with_order(
 
     // State: distributed bindings over the variables bound so far.
     let seed_vars = &query.atoms()[seed_atom].vars;
-    let mut bindings = Dist::scatter(&rels[seed_atom].canonical(), seed_vars, p);
+    let mut bindings = Dist::scatter(&sorted(rels[seed_atom].clone()), seed_vars, p);
     let mut verified = vec![false; query.num_atoms()];
     verified[seed_atom] = true;
 
@@ -100,17 +103,22 @@ pub fn expansion_join_with_order(
             .expect("every variable appears in some atom");
         let atom = &query.atoms()[extender];
         // Project the extender onto its bound variables (in its own
-        // order), then v: set semantics.
+        // order), then v. A projection that drops a variable is only an
+        // existence check, so it keeps one row per value; the atom is
+        // joined whole as a filter later.
         let ext_vars: Vec<Var> = atom.vars.iter().copied().filter(bound).chain([v]).collect();
         assert!(
             ext_vars.len() > 1,
             "variable order disconnects the query at x{v}"
         );
         let ext_cols = SchemaJoin::new(&ext_vars, &atom.vars);
-        let ext = rels[extender].project(ext_cols.right_key()).canonical();
-        if ext_vars.len() == atom.vars.len() {
+        let ext = rels[extender].project(ext_cols.right_key());
+        let ext = if ext_vars.len() == atom.vars.len() {
             verified[extender] = true;
-        }
+            sorted(ext)
+        } else {
+            ext.canonical()
+        };
 
         // Extension round: each binding extended with every consistent v.
         let on = SchemaJoin::new(&bindings.vars, &ext_vars);
@@ -120,6 +128,8 @@ pub fn expansion_join_with_order(
         bindings = Dist::new(on.into_vars(), parts);
 
         // Filter rounds: any unverified atom that is now fully bound.
+        // Every variable of the atom is bound, so the join keeps each
+        // binding once per copy of its row in the atom.
         for (j, atom) in query.atoms().iter().enumerate() {
             if verified[j] || !atom.vars.iter().all(|x| bindings.vars.contains(x)) {
                 continue;
@@ -130,9 +140,9 @@ pub fn expansion_join_with_order(
                 &mut cluster,
                 &h,
                 &bindings,
-                &rels[j].canonical(),
+                &sorted(rels[j].clone()),
                 &atom.vars,
-                |b, m| on.semijoin(b, m),
+                |b, m| on.join(b, m),
             );
         }
     }
@@ -142,6 +152,12 @@ pub fn expansion_join_with_order(
         outputs: bindings.into_outputs(query.num_vars()),
         report: cluster.report(),
     }
+}
+
+/// `rel` with its rows in lexicographic order, repeats kept.
+fn sorted(mut rel: Relation) -> Relation {
+    rel.sort();
+    rel
 }
 
 /// One round of the expansion join: the bindings and the rows of `side`
@@ -180,8 +196,8 @@ mod tests {
 
     fn check(q: &Query, rels: &[Relation], p: usize) -> JoinRun {
         let run = expansion_join(q, rels, p, 7);
-        let expect = evaluate(q, rels).canonical();
-        assert_eq!(run.gathered().canonical(), expect, "{q}");
+        let expect = sorted(evaluate(q, rels));
+        assert_eq!(sorted(run.gathered()), expect, "{q}");
         run
     }
 
@@ -231,7 +247,7 @@ mod tests {
         let rels = vec![g.clone(), g.clone(), g];
         let a = expansion_join_with_order(&q, &rels, 8, 3, &[1, 2, 0]);
         let b = expansion_join(&q, &rels, 8, 3);
-        assert_eq!(a.gathered().canonical(), b.gathered().canonical());
+        assert_eq!(sorted(a.gathered()), sorted(b.gathered()));
     }
 
     #[test]
@@ -240,9 +256,11 @@ mod tests {
         let mut g = Relation::from_rows(2, [[1, 2], [2, 3], [3, 1]]);
         g.push(&[1, 2]); // duplicate edge
         let rels = vec![g.clone(), g.clone(), g];
-        let run = expansion_join(&q, &rels, 4, 5);
-        // Canonical triangle appears once per rotation, not multiplied.
+        let run = check(&q, &rels, 4);
+        // The set is one triangle per rotation; the bag counts each
+        // rotation twice, once per copy of the edge it uses.
         assert_eq!(run.gathered().canonical().len(), 3);
+        assert_eq!(run.output_size(), 6);
     }
 
     #[test]

@@ -19,9 +19,7 @@
 //!   (`Q(x,y,z) :- R(x,y), S(y,z), T(z,x)`);
 //! * [`schema`] — the one local join and semijoin of two relations over
 //!   variable schemas ([`SchemaJoin`]) and the reorder into variable
-//!   order, shared by the serial oracle and every multi-round algorithm;
-//! * [`wcoj`] — a worst-case-optimal serial Generic Join (the `O(AGM)`
-//!   engine behind the slide 55 bound and the slide 97 BiGJoin family).
+//!   order, shared by the serial oracle and every multi-round algorithm.
 
 pub mod ghd;
 pub mod oracle;
@@ -29,7 +27,6 @@ pub mod parser;
 pub mod query;
 pub mod residual;
 pub mod schema;
-pub mod wcoj;
 
 pub use ghd::{Bag, Ghd};
 pub use oracle::{acyclic_output_size, evaluate, yannakakis_serial};
@@ -37,4 +34,3 @@ pub use parser::{parse_query, ParseError};
 pub use query::{Atom, Query, Var};
 pub use residual::{all_residuals, psi_star, residual, ResidualQuery};
 pub use schema::{in_variable_order, SchemaJoin};
-pub use wcoj::{generic_join, generic_join_with_order};

@@ -1,36 +1,13 @@
-//! Property tests for the query layer: Generic Join ≡ the binding-table
-//! oracle under set semantics, Yannakakis ≡ the oracle on acyclic
-//! queries, residual bookkeeping stays consistent, and GYO agrees with
-//! the textbook (a)cyclicity of the named query shapes.
+//! Property tests for the query layer: Yannakakis ≡ the binding-table
+//! oracle on acyclic queries, residual bookkeeping stays consistent, and
+//! GYO agrees with the textbook (a)cyclicity of the named query shapes.
 
 use parqp_data::Relation;
-use parqp_query::{
-    all_residuals, evaluate, generic_join, parse_query, psi_star, yannakakis_serial, Ghd, Query,
-};
+use parqp_query::{all_residuals, evaluate, parse_query, psi_star, yannakakis_serial, Ghd, Query};
 use parqp_testkit::prelude::*;
-
-fn arb_rel(arity: usize, max_rows: usize) -> impl Strategy<Value = Relation> {
-    (1usize..=max_rows, 1u64..20).prop_flat_map(move |(rows, domain)| {
-        collection::vec(collection::vec(0..domain, arity), rows)
-            .prop_map(move |data| Relation::from_rows(arity, data))
-    })
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn generic_join_equals_oracle_on_triangles(
-        r in arb_rel(2, 80),
-        s in arb_rel(2, 80),
-        t in arb_rel(2, 80),
-    ) {
-        let q = Query::triangle();
-        let rels = vec![r, s, t];
-        let wco = generic_join(&q, &rels).canonical();
-        let oracle = evaluate(&q, &rels).canonical();
-        prop_assert_eq!(wco, oracle);
-    }
 
     #[test]
     fn yannakakis_equals_oracle_on_random_stars(

@@ -16,14 +16,18 @@ fn four_engines_one_answer_chain() {
         .map(|i| generate::uniform(2, 300, 60, 40 + i as u64))
         .collect();
     let tree = Ghd::join_tree(&q).expect("acyclic");
-    let a = multiway::hypercube(&q, &rels, 16, 5).gathered().canonical();
-    let b = skewhc::skewhc(&q, &rels, 16, 5).gathered().canonical();
-    let c = plans::binary_join_plan(&q, &rels, 16, 5, None)
-        .gathered()
-        .canonical();
-    let d = gym::gym(&q, &rels, &tree, 16, 5, true)
-        .gathered()
-        .canonical();
+    // The atoms repeat rows, so the join is a bag with repeats: compare
+    // sorted rows, which tell it from its set.
+    let sorted = |run: JoinRun| {
+        let mut rows = run.gathered();
+        rows.sort();
+        rows
+    };
+    let a = sorted(multiway::hypercube(&q, &rels, 16, 5));
+    let b = sorted(skewhc::skewhc(&q, &rels, 16, 5));
+    let c = sorted(plans::binary_join_plan(&q, &rels, 16, 5, None));
+    let d = sorted(gym::gym(&q, &rels, &tree, 16, 5, true));
+    assert!(a.canonical().len() < a.len());
     assert_eq!(a, b);
     assert_eq!(a, c);
     assert_eq!(a, d);

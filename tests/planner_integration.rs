@@ -161,49 +161,101 @@ fn hypercube_speedup_curve_shape() {
     }
 }
 
-/// Through the front door, a long cycle returns `evaluate`'s bag, not
-/// its set: the planner must not hand atoms that repeat a row to the
-/// set-semantics expansion join.
+/// `n` atoms of 400 uniform rows over 300 values, each with the row
+/// `(1, 1)` pushed twice: inputs whose join is a bag with repeats.
+fn atoms_with_repeated_rows(n: usize) -> Vec<Relation> {
+    (0..n)
+        .map(|i| {
+            let mut rel = generate::uniform(2, 400, 300, 5 + i as u64);
+            rel.push(&[1, 1]);
+            rel.push(&[1, 1]);
+            rel
+        })
+        .collect()
+}
+
+/// `rel`'s rows in sorted order, repeats kept: the bag, comparable.
+fn sorted_rows(rel: &Relation) -> Vec<Vec<Value>> {
+    let mut rows = rel.to_rows();
+    rows.sort_unstable();
+    rows
+}
+
+/// Whether `rows` (sorted) holds some row twice.
+fn has_repeats(rows: &[Vec<Value>]) -> bool {
+    rows.windows(2).any(|w| w[0] == w[1])
+}
+
+/// Through the front door, a long cycle over atoms that repeat a row
+/// returns `evaluate`'s bag, not its set.
 #[test]
 fn long_cycles_with_duplicate_rows_return_the_bag() {
     for n in [7, 8] {
         let q = Query::cycle(n);
-        let rels: Vec<Relation> = (0..n)
-            .map(|i| {
-                let mut rel = generate::uniform(2, 400, 300, 5 + i as u64);
-                rel.push(&[1, 1]);
-                rel.push(&[1, 1]);
-                rel
-            })
-            .collect();
-        let mut expect = parqp::query::evaluate(&q, &rels).to_rows();
-        expect.sort_unstable();
-        assert!(
-            expect.len()
-                > expect
-                    .iter()
-                    .collect::<std::collections::BTreeSet<_>>()
-                    .len()
-        );
+        let rels = atoms_with_repeated_rows(n);
+        let expect = sorted_rows(&parqp::query::evaluate(&q, &rels));
+        assert!(has_repeats(&expect));
         for p in [8, 27] {
             let (d, run) = plan_and_run(&q, &rels, p, 3);
-            let mut got = run.gathered().to_rows();
-            got.sort_unstable();
+            let got = sorted_rows(&run.gathered());
             let picked = format!("cycle({n}) at p = {p}, {:?}", d.strategy);
             assert_eq!(got.len(), expect.len(), "{picked}");
             assert_eq!(got, expect, "{picked}");
-            assert_eq!(d.strategy, Strategy::BinaryPlan, "{picked}: {}", d.reason);
+            assert_eq!(
+                d.strategy,
+                Strategy::ExpansionJoin,
+                "{picked}: {}",
+                d.reason
+            );
         }
     }
 }
 
+/// Every strategy that runs a shape returns `evaluate`'s bag, row for
+/// row, on atoms that repeat a row: HyperCube, SkewHC, the binary plan,
+/// the expansion join, and GYM where the query is acyclic.
+#[test]
+fn every_strategy_returns_the_bag() {
+    let mut wrong = Vec::new();
+    for q in [
+        Query::triangle(),
+        Query::cycle(4),
+        Query::cycle(7),
+        Query::chain(3),
+    ] {
+        let rels = atoms_with_repeated_rows(q.num_atoms());
+        let expect = sorted_rows(&parqp::query::evaluate(&q, &rels));
+        assert!(has_repeats(&expect), "{q}: a set would pass for the bag");
+        let mut strategies = vec![
+            Strategy::HyperCube,
+            Strategy::SkewHC,
+            Strategy::BinaryPlan,
+            Strategy::ExpansionJoin,
+        ];
+        if Ghd::join_tree(&q).is_some() {
+            strategies.push(Strategy::Gym);
+        }
+        for p in [8, 27] {
+            for strategy in &strategies {
+                let got = sorted_rows(&run_plan(&q, &rels, p, 3, strategy).gathered());
+                if got != expect {
+                    wrong.push(format!(
+                        "{q} at p = {p}, {strategy:?}: {} rows, evaluate has {}",
+                        got.len(),
+                        expect.len()
+                    ));
+                }
+            }
+        }
+    }
+    assert!(wrong.is_empty(), "{wrong:#?}");
+}
+
 /// `planner::plan` as it was while it planned by joining, body
-/// unchanged but for one rule added since — a long cycle whose atoms
-/// repeat a row is not sent to the set-semantics expansion join: OUT is
-/// `yannakakis_serial(..).len()`, `skewed` also asks `heavy_values`, and
-/// the join tree and τ* are computed twice. Kept as the executable
-/// statement of what `decide(collect(..))` must return — strategy and
-/// reason.
+/// unchanged: OUT is `yannakakis_serial(..).len()`, `skewed` also asks
+/// `heavy_values`, and the join tree and τ* are computed twice. Kept as
+/// the executable statement of what `decide(collect(..))` must return —
+/// strategy and reason.
 mod reference {
     use parqp::join::skewhc;
     use parqp::model;
@@ -307,16 +359,6 @@ mod reference {
             // (the BiGJoin family, slide 97); otherwise fall back to plain
             // binary join plans.
             if query.atoms().iter().all(|a| a.arity() == 2) {
-                if rels.iter().any(|rel| rel.canonical().len() < rel.len()) {
-                    return Decision {
-                        strategy: Strategy::BinaryPlan,
-                        reason: format!(
-                            "cyclic subgraph query with τ* = {tau:.1}: one-round replication \
-                             is hopeless (slide 62), and an atom repeats a row, which the \
-                             set-semantics expansion join would drop: iterate binary joins"
-                        ),
-                    };
-                }
                 return Decision {
                     strategy: Strategy::ExpansionJoin,
                     reason: format!(
