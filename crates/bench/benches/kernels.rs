@@ -44,6 +44,10 @@
 //!   over 1500 at 0.8) from a sampler built once, and
 //!   `serve/base/<template>` — `base_relation` whole, sampler build and
 //!   draws included: what every `serve_churn` miss generates.
+//! * `digest/*` — `digest_relation` over uniform relations of the
+//!   shapes it digests: one served query's answer (145 × 3), the
+//!   `join_*` oracle (80 k × 3) and the `chain_gym_planned` oracle
+//!   (239 k × 4).
 //!
 //! ```text
 //! cargo bench -p parqp-bench --bench kernels
@@ -57,6 +61,7 @@ use parqp::lp::plan_shares;
 use parqp::matmul::{gemm_acc, Matrix, View};
 use parqp::mpc::{Cluster, FanOut, Grid, HashFamily, RowExchange};
 use parqp::query::{evaluate, Query};
+use parqp::serve::report::digest_relation;
 use parqp::serve::templates::{base_relation, TEMPLATES};
 use parqp::sort::sort_words;
 use parqp_testkit::bench::time_ns;
@@ -266,6 +271,18 @@ fn zipf_and_serve_bases() {
     for (template, spec) in TEMPLATES.iter().enumerate() {
         let us = best_us(|| base_relation(template, 1, 42));
         println!("serve/base/{:<24} {us:>10.1} µs", spec.name);
+    }
+}
+
+fn digest() {
+    for (name, arity, rows) in [
+        ("query_145x3", 3, 145),
+        ("join_80kx3", 3, 80_000),
+        ("chain_239kx4", 4, 239_000),
+    ] {
+        let rel = generate::uniform(arity, rows, 1 << 20, 71);
+        let us = best_us(|| digest_relation(&rel));
+        println!("digest/{name:<28} {us:>10.1} µs");
     }
 }
 
@@ -505,4 +522,5 @@ fn main() {
     local_sort();
     matmul_kernel();
     zipf_and_serve_bases();
+    digest();
 }

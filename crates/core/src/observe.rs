@@ -19,7 +19,6 @@ use parqp_data::generate;
 use parqp_mpc::trace::Recorder;
 use parqp_mpc::LoadReport;
 use parqp_query::Query;
-use parqp_serve::report::digest_relation;
 
 /// A named experiment: a deterministic algorithm run to trace.
 pub struct Experiment {
@@ -40,7 +39,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
             let q = Query::triangle();
             let g = generate::random_symmetric_graph(120, 900, s);
             let run = parqp_join::multiway::hypercube(&q, &[g.clone(), g.clone(), g], p, s);
-            (run.report.clone(), digest_relation(&run.gathered()))
+            (run.report.clone(), run.digest())
         },
     },
     Experiment {
@@ -53,7 +52,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
             let r = generate::uniform(2, 16_000, 8000, s);
             let t = generate::uniform(2, 16_000, 8000, s.wrapping_add(1));
             let run = parqp_join::twoway::hash_join(&r, 1, &t, 0, p, s);
-            (run.report.clone(), digest_relation(&run.gathered()))
+            (run.report.clone(), run.digest())
         },
     },
     Experiment {
@@ -63,7 +62,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
             let r = generate::zipf_pairs(4000, 1000, 1.2, 0, s);
             let t = generate::uniform(2, 4000, 1000, s.wrapping_add(1));
             let run = parqp_join::twoway::skew_join(&r, 0, &t, 0, p, s);
-            (run.report.clone(), digest_relation(&run.gathered()))
+            (run.report.clone(), run.digest())
         },
     },
     Experiment {
@@ -75,7 +74,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
                 .map(|i| generate::uniform(2, 800, 120, s.wrapping_add(i)))
                 .collect();
             let run = parqp_join::plans::binary_join_plan(&q, &rels, p, s, None);
-            (run.report.clone(), digest_relation(&run.gathered()))
+            (run.report.clone(), run.digest())
         },
     },
     Experiment {
@@ -87,7 +86,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
                 .map(|i| generate::zipf_pairs(1500, 400, 1.1, 0, s.wrapping_add(i)))
                 .collect();
             let run = parqp_join::skewhc::skewhc(&q, &rels, p, s);
-            (run.report.clone(), digest_relation(&run.gathered()))
+            (run.report.clone(), run.digest())
         },
     },
     Experiment {
@@ -137,7 +136,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
             let r = generate::uniform(2, 160_000, 80_000, s);
             let t = generate::uniform(2, 160_000, 80_000, s.wrapping_add(1));
             let run = parqp_join::twoway::hash_join(&r, 1, &t, 0, p, s);
-            (run.report.clone(), digest_relation(&run.gathered()))
+            (run.report.clone(), run.digest())
         },
     },
 ];
@@ -150,7 +149,8 @@ pub struct ExperimentRun {
     /// The run's `(L, r, C)` ledger.
     pub report: LoadReport,
     /// Order-independent-where-appropriate digest of the run's output
-    /// (canonicalized join results, sorted keys, product matrix).
+    /// (the bag digest of join results summed over their fragments,
+    /// sorted keys, product matrix).
     /// Equal digests on the same experiment mean byte-identical output.
     pub digest: u64,
 }
@@ -209,7 +209,47 @@ fn sort_input(n: usize, seed: u64) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parqp_data::Relation;
+    use parqp_join::common::JoinRun;
     use parqp_mpc::trace::analyze;
+    use parqp_serve::report::digest_relation;
+
+    #[test]
+    fn a_runs_digest_is_the_digest_of_its_gathered_answer() {
+        let rows: Vec<[u64; 3]> = (0..40u64).map(|i| [i % 7, i % 3, i % 5]).collect();
+        // Every cut of the rows into four fragments at these points,
+        // empty fragments included (a cut at 0, repeated cuts, a cut at
+        // the end).
+        let cuts = [
+            [0, 0, 0],
+            [0, 10, 40],
+            [5, 5, 5],
+            [13, 27, 39],
+            [40, 40, 40],
+        ];
+        for cut in cuts {
+            let bounds = [0, cut[0], cut[1], cut[2], rows.len()];
+            let outputs = bounds
+                .windows(2)
+                .map(|w| Relation::from_rows(3, &rows[w[0]..w[1]]))
+                .collect();
+            let run = JoinRun {
+                outputs,
+                report: LoadReport::empty(4),
+            };
+            assert_eq!(
+                run.digest(),
+                digest_relation(&run.gathered()),
+                "cuts {cut:?}"
+            );
+        }
+        let none = JoinRun {
+            outputs: vec![Relation::new(2); 3],
+            report: LoadReport::empty(3),
+        };
+        assert_eq!(none.digest(), 0);
+        assert_eq!(none.digest(), digest_relation(&none.gathered()));
+    }
 
     #[test]
     fn every_listed_experiment_runs_and_traces() {

@@ -4,7 +4,8 @@
 //! algorithms:
 //!
 //! * [`relation`] — arity-tagged flat row-major relations over `u64`
-//!   values (the unit in which the MPC model measures load);
+//!   values (the unit in which the MPC model measures load), and their
+//!   order-free bag digest ([`Relation::digest`]);
 //! * [`fasthash`] — a fast non-cryptographic hasher and map/set aliases
 //!   used on hot paths (join build sides, degree counting);
 //! * [`index`] — the local-join kernel: a chained `u32` hash index built

@@ -6,6 +6,8 @@
 //! makes the "load in tuples / words" accounting of the MPC simulator
 //! exact (one word per attribute value).
 
+use crate::fasthash::mix;
+
 /// An attribute value. All data in the system is integer-encoded.
 pub type Value = u64;
 
@@ -185,20 +187,12 @@ impl Relation {
         self.data = sorted;
     }
 
-    /// The rows of the canonical *set* form — sorted, deduplicated — as
-    /// borrowed slices: for a reader that walks them once (a digest)
-    /// and has no use for the copy [`Relation::canonical`] makes.
-    pub fn canonical_rows(&self) -> Vec<&[Value]> {
-        let mut rows: Vec<&[Value]> = self.data.chunks_exact(self.arity).collect();
-        rows.sort_unstable();
-        rows.dedup();
-        rows
-    }
-
     /// Sorted-and-deduplicated copy: the canonical *set* form, used to
     /// compare algorithm outputs under set semantics in tests.
     pub fn canonical(&self) -> Relation {
-        let rows = self.canonical_rows();
+        let mut rows: Vec<&[Value]> = self.iter().collect();
+        rows.sort_unstable();
+        rows.dedup();
         let mut out = Relation::with_capacity(self.arity, rows.len());
         for r in rows {
             out.push(r);
@@ -206,10 +200,41 @@ impl Relation {
         out
     }
 
+    /// Order-free *bag* digest: the wrapping sum of one well-mixed
+    /// 64-bit term per row, 0 on an empty relation.
+    ///
+    /// A sum, not a sort: it needs no row order, so a distributed answer
+    /// is digested fragment by fragment where it lies, and the fragment
+    /// digests (added with `wrapping_add`) are the digest of the
+    /// gathered answer. A sum, not XOR: `t ⊕ t = 0` would erase a
+    /// repeated row, while `t + t` keeps it, so two bags with the same
+    /// set of rows and different multiplicities digest differently.
+    ///
+    /// This is a non-cryptographic check: it tells a wrong answer from a
+    /// right one, it cannot stand up to an adversary who crafts one.
+    pub fn digest(&self) -> u64 {
+        self.iter()
+            .fold(0, |sum, row| sum.wrapping_add(row_digest(row)))
+    }
+
     /// Convert to a vector of owned rows (test convenience).
     pub fn to_rows(&self) -> Vec<Vec<Value>> {
         self.iter().map(<[Value]>::to_vec).collect()
     }
+}
+
+/// One row's term of [`Relation::digest`]: an Fx hash of its width and
+/// its words, then the splitmix64 finaliser, so that one changed bit
+/// anywhere flips about half of the term's bits. Every step is a
+/// bijection in the word it folds in, so rows of one width that differ
+/// in one value always get different terms.
+#[inline]
+fn row_digest(row: &[Value]) -> u64 {
+    let h = row.iter().fold(mix(0, row.len() as u64), |h, &v| mix(h, v));
+    let mut z = h.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
 }
 
 impl<'a> IntoIterator for &'a Relation {

@@ -39,6 +39,15 @@ impl JoinRun {
     pub fn output_size(&self) -> usize {
         self.outputs.iter().map(Relation::len).sum()
     }
+
+    /// [`Relation::digest`] of the answer, summed fragment by fragment
+    /// where the servers hold it: equal to the digest of
+    /// [`JoinRun::gathered`], without the gather.
+    pub fn digest(&self) -> u64 {
+        self.outputs
+            .iter()
+            .fold(0, |sum, part| sum.wrapping_add(part.digest()))
+    }
 }
 
 /// A relation tuple on the wire, tagged with the index of the relation it

@@ -205,21 +205,21 @@ fn run_stream(cfg: &ServeConfig, arrivals: &[QueryArrival]) -> StreamOut {
 
         // Probe phase: route this query's probe rows with the *same*
         // hash that partitioned the base, then probe each partition's
-        // table locally.
+        // table locally. Each server digests its output where it lies;
+        // the bag digest of the answer is the sum, so nothing is
+        // gathered.
         let probe = templates::probe_relation(a.template, a.group, a.serial, cfg.seed);
         let inboxes = partition_by_key(&mut cluster, &h, &probe);
         let arity = joined_arity(2, 2);
         let outputs = cluster.map(inboxes, |s, probes| {
             let mut out = Relation::new(arity);
             probe_rows(&parts[s].index(), &probes, 0, &mut out);
-            out
+            (out.len() as u64, digest_relation(&out))
+        });
+        let (out_rows, digest) = outputs.iter().fold((0, 0u64), |(rows, sum), &(n, d)| {
+            (rows + n, sum.wrapping_add(d))
         });
 
-        let out_rows = outputs.iter().map(Relation::len).sum();
-        let mut gathered = Relation::with_capacity(arity, out_rows);
-        for part in &outputs {
-            gathered.extend_from(part);
-        }
         let delta = cluster.report_since(mark);
         let io_now = io_totals();
         let heaviest_round_tuples = delta
@@ -239,8 +239,8 @@ fn run_stream(cfg: &ServeConfig, arrivals: &[QueryArrival]) -> StreamOut {
             rounds: delta.num_rounds() as u64,
             tuples: delta.total_tuples(),
             words: delta.total_words(),
-            out_rows: gathered.len() as u64,
-            digest: digest_relation(&gathered),
+            out_rows,
+            digest,
             io: io_now.since(&io_so_far),
             per_server_tuples: Vec::new(),
             heaviest_round_tuples,

@@ -57,7 +57,8 @@ pub struct QueryRecord {
     pub words: u64,
     /// Output rows produced.
     pub out_rows: u64,
-    /// Digest of the canonicalized output.
+    /// Bag digest of the output ([`digest_relation`]), summed over the
+    /// servers that hold it.
     pub digest: u64,
     /// Page IO while this query ran, summed across servers.
     pub io: IoStats,
@@ -230,20 +231,13 @@ pub struct ServeReport {
     pub fault_log: Option<FaultLog>,
 }
 
-/// Digest of a relation's canonical row set: row length then values, in
-/// canonical row order, so per-server output order cannot leak into it.
-/// Served queries and the `parqp::observe` experiments both report it.
-/// The rows are hashed where they lie — what hashing
-/// [`Relation::canonical`] yields, without building it.
+/// Digest of a relation as a bag: [`Relation::digest`], the wrapping sum
+/// of one well-mixed term per row. Row order cannot leak into it, a
+/// repeated row counts, and digests of fragments add up to the digest
+/// of their union. Served queries and the `parqp::observe` experiments
+/// both report it; it is a non-cryptographic check.
 pub fn digest_relation(rel: &Relation) -> u64 {
-    let mut h = FxHasher::default();
-    for row in rel.canonical_rows() {
-        h.write_u64(row.len() as u64);
-        for &v in row {
-            h.write_u64(v);
-        }
-    }
-    h.finish()
+    rel.digest()
 }
 
 impl ServeReport {
@@ -498,6 +492,7 @@ impl ServeReport {
 mod tests {
     use super::*;
     use crate::driver::{replay, ServeConfig};
+    use parqp_testkit::prelude::*;
 
     fn small() -> ServeConfig {
         ServeConfig {
@@ -520,43 +515,65 @@ mod tests {
         assert_ne!(digest_relation(&a), digest_relation(&c));
     }
 
-    /// `digest_relation` as it was first written: build the canonical
-    /// copy, then hash it.
-    fn digest_of_canonical_copy(rel: &Relation) -> u64 {
-        let mut h = FxHasher::default();
-        for row in rel.canonical().iter() {
-            h.write_u64(row.len() as u64);
-            for &v in row {
-                h.write_u64(v);
-            }
-        }
-        h.finish()
-    }
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
 
-    #[test]
-    fn digest_relation_is_the_digest_of_the_canonical_copy() {
-        let empty = Relation::new(3);
-        assert_eq!(digest_relation(&empty), digest_of_canonical_copy(&empty));
-        let mut state = 0xD16E57u64;
-        for arity in 1..=3 {
-            for rows in [1usize, 2, 50, 400] {
-                // A domain of 6 makes most rows duplicates of another.
-                for domain in [6u64, u64::MAX] {
-                    let rel = Relation::from_rows(
-                        arity,
-                        (0..rows).map(|_| {
-                            (0..arity)
-                                .map(|_| parqp_testkit::splitmix64(&mut state) % domain)
-                                .collect::<Vec<_>>()
-                        }),
-                    );
-                    assert_eq!(
-                        digest_relation(&rel),
-                        digest_of_canonical_copy(&rel),
-                        "arity {arity}, {rows} rows, domain {domain}"
-                    );
+        #[test]
+        fn digest_relation_is_a_bag_digest(
+            arity in 1usize..=4,
+            rows in 0usize..=400,
+            wide in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            // A domain of 6 makes most rows duplicates of another.
+            let domain = if wide { u64::MAX } else { 6 };
+            let mut rng = Rng::seed_from_u64(seed);
+            let rel = Relation::from_rows(
+                arity,
+                (0..rows).map(|_| (0..arity).map(|_| rng.gen_below(domain)).collect::<Vec<_>>()),
+            );
+            let d = digest_relation(&rel);
+            prop_assert_eq!(digest_relation(&Relation::new(arity)), 0);
+
+            let mut order: Vec<usize> = (0..rows).collect();
+            rng.shuffle(&mut order);
+            let shuffled = Relation::from_rows(arity, order.iter().map(|&i| rel.row(i)));
+            prop_assert_eq!(digest_relation(&shuffled), d, "permuted");
+
+            if rows > 0 {
+                // One more copy of a row, and two more: both bags have
+                // the rows of `rel` as their set, and both must differ
+                // from it (two copies are what an XOR fold would cancel).
+                let i = rng.gen_below(rows as u64) as usize;
+                let mut more = rel.clone();
+                for copies in 1..=2 {
+                    more.push(rel.row(i));
+                    prop_assert_eq!(more.canonical(), rel.canonical());
+                    prop_assert!(digest_relation(&more) != d, "row {} + {} copies", i, copies);
                 }
+
+                let c = rng.gen_below(arity as u64) as usize;
+                let bit = rng.gen_below(if wide { 64 } else { 3 });
+                let mut changed = rel.to_rows();
+                changed[i][c] ^= 1 << bit;
+                let changed = Relation::from_rows(arity, changed);
+                prop_assert!(
+                    digest_relation(&changed) != d,
+                    "row {} column {} bit {}", i, c, bit
+                );
             }
+
+            // Cut points may repeat or sit at either end: empty fragments.
+            let mut cuts: Vec<usize> = (0..rng.gen_below(6))
+                .map(|_| rng.gen_below(rows as u64 + 1) as usize)
+                .chain([0, rows])
+                .collect();
+            cuts.sort_unstable();
+            let summed = cuts
+                .windows(2)
+                .map(|w| digest_relation(&Relation::from_rows(arity, (w[0]..w[1]).map(|i| shuffled.row(i)))))
+                .fold(0, u64::wrapping_add);
+            prop_assert_eq!(summed, d, "fragments {:?}", cuts);
         }
     }
 

@@ -6,10 +6,15 @@
 //! hit banks precisely the build cost the off run pays. The same
 //! replay must also be byte-identical under `ExecMode::Parallel` and
 //! fully deterministic under injected fault plans with either recovery
-//! strategy.
+//! strategy. Above all of these, every served answer must be the one a
+//! serial join of the template's base and the query's probe gives:
+//! two identical wrong answers agree with each other, not with it.
 
 use parqp::faults::{FaultSpec, RecoveryStrategy};
+use parqp::join::common::twoway_oracle;
 use parqp::mpc::{exec, ExecMode};
+use parqp::serve::report::digest_relation;
+use parqp::serve::templates::{base_relation, probe_relation, TEMPLATES};
 use parqp::serve::{replay, FaultSetup, ServeConfig, ServeReport};
 
 fn stream() -> ServeConfig {
@@ -48,6 +53,42 @@ fn faulted(cfg: &ServeConfig, strategy: RecoveryStrategy) -> ServeConfig {
 
 fn digests(r: &ServeReport) -> Vec<(u64, u64)> {
     r.records.iter().map(|q| (q.serial, q.digest)).collect()
+}
+
+/// Every record's `(out_rows, digest)` against the serial oracle's
+/// answer to the same query.
+fn assert_served_answers_match_the_serial_oracle(cfg: &ServeConfig) {
+    let report = replay(cfg).expect("valid config");
+    assert!(report.served() > 0);
+    for q in &report.records {
+        let t = TEMPLATES
+            .iter()
+            .position(|spec| spec.name == q.template)
+            .expect("a catalog template");
+        let oracle = twoway_oracle(
+            &base_relation(t, q.group, cfg.seed),
+            0,
+            &probe_relation(t, q.group, q.serial, cfg.seed),
+            0,
+        );
+        assert_eq!(
+            (q.out_rows, q.digest),
+            (oracle.len() as u64, digest_relation(&oracle)),
+            "query #{} ({} group {}, cache {})",
+            q.serial,
+            q.template,
+            q.group,
+            q.cache
+        );
+    }
+}
+
+#[test]
+fn served_answers_equal_the_serial_oracle() {
+    assert_served_answers_match_the_serial_oracle(&stream());
+    assert_served_answers_match_the_serial_oracle(&cache_off(&stream()));
+    let _guard = exec::install(ExecMode::Parallel { workers: 2 }).expect("pool spawns");
+    assert_served_answers_match_the_serial_oracle(&stream());
 }
 
 #[test]
