@@ -11,8 +11,10 @@
 //!   once. `probe_write/*` is the probe's output side: 64 local joins
 //!   of 1,250 × 1,250 rows (`join_uniform`'s servers), merged rows
 //!   staged in a scratch row and pushed (`staged`, the loop
-//!   `probe_rows` ran before) or written straight into the output
-//!   (`direct`, what `hash_join_rows` runs).
+//!   `probe_rows` ran before), written straight into the output
+//!   (`direct`, what `hash_join_rows` runs), or never written: each
+//!   match counted and its merged row's digest term hashed from the
+//!   two halves (`digest`, what a served query's servers run).
 //! * `join_kernel/route/*` — one hash round's routing at p = 64 over
 //!   two-column rows, from the input to the delivered buffers: the
 //!   input cut into round-robin fragments by `scatter` and each
@@ -28,7 +30,8 @@
 //!   places them. `multiway/cycle4_*`, `zipf_triangle_*` and
 //!   `agm_triangle_*` are the same local phase on a 4-cycle, on a
 //!   triangle over 40 Zipf values, and on an AGM-tight triangle (every
-//!   atom a full grid).
+//!   atom a full grid). Each `multiway/*_count` row is the same walk
+//!   into a counting sink (`evaluate_each`), with no output relation.
 //! * `local_sort/*` — one PSRS server's share of `sort_psrs` (1 M keys
 //!   over 64 servers) ordered by `sort_by_key` (what `psrs_by` runs),
 //!   by `sort_unstable`, and by the radix kernel `sort_words` (what
@@ -56,11 +59,13 @@
 use parqp::data::paged::RouteScan;
 use parqp::data::zipf::Zipf;
 use parqp::data::{generate, KeyIndex, KeyTable, Relation};
-use parqp::join::common::{hash_join_rows, hash_partition, joined_arity, route_input, scatter};
+use parqp::join::common::{
+    hash_join_rows, hash_partition, joined_arity, probe_digest, route_input, scatter,
+};
 use parqp::lp::plan_shares;
 use parqp::matmul::{gemm_acc, Matrix, View};
 use parqp::mpc::{Cluster, FanOut, Grid, HashFamily, RowExchange};
-use parqp::query::{evaluate, Query};
+use parqp::query::{evaluate, evaluate_each, Query};
 use parqp::serve::report::digest_relation;
 use parqp::serve::templates::{base_relation, TEMPLATES};
 use parqp::sort::sort_words;
@@ -222,7 +227,8 @@ fn fragments(query: &Query, rels: &[Relation], seed: u64) -> Vec<Vec<Relation>> 
     inboxes
 }
 
-/// One `multiway/*` row: `evaluate` over every server's fragments.
+/// One `multiway/*` row: `evaluate` over every server's fragments, and
+/// beside it `multiway/*_count`, the same walk into a counting sink.
 fn multiway_row(name: &str, query: &Query, rels: &[Relation], seed: u64) {
     let fragments = fragments(query, rels, seed);
     let mut rows = 0;
@@ -234,6 +240,17 @@ fn multiway_row(name: &str, query: &Query, rels: &[Relation], seed: u64) {
         rows
     });
     println!("multiway/{name:<27} {us:>10.1} µs  ({rows} rows)");
+    let mut counted = 0;
+    let count_us = best_us(|| {
+        counted = 0;
+        for inbox in &fragments {
+            evaluate_each(query, inbox, |_| counted += 1);
+        }
+        counted
+    });
+    assert_eq!(counted, rows, "{name}: the count is the rows written");
+    let name = format!("{name}_count");
+    println!("multiway/{name:<27} {count_us:>10.1} µs  ({counted} rows)");
 }
 
 fn multiway() {
@@ -454,6 +471,15 @@ fn probe_write() {
             .sum::<usize>()
     });
     println!("join_kernel/probe_write/direct      {direct:>10.1} µs");
+    let digest = best_us(|| {
+        pairs
+            .iter()
+            .map(|(r, s)| probe_digest(&KeyIndex::build(r, &[1]), s, 0))
+            .fold((0, 0u64), |(n, d), (rows, digest)| {
+                (n + rows, d.wrapping_add(digest))
+            })
+    });
+    println!("join_kernel/probe_write/digest      {digest:>10.1} µs");
 }
 
 fn main() {

@@ -57,7 +57,8 @@ pub fn run() -> Vec<Table> {
                 r
             })
             .collect();
-        let out = parqp::query::evaluate(&q, &rels).len();
+        let mut out = 0usize;
+        parqp::query::evaluate_each(&q, &rels, |_| out += 1);
         let g = gym::gym(&q, &rels, &tree, p, 5, true);
         let h = multiway::hypercube(&q, &rels, p, 5);
         let gl = g.report.max_load_tuples();

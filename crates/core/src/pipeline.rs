@@ -169,18 +169,18 @@ fn key_digest(key: &[Value]) -> u64 {
     })
 }
 
-/// Serial oracle: evaluate the join, aggregate in a hash map.
+/// Serial oracle: evaluate the join, aggregating each answer row into a
+/// hash map as the join produces it, without holding the join.
 pub fn aggregate_oracle(aq: &AggregateQuery, rels: &[Relation]) -> Relation {
-    let joined = parqp_query::evaluate(&aq.join, rels);
     let mut acc: FastMap<Vec<Value>, u64> = FastMap::default();
-    for row in joined.iter() {
+    parqp_query::evaluate_each(&aq.join, rels, |row| {
         let key: Vec<Value> = aq.group_by.iter().map(|&v| row[v]).collect();
         let inc = match aq.agg {
             Agg::Count => 1,
             Agg::Sum(v) => row[v],
         };
         *acc.entry(key).or_insert(0) += inc;
-    }
+    });
     let mut rows: Vec<Vec<Value>> = acc
         .into_iter()
         .map(|(mut key, agg)| {

@@ -38,4 +38,4 @@ pub mod zipf;
 
 pub use fasthash::{FastMap, FastSet};
 pub use index::{KeyIndex, KeyTable, Rows};
-pub use relation::{Relation, Value};
+pub use relation::{merged_row_digest, Relation, Value};

@@ -213,8 +213,9 @@ impl Relation {
     /// This is a non-cryptographic check: it tells a wrong answer from a
     /// right one, it cannot stand up to an adversary who crafts one.
     pub fn digest(&self) -> u64 {
-        self.iter()
-            .fold(0, |sum, row| sum.wrapping_add(row_digest(row)))
+        self.iter().fold(0, |sum, row| {
+            sum.wrapping_add(row_term(row.len(), row.iter()))
+        })
     }
 
     /// Convert to a vector of owned rows (test convenience).
@@ -223,14 +224,29 @@ impl Relation {
     }
 }
 
-/// One row's term of [`Relation::digest`]: an Fx hash of its width and
-/// its words, then the splitmix64 finaliser, so that one changed bit
+/// The [`Relation::digest`] term of the row that
+/// [`Relation::push_merged`]`(left, right, skip)` would write — `left`'s
+/// values, then `right`'s without column `skip` — hashed from the two
+/// halves without writing it anywhere, for a sink that folds join
+/// matches into a digest. It equals the term of the written row bit for
+/// bit. A `skip` past `right`'s end skips nothing.
+#[inline]
+pub fn merged_row_digest(left: &[Value], right: &[Value], skip: usize) -> u64 {
+    let (before, after) = right.split_at(skip.min(right.len()));
+    let after = after.get(1..).unwrap_or_default();
+    let width = left.len() + before.len() + after.len();
+    row_term(width, left.iter().chain(before).chain(after))
+}
+
+/// The one definition of a row's term of [`Relation::digest`], given
+/// the row's width and its words in order: an Fx hash of the width and
+/// the words, then the splitmix64 finaliser, so that one changed bit
 /// anywhere flips about half of the term's bits. Every step is a
 /// bijection in the word it folds in, so rows of one width that differ
 /// in one value always get different terms.
 #[inline]
-fn row_digest(row: &[Value]) -> u64 {
-    let h = row.iter().fold(mix(0, row.len() as u64), |h, &v| mix(h, v));
+fn row_term<'a>(width: usize, words: impl Iterator<Item = &'a Value>) -> u64 {
+    let h = words.fold(mix(0, width as u64), |h, &v| mix(h, v));
     let mut z = h.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);

@@ -6,7 +6,7 @@
 //! to its sender and charge its page reads.
 
 use parqp_data::paged::{is_enabled, IoCursor, PlacementScan, RouteScan};
-use parqp_data::{KeyIndex, KeyTable, Relation, Rows, Value};
+use parqp_data::{merged_row_digest, KeyIndex, KeyTable, Relation, Rows, Value};
 use parqp_mpc::hash::splitmix64;
 use parqp_mpc::{Cluster, Grid, HashFamily, LoadReport, RowExchange, Weight};
 use parqp_query::{in_variable_order, SchemaJoin, Var};
@@ -311,14 +311,13 @@ where
 /// ago, or once by a caller that keeps the [`KeyTable`] beside the rows
 /// and probes them query after query. `s` probes in order, each probe's
 /// matches come in the build side's order, and merged rows are appended
-/// to `out`.
+/// to `out`: [`probe_each`] with the materialising sink.
 pub fn probe_rows<R, T, S>(index: &KeyIndex<'_, R, T>, s: &S, s_col: usize, out: &mut Relation)
 where
     R: Rows + ?Sized,
     T: Borrow<KeyTable>,
     S: Rows + ?Sized,
 {
-    let s_key = [s_col];
     let r = index.rows();
     // Checked once: rows are fixed-width, and merged rows are written
     // straight into `out`'s storage.
@@ -329,12 +328,54 @@ where
             "probe_rows: output arity is not the joined arity"
         );
     }
+    probe_each(index, s, s_col, |r_row, s_row| {
+        out.push_merged(r_row, s_row, s_col)
+    });
+}
+
+/// The one probe walk of a local hash join: `sink(build row, probe row)`
+/// once per match, probe rows of `s` outermost in order, each probe's
+/// matches in the build side's order. The merged row is the sink's to
+/// make: [`probe_rows`] writes it, and [`probe_digest`] folds the two
+/// halves into a count and a digest without ever writing it.
+#[inline]
+pub fn probe_each<R, T, S>(
+    index: &KeyIndex<'_, R, T>,
+    s: &S,
+    s_col: usize,
+    mut sink: impl FnMut(&[Value], &[Value]),
+) where
+    R: Rows + ?Sized,
+    T: Borrow<KeyTable>,
+    S: Rows + ?Sized,
+{
+    let s_key = [s_col];
+    let r = index.rows();
     for j in 0..s.len() {
         let s_row = s.row(j);
         for i in index.probe(s_row, &s_key) {
-            out.push_merged(r.row(i), s_row, s_col);
+            sink(r.row(i), s_row);
         }
     }
+}
+
+/// `(rows, digest)` of the answer [`probe_rows`] would write, with no
+/// row written: [`probe_each`] into a sink that counts each match and
+/// adds its merged row's [`Relation::digest`] term, hashed from the
+/// build and the probe row ([`merged_row_digest`]). The column the term
+/// skips is the probe's join column, as in the row `probe_rows` writes.
+pub fn probe_digest<R, T, S>(index: &KeyIndex<'_, R, T>, s: &S, s_col: usize) -> (u64, u64)
+where
+    R: Rows + ?Sized,
+    T: Borrow<KeyTable>,
+    S: Rows + ?Sized,
+{
+    let (mut rows, mut digest) = (0u64, 0u64);
+    probe_each(index, s, s_col, |r_row, s_row| {
+        rows += 1;
+        digest = digest.wrapping_add(merged_row_digest(r_row, s_row, s_col));
+    });
+    (rows, digest)
 }
 
 /// Route one stream of a row exchange straight from its input: `rel`
@@ -550,6 +591,7 @@ pub fn twoway_oracle(r: &Relation, r_col: usize, s: &Relation, s_col: usize) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parqp_testkit::prelude::*;
 
     #[test]
     fn tagged_weight_counts_row_only() {
@@ -674,6 +716,70 @@ mod tests {
                 assert_eq!(buf.capacity(), buf.len(), "p = {p}: slack delivered");
             }
         }
+    }
+
+    /// A relation of `arity` columns over a domain of 3 (most rows
+    /// repeat another), empty one time in four.
+    fn small_bag(rng: &mut Rng, arity: usize) -> Relation {
+        let rows = if rng.gen_below(4) == 0 {
+            0
+        } else {
+            rng.gen_below(40) as usize
+        };
+        Relation::from_rows(
+            arity,
+            (0..rows).map(|_| (0..arity).map(|_| rng.gen_below(3)).collect::<Vec<_>>()),
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Serve's count and digest against the sink that writes the
+        /// rows: one row per match, and each match's term of the merged
+        /// row, hashed from its halves, is the term of the row
+        /// `probe_rows` writes.
+        #[test]
+        fn probe_digest_is_the_digest_of_probe_rows(
+            seed in any::<u64>(),
+        ) {
+            let mut rng = Rng::seed_from_u64(seed);
+            let r_arity = rng.gen_range(1usize..=3);
+            let r_col = rng.gen_below(r_arity as u64) as usize;
+            let s_col = rng.gen_below(2) as usize;
+            let (r, s) = (small_bag(&mut rng, r_arity), small_bag(&mut rng, 2));
+            let key = [r_col];
+            let index = KeyIndex::build(&r, &key);
+            let mut out = Relation::new(joined_arity(r_arity, 2));
+            probe_rows(&index, &s, s_col, &mut out);
+            let (rows, digest) = probe_digest(&index, &s, s_col);
+            prop_assert_eq!((rows, digest), (out.len() as u64, out.digest()));
+        }
+    }
+
+    /// Known answers for the digest term. Served records, goldens and
+    /// the `perf` oracles compare digests made by different builds, so
+    /// the term itself must not move: a term that stopped hashing the
+    /// width, or hashed the wrong words, fails here even where both
+    /// sides of the property above would move together.
+    #[test]
+    fn the_digest_term_is_pinned() {
+        let r = Relation::from_rows(3, [[1, 2, 3], [1, 2, 3], [u64::MAX, 0, 7]]);
+        assert_eq!(r.digest(), 0x8009_edc5_5c6b_6199);
+        assert_eq!(
+            Relation::from_rows(1, [[5]]).digest(),
+            0x7882_3f7b_0abf_82e9
+        );
+        let halves: [(&[Value], &[Value], usize); 3] = [
+            (&[1, 2], &[9, 3], 0),
+            (&[1, 2], &[3, 9], 1),
+            (&[1, 2, 3], &[9], 0),
+        ];
+        let sum = halves.iter().fold(0u64, |sum, (l, r, skip)| {
+            sum.wrapping_add(merged_row_digest(l, r, *skip))
+        });
+        let d = Relation::from_rows(3, [[1, 2, 3]]).digest();
+        assert_eq!(sum, d.wrapping_mul(3));
     }
 
     #[test]

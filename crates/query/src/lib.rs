@@ -29,7 +29,7 @@ pub mod residual;
 pub mod schema;
 
 pub use ghd::{Bag, Ghd};
-pub use oracle::{acyclic_output_size, evaluate, yannakakis_serial};
+pub use oracle::{acyclic_output_size, evaluate, evaluate_each, yannakakis_serial};
 pub use parser::{parse_query, ParseError};
 pub use query::{Atom, Query, Var};
 pub use residual::{all_residuals, psi_star, residual, ResidualQuery};

@@ -9,10 +9,13 @@
 //!   local phase, so it runs on the flat [`KeyIndex`] kernel, one loop
 //!   per atom, each loop a [`KeyIndex::for_each_match`] probe whose
 //!   continuation is the next atom's loop, all writing one binding row
-//!   in place. The plain `FastMap<Vec<Value>, …>`
-//!   version it replaced lives on as this file's `#[cfg(test)]`
-//!   `reference` module, and a differential property test holds the two
-//!   to the same output rows in the same order.
+//!   in place. Each full binding goes to a sink: [`evaluate`] pushes it
+//!   into a relation, and [`evaluate_each`] hands it to the caller, who
+//!   may count or fold the answer without holding it. The plain
+//!   `FastMap<Vec<Value>, …>` version it replaced lives on as this
+//!   file's `#[cfg(test)]` `reference` module, and a differential
+//!   property test holds the two to the same output rows in the same
+//!   order.
 //! * [`yannakakis_serial`] — the Yannakakis algorithm over a width-1 GHD
 //!   (slides 64–77): upward semijoin phase, downward semijoin phase, then
 //!   a bottom-up join phase, running in `O(IN + OUT)`. Every step is a
@@ -42,14 +45,26 @@ use parqp_data::{KeyIndex, Relation, Value};
 /// Panics if `rels.len() != q.num_atoms()` or an atom's arity disagrees
 /// with its relation.
 pub fn evaluate(q: &Query, rels: &[Relation]) -> Relation {
-    check_inputs(q, rels);
     let mut out = Relation::new(q.num_vars());
+    evaluate_each(q, rels, |row| out.push(row));
+    out
+}
+
+/// [`evaluate`] without the output relation: `sink(row)` once per row
+/// of the answer, in [`evaluate`]'s order, each row the binding
+/// `x₀ … x_{k-1}` (valid only for the call). A caller that only counts,
+/// digests or aggregates the answer folds it here and never holds it.
+///
+/// # Panics
+/// As [`evaluate`].
+pub fn evaluate_each(q: &Query, rels: &[Relation], mut sink: impl FnMut(&[Value])) {
+    check_inputs(q, rels);
     let mut atoms = q.atoms().iter().zip(rels);
     let Some((first, first_rel)) = atoms.next() else {
-        return out;
+        return;
     };
     if rels.iter().any(Relation::is_empty) {
-        return out;
+        return;
     }
 
     // Per atom after the first: the columns whose variable an earlier
@@ -92,9 +107,8 @@ pub fn evaluate(q: &Query, rels: &[Relation]) -> Relation {
         for (&v, &x) in first.vars.iter().zip(row) {
             cur[v] = x;
         }
-        walk(&steps, &mut cur, &mut out);
+        walk(&steps, &mut cur, &mut sink);
     }
-    out
 }
 
 /// One level of [`evaluate`]'s nested loop: an atom's relation indexed
@@ -123,15 +137,15 @@ impl Step<'_> {
 }
 
 /// The loops of `steps` under the binding `cur`, each full binding
-/// pushed to `out`. The last step runs inside its parent's loop rather
+/// handed to `sink`. The last step runs inside its parent's loop rather
 /// than through a call, so the closing probe — the triangle's `T(z, x)`,
 /// almost always a miss — costs a hash and a filter byte.
-fn walk(steps: &[Step<'_>], cur: &mut [Value], out: &mut Relation) {
+fn walk<F: FnMut(&[Value])>(steps: &[Step<'_>], cur: &mut [Value], sink: &mut F) {
     match steps {
-        [] => out.push(cur),
-        [last] => last.each(cur, |cur| out.push(cur)),
-        [step, last] => step.each(cur, |cur| last.each(cur, |cur| out.push(cur))),
-        [step, rest @ ..] => step.each(cur, |cur| walk(rest, cur, out)),
+        [] => sink(cur),
+        [last] => last.each(cur, |cur| sink(cur)),
+        [step, last] => step.each(cur, |cur| last.each(cur, |cur| sink(cur))),
+        [step, rest @ ..] => step.each(cur, |cur| walk(rest, cur, sink)),
     }
 }
 
@@ -561,7 +575,7 @@ mod tests {
 /// (`raw()`-equality, stronger than the canonical comparisons above).
 #[cfg(test)]
 mod differential {
-    use super::{acyclic_output_size, evaluate, reference, yannakakis_serial};
+    use super::{acyclic_output_size, evaluate, evaluate_each, reference, yannakakis_serial};
     use crate::ghd::Ghd;
     use crate::query::{Atom, Query, Var};
     use crate::schema::SchemaJoin;
@@ -671,6 +685,20 @@ mod differential {
             let theirs = reference::evaluate(&q, &rels);
             prop_assert_eq!(ours.arity(), theirs.arity());
             prop_assert_eq!(ours.raw(), theirs.raw(), "query {:?}", q);
+        }
+
+        #[test]
+        fn evaluate_each_streams_what_evaluate_writes(seed in any::<u64>()) {
+            let (q, rels) = random_instance(seed);
+            let written = evaluate(&q, &rels);
+            let mut streamed = Vec::with_capacity(written.raw().len());
+            let mut widths_ok = true;
+            evaluate_each(&q, &rels, |row| {
+                widths_ok &= row.len() == q.num_vars();
+                streamed.extend_from_slice(row);
+            });
+            prop_assert!(widths_ok, "query {:?}", q);
+            prop_assert_eq!(written.raw(), &streamed[..], "query {:?}", q);
         }
 
         #[test]

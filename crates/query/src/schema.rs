@@ -116,13 +116,18 @@ impl SchemaJoin {
 /// Panics unless `vars` is a permutation of `0..vars.len()` naming
 /// columns of `rel`.
 pub fn in_variable_order(rel: Relation, vars: &[Var]) -> Relation {
-    if rel.arity() == vars.len() && vars.iter().copied().eq(0..vars.len()) {
+    let k = vars.len();
+    if rel.arity() == k && vars.iter().copied().eq(0..k) {
         return rel;
     }
-    let mut col_of_var = vec![0; vars.len()];
-    for (col, &v) in vars.iter().enumerate() {
-        col_of_var[v] = col;
-    }
+    // The column that holds each variable, in variable order.
+    let mut by_var: Vec<(Var, usize)> = vars.iter().copied().zip(0..).collect();
+    by_var.sort_unstable();
+    assert!(
+        by_var.iter().map(|&(v, _)| v).eq(0..k),
+        "variables {vars:?} are not a permutation of 0..{k}"
+    );
+    let col_of_var: Vec<usize> = by_var.into_iter().map(|(_, col)| col).collect();
     rel.project(&col_of_var)
 }
 
@@ -160,5 +165,11 @@ mod tests {
             vec![vec![20, 30, 10]]
         );
         assert_eq!(in_variable_order(rel.clone(), &[0, 1, 2]), rel);
+    }
+
+    #[test]
+    #[should_panic(expected = "not a permutation")]
+    fn variable_order_refuses_a_repeated_variable() {
+        in_variable_order(Relation::from_rows(2, [[1, 2]]), &[1, 1]);
     }
 }

@@ -19,12 +19,12 @@
 
 use parqp_data::paged::{self, IoStats, StoreConfig};
 use parqp_data::Relation;
-use parqp_join::common::{hash_partition, joined_arity, probe_rows, single_stream};
+use parqp_join::common::{hash_partition, probe_digest, single_stream};
 use parqp_mpc::faults::{self, FaultPlan, FaultSpec, RecoveryStrategy};
 use parqp_mpc::{Cluster, HashFamily, LoadReport};
 
 use crate::cache::{Admission, BuildCost, CacheKey, CacheStats, Partition, PlanCache};
-use crate::report::{digest_relation, QueryRecord, ServeReport, TenantStats};
+use crate::report::{QueryRecord, ServeReport, TenantStats};
 use crate::series::{ObsConfig, SeriesReport};
 use crate::templates::{self, TEMPLATES};
 use crate::workload::{self, QueryArrival};
@@ -205,16 +205,13 @@ fn run_stream(cfg: &ServeConfig, arrivals: &[QueryArrival]) -> StreamOut {
 
         // Probe phase: route this query's probe rows with the *same*
         // hash that partitioned the base, then probe each partition's
-        // table locally. Each server digests its output where it lies;
-        // the bag digest of the answer is the sum, so nothing is
-        // gathered.
+        // table locally. Each server folds every match straight into
+        // its row count and bag digest, so no server writes its output
+        // and nothing is gathered: the answer's digest is the sum.
         let probe = templates::probe_relation(a.template, a.group, a.serial, cfg.seed);
         let inboxes = partition_by_key(&mut cluster, &h, &probe);
-        let arity = joined_arity(2, 2);
         let outputs = cluster.map(inboxes, |s, probes| {
-            let mut out = Relation::new(arity);
-            probe_rows(&parts[s].index(), &probes, 0, &mut out);
-            (out.len() as u64, digest_relation(&out))
+            probe_digest(&parts[s].index(), &probes, 0)
         });
         let (out_rows, digest) = outputs.iter().fold((0, 0u64), |(rows, sum), &(n, d)| {
             (rows + n, sum.wrapping_add(d))
