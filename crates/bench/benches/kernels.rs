@@ -16,7 +16,8 @@
 //!   match counted and its merged row's digest term hashed from the
 //!   two halves (`digest`, what a served query's servers run).
 //! * `join_kernel/route/*` — one hash round's routing at p = 64 over
-//!   two-column rows, from the input to the delivered buffers: the
+//!   two-column rows (and at p = 8 over a served base's 4,000,
+//!   `4k_p8`), from the input to the delivered buffers: the
 //!   input cut into round-robin fragments by `scatter` and each
 //!   fragment counted, reserved and sent row by row (`scatter`), or
 //!   placed straight from the input by `hash_partition` (`placed`);
@@ -46,7 +47,10 @@
 //!   (zipf-heavy: 2400 over 800 values at α = 1.2; zipf-light: 3000
 //!   over 1500 at 0.8) from a sampler built once, and
 //!   `serve/base/<template>` — `base_relation` whole, sampler build and
-//!   draws included: what every `serve_churn` miss generates.
+//!   draws included — beside `serve/base/<template>/replay`, the same
+//!   base drawn from a replay's `ZipfTables`, built once: what every
+//!   `serve_churn` miss generates. `datagen/uniform_4000x2` is the
+//!   `uniform-pairs` base's shape through `generate::uniform` alone.
 //! * `digest/*` — `digest_relation` over uniform relations of the
 //!   shapes it digests: one served query's answer (145 × 3), the
 //!   `join_*` oracle (80 k × 3) and the `chain_gym_planned` oracle
@@ -67,7 +71,7 @@ use parqp::matmul::{gemm_acc, Matrix, View};
 use parqp::mpc::{Cluster, FanOut, Grid, HashFamily, RowExchange};
 use parqp::query::{evaluate, evaluate_each, Query};
 use parqp::serve::report::digest_relation;
-use parqp::serve::templates::{base_relation, TEMPLATES};
+use parqp::serve::templates::{base_relation, ZipfTables, TEMPLATES};
 use parqp::sort::sort_words;
 use parqp_testkit::bench::time_ns;
 use parqp_testkit::Rng;
@@ -285,10 +289,16 @@ fn zipf_and_serve_bases() {
         let shape = format!("{n}x{alpha}");
         println!("zipf/sample/{shape:<23} {us:>10.1} µs");
     }
+    let tables = ZipfTables::new(TEMPLATES.len());
     for (template, spec) in TEMPLATES.iter().enumerate() {
         let us = best_us(|| base_relation(template, 1, 42));
         println!("serve/base/{:<24} {us:>10.1} µs", spec.name);
+        let us = best_us(|| tables.base_relation(template, 1, 42));
+        let row = format!("{}/replay", spec.name);
+        println!("serve/base/{row:<24} {us:>10.1} µs");
     }
+    let us = best_us(|| generate::uniform(2, 4000, 2000, 42));
+    println!("datagen/uniform_4000x2              {us:>10.1} µs");
 }
 
 fn digest() {
@@ -391,14 +401,21 @@ fn fan_base(h: &HashFamily, grid: &Grid, fan: &FanOut, vars: &[usize], row: &[u6
 }
 
 /// `join_kernel/route/*`: one stream of two-column rows hashed on its
-/// first column to p = 64, both ways, at three input sizes; then
-/// `triangle_planned`'s shuffle, both ways.
+/// first column, both ways: a served base's 4,000 rows to p = 8, then
+/// three input sizes to p = 64; then `triangle_planned`'s shuffle, both
+/// ways.
 fn route() {
     let h = HashFamily::new(42, 1);
-    for (n, shape) in [(40_000, "40k"), (200_000, "200k"), (2_000_000, "2M")] {
+    let shapes = [
+        (4000, 8, "4k_p8"),
+        (40_000, 64, "40k"),
+        (200_000, 64, "200k"),
+        (2_000_000, 64, "2M"),
+    ];
+    for (n, p, shape) in shapes {
         let rel = generate::uniform(2, n, n as u64, 57);
         let round = |route: &dyn Fn(&mut RowExchange<'_>)| {
-            let mut cluster = Cluster::new(64);
+            let mut cluster = Cluster::new(p);
             let mut ex = cluster.exchange_rows(&[2]);
             route(&mut ex);
             ex.finish()

@@ -12,6 +12,7 @@ use parqp_mpc::{Cluster, Grid, HashFamily, LoadReport, RowExchange, Weight};
 use parqp_query::{in_variable_order, SchemaJoin, Var};
 use std::borrow::Borrow;
 use std::mem;
+use std::slice::IterMut;
 
 /// The result of running a distributed algorithm: per-server outputs and
 /// the communication cost summary.
@@ -463,17 +464,18 @@ fn place_input(
         }
     }
     // Each destination's buffer, cut into one window per sender; a
-    // window shrinks from the front as rows land in it.
+    // window is written front to back, a word at a time, as rows land
+    // in it.
     let mut bufs: Vec<Vec<Value>> = counts
         .chunks_exact(senders)
         .map(|sent| vec![0; sent.iter().sum::<u64>() as usize * arity])
         .collect();
-    let mut windows: Vec<&mut [Value]> = Vec::with_capacity(p * senders);
+    let mut windows: Vec<IterMut<'_, Value>> = Vec::with_capacity(p * senders);
     for (buf, sent) in bufs.iter_mut().zip(counts.chunks_exact(senders)) {
         let mut rest = buf.as_mut_slice();
         for &rows in sent {
             let (window, tail) = mem::take(&mut rest).split_at_mut(rows as usize * arity);
-            windows.push(window);
+            windows.push(window.iter_mut());
             rest = tail;
         }
     }
@@ -488,6 +490,10 @@ fn place_input(
             }
         }
     }
+    debug_assert!(
+        windows.iter().all(|w| w.len() == 0),
+        "a window left unfilled"
+    );
     for (d, (buf, sent)) in bufs
         .into_iter()
         .zip(counts.chunks_exact(senders))
@@ -498,12 +504,16 @@ fn place_input(
     }
 }
 
-/// Copy `row` to the front of `window` and shrink it past the copy.
+/// Copy `row`, word by word, to the front of `window`, which moves past
+/// the copy. Pass 1's counts size every window to hold exactly its
+/// rows, so no word runs out of slots.
 #[inline]
-fn place(window: &mut &mut [Value], row: &[Value]) {
-    let (slot, rest) = mem::take(window).split_at_mut(row.len());
-    slot.copy_from_slice(row);
-    *window = rest;
+fn place(window: &mut IterMut<'_, Value>, row: &[Value]) {
+    // `row` leads the zip, so its end stops the copy before the
+    // window gives up a slot it will not fill.
+    for (&v, slot) in row.iter().zip(window) {
+        *slot = v;
+    }
 }
 
 /// [`route_input`] with one offset: `rel`, placed on the exchange's `p`

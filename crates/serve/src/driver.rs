@@ -26,7 +26,7 @@ use parqp_mpc::{Cluster, HashFamily, LoadReport};
 use crate::cache::{Admission, BuildCost, CacheKey, CacheStats, Partition, PlanCache};
 use crate::report::{QueryRecord, ServeReport, TenantStats};
 use crate::series::{ObsConfig, SeriesReport};
-use crate::templates::{self, TEMPLATES};
+use crate::templates::{self, ZipfTables, TEMPLATES};
 use crate::workload::{self, QueryArrival};
 
 /// Fault injection for a replay: a seeded plan over the first
@@ -171,6 +171,9 @@ fn run_stream(cfg: &ServeConfig, arrivals: &[QueryArrival]) -> StreamOut {
     let p = cfg.servers;
     let mut cluster = Cluster::new(p);
     let mut cache = PlanCache::new(cfg.cache_budget);
+    // Every miss on a skewed template draws its base from that
+    // template's one Zipf table, built here rather than per build.
+    let zipf = ZipfTables::new(cfg.templates);
     let mut records = Vec::with_capacity(arrivals.len());
     // The store ledger is monotone over a replay, so each query's
     // closing snapshot opens the next one's delta.
@@ -188,12 +191,12 @@ fn run_stream(cfg: &ServeConfig, arrivals: &[QueryArrival]) -> StreamOut {
         // probe below reads them through one borrow.
         let uncached: Vec<Partition>;
         let (cache_state, parts): (_, &[Partition]) = if !cache.enabled() {
-            uncached = build_partitions(&mut cluster, &h, a, cfg.seed).0;
+            uncached = build_partitions(&mut cluster, &h, &zipf, a, cfg.seed).0;
             ("off", &uncached)
         } else if let Some(resident) = cache.lookup(&key, a.tick) {
             ("hit", resident)
         } else {
-            let (built, cost) = build_partitions(&mut cluster, &h, a, cfg.seed);
+            let (built, cost) = build_partitions(&mut cluster, &h, &zipf, a, cfg.seed);
             match cache.insert(key, built, cost, a.tick) {
                 Admission::Admitted(resident) => ("miss", resident),
                 Admission::Rejected(back) => {
@@ -304,17 +307,19 @@ pub fn replay_observed(
     Ok((report, series))
 }
 
-/// Build phase: scatter the base, hash-partition it across the cluster
-/// (one exchange round) and index every partition where it landed,
-/// returning the per-server partitions and what the build cost — the
-/// charges a cache hit skips.
+/// Build phase: draw the base from the replay's `zipf` tables,
+/// scatter it, hash-partition it across the cluster (one exchange
+/// round) and index every partition where it landed, returning the
+/// per-server partitions and what the build cost — the charges a cache
+/// hit skips.
 fn build_partitions(
     cluster: &mut Cluster,
     h: &HashFamily,
+    zipf: &ZipfTables,
     a: &QueryArrival,
     seed: u64,
 ) -> (Vec<Partition>, BuildCost) {
-    let base = templates::base_relation(a.template, a.group, seed);
+    let base = zipf.base_relation(a.template, a.group, seed);
     // The delivered buffers are the rows the cache keeps; indexing them
     // is each server's local work.
     let delivered = partition_by_key(cluster, h, &base);

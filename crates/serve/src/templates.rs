@@ -13,6 +13,7 @@
 //! and a wide-domain uniform — so a served mix exercises both the
 //! skew-free `IN/p` regime and the heavy-hitter regime.
 
+use parqp_data::zipf::Zipf;
 use parqp_data::{generate, Relation};
 
 /// One query template: the shape of its base relation and probes.
@@ -84,17 +85,65 @@ fn derive_seed(seed: u64, template: usize, group: u64, salt: u64) -> u64 {
 /// The base relation of `(template, group)` — the cacheable side.
 /// A pure function of its arguments; column 0 is the join key.
 ///
+/// This one-off form builds the template's Zipf table for the call; a
+/// replay draws every base from its [`ZipfTables`] instead, the same
+/// rows from tables built once.
+///
 /// # Panics
 /// Panics if `template` is out of catalog range.
 pub fn base_relation(template: usize, group: u64, seed: u64) -> Relation {
-    let t = &TEMPLATES[template];
-    let s = derive_seed(seed, template, group, 0x0b5e);
-    if t.name == "graph-edges" {
-        generate::random_graph(t.domain, t.base_rows, s)
-    } else if t.alpha > 0.0 {
-        generate::zipf_pairs(t.base_rows, t.domain as usize, t.alpha, 0, s)
-    } else {
-        generate::uniform(2, t.base_rows, t.domain, s)
+    ZipfTables::built_for(|t| t == template).base_relation(template, group, seed)
+}
+
+/// The Zipf tables a replay draws its skewed bases from, one per
+/// template of the replay's catalog prefix whose join column is skewed
+/// (`alpha > 0`), built once and owned by the replay. A uniform or
+/// graph template needs no table, so none is built: `wide-domain`'s
+/// would be a 60,000-entry CDF for nothing.
+#[derive(Debug, Clone)]
+pub struct ZipfTables {
+    /// `tables[t]` is template `t`'s table: `None` if it is unskewed or
+    /// was not built.
+    tables: Vec<Option<Zipf>>,
+}
+
+impl ZipfTables {
+    /// The tables of the first `templates` catalog entries.
+    pub fn new(templates: usize) -> Self {
+        Self::built_for(|t| t < templates)
+    }
+
+    /// The tables of the skewed templates `keep` selects.
+    fn built_for(keep: impl Fn(usize) -> bool) -> Self {
+        let table = |(t, spec): (usize, &Template)| {
+            (keep(t) && spec.alpha > 0.0).then(|| Zipf::new(spec.domain as usize, spec.alpha))
+        };
+        Self {
+            tables: TEMPLATES.iter().enumerate().map(table).collect(),
+        }
+    }
+
+    /// [`base_relation`]`(template, group, seed)`, drawn from these
+    /// tables: the same rows, without building a table.
+    ///
+    /// # Panics
+    /// Panics if `template` is out of catalog range, or skewed and
+    /// outside the templates these tables were built for.
+    pub fn base_relation(&self, template: usize, group: u64, seed: u64) -> Relation {
+        let t = &TEMPLATES[template];
+        let s = derive_seed(seed, template, group, 0x0b5e);
+        let zipf = self.tables.get(template).and_then(Option::as_ref);
+        assert_eq!(
+            zipf.is_some(),
+            t.alpha > 0.0,
+            "{}: no Zipf table built",
+            t.name
+        );
+        match zipf {
+            _ if t.name == "graph-edges" => generate::random_graph(t.domain, t.base_rows, s),
+            Some(z) => generate::zipf_pairs_with(z, t.base_rows, 0, s),
+            None => generate::uniform(2, t.base_rows, t.domain, s),
+        }
     }
 }
 
@@ -140,6 +189,34 @@ mod tests {
             let other = base_relation(template, 2, 42);
             assert_ne!(a, other, "{}: groups collide", spec.name);
             assert_eq!(a.arity(), 2);
+        }
+    }
+
+    #[test]
+    fn replay_tables_draw_the_one_off_bases() {
+        let tables = ZipfTables::new(TEMPLATES.len());
+        for (template, spec) in TEMPLATES.iter().enumerate() {
+            assert_eq!(
+                tables.tables[template].is_some(),
+                spec.alpha > 0.0,
+                "{}: a table only for a skewed template",
+                spec.name
+            );
+            let one_off = ZipfTables::built_for(|t| t == template);
+            assert_eq!(
+                one_off.tables.iter().flatten().count(),
+                usize::from(spec.alpha > 0.0)
+            );
+            for seed in [42, 7] {
+                for group in 0..16 {
+                    assert_eq!(
+                        tables.base_relation(template, group, seed),
+                        base_relation(template, group, seed),
+                        "{} group {group} seed {seed}",
+                        spec.name
+                    );
+                }
+            }
         }
     }
 
