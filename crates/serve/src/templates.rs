@@ -100,7 +100,7 @@ pub fn base_relation(template: usize, group: u64, seed: u64) -> Relation {
 /// (`alpha > 0`), built once and owned by the replay. A uniform or
 /// graph template needs no table, so none is built: `wide-domain`'s
 /// would be a 60,000-entry CDF for nothing.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ZipfTables {
     /// `tables[t]` is template `t`'s table: `None` if it is unskewed or
     /// was not built.
